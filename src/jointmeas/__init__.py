@@ -16,7 +16,6 @@ from .bounds import (
     check_corollary_joint,
     check_corollary_pvm,
     check_corollary_pvm_instrument,
-    check_corollary_pvm_l1,
     check_heinosaari,
     check_qubit_pair,
     check_theorem1,
@@ -88,7 +87,6 @@ __all__ = [
     "check_corollary_joint",
     "check_corollary_pvm",
     "check_corollary_pvm_instrument",
-    "check_corollary_pvm_l1",
     "check_heinosaari",
     "check_joint_measurability",
     "check_qubit_pair",

@@ -26,7 +26,12 @@ from .bounds import (
 )
 from .distances import D_inf, D_l1
 from .errors import CapacityError
-from .feasibility import check_joint_measurability, frontier_sweep
+from .feasibility import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    check_joint_measurability,
+    frontier_sweep,
+)
 from .io import FileFormatError, format_float
 from .povm import Povm, bloch_pvm
 from .selftest import run_selftest
@@ -158,7 +163,6 @@ def _cmd_frontier(args) -> int:
         y_resolution=args.resolution,
         tol=args.tol,
         max_iter=args.max_iter,
-        threads=args.threads,
     )
     io.write_csv(
         args.out,
@@ -236,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-joint", help="decide joint measurability of two POVMs")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--max-iter", type=int, default=5000)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--witness-out", default="joint_witness.json")
     p.add_argument("--lenient", action="store_true")
     p.set_defaults(handler=_cmd_check_joint)
@@ -251,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=float, default=1e-4)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--lenient", action="store_true")
     p.set_defaults(handler=_cmd_frontier)
 

@@ -22,7 +22,6 @@ residual rather than claiming infeasibility.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -382,29 +381,21 @@ def frontier_sweep(
     y_resolution: float = 1e-4,
     tol: float = 1e-7,
     max_iter: int = 2000,
-    threads: int = 1,
 ) -> list[FrontierPoint]:
     """Frontier points on a uniform x_target grid over [0, x_max].
 
-    Points are solved independently (optionally in parallel) and then made
-    monotone: a witness found under a smaller X budget is also valid under a
-    larger one, so it replaces any later point the solver did worse on. The
-    result is deterministic for a given input regardless of thread count.
+    Points are solved independently and then made monotone: a witness found
+    under a smaller X budget is also valid under a larger one, so it replaces
+    any later point the solver did worse on.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     xs = np.linspace(0.0, x_max, n_points) if n_points > 1 else np.array([x_max])
 
-    def solve(x: float) -> FrontierPoint:
-        return frontier_point(
-            a, b, float(x), y_resolution=y_resolution, tol=tol, max_iter=max_iter
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(solve, xs))
-    else:
-        points = [solve(x) for x in xs]
+    points = [
+        frontier_point(a, b, float(x), y_resolution=y_resolution, tol=tol, max_iter=max_iter)
+        for x in xs
+    ]
 
     # carry the best witness forward so Y is nonincreasing in the budget
     monotone: list[FrontierPoint] = []

@@ -9,15 +9,13 @@ from typing import Iterable
 import numpy as np
 
 from . import linalg
-from .errors import CapacityError  # noqa: F401  (re-exported for callers)
-from .subsets import check_subset_capacity, gray_walk
+from .subsets import gray_walk
 
 # Default tolerances for POVM validity: entrywise deviation of the element sum
 # from the identity, and the eigenvalue floor for positivity. Loose enough to
 # accept projection-solver output, tight enough to catch modeling bugs.
 COMPLETENESS_TOL = 1e-8
 PSD_TOL = 1e-9
-STATE_TRACE_TOL = 1e-10
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -65,11 +63,6 @@ class Povm:
             raise ValueError("element entries must be finite")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "elements", _frozen_stack(elements))
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, np.ndarray]]) -> "Povm":
-        labels, mats = zip(*pairs)
-        return cls(tuple(labels), np.stack([np.asarray(m, dtype=complex) for m in mats]))
 
     @property
     def dim(self) -> int:
@@ -173,26 +166,6 @@ class State:
         return cls(np.eye(dim, dtype=complex) / dim)
 
 
-def validate_state(
-    s: State,
-    psd_tol: float = PSD_TOL,
-    trace_tol: float = STATE_TRACE_TOL,
-) -> list[str]:
-    """List of violated density-operator axioms (empty iff valid)."""
-    out: list[str] = []
-    scale = max(1.0, float(np.abs(s.matrix).max()))
-    if linalg.hermitian_defect(s.matrix) > linalg.HERMITICITY_RTOL * scale:
-        out.append("not Hermitian")
-    else:
-        w = np.linalg.eigvalsh(linalg.hermitian_part(s.matrix))
-        if w[0] < -psd_tol:
-            out.append(f"negative eigenvalue {w[0]:.3e}")
-    tr = complex(np.trace(s.matrix))
-    if abs(tr - 1.0) > trace_tol:
-        out.append(f"trace {tr:.12g} != 1")
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Outcome probabilities of a POVM in a state.
@@ -232,22 +205,10 @@ def intrinsic_uncertainty_inf(p: Povm) -> float:
 def intrinsic_uncertainty_l1(p: Povm) -> float:
     """max over outcome subsets D of ||A_D (1 - A_D)|| where A_D sums the
     elements over D. Exact enumeration; capped by CapacityError."""
-    n = p.n_outcomes
-    check_subset_capacity(n, "the subset-summed intrinsic uncertainty")
     e = linalg.hermitian_part(p.elements)
-    running = np.zeros((p.dim, p.dim), dtype=complex)
     best = 0.0
-    for mask, flip, sign, canonical in gray_walk(n):
-        if flip >= 0:
-            if sign > 0:
-                running += e[flip]
-            else:
-                running -= e[flip]
-        if not canonical or mask == 0:
-            continue
-        val = float(linalg.herm_norm_stack(running - running @ running))
-        if val > best:
-            best = val
+    for sums in gray_walk(e, "the subset-summed intrinsic uncertainty"):
+        best = max(best, float(linalg.herm_norm_stack(sums - sums @ sums).max()))
     return best
 
 
@@ -313,15 +274,6 @@ def random_state(dim: int, rng: np.random.Generator) -> State:
     r = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     g = r @ np.conj(r.T)
     return State(g / np.trace(g).real)
-
-
-def random_pure_state(dim: int, rng: np.random.Generator) -> State:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return State.pure(v)
-
-
-def same_outcome_sets(p: Povm, q: Povm) -> bool:
-    return p.outcomes == q.outcomes
 
 
 def require_comparable(p: Povm, q: Povm) -> None:

@@ -15,7 +15,6 @@ from typing import Mapping
 import numpy as np
 
 from . import linalg
-from .distances import D_inf
 from .povm import Povm
 
 # Separator used to build product outcome labels "a|b"; user labels fed to
@@ -159,7 +158,3 @@ def error_operators(a: Povm, f_povm: Povm, f: OutcomeMap) -> ErrorOperators:
     norms.setflags(write=False)
     return ErrorOperators(a.outcomes, ops, norms)
 
-
-def reconstruction_distance(a: Povm, f_povm: Povm, f: OutcomeMap):
-    """Uniform-distance accuracy of reconstructing A through (F, f)."""
-    return D_inf(a, marginalize(f_povm, f))

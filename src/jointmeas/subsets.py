@@ -1,52 +1,59 @@
-"""Gray-code subset enumeration.
+"""Subset sums in Gray-code order.
 
 Several quantities here are exact maxima over all subsets of an outcome set.
-The Gray-code walk visits every bitmask while changing a single bit per step,
-so a running sum of matrices can be updated with one add or subtract. Because
-a subset and its complement always yield the same norm in these maxima, only
-one mask of each complement pair needs to be evaluated; `canonical` marks the
-first of each pair encountered, halving the expensive evaluations.
+Because a subset and its complement always yield the same norm in these
+maxima, only the subsets that leave out the last outcome are evaluated, which
+halves the work. `gray_walk` yields their sums as stacks of at most
+2^CHUNK_BITS matrices, so a caller evaluates one stack per numpy call instead
+of one matrix per mask.
+
+The sums are built by Gray doubling: the sums over the first k elements,
+followed by the same sums in reverse order plus element k. Position i of the
+concatenated sequence holds the sum over the mask i ^ (i >> 1), the reflected
+Gray code. A maximum taken first-wins over the stacks therefore breaks ties
+to the first maximum in Gray-code order.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from .errors import SUBSET_ENUMERATION_LIMIT, CapacityError
 
+# log2 of the largest stack `gray_walk` yields
+CHUNK_BITS = 10
 
-def check_subset_capacity(n_outcomes: int, what: str) -> None:
-    if n_outcomes > SUBSET_ENUMERATION_LIMIT:
+
+def _gray_sums(elements: np.ndarray) -> np.ndarray:
+    """Sums over all subsets of `elements`, in reflected Gray-code order."""
+    sums = np.zeros((1, *elements.shape[1:]), dtype=elements.dtype)
+    for e in elements:
+        sums = np.concatenate([sums, sums[::-1] + e])
+    return sums
+
+
+def gray_walk(elements: np.ndarray, what: str) -> Iterator[np.ndarray]:
+    """Yield the subset sums of every element but the last, in stacks.
+
+    The stacks have equal length, at most 2^CHUNK_BITS. Position i across
+    their concatenation holds the sum over the mask i ^ (i >> 1).
+    `what` names the quantity in the CapacityError raised for more than
+    SUBSET_ENUMERATION_LIMIT elements.
+    """
+    n = len(elements)
+    if n > SUBSET_ENUMERATION_LIMIT:
         raise CapacityError(
-            f"{what} enumerates all subsets of {n_outcomes} outcomes; "
+            f"{what} enumerates all subsets of {n} outcomes; "
             f"the supported maximum is {SUBSET_ENUMERATION_LIMIT}"
         )
-
-
-def gray_walk(n: int) -> Iterator[tuple[int, int, int, bool]]:
-    """Yield (mask, flipped_bit, sign, canonical) over all 2^n bitmasks.
-
-    Starts at the empty mask (flipped_bit -1, sign 0). Consecutive masks
-    differ in exactly one bit; `sign` is +1 when that bit was set, -1 when
-    cleared. `canonical` is True for the first-seen member of each
-    mask/complement pair (the empty mask is canonical, the full mask is not).
-    """
-    if n < 0:
-        raise ValueError("subset size must be nonnegative")
-    full = (1 << n) - 1
-    seen = bytearray(1 << n)
-    mask = 0
-    seen[0] = 1
-    yield 0, -1, 0, True
-    for i in range(1, 1 << n):
-        g = i ^ (i >> 1)
-        flip_bit = g ^ mask
-        flip = flip_bit.bit_length() - 1
-        sign = 1 if g & flip_bit else -1
-        mask = g
-        canonical = not seen[full ^ mask]
-        seen[mask] = 1
-        yield mask, flip, sign, canonical
+    free = elements[:-1]
+    low = _gray_sums(free[:CHUNK_BITS])
+    # the high bits change once per stack; the low bits run forward on even
+    # high positions and backward on odd ones
+    for j, high in enumerate(_gray_sums(free[CHUNK_BITS:])):
+        yield high + (low if j % 2 == 0 else low[::-1])
 
 
 def mask_to_labels(mask: int, labels: tuple[str, ...]) -> tuple[str, ...]:

@@ -18,6 +18,7 @@ from jointmeas.bounds import (
     qubit_rhs,
     theorem1_lhs,
 )
+from jointmeas.errors import CapacityError
 from jointmeas.povm import Povm, bloch_pvm, noisy_qubit_povm, random_povm
 from jointmeas.selftest import random_instance, suite_theorem1, suite_theorem2
 from jointmeas.smearing import OutcomeMap, coordinate_maps
@@ -25,6 +26,27 @@ from jointmeas.smearing import OutcomeMap, coordinate_maps
 
 def bloch_pair(theta):
     return bloch_pvm((0, 0, 1)), bloch_pvm((math.sin(theta), 0, math.cos(theta)))
+
+
+def _subset_sums(p):
+    """Sums of the elements over every outcome subset, in binary order."""
+    return [
+        sum(
+            (p.elements[k] for k in range(p.n_outcomes) if mask >> k & 1),
+            np.zeros((p.dim, p.dim), dtype=complex),
+        )
+        for mask in range(1 << p.n_outcomes)
+    ]
+
+
+def _bruteforce_subset_comm(a, b):
+    expected = 0.0
+    sums_b = _subset_sums(b)
+    for sa in _subset_sums(a):
+        for sb in sums_b:
+            c = 1j * (sa @ sb - sb @ sa)
+            expected = max(expected, float(np.abs(np.linalg.eigvalsh(c)).max()))
+    return expected
 
 
 def flat_joint_on_product(a, b, dim):
@@ -82,20 +104,24 @@ class TestMaxSubsetCommutatorNorm:
     def test_matches_bruteforce_subset_pairs(self):
         a = random_povm(2, 3, seed=45)
         b = random_povm(2, 2, seed=46)
-        expected = 0.0
-        for ma in range(1 << 3):
-            sa = sum(
-                (a.elements[k] for k in range(3) if ma >> k & 1),
-                np.zeros((2, 2), dtype=complex),
-            )
-            for mb in range(1 << 2):
-                sb = sum(
-                    (b.elements[k] for k in range(2) if mb >> k & 1),
-                    np.zeros((2, 2), dtype=complex),
-                )
-                c = 1j * (sa @ sb - sb @ sa)
-                expected = max(expected, float(np.abs(np.linalg.eigvalsh(c)).max()))
-        assert max_subset_commutator_norm(a, b) == pytest.approx(expected, abs=1e-12)
+        assert max_subset_commutator_norm(a, b) == pytest.approx(
+            _bruteforce_subset_comm(a, b), abs=1e-12
+        )
+
+    def test_matches_bruteforce_subset_pairs_across_chunks(self):
+        # 12 A-outcomes give 2^11 subset sums, two stacks of 2^CHUNK_BITS;
+        # for this pair the maximum lies in the second stack
+        a = random_povm(2, 12, seed=53)
+        b = random_povm(2, 2, seed=54)
+        assert max_subset_commutator_norm(a, b) == pytest.approx(
+            _bruteforce_subset_comm(a, b), abs=1e-12
+        )
+
+    def test_capacity_error(self):
+        a = random_povm(2, 2, seed=49)
+        b = Povm(tuple(f"b{k}" for k in range(21)), np.stack([np.eye(2) / 21] * 21))
+        with pytest.raises(CapacityError):
+            max_subset_commutator_norm(a, b)
 
 
 class TestTheorem1Lhs:

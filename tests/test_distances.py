@@ -86,6 +86,19 @@ class TestDInf:
         assert dv.value == pytest.approx(max(per_outcome.values()), abs=1e-12)
 
 
+def _enumerated_l1(a, b):
+    """max over all outcome subsets of ||sum (A_a - B_a)||, in binary order."""
+    n = a.n_outcomes
+    best = 0.0
+    for mask in range(1 << n):
+        s = np.zeros((a.dim, a.dim), dtype=complex)
+        for k in range(n):
+            if mask >> k & 1:
+                s = s + (a.elements[k] - b.elements[k])
+        best = max(best, float(np.abs(np.linalg.eigvalsh((s + s.conj().T) / 2)).max()))
+    return best
+
+
 class TestDL1:
     def test_zero_on_equal(self):
         a = random_povm(2, 3, seed=3)
@@ -104,14 +117,29 @@ class TestDL1:
     def test_matches_full_subset_enumeration(self):
         a = random_povm(3, 4, seed=6)
         b = random_povm(3, 4, seed=7)
-        best = 0.0
-        for mask in range(1 << 4):
-            s = np.zeros((3, 3), dtype=complex)
-            for k in range(4):
-                if mask >> k & 1:
-                    s = s + (a.elements[k] - b.elements[k])
-            best = max(best, float(np.abs(np.linalg.eigvalsh((s + s.conj().T) / 2)).max()))
-        assert D_l1(a, b).value == pytest.approx(best, abs=1e-12)
+        assert D_l1(a, b).value == pytest.approx(_enumerated_l1(a, b), abs=1e-12)
+
+    def test_matches_full_subset_enumeration_across_chunks(self):
+        # 12 outcomes give 2^11 subset sums, two stacks of 2^CHUNK_BITS; the
+        # maximizing subset contains o10, so it lies in the second stack
+        a = random_povm(2, 12, seed=12)
+        b = random_povm(2, 12, seed=13)
+        dv = D_l1(a, b)
+        assert "o10" in dv.witness
+        assert dv.value == pytest.approx(_enumerated_l1(a, b), abs=1e-12)
+        s = a.subset_sum(dv.witness) - b.subset_sum(dv.witness)
+        assert float(np.abs(np.linalg.eigvalsh(s)).max()) == pytest.approx(dv.value, abs=1e-12)
+
+    def test_exact_tie_breaks_to_first_in_gray_order(self):
+        # {o0, o1} and {o1} give the same difference 0.2 P; Gray order visits
+        # mask 0b11 before 0b10, binary order the other way round
+        p = np.diag([1.0, 0.0])
+        third = np.eye(2) / 3
+        a = Povm(("o0", "o1", "o2"), np.stack([third] * 3))
+        b = Povm(("o0", "o1", "o2"), np.stack([third, third - 0.2 * p, third + 0.2 * p]))
+        dv = D_l1(a, b)
+        assert dv.witness == ("o0", "o1")
+        assert dv.value == pytest.approx(0.2, abs=1e-12)
 
     def test_witness_subset_attains(self):
         a = random_povm(2, 3, seed=8)

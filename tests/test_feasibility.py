@@ -167,12 +167,3 @@ class TestFrontierSweep:
             assert p.x_achieved + p.y_achieved >= h - 1e-9
             assert check_theorem1(a, b, p.witness, f_a, f_b).slack >= -1e-9
             assert validate_povm(p.witness) == []
-
-    def test_threaded_sweep_matches_sequential(self):
-        a = noisy_qubit_povm((0, 0, 1), 0.9)
-        b = noisy_qubit_povm((1, 0, 0), 0.9)
-        seq = frontier_sweep(a, b, 4, x_max=0.4, y_resolution=1e-3)
-        par = frontier_sweep(a, b, 4, x_max=0.4, y_resolution=1e-3, threads=3)
-        for s, p in zip(seq, par):
-            assert s.x_target == p.x_target
-            assert s.y_achieved == pytest.approx(p.y_achieved, abs=1e-12)

@@ -112,6 +112,19 @@ class TestOutcomeDistribution:
             outcome_distribution(bloch_pvm((0, 0, 1)), State.maximally_mixed(3))
 
 
+def _exhaustive_v_l1(p):
+    """max over all outcome subsets D of ||A_D - A_D^2||, in binary order."""
+    best = 0.0
+    for mask in range(1 << p.n_outcomes):
+        s = np.zeros((p.dim, p.dim), dtype=complex)
+        for k in range(p.n_outcomes):
+            if mask >> k & 1:
+                s = s + p.elements[k]
+        w = np.linalg.eigvalsh(s - s @ s)
+        best = max(best, float(np.abs(w).max()))
+    return best
+
+
 class TestIntrinsicUncertainty:
     def test_pvm_has_zero(self):
         assert intrinsic_uncertainty_inf(bloch_pvm((0, 0, 1))) == pytest.approx(0.0, abs=1e-12)
@@ -131,16 +144,15 @@ class TestIntrinsicUncertainty:
 
     def test_trine_matches_exhaustive_subset_oracle(self):
         p = trine_povm()
-        best = 0.0
-        for mask in range(8):
-            s = np.zeros((2, 2), dtype=complex)
-            for k in range(3):
-                if mask >> k & 1:
-                    s = s + p.elements[k]
-            w = np.linalg.eigvalsh(s - s @ s)
-            best = max(best, float(np.abs(w).max()))
+        best = _exhaustive_v_l1(p)
         assert intrinsic_uncertainty_l1(p) == pytest.approx(best, abs=1e-12)
         assert best == pytest.approx(2 / 9, abs=1e-12)
+
+    def test_random_matches_exhaustive_subset_oracle_across_chunks(self):
+        # 12 outcomes give 2^11 subset sums, two stacks of 2^CHUNK_BITS; for
+        # this POVM the maximum lies in the second stack, 9e-8 above the first
+        p = random_povm(2, 12, seed=28)
+        assert intrinsic_uncertainty_l1(p) == pytest.approx(_exhaustive_v_l1(p), abs=1e-12)
 
     def test_range_and_pvm_equivalence_on_random_povms(self):
         for seed in range(30):
