@@ -155,8 +155,13 @@ def project_psd_stack(ms: np.ndarray) -> np.ndarray:
     return (u * w[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
 
 
-def clip_operator_norm_stack(ms: np.ndarray, bound: float) -> np.ndarray:
-    """Per-matrix spectral clipping of a stack into [-bound, bound]."""
+def clip_operator_norm_stack(ms: np.ndarray, bound: float | np.ndarray) -> np.ndarray:
+    """Per-matrix spectral clipping of a stack into [-bound, bound].
+
+    `bound` is a float or an array that broadcasts against the stack's
+    eigenvalues, shape (..., d): a (P, 1, 1) bound gives each group
+    ms[p] of a (P, n, d, d) stack its own bound.
+    """
     w, u = np.linalg.eigh(hermitian_part(ms))
     w = np.clip(w, -bound, bound)
     return (u * w[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))

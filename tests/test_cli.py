@@ -224,6 +224,17 @@ class TestFrontier:
         for line in lines[1:]:
             assert float(line.split(",")[2]) <= 1e-3
 
+    def test_negative_x_max_rejected(self, files, capsys):
+        out = files["dir"] / "front.csv"
+        code, _, err = run(
+            ["frontier", files["z"], files["x"], "--grid", "6", "--out", str(out),
+             "--x-max", "-0.1"],
+            capsys,
+        )
+        assert code == 1
+        assert "nonnegative" in err
+        assert not out.exists()
+
 
 class TestSelftest:
     def test_small_run_passes(self, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jointmeas import feasibility
 from jointmeas.bounds import check_theorem1, heinosaari_lower_bound
 from jointmeas.distances import D_inf
 from jointmeas.feasibility import (
@@ -167,3 +168,48 @@ class TestFrontierSweep:
             assert p.x_achieved + p.y_achieved >= h - 1e-9
             assert check_theorem1(a, b, p.witness, f_a, f_b).slack >= -1e-9
             assert validate_povm(p.witness) == []
+
+    def test_rejects_negative_x_max_before_solving(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver ran before the X budgets were checked")
+
+        monkeypatch.setattr(feasibility, "_dykstra", no_solve)
+        with pytest.raises(ValueError):
+            frontier_sweep(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 6, x_max=-0.1)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0))),
+            (
+                noisy_qubit_povm((0, 0, 1), 0.9),
+                noisy_qubit_povm((math.sin(1.0), 0, math.cos(1.0)), 0.8),
+            ),
+        ],
+        ids=["orthogonal-sharp", "unsharp-oblique"],
+    )
+    def test_batched_sweep_equals_separate_points(self, a, b):
+        points = frontier_sweep(a, b, 4, x_max=0.3, y_resolution=1e-2)
+        ys = [p.y_achieved for p in points]
+        # already nonincreasing, so the monotone carry replaced no point
+        assert all(later <= earlier for earlier, later in zip(ys, ys[1:]))
+        for p in points:
+            alone = frontier_point(a, b, p.x_target, y_resolution=1e-2)
+            assert p.x_achieved == alone.x_achieved
+            assert p.y_achieved == alone.y_achieved
+
+    def test_orthogonal_qubits_match_closed_form(self):
+        # Y(X) = (1 - sqrt(1 - (1 - 2X)^2)) / 2 for the sharp z/x pair. No
+        # POVM lies below it at the X it achieves, and the solver should come
+        # within its resolution of it at the X budget. X = 0.45 is left out:
+        # stalled feasible probes near Y = 0.0025 leave it 7e-3 above.
+        def exact(x):
+            return (1 - math.sqrt(max(0.0, 1 - (1 - 2 * x) ** 2))) / 2
+
+        a = bloch_pvm((0, 0, 1))
+        b = bloch_pvm((1, 0, 0))
+        res = 1e-3
+        points = frontier_sweep(a, b, 9, x_max=0.4, y_resolution=res)
+        points.append(frontier_point(a, b, 0.5, y_resolution=res))
+        for p in points:
+            assert exact(p.x_achieved) - 1e-9 <= p.y_achieved <= exact(p.x_target) + res, p
