@@ -14,12 +14,15 @@ outcome subsets. Specializations: projective A and B (V = 0), exactly
 reproduced marginals (X = Y = 0, a necessary condition for joint
 measurability), projective F (the square-root term drops), and sharp qubit
 pairs at Bloch angle theta (right side sin(theta)/2), where the bound is
-compared against the additive bound of Busch and Heinosaari.
+compared against the additive bound of Busch and Heinosaari. Every check that
+takes a joint observable F runs through one evaluator, `_tradeoff`,
+parameterized by the metric and the specialization.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,16 +120,56 @@ def theorem1_lhs(x: float, y: float, v_a: float, v_b: float) -> float:
     return 2 * x * y + x + y + 2 * math.sqrt(2 * x + v_a) * math.sqrt(2 * y + v_b)
 
 
-def _accuracies_inf(a, b, f_povm, f_a, f_b) -> tuple[float, float]:
-    x = D_inf(a, marginalize(f_povm, f_a)).value
-    y = D_inf(b, marginalize(f_povm, f_b)).value
-    return x, y
+def _tradeoff(
+    inequality_id: str,
+    a: Povm,
+    b: Povm,
+    f_povm: Povm,
+    f_a: OutcomeMap,
+    f_b: OutcomeMap,
+    *,
+    metric: str = "inf",
+    sharp: str | None = None,
+    lhs: Callable[[float, float], float] | None = None,
+    rhs: float | None = None,
+) -> TradeoffReport:
+    """One member of the tradeoff family, with F marginalized along f_a, f_b.
 
+    `metric` "inf" pairs the uniform distance with the elementwise commutator
+    norm, "l1" the total-variation distance with the subset commutator norm.
+    With `sharp` None, V_A and V_B are the metric's intrinsic uncertainties;
+    otherwise they are 0 and `sharp` says what is projective: "pair" (A and
+    B, checked), "joint" (F, checked) or "bloch" (A and B by construction).
+    `lhs(X, Y)` replaces the main left side, `rhs` the commutator norm.
 
-def _accuracies_l1(a, b, f_povm, f_a, f_b) -> tuple[float, float]:
-    x = D_l1(a, marginalize(f_povm, f_a)).value
-    y = D_l1(b, marginalize(f_povm, f_b)).value
-    return x, y
+    The distances, uncertainties and norms are read as module globals at call
+    time, so a wrapper installed on this module sees every call.
+    """
+    if a.dim != b.dim or a.dim != f_povm.dim:
+        raise ValueError("all POVMs must share one dimension")
+    if sharp == "pair" and not (is_pvm(a) and is_pvm(b)):
+        raise ValueError("both observables must be projective for this bound")
+    if sharp == "joint" and not is_pvm(f_povm):
+        raise ValueError("the joint observable must be projective for this bound")
+    if metric == "l1":
+        dist, uncertainty, commutator = D_l1, intrinsic_uncertainty_l1, max_subset_commutator_norm
+    else:
+        dist, uncertainty, commutator = D_inf, intrinsic_uncertainty_inf, max_commutator_norm
+    x = dist(a, marginalize(f_povm, f_a)).value
+    y = dist(b, marginalize(f_povm, f_b)).value
+    if sharp is None:
+        v_a, v_b = uncertainty(a), uncertainty(b)
+    else:
+        v_a = v_b = 0.0
+    return TradeoffReport(
+        inequality_id=inequality_id,
+        X=x,
+        Y=y,
+        V_A=v_a,
+        V_B=v_b,
+        lhs=theorem1_lhs(x, y, v_a, v_b) if lhs is None else lhs(x, y),
+        rhs=commutator(a, b) if rhs is None else rhs,
+    )
 
 
 def check_theorem1(
@@ -137,20 +180,7 @@ def check_theorem1(
     The inequality holds for every valid input; a violated report signals an
     implementation bug, not an interesting instance.
     """
-    if a.dim != b.dim or a.dim != f_povm.dim:
-        raise ValueError("all POVMs must share one dimension")
-    x, y = _accuracies_inf(a, b, f_povm, f_a, f_b)
-    v_a = intrinsic_uncertainty_inf(a)
-    v_b = intrinsic_uncertainty_inf(b)
-    return TradeoffReport(
-        inequality_id="theorem1",
-        X=x,
-        Y=y,
-        V_A=v_a,
-        V_B=v_b,
-        lhs=theorem1_lhs(x, y, v_a, v_b),
-        rhs=max_commutator_norm(a, b),
-    )
+    return _tradeoff("theorem1", a, b, f_povm, f_a, f_b)
 
 
 def check_theorem2(
@@ -158,20 +188,7 @@ def check_theorem2(
 ) -> TradeoffReport:
     """Evaluate the total-variation tradeoff bound (subset-summed quantities
     on both sides)."""
-    if a.dim != b.dim or a.dim != f_povm.dim:
-        raise ValueError("all POVMs must share one dimension")
-    x, y = _accuracies_l1(a, b, f_povm, f_a, f_b)
-    v_a = intrinsic_uncertainty_l1(a)
-    v_b = intrinsic_uncertainty_l1(b)
-    return TradeoffReport(
-        inequality_id="theorem2",
-        X=x,
-        Y=y,
-        V_A=v_a,
-        V_B=v_b,
-        lhs=theorem1_lhs(x, y, v_a, v_b),
-        rhs=max_subset_commutator_norm(a, b),
-    )
+    return _tradeoff("theorem2", a, b, f_povm, f_a, f_b, metric="l1")
 
 
 def check_corollary_pvm(
@@ -179,18 +196,7 @@ def check_corollary_pvm(
 ) -> TradeoffReport:
     """Uniform-distance bound for a projective pair (intrinsic uncertainties
     vanish): 2XY + X + Y + 4 sqrt(XY) >= max ||[A_a, B_b]||."""
-    if not (is_pvm(a) and is_pvm(b)):
-        raise ValueError("both observables must be projective for this bound")
-    x, y = _accuracies_inf(a, b, f_povm, f_a, f_b)
-    return TradeoffReport(
-        inequality_id="cor_pvm_inf",
-        X=x,
-        Y=y,
-        V_A=0.0,
-        V_B=0.0,
-        lhs=theorem1_lhs(x, y, 0.0, 0.0),
-        rhs=max_commutator_norm(a, b),
-    )
+    return _tradeoff("cor_pvm_inf", a, b, f_povm, f_a, f_b, sharp="pair")
 
 
 def check_corollary_joint(a: Povm, b: Povm) -> TradeoffReport:
@@ -222,17 +228,9 @@ def check_corollary_pvm_instrument(
 ) -> TradeoffReport:
     """Tradeoff bound when the joint observable itself is projective:
     2XY + X + Y >= max ||[A_a, B_b]||."""
-    if not is_pvm(f_povm):
-        raise ValueError("the joint observable must be projective for this bound")
-    x, y = _accuracies_inf(a, b, f_povm, f_a, f_b)
-    return TradeoffReport(
-        inequality_id="cor_pvm_instrument",
-        X=x,
-        Y=y,
-        V_A=0.0,
-        V_B=0.0,
-        lhs=2 * x * y + x + y,
-        rhs=max_commutator_norm(a, b),
+    return _tradeoff(
+        "cor_pvm_instrument", a, b, f_povm, f_a, f_b,
+        sharp="joint", lhs=lambda x, y: 2 * x * y + x + y,
     )
 
 
@@ -259,36 +257,22 @@ def heinosaari_lower_bound(theta: float) -> float:
 def check_qubit_pair(n, m, f_povm: Povm, f_a: OutcomeMap, f_b: OutcomeMap) -> TradeoffReport:
     """Specialize the projective-pair bound to two Bloch-sphere qubit
     observables; the right side is sin(theta)/2 in closed form."""
+    a, b = bloch_pvm(n), bloch_pvm(m)
     theta = _bloch_angle(n, m)
-    a = bloch_pvm(n)
-    b = bloch_pvm(m)
-    x, y = _accuracies_inf(a, b, f_povm, f_a, f_b)
-    return TradeoffReport(
-        inequality_id="qubit",
-        X=x,
-        Y=y,
-        V_A=0.0,
-        V_B=0.0,
-        lhs=theorem1_lhs(x, y, 0.0, 0.0),
-        rhs=qubit_rhs(theta),
-    )
+    # E(m) and E(-m) only swap outcomes, so an obtuse angle has the same
+    # commutator norm as its supplement
+    rhs = qubit_rhs(min(theta, math.pi - theta))
+    return _tradeoff("qubit", a, b, f_povm, f_a, f_b, sharp="bloch", rhs=rhs)
 
 
 def check_heinosaari(n, m, f_povm: Povm, f_a: OutcomeMap, f_b: OutcomeMap) -> TradeoffReport:
     """Additive comparison bound for sharp qubit pairs: X + Y against the
     Busch-Heinosaari value."""
-    theta = _bloch_angle(n, m)
-    a = bloch_pvm(n)
-    b = bloch_pvm(m)
-    x, y = _accuracies_inf(a, b, f_povm, f_a, f_b)
-    return TradeoffReport(
-        inequality_id="heinosaari",
-        X=x,
-        Y=y,
-        V_A=0.0,
-        V_B=0.0,
-        lhs=x + y,
-        rhs=heinosaari_lower_bound(theta),
+    a, b = bloch_pvm(n), bloch_pvm(m)
+    rhs = heinosaari_lower_bound(_bloch_angle(n, m))
+    return _tradeoff(
+        "heinosaari", a, b, f_povm, f_a, f_b,
+        sharp="bloch", lhs=lambda x, y: x + y, rhs=rhs,
     )
 
 
@@ -311,15 +295,12 @@ _CONTOUR_TOL = 1e-10
 def _product_bound_contour_y(x: float, target: float) -> float:
     """Smallest Y >= 0 with 2XY + X + Y + 4 sqrt(XY) >= target."""
 
-    def lhs(y: float) -> float:
-        return 2 * x * y + x + y + 4 * math.sqrt(x * y)
-
-    if lhs(0.0) >= target:
+    if theorem1_lhs(x, 0.0, 0.0, 0.0) >= target:
         return 0.0
     lo, hi = 0.0, 1.0
     while hi - lo > _CONTOUR_TOL:
         mid = (lo + hi) / 2
-        if lhs(mid) >= target:
+        if theorem1_lhs(x, mid, 0.0, 0.0) >= target:
             hi = mid
         else:
             lo = mid

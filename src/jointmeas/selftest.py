@@ -76,29 +76,28 @@ def random_instance(
     return a, b, f, f_a, f_b
 
 
-def suite_theorem1(trials: int, seed: int) -> SuiteResult:
-    """Universal validity of the main uniform-distance bound."""
+def _validity_suite(name: str, check, trials: int, seed: int, **sizes) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    result = SuiteResult("theorem1 universal validity", trials)
+    result = SuiteResult(name, trials)
     for i in range(trials):
-        a, b, f, f_a, f_b = random_instance(rng)
-        report = check_theorem1(a, b, f, f_a, f_b)
+        report = check(*random_instance(rng, **sizes))
         if not report.satisfied:
             result.record(f"instance {i}: slack = {report.slack:.3e}")
     return result
+
+
+def suite_theorem1(trials: int, seed: int) -> SuiteResult:
+    """Universal validity of the main uniform-distance bound."""
+    return _validity_suite("theorem1 universal validity", check_theorem1, trials, seed)
 
 
 def suite_theorem2(trials: int, seed: int) -> SuiteResult:
     """Universal validity of the total-variation bound (smaller sizes; the
     subset enumerations grow exponentially)."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("theorem2 universal validity", trials)
-    for i in range(trials):
-        a, b, f, f_a, f_b = random_instance(rng, max_dim=3, max_outcomes=3, max_joint_outcomes=6)
-        report = check_theorem2(a, b, f, f_a, f_b)
-        if not report.satisfied:
-            result.record(f"instance {i}: slack = {report.slack:.3e}")
-    return result
+    return _validity_suite(
+        "theorem2 universal validity", check_theorem2, trials, seed,
+        max_dim=3, max_outcomes=3, max_joint_outcomes=6,
+    )
 
 
 def suite_metric_axioms(trials: int, seed: int) -> SuiteResult:

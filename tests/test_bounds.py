@@ -347,6 +347,48 @@ class TestQubitBounds:
         assert add.satisfied
 
 
+    @pytest.mark.parametrize("theta", [3 * math.pi / 4, math.pi])
+    def test_qubit_check_takes_obtuse_angles(self, theta):
+        # E(m) and E(-m) only swap outcomes, so the commutator norm at an
+        # obtuse Bloch angle is that of its supplement, sin(theta)/2
+        n = (0, 0, 1)
+        m = (math.sin(theta), 0, math.cos(theta))
+        a, b = bloch_pvm(n), bloch_pvm(m)
+        joint, f_a, f_b = flat_joint_on_product(a, b, 2)
+        report = check_qubit_pair(n, m, joint, f_a, f_b)
+        assert report.rhs == pytest.approx(max_commutator_norm(a, b), abs=1e-12)
+        assert report.satisfied
+
+    def test_qubit_check_rejects_invalid_bloch_vector(self):
+        a, b = bloch_pair(math.pi / 2)
+        joint, f_a, f_b = flat_joint_on_product(a, b, 2)
+        with pytest.raises(ValueError, match="Bloch vector"):
+            check_qubit_pair((0, 0, 0), (1, 0, 0), joint, f_a, f_b)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_theorem1,
+        check_theorem2,
+        check_corollary_pvm,
+        check_corollary_pvm_instrument,
+        check_qubit_pair,
+        check_heinosaari,
+    ],
+    ids=lambda check: check.__name__,
+)
+def test_one_dimension_error_before_projectivity(check):
+    n, m = (0, 0, 1), (1, 0, 0)
+    pair = (n, m) if check in (check_qubit_pair, check_heinosaari) else (bloch_pvm(n), bloch_pvm(m))
+    # a qutrit joint observable that is not projective either
+    joint = random_povm(3, 4, 5)
+    labels = {o: "+-"[k % 2] for k, o in enumerate(joint.outcomes)}
+    f = OutcomeMap(joint.outcomes, ("+", "-"), labels)
+    with pytest.raises(ValueError, match="share one dimension"):
+        check(*pair, joint, f, f)
+
+
 class TestAdmissibleRegion:
     def test_contour_endpoint_values(self):
         region = admissible_region_curves(math.pi / 2, 201)

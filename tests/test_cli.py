@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from jointmeas.cli import cli_dispatch
+from jointmeas.bounds import check_corollary_pvm_instrument, check_theorem2
+from jointmeas.cli import _print_report, cli_dispatch
 from jointmeas.io import load_povm, load_state, save_povm
 from jointmeas.povm import (
     Povm,
@@ -157,6 +158,35 @@ class TestBounds:
         assert "X = 0.5" in out
         assert "lhs = 3.5" in out
         assert "satisfied = true" in out
+
+    @pytest.mark.parametrize("inequality", ["theorem2", "cor-pvm-instrument"])
+    def test_prints_the_library_report(self, inequality, files, capsys):
+        a, _ = load_povm(files["z"])
+        b, _ = load_povm(files["x"])
+        f_a, f_b = coordinate_maps(a.outcomes, b.outcomes)
+        if inequality == "theorem2":
+            k = len(f_a.source)
+            joint = Povm(f_a.source, np.stack([np.eye(2, dtype=complex) / k] * k))
+            check = check_theorem2
+        else:
+            # the sharp z measurement embedded into the product outcome set
+            mats = {p: np.zeros((2, 2), dtype=complex) for p in f_a.source}
+            mats["+|+"] = a["+"]
+            mats["-|-"] = a["-"]
+            joint = Povm(f_a.source, np.stack([mats[p] for p in f_a.source]))
+            check = check_corollary_pvm_instrument
+        jpath = files["dir"] / "joint.json"
+        save_povm(joint, jpath)
+        map_a = files["dir"] / "ma.txt"
+        map_b = files["dir"] / "mb.txt"
+        map_a.write_text("".join(f"{s} {f_a.assignment[s]}\n" for s in f_a.source))
+        map_b.write_text("".join(f"{s} {f_b.assignment[s]}\n" for s in f_b.source))
+        argv = ["bounds", "--inequality", inequality, files["z"], files["x"], "--joint", str(jpath)]
+        code, out, _ = run([*argv, "--map-a", str(map_a), "--map-b", str(map_b)], capsys)
+        assert code == 0
+        f_povm, _ = load_povm(jpath)
+        _print_report(check(a, b, f_povm, f_a, f_b))
+        assert out == capsys.readouterr().out
 
     def test_missing_joint_is_usage_error(self, files, capsys):
         code, _, err = run(
