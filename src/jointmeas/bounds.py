@@ -83,8 +83,7 @@ def max_commutator_norm(a: Povm, b: Povm) -> float:
     ea = linalg.hermitian_part(a.elements)
     eb = linalg.hermitian_part(b.elements)
     prod = np.einsum("aij,bjk->abik", ea, eb)
-    comm = 1j * (prod - np.conj(np.swapaxes(prod, -1, -2)))
-    return float(linalg.herm_norm_stack(comm).max())
+    return float(linalg.commutator_norm_stack(prod).max())
 
 
 def max_subset_commutator_norm(a: Povm, b: Povm) -> float:
@@ -106,8 +105,7 @@ def max_subset_commutator_norm(a: Povm, b: Povm) -> float:
             block = max(1, 2**CHUNK_BITS // len(sums_b))
             for k in range(0, len(sums_a), block):
                 prod = sums_a[k : k + block, None] @ sums_b
-                comm = 1j * (prod - np.conj(np.swapaxes(prod, -1, -2)))
-                best = max(best, float(linalg.herm_norm_stack(comm).max()))
+                best = max(best, float(linalg.commutator_norm_stack(prod).max()))
     return best
 
 

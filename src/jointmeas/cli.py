@@ -29,6 +29,10 @@ from .errors import CapacityError
 from .feasibility import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    FRONTIER_MAX_ITER,
+    FRONTIER_RESOLUTION,
+    FRONTIER_TOL,
+    FRONTIER_X_MAX,
     check_joint_measurability,
     frontier_sweep,
 )
@@ -251,10 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--x-max", type=float, default=0.5)
-    p.add_argument("--resolution", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--max-iter", type=int, default=2000)
+    p.add_argument("--x-max", type=float, default=FRONTIER_X_MAX)
+    p.add_argument("--resolution", type=float, default=FRONTIER_RESOLUTION)
+    p.add_argument("--tol", type=float, default=FRONTIER_TOL)
+    p.add_argument("--max-iter", type=int, default=FRONTIER_MAX_ITER)
     p.add_argument("--lenient", action="store_true")
     p.set_defaults(handler=_cmd_frontier)
 

@@ -44,6 +44,12 @@ DEFAULT_MAX_ITER = 5000
 STAGNATION_WINDOW = 500
 STAGNATION_EPS = 1e-12
 
+# Frontier defaults: sweep range, Y resolution, and each probe's solver budget.
+FRONTIER_X_MAX = 0.5
+FRONTIER_RESOLUTION = 1e-4
+FRONTIER_TOL = 1e-7
+FRONTIER_MAX_ITER = 2000
+
 # A feasible witness must survive these checks after cleanup.
 WITNESS_VALIDATE_TOL = 1e-7
 WITNESS_MARGINAL_TOL = 1e-6
@@ -93,14 +99,11 @@ def _product_seed(a: Povm, b: Povm) -> np.ndarray:
     ea = linalg.hermitian_part(a.elements)
     eb = linalg.hermitian_part(b.elements)
     sym = linalg.hermitian_part(np.einsum("aij,bjk->abik", ea, eb))
-    f0 = linalg.project_psd_stack(sym)
-    s = f0.sum(axis=(0, 1))
-    w, u = np.linalg.eigh(linalg.hermitian_part(s))
-    if w[0] <= 1e-12 * max(1.0, float(w[-1])):
+    seed = linalg.renormalize(linalg.project_psd_stack(sym), 1e-12)
+    if seed is None:
         # degenerate seed; fall back to a product of A with a flat weight on b
         return _conditional_seed(a, b)
-    inv_sqrt = (u * (1.0 / np.sqrt(w))) @ np.conj(u.T)
-    return inv_sqrt @ f0 @ inv_sqrt
+    return seed
 
 
 def _conditional_seed(a: Povm, b: Povm) -> np.ndarray:
@@ -122,14 +125,10 @@ def _cleanup(f: np.ndarray, outcomes: tuple[str, ...]) -> Povm | None:
     the PSD cone, then conjugate by the inverse square root of the sum.
     Returns None if the sum is too ill-conditioned to renormalize."""
     na, nb, d, _ = f.shape
-    g = linalg.project_psd_stack(f)
-    s = g.sum(axis=(0, 1))
-    w, u = np.linalg.eigh(linalg.hermitian_part(s))
-    if w[0] <= 1e-6:
+    g = linalg.renormalize(linalg.project_psd_stack(f), 1e-6)
+    if g is None:
         return None
-    inv_sqrt = (u * (1.0 / np.sqrt(w))) @ np.conj(u.T)
-    g = linalg.hermitian_part(inv_sqrt @ g @ inv_sqrt)
-    return Povm(outcomes, g.reshape(na * nb, d, d))
+    return Povm(outcomes, linalg.hermitian_part(g).reshape(na * nb, d, d))
 
 
 def _project_psd(f: np.ndarray, lanes: np.ndarray) -> np.ndarray:
@@ -215,6 +214,8 @@ def check_joint_measurability(
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     screen = check_corollary_joint(a, b)
     if screen.slack < -SLACK_TOL:
         return FeasibilityResult(
@@ -365,7 +366,8 @@ def _frontier(
     tol: float,
     max_iter: int,
 ) -> list[FrontierPoint]:
-    """Frontier points for the X budgets `xs`, bisected together.
+    """Frontier points for the X budgets `xs` (finite and nonnegative, as
+    the callers check), bisected together.
 
     Each point bisects on Y with one convex feasibility query per probe. In
     each round every point still bisecting contributes one probe, and the
@@ -374,8 +376,10 @@ def _frontier(
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if min(xs) < 0:
-        raise ValueError(f"X budgets must be nonnegative, got {min(xs)}")
+    if not 0 < y_resolution < math.inf:
+        raise ValueError(f"y_resolution must be finite and positive, got {y_resolution}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     f_map_a, _ = coordinate_maps(a.outcomes, b.outcomes)
     product_labels = f_map_a.source
     na, nb, d = a.n_outcomes, b.n_outcomes, a.dim
@@ -429,9 +433,9 @@ def frontier_point(
     a: Povm,
     b: Povm,
     x_target: float,
-    y_resolution: float = 1e-4,
-    tol: float = 1e-7,
-    max_iter: int = 2000,
+    y_resolution: float = FRONTIER_RESOLUTION,
+    tol: float = FRONTIER_TOL,
+    max_iter: int = FRONTIER_MAX_ITER,
 ) -> FrontierPoint:
     """Best found B-side accuracy given an A-side budget.
 
@@ -444,6 +448,8 @@ def frontier_point(
     from the cleaned-up witness, so they are exact properties of a genuine
     POVM whatever the solver did.
     """
+    if not 0 <= x_target < math.inf:
+        raise ValueError(f"X budget must be finite and nonnegative, got {x_target}")
     return _frontier(a, b, [x_target], y_resolution, tol, max_iter)[0]
 
 
@@ -451,10 +457,10 @@ def frontier_sweep(
     a: Povm,
     b: Povm,
     n_points: int,
-    x_max: float = 0.5,
-    y_resolution: float = 1e-4,
-    tol: float = 1e-7,
-    max_iter: int = 2000,
+    x_max: float = FRONTIER_X_MAX,
+    y_resolution: float = FRONTIER_RESOLUTION,
+    tol: float = FRONTIER_TOL,
+    max_iter: int = FRONTIER_MAX_ITER,
 ) -> list[FrontierPoint]:
     """Frontier points on a uniform x_target grid over [0, x_max].
 
@@ -466,6 +472,8 @@ def frontier_sweep(
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
+    if not 0 <= x_max < math.inf:
+        raise ValueError(f"x_max must be finite and nonnegative, got {x_max}")
     xs = np.linspace(0.0, x_max, n_points) if n_points > 1 else np.array([x_max])
     points = _frontier(
         a, b, [float(x) for x in xs], y_resolution=y_resolution, tol=tol, max_iter=max_iter

@@ -34,23 +34,19 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + np.conj(np.swapaxes(m, -1, -2))) / 2
 
 
-def hermitian_defect(m: np.ndarray) -> float:
-    """Entrywise max deviation ||M - M*||_max."""
-    return float(np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max())
+def hermitian_defects(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-matrix Hermiticity defect ||M - M*||_max of a stack, and the
+    defect each matrix is allowed, HERMITICITY_RTOL * max(1, ||M||_max)."""
+    defect = np.abs(ms - np.conj(np.swapaxes(ms, -1, -2))).max(axis=(-2, -1))
+    allowed = HERMITICITY_RTOL * np.maximum(1.0, np.abs(ms).max(axis=(-2, -1)))
+    return defect, allowed
 
 
-def is_hermitian(m, rtol: float = HERMITICITY_RTOL) -> bool:
-    a = as_operator(m)
-    scale = max(1.0, float(np.abs(a).max()))
-    return hermitian_defect(a) <= rtol * scale
-
-
-def require_hermitian(m, name: str = "matrix", rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     """Validate Hermiticity within tolerance and return the symmetrized matrix."""
     a = as_operator(m)
-    scale = max(1.0, float(np.abs(a).max()))
-    defect = hermitian_defect(a)
-    if defect > rtol * scale:
+    defect, allowed = hermitian_defects(a)
+    if defect > allowed:
         raise ValueError(f"{name} is not Hermitian: ||M - M*||_max = {defect:.3e}")
     return hermitian_part(a)
 
@@ -68,15 +64,13 @@ def op_norm(m) -> float:
     """Operator norm (largest singular value).
 
     For Hermitian input this is the largest absolute eigenvalue; the general
-    case is computed as sqrt of the top eigenvalue of M*M, reusing the same
-    Hermitian solver.
+    case is computed as sqrt(||M*M||), through the same Hermitian kernel.
     """
     a = as_operator(m)
-    if is_hermitian(a):
-        w = np.linalg.eigvalsh(hermitian_part(a))
-        return float(np.abs(w).max())
-    w = np.linalg.eigvalsh(hermitian_part(np.conj(a.T) @ a))
-    return float(np.sqrt(max(float(w[-1]), 0.0)))
+    defect, allowed = hermitian_defects(a)
+    if defect <= allowed:
+        return float(herm_norm_stack(a))
+    return float(np.sqrt(herm_norm_stack(np.conj(a.T) @ a)))
 
 
 def commutator(x, y) -> np.ndarray:
@@ -89,18 +83,12 @@ def commutator(x, y) -> np.ndarray:
 
 
 def commutator_norm(x, y) -> float:
-    """||[X, Y]|| for Hermitian X, Y.
-
-    [X, Y] is anti-Hermitian, so i[X, Y] is Hermitian and the norm is its
-    largest absolute eigenvalue.
-    """
+    """||[X, Y]|| for Hermitian X, Y."""
     a = require_hermitian(x, "first operator")
     b = require_hermitian(y, "second operator")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    c = hermitian_part(1j * (a @ b - b @ a))
-    w = np.linalg.eigvalsh(c)
-    return float(np.abs(w).max())
+    return float(commutator_norm_stack(a @ b))
 
 
 def psd_check(m, tol: float) -> bool:
@@ -117,9 +105,7 @@ def project_psd(m) -> np.ndarray:
     Eigendecomposes the symmetrized input and clips negative eigenvalues to
     zero. Idempotent.
     """
-    w, u = herm_eig(m)
-    w = np.clip(w, 0.0, None)
-    return (u * w) @ np.conj(u.T)
+    return project_psd_stack(require_hermitian(m))
 
 
 def clip_operator_norm(m, bound: float) -> np.ndarray:
@@ -129,23 +115,25 @@ def clip_operator_norm(m, bound: float) -> np.ndarray:
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    w, u = herm_eig(m)
-    w = np.clip(w, -bound, bound)
-    return (u * w) @ np.conj(u.T)
+    return clip_operator_norm_stack(require_hermitian(m), bound)
 
 
-# --- stacked helpers (shape (..., d, d)); used by the heavier numerics ---
-
-
-def eigvalsh_stack(ms: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a stack of matrices, symmetrized first."""
-    return np.linalg.eigvalsh(hermitian_part(ms))
+# --- stacked kernels (shape (..., d, d)) ---
+# op_norm, commutator_norm, project_psd and clip_operator_norm are their
+# one-matrix case.
 
 
 def herm_norm_stack(ms: np.ndarray) -> np.ndarray:
     """Operator norms of a stack of (nearly) Hermitian matrices."""
-    w = eigvalsh_stack(ms)
+    w = np.linalg.eigvalsh(hermitian_part(ms))
     return np.abs(w).max(axis=-1)
+
+
+def commutator_norm_stack(prods: np.ndarray) -> np.ndarray:
+    """Commutator norms ||[X, Y]|| of Hermitian pairs, from their products
+    P = XY: for Hermitian X and Y, [X, Y] = P - P*, and i[X, Y] is Hermitian
+    with the same norm."""
+    return herm_norm_stack(1j * (prods - np.conj(np.swapaxes(prods, -1, -2))))
 
 
 def project_psd_stack(ms: np.ndarray) -> np.ndarray:
@@ -165,3 +153,18 @@ def clip_operator_norm_stack(ms: np.ndarray, bound: float | np.ndarray) -> np.nd
     w, u = np.linalg.eigh(hermitian_part(ms))
     w = np.clip(w, -bound, bound)
     return (u * w[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+
+
+def renormalize(g: np.ndarray, floor: float) -> np.ndarray | None:
+    """Conjugate a stack by S^(-1/2), where S is its sum over the leading
+    axes, so that the result sums to the identity.
+
+    Returns None when S is too close to singular:
+    lambda_min(S) <= floor * max(1, lambda_max(S)).
+    """
+    s = g.sum(axis=tuple(range(g.ndim - 2)))
+    w, u = np.linalg.eigh(hermitian_part(s))
+    if w[0] <= floor * max(1.0, float(w[-1])):
+        return None
+    inv_sqrt = (u * (1.0 / np.sqrt(w))) @ np.conj(u.T)
+    return inv_sqrt @ g @ inv_sqrt

@@ -103,24 +103,19 @@ class PovmViolation:
         return f"{self.kind} violated at {where} by {self.magnitude:.3e}"
 
 
-def validate_povm(
-    p: Povm,
-    completeness_tol: float = COMPLETENESS_TOL,
-    psd_tol: float = PSD_TOL,
-    hermiticity_rtol: float = linalg.HERMITICITY_RTOL,
-) -> list[PovmViolation]:
+def validate_povm(p: Povm, completeness_tol: float = COMPLETENESS_TOL) -> list[PovmViolation]:
     """Check the POVM axioms; returns an empty list iff all hold within
     tolerance. Violations are data, not errors."""
+    defects, allowed = linalg.hermitian_defects(p.elements)
+    lowest = np.linalg.eigvalsh(linalg.hermitian_part(p.elements))[:, 0]
     report: list[PovmViolation] = []
-    for lab, mat in zip(p.outcomes, p.elements):
-        scale = max(1.0, float(np.abs(mat).max()))
-        defect = linalg.hermitian_defect(mat)
-        if defect > hermiticity_rtol * scale:
+    for lab, defect, limit, low in zip(
+        p.outcomes, defects.tolist(), allowed.tolist(), lowest.tolist()
+    ):
+        if defect > limit:
             report.append(PovmViolation("hermiticity", lab, defect))
-            continue
-        w = np.linalg.eigvalsh(linalg.hermitian_part(mat))
-        if w[0] < -psd_tol:
-            report.append(PovmViolation("positivity", lab, float(-w[0])))
+        elif low < -PSD_TOL:
+            report.append(PovmViolation("positivity", lab, -low))
     total = p.elements.sum(axis=0)
     dev = float(np.abs(total - np.eye(p.dim)).max())
     if dev > completeness_tol:
@@ -212,14 +207,19 @@ def intrinsic_uncertainty_l1(p: Povm) -> float:
     return best
 
 
-def qubit_projector(n) -> np.ndarray:
-    """Rank-one qubit projector (1/2)(I + n . sigma) for a unit Bloch vector."""
+def _bloch_sigma(n) -> np.ndarray:
+    """n . sigma for a unit Bloch vector n."""
     v = np.asarray(n, dtype=float).reshape(-1)
     if v.shape != (3,):
         raise ValueError("Bloch vector must have three components")
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise ValueError(f"Bloch vector must be unit length, got |n| = {np.linalg.norm(v):.12g}")
-    return (np.eye(2, dtype=complex) + v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z) / 2
+    return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
+
+
+def qubit_projector(n) -> np.ndarray:
+    """Rank-one qubit projector (1/2)(I + n . sigma) for a unit Bloch vector."""
+    return (np.eye(2, dtype=complex) + _bloch_sigma(n)) / 2
 
 
 def noisy_qubit_povm(n, eta: float) -> Povm:
@@ -230,10 +230,7 @@ def noisy_qubit_povm(n, eta: float) -> Povm:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {eta}")
-    v = np.asarray(n, dtype=float).reshape(-1)
-    if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError("Bloch vector must be a unit 3-vector")
-    s = v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
+    s = _bloch_sigma(n)
     eye = np.eye(2, dtype=complex)
     return Povm(("+", "-"), np.stack([(eye + eta * s) / 2, (eye - eta * s) / 2]))
 
@@ -257,13 +254,9 @@ def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
         r = rng.standard_normal((n_outcomes, dim, dim)) + 1j * rng.standard_normal(
             (n_outcomes, dim, dim)
         )
-        g = r @ np.conj(np.swapaxes(r, -1, -2))
-        s = g.sum(axis=0)
-        w, u = np.linalg.eigh(linalg.hermitian_part(s))
-        if w[0] <= 1e-12 * max(1.0, w[-1]):
+        elements = linalg.renormalize(r @ np.conj(np.swapaxes(r, -1, -2)), 1e-12)
+        if elements is None:
             continue  # singular sum; retry with a perturbed seed
-        inv_sqrt = (u * (1.0 / np.sqrt(w))) @ np.conj(u.T)
-        elements = inv_sqrt @ g @ inv_sqrt
         labels = tuple(f"o{k}" for k in range(n_outcomes))
         return Povm(labels, elements)
     raise ValueError("could not draw a nonsingular random POVM after 10 attempts")

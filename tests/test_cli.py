@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jointmeas import feasibility
 from jointmeas.bounds import check_corollary_pvm_instrument, check_theorem2
 from jointmeas.cli import _print_report, cli_dispatch
 from jointmeas.io import load_povm, load_state, save_povm
@@ -213,6 +214,19 @@ class TestCheckJoint:
         assert code == 1
         assert "status = infeasible" in out
 
+    @pytest.mark.parametrize("max_iter", ["0", "-5"])
+    def test_nonpositive_max_iter_rejected(self, max_iter, files, capsys):
+        out = files["dir"] / "w.json"
+        code, stdout, err = run(
+            ["check-joint", files["nz70"], files["nx70"], "--max-iter", max_iter,
+             "--witness-out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert "max_iter" in err
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestQubitDemo:
     def test_deterministic_csv(self, files, capsys):
@@ -263,6 +277,31 @@ class TestFrontier:
         )
         assert code == 1
         assert "nonnegative" in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--resolution", "-0.001"], "y_resolution"),
+            (["--resolution", "nan"], "y_resolution"),
+            (["--x-max", "nan"], "x_max"),
+            (["--max-iter", "0"], "max_iter"),
+        ],
+        ids=["res-negative", "res-nan", "x-max-nan", "iter-zero"],
+    )
+    def test_bad_budget_rejected_before_solving(self, flags, message, files, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver ran before its budgets were checked")
+
+        monkeypatch.setattr(feasibility, "_dykstra", no_solve)
+        out = files["dir"] / "front.csv"
+        code, _, err = run(
+            ["frontier", files["z"], files["x"], "--grid", "6", "--out", str(out), *flags],
+            capsys,
+        )
+        assert code == 1
+        assert message in err
         assert not out.exists()
 
 

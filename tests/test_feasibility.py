@@ -153,6 +153,49 @@ class TestFrontierPoint:
             frontier_point(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), -0.1)
 
 
+class TestSolverBudgets:
+    """Budgets a solve cannot run on raise ValueError before any solve."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver ran before its budgets were checked")
+
+        monkeypatch.setattr(feasibility, "_dykstra", no_solve)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"y_resolution": -0.001}, "y_resolution"),
+            ({"y_resolution": 0.0}, "y_resolution"),
+            ({"y_resolution": math.nan}, "y_resolution"),
+            ({"y_resolution": math.inf}, "y_resolution"),
+            ({"max_iter": 0}, "max_iter"),
+            ({"max_iter": -5}, "max_iter"),
+        ],
+        ids=["res-negative", "res-zero", "res-nan", "res-inf", "iter-zero", "iter-negative"],
+    )
+    def test_frontier_point_rejects(self, kwargs, message):
+        # X = 0.5 is at the trivial baseline's budget, where the bisection
+        # starts with lo = hi = 0
+        with pytest.raises(ValueError, match=message):
+            frontier_point(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 0.5, **kwargs)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_frontier_rejects_non_finite_x_budget(self, x):
+        a, b = bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0))
+        with pytest.raises(ValueError, match="X budget"):
+            frontier_point(a, b, x)
+        with pytest.raises(ValueError, match="x_max"):
+            frontier_sweep(a, b, 6, x_max=x)
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_check_joint_rejects_nonpositive_max_iter(self, max_iter):
+        a, b = random_povm(3, 3, 1), random_povm(3, 3, 2)
+        with pytest.raises(ValueError, match="max_iter"):
+            check_joint_measurability(a, b, max_iter=max_iter)
+
+
 class TestFrontierSweep:
     def test_monotone_and_contained(self):
         a = bloch_pvm((0, 0, 1))

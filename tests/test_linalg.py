@@ -196,3 +196,44 @@ class TestEigendecomposition:
         clipped = linalg.clip_operator_norm(m, 1.0)
         assert np.allclose(clipped, np.diag([1.0, -1.0, 0.5]))
         assert linalg.op_norm(clipped) <= 1.0 + 1e-12
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_groups_are_independent(self, d):
+        # each group of a (P, n, d, d) stack, with its own (P, 1, 1) bound,
+        # comes out bit-equal to a call on that group alone
+        rng = np.random.default_rng(30 + d)
+        ms = np.stack([[random_hermitian(rng, d) for _ in range(3)] for _ in range(4)])
+        bound = rng.uniform(0.1, 2.0, (4, 1, 1))
+        psd = linalg.project_psd_stack(ms)
+        clipped = linalg.clip_operator_norm_stack(ms, bound)
+        norms = linalg.herm_norm_stack(ms)
+        for p in range(4):
+            assert np.array_equal(psd[p], linalg.project_psd_stack(ms[p]))
+            assert np.array_equal(clipped[p], linalg.clip_operator_norm_stack(ms[p], bound[p]))
+            assert np.array_equal(norms[p], linalg.herm_norm_stack(ms[p]))
+
+    def test_commutator_norm_stack_matches_op_norm_of_commutator(self):
+        rng = np.random.default_rng(35)
+        xs = np.stack([random_hermitian(rng, 4) for _ in range(6)])
+        ys = np.stack([random_hermitian(rng, 4) for _ in range(6)])
+        for x, y, got in zip(xs, ys, linalg.commutator_norm_stack(xs @ ys)):
+            assert got == pytest.approx(linalg.op_norm(linalg.commutator(x, y)), abs=1e-12)
+
+
+class TestRenormalize:
+    def test_sums_to_identity(self):
+        rng = np.random.default_rng(36)
+        r = rng.standard_normal((2, 3, 3, 3)) + 1j * rng.standard_normal((2, 3, 3, 3))
+        g = linalg.renormalize(r @ np.conj(np.swapaxes(r, -1, -2)), 1e-12)
+        assert np.abs(g.sum(axis=(0, 1)) - np.eye(3)).max() <= 1e-12
+
+    def test_singular_sum_gives_none(self):
+        g = np.stack([np.diag([1.0, 0.0]), np.diag([0.5, 0.0])]).astype(complex)
+        assert linalg.renormalize(g, 1e-12) is None
+
+    def test_floor_scales_with_the_largest_eigenvalue(self):
+        g = np.diag([1e3, 1e-4]).astype(complex)[None]
+        assert linalg.renormalize(g, 1e-6) is None
+        assert linalg.renormalize(g, 1e-8) is not None

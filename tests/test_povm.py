@@ -6,6 +6,7 @@ from jointmeas.povm import (
     PAULI_X,
     PAULI_Z,
     Povm,
+    PovmViolation,
     State,
     bloch_pvm,
     intrinsic_uncertainty_inf,
@@ -76,6 +77,25 @@ class TestValidatePovm:
         p = Povm(("a", "b"), np.stack([bad, np.eye(2) - bad]))
         kinds = {v.kind for v in validate_povm(p)}
         assert "hermiticity" in kinds
+
+    def test_report_order_and_hermiticity_before_positivity(self):
+        # a has a negative eigenvalue; b is not Hermitian, and the negative
+        # eigenvalue of its Hermitian part goes unreported; c is valid
+        p = Povm(
+            ("a", "b", "c"),
+            np.stack(
+                [
+                    np.diag([-0.05, 0.4]),
+                    np.array([[0.5, 0.6], [0.0, 0.1]]),
+                    np.array([[0.55, -0.3], [-0.3, 0.5]]),
+                ]
+            ),
+        )
+        assert validate_povm(p) == [
+            PovmViolation("positivity", "a", 0.05),
+            PovmViolation("hermiticity", "b", 0.6),
+            PovmViolation("completeness", None, 0.3),
+        ]
 
 
 class TestIsPvm:
@@ -187,6 +207,20 @@ class TestQubitConstructors:
     def test_rejects_non_unit_vector(self):
         with pytest.raises(ValueError):
             qubit_projector((0, 0, 2))
+
+    @pytest.mark.parametrize(
+        "make",
+        [qubit_projector, bloch_pvm, lambda n: noisy_qubit_povm(n, 0.5)],
+        ids=["qubit_projector", "bloch_pvm", "noisy_qubit_povm"],
+    )
+    @pytest.mark.parametrize(
+        "n, message",
+        [((0, 0, 2), r"unit length, got \|n\| = 2$"), ((1, 0), "three components")],
+        ids=["long", "short"],
+    )
+    def test_one_bloch_vector_check(self, make, n, message):
+        with pytest.raises(ValueError, match=message):
+            make(n)
 
     def test_noisy_extremes(self):
         sharp = noisy_qubit_povm((0, 0, 1), 1.0)
