@@ -11,7 +11,12 @@ The feasibility engine is Dykstra's alternating-projection scheme (plain
 alternating projections can cycle; Dykstra converges to the projection onto
 the intersection). The constraint sets, each with a closed-form orthogonal
 projection, are the product PSD cone and affine or spectrally-clipped
-marginal constraints. The solver is lane-stacked: axis 0 of its iterate
+marginal constraints. One private `_Pair` describes them for both solves:
+it holds the product labels and the Hermitian targets, writes every
+marginal constraint through the gaps marg_A(F) - A, marg_B(F) - B and
+sum(F) - I, and provides the projections, the seeds and the cleanup and
+POVM check that every witness passes; the solver itself ends every cycle
+with the PSD projection. The solver is lane-stacked: axis 0 of its iterate
 indexes independent problems, each stopping on its own. A joint-measurability
 check is one lane; a frontier sweep runs the bisection probes of all its grid
 points together, one lane per point, so each projection is one stacked
@@ -84,55 +89,97 @@ class FrontierPoint:
     witness: Povm
 
 
-def _marginal_deviation(f: np.ndarray, targets: np.ndarray, axis: int) -> float:
-    """Largest operator-norm deviation of a marginal family from its target."""
-    return float(linalg.herm_norm_stack(f.sum(axis=axis) - targets).max())
+def _check_solve(a: Povm, b: Povm, tol: float, max_iter: int) -> None:
+    """Raise ValueError for a pair or a budget no solve can run on."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
-def _product_seed(a: Povm, b: Povm) -> np.ndarray:
-    """Symmetrized products (A_a B_b + B_b A_a)/2, PSD-projected and
-    renormalized to sum to the identity.
+class _Pair:
+    """The product-outcome search space of a POVM pair A, B (same dimension).
 
-    For commuting pairs this is already an exact joint observable; elsewhere
-    it is a warm start.
+    An iterate F has shape (..., n_A, n_B, d, d), with or without a leading
+    lane axis. Every marginal constraint is written through the three gaps
+    marg_A(F) - A, marg_B(F) - B and sum(F) - I, and every projection is the
+    closed-form orthogonal projection onto its set.
     """
-    ea = linalg.hermitian_part(a.elements)
-    eb = linalg.hermitian_part(b.elements)
-    sym = linalg.hermitian_part(np.einsum("aij,bjk->abik", ea, eb))
-    seed = linalg.renormalize(linalg.project_psd_stack(sym), 1e-12)
-    if seed is None:
-        # degenerate seed; fall back to a product of A with a flat weight on b
-        return _conditional_seed(a, b)
-    return seed
 
+    def __init__(self, a: Povm, b: Povm):
+        f_a, _ = coordinate_maps(a.outcomes, b.outcomes)
+        self.labels = f_a.source
+        self.na, self.nb, self.d = a.n_outcomes, b.n_outcomes, a.dim
+        self.ea = linalg.hermitian_part(a.elements)
+        self.eb = linalg.hermitian_part(b.elements)
+        self.eye = np.eye(self.d, dtype=complex)
 
-def _conditional_seed(a: Povm, b: Povm) -> np.ndarray:
-    """F_(a,b) = A_a w_b with weights w_b = tr(B_b)/dim: a valid product
-    POVM whose A-marginal is exactly A."""
-    w = np.einsum("bii->b", b.elements).real / b.dim
-    return np.einsum("aij,b->abij", linalg.hermitian_part(a.elements), w)
+    def gap_a(self, f: np.ndarray) -> np.ndarray:
+        return f.sum(axis=-3) - self.ea
 
+    def gap_b(self, f: np.ndarray) -> np.ndarray:
+        return f.sum(axis=-4) - self.eb
 
-def _mirror_seed(a: Povm, b: Povm) -> np.ndarray:
-    """F_(a,b) = w_a B_b with weights w_a = tr(A_a)/dim: a valid product
-    POVM whose B-marginal is exactly B."""
-    w = np.einsum("aii->a", a.elements).real / a.dim
-    return np.einsum("a,bij->abij", w, linalg.hermitian_part(b.elements))
+    def gap_total(self, f: np.ndarray) -> np.ndarray:
+        return f.sum(axis=(-4, -3)) - self.eye
 
+    def project_marginals(self, f: np.ndarray) -> np.ndarray:
+        """Onto {marg_A = A and marg_B = B}; the total-sum constraint is
+        implied but enters the closed form."""
+        return (
+            f
+            - self.gap_a(f)[..., None, :, :] / self.nb
+            - self.gap_b(f)[..., None, :, :, :] / self.na
+            + self.gap_total(f)[..., None, None, :, :] / (self.na * self.nb)
+        )
 
-def _cleanup(f: np.ndarray, outcomes: tuple[str, ...]) -> Povm | None:
-    """Turn a near-feasible iterate into an exact POVM: clip each element to
-    the PSD cone, then conjugate by the inverse square root of the sum.
-    Returns None if the sum is too ill-conditioned to renormalize."""
-    na, nb, d, _ = f.shape
-    g = linalg.renormalize(linalg.project_psd_stack(f), 1e-6)
-    if g is None:
-        return None
-    return Povm(outcomes, linalg.hermitian_part(g).reshape(na * nb, d, d))
+    def project_total(self, f: np.ndarray) -> np.ndarray:
+        """Onto {sum(F) = I}."""
+        return f - (self.gap_total(f) / (self.na * self.nb))[..., None, None, :, :]
 
+    def project_ball_a(self, f: np.ndarray, bound: np.ndarray) -> np.ndarray:
+        """Onto {||marg_A(F)_a - A_a|| <= bound for every a}, with one bound
+        per lane, shape (n, 1, 1)."""
+        z = self.gap_a(f)
+        return f + ((linalg.clip_operator_norm_stack(z, bound) - z) / self.nb)[..., None, :, :]
 
-def _project_psd(f: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-    return linalg.project_psd_stack(f)
+    def project_ball_b(self, f: np.ndarray, bound: np.ndarray) -> np.ndarray:
+        """Onto {||marg_B(F)_b - B_b|| <= bound for every b}, as `project_ball_a`."""
+        z = self.gap_b(f)
+        return f + ((linalg.clip_operator_norm_stack(z, bound) - z) / self.na)[..., None, :, :, :]
+
+    def product_seed(self) -> np.ndarray:
+        """Symmetrized products (A_a B_b + B_b A_a)/2, PSD-projected and
+        renormalized to sum to the identity; A x flat if that sum is too
+        close to singular.
+
+        For commuting pairs this is already an exact joint observable;
+        elsewhere it is a warm start.
+        """
+        sym = linalg.hermitian_part(np.einsum("aij,bjk->abik", self.ea, self.eb))
+        seed = linalg.renormalize(linalg.project_psd_stack(sym), 1e-12)
+        return self.flat_seeds()[0] if seed is None else seed
+
+    def flat_seeds(self) -> tuple[np.ndarray, np.ndarray]:
+        """A x flat, F_ab = A_a tr(B_b)/d, whose A-marginal is exactly A, and
+        its mirror flat x B, F_ab = tr(A_a)/d B_b, whose B-marginal is
+        exactly B. Both are valid product POVMs."""
+        wa = np.einsum("aii->a", self.ea).real / self.d
+        wb = np.einsum("bii->b", self.eb).real / self.d
+        return np.einsum("aij,b->abij", self.ea, wb), np.einsum("a,bij->abij", wa, self.eb)
+
+    def witness(self, f: np.ndarray) -> Povm | None:
+        """Turn a near-feasible iterate into an exact POVM: clip each element
+        to the PSD cone, then conjugate by the inverse square root of the
+        sum. Returns None if the sum is too ill-conditioned to renormalize or
+        the result fails the POVM check."""
+        g = linalg.renormalize(linalg.project_psd_stack(f), 1e-6)
+        if g is None:
+            return None
+        w = Povm(self.labels, linalg.hermitian_part(g).reshape(self.na * self.nb, self.d, self.d))
+        return None if validate_povm(w, completeness_tol=WITNESS_VALIDATE_TOL) else w
 
 
 def _dykstra(
@@ -152,11 +199,12 @@ def _dykstra(
     stack with its iterate, residual and iteration count frozen. A lane's
     arithmetic is the same as if it ran alone.
 
-    `projections` must end with the PSD-cone projection so that the iterates
-    handed to `residual_fn` (and returned) are always positive semidefinite.
+    Each cycle ends with the PSD-cone projection, so the iterates handed to
+    `residual_fn` (and returned) are always positive semidefinite.
     Returns (iterates, residuals, iterations, converged), the last three
     with one entry per lane.
     """
+    projections = [*projections, lambda f, lanes: linalg.project_psd_stack(f)]
     n = start.shape[0]
     out = start.copy()
     x = start
@@ -212,10 +260,7 @@ def check_joint_measurability(
     Runs the analytic infeasibility screen first, then Dykstra projections
     between the product PSD cone and the affine set of correct marginals.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_solve(a, b, tol, max_iter)
     screen = check_corollary_joint(a, b)
     if screen.slack < -SLACK_TOL:
         return FeasibilityResult(
@@ -231,53 +276,38 @@ def check_joint_measurability(
             screen_report=screen,
         )
 
-    f_a, _ = coordinate_maps(a.outcomes, b.outcomes)
-    product_labels = f_a.source
-    na, nb, d = a.n_outcomes, b.n_outcomes, a.dim
-    ea = linalg.hermitian_part(a.elements)
-    eb = linalg.hermitian_part(b.elements)
-    eye = np.eye(d, dtype=complex)
-
-    def proj_marginals(f: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        # orthogonal projection onto {marg_A = A and marg_B = B}; the
-        # total-sum constraint is implied but enters the closed form
-        ra = f.sum(axis=2) - ea
-        rb = f.sum(axis=1) - eb
-        rt = f.sum(axis=(1, 2)) - eye
-        return f - ra[:, :, None] / nb - rb[:, None] / na + rt[:, None, None] / (na * nb)
+    pair = _Pair(a, b)
 
     def residual(f: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        dev = np.concatenate([f.sum(axis=2) - ea, f.sum(axis=1) - eb], axis=1)
-        return linalg.herm_norm_stack(dev).max(axis=1)
+        gaps = np.concatenate([pair.gap_a(f), pair.gap_b(f)], axis=1)
+        return linalg.herm_norm_stack(gaps).max(axis=1)
 
     def finish_feasible(f: np.ndarray, iters: int) -> FeasibilityResult | None:
-        witness = _cleanup(f, product_labels)
+        witness = pair.witness(f)
         if witness is None:
             return None
-        arr = witness.elements.reshape(na, nb, d, d)
-        dev_a = _marginal_deviation(arr, ea, axis=1)
-        dev_b = _marginal_deviation(arr, eb, axis=0)
-        if validate_povm(witness, completeness_tol=WITNESS_VALIDATE_TOL) or max(
-            dev_a, dev_b
-        ) > WITNESS_MARGINAL_TOL:
+        arr = witness.elements.reshape(f.shape)
+        gaps = (pair.gap_a(arr), pair.gap_b(arr))
+        dev = max(float(linalg.herm_norm_stack(g).max()) for g in gaps)
+        if dev > WITNESS_MARGINAL_TOL:
             return None
         return FeasibilityResult(
             status="feasible",
             witness=witness,
-            residual=max(dev_a, dev_b),
+            residual=dev,
             iterations=iters,
             certificate_note="witness marginals verified",
             screen_report=screen,
         )
 
-    f0 = _product_seed(a, b)[None]
+    f0 = pair.product_seed()[None]
     if residual(f0, None)[0] <= tol:
         result = finish_feasible(f0[0], 0)
         if result is not None:
             return result
 
     f_final, res, iters, converged = _dykstra(
-        f0, [proj_marginals, _project_psd], residual, tol, max_iter
+        f0, [lambda f, lanes: pair.project_marginals(f)], residual, tol, max_iter
     )
     res, iters, converged = res[0], iters[0], converged[0]
     if converged:
@@ -302,8 +332,7 @@ def check_joint_measurability(
 
 
 def _query(
-    ea: np.ndarray,
-    eb: np.ndarray,
+    pair: _Pair,
     x_bounds: list[float],
     y_bounds: list[float],
     start: np.ndarray,
@@ -314,43 +343,25 @@ def _query(
     within x_bounds[j] and B-marginal within y_bounds[j] of the targets
     (operator-norm intervals)? Every lane starts from `start`; returns the
     per-lane verdicts and final iterates."""
-    na = ea.shape[0]
-    nb = eb.shape[0]
-    d = ea.shape[1]
-    eye = np.eye(d, dtype=complex)
-    k = na * nb
     xb = np.array(x_bounds, dtype=float)
     yb = np.array(y_bounds, dtype=float)
     n = len(xb)
     # bound per row of the residual stack [sum; A marginals; B marginals]
-    bounds = np.concatenate(
-        [np.zeros((n, 1)), np.repeat(xb[:, None], na, axis=1), np.repeat(yb[:, None], nb, axis=1)],
-        axis=1,
-    )
-
-    def proj_sum(f: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        return f + ((eye - f.sum(axis=(1, 2))) / k)[:, None, None]
-
-    def proj_ball_a(f: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        z = f.sum(axis=2) - ea
-        zc = linalg.clip_operator_norm_stack(z, xb[lanes, None, None])
-        return f + ((zc - z) / nb)[:, :, None]
-
-    def proj_ball_b(f: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        z = f.sum(axis=1) - eb
-        zc = linalg.clip_operator_norm_stack(z, yb[lanes, None, None])
-        return f + ((zc - z) / na)[:, None]
+    bounds = np.zeros((n, 1 + pair.na + pair.nb))
+    bounds[:, 1 : 1 + pair.na] = xb[:, None]
+    bounds[:, 1 + pair.na :] = yb[:, None]
 
     def residual(f: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        dev = np.concatenate(
-            [(f.sum(axis=(1, 2)) - eye)[:, None], f.sum(axis=2) - ea, f.sum(axis=1) - eb],
-            axis=1,
-        )
-        return (linalg.herm_norm_stack(dev) - bounds[lanes]).max(axis=1)
+        gaps = np.concatenate([pair.gap_total(f)[:, None], pair.gap_a(f), pair.gap_b(f)], axis=1)
+        return (linalg.herm_norm_stack(gaps) - bounds[lanes]).max(axis=1)
 
     f, _, _, converged = _dykstra(
         np.repeat(start[None], n, axis=0),
-        [proj_sum, proj_ball_a, proj_ball_b, _project_psd],
+        [
+            lambda f, lanes: pair.project_total(f),
+            lambda f, lanes: pair.project_ball_a(f, xb[lanes, None, None]),
+            lambda f, lanes: pair.project_ball_b(f, yb[lanes, None, None]),
+        ],
         residual,
         tol,
         max_iter,
@@ -374,20 +385,13 @@ def _frontier(
     round's probes run as one stacked Dykstra solve whose lanes do not
     interact, so every point equals what it would be on its own.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _check_solve(a, b, tol, max_iter)
     if not 0 < y_resolution < math.inf:
         raise ValueError(f"y_resolution must be finite and positive, got {y_resolution}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    f_map_a, _ = coordinate_maps(a.outcomes, b.outcomes)
-    product_labels = f_map_a.source
-    na, nb, d = a.n_outcomes, b.n_outcomes, a.dim
-    ea = linalg.hermitian_part(a.elements)
-    eb = linalg.hermitian_part(b.elements)
+    pair = _Pair(a, b)
 
     def achieved(witness: Povm) -> tuple[Povm, float, float]:
-        arr = witness.elements.reshape(na, nb, d, d)
+        arr = witness.elements.reshape(pair.na, pair.nb, pair.d, pair.d)
         x = D_inf(a, Povm(a.outcomes, arr.sum(axis=1))).value
         y = D_inf(b, Povm(b.outcomes, arr.sum(axis=0))).value
         return witness, x, y
@@ -395,26 +399,23 @@ def _frontier(
     # Feasible fallbacks: A tensored with a flat outcome weight has A itself
     # as its A-marginal (any budget); its mirror, a flat weight tensored with
     # B, has B itself as its B-marginal (budgets >= D_inf(A, w I)).
-    flat_b = _cleanup(_conditional_seed(a, b), product_labels)
+    flat_b, flat_a = (pair.witness(f) for f in pair.flat_seeds())
     if flat_b is None:
         raise RuntimeError("baseline product witness could not be constructed")
-    baselines = [achieved(flat_b)]
-    flat_a = _cleanup(_mirror_seed(a, b), product_labels)
-    if flat_a is not None:
-        baselines.append(achieved(flat_a))
+    baselines = [achieved(w) for w in (flat_b, flat_a) if w is not None]
     best = [
         min((bl for bl in baselines if bl[1] <= x + WITNESS_MARGINAL_TOL), key=lambda bl: bl[2])
         for x in xs
     ]
-    seed = _product_seed(a, b)
+    seed = pair.product_seed()
 
     lo = [0.0] * len(xs)
     hi = [bl[2] for bl in best]
     while active := [p for p in range(len(xs)) if hi[p] - lo[p] > y_resolution]:
         mids = [(lo[p] + hi[p]) / 2 for p in active]
-        ok, f = _query(ea, eb, [xs[p] for p in active], mids, seed, tol, max_iter)
+        ok, f = _query(pair, [xs[p] for p in active], mids, seed, tol, max_iter)
         for j, p in enumerate(active):
-            witness = _cleanup(f[j], product_labels) if ok[j] else None
+            witness = pair.witness(f[j]) if ok[j] else None
             if witness is not None:
                 found = achieved(witness)
                 if found[1] <= xs[p] + WITNESS_MARGINAL_TOL:

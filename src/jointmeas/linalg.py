@@ -51,15 +51,6 @@ def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     return hermitian_part(a)
 
 
-def herm_eig(m, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix: (eigenvalues ascending, unitary).
-
-    The input is symmetrized before factoring; non-Hermitian input (beyond
-    tolerance) raises ValueError.
-    """
-    return np.linalg.eigh(require_hermitian(m, name))
-
-
 def op_norm(m) -> float:
     """Operator norm (largest singular value).
 
@@ -108,19 +99,8 @@ def project_psd(m) -> np.ndarray:
     return project_psd_stack(require_hermitian(m))
 
 
-def clip_operator_norm(m, bound: float) -> np.ndarray:
-    """Nearest (Frobenius) Hermitian matrix with operator norm <= bound.
-
-    Clips the spectrum of the symmetrized input into [-bound, bound].
-    """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    return clip_operator_norm_stack(require_hermitian(m), bound)
-
-
 # --- stacked kernels (shape (..., d, d)) ---
-# op_norm, commutator_norm, project_psd and clip_operator_norm are their
-# one-matrix case.
+# op_norm, commutator_norm and project_psd are their one-matrix case.
 
 
 def herm_norm_stack(ms: np.ndarray) -> np.ndarray:

@@ -200,6 +200,8 @@ def suite_povm_invariants(trials: int, seed: int) -> SuiteResult:
 
 def run_selftest(trials: int = 200, seed: int = 0, emit=print) -> int:
     """Run every suite; returns the total violation count (0 means pass)."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     suites = [
         suite_theorem1(trials, seed),
         suite_theorem2(max(trials // 2, 1), seed + 1),

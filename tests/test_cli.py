@@ -227,6 +227,22 @@ class TestCheckJoint:
         assert stdout == ""
         assert not out.exists()
 
+    def test_bad_tol_rejected_before_solving(self, files, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver ran before its budgets were checked")
+
+        monkeypatch.setattr(feasibility, "_dykstra", no_solve)
+        out = files["dir"] / "w.json"
+        code, stdout, err = run(
+            ["check-joint", files["nz70"], files["nx70"], "--tol", "nan",
+             "--witness-out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert "tol" in err
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestQubitDemo:
     def test_deterministic_csv(self, files, capsys):
@@ -287,8 +303,9 @@ class TestFrontier:
             (["--resolution", "nan"], "y_resolution"),
             (["--x-max", "nan"], "x_max"),
             (["--max-iter", "0"], "max_iter"),
+            (["--tol", "nan"], "tol"),
         ],
-        ids=["res-negative", "res-nan", "x-max-nan", "iter-zero"],
+        ids=["res-negative", "res-nan", "x-max-nan", "iter-zero", "tol-nan"],
     )
     def test_bad_budget_rejected_before_solving(self, flags, message, files, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -310,3 +327,10 @@ class TestSelftest:
         code, out, _ = run(["selftest", "--trials", "5", "--seed", "7"], capsys)
         assert code == 0
         assert "total violations = 0" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_rejected(self, trials, capsys):
+        code, out, err = run(["selftest", "--trials", trials], capsys)
+        assert code == 1
+        assert "trials" in err
+        assert out == ""

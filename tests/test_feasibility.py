@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jointmeas import feasibility
+from jointmeas import feasibility, linalg
 from jointmeas.bounds import check_theorem1, heinosaari_lower_bound
 from jointmeas.distances import D_inf
 from jointmeas.feasibility import (
@@ -172,8 +172,15 @@ class TestSolverBudgets:
             ({"y_resolution": math.inf}, "y_resolution"),
             ({"max_iter": 0}, "max_iter"),
             ({"max_iter": -5}, "max_iter"),
+            ({"tol": math.nan}, "tol"),
+            ({"tol": 0.0}, "tol"),
+            ({"tol": -1.0}, "tol"),
+            ({"tol": math.inf}, "tol"),
         ],
-        ids=["res-negative", "res-zero", "res-nan", "res-inf", "iter-zero", "iter-negative"],
+        ids=[
+            "res-negative", "res-zero", "res-nan", "res-inf", "iter-zero", "iter-negative",
+            "tol-nan", "tol-zero", "tol-negative", "tol-inf",
+        ],
     )
     def test_frontier_point_rejects(self, kwargs, message):
         # X = 0.5 is at the trivial baseline's budget, where the bisection
@@ -195,6 +202,51 @@ class TestSolverBudgets:
         with pytest.raises(ValueError, match="max_iter"):
             check_joint_measurability(a, b, max_iter=max_iter)
 
+    @pytest.mark.parametrize(
+        "tol", [math.nan, 0.0, -1.0, math.inf], ids=["nan", "zero", "negative", "inf"]
+    )
+    def test_check_joint_rejects_bad_tol(self, tol):
+        # a feasible pair that a NaN or nonpositive tol used to run to the
+        # stagnation window and report `undecided`
+        a, b = noisy_qubit_povm((0, 0, 1), 0.7), noisy_qubit_povm((1, 0, 0), 0.7)
+        with pytest.raises(ValueError, match="tol"):
+            check_joint_measurability(a, b, tol=tol)
+
+
+class TestConstraintDescription:
+    """Each projection of the product-outcome constraint description lands in
+    its set and is idempotent, on a two-lane stack."""
+
+    @pytest.fixture
+    def pair_and_stack(self):
+        rng = np.random.default_rng(60)
+        pair = feasibility._Pair(random_povm(3, 2, 61), random_povm(3, 3, 62))
+        r = rng.standard_normal((2, 2, 3, 3, 3)) + 1j * rng.standard_normal((2, 2, 3, 3, 3))
+        return pair, (r + np.conj(np.swapaxes(r, -1, -2))) / 2
+
+    def test_project_marginals(self, pair_and_stack):
+        pair, f = pair_and_stack
+        p = pair.project_marginals(f)
+        assert np.abs(pair.gap_a(p)).max() <= 1e-12
+        assert np.abs(pair.gap_b(p)).max() <= 1e-12
+        assert np.abs(pair.project_marginals(p) - p).max() <= 1e-12
+
+    def test_project_total(self, pair_and_stack):
+        pair, f = pair_and_stack
+        p = pair.project_total(f)
+        assert np.abs(pair.gap_total(p)).max() <= 1e-12
+        assert np.abs(pair.project_total(p) - p).max() <= 1e-12
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_project_ball(self, side, pair_and_stack):
+        pair, f = pair_and_stack
+        project, gap = getattr(pair, f"project_ball_{side}"), getattr(pair, f"gap_{side}")
+        bound = np.array([0.05, 0.4])[:, None, None]
+        assert (linalg.herm_norm_stack(gap(f)) > bound[:, 0] + 1e-3).all()
+        p = project(f, bound)
+        assert (linalg.herm_norm_stack(gap(p)) <= bound[:, 0] + 1e-12).all()
+        assert np.abs(project(p, bound) - p).max() <= 1e-12
+
 
 class TestFrontierSweep:
     def test_monotone_and_contained(self):
@@ -211,6 +263,18 @@ class TestFrontierSweep:
             assert p.x_achieved + p.y_achieved >= h - 1e-9
             assert check_theorem1(a, b, p.witness, f_a, f_b).slack >= -1e-9
             assert validate_povm(p.witness) == []
+
+    def test_every_witness_passes_the_povm_check(self, monkeypatch):
+        validated = []
+
+        def recording(p, *args, **kwargs):
+            validated.append(p)
+            return validate_povm(p, *args, **kwargs)
+
+        monkeypatch.setattr(feasibility, "validate_povm", recording)
+        points = frontier_sweep(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 3, y_resolution=1e-2)
+        for p in points:
+            assert any(p.witness is w for w in validated)
 
     def test_rejects_negative_x_max_before_solving(self, monkeypatch):
         def no_solve(*args, **kwargs):

@@ -182,18 +182,9 @@ class TestProjectPsd:
 
 
 class TestEigendecomposition:
-    def test_reconstruction_residual_up_to_dim_16(self):
-        rng = np.random.default_rng(19)
-        for d in (2, 3, 5, 8, 16):
-            m = random_hermitian(rng, d)
-            w, u = linalg.herm_eig(m)
-            recon = (u * w) @ u.conj().T
-            fro = np.linalg.norm(m - recon)
-            assert fro <= 1e-9 * max(1.0, np.linalg.norm(m))
-
     def test_clip_operator_norm(self):
-        m = np.diag([2.0, -3.0, 0.5])
-        clipped = linalg.clip_operator_norm(m, 1.0)
+        m = np.diag([2.0, -3.0, 0.5]).astype(complex)
+        clipped = linalg.clip_operator_norm_stack(m, 1.0)
         assert np.allclose(clipped, np.diag([1.0, -1.0, 0.5]))
         assert linalg.op_norm(clipped) <= 1.0 + 1e-12
 
