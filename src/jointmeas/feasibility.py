@@ -22,10 +22,15 @@ check is one lane; a frontier sweep runs the bisection probes of all its grid
 points together, one lane per point, so each projection is one stacked
 eigendecomposition instead of one per point.
 
-Infeasibility is only ever certified analytically, through the necessary
-condition sqrt(V(A) V(B)) >= (1/2) max ||[A_a, B_b]||; projection methods
-produce no dual certificate, so a stalled solve reports `undecided` with its
-residual rather than claiming infeasibility.
+`infeasible` has two sources. The analytic screen is the paper's necessary
+condition sqrt(V(A) V(B)) >= (1/2) max ||[A_a, B_b]||. The dual certificate
+is read off the Dykstra gap: for an infeasible pair the PSD iterate minus its
+projection onto the marginal constraints tends to the minimal displacement
+vector (Bauschke & Borwein 1994), X_a + Y_b, a Farkas certificate of the SDP
+dual (Wolf, Perez-Garcia & Fernandez 2009) once shifted to be positive. Every
+certificate is re-verified from (X, Y) and the targets alone before it
+counts. A solve that neither converges to a verified witness nor yields a
+verified certificate reports `undecided` with its residual.
 """
 
 from __future__ import annotations
@@ -59,15 +64,24 @@ FRONTIER_MAX_ITER = 2000
 WITNESS_VALIDATE_TOL = 1e-7
 WITNESS_MARGINAL_TOL = 1e-6
 
+# check-joint tries the dual certificate every CERTIFY_EVERY iterations. Its
+# re-check allows CERTIFICATE_ULPS machine epsilons per rounding bound.
+CERTIFY_EVERY = 50
+CERTIFICATE_ULPS = 64
+
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityResult:
     """Outcome of a joint-measurability decision.
 
     status `feasible` comes with a verified witness POVM on the product
-    outcome set; `infeasible` only ever arises from an analytic certificate
-    (recorded in certificate_note); `undecided` means the iteration budget
-    ran out or the residual stagnated without a certificate.
+    outcome set. `infeasible` comes from the analytic screen or from a
+    verified dual certificate; certificate_note names which. A dual
+    certificate is kept in `certificate` as the pair (X, Y), shapes
+    (n_A, d, d) and (n_B, d, d), with every X_a + Y_b positive semidefinite
+    and sum tr(X_a A_a) + sum tr(Y_b B_b) < 0. `undecided` means neither a
+    verified witness nor a certificate was found before the residual
+    stagnated or the iteration budget ran out.
     """
 
     status: str  # "feasible" | "infeasible" | "undecided"
@@ -76,6 +90,7 @@ class FeasibilityResult:
     iterations: int
     certificate_note: str = ""
     screen_report: TradeoffReport | None = None
+    certificate: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,6 +185,47 @@ class _Pair:
         wb = np.einsum("bii->b", self.eb).real / self.d
         return np.einsum("aij,b->abij", self.ea, wb), np.einsum("a,bij->abij", wa, self.eb)
 
+    def certificate(self, k: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float] | None]:
+        """Dual certificates read off a lane stack of PSD iterates k, shape
+        (n, n_A, n_B, d, d): for each lane, (X, Y, value) if it proves that
+        no joint observable exists, else None.
+
+        X_a + Y_b is k_ab minus its projection onto the marginal
+        constraints, shifted by t = max(0, -min lambda_min(X_a + Y_b)) on X
+        so that every X_a + Y_b is PSD; the shift adds t sum tr(A_a) to the
+        value. Only a pair that passes `verify` is returned.
+        """
+        rt = self.gap_total(k)[:, None] / (2 * self.na * self.nb)
+        x = self.gap_a(k) / self.nb - rt
+        y = self.gap_b(k) / self.na - rt
+        lam = np.linalg.eigvalsh(x[:, :, None] + y[:, None]).min(axis=(1, 2, 3))
+        x = x + np.maximum(0.0, -lam)[:, None, None, None] * self.eye
+        return [
+            None if (value := self.verify(xl, yl)) is None else (xl, yl, value)
+            for xl, yl in zip(x, y)
+        ]
+
+    def verify(self, x: np.ndarray, y: np.ndarray) -> float | None:
+        """The value sum tr(X_a A_a) + sum tr(Y_b B_b) of a dual pair if the
+        pair proves that A and B admit no joint observable, else None.
+
+        Any F with marginals A and B has sum_ab tr((X_a + Y_b) F_ab) equal
+        to the value, which is >= 0 when F >= 0 and every X_a + Y_b is PSD.
+        So a negative value rules out every joint observable. Both facts are
+        recomputed here from (X, Y) and the targets alone. The eigenvalues
+        may read up to `slack` low from rounding, and an extra shift of
+        2 slack (adding 2 slack sum tr(A_a) to the value) would absorb any
+        true negativity that hides; the value must beat that plus the
+        rounding of its own n_A + n_B traces of d^2 products.
+        """
+        scale = np.linalg.norm(x, axis=(1, 2)).max() + np.linalg.norm(y, axis=(1, 2)).max()
+        ulp = CERTIFICATE_ULPS * np.finfo(float).eps * scale
+        slack = ulp * self.d
+        margin = 2 * slack * np.einsum("aii->", self.ea).real + ulp * (self.na + self.nb) * self.d**2
+        lam = np.linalg.eigvalsh(linalg.hermitian_part(x[:, None] + y[None])).min()
+        value = float(np.einsum("aij,aji->", x, self.ea).real + np.einsum("bij,bji->", y, self.eb).real)
+        return value if lam >= -slack and value < -margin else None
+
     def witness(self, f: np.ndarray) -> Povm | None:
         """Turn a near-feasible iterate into an exact POVM: clip each element
         to the PSD cone, then conjugate by the inverse square root of the
@@ -188,21 +244,24 @@ def _dykstra(
     residual_fn,
     tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, list[float], list[int], list[bool]]:
+    certify=None,
+) -> tuple[np.ndarray, list[float], list[int], list[bool], list]:
     """Lane-stacked cyclic Dykstra iteration.
 
     Axis 0 of `start` indexes independent problems (lanes). Every projection
     and `residual_fn` is called as `fn(x, lanes)`, where row j of x belongs
     to the original lane `lanes[j]`, so per-lane parameters are sliced with
-    `lanes`; `residual_fn` returns one residual per row. Each lane stops on
-    its own (residual <= tol, stagnation, or max_iter) and then leaves the
-    stack with its iterate, residual and iteration count frozen. A lane's
-    arithmetic is the same as if it ran alone.
+    `lanes`; `residual_fn` returns one residual per row. If given,
+    `certify(x, lanes)` runs every CERTIFY_EVERY iterations and returns one
+    infeasibility certificate or None per row. Each lane stops on its own
+    (residual <= tol, a certificate, stagnation, or max_iter) and then
+    leaves the stack with its iterate, residual and iteration count frozen.
+    A lane's arithmetic is the same as if it ran alone.
 
     Each cycle ends with the PSD-cone projection, so the iterates handed to
-    `residual_fn` (and returned) are always positive semidefinite.
-    Returns (iterates, residuals, iterations, converged), the last three
-    with one entry per lane.
+    `residual_fn` and `certify` (and returned) are always positive
+    semidefinite. Returns (iterates, residuals, iterations, converged,
+    certificates), the last four with one entry per lane.
     """
     projections = [*projections, lambda f, lanes: linalg.project_psd_stack(f)]
     n = start.shape[0]
@@ -218,34 +277,42 @@ def _dykstra(
     residuals = [math.inf] * n
     iterations = [max_iter] * n
     converged = [False] * n
+    certificates = [None] * n
     for it in range(1, max_iter + 1):
         for i, proj in enumerate(projections):
             shifted = x + corrections[i]
             y = proj(shifted, lanes)
             corrections[i] = shifted - y
             x = y
+        found = certify(x, lanes) if certify is not None and it % CERTIFY_EVERY == 0 else None
         keep = []
         for j, (lane, r) in enumerate(zip(lane_list, residual_fn(x, lanes).tolist())):
             residuals[lane] = r
             if r <= tol:
                 converged[lane] = True
+            elif found is not None and found[j] is not None:
+                certificates[lane] = found[j]
             elif r < best[lane] - STAGNATION_EPS:
                 best[lane] = r
                 best_at[lane] = it
-            if converged[lane] or it - best_at[lane] >= STAGNATION_WINDOW:
+            if (
+                converged[lane]
+                or certificates[lane] is not None
+                or it - best_at[lane] >= STAGNATION_WINDOW
+            ):
                 out[lane] = x[j]
                 iterations[lane] = it
             else:
                 keep.append(j)
         if not keep:
-            return out, residuals, iterations, converged
+            return out, residuals, iterations, converged, certificates
         if len(keep) < len(lane_list):
             x = x[keep]
             corrections = [c[keep] for c in corrections]
             lanes = lanes[keep]
             lane_list = lanes.tolist()
     out[lanes] = x
-    return out, residuals, iterations, converged
+    return out, residuals, iterations, converged, certificates
 
 
 def check_joint_measurability(
@@ -258,7 +325,9 @@ def check_joint_measurability(
     marginals.
 
     Runs the analytic infeasibility screen first, then Dykstra projections
-    between the product PSD cone and the affine set of correct marginals.
+    between the product PSD cone and the affine set of correct marginals,
+    trying the dual certificate every CERTIFY_EVERY iterations and once more
+    on the final iterate of a solve that found no witness.
     """
     _check_solve(a, b, tol, max_iter)
     screen = check_corollary_joint(a, b)
@@ -306,21 +375,41 @@ def check_joint_measurability(
         if result is not None:
             return result
 
-    f_final, res, iters, converged = _dykstra(
-        f0, [lambda f, lanes: pair.project_marginals(f)], residual, tol, max_iter
+    f_final, res, iters, converged, certificates = _dykstra(
+        f0,
+        [lambda f, lanes: pair.project_marginals(f)],
+        residual,
+        tol,
+        max_iter,
+        certify=lambda f, lanes: pair.certificate(f),
     )
     res, iters, converged = res[0], iters[0], converged[0]
     if converged:
         result = finish_feasible(f_final[0], iters)
         if result is not None:
             return result
+    certificate = certificates[0] or pair.certificate(f_final)[0]
+    if certificate is not None:
+        x, y, value = certificate
+        return FeasibilityResult(
+            status="infeasible",
+            witness=None,
+            residual=res,
+            iterations=iters,
+            certificate_note=(
+                f"dual certificate from the Dykstra gap: sum tr(X_a A_a) + sum tr(Y_b B_b) "
+                f"= {value:.6g} < 0 with every X_a + Y_b >= 0"
+            ),
+            screen_report=screen,
+            certificate=(x, y),
+        )
     return FeasibilityResult(
         status="undecided",
         witness=None,
         residual=res,
         iterations=iters,
         certificate_note=(
-            "no analytic certificate; projection residual "
+            "neither the screen nor a dual certificate decided; projection residual "
             f"{res:.3e} after {iters} iterations "
             + ("(converged witness failed verification)" if converged else "(stalled or budget exhausted)")
         ),
@@ -355,7 +444,7 @@ def _query(
         gaps = np.concatenate([pair.gap_total(f)[:, None], pair.gap_a(f), pair.gap_b(f)], axis=1)
         return (linalg.herm_norm_stack(gaps) - bounds[lanes]).max(axis=1)
 
-    f, _, _, converged = _dykstra(
+    f, _, _, converged, _ = _dykstra(
         np.repeat(start[None], n, axis=0),
         [
             lambda f, lanes: pair.project_total(f),

@@ -214,6 +214,29 @@ class TestCheckJoint:
         assert code == 1
         assert "status = infeasible" in out
 
+    @pytest.mark.parametrize("budget", [[], ["--max-iter", "30"]], ids=["default", "max-iter-30"])
+    def test_dual_certificate_decides_qutrit_mubs(self, budget, files, capsys):
+        # computational and Fourier bases in d = 3 with white noise, above
+        # the joint-measurability threshold (1 + 1/(sqrt(3) + 1))/2 = 0.683,
+        # where the paper's necessary condition holds
+        eta = 0.693
+        w = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)
+        paths = []
+        for name, basis in (("z3", np.eye(3, dtype=complex)), ("f3", w)):
+            elems = np.stack([eta * np.outer(v, np.conj(v)) + (1 - eta) * np.eye(3) / 3 for v in basis.T])
+            paths.append(files["dir"] / f"{name}.json")
+            save_povm(Povm(tuple(f"{name}_{k}" for k in range(3)), elems), paths[-1])
+        witness = files["dir"] / "w.json"
+        code, out, _ = run(
+            ["check-joint", *map(str, paths), "--witness-out", str(witness), *budget], capsys
+        )
+        assert code == 1
+        assert "status = infeasible" in out.splitlines()
+        note = next(line for line in out.splitlines() if line.startswith("note = "))
+        assert "dual certificate" in note
+        assert "witness_file" not in out
+        assert not witness.exists()
+
     @pytest.mark.parametrize("max_iter", ["0", "-5"])
     def test_nonpositive_max_iter_rejected(self, max_iter, files, capsys):
         out = files["dir"] / "w.json"

@@ -31,6 +31,11 @@ def diagonal_povm(rows, prefix):
     )
 
 
+def _haar(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def trine_povm():
     mats = []
     for k in range(3):
@@ -39,6 +44,53 @@ def trine_povm():
             (np.eye(2, dtype=complex) + np.sin(ang) * PAULI_X + np.cos(ang) * PAULI_Z) / 3
         )
     return Povm(("t0", "t1", "t2"), np.stack(mats))
+
+
+def fourier_mub_pair(d, eta):
+    """The computational and Fourier bases of dimension d, each mixed with
+    white noise at visibility eta."""
+    w = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / math.sqrt(d)
+    noise = (1 - eta) * np.eye(d) / d
+
+    def noisy(basis, prefix):
+        return Povm(
+            tuple(f"{prefix}{k}" for k in range(d)),
+            np.stack([eta * np.outer(v, np.conj(v)) + noise for v in basis.T]),
+        )
+
+    return noisy(np.eye(d, dtype=complex), "z"), noisy(w, "f")
+
+
+def mub_threshold(d):
+    """Visibility above which the noisy Fourier-conjugate pair is not
+    jointly measurable (Carmeli, Heinosaari & Toigo 2012)."""
+    return (1 + 1 / (math.sqrt(d) + 1)) / 2
+
+
+def joint_marginals(seed, noise):
+    """Biased qubit pair with unequal visibilities: the marginals of a random
+    four-outcome rank-one qubit POVM mixed with `noise` of the flat one, so
+    jointly measurable by construction (on the boundary at noise = 0)."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    f = linalg.renormalize(np.einsum("ki,kj->kij", v, np.conj(v)), 1e-12)
+    f = ((1 - noise) * f + noise * np.eye(2) / 4).reshape(2, 2, 2, 2)
+    return Povm(("a0", "a1"), f.sum(axis=1)), Povm(("b0", "b1"), f.sum(axis=0))
+
+
+def assert_sound_certificate(result, a, b):
+    """Every dual certificate must re-verify with numpy alone: each
+    X_a + Y_b PSD and sum tr(X_a A_a) + sum tr(Y_b B_b) < 0, with room to
+    spare for the shift that would absorb any rounding-level negativity."""
+    x, y = result.certificate
+    assert x.shape == a.elements.shape and y.shape == b.elements.shape
+    lam = min(np.linalg.eigvalsh(xa + yb)[0] for xa in x for yb in y)
+    value = sum(np.trace(xa @ ea).real for xa, ea in zip(x, a.elements))
+    value += sum(np.trace(yb @ eb).real for yb, eb in zip(y, b.elements))
+    trace_a = sum(np.trace(ea).real for ea in a.elements)
+    assert lam >= -1e-12
+    assert value < 0
+    assert value + max(0.0, -lam) * trace_a < 0
 
 
 def assert_sound_witness(result, a, b):
@@ -116,8 +168,198 @@ class TestCheckJointMeasurability:
                 assert_sound_witness(result, a, b)
             if result.status == "infeasible":
                 assert result.certificate_note
+            if result.certificate is not None:
+                assert_sound_certificate(result, a, b)
         # random POVMs are unsharp enough that most pairs are compatible
         assert feasible >= 5
+
+
+class TestMubThreshold:
+    """Two Fourier-conjugate bases with white noise are jointly measurable
+    exactly up to mub_threshold(d); the paper's necessary condition decides
+    the qubit case, and above d = 2 only the dual certificate does."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("offset", [-0.01, -0.003])
+    def test_feasible_below(self, d, offset):
+        a, b = fourier_mub_pair(d, mub_threshold(d) + offset)
+        result = check_joint_measurability(a, b)
+        assert result.status == "feasible"
+        assert result.certificate is None
+        assert_sound_witness(result, a, b)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("offset", [0.003, 0.01])
+    def test_infeasible_above(self, d, offset):
+        a, b = fourier_mub_pair(d, mub_threshold(d) + offset)
+        result = check_joint_measurability(a, b)
+        assert result.status == "infeasible"
+        assert result.witness is None
+        if d >= 3:
+            assert "dual certificate" in result.certificate_note
+            assert_sound_certificate(result, a, b)
+
+
+class TestDualCertificate:
+    @pytest.fixture
+    def certified(self):
+        a, b = fourier_mub_pair(3, mub_threshold(3) + 0.01)
+        result = check_joint_measurability(a, b)
+        assert "dual certificate" in result.certificate_note
+        return a, b, result
+
+    def test_noisy_qutrit_pvms_certify_soundly(self):
+        # the stalled region of the benchmark corpus: noisy rank-one PVMs in
+        # random bases of d = 3 at visibilities 0.68-0.76
+        rng = np.random.default_rng(70)
+        certified = 0
+        for eta in np.linspace(0.68, 0.76, 5):
+            a, b = (
+                Povm(
+                    tuple(f"{p}{k}" for k in range(3)),
+                    np.stack([eta * np.outer(v, np.conj(v)) + (1 - eta) * np.eye(3) / 3 for v in u.T]),
+                )
+                for p, u in (("a", _haar(rng, 3)), ("b", _haar(rng, 3)))
+            )
+            result = check_joint_measurability(a, b)
+            if result.status == "feasible":
+                assert_sound_witness(result, a, b)
+            if result.certificate is not None:
+                certified += 1
+                assert result.status == "infeasible"
+                assert_sound_certificate(result, a, b)
+        assert certified >= 1
+
+    def test_screen_verdict_carries_no_certificate(self):
+        result = check_joint_measurability(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)))
+        assert result.status == "infeasible"
+        assert result.certificate is None
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # unbiased, inside the Busch boundary |a + b| + |a - b| <= 2
+            (noisy_qubit_povm((0, 0, 1), 0.70), noisy_qubit_povm((1, 0, 0), 0.70)),
+            (noisy_qubit_povm((0, 0, 1), 0.6), noisy_qubit_povm((1, 0, 0), 0.79)),
+            (
+                noisy_qubit_povm((0, 0, 1), 0.70),
+                noisy_qubit_povm((math.sin(1.2), 0, math.cos(1.2)), 0.70),
+            ),
+            # biased, with unequal visibilities, inside and on the boundary
+            joint_marginals(71, 0.1),
+            joint_marginals(72, 0.1),
+            joint_marginals(71, 0.0),
+            (trine_povm(), trine_povm()),
+            fourier_mub_pair(3, mub_threshold(3) - 0.003),
+            fourier_mub_pair(4, mub_threshold(4) - 0.003),
+        ],
+        ids=[
+            "busch-equal", "busch-unequal", "busch-oblique", "biased-71", "biased-72",
+            "biased-boundary", "trine", "mub3-below", "mub4-below",
+        ],
+    )
+    def test_never_issued_for_a_feasible_pair(self, a, b, monkeypatch):
+        # soundness does not depend on how the iterate was found: no PSD
+        # stack at all, near the feasible set or far from it, may certify
+        pair = feasibility._Pair(a, b)
+        rng = np.random.default_rng(73)
+        seeds = np.stack([*pair.flat_seeds(), pair.product_seed()])
+        for scale in (1e-9, 1e-6, 1e-3, 1e-1, 1.0):
+            r = rng.standard_normal((8, *seeds.shape[1:])) * (1 + 1j)
+            k = linalg.project_psd_stack(seeds[rng.integers(3, size=8)] + scale * r)
+            assert pair.certificate(k) == [None] * 8
+
+        # nor may the solver's iterates, on the schedule or at the stop, at
+        # full budget and on budgets cut before convergence
+        tried = []
+        real = feasibility._Pair.certificate
+
+        def recording(self, k):
+            found = real(self, k)
+            tried.extend(found)
+            return found
+
+        monkeypatch.setattr(feasibility._Pair, "certificate", recording)
+        for max_iter in (1, 3, 10, 60, feasibility.DEFAULT_MAX_ITER):
+            result = check_joint_measurability(a, b, max_iter=max_iter)
+            assert result.status != "infeasible"
+            assert result.certificate is None
+        assert all(c is None for c in tried)
+
+    def test_verifier_accepts_the_returned_pair(self, certified):
+        a, b, result = certified
+        value = feasibility._Pair(a, b).verify(*result.certificate)
+        assert value is not None and value < 0
+        assert f"{value:.6g}" in result.certificate_note
+
+    @pytest.mark.parametrize("mutation", ["sign-flipped", "under-shifted", "over-shifted"])
+    def test_verifier_rejects_a_mutated_pair(self, mutation, certified):
+        a, b, result = certified
+        x, y = result.certificate
+        eye = np.eye(a.dim)
+        trace_a = sum(np.trace(e).real for e in a.elements)
+        value = feasibility._Pair(a, b).verify(x, y)
+        if mutation == "sign-flipped":
+            # fails both conditions
+            x, y = -x, -y
+        elif mutation == "under-shifted":
+            # lowers the value but leaves X_a + Y_b indefinite
+            x = x - 1e-3 * np.abs(value) * eye
+        else:
+            # keeps X_a + Y_b PSD but makes the value positive
+            x = x + 2 * np.abs(value) / trace_a * eye
+        assert feasibility._Pair(a, b).verify(x, y) is None
+        with pytest.raises(AssertionError):
+            assert_sound_certificate(feasibility.FeasibilityResult(
+                "infeasible", None, 0.0, 0, certificate=(x, y)), a, b)
+
+    def test_verifier_rejects_a_value_at_rounding_level(self):
+        # X_a = s I and Y_b = -s I give X_a + Y_b = 0 and the value
+        # s (sum tr A_a - sum tr B_b), zero for a jointly measurable pair
+        # but for rounding; s takes the sign that makes it read negative
+        checked = 0
+        for seed in range(70, 80):
+            pair = feasibility._Pair(*joint_marginals(seed, 0.1))
+            x = np.stack([np.eye(2, dtype=complex)] * 2)
+            value = np.einsum("aij,aji->", x, pair.ea).real - np.einsum("bij,bji->", x, pair.eb).real
+            if value != 0:
+                x = -1024 * np.sign(value) * x
+                assert pair.verify(x, -x) is None
+                checked += 1
+        assert checked >= 1
+
+    def test_last_chance_certificate_under_a_short_budget(self):
+        # the schedule never runs within 30 iterations; the final iterate
+        # is certified instead of being reported undecided
+        assert feasibility.CERTIFY_EVERY > 30
+        a, b = fourier_mub_pair(3, mub_threshold(3) + 0.01)
+        result = check_joint_measurability(a, b, max_iter=30)
+        assert result.status == "infeasible"
+        assert result.iterations == 30
+        assert "dual certificate" in result.certificate_note
+        assert_sound_certificate(result, a, b)
+
+    def test_certified_lane_leaves_the_stack_like_a_converged_one(self):
+        pair = feasibility._Pair(*fourier_mub_pair(3, mub_threshold(3) + 0.01))
+
+        def solve(n, certify=None):
+            return feasibility._dykstra(
+                np.repeat(pair.product_seed()[None], n, axis=0),
+                [lambda f, lanes: pair.project_marginals(f)],
+                lambda f, lanes: linalg.herm_norm_stack(pair.gap_a(f)).max(axis=1),
+                1e-8,
+                300,
+                certify=certify,
+            )
+
+        out, res, iters, converged, certs = solve(2, lambda f, lanes: [
+            "stop" if lane == 0 else None for lane in lanes.tolist()])
+        alone = solve(1)
+        assert iters == [feasibility.CERTIFY_EVERY, alone[2][0]]
+        assert certs == ["stop", None]
+        assert converged == [False, alone[3][0]]
+        assert res[1] == alone[1][0]
+        assert np.array_equal(out[1], alone[0][0])
 
 
 class TestFrontierPoint:
