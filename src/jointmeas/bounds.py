@@ -285,43 +285,33 @@ class AdmissibleRegion:
     y_additive_bound: np.ndarray  # line X + Y = Busch-Heinosaari bound
 
 
-# Contour bisection tolerance; the left side is monotone in Y so plain
-# bisection is robust and derivative-free.
-_CONTOUR_TOL = 1e-10
-
-
-def _product_bound_contour_y(x: float, target: float) -> float:
-    """Smallest Y >= 0 with 2XY + X + Y + 4 sqrt(XY) >= target."""
-
-    if theorem1_lhs(x, 0.0, 0.0, 0.0) >= target:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > _CONTOUR_TOL:
-        mid = (lo + hi) / 2
-        if theorem1_lhs(x, mid, 0.0, 0.0) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def admissible_region_curves(
     theta: float, grid_size: int, x_max: float = 0.5, rhs: float | None = None
 ) -> AdmissibleRegion:
     """Sample both qubit bound curves on a uniform X grid over [0, x_max].
 
-    For two-outcome qubit observables the interesting region ends by X = 1/2
-    (where the product-bound contour reaches Y = 0 for any theta <= pi/2),
-    hence the default sweep range. `rhs` overrides the contour target (for
-    example with a commutator norm computed from an actual projector pair
-    instead of the closed form).
+    The product-bound contour is the smallest Y >= 0 with
+    2XY + X + Y + 4 sqrt(XY) >= target. That left side is a quadratic in
+    s = sqrt(Y), (2X + 1) s^2 + 4 sqrt(X) s + X - target, so the contour is
+    its nonnegative root squared, Y = 0 once X >= target. For two-outcome
+    qubit observables the interesting region ends by X = 1/2 (where the
+    contour reaches Y = 0 for any theta <= pi/2), hence the default sweep
+    range. `rhs` overrides the contour target (for example with a
+    commutator norm computed from an actual projector pair instead of the
+    closed form).
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     target = qubit_rhs(theta) if rhs is None else rhs
+    for name, v in (("x_max", x_max), ("rhs", target)):
+        if not 0 <= v < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {v}")
     h = heinosaari_lower_bound(theta)
     xs = np.linspace(0.0, x_max, grid_size)
-    y1 = np.array([_product_bound_contour_y(float(x), target) for x in xs])
+    # clipping X at the target gives Y = 0 beyond it and keeps the
+    # discriminant >= 4 xc >= 0
+    xc = np.minimum(xs, target)
+    y1 = ((np.sqrt(4 * xc - (2 * xc + 1) * (xc - target)) - 2 * np.sqrt(xc)) / (2 * xc + 1)) ** 2
     y2 = np.maximum(h - xs, 0.0)
     for arr in (xs, y1, y2):
         arr.setflags(write=False)

@@ -25,7 +25,6 @@ from .bounds import (
     qubit_rhs,
 )
 from .distances import D_inf, D_l1
-from .errors import CapacityError
 from .feasibility import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -42,10 +41,6 @@ from .selftest import run_selftest
 from .smearing import OutcomeMap
 
 
-class ConstraintFailure(Exception):
-    """User data parsed but cannot be used (invalid POVM, incompatible sets)."""
-
-
 class UsageError(Exception):
     """Flag combination does not form a runnable command."""
 
@@ -57,22 +52,22 @@ def _load_povm(path, lenient: bool) -> Povm:
         if lenient:
             print(f"warning: {path} is not a valid POVM:\n{lines}", file=sys.stderr)
         else:
-            raise ConstraintFailure(f"{path} is not a valid POVM:\n{lines}")
+            raise ValueError(f"{path} is not a valid POVM:\n{lines}")
     return povm
 
 
+def _load_pair(args) -> tuple[Povm, Povm]:
+    return _load_povm(args.a, args.lenient), _load_povm(args.b, args.lenient)
+
+
 def _load_map(path, source: tuple[str, ...], target: tuple[str, ...], what: str) -> OutcomeMap:
+    # parse errors propagate as they are (exit 2); only the map's own
+    # validation is prefixed with the flag that named the file
     pairs = io.load_outcome_map_pairs(path)
-    sources = [s for s, _ in pairs]
-    if set(sources) != set(source) or len(sources) != len(source):
-        raise ConstraintFailure(
-            f"{what}: map sources {sorted(sources)} do not match the joint POVM "
-            f"outcomes {sorted(source)}"
-        )
-    bad = sorted({t for _, t in pairs} - set(target))
-    if bad:
-        raise ConstraintFailure(f"{what}: map targets {bad} are not outcomes of the POVM")
-    return OutcomeMap(source, target, dict(pairs))
+    try:
+        return OutcomeMap(source, target, dict(pairs))
+    except ValueError as e:
+        raise ValueError(f"{what}: {e}") from e
 
 
 def _print_distance(metric: str, dv, witness_out) -> None:
@@ -114,16 +109,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    a = _load_povm(args.a, args.lenient)
-    b = _load_povm(args.b, args.lenient)
+    a, b = _load_pair(args)
     dv = D_inf(a, b) if args.metric == "inf" else D_l1(a, b)
     _print_distance(args.metric, dv, args.witness_out)
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    a = _load_povm(args.a, args.lenient)
-    b = _load_povm(args.b, args.lenient)
+    a, b = _load_pair(args)
     if args.inequality == "cor-joint":
         _print_report(check_corollary_joint(a, b))
         return 0
@@ -142,8 +135,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_check_joint(args) -> int:
-    a = _load_povm(args.a, args.lenient)
-    b = _load_povm(args.b, args.lenient)
+    a, b = _load_pair(args)
     result = check_joint_measurability(a, b, max_iter=args.max_iter, tol=args.tol)
     print(f"status = {result.status}")
     print(f"residual = {format_float(result.residual)}")
@@ -157,8 +149,7 @@ def _cmd_check_joint(args) -> int:
 
 
 def _cmd_frontier(args) -> int:
-    a = _load_povm(args.a, args.lenient)
-    b = _load_povm(args.b, args.lenient)
+    a, b = _load_pair(args)
     points = frontier_sweep(
         a,
         b,
@@ -219,48 +210,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("povm")
     p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("distance", help="observable distance between two POVM files")
-    p.add_argument("--metric", choices=["inf", "l1"], required=True)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--witness-out", help="write the maximizing state to this file")
-    p.add_argument("--lenient", action="store_true", help="warn instead of failing on invalid POVMs")
-    p.set_defaults(handler=_cmd_distance)
+    def pair_command(name: str, help: str, handler) -> argparse.ArgumentParser:
+        """A subcommand on two POVM files `a` and `b`."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("a")
+        p.add_argument("b")
+        p.add_argument("--lenient", action="store_true", help="warn instead of failing on invalid POVMs")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("bounds", help="evaluate a measurement tradeoff inequality")
+    p = pair_command("distance", "observable distance between two POVM files", _cmd_distance)
+    p.add_argument("--metric", choices=["inf", "l1"], required=True)
+    p.add_argument("--witness-out", help="write the maximizing state to this file")
+
+    p = pair_command("bounds", "evaluate a measurement tradeoff inequality", _cmd_bounds)
     p.add_argument(
         "--inequality",
         choices=["theorem1", "theorem2", "cor-joint", "cor-pvm-instrument"],
         required=True,
     )
-    p.add_argument("a")
-    p.add_argument("b")
     p.add_argument("--joint", help="joint POVM file (required except for cor-joint)")
     p.add_argument("--map-a", help="outcome map file: joint outcomes -> A outcomes")
     p.add_argument("--map-b", help="outcome map file: joint outcomes -> B outcomes")
-    p.add_argument("--lenient", action="store_true")
-    p.set_defaults(handler=_cmd_bounds)
 
-    p = sub.add_parser("check-joint", help="decide joint measurability of two POVMs")
-    p.add_argument("a")
-    p.add_argument("b")
+    p = pair_command("check-joint", "decide joint measurability of two POVMs", _cmd_check_joint)
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--witness-out", default="joint_witness.json")
-    p.add_argument("--lenient", action="store_true")
-    p.set_defaults(handler=_cmd_check_joint)
 
-    p = sub.add_parser("frontier", help="sweep the achievable accuracy frontier")
-    p.add_argument("a")
-    p.add_argument("b")
+    p = pair_command("frontier", "sweep the achievable accuracy frontier", _cmd_frontier)
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--x-max", type=float, default=FRONTIER_X_MAX)
     p.add_argument("--resolution", type=float, default=FRONTIER_RESOLUTION)
     p.add_argument("--tol", type=float, default=FRONTIER_TOL)
     p.add_argument("--max-iter", type=int, default=FRONTIER_MAX_ITER)
-    p.add_argument("--lenient", action="store_true")
-    p.set_defaults(handler=_cmd_frontier)
 
     p = sub.add_parser("qubit-demo", help="emit both qubit bound curves as CSV")
     p.add_argument("--theta", type=float, required=True)
@@ -287,7 +271,7 @@ def cli_dispatch(argv) -> int:
     except (FileFormatError, OSError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ConstraintFailure, CapacityError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -487,15 +487,18 @@ def _frontier(
 
     # Feasible fallbacks: A tensored with a flat outcome weight has A itself
     # as its A-marginal (any budget); its mirror, a flat weight tensored with
-    # B, has B itself as its B-marginal (budgets >= D_inf(A, w I)).
-    flat_b, flat_a = (pair.witness(f) for f in pair.flat_seeds())
-    if flat_b is None:
-        raise RuntimeError("baseline product witness could not be constructed")
-    baselines = [achieved(w) for w in (flat_b, flat_a) if w is not None]
-    best = [
-        min((bl for bl in baselines if bl[1] <= x + WITNESS_MARGINAL_TOL), key=lambda bl: bl[2])
-        for x in xs
-    ]
+    # B, has B itself as its B-marginal (budgets >= D_inf(A, w I)). Only
+    # invalid inputs, accepted leniently, can leave a budget with neither.
+    baselines = [achieved(w) for f in pair.flat_seeds() if (w := pair.witness(f)) is not None]
+    best = []
+    for x in xs:
+        fits = [bl for bl in baselines if bl[1] <= x + WITNESS_MARGINAL_TOL]
+        if not fits:
+            raise ValueError(
+                f"no product baseline meets the X budget {x:.12g}; "
+                "the inputs may not be valid POVMs"
+            )
+        best.append(min(fits, key=lambda bl: bl[2]))
     seed = pair.product_seed()
 
     lo = [0.0] * len(xs)

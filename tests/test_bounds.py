@@ -403,14 +403,40 @@ class TestAdmissibleRegion:
         assert all(b <= a + 1e-9 for a, b in zip(y, y[1:]))
 
     def test_contour_points_bracket_the_level_set(self):
-        # bisection resolves Y to 1e-10: the returned point meets the bound
-        # and backing off by the resolution must fall below it
+        # the returned point meets the bound, and backing off by 1e-10
+        # must fall below it
         region = admissible_region_curves(math.pi / 2, 51)
         for x, y in zip(region.x, region.y_product_bound):
             assert theorem1_lhs(float(x), float(y), 0.0, 0.0) >= 0.5 - 1e-12
             if y > 1e-10:
                 below = theorem1_lhs(float(x), float(y) - 1e-10, 0.0, 0.0)
                 assert below < 0.5
+
+    @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2])
+    def test_contour_points_lie_on_the_level_set(self, theta):
+        # the contour is the closed-form root, so every point with Y > 0
+        # meets the bound to rounding
+        region = admissible_region_curves(theta, 201)
+        target = math.sin(theta) / 2
+        on_curve = [(float(x), float(y)) for x, y in zip(region.x, region.y_product_bound) if y > 0]
+        assert len(on_curve) > 50
+        for x, y in on_curve:
+            assert abs(theorem1_lhs(x, y, 0.0, 0.0) - target) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"x_max": -0.1}, "x_max"),
+            ({"x_max": math.inf}, "x_max"),
+            ({"x_max": math.nan}, "x_max"),
+            ({"rhs": -0.1}, "rhs"),
+            ({"rhs": math.nan}, "rhs"),
+        ],
+        ids=["x-max-negative", "x-max-inf", "x-max-nan", "rhs-negative", "rhs-nan"],
+    )
+    def test_rejects_bad_range_or_target(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            admissible_region_curves(math.pi / 2, 11, **kwargs)
 
     def test_additive_line(self):
         region = admissible_region_curves(math.pi / 2, 11)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,54 @@ def run(argv, capsys):
     code = cli_dispatch(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# Each command that takes two POVM files, with the flags it needs to run
+# (an output file goes under "{out}").
+PAIR_COMMANDS = {
+    "distance": ["--metric", "inf", "--witness-out", "{out}"],
+    "bounds": ["--inequality", "cor-joint"],
+    "check-joint": ["--witness-out", "{out}"],
+    "frontier": ["--grid", "3", "--out", "{out}"],
+}
+
+INVALID_A = {
+    "sums-to-half-identity": [[0.5, 0.0], [0.0, 0.5]],
+    "negative-eigenvalue": [[1.2, 0.0], [-0.2, 1.0]],
+    "sums-to-zero": [[1.0, 0.0], [-1.0, 0.0]],
+}
+
+
+def save_diagonal(path, rows):
+    save_povm(Povm(("a0", "a1"), np.stack([np.diag(r).astype(complex) for r in rows])), path)
+    return str(path)
+
+
+class TestPairCommands:
+    def test_help_for_every_subcommand(self, capsys):
+        code, out, _ = run(["--help"], capsys)
+        assert code == 0
+        commands = re.search(r"\{([\w,-]+)\}", out).group(1).split(",")
+        assert set(PAIR_COMMANDS) < set(commands)
+        for command in commands:
+            code, out, _ = run([command, "--help"], capsys)
+            assert code == 0
+            assert ("--lenient" in out) == (command in PAIR_COMMANDS)
+
+    @pytest.mark.parametrize("command", PAIR_COMMANDS)
+    def test_strict_mode_rejects_invalid_a(self, command, files, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver ran on an invalid POVM")
+
+        monkeypatch.setattr(feasibility, "_dykstra", no_solve)
+        bad = save_diagonal(files["dir"] / "bad.json", INVALID_A["negative-eigenvalue"])
+        out = files["dir"] / "out"
+        flags = [f.format(out=out) for f in PAIR_COMMANDS[command]]
+        code, stdout, err = run([command, bad, files["x"], *flags], capsys)
+        assert code == 1
+        assert "not a valid POVM" in err
+        assert stdout == ""
+        assert not out.exists()
 
 
 class TestValidate:
@@ -104,6 +154,16 @@ class TestDistance:
         assert code == 1
         assert "not a valid POVM" in err
 
+    def test_capacity_error_exits_one(self, tmp_path, capsys):
+        n = 21
+        wide = Povm(tuple(f"o{k}" for k in range(n)), np.stack([np.eye(2, dtype=complex) / n] * n))
+        path = tmp_path / "wide.json"
+        save_povm(wide, path)
+        code, out, err = run(["distance", "--metric", "l1", str(path), str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out == ""
+
     def test_lenient_mode_warns(self, tmp_path, capsys):
         slightly_off = Povm(
             ("a", "b"),
@@ -119,6 +179,61 @@ class TestDistance:
 
 
 class TestBounds:
+    @pytest.fixture
+    def joint_argv(self, files):
+        """theorem1 on z and x with a three-outcome joint POVM and valid
+        maps; returns the argv and a writer for replacement map files."""
+        joint = Povm(
+            ("o0", "o1", "o2"),
+            np.stack([np.diag(r).astype(complex) for r in ([1, 0], [0, 0.5], [0, 0.5])]),
+        )
+        jpath = files["dir"] / "joint3.json"
+        save_povm(joint, jpath)
+
+        def write(name, lines):
+            path = files["dir"] / name
+            path.write_text("".join(f"{line}\n" for line in lines))
+            return str(path)
+
+        argv = ["bounds", "--inequality", "theorem1", files["z"], files["x"], "--joint", str(jpath)]
+        argv += ["--map-a", write("ma3.txt", ["o0 +", "o1 -", "o2 -"])]
+        argv += ["--map-b", write("mb3.txt", ["o0 +", "o1 +", "o2 -"])]
+        return argv, write
+
+    def test_valid_maps_on_a_three_outcome_joint(self, joint_argv, capsys):
+        argv, _ = joint_argv
+        code, out, err = run(argv, capsys)
+        assert code == 0
+        assert "satisfied = true" in out
+        assert err == ""
+
+    @pytest.mark.parametrize("flag", ["--map-a", "--map-b"])
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["o0 +", "o1 -"], "assignment is not total: missing ['o2']"),
+            (["o0 +", "o1 -", "o2 -", "o9 +"], "assignment maps labels outside the source set: ['o9']"),
+            (["o0 +", "o1 -", "o2 q"], "assignment hits labels outside the target set: [('o2', 'q')]"),
+        ],
+        ids=["missing-source", "extra-source", "unknown-target"],
+    )
+    def test_bad_map_names_its_flag(self, flag, lines, message, joint_argv, capsys):
+        argv, write = joint_argv
+        argv[argv.index(flag) + 1] = write("bad.txt", lines)
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert err == f"error: {flag}: {message}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--map-a", "--map-b"])
+    def test_unparsable_map_is_a_parse_error(self, flag, joint_argv, capsys):
+        argv, write = joint_argv
+        argv[argv.index(flag) + 1] = write("bad.txt", ["o0 + -", "o1 -", "o2 -"])
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "line 1" in err
+        assert out == ""
+
     def test_cor_joint_violated_reports_and_exits_zero(self, files, capsys):
         code, out, _ = run(
             ["bounds", "--inequality", "cor-joint", files["nz72"], files["nx72"]], capsys
@@ -306,6 +421,23 @@ class TestFrontier:
         # commuting pair: Y = 0 achievable everywhere
         for line in lines[1:]:
             assert float(line.split(",")[2]) <= 1e-3
+
+    @pytest.mark.parametrize("rows", INVALID_A.values(), ids=INVALID_A.keys())
+    def test_lenient_invalid_a_without_a_baseline_exits_one(self, rows, files, capsys):
+        bad = save_diagonal(files["dir"] / "bad.json", rows)
+        out = files["dir"] / "front.csv"
+        code, stdout, err = run(
+            ["frontier", bad, files["x"], "--grid", "3", "--out", str(out), "--lenient"], capsys
+        )
+        assert code == 1
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [
+            "error: no product baseline meets the X budget 0; the inputs may not be valid POVMs"
+        ]
+        assert err.startswith("warning: ")
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert not out.exists()
 
     def test_negative_x_max_rejected(self, files, capsys):
         out = files["dir"] / "front.csv"

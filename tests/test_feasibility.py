@@ -438,6 +438,20 @@ class TestSolverBudgets:
         with pytest.raises(ValueError, match="x_max"):
             frontier_sweep(a, b, 6, x_max=x)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0.5, 0], [0, 0.5]], [[1.2, 0], [-0.2, 1]], [[1, 0], [-1, 0]]],
+        ids=["sums-to-half-identity", "negative-eigenvalue", "sums-to-zero"],
+    )
+    def test_frontier_rejects_a_budget_no_baseline_meets(self, rows):
+        # an invalid A (the CLI accepts one under --lenient) can leave the
+        # zero budget without a product baseline to start the bisection from
+        a, b = diagonal_povm(rows, "a"), bloch_pvm((1, 0, 0))
+        with pytest.raises(ValueError, match="X budget 0;"):
+            frontier_point(a, b, 0.0)
+        with pytest.raises(ValueError, match="X budget 0;"):
+            frontier_sweep(a, b, 3)
+
     @pytest.mark.parametrize("max_iter", [0, -5])
     def test_check_joint_rejects_nonpositive_max_iter(self, max_iter):
         a, b = random_povm(3, 3, 1), random_povm(3, 3, 2)
