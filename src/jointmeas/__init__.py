@@ -35,13 +35,6 @@ from .feasibility import (
     frontier_point,
     frontier_sweep,
 )
-from .linalg import (
-    commutator,
-    commutator_norm,
-    op_norm,
-    project_psd,
-    psd_check,
-)
 from .povm import (
     OutcomeDistribution,
     Povm,
@@ -92,8 +85,6 @@ __all__ = [
     "check_qubit_pair",
     "check_theorem1",
     "check_theorem2",
-    "commutator",
-    "commutator_norm",
     "coordinate_maps",
     "dist_inf",
     "dist_l1",
@@ -108,10 +99,7 @@ __all__ = [
     "max_commutator_norm",
     "max_subset_commutator_norm",
     "noisy_qubit_povm",
-    "op_norm",
     "outcome_distribution",
-    "project_psd",
-    "psd_check",
     "qubit_projector",
     "qubit_rhs",
     "random_povm",

@@ -466,13 +466,14 @@ def _frontier(
     tol: float,
     max_iter: int,
 ) -> list[FrontierPoint]:
-    """Frontier points for the X budgets `xs` (finite and nonnegative, as
-    the callers check), bisected together.
+    """Frontier points for the X budgets `xs` (ascending, finite and
+    nonnegative, as the callers ensure), bisected together.
 
     Each point bisects on Y with one convex feasibility query per probe. In
     each round every point still bisecting contributes one probe, and the
     round's probes run as one stacked Dykstra solve whose lanes do not
-    interact, so every point equals what it would be on its own.
+    interact, so every point's bisection equals what it would be on its
+    own. Each point then keeps the best witness of any budget up to its own.
     """
     _check_solve(a, b, tol, max_iter)
     if not 0 < y_resolution < math.inf:
@@ -516,6 +517,11 @@ def _frontier(
                     continue
             lo[p] = mids[j]
 
+    # carry the best witness forward: one that meets a smaller X budget
+    # meets every larger one, so Y is nonincreasing in the budget
+    for p in range(1, len(xs)):
+        if best[p][2] > best[p - 1][2]:
+            best[p] = best[p - 1]
     return [
         FrontierPoint(x_target=x, x_achieved=x_w, y_achieved=y_w, witness=w)
         for x, (w, x_w, y_w) in zip(xs, best)
@@ -558,30 +564,16 @@ def frontier_sweep(
     """Frontier points on a uniform x_target grid over [0, x_max].
 
     All points bisect together: each round runs the probes of every point
-    still bisecting as one stacked solve, and each point comes out as
-    `frontier_point` would give it alone. The points are then made
-    monotone: a witness found under a smaller X budget is also valid under a
-    larger one, so it replaces any later point the solver did worse on.
+    still bisecting as one stacked solve, and each point's bisection runs
+    as `frontier_point` would run it alone. The points are monotone: a
+    witness found under a smaller X budget is also valid under a larger
+    one, so it replaces any later point the solver did worse on.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     if not 0 <= x_max < math.inf:
         raise ValueError(f"x_max must be finite and nonnegative, got {x_max}")
     xs = np.linspace(0.0, x_max, n_points) if n_points > 1 else np.array([x_max])
-    points = _frontier(
+    return _frontier(
         a, b, [float(x) for x in xs], y_resolution=y_resolution, tol=tol, max_iter=max_iter
     )
-
-    # carry the best witness forward so Y is nonincreasing in the budget
-    monotone: list[FrontierPoint] = []
-    for i, pt in enumerate(points):
-        if monotone and pt.y_achieved > monotone[-1].y_achieved:
-            prev = monotone[-1]
-            pt = FrontierPoint(
-                x_target=pt.x_target,
-                x_achieved=prev.x_achieved,
-                y_achieved=prev.y_achieved,
-                witness=prev.witness,
-            )
-        monotone.append(pt)
-    return monotone

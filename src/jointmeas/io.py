@@ -22,7 +22,15 @@ class FileFormatError(ValueError):
     """A document could not be parsed or does not match its schema."""
 
 
-def _load_json(path) -> dict:
+def _require(doc: dict, key: str, path) -> object:
+    if key not in doc:
+        raise FileFormatError(f"{path}: missing required key {key!r}")
+    return doc[key]
+
+
+def _load_document(path) -> tuple[dict, int]:
+    """Parse a JSON document and check its shared header: the format
+    version and the dimension. Returns the document and its dimension."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
@@ -30,21 +38,21 @@ def _load_json(path) -> dict:
         raise FileFormatError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
-    return doc
-
-
-def _require(doc: dict, key: str, path) -> object:
-    if key not in doc:
-        raise FileFormatError(f"{path}: missing required key {key!r}")
-    return doc[key]
-
-
-def _check_version(doc: dict, path) -> None:
     version = _require(doc, "format_version", path)
     if version != FORMAT_VERSION:
         raise FileFormatError(
             f"{path}: unsupported format_version {version!r} (expected {FORMAT_VERSION!r})"
         )
+    dim = _require(doc, "dim", path)
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise FileFormatError(f"{path}: dim must be a positive integer")
+    return doc, dim
+
+
+def _save_document(path, dim: int, **body) -> None:
+    """Write a JSON document: the shared header, then `body` in order."""
+    doc = {"format_version": FORMAT_VERSION, "dim": dim, **body}
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def _parse_matrix(entries, dim: int, path, what: str) -> np.ndarray:
@@ -77,11 +85,7 @@ def load_povm(path) -> tuple[Povm, list[PovmViolation]]:
     Schema problems raise FileFormatError; axiom violations are returned as
     data so callers can decide between strict and lenient handling.
     """
-    doc = _load_json(path)
-    _check_version(doc, path)
-    dim = _require(doc, "dim", path)
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise FileFormatError(f"{path}: dim must be a positive integer")
+    doc, dim = _load_document(path)
     outcomes = _require(doc, "outcomes", path)
     if (
         not isinstance(outcomes, list)
@@ -102,32 +106,21 @@ def load_povm(path) -> tuple[Povm, list[PovmViolation]]:
 
 
 def save_povm(p: Povm, path) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "dim": p.dim,
-        "outcomes": list(p.outcomes),
-        "elements": {o: _matrix_to_pairs(p[o]) for o in p.outcomes},
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _save_document(
+        path,
+        p.dim,
+        outcomes=list(p.outcomes),
+        elements={o: _matrix_to_pairs(p[o]) for o in p.outcomes},
+    )
 
 
 def load_state(path) -> State:
-    doc = _load_json(path)
-    _check_version(doc, path)
-    dim = _require(doc, "dim", path)
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise FileFormatError(f"{path}: dim must be a positive integer")
-    matrix = _parse_matrix(_require(doc, "matrix", path), dim, path, "matrix")
-    return State(matrix)
+    doc, dim = _load_document(path)
+    return State(_parse_matrix(_require(doc, "matrix", path), dim, path, "matrix"))
 
 
 def save_state(s: State, path) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "dim": s.dim,
-        "matrix": _matrix_to_pairs(s.matrix),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _save_document(path, s.dim, matrix=_matrix_to_pairs(s.matrix))
 
 
 def load_outcome_map_pairs(path) -> list[tuple[str, str]]:

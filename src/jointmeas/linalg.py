@@ -3,6 +3,13 @@
 Everything here works on plain numpy arrays (square, complex). Matrices are
 small (qubits up to a few dozen dimensions), so eigendecomposition-based
 formulas are used throughout instead of iterative methods.
+
+Each spectral rule has one kernel, which works on a stack of shape
+(..., d, d): operator norms (`herm_norm_stack`), commutator norms
+(`commutator_norm_stack`), PSD projection (`project_psd_stack`) and
+spectral clipping (`clip_operator_norm_stack`). A single matrix is a stack
+of one. The kernels do not validate their input; callers check it once at
+the boundary (`as_operator`, `hermitian_defects`).
 """
 
 from __future__ import annotations
@@ -42,65 +49,7 @@ def hermitian_defects(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return defect, allowed
 
 
-def require_hermitian(m, name: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity within tolerance and return the symmetrized matrix."""
-    a = as_operator(m)
-    defect, allowed = hermitian_defects(a)
-    if defect > allowed:
-        raise ValueError(f"{name} is not Hermitian: ||M - M*||_max = {defect:.3e}")
-    return hermitian_part(a)
-
-
-def op_norm(m) -> float:
-    """Operator norm (largest singular value).
-
-    For Hermitian input this is the largest absolute eigenvalue; the general
-    case is computed as sqrt(||M*M||), through the same Hermitian kernel.
-    """
-    a = as_operator(m)
-    defect, allowed = hermitian_defects(a)
-    if defect <= allowed:
-        return float(herm_norm_stack(a))
-    return float(np.sqrt(herm_norm_stack(np.conj(a.T) @ a)))
-
-
-def commutator(x, y) -> np.ndarray:
-    """XY - YX.  Inputs must share dimensions."""
-    a = as_operator(x)
-    b = as_operator(y)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-
-def commutator_norm(x, y) -> float:
-    """||[X, Y]|| for Hermitian X, Y."""
-    a = require_hermitian(x, "first operator")
-    b = require_hermitian(y, "second operator")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(commutator_norm_stack(a @ b))
-
-
-def psd_check(m, tol: float) -> bool:
-    """True iff the minimum eigenvalue of the (Hermitian) input is >= -tol."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    w = np.linalg.eigvalsh(require_hermitian(m))
-    return bool(w[0] >= -tol)
-
-
-def project_psd(m) -> np.ndarray:
-    """Nearest (Frobenius) positive semidefinite matrix.
-
-    Eigendecomposes the symmetrized input and clips negative eigenvalues to
-    zero. Idempotent.
-    """
-    return project_psd_stack(require_hermitian(m))
-
-
 # --- stacked kernels (shape (..., d, d)) ---
-# op_norm, commutator_norm and project_psd are their one-matrix case.
 
 
 def herm_norm_stack(ms: np.ndarray) -> np.ndarray:
@@ -117,7 +66,8 @@ def commutator_norm_stack(prods: np.ndarray) -> np.ndarray:
 
 
 def project_psd_stack(ms: np.ndarray) -> np.ndarray:
-    """Per-matrix PSD projection of a stack."""
+    """Per-matrix PSD projection of a stack: the nearest (Frobenius) PSD
+    matrix, by clipping the Hermitian part's negative eigenvalues to zero."""
     w, u = np.linalg.eigh(hermitian_part(ms))
     w = np.clip(w, 0.0, None)
     return (u * w[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))

@@ -39,6 +39,24 @@ class TestDistributionDistances:
         with pytest.raises(ValueError):
             dist_inf([0.5, 0.4], [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            ([np.nan, 1.0], "non-finite"),
+            ([np.inf, -np.inf], "non-finite"),
+            ([1.5, -0.5], "negative entry"),
+        ],
+    )
+    @pytest.mark.parametrize("dist", [dist_inf, dist_l1])
+    def test_invalid_entries_rejected(self, dist, p, message):
+        with pytest.raises(ValueError, match=message):
+            dist(p, [0.5, 0.5])
+        with pytest.raises(ValueError, match=message):
+            dist([0.5, 0.5], p)
+
+    def test_roundoff_below_zero_accepted(self):
+        assert dist_l1([1.0 + 1e-12, -1e-12], [0.5, 0.5]) == pytest.approx(0.5, abs=1e-11)
+
 
 def _dist_at_state(p, q, state, metric):
     dp = outcome_distribution(p, state).probs

@@ -110,6 +110,25 @@ class TestStateFiles:
         loaded = load_state(path)
         assert np.array_equal(loaded.matrix, s.matrix)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ({"format_version": "1", "dim": 0}, "dim must be a positive integer"),
+            ({"format_version": "1", "dim": True}, "dim must be a positive integer"),
+            ({"format_version": "1", "dim": 1.0}, "dim must be a positive integer"),
+            (
+                {"format_version": "2", "dim": 1},
+                "unsupported format_version '2' (expected '1')",
+            ),
+        ],
+    )
+    def test_header_errors(self, tmp_path, header, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**header, "matrix": [[1.0, 0.0]]}))
+        with pytest.raises(FileFormatError) as err:
+            load_state(path)
+        assert str(err.value) == f"{path}: {message}"
+
 
 class TestOutcomeMapFiles:
     def test_parse(self, tmp_path):

@@ -21,31 +21,33 @@ def power_iteration_norm(m, iters=3000):
     return float(np.sqrt((v.conj() @ (m2 @ v)).real))
 
 
+# The kernels take stacks of shape (..., d, d); these call them on a stack
+# of one matrix.
+
+
+def norm(m) -> float:
+    return float(linalg.herm_norm_stack(np.asarray(m, dtype=complex)[None])[0])
+
+
+def commutator_norm(x, y) -> float:
+    return float(linalg.commutator_norm_stack((np.asarray(x) @ np.asarray(y))[None])[0])
+
+
+def project_psd(m) -> np.ndarray:
+    return linalg.project_psd_stack(np.asarray(m, dtype=complex)[None])[0]
+
+
 class TestOpNorm:
     def test_identity(self):
-        assert linalg.op_norm(np.eye(2)) == pytest.approx(1.0, abs=1e-15)
+        assert norm(np.eye(2)) == pytest.approx(1.0, abs=1e-15)
 
     def test_diagonal_spectrum(self):
-        assert linalg.op_norm(np.diag([0.3, -0.7])) == pytest.approx(0.7, abs=1e-15)
+        assert norm(np.diag([0.3, -0.7])) == pytest.approx(0.7, abs=1e-15)
 
     def test_matches_power_iteration_oracle(self):
         rng = np.random.default_rng(7)
         m = random_hermitian(rng, 4)
-        assert linalg.op_norm(m) == pytest.approx(power_iteration_norm(m), abs=1e-10)
-
-    def test_general_matrix_is_largest_singular_value(self):
-        rng = np.random.default_rng(8)
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        s = np.linalg.svd(m, compute_uv=False)
-        assert linalg.op_norm(m) == pytest.approx(float(s[0]), abs=1e-10)
-
-    def test_zero_dim_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.op_norm(np.zeros((0, 0)))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.op_norm(np.array([[np.nan, 0], [0, 1.0]]))
+        assert norm(m) == pytest.approx(power_iteration_norm(m), abs=1e-10)
 
     def test_norm_axioms_on_random_instances(self):
         rng = np.random.default_rng(9)
@@ -54,98 +56,61 @@ class TestOpNorm:
             m = random_hermitian(rng, d)
             n = random_hermitian(rng, d)
             alpha = float(rng.standard_normal())
-            assert linalg.op_norm(alpha * m) == pytest.approx(
-                abs(alpha) * linalg.op_norm(m), abs=1e-10
-            )
-            assert linalg.op_norm(m + n) <= linalg.op_norm(m) + linalg.op_norm(n) + 1e-10
+            assert norm(alpha * m) == pytest.approx(abs(alpha) * norm(m), abs=1e-10)
+            assert norm(m + n) <= norm(m) + norm(n) + 1e-10
 
     def test_hermitian_norm_is_max_abs_eigenvalue(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             m = random_hermitian(rng, 5)
             w = np.linalg.eigvalsh(m)
-            assert linalg.op_norm(m) == pytest.approx(float(np.abs(w).max()), abs=1e-10)
+            assert norm(m) == pytest.approx(float(np.abs(w).max()), abs=1e-10)
 
 
 class TestCommutator:
+    """`commutator_norm_stack` reads ||[X, Y]|| off the product XY alone;
+    these check it on known commutators and on one formed entry by entry."""
+
     def test_identity_commutes(self):
         rng = np.random.default_rng(11)
         m = random_hermitian(rng, 3)
-        assert np.abs(linalg.commutator(np.eye(3), m)).max() == 0.0
+        assert commutator_norm(np.eye(3), m) == 0.0
 
     def test_pauli_algebra(self):
-        # [sigma_z / 2, sigma_x / 2] = (i/2) sigma_y
-        got = linalg.commutator(PAULI_Z / 2, PAULI_X / 2)
-        assert np.allclose(got, 0.5j * PAULI_Y, atol=1e-15)
+        # [sigma_z / 2, sigma_x / 2] = (i/2) sigma_y, of norm 1/2
+        assert commutator_norm(PAULI_Z / 2, PAULI_X / 2) == pytest.approx(0.5, abs=1e-15)
 
     def test_entrywise_oracle(self):
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        x = random_hermitian(rng, 3)
+        y = random_hermitian(rng, 3)
         expected = np.zeros((3, 3), dtype=complex)
         for i in range(3):
             for j in range(3):
                 for k in range(3):
                     expected[i, j] += x[i, k] * y[k, j] - y[i, k] * x[k, j]
-        # same sums up to BLAS accumulation order
-        assert np.allclose(linalg.commutator(x, y), expected, atol=1e-13, rtol=0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.commutator(np.eye(2), np.eye(3))
-
-    def test_antisymmetry_exact(self):
-        rng = np.random.default_rng(13)
-        x = random_hermitian(rng, 4)
-        y = random_hermitian(rng, 4)
-        assert np.array_equal(linalg.commutator(x, y), -linalg.commutator(y, x))
+        assert commutator_norm(x, y) == pytest.approx(np.linalg.norm(expected, 2), abs=1e-13)
 
 
 class TestCommutatorNorm:
     def test_commuting_diagonals(self):
-        assert linalg.commutator_norm(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 0.0
+        assert commutator_norm(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 0.0
 
     def test_orthogonal_qubit_projectors(self):
         from jointmeas.povm import qubit_projector
 
         e_z = qubit_projector((0, 0, 1))
         e_x = qubit_projector((1, 0, 0))
-        assert linalg.commutator_norm(e_z, e_x) == pytest.approx(0.5, abs=1e-10)
+        assert commutator_norm(e_z, e_x) == pytest.approx(0.5, abs=1e-10)
 
     def test_matches_op_norm_of_commutator(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
             x = random_hermitian(rng, 4)
             y = random_hermitian(rng, 4)
-            assert linalg.commutator_norm(x, y) == pytest.approx(
-                linalg.op_norm(linalg.commutator(x, y)), abs=1e-12
+            assert commutator_norm(x, y) == pytest.approx(
+                np.linalg.norm(x @ y - y @ x, 2), abs=1e-12
             )
-
-    def test_rejects_non_hermitian(self):
-        skew = np.array([[0, 1], [-1, 0]], dtype=complex)
-        with pytest.raises(ValueError):
-            linalg.commutator_norm(skew, np.eye(2))
-
-
-class TestPsdCheck:
-    def test_zero_matrix(self):
-        assert linalg.psd_check(np.zeros((2, 2)), 1e-9)
-
-    def test_explicit_negative_eigenvalue(self):
-        assert not linalg.psd_check(np.diag([1.0, -1e-3]), 1e-9)
-
-    def test_near_boundary_qubit_effect(self):
-        # eigenvalues (1 +/- 0.999) / 2, both nonnegative
-        m = (np.eye(2) + 0.999 * PAULI_X) / 2
-        assert linalg.psd_check(m, 1e-9)
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.psd_check(np.eye(2), -1.0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            linalg.psd_check(np.array([[0, 1], [0, 0]], dtype=complex), 1e-9)
 
 
 class TestProjectPsd:
@@ -153,15 +118,15 @@ class TestProjectPsd:
         rng = np.random.default_rng(15)
         r = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         p = r @ r.conj().T
-        assert np.abs(linalg.project_psd(p) - p).max() <= 1e-12 * max(1.0, np.abs(p).max())
+        assert np.abs(project_psd(p) - p).max() <= 1e-12 * max(1.0, np.abs(p).max())
 
     def test_diagonal_clipping(self):
-        assert np.allclose(linalg.project_psd(np.diag([1.0, -2.0])), np.diag([1.0, 0.0]))
+        assert np.allclose(project_psd(np.diag([1.0, -2.0])), np.diag([1.0, 0.0]))
 
     def test_frobenius_optimality_against_sampled_psd(self):
         rng = np.random.default_rng(16)
         m = random_hermitian(rng, 3)
-        proj = linalg.project_psd(m)
+        proj = project_psd(m)
         best = np.linalg.norm(proj - m)
         for _ in range(100):
             r = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -171,13 +136,13 @@ class TestProjectPsd:
     def test_result_is_psd(self):
         rng = np.random.default_rng(17)
         m = random_hermitian(rng, 4)
-        assert linalg.psd_check(linalg.project_psd(m), 1e-12)
+        assert np.linalg.eigvalsh(project_psd(m))[0] >= -1e-12
 
     def test_idempotent(self):
         rng = np.random.default_rng(18)
         m = random_hermitian(rng, 4)
-        once = linalg.project_psd(m)
-        twice = linalg.project_psd(once)
+        once = project_psd(m)
+        twice = project_psd(once)
         assert np.abs(twice - once).max() <= 1e-12
 
 
@@ -186,7 +151,7 @@ class TestEigendecomposition:
         m = np.diag([2.0, -3.0, 0.5]).astype(complex)
         clipped = linalg.clip_operator_norm_stack(m, 1.0)
         assert np.allclose(clipped, np.diag([1.0, -1.0, 0.5]))
-        assert linalg.op_norm(clipped) <= 1.0 + 1e-12
+        assert np.linalg.norm(clipped, 2) <= 1.0 + 1e-12
 
 
 class TestStackedKernels:
@@ -210,7 +175,58 @@ class TestStackedKernels:
         xs = np.stack([random_hermitian(rng, 4) for _ in range(6)])
         ys = np.stack([random_hermitian(rng, 4) for _ in range(6)])
         for x, y, got in zip(xs, ys, linalg.commutator_norm_stack(xs @ ys)):
-            assert got == pytest.approx(linalg.op_norm(linalg.commutator(x, y)), abs=1e-12)
+            assert got == pytest.approx(np.linalg.norm(x @ y - y @ x, 2), abs=1e-12)
+
+
+
+def pauli_form(s, v):
+    """s I + v . sigma, the general 2x2 Hermitian matrix."""
+    return s * np.eye(2) + v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
+
+
+def eigh_apply(m, f):
+    """Per-matrix reference: U f(w) U* from numpy's eigh of one matrix."""
+    w, u = np.linalg.eigh(m)
+    return (u * f(w)) @ u.conj().T
+
+
+class TestQubitKernelAgreement:
+    """The d = 2 kernels against a per-matrix eigh, on the inputs a
+    closed-form (Pauli-form) d = 2 path must get right: zero, degenerate,
+    rank-one, boundary |v| = s, negative-definite, near-boundary and barely
+    indefinite matrices."""
+
+    UNIT = np.array([1.0, 2.0, 2.0]) / 3
+
+    @pytest.fixture
+    def stack(self):
+        rng = np.random.default_rng(40)
+        ms = [
+            np.zeros((2, 2)),
+            pauli_form(0.7, np.zeros(3)),
+            pauli_form(-0.4, np.zeros(3)),
+            np.outer([0.6, 0.8j], np.conj([0.6, 0.8j])),
+            pauli_form(0.3, 0.3 * self.UNIT),
+            pauli_form(0.3, -0.3 * self.UNIT),
+            pauli_form(-0.5, 0.2 * self.UNIT),
+            pauli_form(0.5, (0.4995, 0.0, 0.0)),
+            np.diag([1.0, -1e-3]),
+            *(random_hermitian(rng, 2) for _ in range(5)),
+        ]
+        return np.stack(ms).astype(complex)
+
+    def test_herm_norm_stack(self, stack):
+        ref = [np.abs(np.linalg.eigvalsh(m)).max() for m in stack]
+        assert np.abs(linalg.herm_norm_stack(stack) - ref).max() <= 1e-14
+
+    def test_project_psd_stack(self, stack):
+        ref = np.stack([eigh_apply(m, lambda w: np.clip(w, 0.0, None)) for m in stack])
+        assert np.abs(linalg.project_psd_stack(stack) - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("bound", [0.0, 0.25, 1.0])
+    def test_clip_operator_norm_stack(self, stack, bound):
+        ref = np.stack([eigh_apply(m, lambda w: np.clip(w, -bound, bound)) for m in stack])
+        assert np.abs(linalg.clip_operator_norm_stack(stack, bound) - ref).max() <= 1e-14
 
 
 class TestRenormalize:
