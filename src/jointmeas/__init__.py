@@ -25,6 +25,7 @@ from .bounds import (
     max_subset_commutator_norm,
     qubit_rhs,
     theorem1_lhs,
+    theorem1_min_y,
 )
 from .distances import D_inf, D_l1, DistanceValue, dist_inf, dist_l1
 from .errors import CapacityError
@@ -104,5 +105,6 @@ __all__ = [
     "qubit_rhs",
     "random_povm",
     "theorem1_lhs",
+    "theorem1_min_y",
     "validate_povm",
 ]

@@ -118,6 +118,30 @@ def theorem1_lhs(x: float, y: float, v_a: float, v_b: float) -> float:
     return 2 * x * y + x + y + 2 * math.sqrt(2 * x + v_a) * math.sqrt(2 * y + v_b)
 
 
+def theorem1_min_y(x, v_a: float, v_b: float, rhs: float):
+    """The smallest Y >= 0 with theorem1_lhs(X, Y, V_A, V_B) >= rhs, for a
+    scalar or an array of X; no accuracy pair below it is achievable.
+
+    The left side is a quadratic in u = sqrt(Y + V_B/2),
+    (2X + 1) u^2 + 2 sqrt(2(2X + V_A)) u + X - (2X + 1) V_B/2 - rhs, and the
+    contour is Y = u^2 - V_B/2 at its nonnegative root, floored at 0. X is
+    clipped at rhs first, which keeps the discriminant >= 0, and Y = 0 for
+    X >= rhs. At V_A = V_B = 0 the arithmetic is that of the projective
+    contour, a quadratic in s = sqrt(Y) with linear term 4 sqrt(X) s, bit
+    for bit.
+    """
+    for name, v in (("X", x), ("V_A", v_a), ("V_B", v_b), ("rhs", rhs)):
+        if not np.all(np.asarray(v) >= 0):
+            raise ValueError(f"{name} must be nonnegative, got {v}")
+    xc = np.minimum(x, rhs)
+    p = 2 * xc + 1
+    w = 2 * (2 * xc + v_a)
+    u = (np.sqrt(w - p * (xc - p * v_b / 2 - rhs)) - np.sqrt(w)) / p
+    # u^2 - V_B/2 can round to +1e-17 where the true value is 0 (X = rhs
+    # = V_A = 0), so X >= rhs is set to 0 outright
+    return np.where(xc < rhs, np.maximum(u**2 - v_b / 2, 0.0), 0.0)[()]
+
+
 def _tradeoff(
     inequality_id: str,
     a: Povm,
@@ -291,9 +315,8 @@ def admissible_region_curves(
     """Sample both qubit bound curves on a uniform X grid over [0, x_max].
 
     The product-bound contour is the smallest Y >= 0 with
-    2XY + X + Y + 4 sqrt(XY) >= target. That left side is a quadratic in
-    s = sqrt(Y), (2X + 1) s^2 + 4 sqrt(X) s + X - target, so the contour is
-    its nonnegative root squared, Y = 0 once X >= target. For two-outcome
+    2XY + X + Y + 4 sqrt(XY) >= target: `theorem1_min_y` with
+    V_A = V_B = 0, so Y = 0 once X >= target. For two-outcome
     qubit observables the interesting region ends by X = 1/2 (where the
     contour reaches Y = 0 for any theta <= pi/2), hence the default sweep
     range. `rhs` overrides the contour target (for example with a
@@ -308,10 +331,7 @@ def admissible_region_curves(
             raise ValueError(f"{name} must be finite and nonnegative, got {v}")
     h = heinosaari_lower_bound(theta)
     xs = np.linspace(0.0, x_max, grid_size)
-    # clipping X at the target gives Y = 0 beyond it and keeps the
-    # discriminant >= 4 xc >= 0
-    xc = np.minimum(xs, target)
-    y1 = ((np.sqrt(4 * xc - (2 * xc + 1) * (xc - target)) - 2 * np.sqrt(xc)) / (2 * xc + 1)) ** 2
+    y1 = theorem1_min_y(xs, 0.0, 0.0, target)
     y2 = np.maximum(h - xs, 0.0)
     for arr in (xs, y1, y2):
         arr.setflags(write=False)

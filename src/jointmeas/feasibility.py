@@ -20,7 +20,11 @@ with the PSD projection. The solver is lane-stacked: axis 0 of its iterate
 indexes independent problems, each stopping on its own. A joint-measurability
 check is one lane; a frontier sweep runs the bisection probes of all its grid
 points together, one lane per point, so each projection is one stacked
-eigendecomposition instead of one per point.
+eigendecomposition instead of one per point. Each point's bisection brackets
+Y between the paper's main bound, solved for Y at the point's X budget
+(`bounds.theorem1_min_y`), and the better of two product baselines, so no
+probe is spent below what the inequality already rules out; inputs that are
+not valid POVMs, outside the inequality's premise, start the bracket at 0.
 
 `infeasible` has two sources. The analytic screen is the paper's necessary
 condition sqrt(V(A) V(B)) >= (1/2) max ||[A_a, B_b]||. The dual certificate
@@ -41,9 +45,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bounds import SLACK_TOL, TradeoffReport, check_corollary_joint
+from .bounds import (
+    SLACK_TOL,
+    TradeoffReport,
+    check_corollary_joint,
+    max_commutator_norm,
+    theorem1_min_y,
+)
 from .distances import D_inf
-from .povm import Povm, validate_povm
+from .povm import Povm, intrinsic_uncertainty_inf, validate_povm
 from .smearing import coordinate_maps
 
 # Solver defaults. The stagnation rule declares a solve stuck when the best
@@ -469,11 +479,14 @@ def _frontier(
     """Frontier points for the X budgets `xs` (ascending, finite and
     nonnegative, as the callers ensure), bisected together.
 
-    Each point bisects on Y with one convex feasibility query per probe. In
-    each round every point still bisecting contributes one probe, and the
-    round's probes run as one stacked Dykstra solve whose lanes do not
-    interact, so every point's bisection equals what it would be on its
-    own. Each point then keeps the best witness of any budget up to its own.
+    Each point bisects on Y with one convex feasibility query per probe,
+    from lo = the main bound's smallest Y at its X budget, less SLACK_TOL
+    and never above hi (lo = 0 unless both inputs pass `validate_povm`), to
+    hi = the Y of its better product baseline. In each round every point
+    still bisecting contributes one probe, and the round's probes run as one
+    stacked Dykstra solve whose lanes do not interact, so every point's
+    bisection equals what it would be on its own. Each point then keeps the
+    best witness of any budget up to its own.
     """
     _check_solve(a, b, tol, max_iter)
     if not 0 < y_resolution < math.inf:
@@ -502,8 +515,15 @@ def _frontier(
         best.append(min(fits, key=lambda bl: bl[2]))
     seed = pair.product_seed()
 
-    lo = [0.0] * len(xs)
     hi = [bl[2] for bl in best]
+    lo = [0.0] * len(xs)
+    # Theorem 1 rules out every Y below its contour, so a bisection that
+    # starts there spends no probe re-proving it; inputs that are not valid
+    # POVMs lie outside its premise and start at 0
+    if not validate_povm(a) and not validate_povm(b):
+        v_a, v_b = intrinsic_uncertainty_inf(a), intrinsic_uncertainty_inf(b)
+        ys = theorem1_min_y(np.array(xs), v_a, v_b, max_commutator_norm(a, b)) - SLACK_TOL
+        lo = [min(h, max(0.0, y)) for h, y in zip(hi, ys.tolist())]
     while active := [p for p in range(len(xs)) if hi[p] - lo[p] > y_resolution]:
         mids = [(lo[p] + hi[p]) / 2 for p in active]
         ok, f = _query(pair, [xs[p] for p in active], mids, seed, tol, max_iter)
@@ -541,11 +561,14 @@ def frontier_point(
     Minimizes Y = D_inf(B, marg_B(F)) over product-outcome POVMs F subject to
     D_inf(A, marg_A(F)) <= x_target, by bisecting on Y with one convex
     feasibility query per probe (the one-lane case of `frontier_sweep`'s
-    batched bisection). The bisection starts from the better of two product
+    batched bisection). The bracket's upper end is the better of two product
     baselines, A x flat and flat x B, so budgets at or above D_inf(A, w I)
-    return Y = 0 up to rounding. The returned achieved values are computed
-    from the cleaned-up witness, so they are exact properties of a genuine
-    POVM whatever the solver did.
+    return Y = 0 up to rounding. Its lower end is the smallest Y the paper's
+    main bound allows at x_target, so the orthogonal sharp qubits at X = 0
+    need no probe; it is 0 for inputs that fail `validate_povm` (accepted
+    leniently), which the bound does not cover. The returned achieved values
+    are computed from the cleaned-up witness, so they are exact properties
+    of a genuine POVM whatever the solver did.
     """
     if not 0 <= x_target < math.inf:
         raise ValueError(f"X budget must be finite and nonnegative, got {x_target}")

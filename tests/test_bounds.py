@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jointmeas.bounds import (
+    SLACK_TOL,
     admissible_region_curves,
     check_corollary_joint,
     check_corollary_pvm,
@@ -17,9 +18,17 @@ from jointmeas.bounds import (
     max_subset_commutator_norm,
     qubit_rhs,
     theorem1_lhs,
+    theorem1_min_y,
 )
 from jointmeas.errors import CapacityError
-from jointmeas.povm import Povm, bloch_pvm, noisy_qubit_povm, random_povm
+from jointmeas.feasibility import frontier_sweep
+from jointmeas.povm import (
+    Povm,
+    bloch_pvm,
+    intrinsic_uncertainty_inf,
+    noisy_qubit_povm,
+    random_povm,
+)
 from jointmeas.selftest import random_instance, suite_theorem1, suite_theorem2
 from jointmeas.smearing import OutcomeMap, coordinate_maps
 
@@ -148,6 +157,103 @@ class TestTheorem1Lhs:
                 bumped = args.copy()
                 bumped[k] += rng.uniform(0, 0.5)
                 assert theorem1_lhs(*bumped) >= base - 1e-12
+
+
+def noisy_basis_povm(rng, d, eta, prefix):
+    """The rank-one projectors of a Haar-random basis mixed with white noise
+    at visibility eta: unsharp for eta < 1."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, _ = np.linalg.qr(z)
+    mats = [eta * np.outer(v, np.conj(v)) + (1 - eta) * np.eye(d) / d for v in q.T]
+    return Povm(tuple(f"{prefix}{k}" for k in range(d)), np.stack(mats))
+
+
+class TestTheorem1MinY:
+    """The closed-form contour of the main bound: the smallest achievable Y
+    at a given X."""
+
+    @staticmethod
+    def sharp_qubit_frontier(x):
+        return (1 - math.sqrt(max(0.0, 1 - (1 - 2 * x) ** 2))) / 2
+
+    def test_orthogonal_sharp_qubits_at_zero(self):
+        c = max_commutator_norm(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)))
+        assert theorem1_min_y(0.0, 0.0, 0.0, c) == pytest.approx(0.5, abs=1e-12)
+
+    def test_below_the_sharp_qubit_frontier(self):
+        xs = np.linspace(0.0, 0.5, 101)
+        ys = theorem1_min_y(xs, 0.0, 0.0, 0.5)
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            assert 0.0 <= y <= self.sharp_qubit_frontier(x) + 1e-12
+
+    @pytest.mark.parametrize(
+        "v_a, v_b, rhs",
+        [
+            (0.0, 0.0, 0.5),
+            (0.1, 0.2, 0.3),
+            (0.25, 0.25, 1.0),
+            (0.0, 0.25, 0.0),
+            (1e-3, 0.2499, 0.7),
+        ],
+    )
+    def test_zero_from_x_equal_to_rhs(self, v_a, v_b, rhs):
+        xs = np.array([rhs, rhs * 1.5 + 1e-9, 10 * rhs + 1, 1e308])
+        assert (theorem1_min_y(xs, v_a, v_b, rhs) == 0.0).all()
+
+    @pytest.mark.parametrize("v_a, v_b", [(0.0, 0.0), (0.0, 0.1), (0.05, 0.0), (0.02, 0.03)])
+    def test_points_lie_on_the_level_set(self, v_a, v_b):
+        xs = np.linspace(0.0, 0.5, 51)
+        ys = theorem1_min_y(xs, v_a, v_b, 0.5)
+        on_curve = [(x, y) for x, y in zip(xs.tolist(), ys.tolist()) if y > 0]
+        assert len(on_curve) > 10
+        for x, y in on_curve:
+            assert abs(theorem1_lhs(x, y, v_a, v_b) - 0.5) <= 1e-12
+
+    def test_extreme_inputs_stay_finite(self):
+        # RuntimeWarning is an error under pytest, so overflow or a negative
+        # discriminant would fail here
+        for args in [
+            (1e308, 0.0, 0.0, 0.5),
+            (1e308, 0.25, 0.25, 0.5),
+            (0.0, 0.25, 0.25, 0.5),
+            (0.1, 0.25, 0.25, 1.0),
+        ]:
+            assert math.isfinite(theorem1_min_y(*args))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (-0.1, 0, 0, 0.5),
+            (0.1, -0.1, 0, 0.5),
+            (0.1, 0, math.nan, 0.5),
+            (np.array([0.1, -1e-3]), 0, 0, 0.5),
+            (0.1, 0, 0, -0.5),
+        ],
+        ids=["x-negative", "v-a-negative", "v-b-nan", "x-array-negative", "rhs-negative"],
+    )
+    def test_rejects_negative_or_nan(self, args):
+        with pytest.raises(ValueError, match="nonnegative"):
+            theorem1_min_y(*args)
+
+    def test_frontier_witnesses_lie_on_or_above_it(self):
+        rng = np.random.default_rng(83)
+        pairs = [
+            (noisy_basis_povm(rng, 3, 0.95, "a"), noisy_basis_povm(rng, 3, 0.9, "b")),
+            (noisy_basis_povm(rng, 3, 1.0, "a"), noisy_basis_povm(rng, 3, 0.85, "b")),
+            (noisy_basis_povm(rng, 2, 0.9, "a"), noisy_basis_povm(rng, 2, 1.0, "b")),
+            (random_povm(2, 3, 84), random_povm(2, 2, 85)),
+        ]
+        binding = 0
+        for a, b in pairs:
+            v_a, v_b = intrinsic_uncertainty_inf(a), intrinsic_uncertainty_inf(b)
+            c = max_commutator_norm(a, b)
+            # a short budget gives looser witnesses, every one still verified
+            for p in frontier_sweep(a, b, 3, x_max=0.2, y_resolution=1e-2, max_iter=300):
+                y_min = theorem1_min_y(p.x_achieved, v_a, v_b, c)
+                assert p.y_achieved >= y_min - SLACK_TOL, (p, y_min)
+                binding += y_min > 0
+        # the contour is above 0 at some points, so the check is not vacuous
+        assert binding >= 3
 
 
 class TestCheckTheorem1:

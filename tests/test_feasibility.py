@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from jointmeas import feasibility, linalg
-from jointmeas.bounds import check_theorem1, heinosaari_lower_bound
+from jointmeas.bounds import (
+    SLACK_TOL,
+    check_theorem1,
+    heinosaari_lower_bound,
+    max_commutator_norm,
+    theorem1_min_y,
+)
 from jointmeas.distances import D_inf
 from jointmeas.feasibility import (
     check_joint_measurability,
@@ -16,6 +22,7 @@ from jointmeas.povm import (
     PAULI_Z,
     Povm,
     bloch_pvm,
+    intrinsic_uncertainty_inf,
     noisy_qubit_povm,
     random_povm,
     validate_povm,
@@ -393,6 +400,52 @@ class TestFrontierPoint:
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError):
             frontier_point(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), -0.1)
+
+
+class TestTheorem1Bracket:
+    """Each bisection starts at the main bound's contour for valid inputs and
+    at 0 for inputs that are not valid POVMs."""
+
+    @staticmethod
+    def first_round(monkeypatch, a, b, x):
+        """The probe midpoints of the first round, and the point returned
+        when every probe reads infeasible."""
+        rounds = []
+
+        def infeasible(pair, x_bounds, y_bounds, start, tol, max_iter):
+            rounds.append(list(y_bounds))
+            return [False] * len(y_bounds), None
+
+        monkeypatch.setattr(feasibility, "_query", infeasible)
+        pt = frontier_point(a, b, x)
+        return rounds[0], pt
+
+    def test_orthogonal_qubits_at_zero_budget_need_no_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver ran where the bound already closes the bracket")
+
+        monkeypatch.setattr(feasibility, "_dykstra", no_solve)
+        pt = frontier_point(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 0.0)
+        assert pt.x_achieved == 0.0
+        assert pt.y_achieved == pytest.approx(0.5, abs=1e-12)
+
+    def test_valid_pair_starts_at_the_contour(self, monkeypatch):
+        a, b = bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0))
+        mids, pt = self.first_round(monkeypatch, a, b, 0.1)
+        lo = theorem1_min_y(0.1, 0.0, 0.0, max_commutator_norm(a, b)) - SLACK_TOL
+        assert lo > 0.05
+        assert mids == [(lo + pt.y_achieved) / 2]
+
+    def test_invalid_pair_starts_at_zero(self, monkeypatch):
+        # A sums to diag(1.01, 1), which the CLI accepts under --lenient;
+        # its renormalized A x flat baseline still meets the budget
+        a, b = diagonal_povm([[1, 0], [0.01, 1]], "a"), bloch_pvm((1, 0, 0))
+        assert validate_povm(a) != []
+        v_a, v_b = intrinsic_uncertainty_inf(a), intrinsic_uncertainty_inf(b)
+        assert theorem1_min_y(0.1, v_a, v_b, max_commutator_norm(a, b)) > 0.05
+        mids, pt = self.first_round(monkeypatch, a, b, 0.1)
+        assert pt.y_achieved > 0.4
+        assert mids == [pt.y_achieved / 2]
 
 
 class TestSolverBudgets:
