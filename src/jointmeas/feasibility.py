@@ -20,11 +20,18 @@ with the PSD projection. The solver is lane-stacked: axis 0 of its iterate
 indexes independent problems, each stopping on its own. A joint-measurability
 check is one lane; a frontier sweep runs the bisection probes of all its grid
 points together, one lane per point, so each projection is one stacked
-eigendecomposition instead of one per point. Each point's bisection brackets
-Y between the paper's main bound, solved for Y at the point's X budget
-(`bounds.theorem1_min_y`), and the better of two product baselines, so no
-probe is spent below what the inequality already rules out; inputs that are
-not valid POVMs, outside the inequality's premise, start the bracket at 0.
+eigendecomposition instead of one per point.
+
+Each frontier point brackets Y. The upper end is the better of two product
+baselines. The lower end starts at the paper's main bound, solved for Y at
+the point's X budget (`bounds.theorem1_min_y`; 0 for inputs that are not
+valid POVMs, outside the inequality's premise). A dual phase then raises it:
+Douglas-Rachford rounds on a lifted form of the probe problem, with one lane
+per point, yield Farkas certificates whose value is affine in Y, so each
+verified certificate proves a whole interval of Y unreachable and the lower
+end jumps to its root. The bisection that follows probes first one
+resolution above that certified end, so a tight end is closed by one
+witness.
 
 `infeasible` has two sources. The analytic screen is the paper's necessary
 condition sqrt(V(A) V(B)) >= (1/2) max ||[A_a, B_b]||. The dual certificate
@@ -34,13 +41,16 @@ vector (Bauschke & Borwein 1994), X_a + Y_b, a Farkas certificate of the SDP
 dual (Wolf, Perez-Garcia & Fernandez 2009) once shifted to be positive. Every
 certificate is re-verified from (X, Y) and the targets alone before it
 counts. A solve that neither converges to a verified witness nor yields a
-verified certificate reports `undecided` with its residual.
+verified certificate reports `undecided` with its residual. The frontier's
+lifted certificates (X, Y, Z) are re-verified the same way before they move
+a lower end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +89,13 @@ WITNESS_MARGINAL_TOL = 1e-6
 CERTIFY_EVERY = 50
 CERTIFICATE_ULPS = 64
 
+# The frontier's dual phase runs rounds of DUAL_ROUND_ITERS Douglas-Rachford
+# iterations, at most DUAL_MAX_ROUNDS per point, and stops a point whose
+# certified lower end moves by less than DUAL_MIN_JUMP Y resolutions.
+DUAL_ROUND_ITERS = 60
+DUAL_MAX_ROUNDS = 8
+DUAL_MIN_JUMP = 1e-2
+
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityResult:
@@ -106,12 +123,16 @@ class FeasibilityResult:
 @dataclass(frozen=True, eq=False)
 class FrontierPoint:
     """One point of the achievable accuracy frontier: the best found Y given
-    an X budget, with the witness achieving it."""
+    an X budget, with the witness achieving it, and y_lower, a certified
+    lower end: no POVM within the X budget has a Y below it. y_lower is the
+    larger of the main bound's contour (for valid POVMs) and the best root
+    of a verified lifted dual certificate."""
 
     x_target: float
     x_achieved: float
     y_achieved: float
     witness: Povm
+    y_lower: float
 
 
 def _check_solve(a: Povm, b: Povm, tol: float, max_iter: int) -> None:
@@ -236,6 +257,109 @@ class _Pair:
         value = float(np.einsum("aij,aji->", x, self.ea).real + np.einsum("bij,bji->", y, self.eb).real)
         return value if lam >= -slack and value < -margin else None
 
+    # The lifted frontier problem has variables (F, S, T), stacked as the rows
+    # of a (..., N, d, d) array with N = n_A n_B + n_A + n_B: F_ab in row
+    # a n_B + b, then S_a, then T_b. It asks whether the convex set
+    # K = {F_ab >= 0} x {||S_a|| <= x} x {||T_b|| <= y} meets the affine set
+    # L = {marg_A(F) - S = A, marg_B(F) - T = B, sum(F) = I}.
+
+    @cached_property
+    def lifted_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """L's constraint matrix C, real with one column per row of the
+        stack, acts the same way on every matrix entry. Returns the
+        projector I - C^T (C C^T)^-1 C onto L's direction, the offset stack
+        C^T (C C^T)^-1 (A; B; I) that moves it onto L, and (C C^T)^-1 C,
+        which reads least-squares multipliers (X_a; Y_b; Z) off a stack.
+        Each of the first n_A + n_B rows of C alone touches its own S or T
+        column, so C has full row rank and L is never empty, whatever the
+        targets."""
+        na, nb = self.na, self.nb
+        n = na * nb
+        c = np.zeros((na + nb + 1, n + na + nb))
+        for a in range(na):
+            c[a, a * nb : (a + 1) * nb] = 1.0
+        for b in range(nb):
+            c[na + b, b:n:nb] = 1.0
+        c[-1, :n] = 1.0
+        c[: na + nb, n:] = -np.eye(na + nb)
+        read = np.linalg.solve(c @ c.T, c)
+        targets = np.concatenate([self.ea, self.eb, self.eye[None]])
+        offset = np.einsum("mn,mij->nij", read, targets)
+        return np.eye(n + na + nb) - c.T @ read, offset, read
+
+    def lifted_start(self) -> np.ndarray:
+        """The product seed F with S and T its marginal gaps: a point of L."""
+        f = self.product_seed()
+        return np.concatenate([f.reshape(-1, self.d, self.d), self.gap_a(f), self.gap_b(f)])
+
+    def project_lifted_k(self, w: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """Onto K, for a lane stack w of shape (n, N, d, d); `bounds` holds
+        each lane's X budget on the S rows and Y budget on the T rows,
+        shape (n, n_A + n_B, 1)."""
+        n = self.na * self.nb
+        return np.concatenate(
+            [linalg.project_psd_stack(w[:, :n]), linalg.clip_operator_norm_stack(w[:, n:], bounds)],
+            axis=1,
+        )
+
+    def project_lifted_l(self, w: np.ndarray) -> np.ndarray:
+        """Onto L, for a lane stack w of shape (n, N, d, d)."""
+        direction, offset, _ = self.lifted_maps
+        return _act_on_rows(direction, w) + offset
+
+    def lifted_certificates(self, g: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Dual triples (X, Y, Z) read off a lane stack of lifted gaps
+        g = k - l, one per lane: the least-squares multipliers of g in the
+        range of C^T, whose F rows are X_a + Y_b + Z, with Z shifted by
+        t = max(0, -min lambda_min(X_a + Y_b + Z)) so that every X_a + Y_b + Z
+        is PSD. `frontier_root` judges them."""
+        lam = linalg.hermitian_part(_act_on_rows(self.lifted_maps[2], g))
+        x, y, z = lam[:, : self.na], lam[:, self.na : -1], lam[:, -1]
+        low = np.linalg.eigvalsh(x[:, :, None] + y[:, None] + z[:, None, None]).min(axis=(1, 2, 3))
+        z = z + np.maximum(0.0, -low)[:, None, None] * self.eye
+        return list(zip(x, y, z))
+
+    def frontier_root(
+        self, x: np.ndarray, y: np.ndarray, z: np.ndarray, x_budget: float, y_budget: float
+    ) -> float | None:
+        """The lower end that a dual triple (X, Y, Z) proves for the frontier
+        at X budget x_budget, if it proves that no POVM reaches y_budget
+        within that budget; else None.
+
+        Any POVM F on the product outcomes within budgets x_budget and Y has
+        sum_ab tr((X_a + Y_b + Z) F_ab) at most base + Y sum ||Y_b||_1, with
+        base = sum tr(X_a A_a) + x_budget sum ||X_a||_1 + sum tr(Y_b B_b)
+        + tr Z, and at least 0 when every X_a + Y_b + Z is PSD. So a
+        negative value rules out every Y below the root
+        -base / sum ||Y_b||_1, all of it recomputed here from the triple and
+        the targets alone. Rounding is allowed for as in `verify`: the
+        eigenvalues may read `slack` low, an extra shift of Z by 2 slack
+        adds 2 slack d, and the traces and trace norms each carry their own
+        rounding; the margin is affine in Y and enters the root.
+        """
+        scale = (
+            np.linalg.norm(x, axis=(1, 2)).max()
+            + np.linalg.norm(y, axis=(1, 2)).max()
+            + np.linalg.norm(z)
+        )
+        ulp = CERTIFICATE_ULPS * np.finfo(float).eps * scale
+        slack = ulp * self.d
+        fixed = 2 * slack * self.d + ulp * self.d * (
+            (self.na + self.nb + 1) * self.d + x_budget * self.na
+        )
+        per_y = ulp * self.d * self.nb
+        lam = np.linalg.eigvalsh(linalg.hermitian_part(x[:, None] + y[None] + z)).min()
+        base = float(
+            np.einsum("aij,aji->", x, self.ea).real
+            + x_budget * np.abs(np.linalg.eigvalsh(x)).sum()
+            + np.einsum("bij,bji->", y, self.eb).real
+            + np.trace(z).real
+        )
+        slope = float(np.abs(np.linalg.eigvalsh(y)).sum())
+        if lam < -slack or base + fixed + y_budget * (slope + per_y) >= 0:
+            return None
+        return float(-(base + fixed) / (slope + per_y))
+
     def witness(self, f: np.ndarray) -> Povm | None:
         """Turn a near-feasible iterate into an exact POVM: clip each element
         to the PSD cone, then conjugate by the inverse square root of the
@@ -246,6 +370,32 @@ class _Pair:
             return None
         w = Povm(self.labels, linalg.hermitian_part(g).reshape(self.na * self.nb, self.d, self.d))
         return None if validate_povm(w, completeness_tol=WITNESS_VALIDATE_TOL) else w
+
+
+def _act_on_rows(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A real matrix m applied along the row axis of a lane stack w, shape
+    (n, N, d, d): one real matrix product per lane, whose rounding does not
+    depend on the rest of the stack."""
+    n, rows, d, _ = w.shape
+    out = m @ np.ascontiguousarray(w).reshape(n, rows, d * d).view(float)
+    return out.view(complex).reshape(n, m.shape[0], d, d)
+
+
+def _douglas_rachford(
+    z: np.ndarray, project_k, project_l, iterations: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`iterations` lane-stacked Douglas-Rachford steps
+    z <- z + P_L(2k - z) - k, with k = P_K(z), for a convex set K and an
+    affine set L (Lions & Mercier 1979). Returns k and the gap k - l of the
+    last step. The gap tends to the minimal displacement vector between the
+    sets (Bauschke, Hare & Moursi 2016): zero when they meet, and a
+    separating (Farkas) direction when they do not. Every operation acts on
+    each lane alone."""
+    for _ in range(iterations):
+        k = project_k(z)
+        gap = k - project_l(2 * k - z)
+        z = z - gap
+    return k, gap
 
 
 def _dykstra(
@@ -468,6 +618,54 @@ def _query(
     return converged, f
 
 
+def _certified_lower_ends(
+    pair: _Pair,
+    xs: list[float],
+    lo: list[float],
+    hi: list[float],
+    y_resolution: float,
+) -> list[float]:
+    """Raise each lower end lo[p] that lies more than y_resolution below
+    hi[p] to what verified lifted dual certificates prove.
+
+    Each such point is one lane of a Douglas-Rachford solve on the lifted
+    problem at X budget xs[p] + WITNESS_MARGINAL_TOL (the most any witness
+    may spend) and Y = lo[p]. After every round of DUAL_ROUND_ITERS
+    iterations, the lane's certificate is read off its gap and judged by
+    `_Pair.frontier_root`; a verified one moves lo[p] to its root (never
+    above hi[p]) and the lane goes on at the new Y. A lane stops when its
+    certificate fails, when its end moves by less than DUAL_MIN_JUMP
+    resolutions or closes the bracket, or after DUAL_MAX_ROUNDS rounds.
+    """
+    lo = list(lo)
+    active = [p for p in range(len(xs)) if hi[p] > lo[p] + y_resolution]
+    z = np.repeat(pair.lifted_start()[None], len(active), axis=0)
+    for _ in range(DUAL_MAX_ROUNDS):
+        if not active:
+            break
+        budgets = [xs[p] + WITNESS_MARGINAL_TOL for p in active]
+        bounds = np.empty((len(active), pair.na + pair.nb, 1))
+        bounds[:, : pair.na, 0] = np.array(budgets)[:, None]
+        bounds[:, pair.na :, 0] = np.array([lo[p] for p in active])[:, None]
+        # each round restarts from the last point of K: the iterate itself
+        # has drifted along the gap of the old Y
+        z, gap = _douglas_rachford(
+            z, lambda w: pair.project_lifted_k(w, bounds), pair.project_lifted_l, DUAL_ROUND_ITERS
+        )
+        keep = []
+        for j, (p, triple) in enumerate(zip(active, pair.lifted_certificates(gap))):
+            root = pair.frontier_root(*triple, budgets[j], lo[p])
+            if root is None:
+                continue
+            end = min(hi[p], root)
+            if end - lo[p] >= DUAL_MIN_JUMP * y_resolution and hi[p] > end + y_resolution:
+                keep.append(j)
+            lo[p] = end
+        active = [active[j] for j in keep]
+        z = z[keep]
+    return lo
+
+
 def _frontier(
     a: Povm,
     b: Povm,
@@ -480,13 +678,16 @@ def _frontier(
     nonnegative, as the callers ensure), bisected together.
 
     Each point bisects on Y with one convex feasibility query per probe,
-    from lo = the main bound's smallest Y at its X budget, less SLACK_TOL
-    and never above hi (lo = 0 unless both inputs pass `validate_povm`), to
-    hi = the Y of its better product baseline. In each round every point
-    still bisecting contributes one probe, and the round's probes run as one
-    stacked Dykstra solve whose lanes do not interact, so every point's
-    bisection equals what it would be on its own. Each point then keeps the
-    best witness of any budget up to its own.
+    from lo to hi = the Y of its better product baseline. lo starts at the
+    main bound's smallest Y at the X budget, less SLACK_TOL and never above
+    hi (0 unless both inputs pass `validate_povm`), and the dual phase
+    (`_certified_lower_ends`) raises it to what verified certificates prove;
+    that is the point's y_lower. The first probe is at
+    min(lo + y_resolution, hi), later ones at the midpoint. In each round
+    every point still bisecting contributes one probe, and the round's
+    probes run as one stacked Dykstra solve. No solve's lanes interact, so
+    every point's bracket equals what it would be on its own. Each point
+    then keeps the best witness of any budget up to its own.
     """
     _check_solve(a, b, tol, max_iter)
     if not 0 < y_resolution < math.inf:
@@ -524,18 +725,28 @@ def _frontier(
         v_a, v_b = intrinsic_uncertainty_inf(a), intrinsic_uncertainty_inf(b)
         ys = theorem1_min_y(np.array(xs), v_a, v_b, max_commutator_norm(a, b)) - SLACK_TOL
         lo = [min(h, max(0.0, y)) for h, y in zip(hi, ys.tolist())]
-    while active := [p for p in range(len(xs)) if hi[p] - lo[p] > y_resolution]:
-        mids = [(lo[p] + hi[p]) / 2 for p in active]
-        ok, f = _query(pair, [xs[p] for p in active], mids, seed, tol, max_iter)
+    lo = _certified_lower_ends(pair, xs, lo, hi, y_resolution)
+    y_lower = list(lo)
+    # the first probe sits one resolution above the certified end, so a
+    # tight end is closed by the first witness; later probes bisect. (The
+    # test is hi > lo + resolution, not hi - lo > resolution: a witness at
+    # the first probe sets hi = lo + resolution as rounded, which closes it.)
+    first = True
+    while active := [p for p in range(len(xs)) if hi[p] > lo[p] + y_resolution]:
+        probes = [
+            min(lo[p] + y_resolution, hi[p]) if first else (lo[p] + hi[p]) / 2 for p in active
+        ]
+        first = False
+        ok, f = _query(pair, [xs[p] for p in active], probes, seed, tol, max_iter)
         for j, p in enumerate(active):
             witness = pair.witness(f[j]) if ok[j] else None
             if witness is not None:
                 found = achieved(witness)
                 if found[1] <= xs[p] + WITNESS_MARGINAL_TOL:
                     best[p] = found
-                    hi[p] = min(mids[j], found[2])
+                    hi[p] = min(probes[j], found[2])
                     continue
-            lo[p] = mids[j]
+            lo[p] = probes[j]
 
     # carry the best witness forward: one that meets a smaller X budget
     # meets every larger one, so Y is nonincreasing in the budget
@@ -543,8 +754,8 @@ def _frontier(
         if best[p][2] > best[p - 1][2]:
             best[p] = best[p - 1]
     return [
-        FrontierPoint(x_target=x, x_achieved=x_w, y_achieved=y_w, witness=w)
-        for x, (w, x_w, y_w) in zip(xs, best)
+        FrontierPoint(x_target=x, x_achieved=x_w, y_achieved=y_w, witness=w, y_lower=y_l)
+        for x, (w, x_w, y_w), y_l in zip(xs, best, y_lower)
     ]
 
 
@@ -563,10 +774,12 @@ def frontier_point(
     feasibility query per probe (the one-lane case of `frontier_sweep`'s
     batched bisection). The bracket's upper end is the better of two product
     baselines, A x flat and flat x B, so budgets at or above D_inf(A, w I)
-    return Y = 0 up to rounding. Its lower end is the smallest Y the paper's
-    main bound allows at x_target, so the orthogonal sharp qubits at X = 0
-    need no probe; it is 0 for inputs that fail `validate_povm` (accepted
-    leniently), which the bound does not cover. The returned achieved values
+    return Y = 0 up to rounding. Its lower end starts at the smallest Y the
+    paper's main bound allows at x_target, so the orthogonal sharp qubits at
+    X = 0 need no solve; it is 0 for inputs that fail `validate_povm`
+    (accepted leniently), which the bound does not cover. Verified lifted
+    dual certificates then raise it, and it is returned as y_lower. The
+    first probe sits one resolution above it. The returned achieved values
     are computed from the cleaned-up witness, so they are exact properties
     of a genuine POVM whatever the solver did.
     """
@@ -586,11 +799,13 @@ def frontier_sweep(
 ) -> list[FrontierPoint]:
     """Frontier points on a uniform x_target grid over [0, x_max].
 
-    All points bisect together: each round runs the probes of every point
-    still bisecting as one stacked solve, and each point's bisection runs
-    as `frontier_point` would run it alone. The points are monotone: a
-    witness found under a smaller X budget is also valid under a larger
-    one, so it replaces any later point the solver did worse on.
+    All points run together: the dual phase runs every point whose bracket
+    is open as one lane of a stacked Douglas-Rachford solve, each bisection
+    round runs the probes of every point still bisecting as one stacked
+    solve, and each point's bracket comes out as `frontier_point` would
+    find it alone. The points are monotone: a witness found under a smaller
+    X budget is also valid under a larger one, so it replaces any later
+    point the solver did worse on; each point keeps its own y_lower.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")

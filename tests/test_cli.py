@@ -79,6 +79,7 @@ class TestPairCommands:
             raise AssertionError("solver ran on an invalid POVM")
 
         monkeypatch.setattr(feasibility, "_dykstra", no_solve)
+        monkeypatch.setattr(feasibility, "_douglas_rachford", no_solve)
         bad = save_diagonal(files["dir"] / "bad.json", INVALID_A["negative-eigenvalue"])
         out = files["dir"] / "out"
         flags = [f.format(out=out) for f in PAIR_COMMANDS[command]]
@@ -467,6 +468,7 @@ class TestFrontier:
             raise AssertionError("solver ran before its budgets were checked")
 
         monkeypatch.setattr(feasibility, "_dykstra", no_solve)
+        monkeypatch.setattr(feasibility, "_douglas_rachford", no_solve)
         out = files["dir"] / "front.csv"
         code, _, err = run(
             ["frontier", files["z"], files["x"], "--grid", "6", "--out", str(out), *flags],

@@ -404,12 +404,15 @@ class TestFrontierPoint:
 
 class TestTheorem1Bracket:
     """Each bisection starts at the main bound's contour for valid inputs and
-    at 0 for inputs that are not valid POVMs."""
+    at 0 for inputs that are not valid POVMs, raised to whatever the dual
+    phase certifies, and its first probe sits one resolution above that
+    certified end."""
 
     @staticmethod
-    def first_round(monkeypatch, a, b, x):
-        """The probe midpoints of the first round, and the point returned
-        when every probe reads infeasible."""
+    def first_round(monkeypatch, a, b, x, certify=True):
+        """The probes of the first round, and the point returned when every
+        probe reads infeasible. Without `certify`, no dual round yields a
+        certificate."""
         rounds = []
 
         def infeasible(pair, x_bounds, y_bounds, start, tol, max_iter):
@@ -417,6 +420,10 @@ class TestTheorem1Bracket:
             return [False] * len(y_bounds), None
 
         monkeypatch.setattr(feasibility, "_query", infeasible)
+        if not certify:
+            monkeypatch.setattr(
+                feasibility, "_douglas_rachford", lambda z, *args: (z, np.zeros_like(z))
+            )
         pt = frontier_point(a, b, x)
         return rounds[0], pt
 
@@ -425,16 +432,24 @@ class TestTheorem1Bracket:
             raise AssertionError("solver ran where the bound already closes the bracket")
 
         monkeypatch.setattr(feasibility, "_dykstra", no_solve)
+        monkeypatch.setattr(feasibility, "_douglas_rachford", no_solve)
         pt = frontier_point(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 0.0)
         assert pt.x_achieved == 0.0
         assert pt.y_achieved == pytest.approx(0.5, abs=1e-12)
 
     def test_valid_pair_starts_at_the_contour(self, monkeypatch):
         a, b = bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0))
-        mids, pt = self.first_round(monkeypatch, a, b, 0.1)
+        res = feasibility.FRONTIER_RESOLUTION
         lo = theorem1_min_y(0.1, 0.0, 0.0, max_commutator_norm(a, b)) - SLACK_TOL
         assert lo > 0.05
-        assert mids == [(lo + pt.y_achieved) / 2]
+        # the certified end lies above the contour (Y* = 0.2 here), and the
+        # contour alone starts the bracket when nothing is certified
+        probes, pt = self.first_round(monkeypatch, a, b, 0.1)
+        assert pt.y_lower > lo + 0.1
+        assert probes == [min(pt.y_lower + res, pt.y_achieved)]
+        probes, pt = self.first_round(monkeypatch, a, b, 0.1, certify=False)
+        assert pt.y_lower == lo
+        assert probes == [min(lo + res, pt.y_achieved)]
 
     def test_invalid_pair_starts_at_zero(self, monkeypatch):
         # A sums to diag(1.01, 1), which the CLI accepts under --lenient;
@@ -443,9 +458,16 @@ class TestTheorem1Bracket:
         assert validate_povm(a) != []
         v_a, v_b = intrinsic_uncertainty_inf(a), intrinsic_uncertainty_inf(b)
         assert theorem1_min_y(0.1, v_a, v_b, max_commutator_norm(a, b)) > 0.05
-        mids, pt = self.first_round(monkeypatch, a, b, 0.1)
+        res = feasibility.FRONTIER_RESOLUTION
+        # the lifted certificate needs no valid POVM, so it still raises
+        # the end
+        probes, pt = self.first_round(monkeypatch, a, b, 0.1)
+        assert pt.y_lower > 0.1
+        assert probes == [min(pt.y_lower + res, pt.y_achieved)]
+        probes, pt = self.first_round(monkeypatch, a, b, 0.1, certify=False)
         assert pt.y_achieved > 0.4
-        assert mids == [pt.y_achieved / 2]
+        assert pt.y_lower == 0.0
+        assert probes == [res]
 
 
 class TestSolverBudgets:
@@ -457,6 +479,7 @@ class TestSolverBudgets:
             raise AssertionError("solver ran before its budgets were checked")
 
         monkeypatch.setattr(feasibility, "_dykstra", no_solve)
+        monkeypatch.setattr(feasibility, "_douglas_rachford", no_solve)
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -590,6 +613,7 @@ class TestFrontierSweep:
             raise AssertionError("solver ran before the X budgets were checked")
 
         monkeypatch.setattr(feasibility, "_dykstra", no_solve)
+        monkeypatch.setattr(feasibility, "_douglas_rachford", no_solve)
         with pytest.raises(ValueError):
             frontier_sweep(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 6, x_max=-0.1)
 
@@ -629,3 +653,144 @@ class TestFrontierSweep:
         points.append(frontier_point(a, b, 0.5, y_resolution=res))
         for p in points:
             assert exact(p.x_achieved) - 1e-9 <= p.y_achieved <= exact(p.x_target) + res, p
+
+
+def orthogonal_qubit_frontier(x):
+    """Y(X) = (1 - sqrt(1 - (1 - 2X)^2)) / 2, the exact frontier of the
+    sharp z/x qubit pair."""
+    return (1 - math.sqrt(max(0.0, 1 - (1 - 2 * x) ** 2))) / 2
+
+
+def random_basis_pvm(rng, d, prefix):
+    u = _haar(rng, d)
+    return Povm(tuple(f"{prefix}{k}" for k in range(d)), np.einsum("ik,jk->kij", u, np.conj(u)))
+
+
+def dual_rounds(pair, x_budgets, y_budgets):
+    """Full-budget lifted Douglas-Rachford runs at fixed budgets, one lane
+    per budget pair: the dual triples read after each of the
+    DUAL_MAX_ROUNDS rounds, as lists of one triple per lane."""
+    bounds = np.empty((len(x_budgets), pair.na + pair.nb, 1))
+    bounds[:, : pair.na, 0] = np.array(x_budgets)[:, None]
+    bounds[:, pair.na :, 0] = np.array(y_budgets)[:, None]
+    z = np.repeat(pair.lifted_start()[None], len(x_budgets), axis=0)
+    rounds = []
+    for _ in range(feasibility.DUAL_MAX_ROUNDS):
+        z, gap = feasibility._douglas_rachford(
+            z,
+            lambda w: pair.project_lifted_k(w, bounds),
+            pair.project_lifted_l,
+            feasibility.DUAL_ROUND_ITERS,
+        )
+        rounds.append(pair.lifted_certificates(gap))
+    return rounds
+
+
+class TestLiftedCertificate:
+    """The frontier's dual phase: certificates of the lifted problem are
+    verified before they move a lower end, and no lower end passes a
+    witness or the closed form."""
+
+    XS = [0.1, 0.2, 0.3, 0.4]
+
+    @pytest.fixture
+    def certified(self):
+        # 1e-2 below the frontier at X = 0.2: infeasible by a wide margin
+        pair = feasibility._Pair(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)))
+        x, y = 0.2, orthogonal_qubit_frontier(0.2) - 1e-2
+        triple = dual_rounds(pair, [x], [y])[0][0]
+        return pair, x, y, triple
+
+    def test_lifted_maps_project_onto_the_affine_set(self):
+        pair = feasibility._Pair(random_povm(3, 2, 61), random_povm(3, 3, 62))
+        rng = np.random.default_rng(63)
+        r = rng.standard_normal((2, 2 * 3 + 2 + 3, 3, 3)) * (1 + 1j)
+        p = pair.project_lifted_l(r)
+        n = pair.na * pair.nb
+        f = p[:, :n].reshape(2, pair.na, pair.nb, 3, 3)
+        assert np.abs(pair.gap_a(f) - p[:, n : n + pair.na]).max() <= 1e-12
+        assert np.abs(pair.gap_b(f) - p[:, n + pair.na :]).max() <= 1e-12
+        assert np.abs(pair.gap_total(f)).max() <= 1e-12
+        assert np.abs(pair.project_lifted_l(p) - p).max() <= 1e-12
+
+    def test_never_verified_above_the_frontier(self):
+        # 1e-5 above the closed form every probe is feasible, at the budget
+        # the certificate is judged at too; no round may certify it
+        pair = feasibility._Pair(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)))
+        xs = [x + feasibility.WITNESS_MARGINAL_TOL for x in self.XS]
+        ys = [orthogonal_qubit_frontier(x) + 1e-5 for x in self.XS]
+        for triples in dual_rounds(pair, xs, ys):
+            for x, y, triple in zip(xs, ys, triples):
+                assert pair.frontier_root(*triple, x, y) is None
+
+    def test_verified_root_lies_between_probe_and_frontier(self, certified):
+        pair, x, y, triple = certified
+        root = pair.frontier_root(*triple, x, y)
+        assert root is not None
+        assert y < root <= orthogonal_qubit_frontier(x)
+
+    @pytest.mark.parametrize("mutation", ["sign-flipped", "under-shifted", "over-shifted"])
+    def test_verifier_rejects_a_mutated_triple(self, mutation, certified):
+        pair, x, y, (xs, ys, z) = certified
+        root = pair.frontier_root(xs, ys, z, x, y)
+        value = root - y  # > 0, a scale for the mutations
+        if mutation == "sign-flipped":
+            xs, ys, z = -xs, -ys, -z
+        elif mutation == "under-shifted":
+            # Z lowered below PSD: the value drops but X_a + Y_b + Z is
+            # indefinite
+            z = z - 1e-3 * value * np.eye(2)
+        else:
+            # Z raised: X_a + Y_b + Z stays PSD but the value turns positive
+            slope = sum(np.abs(np.linalg.eigvalsh(yb)).sum() for yb in ys)
+            z = z + slope * value * np.eye(2)
+        assert pair.frontier_root(xs, ys, z, x, y) is None
+
+    def test_verifier_rejects_a_value_at_rounding_level(self):
+        # X_a = -s I, Y_b = s I and Z = 0 give X_a + Y_b + Z = 0 and, at
+        # zero budgets, the value s (sum tr B_b - sum tr A_a): zero for a
+        # valid pair but for rounding; s takes the sign that makes it read
+        # negative
+        checked = 0
+        for seed in range(70, 80):
+            pair = feasibility._Pair(*joint_marginals(seed, 0.1))
+            eye = np.stack([np.eye(2, dtype=complex)] * 2)
+            trace_a = np.einsum("aij,aji->", eye, pair.ea).real
+            value = np.einsum("bij,bji->", eye, pair.eb).real - trace_a
+            if value != 0:
+                s = -1024 * np.sign(value)
+                assert pair.frontier_root(-s * eye, s * eye, 0 * eye[0], 0.0, 0.0) is None
+                checked += 1
+        assert checked >= 1
+
+    def test_qubit_sweep_lower_ends_bracket_the_frontier(self):
+        a, b = bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0))
+        for p in frontier_sweep(a, b, 6, y_resolution=1e-4):
+            assert p.y_lower <= orthogonal_qubit_frontier(p.x_target)
+            assert p.y_lower <= p.y_achieved
+            # one resolution, and the witness may overshoot its probe by
+            # the solver's tolerance
+            assert p.y_achieved - p.y_lower <= 1e-4 + 1e-6
+
+    def test_qutrit_lower_end_stays_below_the_witness(self):
+        # the first two random-basis qutrit PVMs of seed 7, where the dual
+        # bound stalls below the best witness
+        rng = np.random.default_rng(7)
+        a, b = random_basis_pvm(rng, 3, "a"), random_basis_pvm(rng, 3, "b")
+        pt = frontier_point(a, b, 0.1, y_resolution=1e-2)
+        assert 0.0 < pt.y_lower <= pt.y_achieved
+
+    def test_qubit_sweep_needs_at_most_two_probe_rounds(self, monkeypatch):
+        # a deterministic count, not a timing: the certified ends and the
+        # first probe one resolution above them close every bracket of the
+        # 6-point sweep within two stacked solves (12 without the dual phase)
+        rounds = []
+        real = feasibility._query
+
+        def counting(*args, **kwargs):
+            rounds.append(len(args[1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(feasibility, "_query", counting)
+        frontier_sweep(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 6, y_resolution=1e-4)
+        assert len(rounds) <= 2
