@@ -7,20 +7,21 @@ x -> (f_A(x), f_B(x)) to one on the product outcome set with the same
 marginals, so the search space is fixed to product outcomes with coordinate
 projections.
 
-The feasibility engine is Dykstra's alternating-projection scheme (plain
+Two iterations search these sets, each set with a closed-form orthogonal
+projection. A joint-measurability check runs Douglas-Rachford splitting
+(Lions & Mercier 1979) between the product PSD cone and the affine set of
+correct marginals. A frontier probe runs cyclic Dykstra projections (plain
 alternating projections can cycle; Dykstra converges to the projection onto
-the intersection). The constraint sets, each with a closed-form orthogonal
-projection, are the product PSD cone and affine or spectrally-clipped
-marginal constraints. One private `_Pair` describes them for both solves:
-it holds the product labels and the Hermitian targets, writes every
-marginal constraint through the gaps marg_A(F) - A, marg_B(F) - B and
-sum(F) - I, and provides the projections, the seeds and the cleanup and
-POVM check that every witness passes; the solver itself ends every cycle
-with the PSD projection. The solver is lane-stacked: axis 0 of its iterate
-indexes independent problems, each stopping on its own. A joint-measurability
-check is one lane; a frontier sweep runs the bisection probes of all its grid
-points together, one lane per point, so each projection is one stacked
-eigendecomposition instead of one per point.
+the intersection) onto the PSD cone and affine or spectrally-clipped
+marginal constraints, and ends every cycle with the PSD projection. One
+private `_Pair` describes the sets for both: it holds the product labels
+and the Hermitian targets, writes every marginal constraint through the gaps
+marg_A(F) - A, marg_B(F) - B and sum(F) - I, and provides the projections,
+the seeds and the cleanup and POVM check that every witness passes. Both
+iterations are lane-stacked: axis 0 of an iterate may index independent
+problems, and each acts on every lane alone. A frontier sweep runs the
+bisection probes of all its grid points together, one lane per point, so
+each projection is one stacked eigendecomposition instead of one per point.
 
 Each frontier point brackets Y. The upper end is the better of two product
 baselines. The lower end starts at the paper's main bound, solved for Y at
@@ -35,15 +36,16 @@ witness.
 
 `infeasible` has two sources. The analytic screen is the paper's necessary
 condition sqrt(V(A) V(B)) >= (1/2) max ||[A_a, B_b]||. The dual certificate
-is read off the Dykstra gap: for an infeasible pair the PSD iterate minus its
-projection onto the marginal constraints tends to the minimal displacement
-vector (Bauschke & Borwein 1994), X_a + Y_b, a Farkas certificate of the SDP
-dual (Wolf, Perez-Garcia & Fernandez 2009) once shifted to be positive. Every
-certificate is re-verified from (X, Y) and the targets alone before it
-counts. A solve that neither converges to a verified witness nor yields a
-verified certificate reports `undecided` with its residual. The frontier's
-lifted certificates (X, Y, Z) are re-verified the same way before they move
-a lower end.
+is read off the Douglas-Rachford gap: for an infeasible pair the gap between
+the PSD point and the marginal point of a step tends to the minimal
+displacement vector between the sets (Bauschke, Hare & Moursi 2016; Banjac,
+Goulart, Stellato & Boyd 2019), X_a + Y_b, a Farkas certificate of the SDP
+dual (Wolf, Perez-Garcia & Fernandez 2009) once shifted to be positive.
+Every certificate is re-verified from (X, Y) and the targets alone before it
+counts. A check stops for one of three reasons: a verified witness, a
+verified certificate, or an exhausted iteration budget, which it reports as
+`undecided` with its residual. The frontier's lifted certificates (X, Y, Z)
+are re-verified the same way before they move a lower end.
 """
 
 from __future__ import annotations
@@ -66,13 +68,9 @@ from .distances import D_inf
 from .povm import Povm, intrinsic_uncertainty_inf, validate_povm
 from .smearing import coordinate_maps
 
-# Solver defaults. The stagnation rule declares a solve stuck when the best
-# residual improves by less than STAGNATION_EPS over STAGNATION_WINDOW
-# consecutive iterations.
+# Solver defaults.
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 5000
-STAGNATION_WINDOW = 500
-STAGNATION_EPS = 1e-12
 
 # Frontier defaults: sweep range, Y resolution, and each probe's solver budget.
 FRONTIER_X_MAX = 0.5
@@ -84,9 +82,10 @@ FRONTIER_MAX_ITER = 2000
 WITNESS_VALIDATE_TOL = 1e-7
 WITNESS_MARGINAL_TOL = 1e-6
 
-# check-joint tries the dual certificate every CERTIFY_EVERY iterations. Its
-# re-check allows CERTIFICATE_ULPS machine epsilons per rounding bound.
-CERTIFY_EVERY = 50
+# check-joint looks for a witness and a dual certificate every CERTIFY_EVERY
+# iterations. The certificate's re-check allows CERTIFICATE_ULPS machine
+# epsilons per rounding bound.
+CERTIFY_EVERY = 10
 CERTIFICATE_ULPS = 64
 
 # The frontier's dual phase runs rounds of DUAL_ROUND_ITERS Douglas-Rachford
@@ -107,8 +106,8 @@ class FeasibilityResult:
     certificate is kept in `certificate` as the pair (X, Y), shapes
     (n_A, d, d) and (n_B, d, d), with every X_a + Y_b positive semidefinite
     and sum tr(X_a A_a) + sum tr(Y_b B_b) < 0. `undecided` means neither a
-    verified witness nor a certificate was found before the residual
-    stagnated or the iteration budget ran out.
+    verified witness nor a certificate was found before the iteration
+    budget ran out.
     """
 
     status: str  # "feasible" | "infeasible" | "undecided"
@@ -222,9 +221,11 @@ class _Pair:
         no joint observable exists, else None.
 
         X_a + Y_b is k_ab minus its projection onto the marginal
-        constraints, shifted by t = max(0, -min lambda_min(X_a + Y_b)) on X
-        so that every X_a + Y_b is PSD; the shift adds t sum tr(A_a) to the
-        value. Only a pair that passes `verify` is returned.
+        constraints (after a Douglas-Rachford step, also the normal part of
+        the gap k - l, since l meets the marginals), shifted by
+        t = max(0, -min lambda_min(X_a + Y_b)) on X so that every X_a + Y_b
+        is PSD; the shift adds t sum tr(A_a) to the value. Only a pair that
+        passes `verify` is returned.
         """
         rt = self.gap_total(k)[:, None] / (2 * self.na * self.nb)
         x = self.gap_a(k) / self.nb - rt
@@ -383,96 +384,60 @@ def _act_on_rows(m: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _douglas_rachford(
     z: np.ndarray, project_k, project_l, iterations: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`iterations` lane-stacked Douglas-Rachford steps
     z <- z + P_L(2k - z) - k, with k = P_K(z), for a convex set K and an
-    affine set L (Lions & Mercier 1979). Returns k and the gap k - l of the
-    last step. The gap tends to the minimal displacement vector between the
-    sets (Bauschke, Hare & Moursi 2016): zero when they meet, and a
-    separating (Farkas) direction when they do not. Every operation acts on
-    each lane alone."""
+    affine set L (Lions & Mercier 1979). Returns z, and k and the gap k - l
+    of the last step. The gap tends to the minimal displacement vector
+    between the sets (Bauschke, Hare & Moursi 2016): zero when they meet,
+    and a separating (Farkas) direction when they do not. Every operation
+    acts on each lane alone."""
     for _ in range(iterations):
         k = project_k(z)
         gap = k - project_l(2 * k - z)
         z = z - gap
-    return k, gap
+    return z, k, gap
 
 
 def _dykstra(
-    start: np.ndarray,
-    projections,
-    residual_fn,
-    tol: float,
-    max_iter: int,
-    certify=None,
-) -> tuple[np.ndarray, list[float], list[int], list[bool], list]:
+    start: np.ndarray, projections, residual_fn, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Lane-stacked cyclic Dykstra iteration.
 
     Axis 0 of `start` indexes independent problems (lanes). Every projection
     and `residual_fn` is called as `fn(x, lanes)`, where row j of x belongs
     to the original lane `lanes[j]`, so per-lane parameters are sliced with
-    `lanes`; `residual_fn` returns one residual per row. If given,
-    `certify(x, lanes)` runs every CERTIFY_EVERY iterations and returns one
-    infeasibility certificate or None per row. Each lane stops on its own
-    (residual <= tol, a certificate, stagnation, or max_iter) and then
-    leaves the stack with its iterate, residual and iteration count frozen.
-    A lane's arithmetic is the same as if it ran alone.
+    `lanes`; `residual_fn` returns one residual per row. A lane stops at
+    residual <= tol, leaving the stack with its iterate frozen, or at
+    max_iter. A lane's arithmetic is the same as if it ran alone.
 
     Each cycle ends with the PSD-cone projection, so the iterates handed to
-    `residual_fn` and `certify` (and returned) are always positive
-    semidefinite. Returns (iterates, residuals, iterations, converged,
-    certificates), the last four with one entry per lane.
+    `residual_fn` (and returned) are always positive semidefinite. Returns
+    the iterates and, per lane, whether it converged.
     """
     projections = [*projections, lambda f, lanes: linalg.project_psd_stack(f)]
-    n = start.shape[0]
     out = start.copy()
     x = start
     corrections = [np.zeros_like(x) for _ in projections]
-    lanes = np.arange(n)
-    lane_list = lanes.tolist()
-    # per-lane stagnation bookkeeping in Python floats: cheaper than masks
-    # for the few lanes a stack holds
-    best = [math.inf] * n
-    best_at = [0] * n
-    residuals = [math.inf] * n
-    iterations = [max_iter] * n
-    converged = [False] * n
-    certificates = [None] * n
-    for it in range(1, max_iter + 1):
+    lanes = np.arange(start.shape[0])
+    converged = np.zeros(start.shape[0], dtype=bool)
+    for _ in range(max_iter):
         for i, proj in enumerate(projections):
             shifted = x + corrections[i]
             y = proj(shifted, lanes)
             corrections[i] = shifted - y
             x = y
-        found = certify(x, lanes) if certify is not None and it % CERTIFY_EVERY == 0 else None
-        keep = []
-        for j, (lane, r) in enumerate(zip(lane_list, residual_fn(x, lanes).tolist())):
-            residuals[lane] = r
-            if r <= tol:
-                converged[lane] = True
-            elif found is not None and found[j] is not None:
-                certificates[lane] = found[j]
-            elif r < best[lane] - STAGNATION_EPS:
-                best[lane] = r
-                best_at[lane] = it
-            if (
-                converged[lane]
-                or certificates[lane] is not None
-                or it - best_at[lane] >= STAGNATION_WINDOW
-            ):
-                out[lane] = x[j]
-                iterations[lane] = it
-            else:
-                keep.append(j)
-        if not keep:
-            return out, residuals, iterations, converged, certificates
-        if len(keep) < len(lane_list):
-            x = x[keep]
-            corrections = [c[keep] for c in corrections]
-            lanes = lanes[keep]
-            lane_list = lanes.tolist()
+        done = residual_fn(x, lanes) <= tol
+        if done.any():
+            out[lanes[done]] = x[done]
+            converged[lanes[done]] = True
+            if done.all():
+                return out, converged
+            x = x[~done]
+            corrections = [c[~done] for c in corrections]
+            lanes = lanes[~done]
     out[lanes] = x
-    return out, residuals, iterations, converged, certificates
+    return out, converged
 
 
 def check_joint_measurability(
@@ -484,10 +449,14 @@ def check_joint_measurability(
     """Decide whether A and B admit a joint observable with both as exact
     marginals.
 
-    Runs the analytic infeasibility screen first, then Dykstra projections
+    Runs the analytic infeasibility screen first, then Douglas-Rachford
     between the product PSD cone and the affine set of correct marginals,
-    trying the dual certificate every CERTIFY_EVERY iterations and once more
-    on the final iterate of a solve that found no witness.
+    from the symmetrized-product seed, in rounds of CERTIFY_EVERY iterations
+    (the last cut at max_iter). After each round the PSD point k is cleaned
+    into a witness if its marginal residual is within tol, and otherwise
+    (or if that witness fails verification) read for a dual certificate.
+    Returns the first witness or certificate that passes verification, or
+    `undecided` at max_iter.
     """
     _check_solve(a, b, tol, max_iter)
     screen = check_corollary_joint(a, b)
@@ -507,17 +476,15 @@ def check_joint_measurability(
 
     pair = _Pair(a, b)
 
-    def residual(f: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        gaps = np.concatenate([pair.gap_a(f), pair.gap_b(f)], axis=1)
-        return linalg.herm_norm_stack(gaps).max(axis=1)
+    def deviation(f: np.ndarray) -> float:
+        """The largest marginal deviation of one (n_A, n_B, d, d) iterate."""
+        return float(linalg.herm_norm_stack(np.concatenate([pair.gap_a(f), pair.gap_b(f)])).max())
 
     def finish_feasible(f: np.ndarray, iters: int) -> FeasibilityResult | None:
         witness = pair.witness(f)
         if witness is None:
             return None
-        arr = witness.elements.reshape(f.shape)
-        gaps = (pair.gap_a(arr), pair.gap_b(arr))
-        dev = max(float(linalg.herm_norm_stack(g).max()) for g in gaps)
+        dev = deviation(witness.elements.reshape(f.shape))
         if dev > WITNESS_MARGINAL_TOL:
             return None
         return FeasibilityResult(
@@ -529,40 +496,33 @@ def check_joint_measurability(
             screen_report=screen,
         )
 
-    f0 = pair.product_seed()[None]
-    if residual(f0, None)[0] <= tol:
-        result = finish_feasible(f0[0], 0)
-        if result is not None:
-            return result
+    z = pair.product_seed()
+    if deviation(z) <= tol and (result := finish_feasible(z, 0)) is not None:
+        return result
 
-    f_final, res, iters, converged, certificates = _dykstra(
-        f0,
-        [lambda f, lanes: pair.project_marginals(f)],
-        residual,
-        tol,
-        max_iter,
-        certify=lambda f, lanes: pair.certificate(f),
-    )
-    res, iters, converged = res[0], iters[0], converged[0]
-    if converged:
-        result = finish_feasible(f_final[0], iters)
-        if result is not None:
+    iters = 0
+    while iters < max_iter:
+        steps = min(CERTIFY_EVERY, max_iter - iters)
+        z, k, _ = _douglas_rachford(z, linalg.project_psd_stack, pair.project_marginals, steps)
+        iters += steps
+        res = deviation(k)
+        if res <= tol and (result := finish_feasible(k, iters)) is not None:
             return result
-    certificate = certificates[0] or pair.certificate(f_final)[0]
-    if certificate is not None:
-        x, y, value = certificate
-        return FeasibilityResult(
-            status="infeasible",
-            witness=None,
-            residual=res,
-            iterations=iters,
-            certificate_note=(
-                f"dual certificate from the Dykstra gap: sum tr(X_a A_a) + sum tr(Y_b B_b) "
-                f"= {value:.6g} < 0 with every X_a + Y_b >= 0"
-            ),
-            screen_report=screen,
-            certificate=(x, y),
-        )
+        certificate = pair.certificate(k[None])[0]
+        if certificate is not None:
+            x, y, value = certificate
+            return FeasibilityResult(
+                status="infeasible",
+                witness=None,
+                residual=res,
+                iterations=iters,
+                certificate_note=(
+                    "dual certificate from the Douglas-Rachford gap: sum tr(X_a A_a) + "
+                    f"sum tr(Y_b B_b) = {value:.6g} < 0 with every X_a + Y_b >= 0"
+                ),
+                screen_report=screen,
+                certificate=(x, y),
+            )
     return FeasibilityResult(
         status="undecided",
         witness=None,
@@ -570,8 +530,7 @@ def check_joint_measurability(
         iterations=iters,
         certificate_note=(
             "neither the screen nor a dual certificate decided; projection residual "
-            f"{res:.3e} after {iters} iterations "
-            + ("(converged witness failed verification)" if converged else "(stalled or budget exhausted)")
+            f"{res:.3e} after {iters} iterations (budget exhausted)"
         ),
         screen_report=screen,
     )
@@ -587,7 +546,7 @@ def _query(
     start: np.ndarray,
     tol: float,
     max_iter: int,
-) -> tuple[list[bool], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """For each lane j: is there a product-outcome POVM with A-marginal
     within x_bounds[j] and B-marginal within y_bounds[j] of the targets
     (operator-norm intervals)? Every lane starts from `start`; returns the
@@ -604,7 +563,7 @@ def _query(
         gaps = np.concatenate([pair.gap_total(f)[:, None], pair.gap_a(f), pair.gap_b(f)], axis=1)
         return (linalg.herm_norm_stack(gaps) - bounds[lanes]).max(axis=1)
 
-    f, _, _, converged, _ = _dykstra(
+    f, converged = _dykstra(
         np.repeat(start[None], n, axis=0),
         [
             lambda f, lanes: pair.project_total(f),
@@ -649,7 +608,7 @@ def _certified_lower_ends(
         bounds[:, pair.na :, 0] = np.array([lo[p] for p in active])[:, None]
         # each round restarts from the last point of K: the iterate itself
         # has drifted along the gap of the old Y
-        z, gap = _douglas_rachford(
+        _, z, gap = _douglas_rachford(
             z, lambda w: pair.project_lifted_k(w, bounds), pair.project_lifted_l, DUAL_ROUND_ITERS
         )
         keep = []

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from jointmeas import feasibility
+from jointmeas import feasibility, linalg
 from jointmeas.bounds import check_corollary_pvm_instrument, check_theorem2
 from jointmeas.cli import _print_report, cli_dispatch
 from jointmeas.io import load_povm, load_state, save_povm
@@ -325,6 +325,22 @@ class TestCheckJoint:
         assert violations == []
         assert len(loaded.outcomes) == 4
 
+    def test_boundary_pair_feasible(self, files, capsys):
+        # the marginals of a random rank-one four-outcome qubit POVM
+        # (`joint_marginals(13, 0.0)` of test_feasibility.py): jointly
+        # measurable, on the boundary, where the joint observable is unique
+        rng = np.random.default_rng(13)
+        v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        f = linalg.renormalize(np.einsum("ki,kj->kij", v, np.conj(v)), 1e-12).reshape(2, 2, 2, 2)
+        paths = [files["dir"] / "a13.json", files["dir"] / "b13.json"]
+        save_povm(Povm(("a0", "a1"), f.sum(axis=1)), paths[0])
+        save_povm(Povm(("b0", "b1"), f.sum(axis=0)), paths[1])
+        witness = files["dir"] / "w13.json"
+        code, out, _ = run(["check-joint", *map(str, paths), "--witness-out", str(witness)], capsys)
+        assert code == 0
+        assert "status = feasible" in out.splitlines()
+        assert load_povm(witness)[1] == []
+
     def test_infeasible_exits_one(self, files, capsys):
         code, out, _ = run(["check-joint", files["nz72"], files["nx72"]], capsys)
         assert code == 1
@@ -370,7 +386,7 @@ class TestCheckJoint:
         def no_solve(*args, **kwargs):
             raise AssertionError("solver ran before its budgets were checked")
 
-        monkeypatch.setattr(feasibility, "_dykstra", no_solve)
+        monkeypatch.setattr(feasibility, "_douglas_rachford", no_solve)
         out = files["dir"] / "w.json"
         code, stdout, err = run(
             ["check-joint", files["nz70"], files["nx70"], "--tol", "nan",
