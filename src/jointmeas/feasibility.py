@@ -30,9 +30,12 @@ valid POVMs, outside the inequality's premise). A dual phase then raises it:
 Douglas-Rachford rounds on a lifted form of the probe problem, with one lane
 per point, yield Farkas certificates whose value is affine in Y, so each
 verified certificate proves a whole interval of Y unreachable and the lower
-end jumps to its root. The bisection that follows probes first one
-resolution above that certified end, so a tight end is closed by one
-witness.
+end jumps to its root. The same rounds lower the upper end for free: each
+lane's last point of the lifted cone holds a PSD candidate F, cleaned into a
+witness and, where it overshoots the X budget, mixed with the A x flat
+baseline just enough to meet it. Where the certified end is tight, that
+witness closes the bracket. A bracket still open is bisected, probing first
+one resolution above its certified end.
 
 `infeasible` has two sources. The analytic screen is the paper's necessary
 condition sqrt(V(A) V(B)) >= (1/2) max ||[A_a, B_b]||. The dual certificate
@@ -125,7 +128,9 @@ class FrontierPoint:
     an X budget, with the witness achieving it, and y_lower, a certified
     lower end: no POVM within the X budget has a Y below it. y_lower is the
     larger of the main bound's contour (for valid POVMs) and the best root
-    of a verified lifted dual certificate."""
+    of a verified lifted dual certificate. The witness is the best of the
+    product baselines, the dual phase's cleaned primal point and any
+    bisection probe; y_achieved - y_lower is the certified error."""
 
     x_target: float
     x_achieved: float
@@ -583,7 +588,7 @@ def _certified_lower_ends(
     lo: list[float],
     hi: list[float],
     y_resolution: float,
-) -> list[float]:
+) -> tuple[list[float], list[np.ndarray | None]]:
     """Raise each lower end lo[p] that lies more than y_resolution below
     hi[p] to what verified lifted dual certificates prove.
 
@@ -595,9 +600,14 @@ def _certified_lower_ends(
     above hi[p]) and the lane goes on at the new Y. A lane stops when its
     certificate fails, when its end moves by less than DUAL_MIN_JUMP
     resolutions or closes the bracket, or after DUAL_MAX_ROUNDS rounds.
+
+    Returns the lower ends and, per point, the F rows of its lane's last
+    point of K, shape (n_A, n_B, d, d): a PSD candidate that sits near the
+    frontier once the certified end is tight (None for points never run).
     """
     lo = list(lo)
     active = [p for p in range(len(xs)) if hi[p] > lo[p] + y_resolution]
+    points: list[np.ndarray | None] = [None] * len(xs)
     z = np.repeat(pair.lifted_start()[None], len(active), axis=0)
     for _ in range(DUAL_MAX_ROUNDS):
         if not active:
@@ -613,6 +623,7 @@ def _certified_lower_ends(
         )
         keep = []
         for j, (p, triple) in enumerate(zip(active, pair.lifted_certificates(gap))):
+            points[p] = z[j, : pair.na * pair.nb].reshape(pair.na, pair.nb, pair.d, pair.d)
             root = pair.frontier_root(*triple, budgets[j], lo[p])
             if root is None:
                 continue
@@ -622,7 +633,7 @@ def _certified_lower_ends(
             lo[p] = end
         active = [active[j] for j in keep]
         z = z[keep]
-    return lo
+    return lo, points
 
 
 def _frontier(
@@ -634,19 +645,25 @@ def _frontier(
     max_iter: int,
 ) -> list[FrontierPoint]:
     """Frontier points for the X budgets `xs` (ascending, finite and
-    nonnegative, as the callers ensure), bisected together.
+    nonnegative, as the callers ensure), bracketed together.
 
-    Each point bisects on Y with one convex feasibility query per probe,
-    from lo to hi = the Y of its better product baseline. lo starts at the
-    main bound's smallest Y at the X budget, less SLACK_TOL and never above
-    hi (0 unless both inputs pass `validate_povm`), and the dual phase
-    (`_certified_lower_ends`) raises it to what verified certificates prove;
-    that is the point's y_lower. The first probe is at
-    min(lo + y_resolution, hi), later ones at the midpoint. In each round
-    every point still bisecting contributes one probe, and the round's
-    probes run as one stacked Dykstra solve. No solve's lanes interact, so
-    every point's bracket equals what it would be on its own. Each point
-    then keeps the best witness of any budget up to its own.
+    Each point's bracket runs from lo to hi = the Y of its better product
+    baseline. lo starts at the main bound's smallest Y at the X budget, less
+    SLACK_TOL and never above hi (0 unless both inputs pass
+    `validate_povm`), and the dual phase (`_certified_lower_ends`) raises it
+    to what verified certificates prove; that is the point's y_lower. The
+    dual phase's last point of K then gives each point it ran a witness
+    candidate: cleaned by `_Pair.witness`, mixed with the cleaned A x flat
+    baseline at weight t = 1 - x / X_W if its X_W overshoots the budget x,
+    and cleaned again. It lowers hi if it meets the budget within
+    WITNESS_MARGINAL_TOL and beats the baseline. Brackets still wider than
+    y_resolution are bisected on Y with one convex feasibility query per
+    probe: the first at min(lo + y_resolution, hi), later ones at the
+    midpoint. In each round every point still bisecting contributes one
+    probe, and the round's probes run as one stacked Dykstra solve. No
+    solve's lanes interact, so every point's bracket equals what it would be
+    on its own. Each point then keeps the best witness of any budget up to
+    its own.
     """
     _check_solve(a, b, tol, max_iter)
     if not 0 < y_resolution < math.inf:
@@ -663,7 +680,8 @@ def _frontier(
     # as its A-marginal (any budget); its mirror, a flat weight tensored with
     # B, has B itself as its B-marginal (budgets >= D_inf(A, w I)). Only
     # invalid inputs, accepted leniently, can leave a budget with neither.
-    baselines = [achieved(w) for f in pair.flat_seeds() if (w := pair.witness(f)) is not None]
+    flat = [pair.witness(f) for f in pair.flat_seeds()]
+    baselines = [achieved(w) for w in flat if w is not None]
     best = []
     for x in xs:
         fits = [bl for bl in baselines if bl[1] <= x + WITNESS_MARGINAL_TOL]
@@ -684,8 +702,25 @@ def _frontier(
         v_a, v_b = intrinsic_uncertainty_inf(a), intrinsic_uncertainty_inf(b)
         ys = theorem1_min_y(np.array(xs), v_a, v_b, max_commutator_norm(a, b)) - SLACK_TOL
         lo = [min(h, max(0.0, y)) for h, y in zip(hi, ys.tolist())]
-    lo = _certified_lower_ends(pair, xs, lo, hi, y_resolution)
+    lo, points = _certified_lower_ends(pair, xs, lo, hi, y_resolution)
     y_lower = list(lo)
+    # the dual phase's last point of K is a witness candidate for free. One
+    # that overshoots the X budget is mixed with A x flat, whose A-marginal
+    # is exactly A: weight t = 1 - x / X_W scales every A-side gap by 1 - t
+    # and raises Y by at most t (Y_flat - Y_W)
+    for p, f in enumerate(points):
+        if f is None or (witness := pair.witness(f)) is None:
+            continue
+        found = achieved(witness)
+        if found[1] > xs[p] and flat[0] is not None:
+            t = 1 - xs[p] / found[1]
+            mix = (1 - t) * witness.elements + t * flat[0].elements
+            if (witness := pair.witness(mix.reshape(f.shape))) is None:
+                continue
+            found = achieved(witness)
+        if found[1] <= xs[p] + WITNESS_MARGINAL_TOL and found[2] < best[p][2]:
+            best[p] = found
+            hi[p] = found[2]
     # the first probe sits one resolution above the certified end, so a
     # tight end is closed by the first witness; later probes bisect. (The
     # test is hi > lo + resolution, not hi - lo > resolution: a witness at
@@ -729,16 +764,18 @@ def frontier_point(
     """Best found B-side accuracy given an A-side budget.
 
     Minimizes Y = D_inf(B, marg_B(F)) over product-outcome POVMs F subject to
-    D_inf(A, marg_A(F)) <= x_target, by bisecting on Y with one convex
-    feasibility query per probe (the one-lane case of `frontier_sweep`'s
-    batched bisection). The bracket's upper end is the better of two product
-    baselines, A x flat and flat x B, so budgets at or above D_inf(A, w I)
-    return Y = 0 up to rounding. Its lower end starts at the smallest Y the
-    paper's main bound allows at x_target, so the orthogonal sharp qubits at
-    X = 0 need no solve; it is 0 for inputs that fail `validate_povm`
-    (accepted leniently), which the bound does not cover. Verified lifted
-    dual certificates then raise it, and it is returned as y_lower. The
-    first probe sits one resolution above it. The returned achieved values
+    D_inf(A, marg_A(F)) <= x_target (the one-lane case of `frontier_sweep`).
+    The bracket's upper end starts at the better of two product baselines,
+    A x flat and flat x B, so budgets at or above D_inf(A, w I) return
+    Y = 0 up to rounding. Its lower end starts at the smallest Y the paper's
+    main bound allows at x_target, so the orthogonal sharp qubits at X = 0
+    need no solve; it is 0 for inputs that fail `validate_povm` (accepted
+    leniently), which the bound does not cover. Verified lifted dual
+    certificates then raise it, and it is returned as y_lower. The same dual
+    rounds end at a primal point that, cleaned and mixed with A x flat to
+    meet the budget, closes the bracket where y_lower is tight; a bracket
+    still open is bisected on Y with one convex feasibility query per probe,
+    the first one resolution above y_lower. The returned achieved values
     are computed from the cleaned-up witness, so they are exact properties
     of a genuine POVM whatever the solver did.
     """
@@ -759,10 +796,11 @@ def frontier_sweep(
     """Frontier points on a uniform x_target grid over [0, x_max].
 
     All points run together: the dual phase runs every point whose bracket
-    is open as one lane of a stacked Douglas-Rachford solve, each bisection
-    round runs the probes of every point still bisecting as one stacked
-    solve, and each point's bracket comes out as `frontier_point` would
-    find it alone. The points are monotone: a witness found under a smaller
+    is open as one lane of a stacked Douglas-Rachford solve, whose last
+    primal points give each lane a witness candidate; each bisection round
+    runs the probes of every point still open as one stacked solve, and
+    each point's bracket comes out as `frontier_point` would find it
+    alone. The points are monotone: a witness found under a smaller
     X budget is also valid under a larger one, so it replaces any later
     point the solver did worse on; each point keeps its own y_lower.
     """

@@ -402,12 +402,13 @@ class TestFrontierPoint:
 class TestTheorem1Bracket:
     """Each bisection starts at the main bound's contour for valid inputs and
     at 0 for inputs that are not valid POVMs, raised to whatever the dual
-    phase certifies, and its first probe sits one resolution above that
-    certified end."""
+    phase certifies; the dual phase's last point of K may close it, and
+    otherwise its first probe sits one resolution above that certified
+    end."""
 
     @staticmethod
-    def first_round(monkeypatch, a, b, x, certify=True):
-        """The probes of the first round, and the point returned when every
+    def probe_rounds(monkeypatch, a, b, x, certify=True):
+        """The probes of every round, and the point returned when every
         probe reads infeasible. Without `certify`, no dual round yields a
         certificate."""
         rounds = []
@@ -422,7 +423,7 @@ class TestTheorem1Bracket:
                 feasibility, "_douglas_rachford", lambda z, *args: (z, z, np.zeros_like(z))
             )
         pt = frontier_point(a, b, x)
-        return rounds[0], pt
+        return rounds, pt
 
     def test_orthogonal_qubits_at_zero_budget_need_no_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -439,14 +440,15 @@ class TestTheorem1Bracket:
         res = feasibility.FRONTIER_RESOLUTION
         lo = theorem1_min_y(0.1, 0.0, 0.0, max_commutator_norm(a, b)) - SLACK_TOL
         assert lo > 0.05
-        # the certified end lies above the contour (Y* = 0.2 here), and the
-        # contour alone starts the bracket when nothing is certified
-        probes, pt = self.first_round(monkeypatch, a, b, 0.1)
+        # the certified end lies above the contour (Y* = 0.2 here) and the
+        # dual phase's own primal point closes the bracket without a probe;
+        # the contour alone starts the bracket when nothing is certified
+        rounds, pt = self.probe_rounds(monkeypatch, a, b, 0.1)
         assert pt.y_lower > lo + 0.1
-        assert probes == [min(pt.y_lower + res, pt.y_achieved)]
-        probes, pt = self.first_round(monkeypatch, a, b, 0.1, certify=False)
+        assert rounds == []
+        rounds, pt = self.probe_rounds(monkeypatch, a, b, 0.1, certify=False)
         assert pt.y_lower == lo
-        assert probes == [min(lo + res, pt.y_achieved)]
+        assert rounds[0] == [min(lo + res, pt.y_achieved)]
 
     def test_invalid_pair_starts_at_zero(self, monkeypatch):
         # A sums to diag(1.01, 1), which the CLI accepts under --lenient;
@@ -458,13 +460,13 @@ class TestTheorem1Bracket:
         res = feasibility.FRONTIER_RESOLUTION
         # the lifted certificate needs no valid POVM, so it still raises
         # the end
-        probes, pt = self.first_round(monkeypatch, a, b, 0.1)
+        rounds, pt = self.probe_rounds(monkeypatch, a, b, 0.1)
         assert pt.y_lower > 0.1
-        assert probes == [min(pt.y_lower + res, pt.y_achieved)]
-        probes, pt = self.first_round(monkeypatch, a, b, 0.1, certify=False)
+        assert rounds[0] == [min(pt.y_lower + res, pt.y_achieved)]
+        rounds, pt = self.probe_rounds(monkeypatch, a, b, 0.1, certify=False)
         assert pt.y_achieved > 0.4
         assert pt.y_lower == 0.0
-        assert probes == [res]
+        assert rounds[0] == [res]
 
 
 class TestSolverBudgets:
@@ -636,19 +638,11 @@ class TestFrontierSweep:
             assert p.y_achieved == alone.y_achieved
 
     def test_orthogonal_qubits_match_closed_form(self):
-        # Y(X) = (1 - sqrt(1 - (1 - 2X)^2)) / 2 for the sharp z/x pair. No
-        # POVM lies below it at the X it achieves, and the solver should come
-        # within its resolution of it at the X budget. X = 0.45 is left out:
-        # stalled feasible probes near Y = 0.0025 leave it 7e-3 above.
-        def exact(x):
-            return (1 - math.sqrt(max(0.0, 1 - (1 - 2 * x) ** 2))) / 2
-
-        a = bloch_pvm((0, 0, 1))
-        b = bloch_pvm((1, 0, 0))
+        # no POVM lies below the closed form at the X it achieves, and the
+        # solver should come within its resolution of it at the X budget
+        exact = orthogonal_qubit_frontier
         res = 1e-3
-        points = frontier_sweep(a, b, 9, x_max=0.4, y_resolution=res)
-        points.append(frontier_point(a, b, 0.5, y_resolution=res))
-        for p in points:
+        for p in frontier_sweep(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 11, y_resolution=res):
             assert exact(p.x_achieved) - 1e-9 <= p.y_achieved <= exact(p.x_target) + res, p
 
 
@@ -661,6 +655,19 @@ def orthogonal_qubit_frontier(x):
 def random_basis_pvm(rng, d, prefix):
     u = _haar(rng, d)
     return Povm(tuple(f"{prefix}{k}" for k in range(d)), np.einsum("ik,jk->kij", u, np.conj(u)))
+
+
+def probe_rounds(monkeypatch):
+    """Wrap `_query` to record the lane count of every stacked probe solve."""
+    rounds = []
+    real = feasibility._query
+
+    def counting(*args, **kwargs):
+        rounds.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(feasibility, "_query", counting)
+    return rounds
 
 
 def dual_rounds(pair, x_budgets, y_budgets):
@@ -761,33 +768,46 @@ class TestLiftedCertificate:
         assert checked >= 1
 
     def test_qubit_sweep_lower_ends_bracket_the_frontier(self):
+        # on the 6- and 20-point sweeps every bracket holds the closed form
+        # and is at most a tenth of the resolution wide, X near 0.45
+        # included, where bisection probes used to stall
         a, b = bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0))
-        for p in frontier_sweep(a, b, 6, y_resolution=1e-4):
-            assert p.y_lower <= orthogonal_qubit_frontier(p.x_target)
-            assert p.y_lower <= p.y_achieved
-            # one resolution, and the witness may overshoot its probe by
-            # the solver's tolerance
-            assert p.y_achieved - p.y_lower <= 1e-4 + 1e-6
+        exact = orthogonal_qubit_frontier
+        for n_points in (6, 20):
+            for p in frontier_sweep(a, b, n_points, y_resolution=1e-4):
+                assert p.y_lower <= exact(p.x_target), p
+                assert exact(p.x_achieved) - 1e-9 <= p.y_achieved, p
+                assert p.y_lower <= p.y_achieved <= p.y_lower + 1e-5, p
 
     def test_qutrit_lower_end_stays_below_the_witness(self):
         # the first two random-basis qutrit PVMs of seed 7, where the dual
-        # bound stalls below the best witness
+        # bound stalls below the best witness; bisection from the certified
+        # ends alone reached Y 0.30981, 0.21488 and 0.10829 here
         rng = np.random.default_rng(7)
         a, b = random_basis_pvm(rng, 3, "a"), random_basis_pvm(rng, 3, "b")
-        pt = frontier_point(a, b, 0.1, y_resolution=1e-2)
-        assert 0.0 < pt.y_lower <= pt.y_achieved
+        points = feasibility._frontier(
+            a, b, [0.05, 0.1, 0.2], 1e-2, feasibility.FRONTIER_TOL, feasibility.FRONTIER_MAX_ITER
+        )
+        bisected = [0.3098054148022764, 0.21488236628722124, 0.10828738592585266]
+        for p, y_bisected in zip(points, bisected):
+            assert 0.0 < p.y_lower <= p.y_achieved <= y_bisected, p
+            assert p.x_achieved <= p.x_target + feasibility.WITNESS_MARGINAL_TOL
 
-    def test_qubit_sweep_needs_at_most_two_probe_rounds(self, monkeypatch):
+    def test_qubit_sweep_needs_no_probe(self, monkeypatch):
         # a deterministic count, not a timing: the certified ends and the
-        # first probe one resolution above them close every bracket of the
-        # 6-point sweep within two stacked solves (12 without the dual phase)
-        rounds = []
-        real = feasibility._query
-
-        def counting(*args, **kwargs):
-            rounds.append(len(args[1]))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(feasibility, "_query", counting)
+        # dual phase's own primal points close every bracket of the 6-point
+        # sweep with no bisection probe (12 stacked solves without the dual
+        # phase)
+        rounds = probe_rounds(monkeypatch)
         frontier_sweep(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 6, y_resolution=1e-4)
-        assert len(rounds) <= 2
+        assert rounds == []
+
+    @pytest.mark.parametrize("x", [0.1, 0.2, 0.3])
+    def test_sharp_qutrit_mubs_close_with_no_probe(self, x, monkeypatch):
+        a, b = fourier_mub_pair(3, 1.0)
+        res = feasibility.FRONTIER_RESOLUTION
+        rounds = probe_rounds(monkeypatch)
+        pt = frontier_point(a, b, x, y_resolution=res)
+        assert rounds == []
+        assert 0.0 <= pt.y_achieved - pt.y_lower < res
+
