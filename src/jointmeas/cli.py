@@ -30,7 +30,6 @@ from .feasibility import (
     DEFAULT_TOL,
     FRONTIER_MAX_ITER,
     FRONTIER_RESOLUTION,
-    FRONTIER_TOL,
     FRONTIER_X_MAX,
     check_joint_measurability,
     frontier_sweep,
@@ -156,7 +155,6 @@ def _cmd_frontier(args) -> int:
         args.grid,
         x_max=args.x_max,
         y_resolution=args.resolution,
-        tol=args.tol,
         max_iter=args.max_iter,
     )
     io.write_csv(
@@ -243,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--x-max", type=float, default=FRONTIER_X_MAX)
     p.add_argument("--resolution", type=float, default=FRONTIER_RESOLUTION)
-    p.add_argument("--tol", type=float, default=FRONTIER_TOL)
     p.add_argument("--max-iter", type=int, default=FRONTIER_MAX_ITER)
 
     p = sub.add_parser("qubit-demo", help="emit both qubit bound curves as CSV")

@@ -7,35 +7,34 @@ x -> (f_A(x), f_B(x)) to one on the product outcome set with the same
 marginals, so the search space is fixed to product outcomes with coordinate
 projections.
 
-Two iterations search these sets, each set with a closed-form orthogonal
-projection. A joint-measurability check runs Douglas-Rachford splitting
-(Lions & Mercier 1979) between the product PSD cone and the affine set of
-correct marginals. A frontier probe runs cyclic Dykstra projections (plain
-alternating projections can cycle; Dykstra converges to the projection onto
-the intersection) onto the PSD cone and affine or spectrally-clipped
-marginal constraints, and ends every cycle with the PSD projection. One
-private `_Pair` describes the sets for both: it holds the product labels
-and the Hermitian targets, writes every marginal constraint through the gaps
-marg_A(F) - A, marg_B(F) - B and sum(F) - I, and provides the projections,
-the seeds and the cleanup and POVM check that every witness passes. Both
-iterations are lane-stacked: axis 0 of an iterate may index independent
-problems, and each acts on every lane alone. A frontier sweep runs the
-bisection probes of all its grid points together, one lane per point, so
-each projection is one stacked eigendecomposition instead of one per point.
+Both problems run Douglas-Rachford splitting (Lions & Mercier 1979) between
+a convex set K and an affine set L, each with a closed-form orthogonal
+projection. A joint-measurability check takes K the product PSD cone and L
+the affine set of correct marginals. A frontier point lifts the problem:
+its K also holds the marginal gaps within the X and Y budgets, and its L
+ties those gaps to F. One private `_Pair` describes the sets for both: it
+holds the product labels and the Hermitian targets, writes every marginal
+constraint through the gaps marg_A(F) - A, marg_B(F) - B and sum(F) - I,
+and provides the projections, the seeds, the dual certificates and the
+cleanup and POVM check that every witness passes. The iteration is
+lane-stacked: axis 0 of an iterate may index independent problems, and it
+acts on every lane alone. A frontier sweep runs every open grid point as
+one lane of one solve, so each projection is one stacked eigendecomposition
+instead of one per point.
 
 Each frontier point brackets Y. The upper end is the better of two product
 baselines. The lower end starts at the paper's main bound, solved for Y at
 the point's X budget (`bounds.theorem1_min_y`; 0 for inputs that are not
-valid POVMs, outside the inequality's premise). A dual phase then raises it:
-Douglas-Rachford rounds on a lifted form of the probe problem, with one lane
-per point, yield Farkas certificates whose value is affine in Y, so each
-verified certificate proves a whole interval of Y unreachable and the lower
-end jumps to its root. The same rounds lower the upper end for free: each
-lane's last point of the lifted cone holds a PSD candidate F, cleaned into a
-witness and, where it overshoots the X budget, mixed with the A x flat
-baseline just enough to meet it. Where the certified end is tight, that
-witness closes the bracket. A bracket still open is bisected, probing first
-one resolution above its certified end.
+valid POVMs, outside the inequality's premise). Rounds of lifted
+Douglas-Rachford at the X budget and a trial Y then move both ends. A
+verified Farkas certificate has a value affine in Y, so it proves a whole
+interval of Y unreachable and the lower end jumps to its root; the next
+round tries Y there. A round without such a jump offers the lane's last
+point of K as a witness: its F rows cleaned and, where they overshoot the X
+budget, mixed with the A x flat baseline just enough to meet it; the next
+round tries the bracket's midpoint. A point stops once its bracket is
+within the resolution or its iteration budget is spent, and a bracket left
+open is reported as it stands.
 
 `infeasible` has two sources. The analytic screen is the paper's necessary
 condition sqrt(V(A) V(B)) >= (1/2) max ||[A_a, B_b]||. The dual certificate
@@ -75,10 +74,10 @@ from .smearing import coordinate_maps
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 5000
 
-# Frontier defaults: sweep range, Y resolution, and each probe's solver budget.
+# Frontier defaults: sweep range, Y resolution, and each point's
+# Douglas-Rachford budget.
 FRONTIER_X_MAX = 0.5
 FRONTIER_RESOLUTION = 1e-4
-FRONTIER_TOL = 1e-7
 FRONTIER_MAX_ITER = 2000
 
 # A feasible witness must survive these checks after cleanup.
@@ -91,11 +90,10 @@ WITNESS_MARGINAL_TOL = 1e-6
 CERTIFY_EVERY = 10
 CERTIFICATE_ULPS = 64
 
-# The frontier's dual phase runs rounds of DUAL_ROUND_ITERS Douglas-Rachford
-# iterations, at most DUAL_MAX_ROUNDS per point, and stops a point whose
-# certified lower end moves by less than DUAL_MIN_JUMP Y resolutions.
+# The frontier runs rounds of DUAL_ROUND_ITERS Douglas-Rachford iterations.
+# A round whose certified lower end moves by less than DUAL_MIN_JUMP Y
+# resolutions offers its primal point as a witness and bisects.
 DUAL_ROUND_ITERS = 60
-DUAL_MAX_ROUNDS = 8
 DUAL_MIN_JUMP = 1e-2
 
 
@@ -129,8 +127,9 @@ class FrontierPoint:
     lower end: no POVM within the X budget has a Y below it. y_lower is the
     larger of the main bound's contour (for valid POVMs) and the best root
     of a verified lifted dual certificate. The witness is the best of the
-    product baselines, the dual phase's cleaned primal point and any
-    bisection probe; y_achieved - y_lower is the certified error."""
+    product baselines and the cleaned primal points of the point's
+    Douglas-Rachford rounds. y_achieved - y_lower is the certified error; it
+    is within the resolution unless the iteration budget ran out first."""
 
     x_target: float
     x_achieved: float
@@ -139,14 +138,12 @@ class FrontierPoint:
     y_lower: float
 
 
-def _check_solve(a: Povm, b: Povm, tol: float, max_iter: int) -> None:
+def _check_solve(a: Povm, b: Povm, max_iter: int) -> None:
     """Raise ValueError for a pair or a budget no solve can run on."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
 class _Pair:
@@ -154,8 +151,12 @@ class _Pair:
 
     An iterate F has shape (..., n_A, n_B, d, d), with or without a leading
     lane axis. Every marginal constraint is written through the three gaps
-    marg_A(F) - A, marg_B(F) - B and sum(F) - I, and every projection is the
-    closed-form orthogonal projection onto its set.
+    marg_A(F) - A, marg_B(F) - B and sum(F) - I. Two pairs of sets are
+    described, each set with its closed-form orthogonal projection: the
+    product PSD cone and the correct marginals of check-joint, and the
+    lifted K and L of the frontier (below). Both read their dual
+    certificates off a Douglas-Rachford gap and judge them from the targets
+    alone.
     """
 
     def __init__(self, a: Povm, b: Povm):
@@ -184,21 +185,6 @@ class _Pair:
             - self.gap_b(f)[..., None, :, :, :] / self.na
             + self.gap_total(f)[..., None, None, :, :] / (self.na * self.nb)
         )
-
-    def project_total(self, f: np.ndarray) -> np.ndarray:
-        """Onto {sum(F) = I}."""
-        return f - (self.gap_total(f) / (self.na * self.nb))[..., None, None, :, :]
-
-    def project_ball_a(self, f: np.ndarray, bound: np.ndarray) -> np.ndarray:
-        """Onto {||marg_A(F)_a - A_a|| <= bound for every a}, with one bound
-        per lane, shape (n, 1, 1)."""
-        z = self.gap_a(f)
-        return f + ((linalg.clip_operator_norm_stack(z, bound) - z) / self.nb)[..., None, :, :]
-
-    def project_ball_b(self, f: np.ndarray, bound: np.ndarray) -> np.ndarray:
-        """Onto {||marg_B(F)_b - B_b|| <= bound for every b}, as `project_ball_a`."""
-        z = self.gap_b(f)
-        return f + ((linalg.clip_operator_norm_stack(z, bound) - z) / self.na)[..., None, :, :, :]
 
     def product_seed(self) -> np.ndarray:
         """Symmetrized products (A_a B_b + B_b A_a)/2, PSD-projected and
@@ -404,47 +390,6 @@ def _douglas_rachford(
     return z, k, gap
 
 
-def _dykstra(
-    start: np.ndarray, projections, residual_fn, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lane-stacked cyclic Dykstra iteration.
-
-    Axis 0 of `start` indexes independent problems (lanes). Every projection
-    and `residual_fn` is called as `fn(x, lanes)`, where row j of x belongs
-    to the original lane `lanes[j]`, so per-lane parameters are sliced with
-    `lanes`; `residual_fn` returns one residual per row. A lane stops at
-    residual <= tol, leaving the stack with its iterate frozen, or at
-    max_iter. A lane's arithmetic is the same as if it ran alone.
-
-    Each cycle ends with the PSD-cone projection, so the iterates handed to
-    `residual_fn` (and returned) are always positive semidefinite. Returns
-    the iterates and, per lane, whether it converged.
-    """
-    projections = [*projections, lambda f, lanes: linalg.project_psd_stack(f)]
-    out = start.copy()
-    x = start
-    corrections = [np.zeros_like(x) for _ in projections]
-    lanes = np.arange(start.shape[0])
-    converged = np.zeros(start.shape[0], dtype=bool)
-    for _ in range(max_iter):
-        for i, proj in enumerate(projections):
-            shifted = x + corrections[i]
-            y = proj(shifted, lanes)
-            corrections[i] = shifted - y
-            x = y
-        done = residual_fn(x, lanes) <= tol
-        if done.any():
-            out[lanes[done]] = x[done]
-            converged[lanes[done]] = True
-            if done.all():
-                return out, converged
-            x = x[~done]
-            corrections = [c[~done] for c in corrections]
-            lanes = lanes[~done]
-    out[lanes] = x
-    return out, converged
-
-
 def check_joint_measurability(
     a: Povm,
     b: Povm,
@@ -463,7 +408,9 @@ def check_joint_measurability(
     Returns the first witness or certificate that passes verification, or
     `undecided` at max_iter.
     """
-    _check_solve(a, b, tol, max_iter)
+    _check_solve(a, b, max_iter)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     screen = check_corollary_joint(a, b)
     if screen.slack < -SLACK_TOL:
         return FeasibilityResult(
@@ -544,128 +491,41 @@ def check_joint_measurability(
 # --- accuracy frontier -----------------------------------------------------
 
 
-def _query(
-    pair: _Pair,
-    x_bounds: list[float],
-    y_bounds: list[float],
-    start: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each lane j: is there a product-outcome POVM with A-marginal
-    within x_bounds[j] and B-marginal within y_bounds[j] of the targets
-    (operator-norm intervals)? Every lane starts from `start`; returns the
-    per-lane verdicts and final iterates."""
-    xb = np.array(x_bounds, dtype=float)
-    yb = np.array(y_bounds, dtype=float)
-    n = len(xb)
-    # bound per row of the residual stack [sum; A marginals; B marginals]
-    bounds = np.zeros((n, 1 + pair.na + pair.nb))
-    bounds[:, 1 : 1 + pair.na] = xb[:, None]
-    bounds[:, 1 + pair.na :] = yb[:, None]
-
-    def residual(f: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        gaps = np.concatenate([pair.gap_total(f)[:, None], pair.gap_a(f), pair.gap_b(f)], axis=1)
-        return (linalg.herm_norm_stack(gaps) - bounds[lanes]).max(axis=1)
-
-    f, converged = _dykstra(
-        np.repeat(start[None], n, axis=0),
-        [
-            lambda f, lanes: pair.project_total(f),
-            lambda f, lanes: pair.project_ball_a(f, xb[lanes, None, None]),
-            lambda f, lanes: pair.project_ball_b(f, yb[lanes, None, None]),
-        ],
-        residual,
-        tol,
-        max_iter,
-    )
-    return converged, f
-
-
-def _certified_lower_ends(
-    pair: _Pair,
-    xs: list[float],
-    lo: list[float],
-    hi: list[float],
-    y_resolution: float,
-) -> tuple[list[float], list[np.ndarray | None]]:
-    """Raise each lower end lo[p] that lies more than y_resolution below
-    hi[p] to what verified lifted dual certificates prove.
-
-    Each such point is one lane of a Douglas-Rachford solve on the lifted
-    problem at X budget xs[p] + WITNESS_MARGINAL_TOL (the most any witness
-    may spend) and Y = lo[p]. After every round of DUAL_ROUND_ITERS
-    iterations, the lane's certificate is read off its gap and judged by
-    `_Pair.frontier_root`; a verified one moves lo[p] to its root (never
-    above hi[p]) and the lane goes on at the new Y. A lane stops when its
-    certificate fails, when its end moves by less than DUAL_MIN_JUMP
-    resolutions or closes the bracket, or after DUAL_MAX_ROUNDS rounds.
-
-    Returns the lower ends and, per point, the F rows of its lane's last
-    point of K, shape (n_A, n_B, d, d): a PSD candidate that sits near the
-    frontier once the certified end is tight (None for points never run).
-    """
-    lo = list(lo)
-    active = [p for p in range(len(xs)) if hi[p] > lo[p] + y_resolution]
-    points: list[np.ndarray | None] = [None] * len(xs)
-    z = np.repeat(pair.lifted_start()[None], len(active), axis=0)
-    for _ in range(DUAL_MAX_ROUNDS):
-        if not active:
-            break
-        budgets = [xs[p] + WITNESS_MARGINAL_TOL for p in active]
-        bounds = np.empty((len(active), pair.na + pair.nb, 1))
-        bounds[:, : pair.na, 0] = np.array(budgets)[:, None]
-        bounds[:, pair.na :, 0] = np.array([lo[p] for p in active])[:, None]
-        # each round restarts from the last point of K: the iterate itself
-        # has drifted along the gap of the old Y
-        _, z, gap = _douglas_rachford(
-            z, lambda w: pair.project_lifted_k(w, bounds), pair.project_lifted_l, DUAL_ROUND_ITERS
-        )
-        keep = []
-        for j, (p, triple) in enumerate(zip(active, pair.lifted_certificates(gap))):
-            points[p] = z[j, : pair.na * pair.nb].reshape(pair.na, pair.nb, pair.d, pair.d)
-            root = pair.frontier_root(*triple, budgets[j], lo[p])
-            if root is None:
-                continue
-            end = min(hi[p], root)
-            if end - lo[p] >= DUAL_MIN_JUMP * y_resolution and hi[p] > end + y_resolution:
-                keep.append(j)
-            lo[p] = end
-        active = [active[j] for j in keep]
-        z = z[keep]
-    return lo, points
-
-
 def _frontier(
     a: Povm,
     b: Povm,
     xs: list[float],
     y_resolution: float,
-    tol: float,
     max_iter: int,
 ) -> list[FrontierPoint]:
     """Frontier points for the X budgets `xs` (ascending, finite and
     nonnegative, as the callers ensure), bracketed together.
 
     Each point's bracket runs from lo to hi = the Y of its better product
-    baseline. lo starts at the main bound's smallest Y at the X budget, less
-    SLACK_TOL and never above hi (0 unless both inputs pass
-    `validate_povm`), and the dual phase (`_certified_lower_ends`) raises it
-    to what verified certificates prove; that is the point's y_lower. The
-    dual phase's last point of K then gives each point it ran a witness
-    candidate: cleaned by `_Pair.witness`, mixed with the cleaned A x flat
-    baseline at weight t = 1 - x / X_W if its X_W overshoots the budget x,
-    and cleaned again. It lowers hi if it meets the budget within
-    WITNESS_MARGINAL_TOL and beats the baseline. Brackets still wider than
-    y_resolution are bisected on Y with one convex feasibility query per
-    probe: the first at min(lo + y_resolution, hi), later ones at the
-    midpoint. In each round every point still bisecting contributes one
-    probe, and the round's probes run as one stacked Dykstra solve. No
-    solve's lanes interact, so every point's bracket equals what it would be
-    on its own. Each point then keeps the best witness of any budget up to
-    its own.
+    baseline. lo starts at the main bound's smallest Y at the X budget x,
+    less SLACK_TOL and never above hi (0 unless both inputs pass
+    `validate_povm`). A point whose bracket is wider than y_resolution is
+    one lane of a lifted Douglas-Rachford solve at X budget
+    x + WITNESS_MARGINAL_TOL (the most any witness may spend) and a trial
+    Y, first lo. Each round of DUAL_ROUND_ITERS iterations restarts from its
+    last point of K, and then, for each lane:
+
+    - a certificate read off the gap and verified by `_Pair.frontier_root`
+      raises lo to its root (never above hi);
+    - if lo did not move by DUAL_MIN_JUMP resolutions, the F rows of the
+      last point of K are cleaned by `_Pair.witness`, mixed with the
+      cleaned A x flat baseline at weight t = 1 - x / X_W if their X_W
+      overshoots x + WITNESS_MARGINAL_TOL, and cleaned again; the result
+      lowers hi if it meets that budget and beats the best witness so far;
+    - the next round tries Y = lo after a jump and (lo + hi) / 2 otherwise.
+
+    A lane stops once hi <= lo + y_resolution, and every lane stops after
+    max_iter iterations in all, its bracket left as it stands. lo moves only
+    on a verified certificate, so it is the point's y_lower. No lanes
+    interact, so every point's bracket equals what it would be on its own.
+    Each point then keeps the best witness of any budget up to its own.
     """
-    _check_solve(a, b, tol, max_iter)
+    _check_solve(a, b, max_iter)
     if not 0 < y_resolution < math.inf:
         raise ValueError(f"y_resolution must be finite and positive, got {y_resolution}")
     pair = _Pair(a, b)
@@ -691,56 +551,67 @@ def _frontier(
                 "the inputs may not be valid POVMs"
             )
         best.append(min(fits, key=lambda bl: bl[2]))
-    seed = pair.product_seed()
 
     hi = [bl[2] for bl in best]
     lo = [0.0] * len(xs)
-    # Theorem 1 rules out every Y below its contour, so a bisection that
-    # starts there spends no probe re-proving it; inputs that are not valid
-    # POVMs lie outside its premise and start at 0
+    # Theorem 1 rules out every Y below its contour, so the search starts
+    # there; inputs that are not valid POVMs lie outside its premise and
+    # start at 0
     if not validate_povm(a) and not validate_povm(b):
         v_a, v_b = intrinsic_uncertainty_inf(a), intrinsic_uncertainty_inf(b)
         ys = theorem1_min_y(np.array(xs), v_a, v_b, max_commutator_norm(a, b)) - SLACK_TOL
         lo = [min(h, max(0.0, y)) for h, y in zip(hi, ys.tolist())]
-    lo, points = _certified_lower_ends(pair, xs, lo, hi, y_resolution)
-    y_lower = list(lo)
-    # the dual phase's last point of K is a witness candidate for free. One
-    # that overshoots the X budget is mixed with A x flat, whose A-marginal
-    # is exactly A: weight t = 1 - x / X_W scales every A-side gap by 1 - t
-    # and raises Y by at most t (Y_flat - Y_W)
-    for p, f in enumerate(points):
-        if f is None or (witness := pair.witness(f)) is None:
-            continue
+
+    def offer(p: int, f: np.ndarray) -> None:
+        """Keep F rows f, cleaned, as point p's witness if they beat it. One
+        that overshoots the X budget is mixed with A x flat, whose A-marginal
+        is exactly A: weight t = 1 - x / X_W scales every A-side gap by 1 - t
+        and raises Y by at most t (Y_flat - Y_W)."""
+        if (witness := pair.witness(f)) is None:
+            return
         found = achieved(witness)
-        if found[1] > xs[p] and flat[0] is not None:
+        if found[1] > xs[p] + WITNESS_MARGINAL_TOL and flat[0] is not None:
             t = 1 - xs[p] / found[1]
             mix = (1 - t) * witness.elements + t * flat[0].elements
             if (witness := pair.witness(mix.reshape(f.shape))) is None:
-                continue
+                return
             found = achieved(witness)
         if found[1] <= xs[p] + WITNESS_MARGINAL_TOL and found[2] < best[p][2]:
             best[p] = found
             hi[p] = found[2]
-    # the first probe sits one resolution above the certified end, so a
-    # tight end is closed by the first witness; later probes bisect. (The
-    # test is hi > lo + resolution, not hi - lo > resolution: a witness at
-    # the first probe sets hi = lo + resolution as rounded, which closes it.)
-    first = True
-    while active := [p for p in range(len(xs)) if hi[p] > lo[p] + y_resolution]:
-        probes = [
-            min(lo[p] + y_resolution, hi[p]) if first else (lo[p] + hi[p]) / 2 for p in active
-        ]
-        first = False
-        ok, f = _query(pair, [xs[p] for p in active], probes, seed, tol, max_iter)
-        for j, p in enumerate(active):
-            witness = pair.witness(f[j]) if ok[j] else None
-            if witness is not None:
-                found = achieved(witness)
-                if found[1] <= xs[p] + WITNESS_MARGINAL_TOL:
-                    best[p] = found
-                    hi[p] = min(probes[j], found[2])
-                    continue
-            lo[p] = probes[j]
+
+    # (the test is hi > lo + resolution, not hi - lo > resolution: a bracket
+    # closed at exactly one resolution, as rounded, stays closed)
+    active = [p for p in range(len(xs)) if hi[p] > lo[p] + y_resolution]
+    trial = [lo[p] for p in active]
+    z = np.repeat(pair.lifted_start()[None], len(active), axis=0)
+    used = 0
+    while active and used < max_iter:
+        steps = min(DUAL_ROUND_ITERS, max_iter - used)
+        budgets = [xs[p] + WITNESS_MARGINAL_TOL for p in active]
+        bounds = np.empty((len(active), pair.na + pair.nb, 1))
+        bounds[:, : pair.na, 0] = np.array(budgets)[:, None]
+        bounds[:, pair.na :, 0] = np.array(trial)[:, None]
+        # each round restarts from the last point of K: the iterate itself
+        # has drifted along the gap of the old Y
+        _, z, gap = _douglas_rachford(
+            z, lambda w: pair.project_lifted_k(w, bounds), pair.project_lifted_l, steps
+        )
+        used += steps
+        keep = []
+        for j, (p, triple) in enumerate(zip(active, pair.lifted_certificates(gap))):
+            start = lo[p]
+            if (root := pair.frontier_root(*triple, budgets[j], trial[j])) is not None:
+                lo[p] = min(hi[p], root)
+            jumped = lo[p] - start >= DUAL_MIN_JUMP * y_resolution
+            if not jumped:
+                offer(p, z[j, : pair.na * pair.nb].reshape(pair.na, pair.nb, pair.d, pair.d))
+            if hi[p] > lo[p] + y_resolution:
+                keep.append(j)
+                trial[j] = lo[p] if jumped else (lo[p] + hi[p]) / 2
+        active = [active[j] for j in keep]
+        trial = [trial[j] for j in keep]
+        z = z[keep]
 
     # carry the best witness forward: one that meets a smaller X budget
     # meets every larger one, so Y is nonincreasing in the budget
@@ -749,7 +620,7 @@ def _frontier(
             best[p] = best[p - 1]
     return [
         FrontierPoint(x_target=x, x_achieved=x_w, y_achieved=y_w, witness=w, y_lower=y_l)
-        for x, (w, x_w, y_w), y_l in zip(xs, best, y_lower)
+        for x, (w, x_w, y_w), y_l in zip(xs, best, lo)
     ]
 
 
@@ -758,7 +629,6 @@ def frontier_point(
     b: Povm,
     x_target: float,
     y_resolution: float = FRONTIER_RESOLUTION,
-    tol: float = FRONTIER_TOL,
     max_iter: int = FRONTIER_MAX_ITER,
 ) -> FrontierPoint:
     """Best found B-side accuracy given an A-side budget.
@@ -770,18 +640,19 @@ def frontier_point(
     Y = 0 up to rounding. Its lower end starts at the smallest Y the paper's
     main bound allows at x_target, so the orthogonal sharp qubits at X = 0
     need no solve; it is 0 for inputs that fail `validate_povm` (accepted
-    leniently), which the bound does not cover. Verified lifted dual
-    certificates then raise it, and it is returned as y_lower. The same dual
-    rounds end at a primal point that, cleaned and mixed with A x flat to
-    meet the budget, closes the bracket where y_lower is tight; a bracket
-    still open is bisected on Y with one convex feasibility query per probe,
-    the first one resolution above y_lower. The returned achieved values
-    are computed from the cleaned-up witness, so they are exact properties
-    of a genuine POVM whatever the solver did.
+    leniently), which the bound does not cover. Rounds of lifted
+    Douglas-Rachford then raise the lower end by verified dual certificates
+    and lower the upper end by their cleaned primal points, mixed with
+    A x flat to meet the budget, bisecting where no certificate jumps; the
+    lower end is returned as y_lower. The rounds stop once the bracket is
+    within y_resolution or after max_iter iterations, so y_achieved -
+    y_lower can exceed y_resolution when the budget runs out. The returned
+    achieved values are computed from the cleaned-up witness, so they are
+    exact properties of a genuine POVM whatever the solver did.
     """
     if not 0 <= x_target < math.inf:
         raise ValueError(f"X budget must be finite and nonnegative, got {x_target}")
-    return _frontier(a, b, [x_target], y_resolution, tol, max_iter)[0]
+    return _frontier(a, b, [x_target], y_resolution, max_iter)[0]
 
 
 def frontier_sweep(
@@ -790,25 +661,20 @@ def frontier_sweep(
     n_points: int,
     x_max: float = FRONTIER_X_MAX,
     y_resolution: float = FRONTIER_RESOLUTION,
-    tol: float = FRONTIER_TOL,
     max_iter: int = FRONTIER_MAX_ITER,
 ) -> list[FrontierPoint]:
     """Frontier points on a uniform x_target grid over [0, x_max].
 
-    All points run together: the dual phase runs every point whose bracket
-    is open as one lane of a stacked Douglas-Rachford solve, whose last
-    primal points give each lane a witness candidate; each bisection round
-    runs the probes of every point still open as one stacked solve, and
-    each point's bracket comes out as `frontier_point` would find it
-    alone. The points are monotone: a witness found under a smaller
-    X budget is also valid under a larger one, so it replaces any later
-    point the solver did worse on; each point keeps its own y_lower.
+    All points run together: every point whose bracket is open is one lane
+    of one stacked Douglas-Rachford solve, and each point's bracket comes
+    out as `frontier_point` would find it alone, within y_resolution unless
+    max_iter ran out first. The points are monotone: a witness found under
+    a smaller X budget is also valid under a larger one, so it replaces any
+    later point the solver did worse on; each point keeps its own y_lower.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     if not 0 <= x_max < math.inf:
         raise ValueError(f"x_max must be finite and nonnegative, got {x_max}")
     xs = np.linspace(0.0, x_max, n_points) if n_points > 1 else np.array([x_max])
-    return _frontier(
-        a, b, [float(x) for x in xs], y_resolution=y_resolution, tol=tol, max_iter=max_iter
-    )
+    return _frontier(a, b, [float(x) for x in xs], y_resolution=y_resolution, max_iter=max_iter)

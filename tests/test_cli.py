@@ -78,7 +78,6 @@ class TestPairCommands:
         def no_solve(*args, **kwargs):
             raise AssertionError("solver ran on an invalid POVM")
 
-        monkeypatch.setattr(feasibility, "_dykstra", no_solve)
         monkeypatch.setattr(feasibility, "_douglas_rachford", no_solve)
         bad = save_diagonal(files["dir"] / "bad.json", INVALID_A["negative-eigenvalue"])
         out = files["dir"] / "out"
@@ -475,15 +474,13 @@ class TestFrontier:
             (["--resolution", "nan"], "y_resolution"),
             (["--x-max", "nan"], "x_max"),
             (["--max-iter", "0"], "max_iter"),
-            (["--tol", "nan"], "tol"),
         ],
-        ids=["res-negative", "res-nan", "x-max-nan", "iter-zero", "tol-nan"],
+        ids=["res-negative", "res-nan", "x-max-nan", "iter-zero"],
     )
     def test_bad_budget_rejected_before_solving(self, flags, message, files, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("solver ran before its budgets were checked")
 
-        monkeypatch.setattr(feasibility, "_dykstra", no_solve)
         monkeypatch.setattr(feasibility, "_douglas_rachford", no_solve)
         out = files["dir"] / "front.csv"
         code, _, err = run(

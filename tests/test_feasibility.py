@@ -394,42 +394,49 @@ class TestFrontierPoint:
         report = check_theorem1(a, b, pt.witness, f_a, f_b)
         assert report.slack >= -1e-9
 
+    def test_zero_budget_witness_is_not_mixed_away(self):
+        # a witness that meets the zero budget up to rounding is kept as it
+        # is; mixing it with A x flat at weight 1 - 0 / X_W = 1 would replace
+        # it with that baseline (Y = 0.2504 here)
+        pt = frontier_point(random_povm(2, 4, 102), random_povm(2, 3, 202), 0.0, y_resolution=1e-3)
+        assert pt.x_achieved <= feasibility.WITNESS_MARGINAL_TOL
+        assert pt.y_achieved <= 1e-3
+
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError):
             frontier_point(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), -0.1)
 
 
 class TestTheorem1Bracket:
-    """Each bisection starts at the main bound's contour for valid inputs and
-    at 0 for inputs that are not valid POVMs, raised to whatever the dual
-    phase certifies; the dual phase's last point of K may close it, and
-    otherwise its first probe sits one resolution above that certified
-    end."""
+    """Each frontier search starts at the main bound's contour for valid
+    inputs and at 0 for inputs that are not valid POVMs, raised to whatever
+    the lifted rounds certify. A round whose certified end does not jump
+    offers its last point of K as a witness, and the next round tries the
+    bracket's midpoint."""
 
     @staticmethod
-    def probe_rounds(monkeypatch, a, b, x, certify=True):
-        """The probes of every round, and the point returned when every
-        probe reads infeasible. Without `certify`, no dual round yields a
-        certificate."""
-        rounds = []
+    def trial_ys(monkeypatch, a, b, x, certify=True):
+        """The Y of every round, as handed to `frontier_root`, and the point
+        returned. Without `certify`, no round yields a certificate."""
+        ys = []
+        real = feasibility._Pair.frontier_root
 
-        def infeasible(pair, x_bounds, y_bounds, start, tol, max_iter):
-            rounds.append(list(y_bounds))
-            return [False] * len(y_bounds), None
+        def recording(self, xs, yb, z, x_budget, y_budget):
+            ys.append(y_budget)
+            return real(self, xs, yb, z, x_budget, y_budget)
 
-        monkeypatch.setattr(feasibility, "_query", infeasible)
+        monkeypatch.setattr(feasibility._Pair, "frontier_root", recording)
         if not certify:
             monkeypatch.setattr(
                 feasibility, "_douglas_rachford", lambda z, *args: (z, z, np.zeros_like(z))
             )
         pt = frontier_point(a, b, x)
-        return rounds, pt
+        return ys, pt
 
     def test_orthogonal_qubits_at_zero_budget_need_no_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("solver ran where the bound already closes the bracket")
 
-        monkeypatch.setattr(feasibility, "_dykstra", no_solve)
         monkeypatch.setattr(feasibility, "_douglas_rachford", no_solve)
         pt = frontier_point(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 0.0)
         assert pt.x_achieved == 0.0
@@ -440,15 +447,20 @@ class TestTheorem1Bracket:
         res = feasibility.FRONTIER_RESOLUTION
         lo = theorem1_min_y(0.1, 0.0, 0.0, max_commutator_norm(a, b)) - SLACK_TOL
         assert lo > 0.05
-        # the certified end lies above the contour (Y* = 0.2 here) and the
-        # dual phase's own primal point closes the bracket without a probe;
-        # the contour alone starts the bracket when nothing is certified
-        rounds, pt = self.probe_rounds(monkeypatch, a, b, 0.1)
+        # the certified end lies above the contour (Y* = 0.2 here) and a
+        # round's own primal point closes the bracket
+        ys, pt = self.trial_ys(monkeypatch, a, b, 0.1)
+        assert ys[0] == lo
         assert pt.y_lower > lo + 0.1
-        assert rounds == []
-        rounds, pt = self.probe_rounds(monkeypatch, a, b, 0.1, certify=False)
+        assert pt.y_achieved <= pt.y_lower + res
+        # with nothing certified, the contour stays the lower end and every
+        # later round tries the bracket's midpoint until the budget is spent
+        ys, pt = self.trial_ys(monkeypatch, a, b, 0.1, certify=False)
         assert pt.y_lower == lo
-        assert rounds[0] == [min(lo + res, pt.y_achieved)]
+        assert ys[0] == lo
+        assert ys[1:] == [(lo + pt.y_achieved) / 2] * (len(ys) - 1)
+        rounds = math.ceil(feasibility.FRONTIER_MAX_ITER / feasibility.DUAL_ROUND_ITERS)
+        assert len(ys) == rounds
 
     def test_invalid_pair_starts_at_zero(self, monkeypatch):
         # A sums to diag(1.01, 1), which the CLI accepts under --lenient;
@@ -457,16 +469,16 @@ class TestTheorem1Bracket:
         assert validate_povm(a) != []
         v_a, v_b = intrinsic_uncertainty_inf(a), intrinsic_uncertainty_inf(b)
         assert theorem1_min_y(0.1, v_a, v_b, max_commutator_norm(a, b)) > 0.05
-        res = feasibility.FRONTIER_RESOLUTION
         # the lifted certificate needs no valid POVM, so it still raises
         # the end
-        rounds, pt = self.probe_rounds(monkeypatch, a, b, 0.1)
-        assert pt.y_lower > 0.1
-        assert rounds[0] == [min(pt.y_lower + res, pt.y_achieved)]
-        rounds, pt = self.probe_rounds(monkeypatch, a, b, 0.1, certify=False)
+        ys, pt = self.trial_ys(monkeypatch, a, b, 0.1)
+        assert ys[0] == 0.0
+        assert 0.1 < pt.y_lower <= pt.y_achieved
+        ys, pt = self.trial_ys(monkeypatch, a, b, 0.1, certify=False)
         assert pt.y_achieved > 0.4
         assert pt.y_lower == 0.0
-        assert rounds[0] == [res]
+        assert ys[0] == 0.0
+        assert ys[1] == pt.y_achieved / 2
 
 
 class TestSolverBudgets:
@@ -477,7 +489,6 @@ class TestSolverBudgets:
         def no_solve(*args, **kwargs):
             raise AssertionError("solver ran before its budgets were checked")
 
-        monkeypatch.setattr(feasibility, "_dykstra", no_solve)
         monkeypatch.setattr(feasibility, "_douglas_rachford", no_solve)
 
     @pytest.mark.parametrize(
@@ -489,19 +500,12 @@ class TestSolverBudgets:
             ({"y_resolution": math.inf}, "y_resolution"),
             ({"max_iter": 0}, "max_iter"),
             ({"max_iter": -5}, "max_iter"),
-            ({"tol": math.nan}, "tol"),
-            ({"tol": 0.0}, "tol"),
-            ({"tol": -1.0}, "tol"),
-            ({"tol": math.inf}, "tol"),
         ],
-        ids=[
-            "res-negative", "res-zero", "res-nan", "res-inf", "iter-zero", "iter-negative",
-            "tol-nan", "tol-zero", "tol-negative", "tol-inf",
-        ],
+        ids=["res-negative", "res-zero", "res-nan", "res-inf", "iter-zero", "iter-negative"],
     )
     def test_frontier_point_rejects(self, kwargs, message):
-        # X = 0.5 is at the trivial baseline's budget, where the bisection
-        # starts with lo = hi = 0
+        # X = 0.5 is at the trivial baseline's budget, where the bracket
+        # starts closed with lo = hi = 0
         with pytest.raises(ValueError, match=message):
             frontier_point(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 0.5, **kwargs)
 
@@ -562,21 +566,23 @@ class TestConstraintDescription:
         assert np.abs(pair.gap_b(p)).max() <= 1e-12
         assert np.abs(pair.project_marginals(p) - p).max() <= 1e-12
 
-    def test_project_total(self, pair_and_stack):
-        pair, f = pair_and_stack
-        p = pair.project_total(f)
-        assert np.abs(pair.gap_total(p)).max() <= 1e-12
-        assert np.abs(pair.project_total(p) - p).max() <= 1e-12
-
     @pytest.mark.parametrize("side", ["a", "b"])
-    def test_project_ball(self, side, pair_and_stack):
+    def test_project_lifted_k(self, side, pair_and_stack):
+        # K's clips hold each S row (side a) or T row (side b) of the lifted
+        # stack within its lane's budget and leave the F rows PSD
         pair, f = pair_and_stack
-        project, gap = getattr(pair, f"project_ball_{side}"), getattr(pair, f"gap_{side}")
-        bound = np.array([0.05, 0.4])[:, None, None]
-        assert (linalg.herm_norm_stack(gap(f)) > bound[:, 0] + 1e-3).all()
-        p = project(f, bound)
-        assert (linalg.herm_norm_stack(gap(p)) <= bound[:, 0] + 1e-12).all()
-        assert np.abs(project(p, bound) - p).max() <= 1e-12
+        n = pair.na * pair.nb
+        w = np.concatenate([f.reshape(2, n, 3, 3), pair.gap_a(f), pair.gap_b(f)], axis=1)
+        first, count = (0, pair.na) if side == "a" else (pair.na, pair.nb)
+        rows = slice(n + first, n + first + count)
+        budget = np.array([0.05, 0.4])
+        bounds = np.full((2, pair.na + pair.nb, 1), 10.0)
+        bounds[:, first : first + count, 0] = budget[:, None]
+        assert (linalg.herm_norm_stack(w[:, rows]).max(axis=1) > budget + 1e-3).all()
+        p = pair.project_lifted_k(w, bounds)
+        assert (linalg.herm_norm_stack(p[:, rows]).max(axis=1) <= budget + 1e-12).all()
+        assert np.linalg.eigvalsh(p[:, :n]).min() >= -1e-12
+        assert np.abs(pair.project_lifted_k(p, bounds) - p).max() <= 1e-12
 
 
 class TestFrontierSweep:
@@ -611,7 +617,6 @@ class TestFrontierSweep:
         def no_solve(*args, **kwargs):
             raise AssertionError("solver ran before the X budgets were checked")
 
-        monkeypatch.setattr(feasibility, "_dykstra", no_solve)
         monkeypatch.setattr(feasibility, "_douglas_rachford", no_solve)
         with pytest.raises(ValueError):
             frontier_sweep(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 6, x_max=-0.1)
@@ -657,29 +662,35 @@ def random_basis_pvm(rng, d, prefix):
     return Povm(tuple(f"{prefix}{k}" for k in range(d)), np.einsum("ik,jk->kij", u, np.conj(u)))
 
 
-def probe_rounds(monkeypatch):
-    """Wrap `_query` to record the lane count of every stacked probe solve."""
+def seed7_qutrit_pair():
+    """The first two random-basis qutrit PVMs drawn from seed 7."""
+    rng = np.random.default_rng(7)
+    return random_basis_pvm(rng, 3, "a"), random_basis_pvm(rng, 3, "b")
+
+
+def dr_rounds(monkeypatch):
+    """Wrap `_douglas_rachford` to record the lane count of every round."""
     rounds = []
-    real = feasibility._query
+    real = feasibility._douglas_rachford
 
-    def counting(*args, **kwargs):
-        rounds.append(len(args[1]))
-        return real(*args, **kwargs)
+    def counting(z, *args):
+        rounds.append(z.shape[0])
+        return real(z, *args)
 
-    monkeypatch.setattr(feasibility, "_query", counting)
+    monkeypatch.setattr(feasibility, "_douglas_rachford", counting)
     return rounds
 
 
-def dual_rounds(pair, x_budgets, y_budgets):
-    """Full-budget lifted Douglas-Rachford runs at fixed budgets, one lane
-    per budget pair: the dual triples read after each of the
-    DUAL_MAX_ROUNDS rounds, as lists of one triple per lane."""
+def dual_rounds(pair, x_budgets, y_budgets, n_rounds=8):
+    """Lifted Douglas-Rachford runs at fixed budgets, one lane per budget
+    pair: the dual triples read after each of n_rounds rounds of
+    DUAL_ROUND_ITERS iterations, as lists of one triple per lane."""
     bounds = np.empty((len(x_budgets), pair.na + pair.nb, 1))
     bounds[:, : pair.na, 0] = np.array(x_budgets)[:, None]
     bounds[:, pair.na :, 0] = np.array(y_budgets)[:, None]
     z = np.repeat(pair.lifted_start()[None], len(x_budgets), axis=0)
     rounds = []
-    for _ in range(feasibility.DUAL_MAX_ROUNDS):
+    for _ in range(n_rounds):
         _, z, gap = feasibility._douglas_rachford(
             z,
             lambda w: pair.project_lifted_k(w, bounds),
@@ -691,7 +702,7 @@ def dual_rounds(pair, x_budgets, y_budgets):
 
 
 class TestLiftedCertificate:
-    """The frontier's dual phase: certificates of the lifted problem are
+    """The frontier's lifted rounds: certificates of the lifted problem are
     verified before they move a lower end, and no lower end passes a
     witness or the closed form."""
 
@@ -780,34 +791,42 @@ class TestLiftedCertificate:
                 assert p.y_lower <= p.y_achieved <= p.y_lower + 1e-5, p
 
     def test_qutrit_lower_end_stays_below_the_witness(self):
-        # the first two random-basis qutrit PVMs of seed 7, where the dual
-        # bound stalls below the best witness; bisection from the certified
-        # ends alone reached Y 0.30981, 0.21488 and 0.10829 here
-        rng = np.random.default_rng(7)
-        a, b = random_basis_pvm(rng, 3, "a"), random_basis_pvm(rng, 3, "b")
-        points = feasibility._frontier(
-            a, b, [0.05, 0.1, 0.2], 1e-2, feasibility.FRONTIER_TOL, feasibility.FRONTIER_MAX_ITER
-        )
+        # the certified ends stall below the best witness on this pair;
+        # bisection from the certified ends alone reached Y 0.30981, 0.21488
+        # and 0.10829 here
+        a, b = seed7_qutrit_pair()
+        points = feasibility._frontier(a, b, [0.05, 0.1, 0.2], 1e-2, feasibility.FRONTIER_MAX_ITER)
         bisected = [0.3098054148022764, 0.21488236628722124, 0.10828738592585266]
         for p, y_bisected in zip(points, bisected):
             assert 0.0 < p.y_lower <= p.y_achieved <= y_bisected, p
             assert p.x_achieved <= p.x_target + feasibility.WITNESS_MARGINAL_TOL
 
+    def test_qutrit_brackets_narrow_at_fine_resolution(self):
+        # midpoint rounds keep iterating where a probe that gave up counted
+        # as infeasible, so every bracket ends at most 4e-3 wide; bisection
+        # with such probes left 7.0e-3 and 1.2e-2 at X = 0.05 and 0.1 and
+        # reached the Y values below
+        a, b = seed7_qutrit_pair()
+        points = feasibility._frontier(a, b, [0.05, 0.1, 0.2], 1e-3, feasibility.FRONTIER_MAX_ITER)
+        bisected = [0.2847579152992282, 0.20801086416455034, 0.10093924013178356]
+        for p, y_bisected in zip(points, bisected):
+            assert 0.0 < p.y_lower <= p.y_achieved <= y_bisected, p
+            assert p.y_achieved - p.y_lower <= 4e-3, p
+            assert p.x_achieved <= p.x_target + feasibility.WITNESS_MARGINAL_TOL
+
     def test_qubit_sweep_needs_no_probe(self, monkeypatch):
         # a deterministic count, not a timing: the certified ends and the
-        # dual phase's own primal points close every bracket of the 6-point
-        # sweep with no bisection probe (12 stacked solves without the dual
-        # phase)
-        rounds = probe_rounds(monkeypatch)
+        # rounds' own primal points close every bracket of the 6-point sweep
+        # in 4 stacked rounds, with no midpoint round
+        rounds = dr_rounds(monkeypatch)
         frontier_sweep(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 6, y_resolution=1e-4)
-        assert rounds == []
+        assert len(rounds) == 4
 
     @pytest.mark.parametrize("x", [0.1, 0.2, 0.3])
     def test_sharp_qutrit_mubs_close_with_no_probe(self, x, monkeypatch):
         a, b = fourier_mub_pair(3, 1.0)
         res = feasibility.FRONTIER_RESOLUTION
-        rounds = probe_rounds(monkeypatch)
+        rounds = dr_rounds(monkeypatch)
         pt = frontier_point(a, b, x, y_resolution=res)
-        assert rounds == []
+        assert len(rounds) <= 5
         assert 0.0 <= pt.y_achieved - pt.y_lower < res
-
