@@ -566,6 +566,18 @@ class TestConstraintDescription:
         assert np.abs(pair.gap_b(p)).max() <= 1e-12
         assert np.abs(pair.project_marginals(p) - p).max() <= 1e-12
 
+    def test_project_total(self, pair_and_stack):
+        # sum(F) = I is implied by the marginals of check-joint and is a row
+        # of L's constraints on the frontier; both projections must meet it
+        pair, f = pair_and_stack
+        n = pair.na * pair.nb
+        assert np.abs(pair.gap_total(f)).max() > 1e-3
+        assert np.abs(pair.gap_total(pair.project_marginals(f))).max() <= 1e-12
+        w = np.concatenate([f.reshape(2, n, 3, 3), pair.gap_a(f), pair.gap_b(f)], axis=1)
+        p = pair.project_lifted_l(w)
+        assert np.abs(pair.gap_total(p[:, :n].reshape(f.shape))).max() <= 1e-12
+        assert np.abs(pair.project_lifted_l(p) - p).max() <= 1e-12
+
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_project_lifted_k(self, side, pair_and_stack):
         # K's clips hold each S row (side a) or T row (side b) of the lifted
