@@ -15,12 +15,12 @@ its K also holds the marginal gaps within the X and Y budgets, and its L
 ties those gaps to F. One private `_Pair` describes the sets for both: it
 holds the product labels and the Hermitian targets, writes every marginal
 constraint through the gaps marg_A(F) - A, marg_B(F) - B and sum(F) - I,
-and provides the projections, the seeds, the dual certificates and the
-cleanup and POVM check that every witness passes. The iteration is
-lane-stacked: axis 0 of an iterate may index independent problems, and it
-acts on every lane alone. A frontier sweep runs every open grid point as
-one lane of one solve, so each projection is one stacked eigendecomposition
-instead of one per point.
+and provides the projections, the seeds, one dual-certificate verifier,
+and the cleanup, POVM check and marginal distances X and Y of every
+witness. The iteration is lane-stacked: axis 0 of an iterate may index
+independent problems, and it acts on every lane alone. A frontier sweep
+runs every open grid point as one lane of one solve, so each projection is
+one stacked eigendecomposition instead of one per point.
 
 Each frontier point brackets Y. The upper end is the better of two product
 baselines. The lower end starts at the paper's main bound, solved for Y at
@@ -42,12 +42,14 @@ is read off the Douglas-Rachford gap: for an infeasible pair the gap between
 the PSD point and the marginal point of a step tends to the minimal
 displacement vector between the sets (Bauschke, Hare & Moursi 2016; Banjac,
 Goulart, Stellato & Boyd 2019), X_a + Y_b, a Farkas certificate of the SDP
-dual (Wolf, Perez-Garcia & Fernandez 2009) once shifted to be positive.
-Every certificate is re-verified from (X, Y) and the targets alone before it
-counts. A check stops for one of three reasons: a verified witness, a
-verified certificate, or an exhausted iteration budget, which it reports as
-`undecided` with its residual. The frontier's lifted certificates (X, Y, Z)
-are re-verified the same way before they move a lower end.
+dual (Wolf, Perez-Garcia & Fernandez 2009) once shifted to be positive. A
+check stops for one of three reasons: a verified witness, a verified
+certificate, or an exhausted iteration budget, which it reports as
+`undecided` with its residual. The paper reads joint measurability as the
+X = Y = 0 corner of its tradeoff, and so does the verifier: a check's pair
+(X, Y) is the frontier's lifted triple (X, Y, 0) at budgets (0, 0). Every
+certificate of either problem is re-verified from its triple and the
+targets alone, by `_Pair.judge`, before it counts.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ from .bounds import (
     max_commutator_norm,
     theorem1_min_y,
 )
-from .distances import D_inf
 from .povm import Povm, intrinsic_uncertainty_inf, validate_povm
 from .smearing import coordinate_maps
 
@@ -154,9 +155,11 @@ class _Pair:
     marg_A(F) - A, marg_B(F) - B and sum(F) - I. Two pairs of sets are
     described, each set with its closed-form orthogonal projection: the
     product PSD cone and the correct marginals of check-joint, and the
-    lifted K and L of the frontier (below). Both read their dual
-    certificates off a Douglas-Rachford gap and judge them from the targets
-    alone.
+    lifted K and L of the frontier (below). Each problem reads its dual
+    certificates off its own Douglas-Rachford gap, and `judge` verifies
+    them all as lifted triples from the targets alone. Every witness is
+    measured the same way too: its X and Y are the largest norms of its
+    A-side and B-side gaps.
     """
 
     def __init__(self, a: Povm, b: Povm):
@@ -215,39 +218,20 @@ class _Pair:
         constraints (after a Douglas-Rachford step, also the normal part of
         the gap k - l, since l meets the marginals), shifted by
         t = max(0, -min lambda_min(X_a + Y_b)) on X so that every X_a + Y_b
-        is PSD; the shift adds t sum tr(A_a) to the value. Only a pair that
-        passes `verify` is returned.
+        is PSD; the shift adds t sum tr(A_a) to the value. The pair is the
+        lifted triple (X, Y, 0) at budgets (0, 0), and only one that `judge`
+        accepts there is returned, with its value.
         """
         rt = self.gap_total(k)[:, None] / (2 * self.na * self.nb)
         x = self.gap_a(k) / self.nb - rt
         y = self.gap_b(k) / self.na - rt
         lam = np.linalg.eigvalsh(x[:, :, None] + y[:, None]).min(axis=(1, 2, 3))
         x = x + np.maximum(0.0, -lam)[:, None, None, None] * self.eye
+        zero = np.zeros_like(self.eye)
         return [
-            None if (value := self.verify(xl, yl)) is None else (xl, yl, value)
+            None if (judged := self.judge(xl, yl, zero, 0.0, 0.0)) is None else (xl, yl, judged[0])
             for xl, yl in zip(x, y)
         ]
-
-    def verify(self, x: np.ndarray, y: np.ndarray) -> float | None:
-        """The value sum tr(X_a A_a) + sum tr(Y_b B_b) of a dual pair if the
-        pair proves that A and B admit no joint observable, else None.
-
-        Any F with marginals A and B has sum_ab tr((X_a + Y_b) F_ab) equal
-        to the value, which is >= 0 when F >= 0 and every X_a + Y_b is PSD.
-        So a negative value rules out every joint observable. Both facts are
-        recomputed here from (X, Y) and the targets alone. The eigenvalues
-        may read up to `slack` low from rounding, and an extra shift of
-        2 slack (adding 2 slack sum tr(A_a) to the value) would absorb any
-        true negativity that hides; the value must beat that plus the
-        rounding of its own n_A + n_B traces of d^2 products.
-        """
-        scale = np.linalg.norm(x, axis=(1, 2)).max() + np.linalg.norm(y, axis=(1, 2)).max()
-        ulp = CERTIFICATE_ULPS * np.finfo(float).eps * scale
-        slack = ulp * self.d
-        margin = 2 * slack * np.einsum("aii->", self.ea).real + ulp * (self.na + self.nb) * self.d**2
-        lam = np.linalg.eigvalsh(linalg.hermitian_part(x[:, None] + y[None])).min()
-        value = float(np.einsum("aij,aji->", x, self.ea).real + np.einsum("bij,bji->", y, self.eb).real)
-        return value if lam >= -slack and value < -margin else None
 
     # The lifted frontier problem has variables (F, S, T), stacked as the rows
     # of a (..., N, d, d) array with N = n_A n_B + n_A + n_B: F_ab in row
@@ -304,30 +288,35 @@ class _Pair:
         g = k - l, one per lane: the least-squares multipliers of g in the
         range of C^T, whose F rows are X_a + Y_b + Z, with Z shifted by
         t = max(0, -min lambda_min(X_a + Y_b + Z)) so that every X_a + Y_b + Z
-        is PSD. `frontier_root` judges them."""
+        is PSD. `judge` judges them."""
         lam = linalg.hermitian_part(_act_on_rows(self.lifted_maps[2], g))
         x, y, z = lam[:, : self.na], lam[:, self.na : -1], lam[:, -1]
         low = np.linalg.eigvalsh(x[:, :, None] + y[:, None] + z[:, None, None]).min(axis=(1, 2, 3))
         z = z + np.maximum(0.0, -low)[:, None, None] * self.eye
         return list(zip(x, y, z))
 
-    def frontier_root(
+    def judge(
         self, x: np.ndarray, y: np.ndarray, z: np.ndarray, x_budget: float, y_budget: float
-    ) -> float | None:
-        """The lower end that a dual triple (X, Y, Z) proves for the frontier
-        at X budget x_budget, if it proves that no POVM reaches y_budget
-        within that budget; else None.
-
-        Any POVM F on the product outcomes within budgets x_budget and Y has
-        sum_ab tr((X_a + Y_b + Z) F_ab) at most base + Y sum ||Y_b||_1, with
+    ) -> tuple[float, float] | None:
+        """If the dual triple (X, Y, Z), shapes (n_A, d, d), (n_B, d, d) and
+        (d, d), proves that no POVM F on the product outcomes has marginals
+        within x_budget of A and y_budget of B, returns its value
         base = sum tr(X_a A_a) + x_budget sum ||X_a||_1 + sum tr(Y_b B_b)
-        + tr Z, and at least 0 when every X_a + Y_b + Z is PSD. So a
-        negative value rules out every Y below the root
+        + tr Z and the lower end of Y that it proves; else None. Every dual
+        certificate is judged here: check-joint's pair (X, Y) is the triple
+        (X, Y, 0) at budgets (0, 0), where base is its value.
+
+        Any such F has sum_ab tr((X_a + Y_b + Z) F_ab) at most
+        base + Y sum ||Y_b||_1, and at least 0 when every X_a + Y_b + Z is
+        PSD. So a negative bound rules out every Y below the root
         -base / sum ||Y_b||_1, all of it recomputed here from the triple and
-        the targets alone. Rounding is allowed for as in `verify`: the
-        eigenvalues may read `slack` low, an extra shift of Z by 2 slack
-        adds 2 slack d, and the traces and trace norms each carry their own
-        rounding; the margin is affine in Y and enters the root.
+        the targets alone. The eigenvalues may read up to `slack` low from
+        rounding, and an extra shift of Z by 2 slack (adding 2 slack d)
+        would absorb any true negativity that hides; the traces and trace
+        norms each carry their own rounding, and the margin, affine in Y,
+        enters the root. A trace norm is computed only where it counts: the
+        X one for a nonzero X budget, the Y one once the bound at Y = 0 is
+        negative.
         """
         scale = (
             np.linalg.norm(x, axis=(1, 2)).max()
@@ -339,29 +328,50 @@ class _Pair:
         fixed = 2 * slack * self.d + ulp * self.d * (
             (self.na + self.nb + 1) * self.d + x_budget * self.na
         )
-        per_y = ulp * self.d * self.nb
-        lam = np.linalg.eigvalsh(linalg.hermitian_part(x[:, None] + y[None] + z)).min()
         base = float(
             np.einsum("aij,aji->", x, self.ea).real
-            + x_budget * np.abs(np.linalg.eigvalsh(x)).sum()
+            + (x_budget * np.abs(np.linalg.eigvalsh(x)).sum() if x_budget else 0.0)
             + np.einsum("bij,bji->", y, self.eb).real
             + np.trace(z).real
         )
-        slope = float(np.abs(np.linalg.eigvalsh(y)).sum())
-        if lam < -slack or base + fixed + y_budget * (slope + per_y) >= 0:
+        if base + fixed >= 0:
             return None
-        return float(-(base + fixed) / (slope + per_y))
+        lam = np.linalg.eigvalsh(linalg.hermitian_part(x[:, None] + y[None] + z)).min()
+        slope = float(np.abs(np.linalg.eigvalsh(y)).sum()) + ulp * self.d * self.nb
+        if lam < -slack or base + fixed + y_budget * slope >= 0:
+            return None
+        return base, float(-(base + fixed) / slope)
 
-    def witness(self, f: np.ndarray) -> Povm | None:
+    def frontier_root(
+        self, x: np.ndarray, y: np.ndarray, z: np.ndarray, x_budget: float, y_budget: float
+    ) -> float | None:
+        """The root of `judge`: the lower end that a dual triple proves for
+        the frontier at X budget x_budget, if it rules out y_budget; else
+        None."""
+        judged = self.judge(x, y, z, x_budget, y_budget)
+        return None if judged is None else judged[1]
+
+    def marginal_distances(self, f: np.ndarray) -> tuple[float, float]:
+        """X and Y of an iterate F, shape (n_A, n_B, d, d): the largest
+        operator norm of its A-side gaps marg_A(F) - A and of its B-side
+        gaps marg_B(F) - B."""
+        norms = linalg.herm_norm_stack(np.concatenate([self.gap_a(f), self.gap_b(f)]))
+        return float(norms[: self.na].max()), float(norms[self.na :].max())
+
+    def witness(self, f: np.ndarray) -> tuple[Povm, float, float] | None:
         """Turn a near-feasible iterate into an exact POVM: clip each element
         to the PSD cone, then conjugate by the inverse square root of the
-        sum. Returns None if the sum is too ill-conditioned to renormalize or
-        the result fails the POVM check."""
+        sum. Returns the POVM with its `marginal_distances` X and Y, or None
+        if the sum is too ill-conditioned to renormalize or the result fails
+        the POVM check."""
         g = linalg.renormalize(linalg.project_psd_stack(f), 1e-6)
         if g is None:
             return None
-        w = Povm(self.labels, linalg.hermitian_part(g).reshape(self.na * self.nb, self.d, self.d))
-        return None if validate_povm(w, completeness_tol=WITNESS_VALIDATE_TOL) else w
+        g = linalg.hermitian_part(g)
+        w = Povm(self.labels, g.reshape(self.na * self.nb, self.d, self.d))
+        if validate_povm(w, completeness_tol=WITNESS_VALIDATE_TOL):
+            return None
+        return (w, *self.marginal_distances(g))
 
 
 def _act_on_rows(m: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -428,20 +438,12 @@ def check_joint_measurability(
 
     pair = _Pair(a, b)
 
-    def deviation(f: np.ndarray) -> float:
-        """The largest marginal deviation of one (n_A, n_B, d, d) iterate."""
-        return float(linalg.herm_norm_stack(np.concatenate([pair.gap_a(f), pair.gap_b(f)])).max())
-
     def finish_feasible(f: np.ndarray, iters: int) -> FeasibilityResult | None:
-        witness = pair.witness(f)
-        if witness is None:
-            return None
-        dev = deviation(witness.elements.reshape(f.shape))
-        if dev > WITNESS_MARGINAL_TOL:
+        if (found := pair.witness(f)) is None or (dev := max(found[1:])) > WITNESS_MARGINAL_TOL:
             return None
         return FeasibilityResult(
             status="feasible",
-            witness=witness,
+            witness=found[0],
             residual=dev,
             iterations=iters,
             certificate_note="witness marginals verified",
@@ -449,7 +451,7 @@ def check_joint_measurability(
         )
 
     z = pair.product_seed()
-    if deviation(z) <= tol and (result := finish_feasible(z, 0)) is not None:
+    if max(pair.marginal_distances(z)) <= tol and (result := finish_feasible(z, 0)) is not None:
         return result
 
     iters = 0
@@ -457,7 +459,7 @@ def check_joint_measurability(
         steps = min(CERTIFY_EVERY, max_iter - iters)
         z, k, _ = _douglas_rachford(z, linalg.project_psd_stack, pair.project_marginals, steps)
         iters += steps
-        res = deviation(k)
+        res = max(pair.marginal_distances(k))
         if res <= tol and (result := finish_feasible(k, iters)) is not None:
             return result
         certificate = pair.certificate(k[None])[0]
@@ -530,18 +532,12 @@ def _frontier(
         raise ValueError(f"y_resolution must be finite and positive, got {y_resolution}")
     pair = _Pair(a, b)
 
-    def achieved(witness: Povm) -> tuple[Povm, float, float]:
-        arr = witness.elements.reshape(pair.na, pair.nb, pair.d, pair.d)
-        x = D_inf(a, Povm(a.outcomes, arr.sum(axis=1))).value
-        y = D_inf(b, Povm(b.outcomes, arr.sum(axis=0))).value
-        return witness, x, y
-
     # Feasible fallbacks: A tensored with a flat outcome weight has A itself
     # as its A-marginal (any budget); its mirror, a flat weight tensored with
     # B, has B itself as its B-marginal (budgets >= D_inf(A, w I)). Only
     # invalid inputs, accepted leniently, can leave a budget with neither.
     flat = [pair.witness(f) for f in pair.flat_seeds()]
-    baselines = [achieved(w) for w in flat if w is not None]
+    baselines = [bl for bl in flat if bl is not None]
     best = []
     for x in xs:
         fits = [bl for bl in baselines if bl[1] <= x + WITNESS_MARGINAL_TOL]
@@ -567,15 +563,13 @@ def _frontier(
         that overshoots the X budget is mixed with A x flat, whose A-marginal
         is exactly A: weight t = 1 - x / X_W scales every A-side gap by 1 - t
         and raises Y by at most t (Y_flat - Y_W)."""
-        if (witness := pair.witness(f)) is None:
+        if (found := pair.witness(f)) is None:
             return
-        found = achieved(witness)
         if found[1] > xs[p] + WITNESS_MARGINAL_TOL and flat[0] is not None:
             t = 1 - xs[p] / found[1]
-            mix = (1 - t) * witness.elements + t * flat[0].elements
-            if (witness := pair.witness(mix.reshape(f.shape))) is None:
+            mix = (1 - t) * found[0].elements + t * flat[0][0].elements
+            if (found := pair.witness(mix.reshape(f.shape))) is None:
                 return
-            found = achieved(witness)
         if found[1] <= xs[p] + WITNESS_MARGINAL_TOL and found[2] < best[p][2]:
             best[p] = found
             hi[p] = found[2]

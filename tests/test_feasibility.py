@@ -314,7 +314,9 @@ class TestDualCertificate:
 
     def test_verifier_accepts_the_returned_pair(self, certified):
         a, b, result = certified
-        value = feasibility._Pair(a, b).verify(*result.certificate)
+        # check-joint's pair is the lifted triple (X, Y, 0) at budgets (0, 0)
+        judged = feasibility._Pair(a, b).judge(*result.certificate, np.zeros((3, 3)), 0.0, 0.0)
+        value = None if judged is None else judged[0]
         assert value is not None and value < 0
         assert f"{value:.6g}" in result.certificate_note
 
@@ -324,7 +326,8 @@ class TestDualCertificate:
         x, y = result.certificate
         eye = np.eye(a.dim)
         trace_a = sum(np.trace(e).real for e in a.elements)
-        value = feasibility._Pair(a, b).verify(x, y)
+        zero = np.zeros((a.dim, a.dim))
+        value = feasibility._Pair(a, b).judge(x, y, zero, 0.0, 0.0)[0]
         if mutation == "sign-flipped":
             # fails both conditions
             x, y = -x, -y
@@ -334,7 +337,7 @@ class TestDualCertificate:
         else:
             # keeps X_a + Y_b PSD but makes the value positive
             x = x + 2 * np.abs(value) / trace_a * eye
-        assert feasibility._Pair(a, b).verify(x, y) is None
+        assert feasibility._Pair(a, b).judge(x, y, zero, 0.0, 0.0) is None
         with pytest.raises(AssertionError):
             assert_sound_certificate(feasibility.FeasibilityResult(
                 "infeasible", None, 0.0, 0, certificate=(x, y)), a, b)
@@ -350,9 +353,25 @@ class TestDualCertificate:
             value = np.einsum("aij,aji->", x, pair.ea).real - np.einsum("bij,bji->", x, pair.eb).real
             if value != 0:
                 x = -1024 * np.sign(value) * x
-                assert pair.verify(x, -x) is None
+                assert pair.judge(x, -x, np.zeros((2, 2)), 0.0, 0.0) is None
                 checked += 1
         assert checked >= 1
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("offset", [0.003, 0.01, 0.05])
+    def test_certificate_bounds_the_zero_budget_frontier(self, d, offset):
+        # the paper's joint-measurability condition is the X = Y = 0 corner
+        # of its tradeoff: check-joint's pair, read as the lifted triple
+        # (X, Y, 0) at the witness tolerance's X budget, proves a lower end
+        # of Y there that no frontier witness at X = 0 may undercut
+        a, b = fourier_mub_pair(d, mub_threshold(d) + offset)
+        result = check_joint_measurability(a, b)
+        assert "dual certificate" in result.certificate_note
+        pair = feasibility._Pair(a, b)
+        zero = np.zeros((d, d))
+        root = pair.frontier_root(*result.certificate, zero, feasibility.WITNESS_MARGINAL_TOL, 0.0)
+        assert root is not None
+        assert 0.0 < root <= frontier_point(a, b, 0.0, y_resolution=1e-3).y_achieved
 
     def test_certified_within_a_budget_shorter_than_one_round(self):
         # the one round is cut at the budget and still ends with a
@@ -577,6 +596,33 @@ class TestConstraintDescription:
         p = pair.project_lifted_l(w)
         assert np.abs(pair.gap_total(p[:, :n].reshape(f.shape))).max() <= 1e-12
         assert np.abs(pair.project_lifted_l(p) - p).max() <= 1e-12
+
+    @pytest.mark.parametrize("skew", [0.0, 1e-9], ids=["hermitian", "skewed"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_marginal_distances_match_d_inf(self, d, skew):
+        # X and Y read off the gaps agree with `D_inf` of the marginal POVMs,
+        # on raw product stacks and on the cleaned witnesses, also where the
+        # targets and the stack carry a rounding-level anti-Hermitian part
+        rng = np.random.default_rng(64 + d)
+        for trial in range(6):
+            seed = 100 * d + trial
+
+            def skewed(e):
+                return e + skew * (rng.standard_normal(e.shape) + 1j * rng.standard_normal(e.shape))
+
+            a = random_povm(d, 3, seed)
+            b = random_povm(d, 2, seed + 50)
+            a = Povm(a.outcomes, skewed(a.elements))
+            b = Povm(b.outcomes, skewed(b.elements))
+            pair = feasibility._Pair(a, b)
+            f_a, f_b = coordinate_maps(a.outcomes, b.outcomes)
+            f = skewed(random_povm(d, 6, seed + 99).elements.reshape(3, 2, d, d))
+            x, y = pair.marginal_distances(f)
+            assert abs(x - D_inf(a, Povm(a.outcomes, f.sum(axis=1))).value) <= 1e-15
+            assert abs(y - D_inf(b, Povm(b.outcomes, f.sum(axis=0))).value) <= 1e-15
+            w, x, y = pair.witness(f)
+            assert abs(x - D_inf(a, marginalize(w, f_a)).value) <= 1e-15
+            assert abs(y - D_inf(b, marginalize(w, f_b)).value) <= 1e-15
 
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_project_lifted_k(self, side, pair_and_stack):
