@@ -27,7 +27,6 @@ from .bounds import (
 from .distances import D_inf, D_l1
 from .feasibility import (
     DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     FRONTIER_MAX_ITER,
     FRONTIER_RESOLUTION,
     FRONTIER_X_MAX,
@@ -135,7 +134,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_check_joint(args) -> int:
     a, b = _load_pair(args)
-    result = check_joint_measurability(a, b, max_iter=args.max_iter, tol=args.tol)
+    result = check_joint_measurability(a, b, max_iter=args.max_iter)
     print(f"status = {result.status}")
     print(f"residual = {format_float(result.residual)}")
     print(f"iterations = {result.iterations}")
@@ -233,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = pair_command("check-joint", "decide joint measurability of two POVMs", _cmd_check_joint)
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--witness-out", default="joint_witness.json")
 
     p = pair_command("frontier", "sweep the achievable accuracy frontier", _cmd_frontier)

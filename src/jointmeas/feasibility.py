@@ -26,15 +26,15 @@ Each frontier point brackets Y. The upper end is the better of two product
 baselines. The lower end starts at the paper's main bound, solved for Y at
 the point's X budget (`bounds.theorem1_min_y`; 0 for inputs that are not
 valid POVMs, outside the inequality's premise). Rounds of lifted
-Douglas-Rachford at the X budget and a trial Y then move both ends. A
-verified Farkas certificate has a value affine in Y, so it proves a whole
-interval of Y unreachable and the lower end jumps to its root; the next
-round tries Y there. A round without such a jump offers the lane's last
-point of K as a witness: its F rows cleaned and, where they overshoot the X
-budget, mixed with the A x flat baseline just enough to meet it; the next
-round tries the bracket's midpoint. A point stops once its bracket is
-within the resolution or its iteration budget is spent, and a bracket left
-open is reported as it stands.
+Douglas-Rachford at the X budget and the certified lower end then move both
+ends. A verified Farkas certificate has a value affine in Y, so it proves a
+whole interval of Y unreachable and the lower end jumps to its root. A
+round without such a jump offers the lane's last point of K as a witness:
+its F rows cleaned and, where they overshoot the X budget, mixed with their
+own repair onto A's exact marginal (the instrument form) just enough to
+meet it. A point stops once its bracket is within the resolution or its
+iteration budget is spent, and a bracket left open is reported as it
+stands.
 
 `infeasible` has two sources. The analytic screen is the paper's necessary
 condition sqrt(V(A) V(B)) >= (1/2) max ||[A_a, B_b]||. The dual certificate
@@ -72,7 +72,6 @@ from .povm import Povm, intrinsic_uncertainty_inf, validate_povm
 from .smearing import coordinate_maps
 
 # Solver defaults.
-DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 5000
 
 # Frontier defaults: sweep range, Y resolution, and each point's
@@ -93,7 +92,7 @@ CERTIFICATE_ULPS = 64
 
 # The frontier runs rounds of DUAL_ROUND_ITERS Douglas-Rachford iterations.
 # A round whose certified lower end moves by less than DUAL_MIN_JUMP Y
-# resolutions offers its primal point as a witness and bisects.
+# resolutions offers its primal point as a witness.
 DUAL_ROUND_ITERS = 60
 DUAL_MIN_JUMP = 1e-2
 
@@ -342,15 +341,6 @@ class _Pair:
             return None
         return base, float(-(base + fixed) / slope)
 
-    def frontier_root(
-        self, x: np.ndarray, y: np.ndarray, z: np.ndarray, x_budget: float, y_budget: float
-    ) -> float | None:
-        """The root of `judge`: the lower end that a dual triple proves for
-        the frontier at X budget x_budget, if it rules out y_budget; else
-        None."""
-        judged = self.judge(x, y, z, x_budget, y_budget)
-        return None if judged is None else judged[1]
-
     def marginal_distances(self, f: np.ndarray) -> tuple[float, float]:
         """X and Y of an iterate F, shape (n_A, n_B, d, d): the largest
         operator norm of its A-side gaps marg_A(F) - A and of its B-side
@@ -372,6 +362,27 @@ class _Pair:
         if validate_povm(w, completeness_tol=WITNESS_VALIDATE_TOL):
             return None
         return (w, *self.marginal_distances(g))
+
+    @cached_property
+    def sqrt_a(self) -> np.ndarray:
+        """A_a^{1/2}, the square root of each A effect's PSD part."""
+        w, u = np.linalg.eigh(self.ea)
+        return (u * np.sqrt(np.maximum(w, 0.0))[:, None]) @ np.conj(np.swapaxes(u, -1, -2))
+
+    def repair(self, f: np.ndarray) -> np.ndarray:
+        """F rows f, shape (n_A, n_B, d, d), moved onto A's exact marginal in
+        the instrument form F'_ab = A_a^{1/2} G_ab A_a^{1/2} (Heinosaari &
+        Ziman 2012): G_a is f_a conjugated by the pseudo-inverse square root
+        of M_a = sum_b f_ab, with M_a's kernel filled at weights tr(B_b)/d.
+        A x flat stays; flat x B becomes the Lüders product."""
+        w, u = np.linalg.eigh(linalg.hermitian_part(f.sum(axis=1)))
+        kept = w > 1e-10
+        uh = np.conj(np.swapaxes(u, -1, -2))
+        inv_sqrt = (u / np.sqrt(np.where(kept, w, np.inf))[:, None]) @ uh
+        kernel = (u * ~kept[:, None]) @ uh
+        wb = np.einsum("bii->b", self.eb).real / self.d
+        g = inv_sqrt[:, None] @ f @ inv_sqrt[:, None] + kernel[:, None] * wb[:, None, None]
+        return self.sqrt_a[:, None] @ g @ self.sqrt_a[:, None]
 
 
 def _act_on_rows(m: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -404,7 +415,6 @@ def check_joint_measurability(
     a: Povm,
     b: Povm,
     max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
 ) -> FeasibilityResult:
     """Decide whether A and B admit a joint observable with both as exact
     marginals.
@@ -413,14 +423,12 @@ def check_joint_measurability(
     between the product PSD cone and the affine set of correct marginals,
     from the symmetrized-product seed, in rounds of CERTIFY_EVERY iterations
     (the last cut at max_iter). After each round the PSD point k is cleaned
-    into a witness if its marginal residual is within tol, and otherwise
-    (or if that witness fails verification) read for a dual certificate.
-    Returns the first witness or certificate that passes verification, or
-    `undecided` at max_iter.
+    into a witness if its marginal residual is within WITNESS_MARGINAL_TOL,
+    and otherwise (or if that witness fails verification) read for a dual
+    certificate. Returns the first witness or certificate that passes
+    verification, or `undecided` at max_iter.
     """
     _check_solve(a, b, max_iter)
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
     screen = check_corollary_joint(a, b)
     if screen.slack < -SLACK_TOL:
         return FeasibilityResult(
@@ -451,7 +459,8 @@ def check_joint_measurability(
         )
 
     z = pair.product_seed()
-    if max(pair.marginal_distances(z)) <= tol and (result := finish_feasible(z, 0)) is not None:
+    res = max(pair.marginal_distances(z))
+    if res <= WITNESS_MARGINAL_TOL and (result := finish_feasible(z, 0)) is not None:
         return result
 
     iters = 0
@@ -460,7 +469,7 @@ def check_joint_measurability(
         z, k, _ = _douglas_rachford(z, linalg.project_psd_stack, pair.project_marginals, steps)
         iters += steps
         res = max(pair.marginal_distances(k))
-        if res <= tol and (result := finish_feasible(k, iters)) is not None:
+        if res <= WITNESS_MARGINAL_TOL and (result := finish_feasible(k, iters)) is not None:
             return result
         certificate = pair.certificate(k[None])[0]
         if certificate is not None:
@@ -503,23 +512,23 @@ def _frontier(
     """Frontier points for the X budgets `xs` (ascending, finite and
     nonnegative, as the callers ensure), bracketed together.
 
-    Each point's bracket runs from lo to hi = the Y of its better product
-    baseline. lo starts at the main bound's smallest Y at the X budget x,
-    less SLACK_TOL and never above hi (0 unless both inputs pass
-    `validate_povm`). A point whose bracket is wider than y_resolution is
-    one lane of a lifted Douglas-Rachford solve at X budget
-    x + WITNESS_MARGINAL_TOL (the most any witness may spend) and a trial
-    Y, first lo. Each round of DUAL_ROUND_ITERS iterations restarts from its
-    last point of K, and then, for each lane:
+    Each point's bracket runs from lo to hi = the Y of its best witness,
+    first a product baseline. lo starts at the main bound's smallest Y at
+    the X budget x, less SLACK_TOL and never above hi (0 unless both inputs
+    pass `validate_povm`). A point whose bracket is wider than y_resolution
+    is one lane of a lifted Douglas-Rachford solve at X budget
+    x + WITNESS_MARGINAL_TOL (the most any witness may spend) and Y budget
+    lo. Each round of DUAL_ROUND_ITERS iterations restarts from its last
+    point of K, and then, for each lane:
 
-    - a certificate read off the gap and verified by `_Pair.frontier_root`
-      raises lo to its root (never above hi);
+    - a certificate read off the gap and verified by `_Pair.judge` raises
+      lo to its root (never above hi);
     - if lo did not move by DUAL_MIN_JUMP resolutions, the F rows of the
-      last point of K are cleaned by `_Pair.witness`, mixed with the
-      cleaned A x flat baseline at weight t = 1 - x / X_W if their X_W
-      overshoots x + WITNESS_MARGINAL_TOL, and cleaned again; the result
-      lowers hi if it meets that budget and beats the best witness so far;
-    - the next round tries Y = lo after a jump and (lo + hi) / 2 otherwise.
+      last point of K are cleaned by `_Pair.witness`, mixed with their own
+      `_Pair.repair` at weight t = 1 - x / X_W if their X_W overshoots
+      x + WITNESS_MARGINAL_TOL, and cleaned again; the result lowers hi if
+      it meets that budget and beats the best witness so far;
+    - the next round runs at the new lo.
 
     A lane stops once hi <= lo + y_resolution, and every lane stops after
     max_iter iterations in all, its bracket left as it stands. lo moves only
@@ -536,8 +545,7 @@ def _frontier(
     # as its A-marginal (any budget); its mirror, a flat weight tensored with
     # B, has B itself as its B-marginal (budgets >= D_inf(A, w I)). Only
     # invalid inputs, accepted leniently, can leave a budget with neither.
-    flat = [pair.witness(f) for f in pair.flat_seeds()]
-    baselines = [bl for bl in flat if bl is not None]
+    baselines = [bl for f in pair.flat_seeds() if (bl := pair.witness(f)) is not None]
     best = []
     for x in xs:
         fits = [bl for bl in baselines if bl[1] <= x + WITNESS_MARGINAL_TOL]
@@ -548,7 +556,6 @@ def _frontier(
             )
         best.append(min(fits, key=lambda bl: bl[2]))
 
-    hi = [bl[2] for bl in best]
     lo = [0.0] * len(xs)
     # Theorem 1 rules out every Y below its contour, so the search starts
     # there; inputs that are not valid POVMs lie outside its premise and
@@ -556,28 +563,26 @@ def _frontier(
     if not validate_povm(a) and not validate_povm(b):
         v_a, v_b = intrinsic_uncertainty_inf(a), intrinsic_uncertainty_inf(b)
         ys = theorem1_min_y(np.array(xs), v_a, v_b, max_commutator_norm(a, b)) - SLACK_TOL
-        lo = [min(h, max(0.0, y)) for h, y in zip(hi, ys.tolist())]
+        lo = [min(bl[2], max(0.0, y)) for bl, y in zip(best, ys.tolist())]
 
     def offer(p: int, f: np.ndarray) -> None:
         """Keep F rows f, cleaned, as point p's witness if they beat it. One
-        that overshoots the X budget is mixed with A x flat, whose A-marginal
-        is exactly A: weight t = 1 - x / X_W scales every A-side gap by 1 - t
-        and raises Y by at most t (Y_flat - Y_W)."""
+        that overshoots the X budget is mixed with its own `_Pair.repair`,
+        whose A-marginal is exactly A, at weight t = 1 - x / X_W: every A-side
+        gap scales by 1 - t, and Y moves little, as the repair stays close."""
         if (found := pair.witness(f)) is None:
             return
-        if found[1] > xs[p] + WITNESS_MARGINAL_TOL and flat[0] is not None:
+        if found[1] > xs[p] + WITNESS_MARGINAL_TOL:
             t = 1 - xs[p] / found[1]
-            mix = (1 - t) * found[0].elements + t * flat[0][0].elements
-            if (found := pair.witness(mix.reshape(f.shape))) is None:
+            g = found[0].elements.reshape(f.shape)
+            if (found := pair.witness((1 - t) * g + t * pair.repair(g))) is None:
                 return
         if found[1] <= xs[p] + WITNESS_MARGINAL_TOL and found[2] < best[p][2]:
             best[p] = found
-            hi[p] = found[2]
 
     # (the test is hi > lo + resolution, not hi - lo > resolution: a bracket
     # closed at exactly one resolution, as rounded, stays closed)
-    active = [p for p in range(len(xs)) if hi[p] > lo[p] + y_resolution]
-    trial = [lo[p] for p in active]
+    active = [p for p in range(len(xs)) if best[p][2] > lo[p] + y_resolution]
     z = np.repeat(pair.lifted_start()[None], len(active), axis=0)
     used = 0
     while active and used < max_iter:
@@ -585,7 +590,7 @@ def _frontier(
         budgets = [xs[p] + WITNESS_MARGINAL_TOL for p in active]
         bounds = np.empty((len(active), pair.na + pair.nb, 1))
         bounds[:, : pair.na, 0] = np.array(budgets)[:, None]
-        bounds[:, pair.na :, 0] = np.array(trial)[:, None]
+        bounds[:, pair.na :, 0] = np.array([lo[p] for p in active])[:, None]
         # each round restarts from the last point of K: the iterate itself
         # has drifted along the gap of the old Y
         _, z, gap = _douglas_rachford(
@@ -595,16 +600,13 @@ def _frontier(
         keep = []
         for j, (p, triple) in enumerate(zip(active, pair.lifted_certificates(gap))):
             start = lo[p]
-            if (root := pair.frontier_root(*triple, budgets[j], trial[j])) is not None:
-                lo[p] = min(hi[p], root)
-            jumped = lo[p] - start >= DUAL_MIN_JUMP * y_resolution
-            if not jumped:
+            if (judged := pair.judge(*triple, budgets[j], start)) is not None:
+                lo[p] = min(best[p][2], judged[1])
+            if lo[p] - start < DUAL_MIN_JUMP * y_resolution:
                 offer(p, z[j, : pair.na * pair.nb].reshape(pair.na, pair.nb, pair.d, pair.d))
-            if hi[p] > lo[p] + y_resolution:
+            if best[p][2] > lo[p] + y_resolution:
                 keep.append(j)
-                trial[j] = lo[p] if jumped else (lo[p] + hi[p]) / 2
         active = [active[j] for j in keep]
-        trial = [trial[j] for j in keep]
         z = z[keep]
 
     # carry the best witness forward: one that meets a smaller X budget
@@ -635,10 +637,10 @@ def frontier_point(
     main bound allows at x_target, so the orthogonal sharp qubits at X = 0
     need no solve; it is 0 for inputs that fail `validate_povm` (accepted
     leniently), which the bound does not cover. Rounds of lifted
-    Douglas-Rachford then raise the lower end by verified dual certificates
-    and lower the upper end by their cleaned primal points, mixed with
-    A x flat to meet the budget, bisecting where no certificate jumps; the
-    lower end is returned as y_lower. The rounds stop once the bracket is
+    Douglas-Rachford at the lower end then raise it by verified dual
+    certificates and lower the upper end by their cleaned primal points,
+    each mixed with its repair onto A's exact marginal to meet the budget;
+    the lower end is returned as y_lower. The rounds stop once the bracket is
     within y_resolution or after max_iter iterations, so y_achieved -
     y_lower can exceed y_resolution when the budget runs out. The returned
     achieved values are computed from the cleaned-up witness, so they are

@@ -381,22 +381,6 @@ class TestCheckJoint:
         assert stdout == ""
         assert not out.exists()
 
-    def test_bad_tol_rejected_before_solving(self, files, capsys, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solver ran before its budgets were checked")
-
-        monkeypatch.setattr(feasibility, "_douglas_rachford", no_solve)
-        out = files["dir"] / "w.json"
-        code, stdout, err = run(
-            ["check-joint", files["nz70"], files["nx70"], "--tol", "nan",
-             "--witness-out", str(out)],
-            capsys,
-        )
-        assert code == 1
-        assert "tol" in err
-        assert stdout == ""
-        assert not out.exists()
-
 
 class TestQubitDemo:
     def test_deterministic_csv(self, files, capsys):

@@ -369,8 +369,9 @@ class TestDualCertificate:
         assert "dual certificate" in result.certificate_note
         pair = feasibility._Pair(a, b)
         zero = np.zeros((d, d))
-        root = pair.frontier_root(*result.certificate, zero, feasibility.WITNESS_MARGINAL_TOL, 0.0)
-        assert root is not None
+        judged = pair.judge(*result.certificate, zero, feasibility.WITNESS_MARGINAL_TOL, 0.0)
+        assert judged is not None
+        root = judged[1]
         assert 0.0 < root <= frontier_point(a, b, 0.0, y_resolution=1e-3).y_achieved
 
     def test_certified_within_a_budget_shorter_than_one_round(self):
@@ -429,22 +430,22 @@ class TestFrontierPoint:
 class TestTheorem1Bracket:
     """Each frontier search starts at the main bound's contour for valid
     inputs and at 0 for inputs that are not valid POVMs, raised to whatever
-    the lifted rounds certify. A round whose certified end does not jump
-    offers its last point of K as a witness, and the next round tries the
-    bracket's midpoint."""
+    the lifted rounds certify. Every round tries the certified lower end,
+    and one whose end does not jump offers its last point of K as a
+    witness."""
 
     @staticmethod
     def trial_ys(monkeypatch, a, b, x, certify=True):
-        """The Y of every round, as handed to `frontier_root`, and the point
+        """The Y of every round, as handed to `judge`, and the point
         returned. Without `certify`, no round yields a certificate."""
         ys = []
-        real = feasibility._Pair.frontier_root
+        real = feasibility._Pair.judge
 
         def recording(self, xs, yb, z, x_budget, y_budget):
             ys.append(y_budget)
             return real(self, xs, yb, z, x_budget, y_budget)
 
-        monkeypatch.setattr(feasibility._Pair, "frontier_root", recording)
+        monkeypatch.setattr(feasibility._Pair, "judge", recording)
         if not certify:
             monkeypatch.setattr(
                 feasibility, "_douglas_rachford", lambda z, *args: (z, z, np.zeros_like(z))
@@ -473,11 +474,10 @@ class TestTheorem1Bracket:
         assert pt.y_lower > lo + 0.1
         assert pt.y_achieved <= pt.y_lower + res
         # with nothing certified, the contour stays the lower end and every
-        # later round tries the bracket's midpoint until the budget is spent
+        # later round tries it until the budget is spent
         ys, pt = self.trial_ys(monkeypatch, a, b, 0.1, certify=False)
         assert pt.y_lower == lo
-        assert ys[0] == lo
-        assert ys[1:] == [(lo + pt.y_achieved) / 2] * (len(ys) - 1)
+        assert ys == [lo] * len(ys)
         rounds = math.ceil(feasibility.FRONTIER_MAX_ITER / feasibility.DUAL_ROUND_ITERS)
         assert len(ys) == rounds
 
@@ -496,8 +496,8 @@ class TestTheorem1Bracket:
         ys, pt = self.trial_ys(monkeypatch, a, b, 0.1, certify=False)
         assert pt.y_achieved > 0.4
         assert pt.y_lower == 0.0
-        assert ys[0] == 0.0
-        assert ys[1] == pt.y_achieved / 2
+        assert len(ys) > 1
+        assert ys == [0.0] * len(ys)
 
 
 class TestSolverBudgets:
@@ -556,16 +556,6 @@ class TestSolverBudgets:
         with pytest.raises(ValueError, match="max_iter"):
             check_joint_measurability(a, b, max_iter=max_iter)
 
-    @pytest.mark.parametrize(
-        "tol", [math.nan, 0.0, -1.0, math.inf], ids=["nan", "zero", "negative", "inf"]
-    )
-    def test_check_joint_rejects_bad_tol(self, tol):
-        # a feasible pair that a NaN or nonpositive tol used to run to the
-        # stagnation window and report `undecided`
-        a, b = noisy_qubit_povm((0, 0, 1), 0.7), noisy_qubit_povm((1, 0, 0), 0.7)
-        with pytest.raises(ValueError, match="tol"):
-            check_joint_measurability(a, b, tol=tol)
-
 
 class TestConstraintDescription:
     """Each projection of the product-outcome constraint description lands in
@@ -623,6 +613,44 @@ class TestConstraintDescription:
             w, x, y = pair.witness(f)
             assert abs(x - D_inf(a, marginalize(w, f_a)).value) <= 1e-15
             assert abs(y - D_inf(b, marginalize(w, f_b)).value) <= 1e-15
+
+    @pytest.mark.parametrize("sharp", [False, True], ids=["unsharp", "sharp"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_repair_meets_the_a_marginal(self, d, sharp):
+        # the repair is a POVM with A's exact marginal, also for a sharp A
+        # and F rows whose M_a = sum_b F_ab are rank one (Lüders products of
+        # another sharp PVM C, F_ab = C_a B_b C_a), so that M_a's kernel is
+        # filled
+        rng = np.random.default_rng(70 + d)
+        for trial in range(4):
+            seed = 100 * d + trial
+            b = random_povm(d, 2, seed + 50)
+            if sharp:
+                a, c = random_basis_pvm(rng, d, "a"), random_basis_pvm(rng, d, "c")
+                f = np.einsum("aij,bjk,akl->abil", c.elements, b.elements, c.elements)
+                assert np.linalg.matrix_rank(f.sum(axis=1)[0]) == 1
+            else:
+                a = random_povm(d, 3, seed)
+                f = random_povm(d, 3 * 2, seed + 99).elements.reshape(3, 2, d, d)
+            pair = feasibility._Pair(a, b)
+            assert np.abs(pair.gap_a(f)).max() > 1e-2
+            r = pair.repair(f)
+            assert np.abs(pair.gap_a(r)).max() <= 1e-12
+            assert np.abs(pair.gap_total(r)).max() <= 1e-12
+            assert np.linalg.eigvalsh(linalg.hermitian_part(r)).min() >= -1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_repair_of_the_product_baselines(self, d):
+        # flat x B becomes the Lüders product A_a^{1/2} B_b A_a^{1/2}, and
+        # A x flat, already on A's marginal, stays as it is
+        a, b = random_povm(d, 3, 80 + d), random_povm(d, 2, 90 + d)
+        pair = feasibility._Pair(a, b)
+        w, u = np.linalg.eigh(a.elements)
+        root = (u * np.sqrt(w)[:, None]) @ np.conj(np.swapaxes(u, 1, 2))
+        luders = np.einsum("aij,bjk,akl->abil", root, b.elements, root)
+        a_flat, flat_b = pair.flat_seeds()
+        assert np.abs(pair.repair(flat_b) - luders).max() <= 1e-12
+        assert np.abs(pair.repair(a_flat) - a_flat).max() <= 1e-12
 
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_project_lifted_k(self, side, pair_and_stack):
@@ -794,18 +822,19 @@ class TestLiftedCertificate:
         ys = [orthogonal_qubit_frontier(x) + 1e-5 for x in self.XS]
         for triples in dual_rounds(pair, xs, ys):
             for x, y, triple in zip(xs, ys, triples):
-                assert pair.frontier_root(*triple, x, y) is None
+                assert pair.judge(*triple, x, y) is None
 
     def test_verified_root_lies_between_probe_and_frontier(self, certified):
         pair, x, y, triple = certified
-        root = pair.frontier_root(*triple, x, y)
-        assert root is not None
+        judged = pair.judge(*triple, x, y)
+        assert judged is not None
+        root = judged[1]
         assert y < root <= orthogonal_qubit_frontier(x)
 
     @pytest.mark.parametrize("mutation", ["sign-flipped", "under-shifted", "over-shifted"])
     def test_verifier_rejects_a_mutated_triple(self, mutation, certified):
         pair, x, y, (xs, ys, z) = certified
-        root = pair.frontier_root(xs, ys, z, x, y)
+        root = pair.judge(xs, ys, z, x, y)[1]
         value = root - y  # > 0, a scale for the mutations
         if mutation == "sign-flipped":
             xs, ys, z = -xs, -ys, -z
@@ -817,7 +846,7 @@ class TestLiftedCertificate:
             # Z raised: X_a + Y_b + Z stays PSD but the value turns positive
             slope = sum(np.abs(np.linalg.eigvalsh(yb)).sum() for yb in ys)
             z = z + slope * value * np.eye(2)
-        assert pair.frontier_root(xs, ys, z, x, y) is None
+        assert pair.judge(xs, ys, z, x, y) is None
 
     def test_verifier_rejects_a_value_at_rounding_level(self):
         # X_a = -s I, Y_b = s I and Z = 0 give X_a + Y_b + Z = 0 and, at
@@ -832,7 +861,7 @@ class TestLiftedCertificate:
             value = np.einsum("bij,bji->", eye, pair.eb).real - trace_a
             if value != 0:
                 s = -1024 * np.sign(value)
-                assert pair.frontier_root(-s * eye, s * eye, 0 * eye[0], 0.0, 0.0) is None
+                assert pair.judge(-s * eye, s * eye, 0 * eye[0], 0.0, 0.0) is None
                 checked += 1
         assert checked >= 1
 
@@ -860,17 +889,31 @@ class TestLiftedCertificate:
             assert p.x_achieved <= p.x_target + feasibility.WITNESS_MARGINAL_TOL
 
     def test_qutrit_brackets_narrow_at_fine_resolution(self):
-        # midpoint rounds keep iterating where a probe that gave up counted
-        # as infeasible, so every bracket ends at most 4e-3 wide; bisection
-        # with such probes left 7.0e-3 and 1.2e-2 at X = 0.05 and 0.1 and
-        # reached the Y values below
+        # every round runs at the certified lower end, and a witness that
+        # overshoots the X budget is mixed with its own repair onto A's
+        # exact marginal, so the brackets at X >= 0.1 close and the rest
+        # end narrow; bisection with probes that gave up reached the Y
+        # values below at X >= 0.05, and the A x flat mix left X = 0 at
+        # that baseline's Y, 0.19 above the lower end
         a, b = seed7_qutrit_pair()
-        points = feasibility._frontier(a, b, [0.05, 0.1, 0.2], 1e-3, feasibility.FRONTIER_MAX_ITER)
+        res = 1e-3
+        zero, *points = feasibility._frontier(
+            a, b, [0.0, 0.05, 0.1, 0.2], res, feasibility.FRONTIER_MAX_ITER
+        )
+        assert 0.0 < zero.y_lower <= zero.y_achieved < zero.y_lower + 0.02, zero
+        assert zero.x_achieved <= feasibility.WITNESS_MARGINAL_TOL
         bisected = [0.2847579152992282, 0.20801086416455034, 0.10093924013178356]
-        for p, y_bisected in zip(points, bisected):
+        for p, y_bisected, width in zip(points, bisected, [1.5e-3, res, res]):
             assert 0.0 < p.y_lower <= p.y_achieved <= y_bisected, p
-            assert p.y_achieved - p.y_lower <= 4e-3, p
+            assert p.y_achieved - p.y_lower <= width, p
             assert p.x_achieved <= p.x_target + feasibility.WITNESS_MARGINAL_TOL
+
+    def test_zero_budget_bracket_closes(self):
+        # the A x flat mix turned every overshooting witness of this pair
+        # into that baseline (Y 0.4401) and left [0.05216, 0.06289]
+        pt = frontier_point(random_povm(3, 4, 105), random_povm(3, 2, 205), 0.0, y_resolution=1e-3)
+        assert pt.x_achieved <= feasibility.WITNESS_MARGINAL_TOL
+        assert 0.0 < pt.y_lower <= pt.y_achieved <= pt.y_lower + 1e-3
 
     def test_qubit_sweep_needs_no_probe(self, monkeypatch):
         # a deterministic count, not a timing: the certified ends and the
