@@ -15,8 +15,8 @@ witness: the extremal eigenvector of the maximizing Hermitian difference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,44 +32,58 @@ class DistanceValue:
     """An observable distance together with where it is attained.
 
     `witness` is the maximizing outcome label (uniform distance) or tuple of
-    labels (total-variation distance). Evaluating the underlying distribution
-    distance in `witness_state` reproduces `value`.
+    labels (total-variation distance), and `witness_matrix` the Hermitian
+    difference whose norm is `value`. `witness_state` is the pure state on
+    its extremal eigenvector, computed on first read; evaluating the
+    underlying distribution distance in it reproduces `value`.
     """
 
     value: float
     witness: str | tuple[str, ...]
-    witness_state: State | None = None
+    witness_matrix: np.ndarray
+
+    @cached_property
+    def witness_state(self) -> State:
+        return _extremal_pure_state(self.witness_matrix)
 
 
 def _check_prob_vectors(p, q) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(p, dtype=float).reshape(-1)
-    b = np.asarray(q, dtype=float).reshape(-1)
+    """Two probability vectors, or two stacks of them along the last axis.
+    Every row must be finite, sum to 1 within DISTRIBUTION_SUM_TOL and have
+    no entry below -DISTRIBUTION_SUM_TOL."""
+    a = np.atleast_1d(np.asarray(p, dtype=float))
+    b = np.atleast_1d(np.asarray(q, dtype=float))
     if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     for name, v in (("first", a), ("second", b)):
-        # checked as Python floats: on vectors this short that is cheaper
-        # than numpy reductions, and the selftest makes thousands of calls
-        entries = v.tolist()
-        if not all(map(math.isfinite, entries)):
+        if not np.isfinite(v).all():
             raise ValueError(f"{name} argument has non-finite entries")
-        total = sum(entries)
-        if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
-            raise ValueError(f"{name} argument is not normalized: sum = {total!r}")
-        if min(entries) < -DISTRIBUTION_SUM_TOL:
-            raise ValueError(f"{name} argument has a negative entry: {min(entries)!r}")
+        total = v.sum(axis=-1)
+        off = np.abs(total - 1.0) > DISTRIBUTION_SUM_TOL
+        if off.any():
+            raise ValueError(f"{name} argument is not normalized: sum = {float(total[off][0])!r}")
+        low = float(v.min())
+        if low < -DISTRIBUTION_SUM_TOL:
+            raise ValueError(f"{name} argument has a negative entry: {low!r}")
     return a, b
 
 
-def dist_inf(p, q) -> float:
-    """Uniform distance max_x |p(x) - q(x)|."""
-    a, b = _check_prob_vectors(p, q)
-    return float(np.abs(a - b).max())
+def _per_row(d: np.ndarray) -> float | np.ndarray:
+    return float(d) if d.ndim == 0 else d
 
 
-def dist_l1(p, q) -> float:
-    """Total-variation distance (1/2) sum_x |p(x) - q(x)|."""
+def dist_inf(p, q) -> float | np.ndarray:
+    """Uniform distance max_x |p(x) - q(x)|; for two stacks of
+    distributions, one distance per row of the last axis."""
     a, b = _check_prob_vectors(p, q)
-    return float(np.abs(a - b).sum() / 2)
+    return _per_row(np.abs(a - b).max(axis=-1))
+
+
+def dist_l1(p, q) -> float | np.ndarray:
+    """Total-variation distance (1/2) sum_x |p(x) - q(x)|; for two stacks
+    of distributions, one distance per row of the last axis."""
+    a, b = _check_prob_vectors(p, q)
+    return _per_row(np.abs(a - b).sum(axis=-1) / 2)
 
 
 def _extremal_pure_state(h: np.ndarray) -> State:
@@ -78,6 +92,11 @@ def _extremal_pure_state(h: np.ndarray) -> State:
     w, u = np.linalg.eigh(linalg.hermitian_part(h))
     k = int(np.argmax(np.abs(w)))
     return State.pure(u[:, k])
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
 
 
 def D_inf(a: Povm, b: Povm) -> DistanceValue:
@@ -91,7 +110,7 @@ def D_inf(a: Povm, b: Povm) -> DistanceValue:
     return DistanceValue(
         value=float(norms[k]),
         witness=a.outcomes[k],
-        witness_state=_extremal_pure_state(diffs[k]),
+        witness_matrix=_read_only(diffs[k]),
     )
 
 
@@ -121,5 +140,5 @@ def D_l1(a: Povm, b: Povm) -> DistanceValue:
     return DistanceValue(
         value=best,
         witness=mask_to_labels(best_pos ^ (best_pos >> 1), a.outcomes),
-        witness_state=_extremal_pure_state(best_matrix),
+        witness_matrix=_read_only(best_matrix),
     )

@@ -178,16 +178,23 @@ def outcome_distribution(p: Povm, state: State) -> OutcomeDistribution:
     """p(a) = tr(rho A_a) for every outcome a."""
     if state.dim != p.dim:
         raise ValueError(f"dimension mismatch: POVM dim {p.dim}, state dim {state.dim}")
-    raw = np.einsum("ij,kji->k", state.matrix, p.elements).real
-    clipped = np.clip(raw, 0.0, None)
-    total = clipped.sum()
-    if total <= 0:
-        raise ValueError("state assigns no probability mass to any outcome")
-    probs = clipped / total
+    probs, raw = outcome_probabilities(p, state.matrix[None])
+    probs, raw = probs[0], raw[0]
     probs.setflags(write=False)
-    raw = raw.copy()
     raw.setflags(write=False)
     return OutcomeDistribution(p.outcomes, probs, raw)
+
+
+def outcome_probabilities(p: Povm, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome probabilities of a stack of density matrices (k, d, d), one
+    row per state: the clipped and renormalized rows (k, n) and the raw
+    trace values tr(rho A_a). Raises if a row carries no probability mass."""
+    raw = np.einsum("sij,kji->sk", rhos, p.elements).real
+    clipped = np.clip(raw, 0.0, None)
+    total = clipped.sum(axis=-1, keepdims=True)
+    if (total <= 0).any():
+        raise ValueError("state assigns no probability mass to any outcome")
+    return clipped / total, raw
 
 
 def intrinsic_uncertainty_inf(p: Povm) -> float:
@@ -262,11 +269,22 @@ def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
     raise ValueError("could not draw a nonsingular random POVM after 10 attempts")
 
 
+def random_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` Hilbert-Schmidt random mixed states G G* / tr(G G*), as a
+    stack of density matrices (count, dim, dim).
+
+    The generator stream is that of `count` successive `random_state` calls:
+    each state takes the real then the imaginary part of its G.
+    """
+    x = rng.standard_normal((count, 2, dim, dim))
+    r = x[:, 0] + 1j * x[:, 1]
+    g = r @ np.conj(np.swapaxes(r, -1, -2))
+    return g / np.trace(g, axis1=-2, axis2=-1).real[:, None, None]
+
+
 def random_state(dim: int, rng: np.random.Generator) -> State:
     """Hilbert-Schmidt random mixed state G G* / tr(G G*)."""
-    r = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    g = r @ np.conj(r.T)
-    return State(g / np.trace(g).real)
+    return State(random_states(dim, 1, rng)[0])
 
 
 def require_comparable(p: Povm, q: Povm) -> None:

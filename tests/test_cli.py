@@ -488,3 +488,9 @@ class TestSelftest:
         assert code == 1
         assert "trials" in err
         assert out == ""
+
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run(["selftest", "--seed", "-1"], capsys)
+        assert code == 1
+        assert "seed must be >= 0, got -1" in err
+        assert out == ""

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import jointmeas.distances as distances
+from jointmeas import linalg
 from jointmeas.distances import D_inf, D_l1, dist_inf, dist_l1
 from jointmeas.errors import CapacityError
 from jointmeas.povm import (
@@ -56,6 +58,30 @@ class TestDistributionDistances:
 
     def test_roundoff_below_zero_accepted(self):
         assert dist_l1([1.0 + 1e-12, -1e-12], [0.5, 0.5]) == pytest.approx(0.5, abs=1e-11)
+
+    @pytest.mark.parametrize("dist", [dist_inf, dist_l1])
+    def test_stacks_give_one_distance_per_row(self, dist):
+        p = [[0.5, 0.3, 0.2], [1.0, 0.0, 0.0]]
+        q = [[0.2, 0.5, 0.3], [0.0, 0.5, 0.5]]
+        got = dist(p, q)
+        assert isinstance(got, np.ndarray) and got.shape == (2,)
+        assert got.tolist() == [dist(a, b) for a, b in zip(p, q)]
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ([np.nan, 1.0], "non-finite"),
+            ([0.5, 0.4], "not normalized"),
+            ([1.5, -0.5], "negative entry"),
+        ],
+    )
+    @pytest.mark.parametrize("dist", [dist_inf, dist_l1])
+    def test_stacks_check_every_row(self, dist, bad_row, message):
+        good = [[0.5, 0.5], [0.25, 0.75]]
+        with pytest.raises(ValueError, match=message):
+            dist([good[0], bad_row], good)
+        with pytest.raises(ValueError, match=message):
+            dist(good, [bad_row, good[1]])
 
 
 def _dist_at_state(p, q, state, metric):
@@ -173,6 +199,54 @@ class TestDL1:
         a = Povm(tuple(f"o{k}" for k in range(n)), np.stack([np.eye(2) / n] * n))
         with pytest.raises(CapacityError):
             D_l1(a, a)
+
+
+class TestLazyWitness:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        real = distances._extremal_pure_state
+
+        def counting(h):
+            calls.append(h)
+            return real(h)
+
+        monkeypatch.setattr(distances, "_extremal_pure_state", counting)
+        return calls
+
+    @pytest.mark.parametrize("dist", [D_inf, D_l1])
+    def test_state_built_on_first_read_only(self, counted, dist):
+        a = random_povm(3, 4, seed=11)
+        b = random_povm(3, 4, seed=12)
+        dv = dist(a, b)
+        assert counted == []
+        first = dv.witness_state
+        assert len(counted) == 1
+        assert dv.witness_state is first
+        assert len(counted) == 1
+
+    def test_inf_state_is_the_eager_one(self):
+        a = random_povm(4, 3, seed=13)
+        b = random_povm(4, 3, seed=14)
+        dv = D_inf(a, b)
+        diffs = linalg.hermitian_part(a.elements - b.elements)
+        eager = distances._extremal_pure_state(diffs[a.index(dv.witness)])
+        assert dv.witness_state.matrix.tobytes() == eager.matrix.tobytes()
+
+    def test_l1_matrix_is_the_witness_subset_sum(self):
+        a = random_povm(3, 5, seed=15)
+        b = random_povm(3, 5, seed=16)
+        dv = D_l1(a, b)
+        s = linalg.hermitian_part(a.subset_sum(dv.witness) - b.subset_sum(dv.witness))
+        assert np.allclose(dv.witness_matrix, s, atol=1e-14)
+        eager = distances._extremal_pure_state(dv.witness_matrix)
+        assert dv.witness_state.matrix.tobytes() == eager.matrix.tobytes()
+
+    @pytest.mark.parametrize("dist", [D_inf, D_l1])
+    def test_matrix_is_read_only(self, dist):
+        dv = dist(random_povm(2, 3, seed=1), random_povm(2, 3, seed=2))
+        with pytest.raises(ValueError):
+            dv.witness_matrix[0, 0] = 0
 
 
 class TestMetricAxioms:

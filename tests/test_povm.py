@@ -14,9 +14,11 @@ from jointmeas.povm import (
     is_pvm,
     noisy_qubit_povm,
     outcome_distribution,
+    outcome_probabilities,
     qubit_projector,
     random_povm,
     random_state,
+    random_states,
     validate_povm,
 )
 
@@ -130,6 +132,40 @@ class TestOutcomeDistribution:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             outcome_distribution(bloch_pvm((0, 0, 1)), State.maximally_mixed(3))
+
+
+class TestRandomStates:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_stack_is_the_stream_of_single_draws(self, dim):
+        stacked_rng = np.random.default_rng(17)
+        single_rng = np.random.default_rng(17)
+        stack = random_states(dim, 100, stacked_rng)
+        singles = np.stack([random_state(dim, single_rng).matrix for _ in range(100)])
+        assert stack.tobytes() == singles.tobytes()
+        assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+
+    def test_stack_holds_density_matrices(self):
+        stack = random_states(3, 10, np.random.default_rng(4))
+        assert stack.shape == (10, 3, 3)
+        assert np.allclose(np.trace(stack, axis1=1, axis2=2), 1.0, atol=1e-12)
+        assert np.allclose(stack, np.conj(np.swapaxes(stack, 1, 2)), atol=1e-14)
+        assert np.linalg.eigvalsh(stack).min() > -1e-12
+
+
+class TestOutcomeProbabilities:
+    def test_rows_match_single_states(self):
+        p = random_povm(3, 4, seed=5)
+        stack = random_states(3, 20, np.random.default_rng(8))
+        probs, raw = outcome_probabilities(p, stack)
+        assert probs.shape == raw.shape == (20, 4)
+        for row, rho in zip(probs, stack):
+            assert np.allclose(row, outcome_distribution(p, State(rho)).probs, atol=1e-15)
+
+    def test_row_without_mass_rejected(self):
+        p = bloch_pvm((0, 0, 1))
+        stack = np.stack([np.eye(2) / 2, np.zeros((2, 2))]).astype(complex)
+        with pytest.raises(ValueError, match="no probability mass"):
+            outcome_probabilities(p, stack)
 
 
 def _exhaustive_v_l1(p):
