@@ -126,9 +126,10 @@ def suite_duality(trials: int, seed: int, states_per_instance: int = 100) -> Sui
     """The closed forms dominate every sampled state and are attained by the
     constructed witness state.
 
-    Each instance and metric draws its states as one stack and checks them
-    all, so a failing instance draws all of them; on a passing run the
-    generator stream is that of one `random_state` call per state.
+    Each instance and metric draws its states as one stack, the generator
+    stream of one `random_state` call per state, and checks them all. An
+    instance that fails still draws every state, so each instance sees the
+    same stream whether or not an earlier one failed.
     """
     rng = np.random.default_rng(seed)
     result = SuiteResult("distance duality (witness attains, states never exceed)", trials)
