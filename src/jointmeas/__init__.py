@@ -47,7 +47,6 @@ from .povm import (
     is_pvm,
     noisy_qubit_povm,
     outcome_distribution,
-    qubit_projector,
     random_povm,
     validate_povm,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "max_subset_commutator_norm",
     "noisy_qubit_povm",
     "outcome_distribution",
-    "qubit_projector",
     "qubit_rhs",
     "random_povm",
     "theorem1_lhs",

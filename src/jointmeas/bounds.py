@@ -65,16 +65,6 @@ class TradeoffReport:
     def satisfied(self) -> bool:
         return self.slack >= -SLACK_TOL
 
-    def __str__(self) -> str:
-        status = "satisfied" if self.satisfied else "violated"
-        line = (
-            f"{self.inequality_id}: lhs = {self.lhs:.12g}, rhs = {self.rhs:.12g}, "
-            f"slack = {self.slack:.12g} ({status})"
-        )
-        if self.note:
-            line += f"\n  note: {self.note}"
-        return line
-
 
 def max_commutator_norm(a: Povm, b: Povm) -> float:
     """max over outcome pairs (a, b) of ||[A_a, B_b]||."""
@@ -113,7 +103,7 @@ def theorem1_lhs(x: float, y: float, v_a: float, v_b: float) -> float:
     """Left side of the main tradeoff bound:
     2XY + X + Y + 2 sqrt(2X + V_A) sqrt(2Y + V_B)."""
     for name, v in (("X", x), ("Y", y), ("V_A", v_a), ("V_B", v_b)):
-        if v < 0:
+        if not v >= 0:
             raise ValueError(f"{name} must be nonnegative, got {v}")
     return 2 * x * y + x + y + 2 * math.sqrt(2 * x + v_a) * math.sqrt(2 * y + v_b)
 
@@ -161,7 +151,7 @@ def _tradeoff(
     norm, "l1" the total-variation distance with the subset commutator norm.
     With `sharp` None, V_A and V_B are the metric's intrinsic uncertainties;
     otherwise they are 0 and `sharp` says what is projective: "pair" (A and
-    B, checked), "joint" (F, checked) or "bloch" (A and B by construction).
+    B) or "joint" (F), checked by `is_pvm`.
     `lhs(X, Y)` replaces the main left side, `rhs` the commutator norm.
 
     The distances, uncertainties and norms are read as module globals at call
@@ -284,7 +274,7 @@ def check_qubit_pair(n, m, f_povm: Povm, f_a: OutcomeMap, f_b: OutcomeMap) -> Tr
     # E(m) and E(-m) only swap outcomes, so an obtuse angle has the same
     # commutator norm as its supplement
     rhs = qubit_rhs(min(theta, math.pi - theta))
-    return _tradeoff("qubit", a, b, f_povm, f_a, f_b, sharp="bloch", rhs=rhs)
+    return _tradeoff("qubit", a, b, f_povm, f_a, f_b, sharp="pair", rhs=rhs)
 
 
 def check_heinosaari(n, m, f_povm: Povm, f_a: OutcomeMap, f_b: OutcomeMap) -> TradeoffReport:
@@ -294,7 +284,7 @@ def check_heinosaari(n, m, f_povm: Povm, f_a: OutcomeMap, f_b: OutcomeMap) -> Tr
     rhs = heinosaari_lower_bound(_bloch_angle(n, m))
     return _tradeoff(
         "heinosaari", a, b, f_povm, f_a, f_b,
-        sharp="bloch", lhs=lambda x, y: x + y, rhs=rhs,
+        sharp="pair", lhs=lambda x, y: x + y, rhs=rhs,
     )
 
 
@@ -309,29 +299,24 @@ class AdmissibleRegion:
     y_additive_bound: np.ndarray  # line X + Y = Busch-Heinosaari bound
 
 
-def admissible_region_curves(
-    theta: float, grid_size: int, x_max: float = 0.5, rhs: float | None = None
-) -> AdmissibleRegion:
-    """Sample both qubit bound curves on a uniform X grid over [0, x_max].
+def admissible_region_curves(theta: float, grid_size: int, rhs: float) -> AdmissibleRegion:
+    """Sample both qubit bound curves on a uniform X grid over [0, 1/2].
 
     The product-bound contour is the smallest Y >= 0 with
-    2XY + X + Y + 4 sqrt(XY) >= target: `theorem1_min_y` with
-    V_A = V_B = 0, so Y = 0 once X >= target. For two-outcome
-    qubit observables the interesting region ends by X = 1/2 (where the
-    contour reaches Y = 0 for any theta <= pi/2), hence the default sweep
-    range. `rhs` overrides the contour target (for example with a
-    commutator norm computed from an actual projector pair instead of the
-    closed form).
+    2XY + X + Y + 4 sqrt(XY) >= rhs: `theorem1_min_y` with V_A = V_B = 0,
+    so Y = 0 once X >= rhs. `rhs` is the commutator norm of the pair at
+    Bloch angle theta in [0, pi/2], which `qubit_rhs(theta)` gives in closed
+    form; it is at most 1/2, so the contour reaches Y = 0 by X = 1/2, where
+    the sweep ends.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    target = qubit_rhs(theta) if rhs is None else rhs
-    for name, v in (("x_max", x_max), ("rhs", target)):
-        if not 0 <= v < math.inf:
-            raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+    qubit_rhs(theta)  # range check
+    if not 0 <= rhs < math.inf:
+        raise ValueError(f"rhs must be finite and nonnegative, got {rhs}")
     h = heinosaari_lower_bound(theta)
-    xs = np.linspace(0.0, x_max, grid_size)
-    y1 = theorem1_min_y(xs, 0.0, 0.0, target)
+    xs = np.linspace(0.0, 0.5, grid_size)
+    y1 = theorem1_min_y(xs, 0.0, 0.0, rhs)
     y2 = np.maximum(h - xs, 0.0)
     for arr in (xs, y1, y2):
         arr.setflags(write=False)

@@ -65,10 +65,9 @@ from .bounds import (
     SLACK_TOL,
     TradeoffReport,
     check_corollary_joint,
-    max_commutator_norm,
     theorem1_min_y,
 )
-from .povm import Povm, intrinsic_uncertainty_inf, validate_povm
+from .povm import Povm, validate_povm
 from .smearing import coordinate_maps
 
 # Solver defaults.
@@ -561,8 +560,9 @@ def _frontier(
     # there; inputs that are not valid POVMs lie outside its premise and
     # start at 0
     if not validate_povm(a) and not validate_povm(b):
-        v_a, v_b = intrinsic_uncertainty_inf(a), intrinsic_uncertainty_inf(b)
-        ys = theorem1_min_y(np.array(xs), v_a, v_b, max_commutator_norm(a, b)) - SLACK_TOL
+        screen = check_corollary_joint(a, b)
+        # screen.rhs is the commutator norm halved, so doubling it is exact
+        ys = theorem1_min_y(np.array(xs), screen.V_A, screen.V_B, 2 * screen.rhs) - SLACK_TOL
         lo = [min(bl[2], max(0.0, y)) for bl, y in zip(best, ys.tolist())]
 
     def offer(p: int, f: np.ndarray) -> None:

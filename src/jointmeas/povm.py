@@ -82,8 +82,11 @@ class Povm:
         return self.elements[self.index(outcome)]
 
     def subset_sum(self, labels: Iterable[str]) -> np.ndarray:
-        """Sum of the elements over a subset of outcomes."""
+        """Sum of the elements over a subset of outcomes; a label may appear
+        at most once."""
         idx = [self.index(lab) for lab in labels]
+        if len(set(idx)) != len(idx):
+            raise ValueError("a subset cannot hold an outcome twice")
         if not idx:
             return np.zeros((self.dim, self.dim), dtype=complex)
         return self.elements[idx].sum(axis=0)
@@ -123,13 +126,6 @@ def validate_povm(p: Povm, completeness_tol: float = COMPLETENESS_TOL) -> list[P
     return report
 
 
-def is_pvm(p: Povm, tol: float = 1e-9) -> bool:
-    """True iff every element is a projection: ||A_a^2 - A_a|| <= tol."""
-    e = linalg.hermitian_part(p.elements)
-    defect = linalg.herm_norm_stack(e @ e - e)
-    return bool(defect.max() <= tol)
-
-
 @dataclass(frozen=True, eq=False)
 class State:
     """Density operator."""
@@ -156,45 +152,36 @@ class State:
         v = v / nrm
         return cls(np.outer(v, v.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "State":
-        return cls(np.eye(dim, dtype=complex) / dim)
-
 
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Outcome probabilities of a POVM in a state.
-
-    `probs` is clipped to [0, 1] and renormalized for downstream distance
-    computations; `raw` keeps the unclipped trace values for diagnostics.
-    """
+    """Outcome probabilities of a POVM in a state, clipped to [0, 1] and
+    renormalized for downstream distance computations."""
 
     outcomes: tuple[str, ...]
     probs: np.ndarray
-    raw: np.ndarray
 
 
 def outcome_distribution(p: Povm, state: State) -> OutcomeDistribution:
     """p(a) = tr(rho A_a) for every outcome a."""
     if state.dim != p.dim:
         raise ValueError(f"dimension mismatch: POVM dim {p.dim}, state dim {state.dim}")
-    probs, raw = outcome_probabilities(p, state.matrix[None])
-    probs, raw = probs[0], raw[0]
+    probs = outcome_probabilities(p, state.matrix[None])[0]
     probs.setflags(write=False)
-    raw.setflags(write=False)
-    return OutcomeDistribution(p.outcomes, probs, raw)
+    return OutcomeDistribution(p.outcomes, probs)
 
 
-def outcome_probabilities(p: Povm, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def outcome_probabilities(p: Povm, rhos: np.ndarray) -> np.ndarray:
     """Outcome probabilities of a stack of density matrices (k, d, d), one
-    row per state: the clipped and renormalized rows (k, n) and the raw
-    trace values tr(rho A_a). Raises if a row carries no probability mass."""
+    row per state: the trace values tr(rho A_a), clipped at 0 and
+    renormalized, as rows (k, n). Raises if a row carries no probability
+    mass."""
     raw = np.einsum("sij,kji->sk", rhos, p.elements).real
     clipped = np.clip(raw, 0.0, None)
     total = clipped.sum(axis=-1, keepdims=True)
     if (total <= 0).any():
         raise ValueError("state assigns no probability mass to any outcome")
-    return clipped / total, raw
+    return clipped / total
 
 
 def intrinsic_uncertainty_inf(p: Povm) -> float:
@@ -202,6 +189,11 @@ def intrinsic_uncertainty_inf(p: Povm) -> float:
     most 1/4 for any POVM."""
     e = linalg.hermitian_part(p.elements)
     return float(linalg.herm_norm_stack(e - e @ e).max())
+
+
+def is_pvm(p: Povm) -> bool:
+    """True iff every element is a projection: V(A) <= 1e-9."""
+    return intrinsic_uncertainty_inf(p) <= 1e-9
 
 
 def intrinsic_uncertainty_l1(p: Povm) -> float:
@@ -219,14 +211,9 @@ def _bloch_sigma(n) -> np.ndarray:
     v = np.asarray(n, dtype=float).reshape(-1)
     if v.shape != (3,):
         raise ValueError("Bloch vector must have three components")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
         raise ValueError(f"Bloch vector must be unit length, got |n| = {np.linalg.norm(v):.12g}")
     return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
-
-
-def qubit_projector(n) -> np.ndarray:
-    """Rank-one qubit projector (1/2)(I + n . sigma) for a unit Bloch vector."""
-    return (np.eye(2, dtype=complex) + _bloch_sigma(n)) / 2
 
 
 def noisy_qubit_povm(n, eta: float) -> Povm:

@@ -55,15 +55,6 @@ class OutcomeMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "assignment", assignment)
 
-    def __call__(self, source_label: str) -> str:
-        return self.assignment[source_label]
-
-    def fiber(self, target_label: str) -> tuple[str, ...]:
-        """Source labels mapping to a target label, in source order."""
-        if target_label not in self.target:
-            raise KeyError(f"unknown target outcome {target_label!r}")
-        return tuple(s for s in self.source if self.assignment[s] == target_label)
-
     def compose(self, after: "OutcomeMap") -> "OutcomeMap":
         """after . self : source -> after.target."""
         if self.target != after.source:
@@ -73,15 +64,6 @@ class OutcomeMap:
             target=after.target,
             assignment={s: after.assignment[self.assignment[s]] for s in self.source},
         )
-
-    @classmethod
-    def identity(cls, labels) -> "OutcomeMap":
-        labs = tuple(labels)
-        return cls(labs, labs, {x: x for x in labs})
-
-    @classmethod
-    def constant(cls, source, target_label: str) -> "OutcomeMap":
-        return cls(tuple(source), (target_label,), {s: target_label for s in source})
 
 
 def marginalize(f_povm: Povm, f: OutcomeMap) -> Povm:
@@ -135,10 +117,6 @@ class ErrorOperators:
     outcomes: tuple[str, ...]
     operators: np.ndarray  # (n, dim, dim)
     norms: np.ndarray  # (n,)
-
-    @property
-    def max_norm(self) -> float:
-        return float(self.norms.max())
 
 
 def error_operators(a: Povm, f_povm: Povm, f: OutcomeMap) -> ErrorOperators:

@@ -148,6 +148,13 @@ class TestTheorem1Lhs:
         with pytest.raises(ValueError):
             theorem1_lhs(-0.1, 0, 0, 0)
 
+    @pytest.mark.parametrize("k", range(4))
+    def test_rejects_nan(self, k):
+        args = [0.1] * 4
+        args[k] = math.nan
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            theorem1_lhs(*args)
+
     def test_monotone_in_each_argument(self):
         rng = np.random.default_rng(47)
         for _ in range(200):
@@ -495,23 +502,27 @@ def test_one_dimension_error_before_projectivity(check):
         check(*pair, joint, f, f)
 
 
+def closed_form_region(theta, grid_size):
+    return admissible_region_curves(theta, grid_size, qubit_rhs(theta))
+
+
 class TestAdmissibleRegion:
     def test_contour_endpoint_values(self):
-        region = admissible_region_curves(math.pi / 2, 201)
+        region = closed_form_region(math.pi / 2, 201)
         # at X = 0 the product bound needs Y = sin(theta)/2
         assert region.y_product_bound[0] == pytest.approx(0.5, abs=1e-9)
         # at X = 0.5 the bound is already met with Y = 0
         assert region.y_product_bound[-1] == pytest.approx(0.0, abs=1e-9)
 
     def test_contour_monotone_nonincreasing(self):
-        region = admissible_region_curves(math.pi / 2, 101)
+        region = closed_form_region(math.pi / 2, 101)
         y = region.y_product_bound
         assert all(b <= a + 1e-9 for a, b in zip(y, y[1:]))
 
     def test_contour_points_bracket_the_level_set(self):
         # the returned point meets the bound, and backing off by 1e-10
         # must fall below it
-        region = admissible_region_curves(math.pi / 2, 51)
+        region = closed_form_region(math.pi / 2, 51)
         for x, y in zip(region.x, region.y_product_bound):
             assert theorem1_lhs(float(x), float(y), 0.0, 0.0) >= 0.5 - 1e-12
             if y > 1e-10:
@@ -522,7 +533,7 @@ class TestAdmissibleRegion:
     def test_contour_points_lie_on_the_level_set(self, theta):
         # the contour is the closed-form root, so every point with Y > 0
         # meets the bound to rounding
-        region = admissible_region_curves(theta, 201)
+        region = closed_form_region(theta, 201)
         target = math.sin(theta) / 2
         on_curve = [(float(x), float(y)) for x, y in zip(region.x, region.y_product_bound) if y > 0]
         assert len(on_curve) > 50
@@ -530,32 +541,31 @@ class TestAdmissibleRegion:
             assert abs(theorem1_lhs(x, y, 0.0, 0.0) - target) <= 1e-12
 
     @pytest.mark.parametrize(
-        "kwargs, message",
+        "theta, rhs, message",
         [
-            ({"x_max": -0.1}, "x_max"),
-            ({"x_max": math.inf}, "x_max"),
-            ({"x_max": math.nan}, "x_max"),
-            ({"rhs": -0.1}, "rhs"),
-            ({"rhs": math.nan}, "rhs"),
+            (5.0, 0.5, "theta"),
+            (math.nan, 0.5, "theta"),
+            (math.pi / 2, -0.1, "rhs"),
+            (math.pi / 2, math.nan, "rhs"),
         ],
-        ids=["x-max-negative", "x-max-inf", "x-max-nan", "rhs-negative", "rhs-nan"],
+        ids=["theta-above", "theta-nan", "rhs-negative", "rhs-nan"],
     )
-    def test_rejects_bad_range_or_target(self, kwargs, message):
+    def test_rejects_bad_range_or_target(self, theta, rhs, message):
         with pytest.raises(ValueError, match=message):
-            admissible_region_curves(math.pi / 2, 11, **kwargs)
+            admissible_region_curves(theta, 11, rhs)
 
     def test_additive_line(self):
-        region = admissible_region_curves(math.pi / 2, 11)
+        region = closed_form_region(math.pi / 2, 11)
         h = heinosaari_lower_bound(math.pi / 2)
         for x, y in zip(region.x, region.y_additive_bound):
             assert y == pytest.approx(max(h - float(x), 0.0), abs=1e-15)
 
     def test_grid_size_validated(self):
         with pytest.raises(ValueError):
-            admissible_region_curves(1.0, 1)
+            closed_form_region(1.0, 1)
 
     def test_curves_cross_for_orthogonal_axes(self):
-        region = admissible_region_curves(math.pi / 2, 200)
+        region = closed_form_region(math.pi / 2, 200)
         diff = region.y_product_bound - region.y_additive_bound
         interior = (region.y_product_bound > 0) & (region.y_additive_bound > 0)
         signs = np.sign(diff[interior])

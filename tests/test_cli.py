@@ -397,6 +397,19 @@ class TestQubitDemo:
         assert header == "X,Y_cor1,Y_heinosaari"
         assert first == "0,0.5,0.292893218813"
 
+    @pytest.mark.parametrize(
+        "theta, shown", [("nan", "nan"), ("inf", "inf"), ("3", "3.0"), ("-0.1", "-0.1")]
+    )
+    def test_theta_out_of_range_rejected(self, theta, shown, files, capsys):
+        out = files["dir"] / "c.csv"
+        code, stdout, err = run(
+            ["qubit-demo", "--theta", theta, "--grid", "5", "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert err == f"error: theta must lie in [0, pi/2], got {shown}\n"
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestFrontier:
     def test_small_commuting_sweep(self, files, capsys):

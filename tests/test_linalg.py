@@ -97,10 +97,10 @@ class TestCommutatorNorm:
         assert commutator_norm(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 0.0
 
     def test_orthogonal_qubit_projectors(self):
-        from jointmeas.povm import qubit_projector
+        from jointmeas.povm import bloch_pvm
 
-        e_z = qubit_projector((0, 0, 1))
-        e_x = qubit_projector((1, 0, 0))
+        e_z = bloch_pvm((0, 0, 1))["+"]
+        e_x = bloch_pvm((1, 0, 0))["+"]
         assert commutator_norm(e_z, e_x) == pytest.approx(0.5, abs=1e-10)
 
     def test_matches_op_norm_of_commutator(self):
