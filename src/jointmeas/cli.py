@@ -4,11 +4,19 @@ Exit codes: 0 success, 1 validation or constraint failure, 2 I/O or parse
 error (including usage errors). All emitted numbers use a fixed
 12-significant-digit format so identical inputs and flags produce
 byte-identical output.
+
+`cli_dispatch(argv)` is the in-process entry point: it returns the exit code
+instead of exiting. It builds the argument parser on its first call and
+reuses it, so a process that dispatches many commands pays for the parser
+once, and each call's exit code, stdout, stderr and files are those of a
+fresh `jointmeas` process. A `--witness-out` file is written before the
+report is printed, so a write that fails exits 2 with nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -76,7 +84,6 @@ def _print_distance(metric: str, dv, witness_out) -> None:
     else:
         print(f"witness_outcome = {dv.witness}")
     if witness_out:
-        io.save_state(dv.witness_state, witness_out)
         print(f"witness_state_file = {witness_out}")
 
 
@@ -109,6 +116,8 @@ def _cmd_validate(args) -> int:
 def _cmd_distance(args) -> int:
     a, b = _load_pair(args)
     dv = D_inf(a, b) if args.metric == "inf" else D_l1(a, b)
+    if args.witness_out:
+        io.save_state(dv.witness_state, args.witness_out)
     _print_distance(args.metric, dv, args.witness_out)
     return 0
 
@@ -135,13 +144,14 @@ def _cmd_bounds(args) -> int:
 def _cmd_check_joint(args) -> int:
     a, b = _load_pair(args)
     result = check_joint_measurability(a, b, max_iter=args.max_iter)
+    if result.witness is not None:
+        io.save_povm(result.witness, args.witness_out)
     print(f"status = {result.status}")
     print(f"residual = {format_float(result.residual)}")
     print(f"iterations = {result.iterations}")
     if result.certificate_note:
         print(f"note = {result.certificate_note}")
     if result.witness is not None:
-        io.save_povm(result.witness, args.witness_out)
         print(f"witness_file = {args.witness_out}")
     return 0 if result.status == "feasible" else 1
 
@@ -193,7 +203,14 @@ def _cmd_selftest(args) -> int:
     return 0 if violations == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `jointmeas` parser, built on the first call and shared after it.
+
+    Parsing leaves the parser as it was, and help and usage text read the
+    terminal width when they are formatted, so one parser serves every
+    `cli_dispatch` call in a process. Callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="jointmeas",
         description=(

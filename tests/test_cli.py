@@ -1,11 +1,17 @@
+import argparse
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jointmeas
 from jointmeas import feasibility, linalg
 from jointmeas.bounds import check_corollary_pvm_instrument, check_theorem2
-from jointmeas.cli import _print_report, cli_dispatch
+from jointmeas.cli import _print_report, build_parser, cli_dispatch
 from jointmeas.io import load_povm, load_state, save_povm
 from jointmeas.povm import (
     Povm,
@@ -87,6 +93,16 @@ class TestPairCommands:
         assert "not a valid POVM" in err
         assert stdout == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["distance", "check-joint"])
+    def test_unwritable_witness_prints_no_report(self, command, files, capsys):
+        out = files["dir"] / "missing" / "w.json"
+        flags = [f.format(out=out) for f in PAIR_COMMANDS[command]]
+        code, stdout, err = run([command, files["nz70"], files["nx70"], *flags], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
 
 
 class TestValidate:
@@ -507,3 +523,91 @@ class TestSelftest:
         assert code == 1
         assert "seed must be >= 0, got -1" in err
         assert out == ""
+
+
+def fresh_process(argv):
+    """Run `python -m jointmeas.cli argv` in a new interpreter 80 columns
+    wide: (exit code, stdout, stderr)."""
+    src = str(Path(jointmeas.__file__).resolve().parents[1])
+    env = {**os.environ, "COLUMNS": "80"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "jointmeas.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def take_outputs(paths):
+    """The bytes of every output file that exists, removing each."""
+    found = {}
+    for path in paths:
+        if path.exists():
+            found[path.name] = path.read_bytes()
+            path.unlink()
+    return found
+
+
+class TestInProcessDispatch:
+    """`cli_dispatch` builds its parser once and reuses it; every call
+    behaves as it would in a fresh process."""
+
+    def test_later_dispatches_build_no_parser(self, files, capsys, monkeypatch):
+        witness = str(files["dir"] / "w.json")
+        argvs = [
+            ["check-joint", files["nz70"], files["nx70"], "--witness-out", witness],
+            ["distance", "--metric", "inf", files["z"], files["x"]],
+            ["validate", files["z"]],
+        ]
+        run(argvs[0], capsys)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for k in range(10):
+            code, _, _ = run(argvs[k % 3], capsys)
+            assert code == 0
+        assert built == []
+
+    def test_errors_and_help_leave_no_state(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        witness = files["dir"] / "w.json"
+        argv = ["check-joint", files["nz70"], files["nx70"], "--witness-out", str(witness)]
+        build_parser.cache_clear()
+        alone = (*run(argv, capsys), take_outputs([witness]))
+
+        code, out, err = run(["distance", files["z"], files["x"]], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--metric" in err
+        code, help_text, err = run(["check-joint", "--help"], capsys)
+        assert code == 0
+        assert err == ""
+        assert (*run(argv, capsys), take_outputs([witness])) == alone
+        assert alone[0] == 0
+        assert (0, help_text, "") == fresh_process(["check-joint", "--help"])
+
+    def test_one_process_matches_fresh_processes(self, files, capsys):
+        d = files["dir"]
+        outputs = [d / "state.json", d / "witness.json", d / "front.csv"]
+        sequence = [
+            ["validate", files["z"]],
+            ["distance", "--metric", "l1", files["z"], files["x"], "--witness-out", str(outputs[0])],
+            ["check-joint", files["nz70"], files["nx70"], "--witness-out", str(outputs[1])],
+            ["bounds", "--inequality", "cor-joint", files["nz72"], files["nx72"]],
+            ["frontier", files["z"], files["x"], "--grid", "3", "--out", str(outputs[2])],
+        ]
+        runs = [
+            [(*run(argv, capsys), take_outputs(outputs)) for argv in sequence],
+            [(*run(argv, capsys), take_outputs(outputs)) for argv in sequence],
+            [(*fresh_process(argv), take_outputs(outputs)) for argv in sequence],
+        ]
+        assert runs[0] == runs[1] == runs[2]
+        assert [len(files_written) for *_, files_written in runs[0]] == [0, 1, 1, 0, 1]
