@@ -37,7 +37,6 @@ from .feasibility import (
     frontier_sweep,
 )
 from .povm import (
-    OutcomeDistribution,
     Povm,
     PovmViolation,
     State,
@@ -46,7 +45,6 @@ from .povm import (
     intrinsic_uncertainty_l1,
     is_pvm,
     noisy_qubit_povm,
-    outcome_distribution,
     random_povm,
     validate_povm,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "ErrorOperators",
     "FeasibilityResult",
     "FrontierPoint",
-    "OutcomeDistribution",
     "OutcomeMap",
     "Povm",
     "PovmViolation",
@@ -99,7 +96,6 @@ __all__ = [
     "max_commutator_norm",
     "max_subset_commutator_norm",
     "noisy_qubit_povm",
-    "outcome_distribution",
     "qubit_rhs",
     "random_povm",
     "theorem1_lhs",

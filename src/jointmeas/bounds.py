@@ -310,7 +310,7 @@ def admissible_region_curves(theta: float, grid_size: int, rhs: float) -> Admiss
     the sweep ends.
     """
     if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
+        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     qubit_rhs(theta)  # range check
     if not 0 <= rhs < math.inf:
         raise ValueError(f"rhs must be finite and nonnegative, got {rhs}")

@@ -669,7 +669,7 @@ def frontier_sweep(
     later point the solver did worse on; each point keeps its own y_lower.
     """
     if n_points < 1:
-        raise ValueError("n_points must be >= 1")
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
     if not 0 <= x_max < math.inf:
         raise ValueError(f"x_max must be finite and nonnegative, got {x_max}")
     xs = np.linspace(0.0, x_max, n_points) if n_points > 1 else np.array([x_max])

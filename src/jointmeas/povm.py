@@ -4,7 +4,6 @@ uncertainty measures, and constructors for standard test families."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -81,16 +80,6 @@ class Povm:
     def __getitem__(self, outcome: str) -> np.ndarray:
         return self.elements[self.index(outcome)]
 
-    def subset_sum(self, labels: Iterable[str]) -> np.ndarray:
-        """Sum of the elements over a subset of outcomes; a label may appear
-        at most once."""
-        idx = [self.index(lab) for lab in labels]
-        if len(set(idx)) != len(idx):
-            raise ValueError("a subset cannot hold an outcome twice")
-        if not idx:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return self.elements[idx].sum(axis=0)
-
 
 @dataclass(frozen=True)
 class PovmViolation:
@@ -153,29 +142,15 @@ class State:
         return cls(np.outer(v, v.conj()))
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
-    """Outcome probabilities of a POVM in a state, clipped to [0, 1] and
-    renormalized for downstream distance computations."""
-
-    outcomes: tuple[str, ...]
-    probs: np.ndarray
-
-
-def outcome_distribution(p: Povm, state: State) -> OutcomeDistribution:
-    """p(a) = tr(rho A_a) for every outcome a."""
-    if state.dim != p.dim:
-        raise ValueError(f"dimension mismatch: POVM dim {p.dim}, state dim {state.dim}")
-    probs = outcome_probabilities(p, state.matrix[None])[0]
-    probs.setflags(write=False)
-    return OutcomeDistribution(p.outcomes, probs)
-
-
 def outcome_probabilities(p: Povm, rhos: np.ndarray) -> np.ndarray:
     """Outcome probabilities of a stack of density matrices (k, d, d), one
     row per state: the trace values tr(rho A_a), clipped at 0 and
-    renormalized, as rows (k, n). Raises if a row carries no probability
-    mass."""
+    renormalized, as rows (k, n); a single state is a stack of one. Raises
+    if the state dimension is not the POVM's or a row carries no
+    probability mass."""
+    d = rhos.shape[-1]
+    if d != p.dim:
+        raise ValueError(f"dimension mismatch: POVM dim {p.dim}, state dim {d}")
     raw = np.einsum("sij,kji->sk", rhos, p.elements).real
     clipped = np.clip(raw, 0.0, None)
     total = clipped.sum(axis=-1, keepdims=True)
@@ -258,20 +233,16 @@ def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
 
 def random_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """`count` Hilbert-Schmidt random mixed states G G* / tr(G G*), as a
-    stack of density matrices (count, dim, dim).
+    stack of density matrices (count, dim, dim); a single state is a stack
+    of one.
 
-    The generator stream is that of `count` successive `random_state` calls:
-    each state takes the real then the imaginary part of its G.
+    Each state takes the real then the imaginary part of its G, so one call
+    draws the same stream as `count` calls of one state each.
     """
     x = rng.standard_normal((count, 2, dim, dim))
     r = x[:, 0] + 1j * x[:, 1]
     g = r @ np.conj(np.swapaxes(r, -1, -2))
     return g / np.trace(g, axis1=-2, axis2=-1).real[:, None, None]
-
-
-def random_state(dim: int, rng: np.random.Generator) -> State:
-    """Hilbert-Schmidt random mixed state G G* / tr(G G*)."""
-    return State(random_states(dim, 1, rng)[0])
 
 
 def require_comparable(p: Povm, q: Povm) -> None:

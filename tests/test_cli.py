@@ -13,13 +13,7 @@ from jointmeas import feasibility, linalg
 from jointmeas.bounds import check_corollary_pvm_instrument, check_theorem2
 from jointmeas.cli import _print_report, build_parser, cli_dispatch
 from jointmeas.io import load_povm, load_state, save_povm
-from jointmeas.povm import (
-    Povm,
-    bloch_pvm,
-    noisy_qubit_povm,
-    outcome_distribution,
-    validate_povm,
-)
+from jointmeas.povm import Povm, bloch_pvm, noisy_qubit_povm, outcome_probabilities
 from jointmeas.smearing import coordinate_maps
 
 
@@ -151,8 +145,8 @@ class TestDistance:
         state = load_state(witness)
         a, _ = load_povm(files["z"])
         b, _ = load_povm(files["x"])
-        pa = outcome_distribution(a, state).probs
-        pb = outcome_distribution(b, state).probs
+        pa = outcome_probabilities(a, state.matrix[None])[0]
+        pb = outcome_probabilities(b, state.matrix[None])[0]
         assert float(np.abs(pa - pb).max()) == pytest.approx(1 / np.sqrt(2), abs=1e-8)
 
     def test_l1_metric(self, files, capsys):
@@ -426,6 +420,16 @@ class TestQubitDemo:
         assert stdout == ""
         assert not out.exists()
 
+    def test_single_grid_point_rejected(self, files, capsys):
+        out = files["dir"] / "c.csv"
+        code, stdout, err = run(
+            ["qubit-demo", "--theta", "0.5", "--grid", "1", "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert err == "error: grid_size must be >= 2, got 1\n"
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestFrontier:
     def test_small_commuting_sweep(self, files, capsys):
@@ -479,6 +483,15 @@ class TestFrontier:
         assert "nonnegative" in err
         assert not out.exists()
 
+    def test_empty_grid_rejected(self, files, capsys):
+        out = files["dir"] / "front.csv"
+        code, stdout, err = run(
+            ["frontier", files["z"], files["x"], "--grid", "0", "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert err == "error: n_points must be >= 1, got 0\n"
+        assert stdout == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, message",

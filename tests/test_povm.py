@@ -7,16 +7,13 @@ from jointmeas.povm import (
     PAULI_Z,
     Povm,
     PovmViolation,
-    State,
     bloch_pvm,
     intrinsic_uncertainty_inf,
     intrinsic_uncertainty_l1,
     is_pvm,
     noisy_qubit_povm,
-    outcome_distribution,
     outcome_probabilities,
     random_povm,
-    random_state,
     random_states,
     validate_povm,
 )
@@ -51,12 +48,6 @@ class TestPovmConstruction:
         assert np.allclose(p["+"], (np.eye(2) + 0.5 * PAULI_Z) / 2)
         with pytest.raises(KeyError):
             p["nope"]
-
-    def test_subset_sum_rejects_repeated_labels(self):
-        p = bloch_pvm((0, 0, 1))
-        assert np.array_equal(p.subset_sum(["-", "+"]), np.eye(2))
-        with pytest.raises(ValueError, match="twice"):
-            p.subset_sum(["+", "+"])
 
 
 class TestValidatePovm:
@@ -116,38 +107,13 @@ class TestIsPvm:
         assert is_pvm(Povm(("only",), np.eye(3)[None, :, :]))
 
 
-class TestOutcomeDistribution:
-    def test_eigenstate(self):
-        dist = outcome_distribution(bloch_pvm((0, 0, 1)), State.pure([1, 0]))
-        assert np.allclose(dist.probs, [1.0, 0.0], atol=1e-12)
-
-    def test_unbiased(self):
-        dist = outcome_distribution(bloch_pvm((1, 0, 0)), State.pure([1, 0]))
-        assert np.allclose(dist.probs, [0.5, 0.5], atol=1e-12)
-
-    def test_matches_direct_trace(self):
-        rng = np.random.default_rng(21)
-        p = random_povm(3, 4, seed=5)
-        state = random_state(3, rng)
-        dist = outcome_distribution(p, state)
-        # a full-rank POVM gives every outcome positive weight, so nothing
-        # is clipped and the trace values already sum to 1
-        expected = [np.trace(state.matrix @ p[o]).real for o in p.outcomes]
-        assert np.allclose(dist.probs, expected, atol=1e-12)
-        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            outcome_distribution(bloch_pvm((0, 0, 1)), State(np.eye(3) / 3))
-
-
 class TestRandomStates:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_stack_is_the_stream_of_single_draws(self, dim):
         stacked_rng = np.random.default_rng(17)
         single_rng = np.random.default_rng(17)
         stack = random_states(dim, 100, stacked_rng)
-        singles = np.stack([random_state(dim, single_rng).matrix for _ in range(100)])
+        singles = np.concatenate([random_states(dim, 1, single_rng) for _ in range(100)])
         assert stack.tobytes() == singles.tobytes()
         assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
 
@@ -160,13 +126,39 @@ class TestRandomStates:
 
 
 class TestOutcomeProbabilities:
+    def test_eigenstate(self):
+        rho = np.diag([1.0, 0.0]).astype(complex)[None]
+        probs = outcome_probabilities(bloch_pvm((0, 0, 1)), rho)
+        assert probs.shape == (1, 2)
+        assert np.allclose(probs[0], [1.0, 0.0], atol=1e-12)
+
+    def test_unbiased(self):
+        rho = np.diag([1.0, 0.0]).astype(complex)[None]
+        probs = outcome_probabilities(bloch_pvm((1, 0, 0)), rho)
+        assert np.allclose(probs[0], [0.5, 0.5], atol=1e-12)
+
+    def test_matches_direct_trace(self):
+        p = random_povm(3, 4, seed=5)
+        rho = random_states(3, 1, np.random.default_rng(21))
+        probs = outcome_probabilities(p, rho)[0]
+        # a full-rank POVM gives every outcome positive weight, so nothing
+        # is clipped and the trace values already sum to 1
+        expected = [np.trace(rho[0] @ p[o]).real for o in p.outcomes]
+        assert np.allclose(probs, expected, atol=1e-12)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ValueError) as err:
+            outcome_probabilities(bloch_pvm((0, 0, 1)), (np.eye(3) / 3)[None])
+        assert str(err.value) == "dimension mismatch: POVM dim 2, state dim 3"
+
     def test_rows_match_single_states(self):
         p = random_povm(3, 4, seed=5)
         stack = random_states(3, 20, np.random.default_rng(8))
         probs = outcome_probabilities(p, stack)
         assert probs.shape == (20, 4)
         for row, rho in zip(probs, stack):
-            assert np.allclose(row, outcome_distribution(p, State(rho)).probs, atol=1e-15)
+            assert np.allclose(row, outcome_probabilities(p, rho[None])[0], atol=1e-15)
 
     def test_row_without_mass_rejected(self):
         p = bloch_pvm((0, 0, 1))

@@ -6,7 +6,7 @@ import pytest
 
 import jointmeas.selftest as selftest
 from jointmeas.distances import DistanceValue, dist_inf, dist_l1
-from jointmeas.povm import State, outcome_distribution
+from jointmeas.povm import outcome_probabilities
 
 METRICS = [("inf", "D_inf", dist_inf), ("l1", "D_l1", dist_l1)]
 
@@ -49,7 +49,7 @@ def test_duality_reports_a_closed_form_of_zero_at_every_instance(monkeypatch, na
 def test_duality_reports_exactly_the_instances_a_state_beats(monkeypatch, name, attr, dist):
     # lowered by 0.05, the closed form is beaten by a few of the 100 states
     # at some instances and by none at others; each state is re-checked on
-    # its own, through outcome_distribution
+    # its own, as a stack of one through outcome_probabilities
     calls = _plant(monkeypatch, attr, lambda value: value - 0.05)
     drawn = []
     real_draw = selftest.random_states
@@ -67,7 +67,7 @@ def test_duality_reports_exactly_the_instances_a_state_beats(monkeypatch, name, 
         i
         for i, ((a, b, value), stack) in enumerate(zip(calls, own_draws))
         if any(
-            dist(outcome_distribution(a, State(rho)).probs, outcome_distribution(b, State(rho)).probs)
+            dist(outcome_probabilities(a, rho[None])[0], outcome_probabilities(b, rho[None])[0])
             > value + 1e-9
             for rho in stack
         )
