@@ -14,10 +14,7 @@ from .bounds import (
     TradeoffReport,
     admissible_region_curves,
     check_corollary_joint,
-    check_corollary_pvm,
     check_corollary_pvm_instrument,
-    check_heinosaari,
-    check_qubit_pair,
     check_theorem1,
     check_theorem2,
     heinosaari_lower_bound,
@@ -75,11 +72,8 @@ __all__ = [
     "admissible_region_curves",
     "bloch_pvm",
     "check_corollary_joint",
-    "check_corollary_pvm",
     "check_corollary_pvm_instrument",
-    "check_heinosaari",
     "check_joint_measurability",
-    "check_qubit_pair",
     "check_theorem1",
     "check_theorem2",
     "coordinate_maps",

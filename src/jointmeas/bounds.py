@@ -8,21 +8,20 @@ pair (A, B) on the right. The main inequality
     2XY + X + Y + 2 sqrt(2X + V(A)) sqrt(2Y + V(B))  >=  max_{a,b} ||[A_a, B_b]||
 
 holds for every choice of joint observable F and outcome functions, in the
-uniform distance with V the elementwise intrinsic uncertainty; the
+uniform distance with V the elementwise intrinsic uncertainty. The
 total-variation version replaces every max over outcomes by a max over
-outcome subsets. Specializations: projective A and B (V = 0), exactly
-reproduced marginals (X = Y = 0, a necessary condition for joint
-measurability), projective F (the square-root term drops), and sharp qubit
-pairs at Bloch angle theta (right side sin(theta)/2), where the bound is
-compared against the additive bound of Busch and Heinosaari. Every check that
-takes a joint observable F runs through one evaluator, `_tradeoff`,
-parameterized by the metric and the specialization.
+outcome subsets; a projective F drops V and the square-root term; exactly
+reproduced marginals (X = Y = 0) give a necessary condition for joint
+measurability that takes no F. Projective A and B need no case of their
+own: V vanishes, and for sharp qubits at Bloch angle theta the right side
+is sin(theta)/2, which `qubit-demo` compares against the additive bound of
+Busch and Heinosaari. Every check that takes F runs through one evaluator,
+`_tradeoff`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ from . import linalg
 from .distances import D_inf, D_l1
 from .povm import (
     Povm,
-    bloch_pvm,
     intrinsic_uncertainty_inf,
     intrinsic_uncertainty_l1,
     is_pvm,
@@ -141,27 +139,22 @@ def _tradeoff(
     f_b: OutcomeMap,
     *,
     metric: str = "inf",
-    sharp: str | None = None,
-    lhs: Callable[[float, float], float] | None = None,
-    rhs: float | None = None,
+    instrument: bool = False,
 ) -> TradeoffReport:
     """One member of the tradeoff family, with F marginalized along f_a, f_b.
 
     `metric` "inf" pairs the uniform distance with the elementwise commutator
-    norm, "l1" the total-variation distance with the subset commutator norm.
-    With `sharp` None, V_A and V_B are the metric's intrinsic uncertainties;
-    otherwise they are 0 and `sharp` says what is projective: "pair" (A and
-    B) or "joint" (F), checked by `is_pvm`.
-    `lhs(X, Y)` replaces the main left side, `rhs` the commutator norm.
+    norm, "l1" the total-variation distance with the subset commutator norm;
+    V_A and V_B are the metric's intrinsic uncertainties. With `instrument`
+    F must be projective (checked by `is_pvm`), V_A = V_B = 0 and the left
+    side is 2XY + X + Y.
 
     The distances, uncertainties and norms are read as module globals at call
     time, so a wrapper installed on this module sees every call.
     """
     if a.dim != b.dim or a.dim != f_povm.dim:
         raise ValueError("all POVMs must share one dimension")
-    if sharp == "pair" and not (is_pvm(a) and is_pvm(b)):
-        raise ValueError("both observables must be projective for this bound")
-    if sharp == "joint" and not is_pvm(f_povm):
+    if instrument and not is_pvm(f_povm):
         raise ValueError("the joint observable must be projective for this bound")
     if metric == "l1":
         dist, uncertainty, commutator = D_l1, intrinsic_uncertainty_l1, max_subset_commutator_norm
@@ -169,18 +162,20 @@ def _tradeoff(
         dist, uncertainty, commutator = D_inf, intrinsic_uncertainty_inf, max_commutator_norm
     x = dist(a, marginalize(f_povm, f_a)).value
     y = dist(b, marginalize(f_povm, f_b)).value
-    if sharp is None:
-        v_a, v_b = uncertainty(a), uncertainty(b)
-    else:
+    if instrument:
         v_a = v_b = 0.0
+        lhs = 2 * x * y + x + y
+    else:
+        v_a, v_b = uncertainty(a), uncertainty(b)
+        lhs = theorem1_lhs(x, y, v_a, v_b)
     return TradeoffReport(
         inequality_id=inequality_id,
         X=x,
         Y=y,
         V_A=v_a,
         V_B=v_b,
-        lhs=theorem1_lhs(x, y, v_a, v_b) if lhs is None else lhs(x, y),
-        rhs=commutator(a, b) if rhs is None else rhs,
+        lhs=lhs,
+        rhs=commutator(a, b),
     )
 
 
@@ -201,14 +196,6 @@ def check_theorem2(
     """Evaluate the total-variation tradeoff bound (subset-summed quantities
     on both sides)."""
     return _tradeoff("theorem2", a, b, f_povm, f_a, f_b, metric="l1")
-
-
-def check_corollary_pvm(
-    a: Povm, b: Povm, f_povm: Povm, f_a: OutcomeMap, f_b: OutcomeMap
-) -> TradeoffReport:
-    """Uniform-distance bound for a projective pair (intrinsic uncertainties
-    vanish): 2XY + X + Y + 4 sqrt(XY) >= max ||[A_a, B_b]||."""
-    return _tradeoff("cor_pvm_inf", a, b, f_povm, f_a, f_b, sharp="pair")
 
 
 def check_corollary_joint(a: Povm, b: Povm) -> TradeoffReport:
@@ -240,16 +227,7 @@ def check_corollary_pvm_instrument(
 ) -> TradeoffReport:
     """Tradeoff bound when the joint observable itself is projective:
     2XY + X + Y >= max ||[A_a, B_b]||."""
-    return _tradeoff(
-        "cor_pvm_instrument", a, b, f_povm, f_a, f_b,
-        sharp="joint", lhs=lambda x, y: 2 * x * y + x + y,
-    )
-
-
-def _bloch_angle(n, m) -> float:
-    u = np.asarray(n, dtype=float).reshape(-1)
-    v = np.asarray(m, dtype=float).reshape(-1)
-    return float(np.arccos(np.clip(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)), -1, 1)))
+    return _tradeoff("cor_pvm_instrument", a, b, f_povm, f_a, f_b, instrument=True)
 
 
 def qubit_rhs(theta: float) -> float:
@@ -262,30 +240,10 @@ def qubit_rhs(theta: float) -> float:
 
 def heinosaari_lower_bound(theta: float) -> float:
     """Busch-Heinosaari additive bound for sharp qubit pairs:
-    X + Y >= sqrt(1/2) (cos(theta/2) + sin(theta/2) - 1)."""
+    X + Y >= sqrt(1/2) (cos(theta/2) + sin(theta/2) - 1), at Bloch angle theta
+    in [0, pi/2]."""
+    qubit_rhs(theta)  # range check
     return math.sqrt(0.5) * (math.cos(theta / 2) + math.sin(theta / 2) - 1)
-
-
-def check_qubit_pair(n, m, f_povm: Povm, f_a: OutcomeMap, f_b: OutcomeMap) -> TradeoffReport:
-    """Specialize the projective-pair bound to two Bloch-sphere qubit
-    observables; the right side is sin(theta)/2 in closed form."""
-    a, b = bloch_pvm(n), bloch_pvm(m)
-    theta = _bloch_angle(n, m)
-    # E(m) and E(-m) only swap outcomes, so an obtuse angle has the same
-    # commutator norm as its supplement
-    rhs = qubit_rhs(min(theta, math.pi - theta))
-    return _tradeoff("qubit", a, b, f_povm, f_a, f_b, sharp="pair", rhs=rhs)
-
-
-def check_heinosaari(n, m, f_povm: Povm, f_a: OutcomeMap, f_b: OutcomeMap) -> TradeoffReport:
-    """Additive comparison bound for sharp qubit pairs: X + Y against the
-    Busch-Heinosaari value."""
-    a, b = bloch_pvm(n), bloch_pvm(m)
-    rhs = heinosaari_lower_bound(_bloch_angle(n, m))
-    return _tradeoff(
-        "heinosaari", a, b, f_povm, f_a, f_b,
-        sharp="pair", lhs=lambda x, y: x + y, rhs=rhs,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,10 +269,9 @@ def admissible_region_curves(theta: float, grid_size: int, rhs: float) -> Admiss
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    qubit_rhs(theta)  # range check
+    h = heinosaari_lower_bound(theta)  # range-checks theta
     if not 0 <= rhs < math.inf:
         raise ValueError(f"rhs must be finite and nonnegative, got {rhs}")
-    h = heinosaari_lower_bound(theta)
     xs = np.linspace(0.0, 0.5, grid_size)
     y1 = theorem1_min_y(xs, 0.0, 0.0, rhs)
     y2 = np.maximum(h - xs, 0.0)

@@ -7,10 +7,7 @@ from jointmeas.bounds import (
     SLACK_TOL,
     admissible_region_curves,
     check_corollary_joint,
-    check_corollary_pvm,
     check_corollary_pvm_instrument,
-    check_heinosaari,
-    check_qubit_pair,
     check_theorem1,
     check_theorem2,
     heinosaari_lower_bound,
@@ -287,6 +284,16 @@ class TestCheckTheorem1:
         assert report.rhs == pytest.approx(0.5, abs=1e-12)
         assert report.satisfied
 
+    def test_projective_pair_drops_the_uncertainty_terms(self):
+        # V vanishes for projective A and B, so the main bound reads
+        # 2XY + X + Y + 4 sqrt(XY)
+        a, b = bloch_pair(math.pi / 3)
+        joint, f_a, f_b = flat_joint_on_product(a, b, 2)
+        report = check_theorem1(a, b, joint, f_a, f_b)
+        assert report.V_A == report.V_B == 0.0
+        x, y = report.X, report.Y
+        assert report.lhs == pytest.approx(2 * x * y + x + y + 4 * math.sqrt(x * y), abs=1e-12)
+
     def test_randomized_universal_validity(self):
         result = suite_theorem1(trials=100, seed=123)
         assert result.violations == 0, result.details
@@ -394,25 +401,6 @@ class TestCorollaryPvmInstrument:
             assert report.satisfied, f"instance {i}: slack = {report.slack}"
 
 
-class TestProjectivePairCorollaries:
-    def test_agrees_with_main_bound_for_pvm_inputs(self):
-        a, b = bloch_pair(math.pi / 3)
-        joint, f_a, f_b = flat_joint_on_product(a, b, 2)
-        full = check_theorem1(a, b, joint, f_a, f_b)
-        special = check_corollary_pvm(a, b, joint, f_a, f_b)
-        # intrinsic uncertainties vanish for projective pairs, so the two
-        # evaluations must coincide
-        assert special.lhs == pytest.approx(full.lhs, abs=1e-12)
-        assert special.rhs == pytest.approx(full.rhs, abs=1e-12)
-
-    def test_rejects_unsharp_inputs(self):
-        a = noisy_qubit_povm((0, 0, 1), 0.9)
-        b = bloch_pvm((1, 0, 0))
-        joint, f_a, f_b = flat_joint_on_product(a, b, 2)
-        with pytest.raises(ValueError):
-            check_corollary_pvm(a, b, joint, f_a, f_b)
-
-
 class TestQubitBounds:
     def test_qubit_rhs_values(self):
         assert qubit_rhs(0.0) == 0.0
@@ -447,53 +435,36 @@ class TestQubitBounds:
         vals = [heinosaari_lower_bound(float(t)) for t in grid]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
-    def test_qubit_check_consistent_with_projective_bound(self):
-        n = (0, 0, 1)
-        m = (1, 0, 0)
-        a, b = bloch_pvm(n), bloch_pvm(m)
-        joint, f_a, f_b = flat_joint_on_product(a, b, 2)
-        report = check_qubit_pair(n, m, joint, f_a, f_b)
-        assert report.rhs == pytest.approx(0.5, abs=1e-12)
-        assert report.satisfied
-        add = check_heinosaari(n, m, joint, f_a, f_b)
-        assert add.lhs == pytest.approx(1.0, abs=1e-12)
-        assert add.satisfied
+    @pytest.mark.parametrize("theta", [-0.1, math.nan, 2.0])
+    def test_heinosaari_range(self, theta):
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi/2\]"):
+            heinosaari_lower_bound(theta)
 
-
-    @pytest.mark.parametrize("theta", [3 * math.pi / 4, math.pi])
-    def test_qubit_check_takes_obtuse_angles(self, theta):
-        # E(m) and E(-m) only swap outcomes, so the commutator norm at an
-        # obtuse Bloch angle is that of its supplement, sin(theta)/2
-        n = (0, 0, 1)
-        m = (math.sin(theta), 0, math.cos(theta))
-        a, b = bloch_pvm(n), bloch_pvm(m)
-        joint, f_a, f_b = flat_joint_on_product(a, b, 2)
-        report = check_qubit_pair(n, m, joint, f_a, f_b)
-        assert report.rhs == pytest.approx(max_commutator_norm(a, b), abs=1e-12)
-        assert report.satisfied
-
-    def test_qubit_check_rejects_invalid_bloch_vector(self):
+    def test_orthogonal_flat_joint_meets_both_qubit_bounds(self):
         a, b = bloch_pair(math.pi / 2)
         joint, f_a, f_b = flat_joint_on_product(a, b, 2)
-        with pytest.raises(ValueError, match="Bloch vector"):
-            check_qubit_pair((0, 0, 0), (1, 0, 0), joint, f_a, f_b)
+        report = check_theorem1(a, b, joint, f_a, f_b)
+        assert report.rhs == pytest.approx(0.5, abs=1e-12)
+        assert report.satisfied
+        # the additive comparison line: X + Y = 1 against Busch-Heinosaari
+        assert report.X + report.Y == pytest.approx(1.0, abs=1e-12)
+        assert report.X + report.Y >= heinosaari_lower_bound(math.pi / 2)
+
+    @pytest.mark.parametrize("theta", [3 * math.pi / 4, math.pi])
+    def test_commutator_at_obtuse_angle_is_that_of_its_supplement(self, theta):
+        # E(m) and E(-m) only swap outcomes, so the commutator norm at an
+        # obtuse Bloch angle is that of its supplement
+        a, b = bloch_pair(theta)
+        assert max_commutator_norm(a, b) == pytest.approx(qubit_rhs(math.pi - theta), abs=1e-12)
 
 
 @pytest.mark.parametrize(
     "check",
-    [
-        check_theorem1,
-        check_theorem2,
-        check_corollary_pvm,
-        check_corollary_pvm_instrument,
-        check_qubit_pair,
-        check_heinosaari,
-    ],
+    [check_theorem1, check_theorem2, check_corollary_pvm_instrument],
     ids=lambda check: check.__name__,
 )
 def test_one_dimension_error_before_projectivity(check):
-    n, m = (0, 0, 1), (1, 0, 0)
-    pair = (n, m) if check in (check_qubit_pair, check_heinosaari) else (bloch_pvm(n), bloch_pvm(m))
+    pair = bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0))
     # a qutrit joint observable that is not projective either
     joint = random_povm(3, 4, 5)
     labels = {o: "+-"[k % 2] for k, o in enumerate(joint.outcomes)}

@@ -13,7 +13,7 @@ from jointmeas import feasibility, linalg
 from jointmeas.bounds import check_corollary_pvm_instrument, check_theorem2
 from jointmeas.cli import _print_report, build_parser, cli_dispatch
 from jointmeas.io import load_povm, load_state, save_povm
-from jointmeas.povm import Povm, bloch_pvm, noisy_qubit_povm, outcome_probabilities
+from jointmeas.povm import Povm, bloch_pvm, noisy_qubit_povm, outcome_probabilities, random_povm
 from jointmeas.smearing import coordinate_maps
 
 
@@ -188,6 +188,55 @@ class TestDistance:
         assert "warning" in err
 
 
+# Every `bounds` report on one seeded generic qutrit instance, as printed:
+# random A and B with four outcomes each, a random joint observable on their
+# product outcomes, and the computational basis as the projective joint of
+# the instrument bound. A change in any printed number fails here.
+QUTRIT_REPORTS = {
+    "theorem1": """inequality = theorem1
+X = 0.36155104502
+Y = 0.41743326982
+V_A = 0.246180227953
+V_B = 0.246837223804
+lhs = 3.12873384959
+rhs = 0.106047032952
+slack = 3.02268681663
+satisfied = true
+""",
+    "theorem2": """inequality = theorem2
+X = 0.486585671131
+Y = 0.41743326982
+V_A = 0.249060132595
+V_B = 0.249742561441
+lhs = 3.61298478918
+rhs = 0.127815882853
+slack = 3.48516890633
+satisfied = true
+""",
+    "cor-joint": """inequality = cor_joint
+X = 0
+Y = 0
+V_A = 0.246180227953
+V_B = 0.246837223804
+lhs = 0.246508507
+rhs = 0.053023516476
+slack = 0.193484990524
+satisfied = true
+note = necessary condition only: a violation certifies that the pair is not jointly measurable; satisfaction is inconclusive
+""",
+    "cor-pvm-instrument": """inequality = cor_pvm_instrument
+X = 0.920498677841
+Y = 0.820201075514
+V_A = 0
+V_B = 0
+lhs = 3.2506877645
+rhs = 0.106047032952
+slack = 3.14464073155
+satisfied = true
+""",
+}
+
+
 class TestBounds:
     @pytest.fixture
     def joint_argv(self, files):
@@ -313,6 +362,30 @@ class TestBounds:
         f_povm, _ = load_povm(jpath)
         _print_report(check(a, b, f_povm, f_a, f_b))
         assert out == capsys.readouterr().out
+
+    @pytest.mark.parametrize("inequality", QUTRIT_REPORTS)
+    def test_report_bytes_on_a_seeded_qutrit_instance(self, inequality, tmp_path, capsys):
+        a, b = random_povm(3, 4, 61), random_povm(3, 4, 62)
+        if inequality == "cor-pvm-instrument":
+            basis = np.stack([np.diag(r).astype(complex) for r in np.eye(3)])
+            joint = Povm(("e0", "e1", "e2"), basis)
+            map_a = {"e0": "o0", "e1": "o1", "e2": "o3"}
+            map_b = {"e0": "o2", "e1": "o0", "e2": "o2"}
+        else:
+            f_a, f_b = coordinate_maps(a.outcomes, b.outcomes)
+            joint = Povm(f_a.source, random_povm(3, len(f_a.source), 63).elements)
+            map_a, map_b = f_a.assignment, f_b.assignment
+        for name, povm in {"a": a, "b": b, "joint": joint}.items():
+            save_povm(povm, tmp_path / f"{name}.json")
+        for name, assignment in {"ma": map_a, "mb": map_b}.items():
+            (tmp_path / f"{name}.txt").write_text(
+                "".join(f"{s} {t}\n" for s, t in assignment.items())
+            )
+        argv = ["bounds", "--inequality", inequality, str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        if inequality != "cor-joint":
+            argv += ["--joint", str(tmp_path / "joint.json")]
+            argv += ["--map-a", str(tmp_path / "ma.txt"), "--map-b", str(tmp_path / "mb.txt")]
+        assert run(argv, capsys) == (0, QUTRIT_REPORTS[inequality], "")
 
     def test_missing_joint_is_usage_error(self, files, capsys):
         code, _, err = run(
