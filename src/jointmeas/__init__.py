@@ -3,8 +3,8 @@ observables (POVMs).
 
 The library quantifies how well two observables can be measured by one
 device: observable distances with exact operator-norm forms and constructive
-witness states, coarse-graining and error operators, the family of accuracy
-tradeoff bounds relating reconstruction errors to noncommutativity, a
+witness states, coarse-graining, the family of accuracy tradeoff bounds
+relating reconstruction errors to noncommutativity, a
 convex-feasibility decision procedure for joint measurability, and an
 achievable-accuracy frontier sweep. See the README for the CLI.
 """
@@ -36,7 +36,6 @@ from .feasibility import (
 from .povm import (
     Povm,
     PovmViolation,
-    State,
     bloch_pvm,
     intrinsic_uncertainty_inf,
     intrinsic_uncertainty_l1,
@@ -45,13 +44,7 @@ from .povm import (
     random_povm,
     validate_povm,
 )
-from .smearing import (
-    ErrorOperators,
-    OutcomeMap,
-    coordinate_maps,
-    error_operators,
-    marginalize,
-)
+from .smearing import OutcomeMap, coordinate_maps, marginalize
 
 __version__ = "0.1.0"
 
@@ -61,13 +54,11 @@ __all__ = [
     "D_inf",
     "D_l1",
     "DistanceValue",
-    "ErrorOperators",
     "FeasibilityResult",
     "FrontierPoint",
     "OutcomeMap",
     "Povm",
     "PovmViolation",
-    "State",
     "TradeoffReport",
     "admissible_region_curves",
     "bloch_pvm",
@@ -79,7 +70,6 @@ __all__ = [
     "coordinate_maps",
     "dist_inf",
     "dist_l1",
-    "error_operators",
     "frontier_point",
     "frontier_sweep",
     "heinosaari_lower_bound",

@@ -10,7 +10,8 @@ worst case over all states, and both have exact operator-norm forms:
 
 The maximizing state can be taken pure (the worst case of a linear
 functional is attained at an extreme point), which gives a constructive
-witness: the extremal eigenvector of the maximizing Hermitian difference.
+witness: the density matrix on the extremal eigenvector of the maximizing
+Hermitian difference.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .povm import Povm, State, require_comparable
+from .povm import Povm, require_comparable
 from .subsets import gray_walk, mask_to_labels
 
 DISTRIBUTION_SUM_TOL = 1e-9
@@ -33,9 +34,10 @@ class DistanceValue:
 
     `witness` is the maximizing outcome label (uniform distance) or tuple of
     labels (total-variation distance), and `witness_matrix` the Hermitian
-    difference whose norm is `value`. `witness_state` is the pure state on
-    its extremal eigenvector, computed on first read; evaluating the
-    underlying distribution distance in it reproduces `value`.
+    difference whose norm is `value`. `witness_state` is the read-only
+    density matrix (d, d) of the pure state on its extremal eigenvector,
+    computed on first read; evaluating the underlying distribution distance
+    in it reproduces `value`.
     """
 
     value: float
@@ -43,7 +45,7 @@ class DistanceValue:
     witness_matrix: np.ndarray
 
     @cached_property
-    def witness_state(self) -> State:
+    def witness_state(self) -> np.ndarray:
         return _extremal_pure_state(self.witness_matrix)
 
 
@@ -86,12 +88,14 @@ def dist_l1(p, q) -> float | np.ndarray:
     return _per_row(np.abs(a - b).sum(axis=-1) / 2)
 
 
-def _extremal_pure_state(h: np.ndarray) -> State:
-    """Pure state built from the eigenvector of largest |eigenvalue| of a
-    Hermitian matrix (first such index for determinism)."""
+def _extremal_pure_state(h: np.ndarray) -> np.ndarray:
+    """Read-only density matrix of the pure state on the eigenvector of
+    largest |eigenvalue| of a Hermitian matrix (first such index for
+    determinism)."""
     w, u = np.linalg.eigh(linalg.hermitian_part(h))
-    k = int(np.argmax(np.abs(w)))
-    return State.pure(u[:, k])
+    v = u[:, int(np.argmax(np.abs(w)))]
+    v = v / np.linalg.norm(v)
+    return _read_only(np.outer(v, v.conj()))
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:

@@ -166,6 +166,7 @@ class _Pair:
         self.na, self.nb, self.d = a.n_outcomes, b.n_outcomes, a.dim
         self.ea = linalg.hermitian_part(a.elements)
         self.eb = linalg.hermitian_part(b.elements)
+        self.wb = np.einsum("bii->b", self.eb).real / self.d  # tr(B_b)/d
         self.eye = np.eye(self.d, dtype=complex)
 
     def gap_a(self, f: np.ndarray) -> np.ndarray:
@@ -204,8 +205,7 @@ class _Pair:
         its mirror flat x B, F_ab = tr(A_a)/d B_b, whose B-marginal is
         exactly B. Both are valid product POVMs."""
         wa = np.einsum("aii->a", self.ea).real / self.d
-        wb = np.einsum("bii->b", self.eb).real / self.d
-        return np.einsum("aij,b->abij", self.ea, wb), np.einsum("a,bij->abij", wa, self.eb)
+        return np.einsum("aij,b->abij", self.ea, self.wb), np.einsum("a,bij->abij", wa, self.eb)
 
     def certificate(self, k: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float] | None]:
         """Dual certificates read off a lane stack of PSD iterates k, shape
@@ -379,8 +379,7 @@ class _Pair:
         uh = np.conj(np.swapaxes(u, -1, -2))
         inv_sqrt = (u / np.sqrt(np.where(kept, w, np.inf))[:, None]) @ uh
         kernel = (u * ~kept[:, None]) @ uh
-        wb = np.einsum("bii->b", self.eb).real / self.d
-        g = inv_sqrt[:, None] @ f @ inv_sqrt[:, None] + kernel[:, None] * wb[:, None, None]
+        g = inv_sqrt[:, None] @ f @ inv_sqrt[:, None] + kernel[:, None] * self.wb[:, None, None]
         return self.sqrt_a[:, None] @ g @ self.sqrt_a[:, None]
 
 

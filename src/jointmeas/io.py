@@ -1,9 +1,12 @@
-"""File formats: POVM and state documents (JSON) and CSV emission.
+"""File formats: POVM documents (JSON) read and written, state documents
+(JSON) written, outcome-map text files read, and CSV emission.
 
 A POVM document is JSON with a version tag, the dimension, the outcome
-labels, and one row-major list of [re, im] entry pairs per outcome. Floats
-are serialized with Python's shortest round-trip repr, so
-parse(serialize(P)) reproduces P bit-exactly. See docs/file-formats.md.
+labels, and one row-major list of [re, im] entry pairs per outcome. A state
+document has the same header and one such list for its density matrix.
+Floats are serialized with Python's shortest round-trip repr, so
+parse(serialize(P)) reproduces P bit-exactly. Every input file must be
+UTF-8. See docs/file-formats.md.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .povm import Povm, PovmViolation, State, validate_povm
+from .povm import Povm, PovmViolation, validate_povm
 
 FORMAT_VERSION = "1"
 
@@ -28,14 +31,24 @@ def _require(doc: dict, key: str, path) -> object:
     return doc[key]
 
 
+def _read_text(path) -> str:
+    """The text of an input file, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FileFormatError(f"{path}: {e}") from None
+
+
 def _load_document(path) -> tuple[dict, int]:
     """Parse a JSON document and check its shared header: the format
     version and the dimension. Returns the document and its dimension."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError:  # an integer literal past the int-string digit limit
+        raise FileFormatError(f"{path}: contains non-finite entries") from None
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
     version = _require(doc, "format_version", path)
@@ -68,7 +81,10 @@ def _parse_matrix(entries, dim: int, path, what: str) -> np.ndarray:
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
         ):
             raise FileFormatError(f"{path}: {what} entry {i} is not a [re, im] number pair")
-        flat[i] = complex(pair[0], pair[1])
+        try:
+            flat[i] = complex(pair[0], pair[1])
+        except OverflowError:  # an integer too large for a float
+            raise FileFormatError(f"{path}: {what} contains non-finite entries") from None
     if not np.isfinite(flat).all():
         raise FileFormatError(f"{path}: {what} contains non-finite entries")
     return flat.reshape(dim, dim)
@@ -114,13 +130,9 @@ def save_povm(p: Povm, path) -> None:
     )
 
 
-def load_state(path) -> State:
-    doc, dim = _load_document(path)
-    return State(_parse_matrix(_require(doc, "matrix", path), dim, path, "matrix"))
-
-
-def save_state(s: State, path) -> None:
-    _save_document(path, s.dim, matrix=_matrix_to_pairs(s.matrix))
+def save_state(rho: np.ndarray, path) -> None:
+    """Write a density matrix (d, d) as a state document."""
+    _save_document(path, rho.shape[0], matrix=_matrix_to_pairs(rho))
 
 
 def load_outcome_map_pairs(path) -> list[tuple[str, str]]:
@@ -130,7 +142,7 @@ def load_outcome_map_pairs(path) -> list[tuple[str, str]]:
     contain whitespace.
     """
     pairs: list[tuple[str, str]] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

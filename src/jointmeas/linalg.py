@@ -9,7 +9,7 @@ Each spectral rule has one kernel, which works on a stack of shape
 (`commutator_norm_stack`), PSD projection (`project_psd_stack`) and
 spectral clipping (`clip_operator_norm_stack`). A single matrix is a stack
 of one. The kernels do not validate their input; callers check it once at
-the boundary (`as_operator`, `hermitian_defects`).
+the boundary (the `Povm` constructor, `hermitian_defects`).
 """
 
 from __future__ import annotations
@@ -19,21 +19,6 @@ import numpy as np
 # A matrix counts as Hermitian when ||M - M*||_max <= rtol * max(1, ||M||_max).
 # The relative form absorbs roundoff accumulated by repeated cone projections.
 HERMITICITY_RTOL = 1e-9
-
-
-def as_operator(m) -> np.ndarray:
-    """Coerce input to a square complex matrix of dimension >= 1.
-
-    Raises ValueError for non-square, empty, or non-finite input.
-    """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ValueError("matrix dimension must be >= 1")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return a
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:

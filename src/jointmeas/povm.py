@@ -1,5 +1,6 @@
-"""POVM and state model: validation, outcome statistics, intrinsic
-uncertainty measures, and constructors for standard test families."""
+"""POVMs: validation, outcome statistics, intrinsic uncertainty measures,
+and constructors for standard test families. A state is a plain density
+matrix (d, d), and a stack of states is an array (k, d, d)."""
 
 from __future__ import annotations
 
@@ -113,33 +114,6 @@ def validate_povm(p: Povm, completeness_tol: float = COMPLETENESS_TOL) -> list[P
     if dev > completeness_tol:
         report.append(PovmViolation("completeness", None, dev))
     return report
-
-
-@dataclass(frozen=True, eq=False)
-class State:
-    """Density operator."""
-
-    matrix: np.ndarray  # (dim, dim), read-only
-
-    def __post_init__(self):
-        m = linalg.as_operator(self.matrix)
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def pure(cls, vector) -> "State":
-        """Rank-one state from a (normalized on entry) ket vector."""
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            raise ValueError("state vector must be nonzero")
-        v = v / nrm
-        return cls(np.outer(v, v.conj()))
 
 
 def outcome_probabilities(p: Povm, rhos: np.ndarray) -> np.ndarray:

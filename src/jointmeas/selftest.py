@@ -23,7 +23,7 @@ from .povm import (
     random_states,
     validate_povm,
 )
-from .smearing import OutcomeMap, error_operators, marginalize
+from .smearing import OutcomeMap, marginalize
 
 
 @dataclass
@@ -141,7 +141,7 @@ def suite_duality(trials: int, seed: int) -> SuiteResult:
             ("l1", D_l1, dist_l1),
         ):
             dv = dist_obs(p, q)
-            rhos = np.concatenate([dv.witness_state.matrix[None], random_states(dim, 100, rng)])
+            rhos = np.concatenate([dv.witness_state[None], random_states(dim, 100, rng)])
             d = dist_vec(outcome_probabilities(p, rhos), outcome_probabilities(q, rhos))
             if abs(d[0] - dv.value) > 1e-8:
                 result.record(
@@ -181,11 +181,11 @@ def suite_povm_invariants(trials: int, seed: int) -> SuiteResult:
         if np.abs(two_step.elements - one_step.elements).max() > 1e-13:
             result.record(f"instance {i}: functoriality broken")
 
-        # error operators over a random smearing sum to zero
+        # error operators f(F)_a - A_a over a random smearing sum to zero
         f_joint = random_povm(dim, int(rng.integers(2, 7)), _sub_seed(rng))
         f_map = random_outcome_map(rng, f_joint.outcomes, p.outcomes)
-        eps = error_operators(p, f_joint, f_map)
-        if np.abs(eps.operators.sum(axis=0)).max() > 1e-10:
+        eps = marginalize(f_joint, f_map).elements - p.elements
+        if np.abs(eps.sum(axis=0)).max() > 1e-10:
             result.record(f"instance {i}: error operators do not sum to zero")
     return result
 

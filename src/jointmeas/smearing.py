@@ -4,7 +4,8 @@ An outcome function f from the outcomes of F onto a target set defines a new
 POVM by summing elements over fibers: f(F)_t = sum over {x : f(x) = t} of
 F_x. Targets no source outcome maps to get an explicit zero element, which
 keeps outcome sets aligned for distance computations (a zero matrix is a
-legal POVM element).
+legal POVM element). The uniform error of reconstructing A from F through f
+is D_inf(A, marginalize(F, f)), the largest norm of f(F)_a - A_a.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import linalg
 from .povm import Povm
 
 # Separator used to build product outcome labels "a|b"; user labels fed to
@@ -104,35 +104,3 @@ def coordinate_maps(omega_a, omega_b) -> tuple[OutcomeMap, OutcomeMap]:
         OutcomeMap(product, a_labels, to_a),
         OutcomeMap(product, b_labels, to_b),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class ErrorOperators:
-    """Per-outcome reconstruction errors eps_a = f(F)_a - A_a.
-
-    The errors sum to zero (both families are POVMs) and the largest norm
-    equals the uniform-distance observable distance between A and f(F).
-    """
-
-    outcomes: tuple[str, ...]
-    operators: np.ndarray  # (n, dim, dim)
-    norms: np.ndarray  # (n,)
-
-
-def error_operators(a: Povm, f_povm: Povm, f: OutcomeMap) -> ErrorOperators:
-    """Difference between the coarse-grained reconstruction of A through
-    (F, f) and A itself, outcome by outcome."""
-    if a.dim != f_povm.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {f_povm.dim}")
-    if f.target != a.outcomes:
-        raise ValueError(
-            f"outcome map target {f.target} does not match the reference outcomes {a.outcomes}"
-        )
-    recon = marginalize(f_povm, f)
-    eps = recon.elements - a.elements
-    norms = linalg.herm_norm_stack(eps)
-    ops = eps.copy()
-    ops.setflags(write=False)
-    norms.setflags(write=False)
-    return ErrorOperators(a.outcomes, ops, norms)
-

@@ -198,7 +198,7 @@ def test_acceptance_6_distance_duality():
             (D_inf(p, q), np.abs(prob_p - prob_q).max(axis=1)),
             (D_l1(p, q), np.abs(prob_p - prob_q).sum(axis=1) / 2),
         ):
-            w = dv.witness_state.matrix
+            w = dv.witness_state
             wp = np.einsum("ij,aji->a", w, p.elements).real
             wq = np.einsum("ij,aji->a", w, q.elements).real
             at_witness = (

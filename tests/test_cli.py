@@ -1,4 +1,5 @@
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -12,7 +13,8 @@ import jointmeas
 from jointmeas import feasibility, linalg
 from jointmeas.bounds import check_corollary_pvm_instrument, check_theorem2
 from jointmeas.cli import _print_report, build_parser, cli_dispatch
-from jointmeas.io import load_povm, load_state, save_povm
+from jointmeas.distances import D_inf
+from jointmeas.io import load_povm, save_povm
 from jointmeas.povm import Povm, bloch_pvm, noisy_qubit_povm, outcome_probabilities, random_povm
 from jointmeas.smearing import coordinate_maps
 
@@ -132,6 +134,23 @@ class TestValidate:
         code, _, err = run(["validate", str(tmp_path / "absent.json")], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe{\x00}\x00",
+            b'{"format_version": "1", "dim": 1, "outcomes": ["a"], "elements": {"a": [[%s, 0]]}}'
+            % (b"9" * 401),
+        ],
+        ids=["non-utf8", "integer-too-large-for-a-float"],
+    )
+    def test_unreadable_content_is_a_parse_error(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(["validate", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+
 
 class TestDistance:
     def test_value_and_witness_file(self, files, capsys):
@@ -142,11 +161,14 @@ class TestDistance:
         )
         assert code == 0
         assert "value = 0.707106781187" in out
-        state = load_state(witness)
+        doc = json.loads(Path(witness).read_text())
+        assert (doc["format_version"], doc["dim"]) == ("1", 2)
+        rho = np.array([complex(x, y) for x, y in doc["matrix"]]).reshape(2, 2)
         a, _ = load_povm(files["z"])
         b, _ = load_povm(files["x"])
-        pa = outcome_probabilities(a, state.matrix[None])[0]
-        pb = outcome_probabilities(b, state.matrix[None])[0]
+        assert rho.tobytes() == D_inf(a, b).witness_state.tobytes()
+        pa = outcome_probabilities(a, rho[None])[0]
+        pb = outcome_probabilities(b, rho[None])[0]
         assert float(np.abs(pa - pb).max()) == pytest.approx(1 / np.sqrt(2), abs=1e-8)
 
     def test_l1_metric(self, files, capsys):
@@ -292,6 +314,17 @@ class TestBounds:
         assert code == 2
         assert "line 1" in err
         assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--map-a", "--map-b"])
+    def test_non_utf8_map_is_a_parse_error(self, flag, joint_argv, capsys, tmp_path):
+        argv, _ = joint_argv
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"o0 +\no1 \xff\no2 -\n")
+        argv[argv.index(flag) + 1] = str(path)
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
 
     def test_cor_joint_violated_reports_and_exits_zero(self, files, capsys):
         code, out, _ = run(

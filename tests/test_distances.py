@@ -117,7 +117,7 @@ class TestDInf:
         eta = 0.6
         b = noisy_qubit_povm((0, 0, 1), eta)
         dv = D_inf(a, b)
-        at_witness = _dist_at_states(a, b, dv.witness_state.matrix[None], dist_inf)[0]
+        at_witness = _dist_at_states(a, b, dv.witness_state[None], dist_inf)[0]
         assert at_witness == pytest.approx(dv.value, abs=1e-8)
         sampled = _dist_at_states(a, b, random_states(2, 10_000, rng), dist_inf)
         assert (sampled <= dv.value + 1e-9).all()
@@ -194,7 +194,7 @@ class TestDL1:
         dv = D_l1(a, b)
         s = _subset_sum(a, dv.witness) - _subset_sum(b, dv.witness)
         assert float(np.abs(np.linalg.eigvalsh(s)).max()) == pytest.approx(dv.value, abs=1e-12)
-        at_witness = _dist_at_states(a, b, dv.witness_state.matrix[None], dist_l1)[0]
+        at_witness = _dist_at_states(a, b, dv.witness_state[None], dist_l1)[0]
         assert at_witness == pytest.approx(dv.value, abs=1e-8)
 
     def test_capacity_error(self):
@@ -227,6 +227,8 @@ class TestLazyWitness:
         assert len(counted) == 1
         assert dv.witness_state is first
         assert len(counted) == 1
+        assert first.shape == (3, 3) and first.dtype == complex
+        assert not first.flags.writeable
 
     def test_inf_state_is_the_eager_one(self):
         a = random_povm(4, 3, seed=13)
@@ -234,7 +236,7 @@ class TestLazyWitness:
         dv = D_inf(a, b)
         diffs = linalg.hermitian_part(a.elements - b.elements)
         eager = distances._extremal_pure_state(diffs[a.index(dv.witness)])
-        assert dv.witness_state.matrix.tobytes() == eager.matrix.tobytes()
+        assert dv.witness_state.tobytes() == eager.tobytes()
 
     def test_l1_matrix_is_the_witness_subset_sum(self):
         a = random_povm(3, 5, seed=15)
@@ -243,7 +245,7 @@ class TestLazyWitness:
         s = linalg.hermitian_part(_subset_sum(a, dv.witness) - _subset_sum(b, dv.witness))
         assert np.allclose(dv.witness_matrix, s, atol=1e-14)
         eager = distances._extremal_pure_state(dv.witness_matrix)
-        assert dv.witness_state.matrix.tobytes() == eager.matrix.tobytes()
+        assert dv.witness_state.tobytes() == eager.tobytes()
 
     @pytest.mark.parametrize("dist", [D_inf, D_l1])
     def test_matrix_is_read_only(self, dist):

@@ -8,12 +8,12 @@ from jointmeas.io import (
     format_float,
     load_outcome_map_pairs,
     load_povm,
-    load_state,
     save_povm,
     save_state,
     write_csv,
 )
-from jointmeas.povm import Povm, State, bloch_pvm, noisy_qubit_povm, random_povm
+from jointmeas.distances import D_inf
+from jointmeas.povm import Povm, bloch_pvm, noisy_qubit_povm, random_povm
 
 
 class TestPovmRoundTrip:
@@ -101,14 +101,38 @@ class TestPovmSchemaErrors:
         with pytest.raises(FileFormatError, match="finite"):
             load_povm(path)
 
+    @pytest.mark.parametrize(
+        "digits, message",
+        [
+            # too large for a float
+            (401, "element 'a' contains non-finite entries"),
+            # too long for Python's int parser, so json rejects the document
+            (5001, "contains non-finite entries"),
+        ],
+    )
+    def test_oversized_integer_rejected(self, tmp_path, digits, message):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"format_version": "1", "dim": 1, "outcomes": ["a"], '
+            f'"elements": {{"a": [[{"9" * digits}, 0]]}}}}'
+        )
+        with pytest.raises(FileFormatError) as err:
+            load_povm(path)
+        assert str(err.value) == f"{path}: {message}"
+
 
 class TestStateFiles:
+    """State documents, which only the CLI writes, and the header they share
+    with POVM documents."""
+
     def test_round_trip(self, tmp_path):
-        s = State.pure([1, 1j])
+        rho = D_inf(random_povm(3, 3, seed=61), random_povm(3, 3, seed=62)).witness_state
         path = tmp_path / "s.json"
-        save_state(s, path)
-        loaded = load_state(path)
-        assert np.array_equal(loaded.matrix, s.matrix)
+        save_state(rho, path)
+        doc = json.loads(path.read_text())
+        assert (doc["format_version"], doc["dim"]) == ("1", 3)
+        loaded = np.array([complex(x, y) for x, y in doc["matrix"]]).reshape(3, 3)
+        assert loaded.tobytes() == rho.tobytes()
 
     @pytest.mark.parametrize(
         "header, message",
@@ -124,9 +148,10 @@ class TestStateFiles:
     )
     def test_header_errors(self, tmp_path, header, message):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({**header, "matrix": [[1.0, 0.0]]}))
+        doc = {**header, "outcomes": ["a"], "elements": {"a": [[1.0, 0.0]]}}
+        path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError) as err:
-            load_state(path)
+            load_povm(path)
         assert str(err.value) == f"{path}: {message}"
 
 
