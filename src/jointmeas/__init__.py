@@ -25,7 +25,6 @@ from .bounds import (
     theorem1_min_y,
 )
 from .distances import D_inf, D_l1, DistanceValue, dist_inf, dist_l1
-from .errors import CapacityError
 from .feasibility import (
     FeasibilityResult,
     FrontierPoint,
@@ -45,6 +44,7 @@ from .povm import (
     validate_povm,
 )
 from .smearing import OutcomeMap, coordinate_maps, marginalize
+from .subsets import CapacityError
 
 __version__ = "0.1.0"
 

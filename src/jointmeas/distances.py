@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .povm import Povm, require_comparable
-from .subsets import gray_walk, mask_to_labels
+from .subsets import gray_labels, gray_walk
 
 DISTRIBUTION_SUM_TOL = 1e-9
 
@@ -143,6 +143,6 @@ def D_l1(a: Povm, b: Povm) -> DistanceValue:
         pos += len(sums)
     return DistanceValue(
         value=best,
-        witness=mask_to_labels(best_pos ^ (best_pos >> 1), a.outcomes),
+        witness=gray_labels(best_pos, a.outcomes),
         witness_matrix=_read_only(best_matrix),
     )

@@ -61,13 +61,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .bounds import (
-    SLACK_TOL,
-    TradeoffReport,
-    check_corollary_joint,
-    theorem1_min_y,
-)
-from .povm import Povm, validate_povm
+from .bounds import SLACK_TOL, check_corollary_joint, max_commutator_norm, theorem1_min_y
+from .povm import Povm, intrinsic_uncertainty_inf, validate_povm
 from .smearing import coordinate_maps
 
 # Solver defaults.
@@ -79,8 +74,8 @@ FRONTIER_X_MAX = 0.5
 FRONTIER_RESOLUTION = 1e-4
 FRONTIER_MAX_ITER = 2000
 
-# A feasible witness must survive these checks after cleanup.
-WITNESS_VALIDATE_TOL = 1e-7
+# A feasible witness, once cleaned and past `validate_povm`, must reproduce
+# the target marginals within this distance.
 WITNESS_MARGINAL_TOL = 1e-6
 
 # check-joint looks for a witness and a dual certificate every CERTIFY_EVERY
@@ -102,7 +97,9 @@ class FeasibilityResult:
 
     status `feasible` comes with a verified witness POVM on the product
     outcome set. `infeasible` comes from the analytic screen or from a
-    verified dual certificate; certificate_note names which. A dual
+    verified dual certificate; certificate_note names which, and for the
+    screen it carries the screen's numbers (`bounds.check_corollary_joint`
+    returns the full report). A dual
     certificate is kept in `certificate` as the pair (X, Y), shapes
     (n_A, d, d) and (n_B, d, d), with every X_a + Y_b positive semidefinite
     and sum tr(X_a A_a) + sum tr(Y_b B_b) < 0. `undecided` means neither a
@@ -115,7 +112,6 @@ class FeasibilityResult:
     residual: float
     iterations: int
     certificate_note: str = ""
-    screen_report: TradeoffReport | None = None
     certificate: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -207,10 +203,10 @@ class _Pair:
         wa = np.einsum("aii->a", self.ea).real / self.d
         return np.einsum("aij,b->abij", self.ea, self.wb), np.einsum("a,bij->abij", wa, self.eb)
 
-    def certificate(self, k: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float] | None]:
-        """Dual certificates read off a lane stack of PSD iterates k, shape
-        (n, n_A, n_B, d, d): for each lane, (X, Y, value) if it proves that
-        no joint observable exists, else None.
+    def certificate(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """The dual certificate read off a PSD iterate k, shape
+        (n_A, n_B, d, d): (X, Y, value) if it proves that no joint
+        observable exists, else None.
 
         X_a + Y_b is k_ab minus its projection onto the marginal
         constraints (after a Douglas-Rachford step, also the normal part of
@@ -220,16 +216,13 @@ class _Pair:
         lifted triple (X, Y, 0) at budgets (0, 0), and only one that `judge`
         accepts there is returned, with its value.
         """
-        rt = self.gap_total(k)[:, None] / (2 * self.na * self.nb)
+        rt = self.gap_total(k) / (2 * self.na * self.nb)
         x = self.gap_a(k) / self.nb - rt
         y = self.gap_b(k) / self.na - rt
-        lam = np.linalg.eigvalsh(x[:, :, None] + y[:, None]).min(axis=(1, 2, 3))
-        x = x + np.maximum(0.0, -lam)[:, None, None, None] * self.eye
-        zero = np.zeros_like(self.eye)
-        return [
-            None if (judged := self.judge(xl, yl, zero, 0.0, 0.0)) is None else (xl, yl, judged[0])
-            for xl, yl in zip(x, y)
-        ]
+        lam = np.linalg.eigvalsh(x[:, None] + y[None]).min()
+        x = x + np.maximum(0.0, -lam) * self.eye
+        judged = self.judge(x, y, np.zeros_like(self.eye), 0.0, 0.0)
+        return None if judged is None else (x, y, judged[0])
 
     # The lifted frontier problem has variables (F, S, T), stacked as the rows
     # of a (..., N, d, d) array with N = n_A n_B + n_A + n_B: F_ab in row
@@ -358,7 +351,7 @@ class _Pair:
             return None
         g = linalg.hermitian_part(g)
         w = Povm(self.labels, g.reshape(self.na * self.nb, self.d, self.d))
-        if validate_povm(w, completeness_tol=WITNESS_VALIDATE_TOL):
+        if validate_povm(w):
             return None
         return (w, *self.marginal_distances(g))
 
@@ -439,7 +432,6 @@ def check_joint_measurability(
                 f"{screen.lhs:.6g} < {screen.rhs:.6g} = max commutator norm / 2 "
                 f"(slack = {screen.slack:.3g})"
             ),
-            screen_report=screen,
         )
 
     pair = _Pair(a, b)
@@ -453,7 +445,6 @@ def check_joint_measurability(
             residual=dev,
             iterations=iters,
             certificate_note="witness marginals verified",
-            screen_report=screen,
         )
 
     z = pair.product_seed()
@@ -469,8 +460,7 @@ def check_joint_measurability(
         res = max(pair.marginal_distances(k))
         if res <= WITNESS_MARGINAL_TOL and (result := finish_feasible(k, iters)) is not None:
             return result
-        certificate = pair.certificate(k[None])[0]
-        if certificate is not None:
+        if (certificate := pair.certificate(k)) is not None:
             x, y, value = certificate
             return FeasibilityResult(
                 status="infeasible",
@@ -481,7 +471,6 @@ def check_joint_measurability(
                     "dual certificate from the Douglas-Rachford gap: sum tr(X_a A_a) + "
                     f"sum tr(Y_b B_b) = {value:.6g} < 0 with every X_a + Y_b >= 0"
                 ),
-                screen_report=screen,
                 certificate=(x, y),
             )
     return FeasibilityResult(
@@ -493,7 +482,6 @@ def check_joint_measurability(
             "neither the screen nor a dual certificate decided; projection residual "
             f"{res:.3e} after {iters} iterations (budget exhausted)"
         ),
-        screen_report=screen,
     )
 
 
@@ -559,9 +547,8 @@ def _frontier(
     # there; inputs that are not valid POVMs lie outside its premise and
     # start at 0
     if not validate_povm(a) and not validate_povm(b):
-        screen = check_corollary_joint(a, b)
-        # screen.rhs is the commutator norm halved, so doubling it is exact
-        ys = theorem1_min_y(np.array(xs), screen.V_A, screen.V_B, 2 * screen.rhs) - SLACK_TOL
+        v_a, v_b = intrinsic_uncertainty_inf(a), intrinsic_uncertainty_inf(b)
+        ys = theorem1_min_y(np.array(xs), v_a, v_b, max_commutator_norm(a, b)) - SLACK_TOL
         lo = [min(bl[2], max(0.0, y)) for bl, y in zip(best, ys.tolist())]
 
     def offer(p: int, f: np.ndarray) -> None:

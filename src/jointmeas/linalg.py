@@ -8,30 +8,19 @@ Each spectral rule has one kernel, which works on a stack of shape
 (..., d, d): operator norms (`herm_norm_stack`), commutator norms
 (`commutator_norm_stack`), PSD projection (`project_psd_stack`) and
 spectral clipping (`clip_operator_norm_stack`). A single matrix is a stack
-of one. The kernels do not validate their input; callers check it once at
-the boundary (the `Povm` constructor, `hermitian_defects`).
+of one. The kernels do not validate their input and hold no tolerance of
+their own; callers check it once at the boundary (the `Povm` constructor
+and `povm.validate_povm`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# A matrix counts as Hermitian when ||M - M*||_max <= rtol * max(1, ||M||_max).
-# The relative form absorbs roundoff accumulated by repeated cone projections.
-HERMITICITY_RTOL = 1e-9
-
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(M + M*) / 2 along the last two axes (works on stacked matrices)."""
     return (m + np.conj(np.swapaxes(m, -1, -2))) / 2
-
-
-def hermitian_defects(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-matrix Hermiticity defect ||M - M*||_max of a stack, and the
-    defect each matrix is allowed, HERMITICITY_RTOL * max(1, ||M||_max)."""
-    defect = np.abs(ms - np.conj(np.swapaxes(ms, -1, -2))).max(axis=(-2, -1))
-    allowed = HERMITICITY_RTOL * np.maximum(1.0, np.abs(ms).max(axis=(-2, -1)))
-    return defect, allowed
 
 
 # --- stacked kernels (shape (..., d, d)) ---

@@ -11,11 +11,14 @@ import numpy as np
 from . import linalg
 from .subsets import gray_walk
 
-# Default tolerances for POVM validity: entrywise deviation of the element sum
-# from the identity, and the eigenvalue floor for positivity. Loose enough to
+# Tolerances for POVM validity: entrywise deviation of the element sum from
+# the identity, and the eigenvalue floor for positivity. Loose enough to
 # accept projection-solver output, tight enough to catch modeling bugs.
 COMPLETENESS_TOL = 1e-8
 PSD_TOL = 1e-9
+# An element counts as Hermitian when ||M - M*||_max <= rtol * max(1, ||M||_max).
+# The relative form absorbs roundoff accumulated by repeated cone projections.
+HERMITICITY_RTOL = 1e-9
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -96,11 +99,14 @@ class PovmViolation:
         return f"{self.kind} violated at {where} by {self.magnitude:.3e}"
 
 
-def validate_povm(p: Povm, completeness_tol: float = COMPLETENESS_TOL) -> list[PovmViolation]:
+def validate_povm(p: Povm) -> list[PovmViolation]:
     """Check the POVM axioms; returns an empty list iff all hold within
-    tolerance. Violations are data, not errors."""
-    defects, allowed = linalg.hermitian_defects(p.elements)
-    lowest = np.linalg.eigvalsh(linalg.hermitian_part(p.elements))[:, 0]
+    HERMITICITY_RTOL, PSD_TOL and COMPLETENESS_TOL. Violations are data,
+    not errors."""
+    e = p.elements
+    defects = np.abs(e - np.conj(np.swapaxes(e, -1, -2))).max(axis=(-2, -1))
+    allowed = HERMITICITY_RTOL * np.maximum(1.0, np.abs(e).max(axis=(-2, -1)))
+    lowest = np.linalg.eigvalsh(linalg.hermitian_part(e))[:, 0]
     report: list[PovmViolation] = []
     for lab, defect, limit, low in zip(
         p.outcomes, defects.tolist(), allowed.tolist(), lowest.tolist()
@@ -109,9 +115,8 @@ def validate_povm(p: Povm, completeness_tol: float = COMPLETENESS_TOL) -> list[P
             report.append(PovmViolation("hermiticity", lab, defect))
         elif low < -PSD_TOL:
             report.append(PovmViolation("positivity", lab, -low))
-    total = p.elements.sum(axis=0)
-    dev = float(np.abs(total - np.eye(p.dim)).max())
-    if dev > completeness_tol:
+    dev = float(np.abs(e.sum(axis=0) - np.eye(p.dim)).max())
+    if dev > COMPLETENESS_TOL:
         report.append(PovmViolation("completeness", None, dev))
     return report
 
@@ -189,20 +194,19 @@ def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
     Draws Wishart matrices G_k = R_k R_k* with complex Gaussian R_k and
     symmetrizes by S^(-1/2) G_k S^(-1/2) where S is their sum, so every
     element stays generic (full rank) rather than one being a remainder term.
+    S is almost surely nonsingular; a draw whose S is too close to singular
+    to renormalize raises ValueError naming the seed.
     """
     if dim < 1 or n_outcomes < 1:
         raise ValueError("dim and n_outcomes must be >= 1")
-    for attempt in range(10):
-        rng = np.random.default_rng(seed + attempt)
-        r = rng.standard_normal((n_outcomes, dim, dim)) + 1j * rng.standard_normal(
-            (n_outcomes, dim, dim)
-        )
-        elements = linalg.renormalize(r @ np.conj(np.swapaxes(r, -1, -2)), 1e-12)
-        if elements is None:
-            continue  # singular sum; retry with a perturbed seed
-        labels = tuple(f"o{k}" for k in range(n_outcomes))
-        return Povm(labels, elements)
-    raise ValueError("could not draw a nonsingular random POVM after 10 attempts")
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((n_outcomes, dim, dim)) + 1j * rng.standard_normal(
+        (n_outcomes, dim, dim)
+    )
+    elements = linalg.renormalize(r @ np.conj(np.swapaxes(r, -1, -2)), 1e-12)
+    if elements is None:
+        raise ValueError(f"random POVM draw at seed {seed} has a singular element sum")
+    return Povm(tuple(f"o{k}" for k in range(n_outcomes)), elements)
 
 
 def random_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

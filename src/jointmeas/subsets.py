@@ -11,7 +11,9 @@ The sums are built by Gray doubling: the sums over the first k elements,
 followed by the same sums in reverse order plus element k. Position i of the
 concatenated sequence holds the sum over the mask i ^ (i >> 1), the reflected
 Gray code. A maximum taken first-wins over the stacks therefore breaks ties
-to the first maximum in Gray-code order.
+to the first maximum in Gray-code order, and `gray_labels` decodes its
+position into outcome labels. The capacity limit is set here too: past
+SUBSET_ENUMERATION_LIMIT elements, `gray_walk` raises CapacityError.
 """
 
 from __future__ import annotations
@@ -20,10 +22,16 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import SUBSET_ENUMERATION_LIMIT, CapacityError
-
 # log2 of the largest stack `gray_walk` yields
 CHUNK_BITS = 10
+
+# Exact subset enumeration is 2^n work; beyond this many outcomes we refuse
+# rather than silently approximate a quantity that is defined as an exact max.
+SUBSET_ENUMERATION_LIMIT = 20
+
+
+class CapacityError(ValueError):
+    """An exact enumeration would exceed the supported problem size."""
 
 
 def _gray_sums(elements: np.ndarray) -> np.ndarray:
@@ -56,6 +64,8 @@ def gray_walk(elements: np.ndarray, what: str) -> Iterator[np.ndarray]:
         yield high + (low if j % 2 == 0 else low[::-1])
 
 
-def mask_to_labels(mask: int, labels: tuple[str, ...]) -> tuple[str, ...]:
-    """Labels selected by a bitmask, in the order of `labels`."""
+def gray_labels(position: int, labels: tuple[str, ...]) -> tuple[str, ...]:
+    """Labels of the subset at a position of `gray_walk`, that is of the
+    mask position ^ (position >> 1), in the order of `labels`."""
+    mask = position ^ (position >> 1)
     return tuple(lab for i, lab in enumerate(labels) if mask >> i & 1)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jointmeas import CapacityError
 from jointmeas.bounds import (
     SLACK_TOL,
     admissible_region_curves,
@@ -17,7 +18,6 @@ from jointmeas.bounds import (
     theorem1_lhs,
     theorem1_min_y,
 )
-from jointmeas.errors import CapacityError
 from jointmeas.feasibility import frontier_sweep
 from jointmeas.povm import (
     Povm,
@@ -122,6 +122,11 @@ class TestMaxSubsetCommutatorNorm:
         assert max_subset_commutator_norm(a, b) == pytest.approx(
             _bruteforce_subset_comm(a, b), abs=1e-12
         )
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ValueError) as err:
+            max_subset_commutator_norm(random_povm(2, 2, seed=1), random_povm(3, 2, seed=1))
+        assert str(err.value) == "dimension mismatch: 2 vs 3"
 
     def test_capacity_error(self):
         a = random_povm(2, 2, seed=49)

@@ -316,6 +316,16 @@ class TestBounds:
         assert out == ""
 
     @pytest.mark.parametrize("flag", ["--map-a", "--map-b"])
+    def test_map_without_assignments_is_a_parse_error(self, flag, joint_argv, capsys):
+        argv, write = joint_argv
+        path = write("empty.txt", ["# no assignments", ""])
+        argv[argv.index(flag) + 1] = path
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert err == f"error: {path}: no assignment lines found\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--map-a", "--map-b"])
     def test_non_utf8_map_is_a_parse_error(self, flag, joint_argv, capsys, tmp_path):
         argv, _ = joint_argv
         path = tmp_path / "latin1.txt"

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import jointmeas.distances as distances
-from jointmeas import linalg
+from jointmeas import CapacityError, linalg
 from jointmeas.distances import D_inf, D_l1, dist_inf, dist_l1
-from jointmeas.errors import CapacityError
 from jointmeas.povm import (
     Povm,
     bloch_pvm,
@@ -109,6 +108,13 @@ class TestDInf:
         b = Povm(("u", "v"), a.elements)
         with pytest.raises(ValueError):
             D_inf(a, b)
+
+    @pytest.mark.parametrize("distance", [D_inf, D_l1])
+    def test_dimension_mismatch(self, distance):
+        # same outcome labels, so only the dimensions differ
+        with pytest.raises(ValueError) as err:
+            distance(random_povm(2, 3, seed=1), random_povm(3, 3, seed=1))
+        assert str(err.value) == "dimension mismatch: 2 vs 3"
 
     def test_witness_attains_and_states_never_exceed(self):
         rng = np.random.default_rng(30)

@@ -6,6 +6,7 @@ import pytest
 from jointmeas import feasibility, linalg
 from jointmeas.bounds import (
     SLACK_TOL,
+    check_corollary_joint,
     check_theorem1,
     heinosaari_lower_bound,
     max_commutator_norm,
@@ -141,12 +142,12 @@ class TestCheckJointMeasurability:
         )
 
     def test_noisy_threshold_above(self):
-        result = check_joint_measurability(
-            noisy_qubit_povm((0, 0, 1), 0.72), noisy_qubit_povm((1, 0, 0), 0.72)
-        )
+        a, b = noisy_qubit_povm((0, 0, 1), 0.72), noisy_qubit_povm((1, 0, 0), 0.72)
+        result = check_joint_measurability(a, b)
         assert result.status == "infeasible"
-        assert result.screen_report is not None
-        assert result.screen_report.slack == pytest.approx(-0.0092, abs=1e-12)
+        screen = check_corollary_joint(a, b)
+        assert screen.slack == pytest.approx(-0.0092, abs=1e-12)
+        assert f"(slack = {screen.slack:.3g})" in result.certificate_note
 
     def test_every_povm_is_jointly_measurable_with_itself(self):
         # nontrivial solve: the symmetrized-product seed of the trine with
@@ -293,7 +294,7 @@ class TestDualCertificate:
         for scale in (1e-9, 1e-6, 1e-3, 1e-1, 1.0):
             r = rng.standard_normal((8, *seeds.shape[1:])) * (1 + 1j)
             k = linalg.project_psd_stack(seeds[rng.integers(3, size=8)] + scale * r)
-            assert pair.certificate(k) == [None] * 8
+            assert [pair.certificate(kl) for kl in k] == [None] * 8
 
         # nor may the solver's iterates after any round, at full budget and
         # on budgets cut before convergence
@@ -302,7 +303,7 @@ class TestDualCertificate:
 
         def recording(self, k):
             found = real(self, k)
-            tried.extend(found)
+            tried.append(found)
             return found
 
         monkeypatch.setattr(feasibility._Pair, "certificate", recording)
@@ -727,6 +728,24 @@ class TestFrontierSweep:
             alone = frontier_point(a, b, p.x_target, y_resolution=1e-2)
             assert p.x_achieved == alone.x_achieved
             assert p.y_achieved == alone.y_achieved
+
+    def test_carry_forward_replaces_a_worse_later_point(self):
+        # at 60 iterations the lane at X = 0.002 ends far above the one at
+        # X = 0.001, whose witness also meets the larger budget
+        a, b = random_povm(3, 3, 101), random_povm(3, 3, 201)
+        points = frontier_sweep(a, b, 3, x_max=0.002, max_iter=60)
+        alone = frontier_point(a, b, 0.002, max_iter=60)
+        assert alone.y_achieved > 0.4
+        assert points[2].witness is points[1].witness
+        assert (points[2].x_achieved, points[2].y_achieved) == (
+            points[1].x_achieved,
+            points[1].y_achieved,
+        )
+        assert points[1].x_achieved == pytest.approx(0.001, abs=1e-12)
+        assert points[1].y_achieved == pytest.approx(0.01808, abs=1e-5)
+        # the lower end is the point's own, as the point alone finds it
+        assert points[2].y_lower == alone.y_lower
+        assert points[2].y_lower == pytest.approx(3.6e-4, abs=1e-5)
 
     def test_orthogonal_qubits_match_closed_form(self):
         # no POVM lies below the closed form at the X it achieves, and the

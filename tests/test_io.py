@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from jointmeas.cli import cli_dispatch
 from jointmeas.io import (
     FileFormatError,
     format_float,
@@ -119,6 +120,42 @@ class TestPovmSchemaErrors:
         with pytest.raises(FileFormatError) as err:
             load_povm(path)
         assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "top level must be a JSON object"),
+            (
+                {"elements": {"a": [[1.0, 0.0], [0.0], [0.0, 0.0], [1.0, 0.0]]}},
+                "element 'a' entry 1 is not a [re, im] number pair",
+            ),
+            (
+                {"elements": {"a": [[1.0, 0.0], [0.0, 0.0], [True, 0.0], [1.0, 0.0]]}},
+                "element 'a' entry 2 is not a [re, im] number pair",
+            ),
+            ({"outcomes": []}, "outcomes must be a nonempty list of strings"),
+            ({"outcomes": ["a", 1]}, "outcomes must be a nonempty list of strings"),
+            ({"outcomes": "a"}, "outcomes must be a nonempty list of strings"),
+            ({"outcomes": ["a", "a"]}, "outcome labels must be distinct"),
+        ],
+        ids=[
+            "top-level-list", "short-pair", "bool-entry", "no-outcomes", "non-string-outcome",
+            "outcomes-string", "duplicate-outcomes",
+        ],
+    )
+    def test_schema_message_and_exit_code(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        if isinstance(doc, dict):
+            eye = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+            header = {"format_version": "1", "dim": 2, "outcomes": ["a"]}
+            doc = {**header, "elements": {"a": eye}, **doc}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError) as err:
+            load_povm(path)
+        assert str(err.value) == f"{path}: {message}"
+        assert cli_dispatch(["validate", str(path)]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {path}: {message}\n")
 
 
 class TestStateFiles:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jointmeas.errors import CapacityError
+from jointmeas import CapacityError, linalg
 from jointmeas.povm import (
     PAULI_X,
     PAULI_Z,
@@ -37,6 +37,31 @@ class TestPovmConstruction:
     def test_requires_at_least_one_outcome(self):
         with pytest.raises(ValueError):
             Povm((), np.zeros((0, 2, 2)))
+
+    @pytest.mark.parametrize(
+        "outcomes, elements, message",
+        [
+            (
+                ("a",),
+                np.zeros((1, 2, 3)),
+                "elements must be a stack of square matrices, got shape (1, 2, 3)",
+            ),
+            (
+                ("a",),
+                np.zeros((2, 2)),
+                "elements must be a stack of square matrices, got shape (2, 2)",
+            ),
+            (("a", "b"), np.zeros((1, 2, 2)), "2 outcomes but 1 element matrices"),
+            (("a",), np.zeros((1, 0, 0)), "matrix dimension must be >= 1"),
+            (("a",), np.array([[[1.0, 0.0], [0.0, np.nan]]]), "element entries must be finite"),
+            (("a",), np.array([[[np.inf]]]), "element entries must be finite"),
+        ],
+        ids=["not-square", "not-a-stack", "count-mismatch", "dim-zero", "nan", "inf"],
+    )
+    def test_rejects_malformed_elements(self, outcomes, elements, message):
+        with pytest.raises(ValueError) as err:
+            Povm(outcomes, elements)
+        assert str(err.value) == message
 
     def test_elements_are_read_only(self):
         p = bloch_pvm((0, 0, 1))
@@ -290,3 +315,11 @@ class TestRandomPovm:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             random_povm(0, 2, seed=1)
+
+    def test_singular_draw_names_its_seed(self, monkeypatch):
+        # one draw per seed: a sum too close to singular is an error, not
+        # a redraw at another seed
+        monkeypatch.setattr(linalg, "renormalize", lambda g, floor: None)
+        with pytest.raises(ValueError) as err:
+            random_povm(3, 2, seed=17)
+        assert str(err.value) == "random POVM draw at seed 17 has a singular element sum"

@@ -34,6 +34,21 @@ class TestOutcomeMap:
         with pytest.raises(ValueError):
             OutcomeMap(("a",), ("x",), {"a": "y"})
 
+    @pytest.mark.parametrize(
+        "source, target, assignment, message",
+        [
+            ((), ("x",), {}, "source and target outcome sets must be nonempty"),
+            (("a",), (), {"a": "x"}, "source and target outcome sets must be nonempty"),
+            (("a", "a"), ("x",), {"a": "x"}, "outcome labels must be distinct"),
+            (("a",), ("x", "x"), {"a": "x"}, "outcome labels must be distinct"),
+        ],
+        ids=["empty-source", "empty-target", "duplicate-source", "duplicate-target"],
+    )
+    def test_rejects_malformed_outcome_sets(self, source, target, assignment, message):
+        with pytest.raises(ValueError) as err:
+            OutcomeMap(source, target, assignment)
+        assert str(err.value) == message
+
     def test_fibers(self):
         f = OutcomeMap(("a", "b", "c"), ("x", "y"), {"a": "x", "b": "x", "c": "y"})
         assert fiber(f, "x") == ("a", "b")
@@ -43,6 +58,13 @@ class TestOutcomeMap:
         f = OutcomeMap(("a", "b"), ("x", "y"), {"a": "x", "b": "y"})
         g = OutcomeMap(("x", "y"), ("z",), {"x": "z", "y": "z"})
         assert f.compose(g).assignment == {"a": "z", "b": "z"}
+
+    def test_compose_needs_matching_sets(self):
+        f = OutcomeMap(("a", "b"), ("x", "y"), {"a": "x", "b": "y"})
+        g = OutcomeMap(("y", "x"), ("z",), {"x": "z", "y": "z"})
+        with pytest.raises(ValueError) as err:
+            f.compose(g)
+        assert str(err.value) == "maps do not compose: inner target != outer source"
 
 
 class TestMarginalize:
@@ -119,6 +141,12 @@ class TestCoordinateMaps:
         f_a, f_b = coordinate_maps(("a0", "a1", "a2"), ("b0", "b1"))
         assert {len(fiber(f_a, t)) for t in f_a.target} == {2}
         assert {len(fiber(f_b, t)) for t in f_b.target} == {3}
+
+    @pytest.mark.parametrize("omega_a, omega_b", [([], ["b"]), (["a"], [])])
+    def test_empty_outcome_list_rejected(self, omega_a, omega_b):
+        with pytest.raises(ValueError) as err:
+            coordinate_maps(omega_a, omega_b)
+        assert str(err.value) == "outcome lists must be nonempty"
 
     def test_separator_rejected_in_labels(self):
         with pytest.raises(ValueError):
