@@ -193,8 +193,9 @@ class _Pair:
         elsewhere it is a warm start.
         """
         sym = linalg.hermitian_part(np.einsum("aij,bjk->abik", self.ea, self.eb))
-        seed = linalg.renormalize(linalg.project_psd_stack(sym), 1e-12)
-        return self.flat_seeds()[0] if seed is None else seed
+        flat = linalg.project_psd_stack(sym).reshape(self.na * self.nb, self.d, self.d)
+        seed = linalg.renormalize(flat, 1e-12)
+        return self.flat_seeds()[0] if seed is None else seed.reshape(sym.shape)
 
     def flat_seeds(self) -> tuple[np.ndarray, np.ndarray]:
         """A x flat, F_ab = A_a tr(B_b)/d, whose A-marginal is exactly A, and
@@ -346,14 +347,16 @@ class _Pair:
         sum. Returns the POVM with its `marginal_distances` X and Y, or None
         if the sum is too ill-conditioned to renormalize or the result fails
         the POVM check."""
-        g = linalg.renormalize(linalg.project_psd_stack(f), 1e-6)
+        g = linalg.renormalize(
+            linalg.project_psd_stack(f).reshape(self.na * self.nb, self.d, self.d), 1e-6
+        )
         if g is None:
             return None
         g = linalg.hermitian_part(g)
-        w = Povm(self.labels, g.reshape(self.na * self.nb, self.d, self.d))
+        w = Povm(self.labels, g)
         if validate_povm(w):
             return None
-        return (w, *self.marginal_distances(g))
+        return (w, *self.marginal_distances(g.reshape(f.shape)))
 
     @cached_property
     def sqrt_a(self) -> np.ndarray:

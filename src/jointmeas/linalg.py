@@ -60,15 +60,18 @@ def clip_operator_norm_stack(ms: np.ndarray, bound: float | np.ndarray) -> np.nd
 
 
 def renormalize(g: np.ndarray, floor: float) -> np.ndarray | None:
-    """Conjugate a stack by S^(-1/2), where S is its sum over the leading
-    axes, so that the result sums to the identity.
+    """Conjugate each group of a stack (..., n, d, d) by S^(-1/2), where S
+    is the group's sum over axis -3, so that every group sums to the
+    identity. The leading axes index the groups; one eigendecomposition
+    serves all their sums, and each group gets the bits it would get alone.
 
-    Returns None when S is too close to singular:
+    Returns None when any group's S is too close to singular:
     lambda_min(S) <= floor * max(1, lambda_max(S)).
     """
-    s = g.sum(axis=tuple(range(g.ndim - 2)))
+    s = g.sum(axis=-3)
     w, u = np.linalg.eigh(hermitian_part(s))
-    if w[0] <= floor * max(1.0, float(w[-1])):
+    if (w[..., 0] <= floor * np.maximum(1.0, w[..., -1])).any():
         return None
-    inv_sqrt = (u * (1.0 / np.sqrt(w))) @ np.conj(u.T)
+    inv_sqrt = (u * (1.0 / np.sqrt(w))[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+    inv_sqrt = inv_sqrt[..., None, :, :]
     return inv_sqrt @ g @ inv_sqrt

@@ -4,6 +4,7 @@ matrix (d, d), and a stack of states is an array (k, d, d)."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,25 +189,40 @@ def bloch_pvm(n) -> Povm:
     return noisy_qubit_povm(n, 1.0)
 
 
-def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
-    """Random full-rank POVM, deterministic in the seed.
+def random_povms(dim: int, n_outcomes: int, seeds: Sequence[int]) -> list[Povm]:
+    """Random full-rank POVMs of one shape, one per seed, each deterministic
+    in its own seed; an empty `seeds` gives an empty list.
 
-    Draws Wishart matrices G_k = R_k R_k* with complex Gaussian R_k and
-    symmetrizes by S^(-1/2) G_k S^(-1/2) where S is their sum, so every
-    element stays generic (full rank) rather than one being a remainder term.
-    S is almost surely nonsingular; a draw whose S is too close to singular
-    to renormalize raises ValueError naming the seed.
+    Each seed's generator draws the real, then the imaginary parts of
+    complex Gaussian R_k, k < n_outcomes, as one (2, n_outcomes, dim, dim)
+    draw. The Wishart matrices G_k = R_k R_k* are symmetrized by
+    S^(-1/2) G_k S^(-1/2), where S is their sum, so every element stays
+    generic (full rank) rather than one being a remainder term. One
+    batched `renormalize` serves the whole stack, and each POVM gets the
+    bits it would get drawn alone. S is almost surely nonsingular; a draw
+    whose S is too close to singular to renormalize raises ValueError
+    naming the first such seed. Outcomes are labeled 'o0', 'o1', ...
     """
     if dim < 1 or n_outcomes < 1:
         raise ValueError("dim and n_outcomes must be >= 1")
-    rng = np.random.default_rng(seed)
-    r = rng.standard_normal((n_outcomes, dim, dim)) + 1j * rng.standard_normal(
-        (n_outcomes, dim, dim)
-    )
-    elements = linalg.renormalize(r @ np.conj(np.swapaxes(r, -1, -2)), 1e-12)
+    x = np.empty((len(seeds), 2, n_outcomes, dim, dim))
+    for k, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=x[k])
+    r = x[:, 0] + 1j * x[:, 1]
+    g = r @ np.conj(np.swapaxes(r, -1, -2))
+    elements = linalg.renormalize(g, 1e-12)
     if elements is None:
-        raise ValueError(f"random POVM draw at seed {seed} has a singular element sum")
-    return Povm(tuple(f"o{k}" for k in range(n_outcomes)), elements)
+        # rare path: find the seed whose own sum fails the floor rule
+        bad = next(s for s, gk in zip(seeds, g) if linalg.renormalize(gk, 1e-12) is None)
+        raise ValueError(f"random POVM draw at seed {bad} has a singular element sum")
+    labels = tuple(f"o{k}" for k in range(n_outcomes))
+    return [Povm(labels, e) for e in elements]
+
+
+def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
+    """Random full-rank POVM, deterministic in the seed: the one-seed case of
+    `random_povms`."""
+    return random_povms(dim, n_outcomes, (seed,))[0]
 
 
 def random_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -20,6 +20,7 @@ from .povm import (
     intrinsic_uncertainty_l1,
     outcome_probabilities,
     random_povm,
+    random_povms,
     random_states,
     validate_povm,
 )
@@ -47,39 +48,67 @@ def _sub_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63 - 1))
 
 
-def random_outcome_map(rng, source: tuple[str, ...], target: tuple[str, ...]) -> OutcomeMap:
-    """Uniformly random total map between outcome sets (not necessarily
-    surjective)."""
-    choice = rng.integers(0, len(target), size=len(source))
+def _outcome_map(source: tuple[str, ...], target: tuple[str, ...], choice) -> OutcomeMap:
+    """The map sending source[k] to target[choice[k]]. The suites draw the
+    choice uniformly, as `rng.integers(0, len(target), size=len(source))`,
+    so the map is total but not necessarily surjective."""
     return OutcomeMap(source, target, {s: target[int(k)] for s, k in zip(source, choice)})
 
 
-def random_instance(
+def _draw_povms(draws: list[tuple[int, int, int]]) -> list[Povm]:
+    """random_povm(dim, n, seed) for each (dim, n, seed) of `draws`, in
+    order, drawn as one `random_povms` stack per (dim, n)."""
+    slots: dict[tuple[int, int], list[int]] = {}
+    for k, (dim, n, _) in enumerate(draws):
+        slots.setdefault((dim, n), []).append(k)
+    povms: list[Povm] = [None] * len(draws)
+    for (dim, n), ks in slots.items():
+        for k, p in zip(ks, random_povms(dim, n, [draws[k][2] for k in ks])):
+            povms[k] = p
+    return povms
+
+
+def random_instances(
     rng,
+    count: int,
     max_dim: int = 4,
     max_outcomes: int = 4,
     max_joint_outcomes: int = 8,
-) -> tuple[Povm, Povm, Povm, OutcomeMap, OutcomeMap]:
-    """A random (A, B, F, f_A, f_B) tuple on a shared Hilbert space."""
-    dim = int(rng.integers(2, max_dim + 1))
-    n_a = int(rng.integers(2, max_outcomes + 1))
-    n_b = int(rng.integers(2, max_outcomes + 1))
-    n_f = int(rng.integers(2, max_joint_outcomes + 1))
-    a = random_povm(dim, n_a, _sub_seed(rng))
-    b = random_povm(dim, n_b, _sub_seed(rng))
-    f = random_povm(dim, n_f, _sub_seed(rng))
-    # distinct labels for the joint observable
-    f = Povm(tuple(f"f{k}" for k in range(f.n_outcomes)), f.elements)
-    f_a = random_outcome_map(rng, f.outcomes, a.outcomes)
-    f_b = random_outcome_map(rng, f.outcomes, b.outcomes)
-    return a, b, f, f_a, f_b
+) -> list[tuple[Povm, Povm, Povm, OutcomeMap, OutcomeMap]]:
+    """`count` random (A, B, F, f_A, f_B) tuples, each on a shared Hilbert
+    space.
+
+    `rng` gives each instance in turn its dimension, outcome counts, the
+    sub-seeds of A, B and F, and the choices of its two outcome maps; then
+    every POVM is drawn from its own sub-seed, one stack per shape. No POVM
+    draw reads `rng`, so each instance is the one it would be if it were
+    drawn whole before the next.
+    """
+    draws, choices = [], []
+    for _ in range(count):
+        dim = int(rng.integers(2, max_dim + 1))
+        n_a = int(rng.integers(2, max_outcomes + 1))
+        n_b = int(rng.integers(2, max_outcomes + 1))
+        n_f = int(rng.integers(2, max_joint_outcomes + 1))
+        draws += [(dim, n, _sub_seed(rng)) for n in (n_a, n_b, n_f)]
+        choices.append((rng.integers(0, n_a, size=n_f), rng.integers(0, n_b, size=n_f)))
+    povms = _draw_povms(draws)
+    instances = []
+    for k, (to_a, to_b) in enumerate(choices):
+        a, b, f = povms[3 * k : 3 * k + 3]
+        # distinct labels for the joint observable
+        f = Povm(tuple(f"f{j}" for j in range(f.n_outcomes)), f.elements)
+        f_a = _outcome_map(f.outcomes, a.outcomes, to_a)
+        f_b = _outcome_map(f.outcomes, b.outcomes, to_b)
+        instances.append((a, b, f, f_a, f_b))
+    return instances
 
 
 def _validity_suite(name: str, check, trials: int, seed: int, **sizes) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult(name, trials)
-    for i in range(trials):
-        report = check(*random_instance(rng, **sizes))
+    for i, instance in enumerate(random_instances(rng, trials, **sizes)):
+        report = check(*instance)
         if not report.satisfied:
             result.record(f"instance {i}: slack = {report.slack:.3e}")
     return result
@@ -101,13 +130,20 @@ def suite_theorem2(trials: int, seed: int) -> SuiteResult:
 
 def suite_metric_axioms(trials: int, seed: int) -> SuiteResult:
     """Symmetry, identity, and triangle inequality for both observable
-    distances on random triples with a shared outcome set."""
+    distances on random triples with a shared outcome set.
+
+    The generator gives each instance its dimension, outcome count and three
+    sub-seeds; then every POVM is drawn, one stack per shape."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("observable distance metric axioms", trials)
-    for i in range(trials):
+    draws = []
+    for _ in range(trials):
         dim = int(rng.integers(2, 5))
         n = int(rng.integers(2, 5))
-        p, q, r = (random_povm(dim, n, _sub_seed(rng)) for _ in range(3))
+        draws += [(dim, n, _sub_seed(rng)) for _ in range(3)]
+    povms = _draw_povms(draws)
+    for i in range(trials):
+        p, q, r = povms[3 * i : 3 * i + 3]
         for name, dist in (("D_inf", D_inf), ("D_l1", D_l1)):
             dpq = dist(p, q).value
             dqp = dist(q, p).value
@@ -154,13 +190,29 @@ def suite_duality(trials: int, seed: int) -> SuiteResult:
 
 def suite_povm_invariants(trials: int, seed: int) -> SuiteResult:
     """Generator validity, intrinsic uncertainty range, marginalization
-    functoriality, and vanishing error-operator sums."""
+    functoriality, and vanishing error-operator sums.
+
+    The generator gives each instance, in turn, its POVM's dimension, outcome
+    count and sub-seed, the sizes and choices of two composable coarse-
+    grainings, and a joint POVM's outcome count and sub-seed with the choice
+    of its smearing; then every POVM is drawn, one stack per shape."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("POVM and smearing invariants", trials)
-    for i in range(trials):
+    draws, plans = [], []
+    for _ in range(trials):
         dim = int(rng.integers(2, 5))
         n = int(rng.integers(2, 5))
-        p = random_povm(dim, n, _sub_seed(rng))
+        draws.append((dim, n, _sub_seed(rng)))
+        n_mid = int(rng.integers(1, n + 1))
+        n_final = int(rng.integers(1, n_mid + 1))
+        to_mid = rng.integers(0, n_mid, size=n)
+        to_final = rng.integers(0, n_final, size=n_mid)
+        n_joint = int(rng.integers(2, 7))
+        draws.append((dim, n_joint, _sub_seed(rng)))
+        plans.append((n_mid, n_final, to_mid, to_final, rng.integers(0, n, size=n_joint)))
+    povms = _draw_povms(draws)
+    for i, (n_mid, n_final, to_mid, to_final, to_p) in enumerate(plans):
+        p, f_joint = povms[2 * i : 2 * i + 2]
         if validate_povm(p):
             result.record(f"instance {i}: random POVM fails validation")
         v = intrinsic_uncertainty_inf(p)
@@ -172,18 +224,17 @@ def suite_povm_invariants(trials: int, seed: int) -> SuiteResult:
 
         # functoriality: composing coarse-grainings equals coarse-graining by
         # the composition (up to float regrouping of the same sums)
-        mid = tuple(f"m{k}" for k in range(int(rng.integers(1, n + 1))))
-        final = tuple(f"z{k}" for k in range(int(rng.integers(1, len(mid) + 1))))
-        f1 = random_outcome_map(rng, p.outcomes, mid)
-        f2 = random_outcome_map(rng, mid, final)
+        mid = tuple(f"m{k}" for k in range(n_mid))
+        final = tuple(f"z{k}" for k in range(n_final))
+        f1 = _outcome_map(p.outcomes, mid, to_mid)
+        f2 = _outcome_map(mid, final, to_final)
         two_step = marginalize(marginalize(p, f1), f2)
         one_step = marginalize(p, f1.compose(f2))
         if np.abs(two_step.elements - one_step.elements).max() > 1e-13:
             result.record(f"instance {i}: functoriality broken")
 
         # error operators f(F)_a - A_a over a random smearing sum to zero
-        f_joint = random_povm(dim, int(rng.integers(2, 7)), _sub_seed(rng))
-        f_map = random_outcome_map(rng, f_joint.outcomes, p.outcomes)
+        f_map = _outcome_map(f_joint.outcomes, p.outcomes, to_p)
         eps = marginalize(f_joint, f_map).elements - p.elements
         if np.abs(eps.sum(axis=0)).max() > 1e-10:
             result.record(f"instance {i}: error operators do not sum to zero")

@@ -26,7 +26,7 @@ from jointmeas.povm import (
     noisy_qubit_povm,
     random_povm,
 )
-from jointmeas.selftest import random_instance, suite_theorem1, suite_theorem2
+from jointmeas.selftest import random_instances, suite_theorem1, suite_theorem2
 from jointmeas.smearing import OutcomeMap, coordinate_maps
 
 
@@ -550,9 +550,9 @@ class TestAdmissibleRegion:
 
 class TestRandomInstanceGenerator:
     def test_instances_are_well_formed(self):
-        rng = np.random.default_rng(49)
-        for _ in range(10):
-            a, b, f, f_a, f_b = random_instance(rng)
+        instances = random_instances(np.random.default_rng(49), 10)
+        assert len(instances) == 10
+        for a, b, f, f_a, f_b in instances:
             assert a.dim == b.dim == f.dim
             assert f_a.source == f.outcomes
             assert f_a.target == a.outcomes

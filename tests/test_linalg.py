@@ -229,15 +229,34 @@ class TestQubitKernelAgreement:
         assert np.abs(linalg.clip_operator_norm_stack(stack, bound) - ref).max() <= 1e-14
 
 
+def wishart_stack(rng, shape):
+    r = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return r @ np.conj(np.swapaxes(r, -1, -2))
+
+
 class TestRenormalize:
     def test_sums_to_identity(self):
-        rng = np.random.default_rng(36)
-        r = rng.standard_normal((2, 3, 3, 3)) + 1j * rng.standard_normal((2, 3, 3, 3))
-        g = linalg.renormalize(r @ np.conj(np.swapaxes(r, -1, -2)), 1e-12)
-        assert np.abs(g.sum(axis=(0, 1)) - np.eye(3)).max() <= 1e-12
+        # a (2, 3, 3, 3) stack is two groups of three; each sums to I
+        g = linalg.renormalize(wishart_stack(np.random.default_rng(36), (2, 3, 3, 3)), 1e-12)
+        assert np.abs(g.sum(axis=1) - np.eye(3)).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 3, 2, 2), (2, 3, 5, 3, 3), (1, 1, 4, 4)])
+    def test_batched_groups_match_one_call_each(self, shape):
+        g = wishart_stack(np.random.default_rng(37), shape)
+        whole = linalg.renormalize(g, 1e-12)
+        groups = g.reshape(-1, *shape[-3:])
+        each = np.stack([linalg.renormalize(gk, 1e-12) for gk in groups])
+        assert whole.shape == shape
+        assert whole.tobytes() == each.reshape(shape).tobytes()
 
     def test_singular_sum_gives_none(self):
         g = np.stack([np.diag([1.0, 0.0]), np.diag([0.5, 0.0])]).astype(complex)
+        assert linalg.renormalize(g, 1e-12) is None
+
+    def test_one_singular_group_makes_the_stack_none(self):
+        g = wishart_stack(np.random.default_rng(38), (3, 2, 2, 2))
+        g[1] = np.stack([np.diag([1.0, 0.0]), np.diag([0.5, 0.0])])
+        assert [linalg.renormalize(gk, 1e-12) is None for gk in g] == [False, True, False]
         assert linalg.renormalize(g, 1e-12) is None
 
     def test_floor_scales_with_the_largest_eigenvalue(self):

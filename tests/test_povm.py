@@ -14,6 +14,7 @@ from jointmeas.povm import (
     noisy_qubit_povm,
     outcome_probabilities,
     random_povm,
+    random_povms,
     random_states,
     validate_povm,
 )
@@ -323,3 +324,54 @@ class TestRandomPovm:
         with pytest.raises(ValueError) as err:
             random_povm(3, 2, seed=17)
         assert str(err.value) == "random POVM draw at seed 17 has a singular element sum"
+
+    def test_singular_group_in_a_stack_names_its_own_seed(self, monkeypatch):
+        # seed 22's generator draws R with a zero first row, so its element
+        # sum is singular while its neighbours' are not
+        real = np.random.default_rng
+
+        class ZeroFirstRow:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def standard_normal(self, *args, **kwargs):
+                x = self.rng.standard_normal(*args, **kwargs)
+                x[..., 0, :] = 0.0
+                return x
+
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda s: ZeroFirstRow(s) if s == 22 else real(s)
+        )
+        with pytest.raises(ValueError) as err:
+            random_povms(3, 2, [21, 22, 23])
+        assert str(err.value) == "random POVM draw at seed 22 has a singular element sum"
+
+    def test_no_seeds_give_no_povms(self):
+        assert random_povms(3, 2, []) == []
+        with pytest.raises(ValueError):
+            random_povms(0, 2, [])
+
+
+def single_draw_reference(dim, n_outcomes, seed):
+    """The elements of one random POVM drawn on its own: the real and the
+    imaginary parts of R as two draws, and one group's S^(-1/2) written
+    out."""
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((n_outcomes, dim, dim)) + 1j * rng.standard_normal(
+        (n_outcomes, dim, dim)
+    )
+    g = r @ np.conj(np.swapaxes(r, -1, -2))
+    w, u = np.linalg.eigh(linalg.hermitian_part(g.sum(axis=0)))
+    inv_sqrt = (u * (1.0 / np.sqrt(w))) @ np.conj(u.T)
+    return inv_sqrt @ g @ inv_sqrt
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("n_outcomes", range(1, 9))
+def test_stacked_draws_have_the_bits_of_single_draws(dim, n_outcomes):
+    seeds = [0, 7 * dim + n_outcomes, 2**31 + n_outcomes, 2**63 - 2]
+    stacked = random_povms(dim, n_outcomes, seeds)
+    assert [p.outcomes for p in stacked] == [random_povm(dim, n_outcomes, 0).outcomes] * 4
+    for s, p in zip(seeds, stacked):
+        assert p.elements.tobytes() == random_povm(dim, n_outcomes, s).elements.tobytes()
+        assert p.elements.tobytes() == single_draw_reference(dim, n_outcomes, s).tobytes()

@@ -1,12 +1,20 @@
-"""The duality suite on its own: a planted closed form that sampled states
-beat must be reported, once per instance and metric, and exactly where a
-state beats it."""
+"""The selftest suites on their own. A planted closed form that sampled
+states beat must be reported by the duality suite, once per instance and
+metric, and exactly where a state beats it. The suites that draw their
+POVMs as stacks must check the instances of one draw after another."""
 
+import importlib
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 import jointmeas.selftest as selftest
 from jointmeas.distances import DistanceValue, dist_inf, dist_l1
-from jointmeas.povm import outcome_probabilities
+from jointmeas.povm import Povm, outcome_probabilities, random_povm
+from jointmeas.smearing import OutcomeMap
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 METRICS = [("inf", "D_inf", dist_inf), ("l1", "D_l1", dist_l1)]
 
@@ -80,3 +88,99 @@ def test_duality_reports_exactly_the_instances_a_state_beats(monkeypatch, name, 
 
 def test_duality_passes_on_the_closed_forms():
     assert selftest.suite_duality(5, seed=3).violations == 0
+
+
+# Reference: each instance's POVMs drawn one at a time, between the
+# generator's other draws, and checked through the suite module's names.
+
+
+def _sub_seed(rng):
+    return int(rng.integers(0, 2**63 - 1))
+
+
+def _random_outcome_map(rng, source, target):
+    choice = rng.integers(0, len(target), size=len(source))
+    return OutcomeMap(source, target, {s: target[int(k)] for s, k in zip(source, choice)})
+
+
+def _one_instance(rng, max_dim=4, max_outcomes=4, max_joint_outcomes=8):
+    dim = int(rng.integers(2, max_dim + 1))
+    n_a = int(rng.integers(2, max_outcomes + 1))
+    n_b = int(rng.integers(2, max_outcomes + 1))
+    n_f = int(rng.integers(2, max_joint_outcomes + 1))
+    a = random_povm(dim, n_a, _sub_seed(rng))
+    b = random_povm(dim, n_b, _sub_seed(rng))
+    f = random_povm(dim, n_f, _sub_seed(rng))
+    f = Povm(tuple(f"f{k}" for k in range(f.n_outcomes)), f.elements)
+    f_a = _random_outcome_map(rng, f.outcomes, a.outcomes)
+    f_b = _random_outcome_map(rng, f.outcomes, b.outcomes)
+    return a, b, f, f_a, f_b
+
+
+def _reference_theorem1(trials, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        selftest.check_theorem1(*_one_instance(rng))
+
+
+def _reference_theorem2(trials, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        instance = _one_instance(rng, max_dim=3, max_outcomes=3, max_joint_outcomes=6)
+        selftest.check_theorem2(*instance)
+
+
+def _reference_metric_axioms(trials, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        dim = int(rng.integers(2, 5))
+        n = int(rng.integers(2, 5))
+        p, q, r = (random_povm(dim, n, _sub_seed(rng)) for _ in range(3))
+        for dist in (selftest.D_inf, selftest.D_l1):
+            dist(p, q), dist(q, p), dist(p, p), dist(p, r), dist(r, q)
+
+
+def _reference_povm_invariants(trials, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        dim = int(rng.integers(2, 5))
+        n = int(rng.integers(2, 5))
+        p = random_povm(dim, n, _sub_seed(rng))
+        selftest.validate_povm(p)
+        selftest.intrinsic_uncertainty_inf(p)
+        selftest.intrinsic_uncertainty_l1(p)
+        mid = tuple(f"m{k}" for k in range(int(rng.integers(1, n + 1))))
+        final = tuple(f"z{k}" for k in range(int(rng.integers(1, len(mid) + 1))))
+        f1 = _random_outcome_map(rng, p.outcomes, mid)
+        f2 = _random_outcome_map(rng, mid, final)
+        selftest.marginalize(selftest.marginalize(p, f1), f2)
+        selftest.marginalize(p, f1.compose(f2))
+        f_joint = random_povm(dim, int(rng.integers(2, 7)), _sub_seed(rng))
+        f_map = _random_outcome_map(rng, f_joint.outcomes, p.outcomes)
+        selftest.marginalize(f_joint, f_map)
+
+
+@pytest.fixture
+def selftest_values(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    return importlib.import_module("selftest_values")
+
+
+@pytest.mark.parametrize(
+    "suite, reference",
+    [
+        (selftest.suite_theorem1, _reference_theorem1),
+        (selftest.suite_theorem2, _reference_theorem2),
+        (selftest.suite_metric_axioms, _reference_metric_axioms),
+        (selftest.suite_povm_invariants, _reference_povm_invariants),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 51])
+def test_stacked_suites_check_the_instances_of_single_draws(selftest_values, suite, reference, seed):
+    # every checked value, in call order, by its bits
+    stacked, single = [], []
+    with selftest_values.recording(stacked.append):
+        suite(6, seed)
+    with selftest_values.recording(single.append):
+        reference(6, seed)
+    assert stacked and stacked == single

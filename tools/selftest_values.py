@@ -1,0 +1,144 @@
+"""Digest every value the selftest suites check, to compare two checkouts.
+
+    python3 tools/selftest_values.py SEED...
+
+For each seed the script runs `run_selftest(200, seed)`, the suites of
+`jointmeas selftest --trials 200 --seed SEED`, with a recorder around each
+function a suite calls to get the values it checks: the theorem reports,
+the observable and distribution distances, the intrinsic uncertainties, the
+POVM validation reports and the marginals. Each suite prints one line,
+
+    seed suite sha256
+
+where the digest covers those results in call order. The selftest's own
+stdout at 0 violations is the same whatever instances a suite draws; these
+lines change with any of them. The script imports the library from the
+`src` directory beside it, so to compare two checkouts, run a copy of it in
+each and diff the lines.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src")]
+
+from jointmeas import selftest  # noqa: E402
+from jointmeas.povm import Povm  # noqa: E402
+
+SUITES = (
+    "suite_theorem1",
+    "suite_theorem2",
+    "suite_metric_axioms",
+    "suite_duality",
+    "suite_povm_invariants",
+)
+CHECKED = (
+    "check_theorem1",
+    "check_theorem2",
+    "D_inf",
+    "D_l1",
+    "dist_inf",
+    "dist_l1",
+    "intrinsic_uncertainty_inf",
+    "intrinsic_uncertainty_l1",
+    "validate_povm",
+    "marginalize",
+)
+
+
+def encode(value) -> bytes:
+    """The bytes of one checked result: floats and arrays by their bits,
+    POVMs by labels and elements, dataclasses field by field, sequences
+    item by item, anything else by its repr. Each part is prefixed by its
+    length."""
+    if isinstance(value, Povm):
+        raw = repr(value.outcomes).encode() + value.elements.tobytes()
+    elif isinstance(value, np.ndarray):
+        raw = repr(value.shape).encode() + value.tobytes()
+    elif isinstance(value, (float, np.floating)):
+        raw = np.float64(value).tobytes()
+    elif dataclasses.is_dataclass(value):
+        raw = b"".join(encode(getattr(value, f.name)) for f in dataclasses.fields(value))
+    elif isinstance(value, (list, tuple)):
+        raw = b"".join(encode(v) for v in value)
+    else:
+        raw = repr(value).encode()
+    return len(raw).to_bytes(8, "little") + raw
+
+
+@contextlib.contextmanager
+def patched(names, wrap):
+    """Within the block, each named function of the selftest module is
+    replaced by wrap(name, function), so the suites' calls reach the
+    wrapper."""
+    originals = {name: getattr(selftest, name) for name in names}
+    try:
+        for name, function in originals.items():
+            setattr(selftest, name, wrap(name, function))
+        yield
+    finally:
+        for name, function in originals.items():
+            setattr(selftest, name, function)
+
+
+def recording(sink):
+    """Within the block, the encoded result of every CHECKED call that the
+    suites make goes to sink, in call order."""
+
+    def wrap(name, real):
+        def call(*args):
+            out = real(*args)
+            sink(encode(out))
+            return out
+
+        return call
+
+    return patched(CHECKED, wrap)
+
+
+def value_lines(seed: int, trials: int = 200):
+    """One 'suite sha256' line per suite of `run_selftest(trials, seed)`."""
+    digests: dict[str, str] = {}
+    current: list = []
+
+    def suite(name, real):
+        def run(*args):
+            current.append(hashlib.sha256())
+            try:
+                return real(*args)
+            finally:
+                digests[name] = current.pop().hexdigest()
+
+        return run
+
+    with (
+        patched(SUITES, suite),
+        recording(lambda raw: current[-1].update(raw)),
+        contextlib.redirect_stdout(io.StringIO()),
+    ):
+        selftest.run_selftest(trials, seed)
+    for name in SUITES:
+        yield f"{name.removeprefix('suite_')} {digests[name]}"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("seeds", type=int, nargs="+", metavar="SEED")
+    args = parser.parse_args()
+    for seed in args.seeds:
+        for line in value_lines(seed):
+            print(f"{seed} {line}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
