@@ -35,7 +35,7 @@ from .povm import (
     is_pvm,
 )
 from .smearing import OutcomeMap, marginalize
-from .subsets import CHUNK_BITS, gray_walk
+from .subsets import CHUNK_BITS, gray_walk, max_norm
 
 # Bounds are reported satisfied when lhs - rhs >= -SLACK_TOL. All quantities
 # are O(1), so an absolute threshold is appropriate.
@@ -80,21 +80,23 @@ def max_subset_commutator_norm(a: Povm, b: Povm) -> float:
     Complementing either subset only flips the sign of the commutator (the
     elements sum to the identity), so one representative of each complement
     pair suffices on both sides. Blocks of A-sums are commuted against each
-    stack of B-sums, so no norm call sees much more than one stack.
+    stack of B-sums, and `subsets.max_norm` takes each block as one stack.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     what = "the subset commutator bound"
     ea = linalg.hermitian_part(a.elements)
     eb = linalg.hermitian_part(b.elements)
-    best = 0.0
-    for sums_a in gray_walk(ea, what):
-        for sums_b in gray_walk(eb, what):
-            block = max(1, 2**CHUNK_BITS // len(sums_b))
-            for k in range(0, len(sums_a), block):
-                prod = sums_a[k : k + block, None] @ sums_b
-                best = max(best, float(linalg.commutator_norm_stack(prod).max()))
-    return best
+
+    def stacks():
+        for sums_a in gray_walk(ea, what):
+            for sums_b in gray_walk(eb, what):
+                block = max(1, 2**CHUNK_BITS // len(sums_b))
+                for k in range(0, len(sums_a), block):
+                    prod = sums_a[k : k + block, None] @ sums_b
+                    yield linalg.commutator_stack(prod).reshape(-1, a.dim, a.dim)
+
+    return max_norm(stacks())[0]
 
 
 def theorem1_lhs(x: float, y: float, v_a: float, v_b: float) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .povm import Povm, require_comparable
-from .subsets import gray_labels, gray_walk
+from .subsets import gray_labels, gray_walk, max_norm
 
 DISTRIBUTION_SUM_TOL = 1e-9
 
@@ -124,25 +124,14 @@ def D_l1(a: Povm, b: Povm) -> DistanceValue:
 
     A subset and its complement give the same norm (the differences sum to
     zero), so only the subsets without the last outcome are evaluated, one
-    stack of Gray-ordered subset sums per norm call; ties break to the first
-    maximum in Gray-code order.
+    stack of Gray-ordered subset sums at a time through `subsets.max_norm`;
+    ties break to the first maximum in Gray-code order.
     """
     require_comparable(a, b)
     diffs = linalg.hermitian_part(a.elements - b.elements)
-    best = -1.0
-    best_pos = 0
-    best_matrix = None
-    pos = 0
-    for sums in gray_walk(diffs, "the total-variation observable distance"):
-        norms = linalg.herm_norm_stack(sums)
-        k = int(np.argmax(norms))
-        if norms[k] > best:
-            best = float(norms[k])
-            best_pos = pos + k
-            best_matrix = sums[k]
-        pos += len(sums)
+    value, pos, matrix = max_norm(gray_walk(diffs, "the total-variation observable distance"))
     return DistanceValue(
-        value=best,
-        witness=gray_labels(best_pos, a.outcomes),
-        witness_matrix=_read_only(best_matrix),
+        value=value,
+        witness=gray_labels(pos, a.outcomes),
+        witness_matrix=_read_only(matrix),
     )

@@ -6,11 +6,18 @@ formulas are used throughout instead of iterative methods.
 
 Each spectral rule has one kernel, which works on a stack of shape
 (..., d, d): operator norms (`herm_norm_stack`), commutator norms
-(`commutator_norm_stack`), PSD projection (`project_psd_stack`) and
-spectral clipping (`clip_operator_norm_stack`). A single matrix is a stack
-of one. The kernels do not validate their input and hold no tolerance of
-their own; callers check it once at the boundary (the `Povm` constructor
-and `povm.validate_povm`).
+(`commutator_norm_stack`, on the Hermitian i[X, Y] of `commutator_stack`),
+PSD projection (`project_psd_stack`) and spectral clipping
+(`clip_operator_norm_stack`). A single matrix is a stack of one. The
+kernels do not validate their input and hold no tolerance of their own;
+callers check it once at the boundary (the `Povm` constructor and
+`povm.validate_povm`).
+
+`herm_norm_bound_stack` bounds each operator norm from above without an
+eigensolver, from the trace and the Frobenius norm alone
+(Wolkowicz & Styan, "Bounds for eigenvalues using traces", Linear Algebra
+Appl. 29, 1980). `subsets.max_norm` uses it, on H and on H^2, to skip the
+eigenvalue solves of subset sums that cannot reach its running maximum.
 """
 
 from __future__ import annotations
@@ -32,11 +39,34 @@ def herm_norm_stack(ms: np.ndarray) -> np.ndarray:
     return np.abs(w).max(axis=-1)
 
 
+def herm_norm_bound_stack(ms: np.ndarray) -> np.ndarray:
+    """Upper bounds on the norms `herm_norm_stack` returns, from traces
+    alone: with t = tr(H)/d, every eigenvalue of a Hermitian H obeys
+    |lambda| <= |t| + sqrt((d - 1)/d) ||H - t I||_F (Wolkowicz & Styan, 1980).
+
+    For a nearly Hermitian M, t = Re tr(M)/d is the trace of its Hermitian
+    part H, and ||M - t I||_F >= ||H - t I||_F, so the bound holds for H.
+    The traceless part is summed entry by entry: the shortcut
+    ||M||_F^2 - d t^2 cancels on a near-scalar matrix and can undershoot
+    the norm by about 1e-8 relative.
+    """
+    d = ms.shape[-1]
+    t = np.trace(ms, axis1=-2, axis2=-1).real / d
+    dev = (ms - t[..., None, None] * np.eye(d)).view(np.float64)
+    return np.abs(t) + np.sqrt((d - 1) / d) * np.sqrt(np.einsum("...ij,...ij->...", dev, dev))
+
+
+def commutator_stack(prods: np.ndarray) -> np.ndarray:
+    """i[X, Y] for Hermitian pairs, from their products P = XY: for
+    Hermitian X and Y, [X, Y] = P - P*, and i[X, Y] is Hermitian with the
+    same norm."""
+    return 1j * (prods - np.conj(np.swapaxes(prods, -1, -2)))
+
+
 def commutator_norm_stack(prods: np.ndarray) -> np.ndarray:
     """Commutator norms ||[X, Y]|| of Hermitian pairs, from their products
-    P = XY: for Hermitian X and Y, [X, Y] = P - P*, and i[X, Y] is Hermitian
-    with the same norm."""
-    return herm_norm_stack(1j * (prods - np.conj(np.swapaxes(prods, -1, -2))))
+    P = XY."""
+    return herm_norm_stack(commutator_stack(prods))
 
 
 def project_psd_stack(ms: np.ndarray) -> np.ndarray:

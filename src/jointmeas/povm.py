@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .subsets import gray_walk
+from .subsets import gray_walk, max_norm
 
 # Tolerances for POVM validity: entrywise deviation of the element sum from
 # the identity, and the eigenvalue floor for positivity. Loose enough to
@@ -155,10 +155,8 @@ def intrinsic_uncertainty_l1(p: Povm) -> float:
     """max over outcome subsets D of ||A_D (1 - A_D)|| where A_D sums the
     elements over D. Exact enumeration; capped by CapacityError."""
     e = linalg.hermitian_part(p.elements)
-    best = 0.0
-    for sums in gray_walk(e, "the subset-summed intrinsic uncertainty"):
-        best = max(best, float(linalg.herm_norm_stack(sums - sums @ sums).max()))
-    return best
+    walk = gray_walk(e, "the subset-summed intrinsic uncertainty")
+    return max_norm(s - s @ s for s in walk)[0]
 
 
 def _bloch_sigma(n) -> np.ndarray:

@@ -178,6 +178,48 @@ class TestStackedKernels:
             assert got == pytest.approx(np.linalg.norm(x @ y - y @ x, 2), abs=1e-12)
 
 
+class TestNormBound:
+    """Both trace bounds that `subsets.max_norm` prunes with, on H and on
+    H^2, stay above `herm_norm_stack` up to rounding far below
+    `subsets.PRUNE_RTOL`; on rank-one projections, scalars and at d = 2
+    they are tight."""
+
+    ROUNDING = 1e-13
+
+    def stacks(self, d):
+        rng = np.random.default_rng(50 + d)
+        v = rng.standard_normal((20, d)) + 1j * rng.standard_normal((20, d))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        s = rng.uniform(-3.0, 3.0, (20, 1, 1))
+        hs = np.stack([random_hermitian(rng, d) for _ in range(20)])
+        xs = np.stack([random_hermitian(rng, d) for _ in range(20)])
+        return {
+            "random": hs,
+            "rank-one projections": np.einsum("ki,kj->kij", v, v.conj()),
+            "+-s I": s * np.eye(d) * np.array([1, -1] * 10)[:, None, None],
+            # ||H||_F^2 - d t^2 cancels here and undershoots by about 1e-8
+            "s I + 1e-9 H": s * np.eye(d) + 1e-9 * hs,
+            "traceless commutators": linalg.commutator_stack(xs @ hs),
+            "zero": np.zeros((1, d, d), dtype=complex),
+        }
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+    def test_both_stages_bound_the_norm(self, d):
+        for name, hs in self.stacks(d).items():
+            norms = linalg.herm_norm_stack(hs)
+            floor = norms * (1 - self.ROUNDING)
+            assert (linalg.herm_norm_bound_stack(hs) >= floor).all(), name
+            assert (np.sqrt(linalg.herm_norm_bound_stack(hs @ hs)) >= floor).all(), name
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+    def test_tight_on_projections_and_scalars(self, d):
+        stacks = self.stacks(d)
+        for name in ("rank-one projections", "+-s I", "zero"):
+            hs = stacks[name]
+            norms = linalg.herm_norm_stack(hs)
+            assert np.allclose(linalg.herm_norm_bound_stack(hs), norms, rtol=1e-13, atol=0), name
+
+
 
 def pauli_form(s, v):
     """s I + v . sigma, the general 2x2 Hermitian matrix."""
