@@ -16,26 +16,24 @@ measurability that takes no F. Projective A and B need no case of their
 own: V vanishes, and for sharp qubits at Bloch angle theta the right side
 is sin(theta)/2, which `qubit-demo` compares against the additive bound of
 Busch and Heinosaari. Every check that takes F runs through one evaluator,
-`_tradeoff`.
+`tradeoff_reports`, which takes many instances at once and reduces all
+their maxima (X, Y, V_A, V_B and the commutator norm of each) with one
+`subsets.max_norms` call; each report is the one its instance gives alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .distances import D_inf, D_l1
-from .povm import (
-    Povm,
-    intrinsic_uncertainty_inf,
-    intrinsic_uncertainty_l1,
-    is_pvm,
-)
+from .distances import difference_walk
+from .povm import Povm, is_pvm, uncertainty_walk
 from .smearing import OutcomeMap, marginalize
-from .subsets import CHUNK_BITS, gray_walk, max_norm
+from .subsets import CHUNK_BITS, gray_walk, max_norms
 
 # Bounds are reported satisfied when lhs - rhs >= -SLACK_TOL. All quantities
 # are O(1), so an absolute threshold is appropriate.
@@ -64,39 +62,42 @@ class TradeoffReport:
         return self.slack >= -SLACK_TOL
 
 
-def max_commutator_norm(a: Povm, b: Povm) -> float:
-    """max over outcome pairs (a, b) of ||[A_a, B_b]||."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    ea = linalg.hermitian_part(a.elements)
-    eb = linalg.hermitian_part(b.elements)
-    prod = np.einsum("aij,bjk->abik", ea, eb)
-    return float(linalg.commutator_norm_stack(prod).max())
+def _commutator_walk(metric: str, a: Povm, b: Povm) -> Iterator[np.ndarray]:
+    """The stacks whose largest norm is the commutator norm of `metric`,
+    for `subsets.max_norms`: the Hermitian i[A_a, B_b] of every outcome
+    pair as one stack ("inf"), or of every pair of subset sums ("l1").
 
-
-def max_subset_commutator_norm(a: Povm, b: Povm) -> float:
-    """max over subset pairs (D_A, D_B) of ||[sum_{a in D_A} A_a, sum_{b in D_B} B_b]||.
-
-    Complementing either subset only flips the sign of the commutator (the
-    elements sum to the identity), so one representative of each complement
-    pair suffices on both sides. Blocks of A-sums are commuted against each
-    stack of B-sums, and `subsets.max_norm` takes each block as one stack.
+    For "l1", complementing either subset only flips the sign of the
+    commutator (the elements sum to the identity), so one representative
+    of each complement pair suffices on both sides. Blocks of A-sums are
+    commuted against each stack of B-sums, and each block is one stack. The
+    dimensions are checked when the walk starts.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    what = "the subset commutator bound"
     ea = linalg.hermitian_part(a.elements)
     eb = linalg.hermitian_part(b.elements)
+    if metric != "l1":
+        prod = np.einsum("aij,bjk->abik", ea, eb)
+        yield linalg.commutator_stack(prod).reshape(-1, a.dim, a.dim)
+        return
+    what = "the subset commutator bound"
+    for sums_a in gray_walk(ea, what):
+        for sums_b in gray_walk(eb, what):
+            block = max(1, 2**CHUNK_BITS // len(sums_b))
+            for k in range(0, len(sums_a), block):
+                prod = sums_a[k : k + block, None] @ sums_b
+                yield linalg.commutator_stack(prod).reshape(-1, a.dim, a.dim)
 
-    def stacks():
-        for sums_a in gray_walk(ea, what):
-            for sums_b in gray_walk(eb, what):
-                block = max(1, 2**CHUNK_BITS // len(sums_b))
-                for k in range(0, len(sums_a), block):
-                    prod = sums_a[k : k + block, None] @ sums_b
-                    yield linalg.commutator_stack(prod).reshape(-1, a.dim, a.dim)
 
-    return max_norm(stacks())[0]
+def max_commutator_norm(a: Povm, b: Povm) -> float:
+    """max over outcome pairs (a, b) of ||[A_a, B_b]||."""
+    return max_norms([_commutator_walk("inf", a, b)])[0][0]
+
+
+def max_subset_commutator_norm(a: Povm, b: Povm) -> float:
+    """max over subset pairs (D_A, D_B) of ||[sum_{a in D_A} A_a, sum_{b in D_B} B_b]||."""
+    return max_norms([_commutator_walk("l1", a, b)])[0][0]
 
 
 def theorem1_lhs(x: float, y: float, v_a: float, v_b: float) -> float:
@@ -132,53 +133,66 @@ def theorem1_min_y(x, v_a: float, v_b: float, rhs: float):
     return np.where(xc < rhs, np.maximum(u**2 - v_b / 2, 0.0), 0.0)[()]
 
 
-def _tradeoff(
-    inequality_id: str,
-    a: Povm,
-    b: Povm,
-    f_povm: Povm,
-    f_a: OutcomeMap,
-    f_b: OutcomeMap,
-    *,
-    metric: str = "inf",
-    instrument: bool = False,
-) -> TradeoffReport:
-    """One member of the tradeoff family, with F marginalized along f_a, f_b.
+# each tradeoff inequality's metric, and whether its F must be projective
+_INEQUALITIES = {
+    "theorem1": ("inf", False),
+    "theorem2": ("l1", False),
+    "cor_pvm_instrument": ("inf", True),
+}
 
-    `metric` "inf" pairs the uniform distance with the elementwise commutator
-    norm, "l1" the total-variation distance with the subset commutator norm;
-    V_A and V_B are the metric's intrinsic uncertainties. With `instrument`
-    F must be projective (checked by `is_pvm`), V_A = V_B = 0 and the left
-    side is 2XY + X + Y.
 
-    The distances, uncertainties and norms are read as module globals at call
-    time, so a wrapper installed on this module sees every call.
+def tradeoff_reports(
+    inequality_id: str, instances: Iterable[tuple[Povm, Povm, Povm, OutcomeMap, OutcomeMap]]
+) -> list[TradeoffReport]:
+    """One report of a member of the tradeoff family for each instance
+    (A, B, F, f_A, f_B), with F marginalized along f_A and f_B.
+
+    "theorem1" pairs the uniform distance with the elementwise commutator
+    norm, "theorem2" the total-variation distance with the subset
+    commutator norm; V_A and V_B are the metric's intrinsic uncertainties.
+    For "cor_pvm_instrument", a uniform-distance member, F must be
+    projective (checked by `is_pvm`), V_A = V_B = 0 and the left side is
+    2XY + X + Y. Every maximum of every instance is reduced by one
+    `subsets.max_norms` call.
     """
-    if a.dim != b.dim or a.dim != f_povm.dim:
-        raise ValueError("all POVMs must share one dimension")
-    if instrument and not is_pvm(f_povm):
-        raise ValueError("the joint observable must be projective for this bound")
-    if metric == "l1":
-        dist, uncertainty, commutator = D_l1, intrinsic_uncertainty_l1, max_subset_commutator_norm
-    else:
-        dist, uncertainty, commutator = D_inf, intrinsic_uncertainty_inf, max_commutator_norm
-    x = dist(a, marginalize(f_povm, f_a)).value
-    y = dist(b, marginalize(f_povm, f_b)).value
-    if instrument:
-        v_a = v_b = 0.0
-        lhs = 2 * x * y + x + y
-    else:
-        v_a, v_b = uncertainty(a), uncertainty(b)
-        lhs = theorem1_lhs(x, y, v_a, v_b)
-    return TradeoffReport(
-        inequality_id=inequality_id,
-        X=x,
-        Y=y,
-        V_A=v_a,
-        V_B=v_b,
-        lhs=lhs,
-        rhs=commutator(a, b),
-    )
+    metric, instrument = _INEQUALITIES[inequality_id]
+    instances = list(instances)
+
+    def walks():
+        for a, b, f_povm, f_a, f_b in instances:
+            if a.dim != b.dim or a.dim != f_povm.dim:
+                raise ValueError("all POVMs must share one dimension")
+            if instrument and not is_pvm(f_povm):
+                raise ValueError("the joint observable must be projective for this bound")
+            yield difference_walk(metric, a, marginalize(f_povm, f_a))
+            yield difference_walk(metric, b, marginalize(f_povm, f_b))
+            if not instrument:
+                yield uncertainty_walk(metric, a)
+                yield uncertainty_walk(metric, b)
+            yield _commutator_walk(metric, a, b)
+
+    values = iter([value for value, _, _ in max_norms(walks())])
+    reports = []
+    for _ in instances:
+        x, y = next(values), next(values)
+        if instrument:
+            v_a = v_b = 0.0
+            lhs = 2 * x * y + x + y
+        else:
+            v_a, v_b = next(values), next(values)
+            lhs = theorem1_lhs(x, y, v_a, v_b)
+        reports.append(
+            TradeoffReport(
+                inequality_id=inequality_id,
+                X=x,
+                Y=y,
+                V_A=v_a,
+                V_B=v_b,
+                lhs=lhs,
+                rhs=next(values),
+            )
+        )
+    return reports
 
 
 def check_theorem1(
@@ -189,7 +203,7 @@ def check_theorem1(
     The inequality holds for every valid input; a violated report signals an
     implementation bug, not an interesting instance.
     """
-    return _tradeoff("theorem1", a, b, f_povm, f_a, f_b)
+    return tradeoff_reports("theorem1", [(a, b, f_povm, f_a, f_b)])[0]
 
 
 def check_theorem2(
@@ -197,7 +211,7 @@ def check_theorem2(
 ) -> TradeoffReport:
     """Evaluate the total-variation tradeoff bound (subset-summed quantities
     on both sides)."""
-    return _tradeoff("theorem2", a, b, f_povm, f_a, f_b, metric="l1")
+    return tradeoff_reports("theorem2", [(a, b, f_povm, f_a, f_b)])[0]
 
 
 def check_corollary_joint(a: Povm, b: Povm) -> TradeoffReport:
@@ -205,10 +219,12 @@ def check_corollary_joint(a: Povm, b: Povm) -> TradeoffReport:
     sqrt(V(A) V(B)) >= (1/2) max ||[A_a, B_b]||.
 
     A violated report proves the pair is NOT jointly measurable; a satisfied
-    report is inconclusive.
+    report is inconclusive. Its three maxima are one `subsets.max_norms`
+    call.
     """
-    v_a = intrinsic_uncertainty_inf(a)
-    v_b = intrinsic_uncertainty_inf(b)
+    walks = [uncertainty_walk("inf", a), uncertainty_walk("inf", b)]
+    walks.append(_commutator_walk("inf", a, b))
+    v_a, v_b, commutator = (value for value, _, _ in max_norms(walks))
     return TradeoffReport(
         inequality_id="cor_joint",
         X=0.0,
@@ -216,7 +232,7 @@ def check_corollary_joint(a: Povm, b: Povm) -> TradeoffReport:
         V_A=v_a,
         V_B=v_b,
         lhs=math.sqrt(v_a * v_b),
-        rhs=max_commutator_norm(a, b) / 2,
+        rhs=commutator / 2,
         note=(
             "necessary condition only: a violation certifies that the pair is "
             "not jointly measurable; satisfaction is inconclusive"
@@ -229,7 +245,7 @@ def check_corollary_pvm_instrument(
 ) -> TradeoffReport:
     """Tradeoff bound when the joint observable itself is projective:
     2XY + X + Y >= max ||[A_a, B_b]||."""
-    return _tradeoff("cor_pvm_instrument", a, b, f_povm, f_a, f_b, instrument=True)
+    return tradeoff_reports("cor_pvm_instrument", [(a, b, f_povm, f_a, f_b)])[0]
 
 
 def qubit_rhs(theta: float) -> float:

@@ -16,6 +16,7 @@ Hermitian difference.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .povm import Povm, require_comparable
-from .subsets import gray_labels, gray_walk, max_norm
+from .subsets import gray_labels, gray_walk, max_norms
 
 DISTRIBUTION_SUM_TOL = 1e-9
 
@@ -103,19 +104,41 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def difference_walk(metric: str, a: Povm, b: Povm) -> Iterator[np.ndarray]:
+    """The stacks whose largest norm is the observable distance of `metric`
+    between two POVMs, for `subsets.max_norms`: the Hermitian differences
+    A_a - B_a as one stack ("inf"), or their sums over the subsets without
+    the last outcome in Gray-code order ("l1"). The POVMs are checked when
+    the walk starts."""
+    require_comparable(a, b)
+    diffs = linalg.hermitian_part(a.elements - b.elements)
+    if metric == "l1":
+        yield from gray_walk(diffs, "the total-variation observable distance")
+    else:
+        yield diffs
+
+
+def observable_distances(metric: str, pairs: Iterable[tuple[Povm, Povm]]) -> list[DistanceValue]:
+    """The observable distance of `metric`, "inf" (`D_inf`) or "l1"
+    (`D_l1`), of each pair (A, B), all reduced by one `subsets.max_norms`
+    call; each value is the one the pair gives alone."""
+    pairs = list(pairs)
+    found = max_norms(difference_walk(metric, a, b) for a, b in pairs)
+    return [
+        DistanceValue(
+            value=value,
+            witness=gray_labels(pos, a.outcomes) if metric == "l1" else a.outcomes[pos],
+            witness_matrix=_read_only(matrix),
+        )
+        for (a, _), (value, pos, matrix) in zip(pairs, found)
+    ]
+
+
 def D_inf(a: Povm, b: Povm) -> DistanceValue:
     """Worst-case uniform distance between the outcome distributions of two
     POVMs: max_a ||A_a - B_a||, with the maximizing outcome and a pure state
     attaining the value."""
-    require_comparable(a, b)
-    diffs = linalg.hermitian_part(a.elements - b.elements)
-    norms = linalg.herm_norm_stack(diffs)
-    k = int(np.argmax(norms))
-    return DistanceValue(
-        value=float(norms[k]),
-        witness=a.outcomes[k],
-        witness_matrix=_read_only(diffs[k]),
-    )
+    return observable_distances("inf", [(a, b)])[0]
 
 
 def D_l1(a: Povm, b: Povm) -> DistanceValue:
@@ -124,14 +147,7 @@ def D_l1(a: Povm, b: Povm) -> DistanceValue:
 
     A subset and its complement give the same norm (the differences sum to
     zero), so only the subsets without the last outcome are evaluated, one
-    stack of Gray-ordered subset sums at a time through `subsets.max_norm`;
+    stack of Gray-ordered subset sums at a time through `subsets.max_norms`;
     ties break to the first maximum in Gray-code order.
     """
-    require_comparable(a, b)
-    diffs = linalg.hermitian_part(a.elements - b.elements)
-    value, pos, matrix = max_norm(gray_walk(diffs, "the total-variation observable distance"))
-    return DistanceValue(
-        value=value,
-        witness=gray_labels(pos, a.outcomes),
-        witness_matrix=_read_only(matrix),
-    )
+    return observable_distances("l1", [(a, b)])[0]

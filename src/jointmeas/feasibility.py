@@ -121,7 +121,8 @@ class FrontierPoint:
     an X budget, with the witness achieving it, and y_lower, a certified
     lower end: no POVM within the X budget has a Y below it. y_lower is the
     larger of the main bound's contour (for valid POVMs) and the best root
-    of a verified lifted dual certificate. The witness is the best of the
+    of a verified lifted dual certificate, at the point's budget or, in a
+    sweep, at a larger one. The witness is the best of the
     product baselines and the cleaned primal points of the point's
     Douglas-Rachford rounds. y_achieved - y_lower is the certified error; it
     is within the resolution unless the iteration budget ran out first."""
@@ -521,9 +522,11 @@ def _frontier(
 
     A lane stops once hi <= lo + y_resolution, and every lane stops after
     max_iter iterations in all, its bracket left as it stands. lo moves only
-    on a verified certificate, so it is the point's y_lower. No lanes
-    interact, so every point's bracket equals what it would be on its own.
-    Each point then keeps the best witness of any budget up to its own.
+    on a verified certificate. No lanes interact, so every point's solve is
+    the one it would run on its own. Then each point keeps the best witness
+    of any budget up to its own, and the highest certified lo of any budget
+    from its own up, which is its y_lower: a certificate for a budget holds
+    at every smaller one. The last point's bracket is its own.
     """
     _check_solve(a, b, max_iter)
     if not 0 < y_resolution < math.inf:
@@ -603,6 +606,10 @@ def _frontier(
     for p in range(1, len(xs)):
         if best[p][2] > best[p - 1][2]:
             best[p] = best[p - 1]
+    # and the certified lower ends backward: no POVM within a budget has a
+    # Y below a larger budget's lower end, so Y stays above it too
+    for p in range(len(xs) - 2, -1, -1):
+        lo[p] = max(lo[p], lo[p + 1])
     return [
         FrontierPoint(x_target=x, x_achieved=x_w, y_achieved=y_w, witness=w, y_lower=y_l)
         for x, (w, x_w, y_w), y_l in zip(xs, best, lo)
@@ -651,11 +658,13 @@ def frontier_sweep(
     """Frontier points on a uniform x_target grid over [0, x_max].
 
     All points run together: every point whose bracket is open is one lane
-    of one stacked Douglas-Rachford solve, and each point's bracket comes
-    out as `frontier_point` would find it alone, within y_resolution unless
+    of one stacked Douglas-Rachford solve, and each point's solve runs as
+    `frontier_point` would run it alone, to within y_resolution unless
     max_iter ran out first. The points are monotone: a witness found under
     a smaller X budget is also valid under a larger one, so it replaces any
-    later point the solver did worse on; each point keeps its own y_lower.
+    later point the solver did worse on, and a lower end certified under a
+    larger budget also holds under a smaller one, so it raises any earlier
+    point's y_lower that is below it.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")

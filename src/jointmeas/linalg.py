@@ -5,9 +5,9 @@ small (qubits up to a few dozen dimensions), so eigendecomposition-based
 formulas are used throughout instead of iterative methods.
 
 Each spectral rule has one kernel, which works on a stack of shape
-(..., d, d): operator norms (`herm_norm_stack`), commutator norms
-(`commutator_norm_stack`, on the Hermitian i[X, Y] of `commutator_stack`),
-PSD projection (`project_psd_stack`) and spectral clipping
+(..., d, d): operator norms (`herm_norm_stack`, which also reads the
+commutator norms off the Hermitian i[X, Y] of `commutator_stack`), PSD
+projection (`project_psd_stack`) and spectral clipping
 (`clip_operator_norm_stack`). A single matrix is a stack of one. The
 kernels do not validate their input and hold no tolerance of their own;
 callers check it once at the boundary (the `Povm` constructor and
@@ -16,8 +16,8 @@ callers check it once at the boundary (the `Povm` constructor and
 `herm_norm_bound_stack` bounds each operator norm from above without an
 eigensolver, from the trace and the Frobenius norm alone
 (Wolkowicz & Styan, "Bounds for eigenvalues using traces", Linear Algebra
-Appl. 29, 1980). `subsets.max_norm` uses it, on H and on H^2, to skip the
-eigenvalue solves of subset sums that cannot reach its running maximum.
+Appl. 29, 1980). `subsets.max_norms` uses it, on H and on H^2, to skip
+the eigenvalue solves of subset sums that cannot reach a running maximum.
 """
 
 from __future__ import annotations
@@ -61,12 +61,6 @@ def commutator_stack(prods: np.ndarray) -> np.ndarray:
     Hermitian X and Y, [X, Y] = P - P*, and i[X, Y] is Hermitian with the
     same norm."""
     return 1j * (prods - np.conj(np.swapaxes(prods, -1, -2)))
-
-
-def commutator_norm_stack(prods: np.ndarray) -> np.ndarray:
-    """Commutator norms ||[X, Y]|| of Hermitian pairs, from their products
-    P = XY."""
-    return herm_norm_stack(commutator_stack(prods))
 
 
 def project_psd_stack(ms: np.ndarray) -> np.ndarray:

@@ -4,13 +4,13 @@ matrix (d, d), and a stack of states is an array (k, d, d)."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .subsets import gray_walk, max_norm
+from .subsets import gray_walk, max_norms
 
 # Tolerances for POVM validity: entrywise deviation of the element sum from
 # the identity, and the eigenvalue floor for positivity. Loose enough to
@@ -139,11 +139,31 @@ def outcome_probabilities(p: Povm, rhos: np.ndarray) -> np.ndarray:
     return clipped / total
 
 
+def uncertainty_walk(metric: str, p: Povm) -> Iterator[np.ndarray]:
+    """The stacks whose largest norm is the intrinsic uncertainty of
+    `metric`, for `subsets.max_norms`: A_a - A_a^2 as one stack ("inf"),
+    or A_D - A_D^2 over the subset sums A_D without the last outcome in
+    Gray-code order ("l1")."""
+    e = linalg.hermitian_part(p.elements)
+    if metric == "l1":
+        for s in gray_walk(e, "the subset-summed intrinsic uncertainty"):
+            yield s - s @ s
+    else:
+        yield e - e @ e
+
+
+def intrinsic_uncertainties(metric: str, povms: Iterable[Povm]) -> list[float]:
+    """The intrinsic uncertainty of `metric`, "inf"
+    (`intrinsic_uncertainty_inf`) or "l1" (`intrinsic_uncertainty_l1`), of
+    each POVM, all reduced by one `subsets.max_norms` call; each value is
+    the one the POVM gives alone."""
+    return [value for value, _, _ in max_norms(uncertainty_walk(metric, p) for p in povms)]
+
+
 def intrinsic_uncertainty_inf(p: Povm) -> float:
     """max_a ||A_a - A_a^2||; zero exactly for projective measurements and at
     most 1/4 for any POVM."""
-    e = linalg.hermitian_part(p.elements)
-    return float(linalg.herm_norm_stack(e - e @ e).max())
+    return intrinsic_uncertainties("inf", [p])[0]
 
 
 def is_pvm(p: Povm) -> bool:
@@ -154,9 +174,7 @@ def is_pvm(p: Povm) -> bool:
 def intrinsic_uncertainty_l1(p: Povm) -> float:
     """max over outcome subsets D of ||A_D (1 - A_D)|| where A_D sums the
     elements over D. Exact enumeration; capped by CapacityError."""
-    e = linalg.hermitian_part(p.elements)
-    walk = gray_walk(e, "the subset-summed intrinsic uncertainty")
-    return max_norm(s - s @ s for s in walk)[0]
+    return intrinsic_uncertainties("l1", [p])[0]
 
 
 def _bloch_sigma(n) -> np.ndarray:
@@ -191,21 +209,23 @@ def random_povms(dim: int, n_outcomes: int, seeds: Sequence[int]) -> list[Povm]:
     """Random full-rank POVMs of one shape, one per seed, each deterministic
     in its own seed; an empty `seeds` gives an empty list.
 
-    Each seed's generator draws the real, then the imaginary parts of
-    complex Gaussian R_k, k < n_outcomes, as one (2, n_outcomes, dim, dim)
-    draw. The Wishart matrices G_k = R_k R_k* are symmetrized by
-    S^(-1/2) G_k S^(-1/2), where S is their sum, so every element stays
-    generic (full rank) rather than one being a remainder term. One
-    batched `renormalize` serves the whole stack, and each POVM gets the
-    bits it would get drawn alone. S is almost surely nonsingular; a draw
-    whose S is too close to singular to renormalize raises ValueError
-    naming the first such seed. Outcomes are labeled 'o0', 'o1', ...
+    Each seed's generator, `Generator(PCG64(seed))` (the one
+    `np.random.default_rng(seed)` builds, without its dispatch), draws the
+    real, then the imaginary parts of complex Gaussian R_k, k < n_outcomes,
+    as one (2, n_outcomes, dim, dim) draw. The Wishart matrices
+    G_k = R_k R_k* are symmetrized by S^(-1/2) G_k S^(-1/2), where S is
+    their sum, so every element stays generic (full rank) rather than one
+    being a remainder term. One batched `renormalize` serves the whole
+    stack, and each POVM gets the bits it would get drawn alone. S is
+    almost surely nonsingular; a draw whose S is too close to singular to
+    renormalize raises ValueError naming the first such seed. Outcomes are
+    labeled 'o0', 'o1', ...
     """
     if dim < 1 or n_outcomes < 1:
         raise ValueError("dim and n_outcomes must be >= 1")
     x = np.empty((len(seeds), 2, n_outcomes, dim, dim))
     for k, seed in enumerate(seeds):
-        np.random.default_rng(seed).standard_normal(out=x[k])
+        np.random.Generator(np.random.PCG64(seed)).standard_normal(out=x[k])
     r = x[:, 0] + 1j * x[:, 1]
     g = r @ np.conj(np.swapaxes(r, -1, -2))
     elements = linalg.renormalize(g, 1e-12)

@@ -4,6 +4,13 @@ The tradeoff bounds are proven statements, so universal validity over random
 instances is the primary end-to-end correctness oracle for the whole stack:
 any violated instance is an implementation bug. The same suites back the
 `selftest` CLI subcommand and the acceptance tests.
+
+Each suite draws all its instances first, and the Theorem 1 and 2,
+metric-axiom and invariant suites then evaluate every instance's maxima
+through the sequence forms `tradeoff_reports`, `observable_distances` and
+`intrinsic_uncertainties`, so a few large eigenvalue calls serve the whole
+suite; each value is the one its instance gives alone. The duality suite
+calls `D_inf` and `D_l1` once an instance.
 """
 
 from __future__ import annotations
@@ -12,12 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import check_theorem1, check_theorem2
-from .distances import D_inf, D_l1, dist_inf, dist_l1
+from .bounds import tradeoff_reports
+from .distances import D_inf, D_l1, dist_inf, dist_l1, observable_distances
 from .povm import (
     Povm,
-    intrinsic_uncertainty_inf,
-    intrinsic_uncertainty_l1,
+    intrinsic_uncertainties,
     outcome_probabilities,
     random_povm,
     random_povms,
@@ -104,11 +110,13 @@ def random_instances(
     return instances
 
 
-def _validity_suite(name: str, check, trials: int, seed: int, **sizes) -> SuiteResult:
+def _validity_suite(
+    name: str, inequality_id: str, trials: int, seed: int, **sizes
+) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult(name, trials)
-    for i, instance in enumerate(random_instances(rng, trials, **sizes)):
-        report = check(*instance)
+    reports = tradeoff_reports(inequality_id, random_instances(rng, trials, **sizes))
+    for i, report in enumerate(reports):
         if not report.satisfied:
             result.record(f"instance {i}: slack = {report.slack:.3e}")
     return result
@@ -116,14 +124,14 @@ def _validity_suite(name: str, check, trials: int, seed: int, **sizes) -> SuiteR
 
 def suite_theorem1(trials: int, seed: int) -> SuiteResult:
     """Universal validity of the main uniform-distance bound."""
-    return _validity_suite("theorem1 universal validity", check_theorem1, trials, seed)
+    return _validity_suite("theorem1 universal validity", "theorem1", trials, seed)
 
 
 def suite_theorem2(trials: int, seed: int) -> SuiteResult:
     """Universal validity of the total-variation bound (smaller sizes; the
     subset enumerations grow exponentially)."""
     return _validity_suite(
-        "theorem2 universal validity", check_theorem2, trials, seed,
+        "theorem2 universal validity", "theorem2", trials, seed,
         max_dim=3, max_outcomes=3, max_joint_outcomes=6,
     )
 
@@ -142,16 +150,23 @@ def suite_metric_axioms(trials: int, seed: int) -> SuiteResult:
         n = int(rng.integers(2, 5))
         draws += [(dim, n, _sub_seed(rng)) for _ in range(3)]
     povms = _draw_povms(draws)
+    # per instance (p, q, r): d(p, q), d(q, p), d(p, p), d(p, r), d(r, q)
+    pairs = []
     for i in range(trials):
         p, q, r = povms[3 * i : 3 * i + 3]
-        for name, dist in (("D_inf", D_inf), ("D_l1", D_l1)):
-            dpq = dist(p, q).value
-            dqp = dist(q, p).value
+        pairs += [(p, q), (q, p), (p, p), (p, r), (r, q)]
+    values = {
+        name: [dv.value for dv in observable_distances(metric, pairs)]
+        for name, metric in (("D_inf", "inf"), ("D_l1", "l1"))
+    }
+    for i in range(trials):
+        for name, found in values.items():
+            dpq, dqp, dpp, dpr, drq = found[5 * i : 5 * i + 5]
             if abs(dpq - dqp) > 0:
                 result.record(f"instance {i}: {name} asymmetric by {abs(dpq - dqp):.3e}")
-            if dist(p, p).value != 0.0:
+            if dpp != 0.0:
                 result.record(f"instance {i}: {name}(P, P) != 0")
-            if dpq > dist(p, r).value + dist(r, q).value + 1e-9:
+            if dpq > dpr + drq + 1e-9:
                 result.record(f"instance {i}: {name} triangle inequality violated")
     return result
 
@@ -211,14 +226,15 @@ def suite_povm_invariants(trials: int, seed: int) -> SuiteResult:
         draws.append((dim, n_joint, _sub_seed(rng)))
         plans.append((n_mid, n_final, to_mid, to_final, rng.integers(0, n, size=n_joint)))
     povms = _draw_povms(draws)
+    v_inf = intrinsic_uncertainties("inf", povms[::2])
+    v_l1 = intrinsic_uncertainties("l1", povms[::2])
     for i, (n_mid, n_final, to_mid, to_final, to_p) in enumerate(plans):
         p, f_joint = povms[2 * i : 2 * i + 2]
         if validate_povm(p):
             result.record(f"instance {i}: random POVM fails validation")
-        v = intrinsic_uncertainty_inf(p)
+        v, v1 = v_inf[i], v_l1[i]
         if not -1e-12 <= v <= 0.25 + 1e-12:
             result.record(f"instance {i}: V = {v:.12g} outside [0, 1/4]")
-        v1 = intrinsic_uncertainty_l1(p)
         if v1 < v - 1e-12 or v1 > 0.25 + 1e-12:
             result.record(f"instance {i}: V1 = {v1:.12g} outside [V, 1/4]")
 

@@ -15,14 +15,17 @@ to the first maximum in Gray-code order, and `gray_labels` decodes its
 position into outcome labels. The capacity limit is set here too: past
 SUBSET_ENUMERATION_LIMIT elements, `gray_walk` raises CapacityError.
 
-`max_norm` is the one reducer of these maxima. It solves the first stack
-whole, and in each later stack only the matrices whose trace bound
-(`linalg.herm_norm_bound_stack`, the Wolkowicz-Styan bound from
-"Bounds for eigenvalues using traces", Linear Algebra Appl. 29, 1980),
-first on the matrix and then on its square, reaches (1 - PRUNE_RTOL) times
-the running maximum. PRUNE_RTOL is a rounding margin, not a tolerance of
-the result: values, positions and matrices are those of an unpruned walk,
-bit for bit.
+`max_norms` is the one reducer of these maxima, and of the one-stack
+maxima over outcomes, each of which is a walk of one stack. It takes many
+walks at once: their first stacks are solved together, one eigenvalue call
+per matrix dimension. Each walk's later stacks are then pruned: only the
+matrices whose trace bound (`linalg.herm_norm_bound_stack`, the
+Wolkowicz-Styan bound from "Bounds for eigenvalues using traces", Linear
+Algebra Appl. 29, 1980), first on the matrix and then on its square,
+reaches (1 - PRUNE_RTOL) times the walk's running maximum get a solve.
+PRUNE_RTOL is a rounding margin, not a tolerance of the result: values,
+positions and matrices are those of an unpruned walk reduced alone, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ CHUNK_BITS = 10
 # rather than silently approximate a quantity that is defined as an exact max.
 SUBSET_ENUMERATION_LIMIT = 20
 
-# Relative margin of the pruning test in `max_norm`. It must exceed the
+# Relative margin of the pruning test in `max_norms`. It must exceed the
 # relative rounding of a bound and of an eigenvalue solve, a few hundred ulps
 # at most here (the tests hold the bounds to 1e-13), so that a pruned matrix
 # can never reach the running maximum.
@@ -95,33 +98,15 @@ def _survivors(hs: np.ndarray, floor: float) -> np.ndarray:
     return rows[np.sqrt(linalg.herm_norm_bound_stack(h @ h)) >= floor]
 
 
-def max_norm(stacks: Iterable[np.ndarray]) -> tuple[float, int, np.ndarray]:
-    """The largest operator norm over stacks of (nearly) Hermitian matrices
-    (N, d, d), read as `linalg.herm_norm_stack` reads it, with its position
-    across the concatenation of the stacks and its matrix; ties break to the
-    first maximum.
-
-    The first stack is evaluated whole. In each later stack, a matrix gets
-    an eigenvalue solve only if both trace bounds of
-    `linalg.herm_norm_bound_stack`, on the matrix and then on the square of
-    its Hermitian part (whose largest eigenvalue is the squared norm), reach
-    (1 - PRUNE_RTOL) times the running maximum. A pruned matrix cannot reach
-    that maximum, and a later stack replaces it only with a strictly larger
-    norm, so the result is the one an unpruned walk gives, bit for bit.
-
-    Both bounds cost 0.2 (d = 8) to 0.7 (d = 2) of an eigenvalue solve a
-    matrix, so the walk prunes only while they drop at least half of what
-    they see: first of every eighth matrix of the first stack, against its
-    own maximum, then of each pruned stack. Subset sums whose norms crowd
-    the maximum, as ||S - S^2|| does at d >= 3, are then solved unpruned.
-    """
-    stacks = iter(stacks)
-    first = next(stacks)
-    norms = linalg.herm_norm_stack(first)
+def _walk_max(
+    first: np.ndarray, norms: np.ndarray, rest: Iterator[np.ndarray]
+) -> tuple[float, int, np.ndarray]:
+    """The maximum of one walk, given its first stack and that stack's
+    norms, over the stacks that `rest` yields after it (see `max_norms`)."""
     k = int(np.argmax(norms))
     best, best_pos, best_matrix, pos = float(norms[k]), k, first[k], len(first)
     prune = None
-    for hs in stacks:
+    for hs in rest:
         floor = (1 - PRUNE_RTOL) * best
         if prune is None:
             sample = first[::8]
@@ -137,3 +122,61 @@ def max_norm(stacks: Iterable[np.ndarray]) -> tuple[float, int, np.ndarray]:
                 best, best_pos, best_matrix = float(norms[k]), pos + int(rows[k]), hs[rows[k]]
         pos += len(hs)
     return best, best_pos, best_matrix
+
+
+def max_norms(walks: Iterable[Iterable[np.ndarray]]) -> list[tuple[float, int, np.ndarray]]:
+    """For each walk, a sequence of stacks of (nearly) Hermitian matrices
+    (N, d, d), the largest operator norm, read as `linalg.herm_norm_stack`
+    reads it, with its position across the concatenation of the walk's
+    stacks and its matrix; ties break to the first maximum.
+
+    The first stacks of the walks are solved together: one
+    `linalg.herm_norm_stack` call per matrix dimension, with at most
+    2^CHUNK_BITS matrices a call. A dimension's pending first stacks are
+    solved, and their walks finished, before one more would pass that
+    many, so the walks are read in order and only about 2^CHUNK_BITS
+    matrices a dimension wait at a time. `eigvalsh` solves each matrix of a
+    stack on its own, so every result is the one its walk gives alone.
+
+    In each later stack of a walk, a matrix gets an eigenvalue solve only
+    if both trace bounds of `linalg.herm_norm_bound_stack`, on the matrix
+    and then on the square of its Hermitian part (whose largest eigenvalue
+    is the squared norm), reach (1 - PRUNE_RTOL) times the walk's running
+    maximum. A pruned matrix cannot reach that maximum, and a later stack
+    replaces it only with a strictly larger norm, so the result is the one
+    an unpruned walk gives, bit for bit.
+
+    Both bounds cost 0.2 (d = 8) to 0.7 (d = 2) of an eigenvalue solve a
+    matrix, so a walk prunes only while they drop at least half of what
+    they see: first of every eighth matrix of its first stack, against its
+    own maximum, then of each pruned stack. Subset sums whose norms crowd
+    the maximum, as ||S - S^2|| does at d >= 3, are then solved unpruned.
+    """
+    cap = 2**CHUNK_BITS
+    results: list = []
+    pending: dict[int, list] = {}  # dimension -> [(slot, first stack, rest of walk)]
+    waiting: dict[int, int] = {}  # dimension -> matrices in its pending first stacks
+
+    def solve(d: int) -> None:
+        group = pending.pop(d)
+        del waiting[d]
+        flat = group[0][1] if len(group) == 1 else np.concatenate([f for _, f, _ in group])
+        chunks = [linalg.herm_norm_stack(flat[k : k + cap]) for k in range(0, len(flat), cap)]
+        norms = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        start = 0
+        for slot, first, rest in group:
+            results[slot] = _walk_max(first, norms[start : start + len(first)], rest)
+            start += len(first)
+
+    for walk in walks:
+        rest = iter(walk)
+        first = next(rest)
+        d = first.shape[-1]
+        if d in waiting and waiting[d] + len(first) > cap:
+            solve(d)
+        pending.setdefault(d, []).append((len(results), first, rest))
+        waiting[d] = waiting.get(d, 0) + len(first)
+        results.append(None)
+    for d in list(pending):
+        solve(d)
+    return results

@@ -747,6 +747,20 @@ class TestFrontierSweep:
         assert points[2].y_lower == alone.y_lower
         assert points[2].y_lower == pytest.approx(3.6e-4, abs=1e-5)
 
+    def test_certified_lower_ends_carry_backward(self):
+        # at 60 iterations the point at X = 0.001 certifies nothing on its
+        # own, while X = 0.002 certifies 3.6e-4, which holds at every
+        # smaller budget
+        a, b = random_povm(3, 3, 101), random_povm(3, 3, 201)
+        points = frontier_sweep(a, b, 3, x_max=0.002, max_iter=60)
+        assert frontier_point(a, b, 0.001, max_iter=60).y_lower == 0.0
+        lowers = [p.y_lower for p in points]
+        assert lowers == sorted(lowers, reverse=True)
+        assert points[1].y_lower == points[2].y_lower == pytest.approx(3.6e-4, abs=1e-5)
+        # X = 0 keeps its own, higher, certificate
+        assert points[0].y_lower == frontier_point(a, b, 0.0, max_iter=60).y_lower
+        assert all(p.y_lower <= p.y_achieved for p in points)
+
     def test_orthogonal_qubits_match_closed_form(self):
         # no POVM lies below the closed form at the X it achieves, and the
         # solver should come within its resolution of it at the X budget

@@ -30,7 +30,8 @@ def norm(m) -> float:
 
 
 def commutator_norm(x, y) -> float:
-    return float(linalg.commutator_norm_stack((np.asarray(x) @ np.asarray(y))[None])[0])
+    prods = (np.asarray(x) @ np.asarray(y))[None]
+    return float(linalg.herm_norm_stack(linalg.commutator_stack(prods))[0])
 
 
 def project_psd(m) -> np.ndarray:
@@ -68,8 +69,9 @@ class TestOpNorm:
 
 
 class TestCommutator:
-    """`commutator_norm_stack` reads ||[X, Y]|| off the product XY alone;
-    these check it on known commutators and on one formed entry by entry."""
+    """`herm_norm_stack` of `commutator_stack` reads ||[X, Y]|| off the
+    product XY alone; these check it on known commutators and on one formed
+    entry by entry."""
 
     def test_identity_commutes(self):
         rng = np.random.default_rng(11)
@@ -170,11 +172,12 @@ class TestStackedKernels:
             assert np.array_equal(clipped[p], linalg.clip_operator_norm_stack(ms[p], bound[p]))
             assert np.array_equal(norms[p], linalg.herm_norm_stack(ms[p]))
 
-    def test_commutator_norm_stack_matches_op_norm_of_commutator(self):
+    def test_commutator_stack_norm_matches_op_norm_of_commutator(self):
         rng = np.random.default_rng(35)
         xs = np.stack([random_hermitian(rng, 4) for _ in range(6)])
         ys = np.stack([random_hermitian(rng, 4) for _ in range(6)])
-        for x, y, got in zip(xs, ys, linalg.commutator_norm_stack(xs @ ys)):
+        got_norms = linalg.herm_norm_stack(linalg.commutator_stack(xs @ ys))
+        for x, y, got in zip(xs, ys, got_norms):
             assert got == pytest.approx(np.linalg.norm(x @ y - y @ x, 2), abs=1e-12)
 
 

@@ -327,12 +327,13 @@ class TestRandomPovm:
 
     def test_singular_group_in_a_stack_names_its_own_seed(self, monkeypatch):
         # seed 22's generator draws R with a zero first row, so its element
-        # sum is singular while its neighbours' are not
-        real = np.random.default_rng
+        # sum is singular while its neighbours' are not; random_povms builds
+        # each seed's generator as Generator(PCG64(seed))
+        real = np.random.Generator
 
         class ZeroFirstRow:
-            def __init__(self, seed):
-                self.rng = real(seed)
+            def __init__(self, bit_generator):
+                self.rng = real(bit_generator)
 
             def standard_normal(self, *args, **kwargs):
                 x = self.rng.standard_normal(*args, **kwargs)
@@ -340,7 +341,9 @@ class TestRandomPovm:
                 return x
 
         monkeypatch.setattr(
-            np.random, "default_rng", lambda s: ZeroFirstRow(s) if s == 22 else real(s)
+            np.random,
+            "Generator",
+            lambda bg: ZeroFirstRow(bg) if bg.seed_seq.entropy == 22 else real(bg),
         )
         with pytest.raises(ValueError) as err:
             random_povms(3, 2, [21, 22, 23])

@@ -1,8 +1,10 @@
 """The selftest suites on their own. A planted closed form that sampled
 states beat must be reported by the duality suite, once per instance and
 metric, and exactly where a state beats it. The suites that draw their
-POVMs as stacks must check the instances of one draw after another."""
+POVMs as stacks and evaluate their instances together must check the
+values of one draw and one evaluation after another."""
 
+import collections
 import importlib
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import jointmeas.selftest as selftest
+from jointmeas import linalg
 from jointmeas.distances import DistanceValue, dist_inf, dist_l1
 from jointmeas.povm import Povm, outcome_probabilities, random_povm
 from jointmeas.smearing import OutcomeMap
@@ -91,7 +94,8 @@ def test_duality_passes_on_the_closed_forms():
 
 
 # Reference: each instance's POVMs drawn one at a time, between the
-# generator's other draws, and checked through the suite module's names.
+# generator's other draws, and checked one at a time through the recording
+# one-instance functions `checked`.
 
 
 def _sub_seed(rng):
@@ -117,47 +121,47 @@ def _one_instance(rng, max_dim=4, max_outcomes=4, max_joint_outcomes=8):
     return a, b, f, f_a, f_b
 
 
-def _reference_theorem1(trials, seed):
+def _reference_theorem1(trials, seed, checked):
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        selftest.check_theorem1(*_one_instance(rng))
+        checked.check_theorem1(*_one_instance(rng))
 
 
-def _reference_theorem2(trials, seed):
+def _reference_theorem2(trials, seed, checked):
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         instance = _one_instance(rng, max_dim=3, max_outcomes=3, max_joint_outcomes=6)
-        selftest.check_theorem2(*instance)
+        checked.check_theorem2(*instance)
 
 
-def _reference_metric_axioms(trials, seed):
+def _reference_metric_axioms(trials, seed, checked):
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         dim = int(rng.integers(2, 5))
         n = int(rng.integers(2, 5))
         p, q, r = (random_povm(dim, n, _sub_seed(rng)) for _ in range(3))
-        for dist in (selftest.D_inf, selftest.D_l1):
+        for dist in (checked.D_inf, checked.D_l1):
             dist(p, q), dist(q, p), dist(p, p), dist(p, r), dist(r, q)
 
 
-def _reference_povm_invariants(trials, seed):
+def _reference_povm_invariants(trials, seed, checked):
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         dim = int(rng.integers(2, 5))
         n = int(rng.integers(2, 5))
         p = random_povm(dim, n, _sub_seed(rng))
-        selftest.validate_povm(p)
-        selftest.intrinsic_uncertainty_inf(p)
-        selftest.intrinsic_uncertainty_l1(p)
+        checked.validate_povm(p)
+        checked.intrinsic_uncertainty_inf(p)
+        checked.intrinsic_uncertainty_l1(p)
         mid = tuple(f"m{k}" for k in range(int(rng.integers(1, n + 1))))
         final = tuple(f"z{k}" for k in range(int(rng.integers(1, len(mid) + 1))))
         f1 = _random_outcome_map(rng, p.outcomes, mid)
         f2 = _random_outcome_map(rng, mid, final)
-        selftest.marginalize(selftest.marginalize(p, f1), f2)
-        selftest.marginalize(p, f1.compose(f2))
+        checked.marginalize(checked.marginalize(p, f1), f2)
+        checked.marginalize(p, f1.compose(f2))
         f_joint = random_povm(dim, int(rng.integers(2, 7)), _sub_seed(rng))
         f_map = _random_outcome_map(rng, f_joint.outcomes, p.outcomes)
-        selftest.marginalize(f_joint, f_map)
+        checked.marginalize(f_joint, f_map)
 
 
 @pytest.fixture
@@ -177,10 +181,37 @@ def selftest_values(monkeypatch):
 )
 @pytest.mark.parametrize("seed", [0, 51])
 def test_stacked_suites_check_the_instances_of_single_draws(selftest_values, suite, reference, seed):
-    # every checked value, in call order, by its bits
-    stacked, single = [], []
-    with selftest_values.recording(stacked.append):
+    # every checked value by its bits, quantity by quantity in instance
+    # order: evaluating many instances in one call changes only how the
+    # quantities interleave
+    stacked, single = collections.defaultdict(list), collections.defaultdict(list)
+    with selftest_values.recording(lambda name, raw: stacked[name].append(raw)):
         suite(6, seed)
-    with selftest_values.recording(single.append):
-        reference(6, seed)
+    with selftest_values.recording(lambda name, raw: single[name].append(raw)) as checked:
+        reference(6, seed, checked)
     assert stacked and stacked == single
+
+
+@pytest.mark.parametrize(
+    "suite, trials",
+    [
+        (selftest.suite_theorem1, 200),
+        (selftest.suite_theorem2, 100),
+        (selftest.suite_metric_axioms, 100),
+        (selftest.suite_povm_invariants, 200),
+    ],
+)
+def test_stacked_suites_solve_in_a_few_calls(monkeypatch, suite, trials):
+    # every maximum of every instance goes through one reducer call per
+    # quantity, which solves about a chunk of matrices a call per dimension
+    # (2, 3 and 4), where one call per quantity and instance took thousands
+    sizes = []
+    herm_norm_stack = linalg.herm_norm_stack
+
+    def counted(ms):
+        sizes.append(len(ms))
+        return herm_norm_stack(ms)
+
+    monkeypatch.setattr(linalg, "herm_norm_stack", counted)
+    assert suite(trials, 1).violations == 0
+    assert 0 < len(sizes) <= 8

@@ -1,20 +1,43 @@
-"""The pruned subset maxima against an unpruned walk.
+"""The pruned subset maxima against an unpruned walk, and many walks
+reduced together against each walk reduced alone.
 
-`subsets.max_norm` skips the eigenvalue solve of every matrix whose trace
-bounds cannot reach the running maximum. Each test here compares a public
-subset maximum with a reference that solves every matrix of every stack, so
-a prune that drops a matrix which could have won changes a value, a witness
-or a witness matrix, and fails the comparison.
+`subsets.max_norms` skips the eigenvalue solve of every matrix whose trace
+bounds cannot reach its walk's running maximum. Each pruning test here
+compares a public subset maximum with a reference that solves every matrix
+of every stack, so a prune that drops a matrix which could have won changes
+a value, a witness or a witness matrix, and fails the comparison.
+
+`max_norms` also solves the first stacks of all its walks together, so the
+batching tests compare each walk's result, and each item of the sequence
+forms built on it, with the one-walk call, bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from jointmeas import linalg
-from jointmeas.bounds import max_subset_commutator_norm
-from jointmeas.distances import D_l1
-from jointmeas.povm import Povm, intrinsic_uncertainty_l1, random_povm
-from jointmeas.subsets import CHUNK_BITS, gray_labels, gray_walk
+from jointmeas.bounds import (
+    check_corollary_pvm_instrument,
+    check_theorem1,
+    check_theorem2,
+    max_commutator_norm,
+    max_subset_commutator_norm,
+    theorem1_lhs,
+    tradeoff_reports,
+)
+from jointmeas.distances import D_inf, D_l1, difference_walk, observable_distances
+from jointmeas.povm import (
+    Povm,
+    intrinsic_uncertainties,
+    intrinsic_uncertainty_inf,
+    intrinsic_uncertainty_l1,
+    random_povm,
+)
+from jointmeas.selftest import random_instances
+from jointmeas.smearing import OutcomeMap, marginalize
+from jointmeas.subsets import CHUNK_BITS, gray_labels, gray_walk, max_norms
 
 
 def _unpruned(stacks):
@@ -137,3 +160,194 @@ def test_crowded_maxima_go_on_unpruned(solved):
     # bounds keep most of a sample of the first stack and no stack is pruned
     intrinsic_uncertainty_l1(random_povm(4, 16, seed=43))
     assert solved == [2**CHUNK_BITS] * 32
+
+
+# --- many walks at once ---
+
+
+def _random_hermitian(rng, count, d):
+    x = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    return linalg.hermitian_part(x)
+
+
+def _mixed_walks():
+    """Walks of dimensions 2, 3, 4 and 8, interleaved: one-stack walks of
+    1 to 40 matrices, one of more than 2^CHUNK_BITS, Gray walks of 13 to 16
+    outcomes that prune, and walks whose matrices tie, within a stack and
+    across stacks. Each walk is a list of its stacks."""
+    rng = np.random.default_rng(90)
+    walks = []
+    for k, d in enumerate([2, 3, 4, 8] * 12):
+        walks.append([_random_hermitian(rng, 1 + (7 * k) % 40, d)])
+    walks.insert(5, [_random_hermitian(rng, 2**CHUNK_BITS + 300, 2)])
+    for d, n in [(2, 16), (3, 15), (4, 14), (8, 13)]:
+        a, b = random_povm(d, n, seed=d + n), random_povm(d, n, seed=100 + d)
+        walks.insert(3 * d, list(difference_walk("l1", a, b)))
+    # ties: a repeated matrix, a zero distance over 8 stacks, scalar sums
+    m = _random_hermitian(rng, 1, 3)
+    walks.insert(7, [np.concatenate([m, m, 0.5 * m, m])])
+    p = random_povm(3, 14, seed=4)
+    walks.insert(20, list(difference_walk("l1", p, p)))
+    trivial = Povm(tuple(f"o{k}" for k in range(14)), np.stack([np.eye(4) / 14] * 14))
+    walks.append(list(difference_walk("l1", trivial, random_povm(4, 14, seed=6))))
+    return walks
+
+
+def _assert_same(found, expected):
+    assert len(found) == len(expected)
+    for (value, pos, matrix), (value0, pos0, matrix0) in zip(found, expected):
+        assert (value, pos) == (value0, pos0)
+        assert matrix.tobytes() == matrix0.tobytes()
+
+
+def test_many_walks_equal_each_walk_alone():
+    walks = _mixed_walks()
+    # the Gray walks span several stacks and prune
+    assert sum(len(w) > 1 for w in walks) == 6
+    found = max_norms(walks)
+    _assert_same(found, [max_norms([w])[0] for w in walks])
+    _assert_same(found, [_unpruned(w) for w in walks])
+    # the ties break to the first maximum
+    assert found[7][1] == 0
+    assert found[20][:2] == (0.0, 0)
+
+
+def test_walks_can_be_iterators():
+    walks = _mixed_walks()
+    _assert_same(max_norms(iter(w) for w in walks), max_norms(walks))
+
+
+def test_no_solve_takes_more_than_a_chunk(solved):
+    walks = _mixed_walks()
+    max_norms(walks)
+    cap = 2**CHUNK_BITS
+    assert max(solved) <= cap
+    # the first stacks of each dimension are solved in about as many calls
+    # as a chunk holds them; the rest are the Gray walks' later stacks
+    first_stacks = {}
+    for w in walks:
+        d = w[0].shape[-1]
+        first_stacks[d] = first_stacks.get(d, 0) + len(w[0])
+    later = sum(len(w) - 1 for w in walks)
+    assert len(solved) <= later + sum(math.ceil(n / (cap - 40)) + 1 for n in first_stacks.values())
+
+
+def _instances(count, seed, **sizes):
+    return random_instances(np.random.default_rng(seed), count, **sizes)
+
+
+def _assert_reports_equal(batched, single):
+    # a float's repr is exact, and tells -0.0 from 0.0
+    assert repr(batched) == repr(single)
+
+
+@pytest.mark.parametrize(
+    "inequality_id, check, sizes",
+    [
+        ("theorem1", check_theorem1, {}),
+        ("theorem2", check_theorem2, {"max_dim": 3, "max_outcomes": 3, "max_joint_outcomes": 6}),
+    ],
+)
+def test_tradeoff_reports_equal_one_instance_calls(inequality_id, check, sizes):
+    instances = _instances(40, 91, **sizes)
+    _assert_reports_equal(
+        tradeoff_reports(inequality_id, instances), [check(*i) for i in instances]
+    )
+
+
+@pytest.mark.parametrize(
+    "inequality_id, dist, uncertainty, commutator, sizes",
+    [
+        ("theorem1", D_inf, intrinsic_uncertainty_inf, max_commutator_norm, {}),
+        (
+            "theorem2",
+            D_l1,
+            intrinsic_uncertainty_l1,
+            max_subset_commutator_norm,
+            {"max_dim": 3, "max_outcomes": 3, "max_joint_outcomes": 6},
+        ),
+    ],
+)
+def test_tradeoff_reports_hold_each_quantity_in_its_field(
+    inequality_id, dist, uncertainty, commutator, sizes
+):
+    # the five maxima of each instance, reduced together, land in their own
+    # fields: X and Y from the marginals, V_A and V_B, and the right side
+    instances = _instances(20, 93, **sizes)
+    for report, (a, b, f, f_a, f_b) in zip(tradeoff_reports(inequality_id, instances), instances):
+        x = dist(a, marginalize(f, f_a)).value
+        y = dist(b, marginalize(f, f_b)).value
+        v_a, v_b = uncertainty(a), uncertainty(b)
+        expected = (x, y, v_a, v_b, theorem1_lhs(x, y, v_a, v_b), commutator(a, b))
+        got = (report.X, report.Y, report.V_A, report.V_B, report.lhs, report.rhs)
+        assert repr(got) == repr(expected)
+
+
+def test_many_walks_are_read_a_chunk_at_a_time(monkeypatch):
+    # a dimension's first stacks are solved as soon as one more would
+    # overfill a chunk, so walks from a generator are not all held at once
+    cap = 2**CHUNK_BITS
+    taken, solves = [], []
+    herm_norm_stack = linalg.herm_norm_stack
+
+    def counted(ms):
+        solves.append((len(taken), len(ms)))
+        return herm_norm_stack(ms)
+
+    monkeypatch.setattr(linalg, "herm_norm_stack", counted)
+
+    def walks():
+        rng = np.random.default_rng(94)
+        for k in range(3 * cap):
+            taken.append(k)
+            yield [_random_hermitian(rng, 1, 2)]
+
+    assert len(max_norms(walks())) == 3 * cap
+    assert solves == [(cap + 1, cap), (2 * cap + 1, cap), (3 * cap, cap)]
+
+
+def test_instrument_reports_equal_one_instance_calls():
+    # a projective F: the sharp product of two random-basis PVMs, with each
+    # outcome map sending F's outcome pairs to random outcomes of A and B
+    rng = np.random.default_rng(92)
+    instances = []
+    for k in range(10):
+        d = 2 + k % 3
+        a, b = random_povm(d, 3, seed=200 + k), random_povm(d, 2, seed=300 + k)
+        u = np.linalg.qr(_random_hermitian(rng, 1, d)[0] + 1j * np.eye(d))[0]
+        f = Povm(
+            tuple(f"f{j}" for j in range(d)),
+            np.stack([np.outer(u[:, j], u[:, j].conj()) for j in range(d)]),
+        )
+        to_a = {o: a.outcomes[j % 3] for j, o in enumerate(f.outcomes)}
+        to_b = {o: b.outcomes[j % 2] for j, o in enumerate(f.outcomes)}
+        f_a = OutcomeMap(f.outcomes, a.outcomes, to_a)
+        f_b = OutcomeMap(f.outcomes, b.outcomes, to_b)
+        instances.append((a, b, f, f_a, f_b))
+    _assert_reports_equal(
+        tradeoff_reports("cor_pvm_instrument", instances),
+        [check_corollary_pvm_instrument(*i) for i in instances],
+    )
+
+
+@pytest.mark.parametrize("metric, single", [("inf", D_inf), ("l1", D_l1)])
+def test_observable_distances_equal_one_pair_calls(metric, single):
+    pairs = []
+    for k in range(30):
+        d, n = 2 + k % 3, 2 + k % 5
+        pairs.append((random_povm(d, n, seed=400 + k), random_povm(d, n, seed=500 + k)))
+    pairs.append(pairs[0][::-1])
+    pairs.append((pairs[1][0], pairs[1][0]))
+    for dv, (a, b) in zip(observable_distances(metric, pairs), pairs, strict=True):
+        dv0 = single(a, b)
+        assert repr((dv.value, dv.witness)) == repr((dv0.value, dv0.witness))
+        assert dv.witness_matrix.tobytes() == dv0.witness_matrix.tobytes()
+
+
+@pytest.mark.parametrize(
+    "metric, single", [("inf", intrinsic_uncertainty_inf), ("l1", intrinsic_uncertainty_l1)]
+)
+def test_intrinsic_uncertainties_equal_one_povm_calls(metric, single):
+    povms = [random_povm(2 + k % 3, 1 + k % 6, seed=600 + k) for k in range(30)]
+    povms.append(random_povm(3, 13, seed=7))  # a Gray walk of several stacks
+    assert repr(intrinsic_uncertainties(metric, povms)) == repr([single(p) for p in povms])

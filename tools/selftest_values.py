@@ -6,15 +6,24 @@ For each seed the script runs `run_selftest(200, seed)`, the suites of
 `jointmeas selftest --trials 200 --seed SEED`, with a recorder around each
 function a suite calls to get the values it checks: the theorem reports,
 the observable and distribution distances, the intrinsic uncertainties, the
-POVM validation reports and the marginals. Each suite prints one line,
+POVM validation reports and the marginals. A suite that evaluates many
+instances with one call of a sequence form (`tradeoff_reports`,
+`observable_distances`, `intrinsic_uncertainties`) has each item of the
+result recorded under the name of its one-instance function, so
+`tradeoff_reports("theorem1", ...)` feeds the `check_theorem1` stream. Each
+suite prints one line,
 
     seed suite sha256
 
-where the digest covers those results in call order. The selftest's own
-stdout at 0 violations is the same whatever instances a suite draws; these
-lines change with any of them. The script imports the library from the
-`src` directory beside it, so to compare two checkouts, run a copy of it in
-each and diff the lines.
+where the digest covers each quantity's stream of results in the order the
+suite checks its instances, stream by stream in name order. Evaluating many
+instances in one call changes only how the streams interleave, which the
+digest does not see; any changed value, or an instance checked out of order
+or not at all, changes it. The selftest's own stdout at 0 violations is the
+same whatever instances a suite draws; these lines change with any of them.
+The script imports the library from the `src` directory beside it, and
+records only the functions the checkout's selftest module has, so to
+compare two checkouts, run a copy of it in each and diff the lines.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import dataclasses
 import hashlib
 import io
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +42,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src")]
 
+import jointmeas  # noqa: E402
 from jointmeas import selftest  # noqa: E402
 from jointmeas.povm import Povm  # noqa: E402
 
@@ -54,6 +65,13 @@ CHECKED = (
     "validate_povm",
     "marginalize",
 )
+# the sequence forms, each called as f(key, items), and the name of the
+# quantity of each item of their result, formatted with the key
+SEQUENCES = {
+    "tradeoff_reports": "check_{}",
+    "observable_distances": "D_{}",
+    "intrinsic_uncertainties": "intrinsic_uncertainty_{}",
+}
 
 
 def encode(value) -> bytes:
@@ -78,10 +96,10 @@ def encode(value) -> bytes:
 
 @contextlib.contextmanager
 def patched(names, wrap):
-    """Within the block, each named function of the selftest module is
-    replaced by wrap(name, function), so the suites' calls reach the
+    """Within the block, each named function that the selftest module has
+    is replaced by wrap(name, function), so the suites' calls reach the
     wrapper."""
-    originals = {name: getattr(selftest, name) for name in names}
+    originals = {name: getattr(selftest, name) for name in names if hasattr(selftest, name)}
     try:
         for name, function in originals.items():
             setattr(selftest, name, wrap(name, function))
@@ -91,39 +109,62 @@ def patched(names, wrap):
             setattr(selftest, name, function)
 
 
+@contextlib.contextmanager
 def recording(sink):
-    """Within the block, the encoded result of every CHECKED call that the
-    suites make goes to sink, in call order."""
+    """Within the block, every value the suites check goes to
+    sink(quantity, raw) as its encoding: the result of each CHECKED
+    function, and each item that a sequence form returns, under the name
+    of its one-instance function. The block gets a namespace of the CHECKED
+    functions of the package that record in the same way, for a reference
+    that checks instances one at a time."""
 
-    def wrap(name, real):
+    def one(name, real):
         def call(*args):
             out = real(*args)
-            sink(encode(out))
+            sink(name, encode(out))
             return out
 
         return call
 
-    return patched(CHECKED, wrap)
+    def many(name, real):
+        def call(key, items):
+            out = real(key, items)
+            for item in out:
+                sink(SEQUENCES[name].format(key), encode(item))
+            return out
+
+        return call
+
+    with patched(CHECKED, one), patched(SEQUENCES, many):
+        yield types.SimpleNamespace(
+            **{name: one(name, getattr(jointmeas, name)) for name in CHECKED}
+        )
 
 
 def value_lines(seed: int, trials: int = 200):
     """One 'suite sha256' line per suite of `run_selftest(trials, seed)`."""
     digests: dict[str, str] = {}
-    current: list = []
+    streams: dict = {}  # the running suite's quantity -> sha256
 
     def suite(name, real):
         def run(*args):
-            current.append(hashlib.sha256())
+            streams.clear()
             try:
                 return real(*args)
             finally:
-                digests[name] = current.pop().hexdigest()
+                total = hashlib.sha256()
+                for quantity in sorted(streams):
+                    total.update(encode(quantity) + streams[quantity].digest())
+                digests[name] = total.hexdigest()
 
         return run
 
+    def sink(quantity, raw):
+        streams.setdefault(quantity, hashlib.sha256()).update(raw)
+
     with (
         patched(SUITES, suite),
-        recording(lambda raw: current[-1].update(raw)),
+        recording(sink),
         contextlib.redirect_stdout(io.StringIO()),
     ):
         selftest.run_selftest(trials, seed)
