@@ -31,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .distances import difference_walk
-from .povm import Povm, is_pvm, uncertainty_walk
+from .povm import Povm, is_pvm, require_same_dim, uncertainty_walk
 from .smearing import OutcomeMap, marginalize
 from .subsets import CHUNK_BITS, gray_walk, max_norms
 
@@ -73,13 +73,12 @@ def _commutator_walk(metric: str, a: Povm, b: Povm) -> Iterator[np.ndarray]:
     commuted against each stack of B-sums, and each block is one stack. The
     dimensions are checked when the walk starts.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    require_same_dim(a, b)
     ea = linalg.hermitian_part(a.elements)
     eb = linalg.hermitian_part(b.elements)
     if metric != "l1":
-        prod = np.einsum("aij,bjk->abik", ea, eb)
-        yield linalg.commutator_stack(prod).reshape(-1, a.dim, a.dim)
+        # one einsum, not the blocks' matmul: an ulp here moves the frontier's contour start
+        yield linalg.commutator_stack(np.einsum("aij,bjk->abik", ea, eb)).reshape(-1, a.dim, a.dim)
         return
     what = "the subset commutator bound"
     for sums_a in gray_walk(ea, what):
@@ -290,9 +289,7 @@ def admissible_region_curves(theta: float, grid_size: int, rhs: float) -> Admiss
     h = heinosaari_lower_bound(theta)  # range-checks theta
     if not 0 <= rhs < math.inf:
         raise ValueError(f"rhs must be finite and nonnegative, got {rhs}")
-    xs = np.linspace(0.0, 0.5, grid_size)
-    y1 = theorem1_min_y(xs, 0.0, 0.0, rhs)
-    y2 = np.maximum(h - xs, 0.0)
-    for arr in (xs, y1, y2):
-        arr.setflags(write=False)
+    xs = linalg.read_only(np.linspace(0.0, 0.5, grid_size))
+    y1 = linalg.read_only(theorem1_min_y(xs, 0.0, 0.0, rhs))
+    y2 = linalg.read_only(np.maximum(h - xs, 0.0))
     return AdmissibleRegion(theta=theta, x=xs, y_product_bound=y1, y_additive_bound=y2)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .povm import Povm, require_comparable
-from .subsets import gray_labels, gray_walk, max_norms
+from .subsets import gray_labels, max_norms, metric_walk
 
 DISTRIBUTION_SUM_TOL = 1e-9
 
@@ -96,26 +96,18 @@ def _extremal_pure_state(h: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(linalg.hermitian_part(h))
     v = u[:, int(np.argmax(np.abs(w)))]
     v = v / np.linalg.norm(v)
-    return _read_only(np.outer(v, v.conj()))
-
-
-def _read_only(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
-    return m
+    return linalg.read_only(np.outer(v, v.conj()))
 
 
 def difference_walk(metric: str, a: Povm, b: Povm) -> Iterator[np.ndarray]:
     """The stacks whose largest norm is the observable distance of `metric`
-    between two POVMs, for `subsets.max_norms`: the Hermitian differences
-    A_a - B_a as one stack ("inf"), or their sums over the subsets without
-    the last outcome in Gray-code order ("l1"). The POVMs are checked when
-    the walk starts."""
+    between two POVMs, for `subsets.max_norms`: the `subsets.metric_walk`
+    of the Hermitian differences A_a - B_a (one stack for "inf", their
+    Gray-ordered subset sums for "l1"). The POVMs are checked when the walk
+    starts."""
     require_comparable(a, b)
     diffs = linalg.hermitian_part(a.elements - b.elements)
-    if metric == "l1":
-        yield from gray_walk(diffs, "the total-variation observable distance")
-    else:
-        yield diffs
+    yield from metric_walk(metric, diffs, "the total-variation observable distance")
 
 
 def observable_distances(metric: str, pairs: Iterable[tuple[Povm, Povm]]) -> list[DistanceValue]:
@@ -128,7 +120,7 @@ def observable_distances(metric: str, pairs: Iterable[tuple[Povm, Povm]]) -> lis
         DistanceValue(
             value=value,
             witness=gray_labels(pos, a.outcomes) if metric == "l1" else a.outcomes[pos],
-            witness_matrix=_read_only(matrix),
+            witness_matrix=linalg.read_only(matrix),
         )
         for (a, _), (value, pos, matrix) in zip(pairs, found)
     ]

@@ -62,7 +62,7 @@ import numpy as np
 
 from . import linalg
 from .bounds import SLACK_TOL, check_corollary_joint, max_commutator_norm, theorem1_min_y
-from .povm import Povm, intrinsic_uncertainty_inf, validate_povm
+from .povm import Povm, intrinsic_uncertainty_inf, require_same_dim, validate_povm
 from .smearing import coordinate_maps
 
 # Solver defaults.
@@ -136,8 +136,7 @@ class FrontierPoint:
 
 def _check_solve(a: Povm, b: Povm, max_iter: int) -> None:
     """Raise ValueError for a pair or a budget no solve can run on."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    require_same_dim(a, b)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 

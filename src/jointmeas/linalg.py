@@ -25,6 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 
+def read_only(m: np.ndarray) -> np.ndarray:
+    """`m` itself, made read-only in place: the one place arrays are frozen."""
+    m.setflags(write=False)
+    return m
+
+
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(M + M*) / 2 along the last two axes (works on stacked matrices)."""
     return (m + np.conj(np.swapaxes(m, -1, -2))) / 2

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .subsets import gray_walk, max_norms
+from .subsets import max_norms, metric_walk
 
 # Tolerances for POVM validity: entrywise deviation of the element sum from
 # the identity, and the eigenvalue floor for positivity. Loose enough to
@@ -21,17 +21,9 @@ PSD_TOL = 1e-9
 # The relative form absorbs roundoff accumulated by repeated cone projections.
 HERMITICITY_RTOL = 1e-9
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-for _p in (PAULI_X, PAULI_Y, PAULI_Z):
-    _p.setflags(write=False)
-
-
-def _frozen_stack(mats: np.ndarray) -> np.ndarray:
-    out = np.array(mats, dtype=complex)
-    out.setflags(write=False)
-    return out
+PAULI_X = linalg.read_only(np.array([[0, 1], [1, 0]], dtype=complex))
+PAULI_Y = linalg.read_only(np.array([[0, -1j], [1j, 0]], dtype=complex))
+PAULI_Z = linalg.read_only(np.array([[1, 0], [0, -1]], dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +58,7 @@ class Povm:
         if not np.isfinite(elements).all():
             raise ValueError("element entries must be finite")
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "elements", _frozen_stack(elements))
+        object.__setattr__(self, "elements", linalg.read_only(np.array(elements)))
 
     @property
     def dim(self) -> int:
@@ -141,15 +133,12 @@ def outcome_probabilities(p: Povm, rhos: np.ndarray) -> np.ndarray:
 
 def uncertainty_walk(metric: str, p: Povm) -> Iterator[np.ndarray]:
     """The stacks whose largest norm is the intrinsic uncertainty of
-    `metric`, for `subsets.max_norms`: A_a - A_a^2 as one stack ("inf"),
-    or A_D - A_D^2 over the subset sums A_D without the last outcome in
-    Gray-code order ("l1")."""
+    `metric`, for `subsets.max_norms`: S - S^2 over the `subsets.metric_walk`
+    of the elements (A_a - A_a^2 as one stack for "inf", A_D - A_D^2 over
+    the Gray-ordered subset sums A_D for "l1")."""
     e = linalg.hermitian_part(p.elements)
-    if metric == "l1":
-        for s in gray_walk(e, "the subset-summed intrinsic uncertainty"):
-            yield s - s @ s
-    else:
-        yield e - e @ e
+    for s in metric_walk(metric, e, "the subset-summed intrinsic uncertainty"):
+        yield s - s @ s
 
 
 def intrinsic_uncertainties(metric: str, povms: Iterable[Povm]) -> list[float]:
@@ -257,10 +246,15 @@ def random_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return g / np.trace(g, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def require_comparable(p: Povm, q: Povm) -> None:
-    """Raise unless two POVMs share dimension and (ordered) outcome set."""
+def require_same_dim(p: Povm, q: Povm) -> None:
+    """Raise unless two POVMs act on the same Hilbert space."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
+
+
+def require_comparable(p: Povm, q: Povm) -> None:
+    """Raise unless two POVMs share dimension and (ordered) outcome set."""
+    require_same_dim(p, q)
     if p.outcomes != q.outcomes:
         raise ValueError(
             "outcome sets differ; observable distances are defined only for an "

@@ -14,6 +14,8 @@ Gray code. A maximum taken first-wins over the stacks therefore breaks ties
 to the first maximum in Gray-code order, and `gray_labels` decodes its
 position into outcome labels. The capacity limit is set here too: past
 SUBSET_ENUMERATION_LIMIT elements, `gray_walk` raises CapacityError.
+`metric_walk` picks a maximum's enumeration: the elements as one stack
+("inf") or their `gray_walk` ("l1").
 
 `max_norms` is the one reducer of these maxima, and of the one-stack
 maxima over outcomes, each of which is a walk of one stack. It takes many
@@ -82,6 +84,12 @@ def gray_walk(elements: np.ndarray, what: str) -> Iterator[np.ndarray]:
     # high positions and backward on odd ones
     for j, high in enumerate(_gray_sums(free[CHUNK_BITS:])):
         yield high + (low if j % 2 == 0 else low[::-1])
+
+
+def metric_walk(metric: str, elements: np.ndarray, what: str) -> Iterable[np.ndarray]:
+    """The stacks of a maximum of `metric` over `elements`: the elements
+    themselves as one stack ("inf"), or their `gray_walk` ("l1")."""
+    return gray_walk(elements, what) if metric == "l1" else [elements]
 
 
 def gray_labels(position: int, labels: tuple[str, ...]) -> tuple[str, ...]:

@@ -85,8 +85,9 @@ class TestMaxCommutatorNorm:
         assert max_commutator_norm(a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             max_commutator_norm(random_povm(2, 2, seed=1), random_povm(3, 2, seed=1))
+        assert str(err.value) == "dimension mismatch: 2 vs 3"
 
 
 class TestMaxSubsetCommutatorNorm:
@@ -489,6 +490,11 @@ class TestAdmissibleRegion:
         assert region.y_product_bound[0] == pytest.approx(0.5, abs=1e-9)
         # at X = 0.5 the bound is already met with Y = 0
         assert region.y_product_bound[-1] == pytest.approx(0.0, abs=1e-9)
+
+    def test_curves_are_read_only(self):
+        region = closed_form_region(math.pi / 2, 5)
+        for curve in (region.x, region.y_product_bound, region.y_additive_bound):
+            assert not curve.flags.writeable
 
     def test_contour_monotone_nonincreasing(self):
         region = closed_form_region(math.pi / 2, 101)

@@ -494,6 +494,16 @@ class TestCheckJoint:
         assert "witness_file" not in out
         assert not witness.exists()
 
+    def test_dimension_mismatch_exits_one(self, files, capsys):
+        qutrit = files["dir"] / "q3.json"
+        save_povm(random_povm(3, 2, seed=1), qutrit)
+        out = files["dir"] / "w.json"
+        code, stdout, err = run(
+            ["check-joint", files["z"], str(qutrit), "--witness-out", str(out)], capsys
+        )
+        assert (code, stdout, err) == (1, "", "error: dimension mismatch: 2 vs 3\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("max_iter", ["0", "-5"])
     def test_nonpositive_max_iter_rejected(self, max_iter, files, capsys):
         out = files["dir"] / "w.json"

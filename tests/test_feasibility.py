@@ -22,6 +22,7 @@ from jointmeas.povm import (
     PAULI_X,
     PAULI_Z,
     Povm,
+    PovmViolation,
     bloch_pvm,
     intrinsic_uncertainty_inf,
     noisy_qubit_povm,
@@ -177,8 +178,9 @@ class TestCheckJointMeasurability:
         assert check_joint_measurability(a, b, max_iter=25).iterations <= 25
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             check_joint_measurability(bloch_pvm((0, 0, 1)), random_povm(3, 2, seed=1))
+        assert str(err.value) == "dimension mismatch: 2 vs 3"
 
     def test_random_pairs_give_sound_verdicts(self):
         rng = np.random.default_rng(50)
@@ -550,6 +552,16 @@ class TestSolverBudgets:
             frontier_point(a, b, 0.0)
         with pytest.raises(ValueError, match="X budget 0;"):
             frontier_sweep(a, b, 3)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [lambda a, b: frontier_point(a, b, 0.1), lambda a, b: frontier_sweep(a, b, 3)],
+        ids=["frontier_point", "frontier_sweep"],
+    )
+    def test_frontier_rejects_a_dimension_mismatch(self, solve):
+        with pytest.raises(ValueError) as err:
+            solve(bloch_pvm((0, 0, 1)), random_povm(3, 2, seed=1))
+        assert str(err.value) == "dimension mismatch: 2 vs 3"
 
     @pytest.mark.parametrize("max_iter", [0, -5])
     def test_check_joint_rejects_nonpositive_max_iter(self, max_iter):
@@ -964,3 +976,104 @@ class TestLiftedCertificate:
         pt = frontier_point(a, b, x, y_resolution=res)
         assert len(rounds) <= 5
         assert 0.0 <= pt.y_achieved - pt.y_lower < res
+
+
+class TestUnverifiedWitnesses:
+    """A witness that fails its checks is never reported: check-joint does
+    not call the pair feasible, and a frontier point keeps the witness it
+    had before."""
+
+    @pytest.fixture
+    def solving(self, monkeypatch):
+        """A flag that turns on when the first Douglas-Rachford round runs."""
+        started = []
+        real = feasibility._douglas_rachford
+
+        def flagging(*args):
+            started.append(True)
+            return real(*args)
+
+        monkeypatch.setattr(feasibility, "_douglas_rachford", flagging)
+        return started
+
+    @staticmethod
+    def reject_witnesses(monkeypatch, active):
+        """Every POVM validated while `active` is nonempty fails the check;
+        returns the POVMs it rejected."""
+        rejected = []
+
+        def failing(p):
+            if not active:
+                return validate_povm(p)
+            rejected.append(p)
+            return [PovmViolation("positivity", p.outcomes[0], 1.0)]
+
+        monkeypatch.setattr(feasibility, "validate_povm", failing)
+        return rejected
+
+    @pytest.mark.parametrize("defect", ["fails-validation", "misses-marginals"])
+    def test_check_joint_is_not_feasible_on_an_unverified_witness(self, defect, monkeypatch):
+        # at visibility 0.70 the orthogonal pair is jointly measurable, and
+        # an unpatched check returns a verified witness
+        a, b = noisy_qubit_povm((0, 0, 1), 0.70), noisy_qubit_povm((1, 0, 0), 0.70)
+        assert check_joint_measurability(a, b).status == "feasible"
+        if defect == "fails-validation":
+            seen = self.reject_witnesses(monkeypatch, [True])
+        else:
+            seen = []
+            real = feasibility._Pair.witness
+
+            def missing(pair, f):
+                found = real(pair, f)
+                seen.append(found)
+                return found[0], 1.0, 1.0
+
+            monkeypatch.setattr(feasibility._Pair, "witness", missing)
+        result = check_joint_measurability(a, b, max_iter=40)
+        assert seen
+        assert result.status == "undecided"
+        assert result.witness is None
+        assert result.iterations == 40
+
+    @staticmethod
+    def baseline(a, b, x):
+        """The best product baseline within the X budget x."""
+        pair = feasibility._Pair(a, b)
+        fits = [
+            bl
+            for f in pair.flat_seeds()
+            if (bl := pair.witness(f)) is not None
+            and bl[1] <= x + feasibility.WITNESS_MARGINAL_TOL
+        ]
+        return min(fits, key=lambda bl: bl[2])
+
+    @pytest.mark.parametrize("defect", ["cleaning-fails", "mix-fails"])
+    def test_frontier_point_keeps_its_earlier_witness(self, defect, solving, monkeypatch):
+        a, b = random_povm(3, 3, 101), random_povm(3, 3, 201)
+        x = 0.05
+        w_base, x_base, y_base = self.baseline(a, b, x)
+        # unpatched, the rounds find a witness better than the baseline
+        assert frontier_point(a, b, x, max_iter=60).y_achieved < y_base
+        solving.clear()
+        if defect == "cleaning-fails":
+            seen = self.reject_witnesses(monkeypatch, solving)
+        else:
+            # each offer's first cleaning overshoots the budget, and the
+            # cleaning of its mix with the repair fails
+            seen = []
+            real = feasibility._Pair.witness
+
+            def overshooting(pair, f):
+                found = real(pair, f)
+                if not solving or found is None:
+                    return found
+                seen.append(found)
+                return (found[0], 1.0, found[2]) if len(seen) % 2 else None
+
+            monkeypatch.setattr(feasibility._Pair, "witness", overshooting)
+        point = frontier_point(a, b, x, max_iter=60)
+        assert seen
+        assert (point.x_achieved, point.y_achieved) == (x_base, y_base)
+        assert np.array_equal(point.witness.elements, w_base.elements)
+        assert validate_povm(point.witness) == []
+        assert point.y_lower <= point.y_achieved

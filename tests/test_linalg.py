@@ -308,3 +308,12 @@ class TestRenormalize:
         g = np.diag([1e3, 1e-4]).astype(complex)[None]
         assert linalg.renormalize(g, 1e-6) is None
         assert linalg.renormalize(g, 1e-8) is not None
+
+
+def test_read_only_freezes_the_array_itself():
+    m = np.eye(2, dtype=complex)
+    assert linalg.read_only(m) is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 2
+    for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
+        assert not pauli.flags.writeable

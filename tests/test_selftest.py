@@ -5,6 +5,7 @@ POVMs as stacks and evaluate their instances together must check the
 values of one draw and one evaluation after another."""
 
 import collections
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 import jointmeas.selftest as selftest
 from jointmeas import linalg
 from jointmeas.distances import DistanceValue, dist_inf, dist_l1
-from jointmeas.povm import Povm, outcome_probabilities, random_povm
+from jointmeas.povm import Povm, PovmViolation, outcome_probabilities, random_povm
 from jointmeas.smearing import OutcomeMap
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -215,3 +216,140 @@ def test_stacked_suites_solve_in_a_few_calls(monkeypatch, suite, trials):
     monkeypatch.setattr(linalg, "herm_norm_stack", counted)
     assert suite(trials, 1).violations == 0
     assert 0 < len(sizes) <= 8
+
+
+# Planted defects: each replaces one name a suite reads with a wrapper that
+# spoils one value of one instance, and the suite must record exactly that
+# instance, with its message.
+
+
+@pytest.mark.parametrize(
+    "suite, inequality_id",
+    [(selftest.suite_theorem1, "theorem1"), (selftest.suite_theorem2, "theorem2")],
+)
+def test_validity_suite_reports_a_violated_bound(monkeypatch, suite, inequality_id):
+    real = selftest.tradeoff_reports
+
+    def planted(which, instances):
+        assert which == inequality_id
+        reports = real(which, instances)
+        reports[2] = dataclasses.replace(reports[2], lhs=reports[2].rhs - 0.5)
+        return reports
+
+    monkeypatch.setattr(selftest, "tradeoff_reports", planted)
+    result = suite(5, 1)
+    assert (result.violations, result.details) == (1, ["instance 2: slack = -5.000e-01"])
+
+
+@pytest.mark.parametrize(
+    "offsets, message",
+    [
+        # d(q, p) raised: no longer symmetric
+        ({1: 0.25}, "instance 1: D_{name} asymmetric by 2.500e-01"),
+        # d(p, p) raised off zero
+        ({2: 1e-3}, "instance 1: D_{name}(P, P) != 0"),
+        # d(p, q) and d(q, p) raised alike: symmetric, but longer than two
+        # distances of at most 1 each
+        ({0: 2.0, 1: 2.0}, "instance 1: D_{name} triangle inequality violated"),
+    ],
+    ids=["symmetry", "identity", "triangle"],
+)
+@pytest.mark.parametrize("name", ["inf", "l1"])
+def test_metric_axioms_report_a_broken_axiom(monkeypatch, offsets, message, name):
+    # per instance the suite measures d(p, q), d(q, p), d(p, p), d(p, r),
+    # d(r, q), in that order
+    real = selftest.observable_distances
+
+    def planted(metric, pairs):
+        found = real(metric, pairs)
+        if metric == name:
+            for k, delta in offsets.items():
+                dv = found[5 + k]
+                found[5 + k] = DistanceValue(dv.value + delta, dv.witness, dv.witness_matrix)
+        return found
+
+    monkeypatch.setattr(selftest, "observable_distances", planted)
+    result = selftest.suite_metric_axioms(3, 2)
+    assert (result.violations, result.details) == (1, [message.format(name=name)])
+
+
+def _plant_uncertainty(monkeypatch, metric, value):
+    real = selftest.intrinsic_uncertainties
+
+    def planted(which, povms):
+        found = real(which, povms)
+        if which == metric:
+            found[2] = value
+        return found
+
+    monkeypatch.setattr(selftest, "intrinsic_uncertainties", planted)
+
+
+def _plant_validation(monkeypatch, instance):
+    real = selftest.validate_povm
+    calls = []
+
+    def planted(p):
+        calls.append(p)
+        if len(calls) == instance + 1:
+            return [PovmViolation("positivity", p.outcomes[0], 1.0)]
+        return real(p)
+
+    monkeypatch.setattr(selftest, "validate_povm", planted)
+
+
+def _plant_marginal(monkeypatch, call):
+    """Spoil the result of one `marginalize` call. Per instance the suite
+    makes four: the two steps of the composed coarse-graining, the one-step
+    coarse-graining, and the smearing of the joint POVM."""
+    real = selftest.marginalize
+    calls = []
+
+    def planted(p, f):
+        q = real(p, f)
+        calls.append(q)
+        if len(calls) == call + 1:
+            shifted = q.elements.copy()
+            shifted[0] += 1e-6 * np.eye(q.dim)
+            q = Povm(q.outcomes, shifted)
+        return q
+
+    monkeypatch.setattr(selftest, "marginalize", planted)
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        (lambda mp: _plant_validation(mp, 2), "instance 2: random POVM fails validation"),
+        (lambda mp: _plant_uncertainty(mp, "inf", -0.01), "instance 2: V = -0.01 outside [0, 1/4]"),
+        (lambda mp: _plant_uncertainty(mp, "l1", 0.3), "instance 2: V1 = 0.3 outside [V, 1/4]"),
+        (lambda mp: _plant_marginal(mp, 4 * 2 + 2), "instance 2: functoriality broken"),
+        (
+            lambda mp: _plant_marginal(mp, 4 * 2 + 3),
+            "instance 2: error operators do not sum to zero",
+        ),
+    ],
+    ids=["validation", "V", "V1", "functoriality", "error-operators"],
+)
+def test_povm_invariants_report_a_broken_invariant(monkeypatch, plant, message):
+    plant(monkeypatch)
+    result = selftest.suite_povm_invariants(4, 5)
+    assert (result.violations, result.details) == (1, [message])
+
+
+def test_run_selftest_prints_each_violation(monkeypatch, capsys):
+    # every POVM fails validation: all 12 instances are counted, and the
+    # first 10 are printed under their suite
+    monkeypatch.setattr(
+        selftest,
+        "validate_povm",
+        lambda p: [PovmViolation("positivity", p.outcomes[0], 1.0)],
+    )
+    assert selftest.run_selftest(12, 3) == 12
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-11:] == [
+        "POVM and smearing invariants: 12 instances, 12 VIOLATIONS",
+        *(f"  instance {i}: random POVM fails validation" for i in range(10)),
+    ]
+    assert all(line.endswith(", ok") for line in lines[:-11])
+    assert len(lines) == 15

@@ -37,7 +37,14 @@ from jointmeas.povm import (
 )
 from jointmeas.selftest import random_instances
 from jointmeas.smearing import OutcomeMap, marginalize
-from jointmeas.subsets import CHUNK_BITS, gray_labels, gray_walk, max_norms
+from jointmeas.subsets import (
+    CHUNK_BITS,
+    CapacityError,
+    gray_labels,
+    gray_walk,
+    max_norms,
+    metric_walk,
+)
 
 
 def _unpruned(stacks):
@@ -351,3 +358,18 @@ def test_intrinsic_uncertainties_equal_one_povm_calls(metric, single):
     povms = [random_povm(2 + k % 3, 1 + k % 6, seed=600 + k) for k in range(30)]
     povms.append(random_povm(3, 13, seed=7))  # a Gray walk of several stacks
     assert repr(intrinsic_uncertainties(metric, povms)) == repr([single(p) for p in povms])
+
+
+def test_metric_walk_is_one_stack_or_the_gray_walk():
+    e = linalg.hermitian_part(random_povm(3, 12, seed=4).elements)
+    (stack,) = metric_walk("inf", e, "V")
+    assert stack is e
+    walked = list(metric_walk("l1", e, "V"))
+    assert len(walked) == 2 and all(
+        np.array_equal(w, g) for w, g in zip(walked, gray_walk(e, "V"))
+    )
+    # only the subset walk has a capacity limit
+    many = np.stack([np.eye(2) / 21] * 21)
+    assert len(list(metric_walk("inf", many, "V"))) == 1
+    with pytest.raises(CapacityError, match="^V enumerates all subsets of 21 outcomes"):
+        list(metric_walk("l1", many, "V"))
