@@ -33,7 +33,7 @@ from . import linalg
 from .distances import difference_walk
 from .povm import Povm, is_pvm, require_same_dim, uncertainty_walk
 from .smearing import OutcomeMap, marginalize
-from .subsets import CHUNK_BITS, gray_walk, max_norms
+from .subsets import gray_products, max_norms
 
 # Bounds are reported satisfied when lhs - rhs >= -SLACK_TOL. All quantities
 # are O(1), so an absolute threshold is appropriate.
@@ -65,13 +65,13 @@ class TradeoffReport:
 def _commutator_walk(metric: str, a: Povm, b: Povm) -> Iterator[np.ndarray]:
     """The stacks whose largest norm is the commutator norm of `metric`,
     for `subsets.max_norms`: the Hermitian i[A_a, B_b] of every outcome
-    pair as one stack ("inf"), or of every pair of subset sums ("l1").
+    pair as one stack ("inf"), or of every pair of subset sums ("l1"), read
+    off the stacks of `subsets.gray_products`.
 
     For "l1", complementing either subset only flips the sign of the
     commutator (the elements sum to the identity), so one representative
-    of each complement pair suffices on both sides. Blocks of A-sums are
-    commuted against each stack of B-sums, and each block is one stack. The
-    dimensions are checked when the walk starts.
+    of each complement pair suffices on both sides. The dimensions are
+    checked when the walk starts.
     """
     require_same_dim(a, b)
     ea = linalg.hermitian_part(a.elements)
@@ -80,13 +80,8 @@ def _commutator_walk(metric: str, a: Povm, b: Povm) -> Iterator[np.ndarray]:
         # one einsum, not the blocks' matmul: an ulp here moves the frontier's contour start
         yield linalg.commutator_stack(np.einsum("aij,bjk->abik", ea, eb)).reshape(-1, a.dim, a.dim)
         return
-    what = "the subset commutator bound"
-    for sums_a in gray_walk(ea, what):
-        for sums_b in gray_walk(eb, what):
-            block = max(1, 2**CHUNK_BITS // len(sums_b))
-            for k in range(0, len(sums_a), block):
-                prod = sums_a[k : k + block, None] @ sums_b
-                yield linalg.commutator_stack(prod).reshape(-1, a.dim, a.dim)
+    for prods in gray_products(ea, eb, "the subset commutator bound"):
+        yield linalg.commutator_stack(prods)
 
 
 def max_commutator_norm(a: Povm, b: Povm) -> float:

@@ -17,28 +17,24 @@ SUBSET_ENUMERATION_LIMIT elements, `gray_walk` raises CapacityError.
 `metric_walk` picks a maximum's enumeration: the elements as one stack
 ("inf") or their `gray_walk` ("l1").
 
-`max_norms` is the one reducer of these maxima, and of the one-stack
-maxima over outcomes, each of which is a walk of one stack. It takes many
-walks at once: their first stacks are solved together, one eigenvalue call
-per matrix dimension. Each walk's later stacks are then pruned: only the
-matrices whose trace bound (`linalg.herm_norm_bound_stack`, the
-Wolkowicz-Styan bound from "Bounds for eigenvalues using traces", Linear
-Algebra Appl. 29, 1980), first on the matrix and then on its square,
-reaches (1 - PRUNE_RTOL) times the walk's running maximum get a solve.
-PRUNE_RTOL is a rounding margin, not a tolerance of the result: values,
-positions and matrices are those of an unpruned walk reduced alone, bit
-for bit.
+`gray_products` yields the products X_D @ Y_E of two such walks in stacks
+of the same size, so this module alone sizes every stack. `max_norms`
+reduces all these maxima, and the one-stack maxima over outcomes, pruning
+with trace bounds (`linalg.herm_norm_bound_stack`, the Wolkowicz-Styan
+bound from "Bounds for eigenvalues using traces", Linear Algebra Appl. 29,
+1980); each result is that of its walk alone and unpruned, bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import linalg
 
-# log2 of the largest stack `gray_walk` yields
+# log2 of the largest stack `gray_walk` and `gray_products` yield
 CHUNK_BITS = 10
 
 # Exact subset enumeration is 2^n work; beyond this many outcomes we refuse
@@ -86,6 +82,16 @@ def gray_walk(elements: np.ndarray, what: str) -> Iterator[np.ndarray]:
         yield high + (low if j % 2 == 0 else low[::-1])
 
 
+def gray_products(xs: np.ndarray, ys: np.ndarray, what: str) -> Iterator[np.ndarray]:
+    """Yield the products X_D @ Y_E of the `gray_walk` sums of `xs` and `ys`
+    in stacks of at most 2^CHUNK_BITS, X_D in blocks and Y_E running fastest."""
+    for sums_x in gray_walk(xs, what):
+        for sums_y in gray_walk(ys, what):
+            block = max(1, 2**CHUNK_BITS // len(sums_y))
+            for k in range(0, len(sums_x), block):
+                yield (sums_x[k : k + block, None] @ sums_y).reshape(-1, *sums_y.shape[1:])
+
+
 def metric_walk(metric: str, elements: np.ndarray, what: str) -> Iterable[np.ndarray]:
     """The stacks of a maximum of `metric` over `elements`: the elements
     themselves as one stack ("inf"), or their `gray_walk` ("l1")."""
@@ -106,22 +112,17 @@ def _survivors(hs: np.ndarray, floor: float) -> np.ndarray:
     return rows[np.sqrt(linalg.herm_norm_bound_stack(h @ h)) >= floor]
 
 
-def _walk_max(
-    first: np.ndarray, norms: np.ndarray, rest: Iterator[np.ndarray]
-) -> tuple[float, int, np.ndarray]:
-    """The maximum of one walk, given its first stack and that stack's
-    norms, over the stacks that `rest` yields after it (see `max_norms`)."""
+def _walk_max(first: np.ndarray, rest: Iterable[np.ndarray]) -> tuple[float, int, np.ndarray]:
+    """The `max_norms` result of a walk of several stacks: `first`, then `rest`."""
+    norms = linalg.herm_norm_stack(first)
     k = int(np.argmax(norms))
     best, best_pos, best_matrix, pos = float(norms[k]), k, first[k], len(first)
-    prune = None
+    sample = first[::8]
+    prune = 2 * len(_survivors(sample, (1 - PRUNE_RTOL) * best)) <= len(sample)
     for hs in rest:
-        floor = (1 - PRUNE_RTOL) * best
-        if prune is None:
-            sample = first[::8]
-            prune = 2 * len(_survivors(sample, floor)) <= len(sample)
         rows = np.arange(len(hs))
         if prune:
-            rows = _survivors(hs, floor)
+            rows = _survivors(hs, (1 - PRUNE_RTOL) * best)
             prune = 2 * len(rows) <= len(hs)
         if len(rows):
             norms = linalg.herm_norm_stack(hs[rows] if len(rows) < len(hs) else hs)
@@ -138,51 +139,55 @@ def max_norms(walks: Iterable[Iterable[np.ndarray]]) -> list[tuple[float, int, n
     reads it, with its position across the concatenation of the walk's
     stacks and its matrix; ties break to the first maximum.
 
-    The first stacks of the walks are solved together: one
-    `linalg.herm_norm_stack` call per matrix dimension, with at most
-    2^CHUNK_BITS matrices a call. A dimension's pending first stacks are
-    solved, and their walks finished, before one more would pass that
-    many, so the walks are read in order and only about 2^CHUNK_BITS
-    matrices a dimension wait at a time. `eigvalsh` solves each matrix of a
-    stack on its own, so every result is the one its walk gives alone.
+    Each walk is read one stack ahead. A walk that ends after its first
+    stack waits as that array; a dimension's waiting stacks are solved
+    together, at most 2^CHUNK_BITS matrices a `linalg.herm_norm_stack`
+    call, before one more would pass that many. `eigvalsh` solves each
+    matrix on its own, so every result is the one its walk gives alone.
 
-    In each later stack of a walk, a matrix gets an eigenvalue solve only
-    if both trace bounds of `linalg.herm_norm_bound_stack`, on the matrix
-    and then on the square of its Hermitian part (whose largest eigenvalue
-    is the squared norm), reach (1 - PRUNE_RTOL) times the walk's running
-    maximum. A pruned matrix cannot reach that maximum, and a later stack
-    replaces it only with a strictly larger norm, so the result is the one
-    an unpruned walk gives, bit for bit.
-
-    Both bounds cost 0.2 (d = 8) to 0.7 (d = 2) of an eigenvalue solve a
+    A walk with later stacks starts with a full stack of 2^CHUNK_BITS
+    matrices (`gray_walk`, `gray_products`), which is solved alone at once.
+    In each later stack, a matrix gets a solve only if both trace bounds of
+    `linalg.herm_norm_bound_stack`, on the matrix and on the square of its
+    Hermitian part (whose largest eigenvalue is the squared norm), reach
+    (1 - PRUNE_RTOL) times the walk's running maximum. A pruned matrix
+    cannot reach that maximum, and a later stack replaces it only with a
+    strictly larger norm, so the result is that of an unpruned walk, bit
+    for bit. Both bounds cost 0.2 (d = 8) to 0.7 (d = 2) of a solve a
     matrix, so a walk prunes only while they drop at least half of what
-    they see: first of every eighth matrix of its first stack, against its
-    own maximum, then of each pruned stack. Subset sums whose norms crowd
-    the maximum, as ||S - S^2|| does at d >= 3, are then solved unpruned.
+    they see: first of every eighth matrix of its first stack, then of each
+    pruned stack. Sums whose norms crowd the maximum, as ||S - S^2|| does
+    at d >= 3, go on unpruned.
     """
     cap = 2**CHUNK_BITS
     results: list = []
-    pending: dict[int, list] = {}  # dimension -> [(slot, first stack, rest of walk)]
-    waiting: dict[int, int] = {}  # dimension -> matrices in its pending first stacks
+    pending: dict[int, list] = {}  # dimension -> [(slot, stack)] of one-stack walks
+    waiting: dict[int, int] = {}  # dimension -> matrices in its pending stacks
 
     def solve(d: int) -> None:
         group = pending.pop(d)
         del waiting[d]
-        flat = group[0][1] if len(group) == 1 else np.concatenate([f for _, f, _ in group])
+        flat = group[0][1] if len(group) == 1 else np.concatenate([hs for _, hs in group])
         chunks = [linalg.herm_norm_stack(flat[k : k + cap]) for k in range(0, len(flat), cap)]
         norms = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         start = 0
-        for slot, first, rest in group:
-            results[slot] = _walk_max(first, norms[start : start + len(first)], rest)
-            start += len(first)
+        for slot, hs in group:
+            k = int(np.argmax(norms[start : start + len(hs)]))
+            results[slot] = float(norms[start + k]), k, hs[k]
+            start += len(hs)
 
     for walk in walks:
-        rest = iter(walk)
-        first = next(rest)
+        stacks = iter(walk)
+        first, second = next(stacks), next(stacks, None)
+        if second is not None:
+            rest = itertools.chain(iter([second]), stacks)  # an exhausted iter drops its list
+            del second  # so the walk's stacks are held one at a time while it is reduced
+            results.append(_walk_max(first, rest))
+            continue
         d = first.shape[-1]
         if d in waiting and waiting[d] + len(first) > cap:
             solve(d)
-        pending.setdefault(d, []).append((len(results), first, rest))
+        pending.setdefault(d, []).append((len(results), first))
         waiting[d] = waiting.get(d, 0) + len(first)
         results.append(None)
     for d in list(pending):

@@ -13,6 +13,7 @@ forms built on it, with the one-walk call, bit for bit.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from jointmeas.subsets import (
     CHUNK_BITS,
     CapacityError,
     gray_labels,
+    gray_products,
     gray_walk,
     max_norms,
     metric_walk,
@@ -169,6 +171,18 @@ def test_crowded_maxima_go_on_unpruned(solved):
     assert solved == [2**CHUNK_BITS] * 32
 
 
+def test_theorem2_on_an_8x8_pair_solves_in_9_calls(solved):
+    # X, Y, V_A and V_B are walks of one stack of 128 sums, solved together;
+    # the commutator's 16 stacks of 1,024 products prune to 7 more calls
+    a, b, f = random_povm(4, 8, seed=1), random_povm(4, 8, seed=2), random_povm(4, 64, seed=3)
+    fo = f.outcomes
+    f_a = OutcomeMap(fo, a.outcomes, {o: a.outcomes[k // 8] for k, o in enumerate(fo)})
+    f_b = OutcomeMap(fo, b.outcomes, {o: b.outcomes[k % 8] for k, o in enumerate(fo)})
+    assert check_theorem2(a, b, f, f_a, f_b).satisfied
+    assert len(solved) == 9
+    assert solved.count(4 * 128) == 1 and solved.count(2**CHUNK_BITS) == 1
+
+
 # --- many walks at once ---
 
 
@@ -290,6 +304,73 @@ def test_tradeoff_reports_hold_each_quantity_in_its_field(
         assert repr(got) == repr(expected)
 
 
+def test_no_waiting_walk_is_a_suspended_generator(monkeypatch):
+    # a walk that ends after its first stack waits as that array, so its
+    # generator has finished before any solve; a walk of several stacks is
+    # read to its end before the next walk is read
+    walks = _mixed_walks()
+    read, finished = [], set()
+
+    def walk(k):
+        try:
+            yield from walks[k]
+        finally:
+            finished.add(k)
+
+    def reading():
+        for k in range(len(walks)):
+            assert finished.issuperset(read)
+            read.append(k)
+            yield walk(k)
+
+    herm_norm_stack = linalg.herm_norm_stack
+
+    def checked(ms):
+        assert finished.issuperset(k for k in read if len(walks[k]) == 1)
+        return herm_norm_stack(ms)
+
+    monkeypatch.setattr(linalg, "herm_norm_stack", checked)
+    found = max_norms(reading())
+    assert finished == set(range(len(walks)))
+    monkeypatch.undo()
+    _assert_same(found, max_norms(walks))
+
+
+def test_a_walk_of_several_stacks_leaves_the_waiting_walks_batched(solved):
+    # the one-stack walk read before a Gray walk of its dimension is solved
+    # with the ones read after it, in one call
+    rng = np.random.default_rng(95)
+    gray = list(gray_walk(_random_hermitian(rng, 13, 2), "V"))
+    max_norms([gray])
+    gray_calls = len(solved)
+    solved.clear()
+    ones = [[_random_hermitian(rng, n, 2)] for n in (5, 7, 9)]
+    found = max_norms([ones[0], gray, *ones[1:]])
+    assert solved.count(5 + 7 + 9) == 1
+    assert len(solved) == gray_calls + 1
+    _assert_same(found, [max_norms([w])[0] for w in (ones[0], gray, *ones[1:])])
+
+
+def test_a_walk_of_several_stacks_holds_one_later_stack_at_a_time():
+    # when the walk reads on, no later stack before the one being reduced
+    # is still referenced (the maximum, and so its matrix, is in the first)
+    cap = 2**CHUNK_BITS
+    rng = np.random.default_rng(96)
+    read = []
+
+    def walk():
+        first = _random_hermitian(rng, cap, 2)
+        first[3] *= 100
+        yield first
+        for _ in range(6):
+            assert all(r() is None for r in read[:-1])
+            read.append(weakref.ref(stack := _random_hermitian(rng, cap, 2)))
+            yield stack
+
+    ((value, pos, _),) = max_norms([walk()])
+    assert pos == 3 and len(read) == 6
+
+
 def test_many_walks_are_read_a_chunk_at_a_time(monkeypatch):
     # a dimension's first stacks are solved as soon as one more would
     # overfill a chunk, so walks from a generator are not all held at once
@@ -358,6 +439,67 @@ def test_intrinsic_uncertainties_equal_one_povm_calls(metric, single):
     povms = [random_povm(2 + k % 3, 1 + k % 6, seed=600 + k) for k in range(30)]
     povms.append(random_povm(3, 13, seed=7))  # a Gray walk of several stacks
     assert repr(intrinsic_uncertainties(metric, povms)) == repr([single(p) for p in povms])
+
+
+def _gray_sums_by_mask(elements):
+    """The sum over the mask i ^ (i >> 1) of every element but the last, at
+    position i, each added up on its own."""
+    free = elements[:-1]
+    sums = []
+    for i in range(2 ** len(free)):
+        mask = i ^ (i >> 1)
+        sums.append(sum((e for j, e in enumerate(free) if mask >> j & 1), np.zeros_like(free[0])))
+    return np.stack(sums)
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 3), (12, 3), (3, 12), (12, 12)])
+def test_gray_products_equal_the_products_of_the_subset_sums(nx, ny):
+    # X_D @ Y_E for each stack of X-sums and each stack of Y-sums of the two
+    # Gray walks, X_D in walk order and Y_E running fastest
+    cap = 2**CHUNK_BITS
+    xs = linalg.hermitian_part(random_povm(2, nx, seed=nx).elements)
+    ys = linalg.hermitian_part(random_povm(2, ny, seed=100 + ny).elements)
+    sums_x, sums_y = _gray_sums_by_mask(xs), _gray_sums_by_mask(ys)
+
+    found = gray_products(xs, ys, "comm")
+    sizes = []
+    for jx in range(0, len(sums_x), cap):
+        for jy in range(0, len(sums_y), cap):
+            sx, sy = sums_x[jx : jx + cap], sums_y[jy : jy + cap]
+            rows = max(64, cap // len(sy))
+            for k in range(0, len(sx), rows):
+                # elementwise, not matmul, so the reference is a product of its own
+                want = (sx[k : k + rows, None, :, :, None] * sy[None, :, None]).sum(axis=-2)
+                want = want.reshape(-1, 2, 2)
+                got = [next(found)]
+                while sum(map(len, got)) < len(want):
+                    got.append(next(found))
+                sizes += map(len, got)
+                got = np.concatenate(got)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-13
+    assert next(found, None) is None
+    assert sum(sizes) == len(sums_x) * len(sums_y)
+    assert max(sizes) <= cap
+    if len(sizes) > 1:
+        assert sizes[0] == cap
+
+
+def test_a_walk_of_several_stacks_starts_with_a_full_one():
+    # `max_norms` solves the first stack of such a walk alone, which takes
+    # no more calls than batching only if that stack is full
+    cap = 2**CHUNK_BITS
+    e = linalg.hermitian_part(random_povm(2, 14, seed=3).elements)
+    for n in range(1, 15):
+        sizes = [len(s) for s in gray_walk(e[:n], "V")]
+        assert max(sizes) <= cap and sum(sizes) == 2 ** (n - 1)
+        assert len(sizes) == 1 or sizes[0] == cap
+    for nx in (1, 2, 5, 8, 11, 12):
+        for ny in (1, 2, 5, 8, 11, 12):
+            if nx + ny <= 20:
+                sizes = [len(s) for s in gray_products(e[:nx], e[:ny], "comm")]
+                assert max(sizes) <= cap and sum(sizes) == 2 ** (nx + ny - 2)
+                assert len(sizes) == 1 or sizes[0] == cap
 
 
 def test_metric_walk_is_one_stack_or_the_gray_walk():
