@@ -154,8 +154,8 @@ def tradeoff_reports(
 
     def walks():
         for a, b, f_povm, f_a, f_b in instances:
-            if a.dim != b.dim or a.dim != f_povm.dim:
-                raise ValueError("all POVMs must share one dimension")
+            require_same_dim(a, b)
+            require_same_dim(a, f_povm)
             if instrument and not is_pvm(f_povm):
                 raise ValueError("the joint observable must be projective for this bound")
             yield difference_walk(metric, a, marginalize(f_povm, f_a))

@@ -416,11 +416,11 @@ def check_joint_measurability(
     Runs the analytic infeasibility screen first, then Douglas-Rachford
     between the product PSD cone and the affine set of correct marginals,
     from the symmetrized-product seed, in rounds of CERTIFY_EVERY iterations
-    (the last cut at max_iter). After each round the PSD point k is cleaned
-    into a witness if its marginal residual is within WITNESS_MARGINAL_TOL,
-    and otherwise (or if that witness fails verification) read for a dual
-    certificate. Returns the first witness or certificate that passes
-    verification, or `undecided` at max_iter.
+    (the last cut at max_iter). The seed is iteration 0: there and after
+    each round the PSD point k is cleaned into a witness if its marginal
+    residual is within WITNESS_MARGINAL_TOL, and only after a round is k read
+    for a dual certificate (if no witness passed). Returns the first witness
+    or certificate that passes verification, or `undecided` at max_iter.
     """
     _check_solve(a, b, max_iter)
     screen = check_corollary_joint(a, b)
@@ -438,32 +438,21 @@ def check_joint_measurability(
         )
 
     pair = _Pair(a, b)
-
-    def finish_feasible(f: np.ndarray, iters: int) -> FeasibilityResult | None:
-        if (found := pair.witness(f)) is None or (dev := max(found[1:])) > WITNESS_MARGINAL_TOL:
-            return None
-        return FeasibilityResult(
-            status="feasible",
-            witness=found[0],
-            residual=dev,
-            iterations=iters,
-            certificate_note="witness marginals verified",
-        )
-
-    z = pair.product_seed()
-    res = max(pair.marginal_distances(z))
-    if res <= WITNESS_MARGINAL_TOL and (result := finish_feasible(z, 0)) is not None:
-        return result
-
+    z = k = pair.product_seed()
     iters = 0
-    while iters < max_iter:
-        steps = min(CERTIFY_EVERY, max_iter - iters)
-        z, k, _ = _douglas_rachford(z, linalg.project_psd_stack, pair.project_marginals, steps)
-        iters += steps
+    while True:
         res = max(pair.marginal_distances(k))
-        if res <= WITNESS_MARGINAL_TOL and (result := finish_feasible(k, iters)) is not None:
-            return result
-        if (certificate := pair.certificate(k)) is not None:
+        found = pair.witness(k) if res <= WITNESS_MARGINAL_TOL else None
+        if found is not None and (dev := max(found[1:])) <= WITNESS_MARGINAL_TOL:
+            return FeasibilityResult(
+                status="feasible",
+                witness=found[0],
+                residual=dev,
+                iterations=iters,
+                certificate_note="witness marginals verified",
+            )
+        # A certificate is read off a Douglas-Rachford iterate only: the seed is not one.
+        if iters > 0 and (certificate := pair.certificate(k)) is not None:
             x, y, value = certificate
             return FeasibilityResult(
                 status="infeasible",
@@ -476,6 +465,11 @@ def check_joint_measurability(
                 ),
                 certificate=(x, y),
             )
+        if iters == max_iter:
+            break
+        steps = min(CERTIFY_EVERY, max_iter - iters)
+        z, k, _ = _douglas_rachford(z, linalg.project_psd_stack, pair.project_marginals, steps)
+        iters += steps
     return FeasibilityResult(
         status="undecided",
         witness=None,

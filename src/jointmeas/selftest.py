@@ -102,8 +102,6 @@ def random_instances(
     instances = []
     for k, (to_a, to_b) in enumerate(choices):
         a, b, f = povms[3 * k : 3 * k + 3]
-        # distinct labels for the joint observable
-        f = Povm(tuple(f"f{j}" for j in range(f.n_outcomes)), f.elements)
         f_a = _outcome_map(f.outcomes, a.outcomes, to_a)
         f_b = _outcome_map(f.outcomes, b.outcomes, to_b)
         instances.append((a, b, f, f_a, f_b))

@@ -475,7 +475,7 @@ def test_one_dimension_error_before_projectivity(check):
     joint = random_povm(3, 4, 5)
     labels = {o: "+-"[k % 2] for k, o in enumerate(joint.outcomes)}
     f = OutcomeMap(joint.outcomes, ("+", "-"), labels)
-    with pytest.raises(ValueError, match="share one dimension"):
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
         check(*pair, joint, f, f)
 
 

@@ -288,6 +288,16 @@ class TestBounds:
         assert "satisfied = true" in out
         assert err == ""
 
+    def test_qutrit_joint_is_a_dimension_mismatch(self, joint_argv, capsys, tmp_path):
+        argv, _ = joint_argv
+        path = tmp_path / "joint3q.json"
+        save_povm(random_povm(3, 3, 5), path)
+        argv[argv.index("--joint") + 1] = str(path)
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: dimension mismatch: 2 vs 3\n"
+
     @pytest.mark.parametrize("flag", ["--map-a", "--map-b"])
     @pytest.mark.parametrize(
         "lines, message",

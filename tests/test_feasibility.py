@@ -177,6 +177,25 @@ class TestCheckJointMeasurability:
         # the last round is cut at the budget
         assert check_joint_measurability(a, b, max_iter=25).iterations <= 25
 
+    def test_seed_is_never_read_for_a_certificate(self, monkeypatch):
+        calls = []
+        real = feasibility._Pair.certificate
+
+        def counting(self, k):
+            calls.append(k)
+            return real(self, k)
+
+        monkeypatch.setattr(feasibility._Pair, "certificate", counting)
+        # decided by the seed's witness, so no round ran to read
+        a = diagonal_povm([[1, 0], [0, 1]], "a")
+        b = diagonal_povm([[1, 0], [0, 1]], "b")
+        assert check_joint_measurability(a, b).iterations == 0
+        assert calls == []
+        # one read after each round, the last cut at the budget
+        result = check_joint_measurability(*joint_marginals(13, 0.0), max_iter=25)
+        assert (result.status, result.iterations) == ("undecided", 25)
+        assert len(calls) == math.ceil(25 / feasibility.CERTIFY_EVERY) == 3
+
     def test_dim_mismatch(self):
         with pytest.raises(ValueError) as err:
             check_joint_measurability(bloch_pvm((0, 0, 1)), random_povm(3, 2, seed=1))

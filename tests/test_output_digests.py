@@ -26,3 +26,13 @@ def test_two_runs_print_the_same_lines(output_digests, tmp_path):
         "subset-l1 theorem2_8x8",
     ]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.rsplit(" ", 1)[1]) for line in first)
+
+
+def test_witness_files_and_their_absence_are_digested(output_digests, tmp_path):
+    # check-joint writes a witness file for a feasible pair only, so
+    # joint-corpus reaches both the file and the "(absent)" part
+    first = list(output_digests.digest_lines(tmp_path, 1, ["joint-corpus"]))
+    second = list(output_digests.digest_lines(tmp_path, 1, ["joint-corpus"]))
+    assert first == second
+    assert len(first) == 40
+    assert 0 < len(list(tmp_path.glob("W*.json"))) < 40

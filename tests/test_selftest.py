@@ -116,7 +116,6 @@ def _one_instance(rng, max_dim=4, max_outcomes=4, max_joint_outcomes=8):
     a = random_povm(dim, n_a, _sub_seed(rng))
     b = random_povm(dim, n_b, _sub_seed(rng))
     f = random_povm(dim, n_f, _sub_seed(rng))
-    f = Povm(tuple(f"f{k}" for k in range(f.n_outcomes)), f.elements)
     f_a = _random_outcome_map(rng, f.outcomes, a.outcomes)
     f_b = _random_outcome_map(rng, f.outcomes, b.outcomes)
     return a, b, f, f_a, f_b
