@@ -19,8 +19,10 @@ and provides the projections, the seeds, one dual-certificate verifier,
 and the cleanup, POVM check and marginal distances X and Y of every
 witness. The iteration is lane-stacked: axis 0 of an iterate may index
 independent problems, and it acts on every lane alone. A frontier sweep
-runs every open grid point as one lane of one solve, so each projection is
-one stacked eigendecomposition instead of one per point.
+runs every open grid point as one lane of one solve, and its K clips the
+eigenvalues of every row into a window, so each projection onto K is one
+stacked eigendecomposition of the F, S and T rows of all lanes together
+instead of one per point and per kind of row.
 
 Each frontier point brackets Y. The upper end is the better of two product
 baselines. The lower end starts at the paper's main bound, solved for Y at
@@ -229,7 +231,9 @@ class _Pair:
     # of a (..., N, d, d) array with N = n_A n_B + n_A + n_B: F_ab in row
     # a n_B + b, then S_a, then T_b. It asks whether the convex set
     # K = {F_ab >= 0} x {||S_a|| <= x} x {||T_b|| <= y} meets the affine set
-    # L = {marg_A(F) - S = A, marg_B(F) - T = B, sum(F) = I}.
+    # L = {marg_A(F) - S = A, marg_B(F) - T = B, sum(F) = I}. Each factor of
+    # K bounds a row's eigenvalues, to [0, inf), [-x, x] or [-y, y], so the
+    # projection onto K clips every row into its window (`lifted_window`).
 
     @cached_property
     def lifted_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,15 +264,26 @@ class _Pair:
         f = self.product_seed()
         return np.concatenate([f.reshape(-1, self.d, self.d), self.gap_a(f), self.gap_b(f)])
 
-    def project_lifted_k(self, w: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-        """Onto K, for a lane stack w of shape (n, N, d, d); `bounds` holds
-        each lane's X budget on the S rows and Y budget on the T rows,
-        shape (n, n_A + n_B, 1)."""
+    def lifted_window(
+        self, x_budgets: list[float], y_budgets: list[float]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """K as one eigenvalue window (lower, upper) per row of a lane stack,
+        each of shape (n, N, 1), one lane per budget pair: [0, inf) on the F
+        rows, [-x, x] on the S rows and [-y, y] on the T rows."""
         n = self.na * self.nb
-        return np.concatenate(
-            [linalg.project_psd_stack(w[:, :n]), linalg.clip_operator_norm_stack(w[:, n:], bounds)],
-            axis=1,
-        )
+        upper = np.empty((len(x_budgets), n + self.na + self.nb, 1))
+        upper[:, :n] = np.inf
+        upper[:, n : n + self.na, 0] = np.array(x_budgets)[:, None]
+        upper[:, n + self.na :, 0] = np.array(y_budgets)[:, None]
+        lower = -upper
+        lower[:, :n] = 0.0
+        return lower, upper
+
+    def project_lifted_k(self, w: np.ndarray, window: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Onto K, for a lane stack w of shape (n, N, d, d) and its
+        `lifted_window`: every row's eigenvalues clipped into its window,
+        by one stacked eigendecomposition."""
+        return linalg.clip_operator_norm_stack(w, *window)
 
     def project_lifted_l(self, w: np.ndarray) -> np.ndarray:
         """Onto L, for a lane stack w of shape (n, N, d, d)."""
@@ -573,13 +588,11 @@ def _frontier(
     while active and used < max_iter:
         steps = min(DUAL_ROUND_ITERS, max_iter - used)
         budgets = [xs[p] + WITNESS_MARGINAL_TOL for p in active]
-        bounds = np.empty((len(active), pair.na + pair.nb, 1))
-        bounds[:, : pair.na, 0] = np.array(budgets)[:, None]
-        bounds[:, pair.na :, 0] = np.array([lo[p] for p in active])[:, None]
+        window = pair.lifted_window(budgets, [lo[p] for p in active])
         # each round restarts from the last point of K: the iterate itself
         # has drifted along the gap of the old Y
         _, z, gap = _douglas_rachford(
-            z, lambda w: pair.project_lifted_k(w, bounds), pair.project_lifted_l, steps
+            z, lambda w: pair.project_lifted_k(w, window), pair.project_lifted_l, steps
         )
         used += steps
         keep = []

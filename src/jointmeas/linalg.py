@@ -8,10 +8,12 @@ Each spectral rule has one kernel, which works on a stack of shape
 (..., d, d): operator norms (`herm_norm_stack`, which also reads the
 commutator norms off the Hermitian i[X, Y] of `commutator_stack`), PSD
 projection (`project_psd_stack`) and spectral clipping
-(`clip_operator_norm_stack`). A single matrix is a stack of one. The
-kernels do not validate their input and hold no tolerance of their own;
-callers check it once at the boundary (the `Povm` constructor and
-`povm.validate_povm`).
+(`clip_operator_norm_stack`), which clips each matrix's eigenvalues into
+its own window [lower, upper]. The PSD projection is the window [0, inf),
+but it keeps its own kernel and does not call the clip. A single matrix
+is a stack of one. The kernels do not validate their input and hold no
+tolerance of their own; callers check it once at the boundary (the `Povm`
+constructor and `povm.validate_povm`).
 
 `herm_norm_bound_stack` bounds each operator norm from above without an
 eigensolver, from the trace and the Frobenius norm alone
@@ -77,15 +79,28 @@ def project_psd_stack(ms: np.ndarray) -> np.ndarray:
     return (u * w[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
 
 
-def clip_operator_norm_stack(ms: np.ndarray, bound: float | np.ndarray) -> np.ndarray:
-    """Per-matrix spectral clipping of a stack into [-bound, bound].
+def clip_operator_norm_stack(
+    ms: np.ndarray, lower: float | np.ndarray, upper: float | np.ndarray
+) -> np.ndarray:
+    """Per-matrix spectral clipping of a stack: each eigenvalue of each
+    matrix's Hermitian part clipped into its window [lower, upper], the
+    nearest (Frobenius) Hermitian matrix with its spectrum there.
 
-    `bound` is a float or an array that broadcasts against the stack's
-    eigenvalues, shape (..., d): a (P, 1, 1) bound gives each group
-    ms[p] of a (P, n, d, d) stack its own bound.
+    `lower` and `upper` are floats or arrays that broadcast against the
+    stack's eigenvalues, shape (..., d): a (P, n, 1) window gives each
+    matrix ms[p, i] of a (P, n, d, d) stack its own. [-b, b] bounds the
+    operator norm by b, and [0, inf) projects onto the PSD cone, so one
+    call projects onto the frontier's whole lifted K, PSD rows and
+    norm-ball rows alike.
+
+    The name predates the window and stays: `perfbench/layers.py` spans
+    this kernel and `project_psd_stack` by name and reads the frontier's
+    iteration count off this one's calls. For the same reason
+    `project_psd_stack` does not call it, which would count one projection
+    under both names.
     """
     w, u = np.linalg.eigh(hermitian_part(ms))
-    w = np.clip(w, -bound, bound)
+    w = np.clip(w, lower, upper)
     return (u * w[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
 
 

@@ -694,13 +694,36 @@ class TestConstraintDescription:
         first, count = (0, pair.na) if side == "a" else (pair.na, pair.nb)
         rows = slice(n + first, n + first + count)
         budget = np.array([0.05, 0.4])
-        bounds = np.full((2, pair.na + pair.nb, 1), 10.0)
-        bounds[:, first : first + count, 0] = budget[:, None]
+        loose = [10.0, 10.0]
+        window = pair.lifted_window(*((budget, loose) if side == "a" else (loose, budget)))
         assert (linalg.herm_norm_stack(w[:, rows]).max(axis=1) > budget + 1e-3).all()
-        p = pair.project_lifted_k(w, bounds)
+        p = pair.project_lifted_k(w, window)
         assert (linalg.herm_norm_stack(p[:, rows]).max(axis=1) <= budget + 1e-12).all()
         assert np.linalg.eigvalsh(p[:, :n]).min() >= -1e-12
-        assert np.abs(pair.project_lifted_k(p, bounds) - p).max() <= 1e-12
+        assert np.abs(pair.project_lifted_k(p, window) - p).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_lifted_window_reproduces_the_two_kernel_projection(self, d):
+        # one clip into each row's window gives, bit for bit, the PSD
+        # projection of the F rows and the [-b, b] clip of the S and T rows,
+        # each lane projected alone; the Y budget 0 gives the T rows the
+        # window [-0.0, 0.0]
+        rng = np.random.default_rng(65 + d)
+        pair = feasibility._Pair(random_povm(d, 3, 66), random_povm(d, 2, 67))
+        n, rows = pair.na * pair.nb, pair.na * pair.nb + pair.na + pair.nb
+        r = rng.standard_normal((2, rows, d, d)) + 1j * rng.standard_normal((2, rows, d, d))
+        w = (r + np.conj(np.swapaxes(r, -1, -2))) / 2
+        xs, ys = [0.05, 0.3], [0.0, 0.2]
+        got = pair.project_lifted_k(w, pair.lifted_window(xs, ys))
+        for j in range(2):
+            bound = np.array([xs[j]] * pair.na + [ys[j]] * pair.nb)[:, None]
+            two_kernels = np.concatenate(
+                [
+                    linalg.project_psd_stack(w[j, :n]),
+                    linalg.clip_operator_norm_stack(w[j, n:], -bound, bound),
+                ]
+            )
+            assert np.array_equal(got[j], two_kernels)
 
 
 class TestFrontierSweep:
@@ -759,6 +782,40 @@ class TestFrontierSweep:
             alone = frontier_point(a, b, p.x_target, y_resolution=1e-2)
             assert p.x_achieved == alone.x_achieved
             assert p.y_achieved == alone.y_achieved
+
+    def test_one_spectral_call_per_lifted_step(self, monkeypatch):
+        # K is one window clip a Douglas-Rachford step: the F rows get no
+        # PSD projection of their own
+        calls = {"steps": 0, "project_psd_stack": 0, "clip_operator_norm_stack": 0}
+        inside = []
+
+        def counted(name):
+            real = getattr(linalg, name)
+
+            def call(*args):
+                if inside:
+                    calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(linalg, name, call)
+
+        counted("project_psd_stack")
+        counted("clip_operator_norm_stack")
+        real_dr = feasibility._douglas_rachford
+
+        def stepping(z, project_k, project_l, iterations):
+            calls["steps"] += iterations
+            inside.append(True)
+            try:
+                return real_dr(z, project_k, project_l, iterations)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(feasibility, "_douglas_rachford", stepping)
+        frontier_sweep(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 6)
+        assert calls["steps"] > 0
+        assert calls["clip_operator_norm_stack"] == calls["steps"]
+        assert calls["project_psd_stack"] == 0
 
     def test_carry_forward_replaces_a_worse_later_point(self):
         # at 60 iterations the lane at X = 0.002 ends far above the one at
@@ -835,15 +892,13 @@ def dual_rounds(pair, x_budgets, y_budgets, n_rounds=8):
     """Lifted Douglas-Rachford runs at fixed budgets, one lane per budget
     pair: the dual triples read after each of n_rounds rounds of
     DUAL_ROUND_ITERS iterations, as lists of one triple per lane."""
-    bounds = np.empty((len(x_budgets), pair.na + pair.nb, 1))
-    bounds[:, : pair.na, 0] = np.array(x_budgets)[:, None]
-    bounds[:, pair.na :, 0] = np.array(y_budgets)[:, None]
+    window = pair.lifted_window(x_budgets, y_budgets)
     z = np.repeat(pair.lifted_start()[None], len(x_budgets), axis=0)
     rounds = []
     for _ in range(n_rounds):
         _, z, gap = feasibility._douglas_rachford(
             z,
-            lambda w: pair.project_lifted_k(w, bounds),
+            lambda w: pair.project_lifted_k(w, window),
             pair.project_lifted_l,
             feasibility.DUAL_ROUND_ITERS,
         )

@@ -151,7 +151,7 @@ class TestProjectPsd:
 class TestEigendecomposition:
     def test_clip_operator_norm(self):
         m = np.diag([2.0, -3.0, 0.5]).astype(complex)
-        clipped = linalg.clip_operator_norm_stack(m, 1.0)
+        clipped = linalg.clip_operator_norm_stack(m, -1.0, 1.0)
         assert np.allclose(clipped, np.diag([1.0, -1.0, 0.5]))
         assert np.linalg.norm(clipped, 2) <= 1.0 + 1e-12
 
@@ -160,16 +160,21 @@ class TestStackedKernels:
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_groups_are_independent(self, d):
         # each group of a (P, n, d, d) stack, with its own (P, 1, 1) bound,
-        # comes out bit-equal to a call on that group alone
+        # comes out bit-equal to a call on that group alone, and the window
+        # [0, inf) bit-equal to the PSD projection
         rng = np.random.default_rng(30 + d)
         ms = np.stack([[random_hermitian(rng, d) for _ in range(3)] for _ in range(4)])
         bound = rng.uniform(0.1, 2.0, (4, 1, 1))
         psd = linalg.project_psd_stack(ms)
-        clipped = linalg.clip_operator_norm_stack(ms, bound)
+        clipped = linalg.clip_operator_norm_stack(ms, -bound, bound)
+        cone = linalg.clip_operator_norm_stack(ms, np.zeros((4, 1, 1)), np.full((4, 1, 1), np.inf))
         norms = linalg.herm_norm_stack(ms)
+        assert np.array_equal(cone, psd)
         for p in range(4):
             assert np.array_equal(psd[p], linalg.project_psd_stack(ms[p]))
-            assert np.array_equal(clipped[p], linalg.clip_operator_norm_stack(ms[p], bound[p]))
+            assert np.array_equal(
+                clipped[p], linalg.clip_operator_norm_stack(ms[p], -bound[p], bound[p])
+            )
             assert np.array_equal(norms[p], linalg.herm_norm_stack(ms[p]))
 
     def test_commutator_stack_norm_matches_op_norm_of_commutator(self):
@@ -271,7 +276,7 @@ class TestQubitKernelAgreement:
     @pytest.mark.parametrize("bound", [0.0, 0.25, 1.0])
     def test_clip_operator_norm_stack(self, stack, bound):
         ref = np.stack([eigh_apply(m, lambda w: np.clip(w, -bound, bound)) for m in stack])
-        assert np.abs(linalg.clip_operator_norm_stack(stack, bound) - ref).max() <= 1e-14
+        assert np.abs(linalg.clip_operator_norm_stack(stack, -bound, bound) - ref).max() <= 1e-14
 
 
 def wishart_stack(rng, shape):
