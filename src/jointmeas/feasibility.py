@@ -7,36 +7,44 @@ x -> (f_A(x), f_B(x)) to one on the product outcome set with the same
 marginals, so the search space is fixed to product outcomes with coordinate
 projections.
 
-Both problems run Douglas-Rachford splitting (Lions & Mercier 1979) between
-a convex set K and an affine set L, each with a closed-form orthogonal
-projection. A joint-measurability check takes K the product PSD cone and L
-the affine set of correct marginals. A frontier point lifts the problem:
-its K also holds the marginal gaps within the X and Y budgets, and its L
-ties those gaps to F. One private `_Pair` describes the sets for both: it
-holds the product labels and the Hermitian targets, writes every marginal
-constraint through the gaps marg_A(F) - A, marg_B(F) - B and sum(F) - I,
-and provides the projections, the seeds, one dual-certificate verifier,
-and the cleanup, POVM check and marginal distances X and Y of every
-witness. The iteration is lane-stacked: axis 0 of an iterate may index
-independent problems, and it acts on every lane alone. A frontier sweep
-runs every open grid point as one lane of one solve, and its K clips the
+A joint-measurability check runs Douglas-Rachford splitting (Lions &
+Mercier 1979) between a convex set K, the product PSD cone, and an affine
+set L, the correct marginals, each with a closed-form orthogonal
+projection. A frontier point lifts the problem: its variables also hold the
+marginal gaps S and T, bounded by the X and Y budgets, and it minimizes Y.
+With an X budget x > 0 the lifted problem is a linear matrix inequality
+with an interior, solved by the interior-point core of `sdp`; at X = 0 it
+has none (for a rank-one A_a every F_ab with sum_b F_ab = A_a is rank one),
+and those points run Douglas-Rachford between the lifted K, which holds the
+gaps within the budgets, and the lifted L, which ties them to F. One
+private `_Pair` describes the problems: it holds the product labels and the
+Hermitian targets, writes every marginal constraint through the gaps
+marg_A(F) - A, marg_B(F) - B and sum(F) - I, and provides the projections,
+the seeds, the frontier LMI, one dual-certificate verifier, and the
+cleanup, POVM check and marginal distances X and Y of every witness. Both
+solvers are lane-stacked: axis 0 may index independent problems, and every
+operation acts on each lane alone. A frontier sweep runs its open grid
+points with X > 0 as the lanes of one interior-point solve and those at
+X = 0 as the lanes of one Douglas-Rachford solve, whose K clips the
 eigenvalues of every row into a window, so each projection onto K is one
-stacked eigendecomposition of the F, S and T rows of all lanes together
-instead of one per point and per kind of row.
+stacked eigendecomposition of the F, S and T rows of all lanes together.
 
 Each frontier point brackets Y. The upper end is the better of two product
 baselines. The lower end starts at the paper's main bound, solved for Y at
 the point's X budget (`bounds.theorem1_min_y`; 0 for inputs that are not
-valid POVMs, outside the inequality's premise). Rounds of lifted
-Douglas-Rachford at the X budget and the certified lower end then move both
-ends. A verified Farkas certificate has a value affine in Y, so it proves a
-whole interval of Y unreachable and the lower end jumps to its root. A
-round without such a jump offers the lane's last point of K as a witness:
-its F rows cleaned and, where they overshoot the X budget, mixed with their
-own repair onto A's exact marginal (the instrument form) just enough to
-meet it. A point stops once its bracket is within the resolution or its
-iteration budget is spent, and a bracket left open is reported as it
-stands.
+valid POVMs, outside the inequality's premise). A verified Farkas
+certificate has a value affine in Y, so it proves a whole interval of Y
+unreachable and the lower end jumps to its root; a cleaned primal point
+that meets the X budget lowers the upper end. An interior-point lane gives
+one of each, from its best iterate at half the witness tolerance over its
+X budget, converged or not; where neither verifies, as when the lane broke
+down early, the point keeps the bracket it started with. Rounds of lifted
+Douglas-Rachford at X = 0 run at the certified lower end, and a round
+without a jump offers the lane's last point of K as a witness: its F rows
+cleaned and, where they overshoot the X budget, mixed with their own repair
+onto A's exact marginal (the instrument form) just enough to meet it. A
+point stops once its bracket is within the resolution or its iteration
+budget is spent, and a bracket left open is reported as it stands.
 
 `infeasible` has two sources. The analytic screen is the paper's necessary
 condition sqrt(V(A) V(B)) >= (1/2) max ||[A_a, B_b]||. The dual certificate
@@ -62,7 +70,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import linalg, sdp
 from .bounds import SLACK_TOL, check_corollary_joint, max_commutator_norm, theorem1_min_y
 from .povm import Povm, intrinsic_uncertainty_inf, require_same_dim, validate_povm
 from .smearing import coordinate_maps
@@ -124,10 +132,12 @@ class FrontierPoint:
     lower end: no POVM within the X budget has a Y below it. y_lower is the
     larger of the main bound's contour (for valid POVMs) and the best root
     of a verified lifted dual certificate, at the point's budget or, in a
-    sweep, at a larger one. The witness is the best of the
-    product baselines and the cleaned primal points of the point's
-    Douglas-Rachford rounds. y_achieved - y_lower is the certified error; it
-    is within the resolution unless the iteration budget ran out first."""
+    sweep, at a larger one. The witness is the best of the product
+    baselines and the cleaned primal points of the point's solve: its
+    interior-point lane for an X budget above 0, its Douglas-Rachford rounds
+    at 0. y_achieved - y_lower is the certified error; it is within the
+    resolution unless the solve failed or its iteration budget ran out
+    first."""
 
     x_target: float
     x_achieved: float
@@ -293,14 +303,62 @@ class _Pair:
     def lifted_certificates(self, g: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Dual triples (X, Y, Z) read off a lane stack of lifted gaps
         g = k - l, one per lane: the least-squares multipliers of g in the
-        range of C^T, whose F rows are X_a + Y_b + Z, with Z shifted by
-        t = max(0, -min lambda_min(X_a + Y_b + Z)) so that every X_a + Y_b + Z
-        is PSD. `judge` judges them."""
+        range of C^T, whose F rows are X_a + Y_b + Z. `judge` judges them."""
         lam = linalg.hermitian_part(_act_on_rows(self.lifted_maps[2], g))
-        x, y, z = lam[:, : self.na], lam[:, self.na : -1], lam[:, -1]
+        return self._shifted(lam[:, : self.na], lam[:, self.na : -1], lam[:, -1])
+
+    def _shifted(
+        self, x: np.ndarray, y: np.ndarray, z: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Lane stacks of dual triples as a list of triples, each Z shifted by
+        t = max(0, -min lambda_min(X_a + Y_b + Z)) so that every X_a + Y_b + Z
+        is PSD."""
         low = np.linalg.eigvalsh(x[:, :, None] + y[:, None] + z[:, None, None]).min(axis=(1, 2, 3))
         z = z + np.maximum(0.0, -low)[:, None, None] * self.eye
         return list(zip(x, y, z))
+
+    # The same problem as an LMI for `sdp.solve`, one lane per X budget x:
+    # minimize Y over the F rows but the last, F_last = I - sum of the others,
+    # with the blocks F_ab >= 0, xI - S_a >= 0, xI + S_a >= 0, YI - T_b >= 0
+    # and YI + T_b >= 0, in that order, where S_a = marg_A(F)_a - A_a and
+    # T_b = marg_B(F)_b - B_b.
+
+    def frontier_lmi(self, x_budgets: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The arguments of `sdp.solve` but max_iter, one lane per X budget:
+        each block's incidence on the F rows but the last, the Y column, and
+        the constant blocks."""
+        na, nb, n, d = self.na, self.nb, self.na * self.nb, self.d
+        rows = np.kron(np.eye(na), np.ones(nb))
+        cols = np.kron(np.ones(na), np.eye(nb))
+        # each block's coefficient of every F row, F_last included
+        c = np.concatenate([np.eye(n), -rows, rows, -cols, cols])
+        y_col = np.concatenate([np.zeros(n + 2 * na), np.ones(2 * nb)])
+        constant = np.concatenate([np.zeros((n, d, d)), self.ea, -self.ea, self.eb, -self.eb])
+        constant += c[:, -1, None, None] * self.eye
+        takes_x = np.concatenate([np.zeros(n), np.ones(2 * na), np.zeros(2 * nb)])
+        x_blocks = np.array(x_budgets)[:, None, None, None] * (takes_x[:, None, None] * self.eye)
+        return c[:, :-1] - c[:, -1:], y_col, constant + x_blocks
+
+    def interior_points(
+        self, x_budgets: list[float], max_iter: int
+    ) -> list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+        """Solve the frontier LMI at every X budget, one lane each, with at
+        most max_iter interior-point steps. Per lane, from its best iterate:
+        the F rows, shape (n_A, n_B, d, d), and the dual triple (X, Y, Z)
+        read off the block multipliers: X_a = P_a - N_a and Y_b = R_b - Q_b,
+        the multipliers of xI - S_a, xI + S_a, YI - T_b and YI + T_b, and Z
+        the mean of W_ab - X_a - Y_b over the multipliers W_ab of the F
+        blocks, shifted by `_shifted`. `witness` cleans the rows and `judge`
+        judges the triple."""
+        solved = sdp.solve(*self.frontier_lmi(x_budgets), max_iter)
+        na, nb, n, d = self.na, self.nb, self.na * self.nb, self.d
+        w = np.stack([s.multipliers for s in solved])
+        w_f, w_p, w_n, w_r, w_q = np.split(w, np.cumsum([n, na, na, nb]), axis=1)
+        x, y = w_p - w_n, w_r - w_q
+        z = (w_f.reshape(len(w), na, nb, d, d) - x[:, :, None] - y[:, None]).mean(axis=(1, 2))
+        g = np.stack([s.groups for s in solved])
+        f = np.concatenate([g, self.eye - g.sum(axis=1, keepdims=True)], axis=1)
+        return list(zip(f.reshape(len(w), na, nb, d, d), self._shifted(x, y, z)))
 
     def judge(
         self, x: np.ndarray, y: np.ndarray, z: np.ndarray, x_budget: float, y_budget: float
@@ -513,25 +571,36 @@ def _frontier(
     Each point's bracket runs from lo to hi = the Y of its best witness,
     first a product baseline. lo starts at the main bound's smallest Y at
     the X budget x, less SLACK_TOL and never above hi (0 unless both inputs
-    pass `validate_povm`). A point whose bracket is wider than y_resolution
-    is one lane of a lifted Douglas-Rachford solve at X budget
-    x + WITNESS_MARGINAL_TOL (the most any witness may spend) and Y budget
-    lo. Each round of DUAL_ROUND_ITERS iterations restarts from its last
-    point of K, and then, for each lane:
+    pass `validate_povm`). Every point whose bracket is wider than
+    y_resolution is one lane of a solve.
+
+    With x > 0 the lane belongs to one `_Pair.interior_points` solve at X
+    budget x + WITNESS_MARGINAL_TOL / 2, with at most max_iter steps. The
+    dual triple of its best iterate is judged at x + WITNESS_MARGINAL_TOL
+    (the most any witness may spend) and Y budget lo, which raises lo to
+    its root (never above hi), and its F rows are offered as a witness
+    (below). Evidence that fails verification leaves the bracket as it was.
+
+    With x = 0 the lane belongs to one lifted Douglas-Rachford solve at X
+    budget WITNESS_MARGINAL_TOL and Y budget lo. Each round of
+    DUAL_ROUND_ITERS iterations restarts from its last point of K, and
+    then, for each lane:
 
     - a certificate read off the gap and verified by `_Pair.judge` raises
       lo to its root (never above hi);
     - if lo did not move by DUAL_MIN_JUMP resolutions, the F rows of the
-      last point of K are cleaned by `_Pair.witness`, mixed with their own
-      `_Pair.repair` at weight t = 1 - x / X_W if their X_W overshoots
-      x + WITNESS_MARGINAL_TOL, and cleaned again; the result lowers hi if
-      it meets that budget and beats the best witness so far;
+      last point of K are offered as a witness;
     - the next round runs at the new lo.
 
     A lane stops once hi <= lo + y_resolution, and every lane stops after
-    max_iter iterations in all, its bracket left as it stands. lo moves only
-    on a verified certificate. No lanes interact, so every point's solve is
-    the one it would run on its own. Then each point keeps the best witness
+    max_iter iterations in all, its bracket left as it stands.
+
+    An offer cleans F rows by `_Pair.witness`, mixes them with their own
+    `_Pair.repair` at weight t = 1 - x / X_W if their X_W overshoots
+    x + WITNESS_MARGINAL_TOL, and cleans again; the result lowers hi if it
+    meets that budget and beats the best witness so far. lo moves only on a
+    verified certificate. No lanes interact, so every point's solve is the
+    one it would run on its own. Then each point keeps the best witness
     of any budget up to its own, and the highest certified lo of any budget
     from its own up, which is its y_lower: a certificate for a budget holds
     at every smaller one. The last point's bracket is its own.
@@ -583,7 +652,20 @@ def _frontier(
     # (the test is hi > lo + resolution, not hi - lo > resolution: a bracket
     # closed at exactly one resolution, as rounded, stays closed)
     active = [p for p in range(len(xs)) if best[p][2] > lo[p] + y_resolution]
-    z = np.repeat(pair.lifted_start()[None], len(active), axis=0)
+    # the open points with an X budget are the lanes of one interior-point
+    # solve at half the witness allowance over the budget: the witness's X
+    # keeps the other half to spare, and the dual is judged at the full one
+    inner = [p for p in active if xs[p] > 0]
+    if inner:
+        budgets = [xs[p] + WITNESS_MARGINAL_TOL / 2 for p in inner]
+        for p, (f, triple) in zip(inner, pair.interior_points(budgets, max_iter)):
+            if (judged := pair.judge(*triple, xs[p] + WITNESS_MARGINAL_TOL, lo[p])) is not None:
+                lo[p] = min(best[p][2], judged[1])
+            offer(p, f)
+    # X = 0 leaves the lifted problem no interior: those points run rounds of
+    # lifted Douglas-Rachford
+    active = [p for p in active if xs[p] == 0]
+    z = np.repeat(pair.lifted_start()[None], len(active), axis=0) if active else None
     used = 0
     while active and used < max_iter:
         steps = min(DUAL_ROUND_ITERS, max_iter - used)
@@ -638,15 +720,19 @@ def frontier_point(
     Y = 0 up to rounding. Its lower end starts at the smallest Y the paper's
     main bound allows at x_target, so the orthogonal sharp qubits at X = 0
     need no solve; it is 0 for inputs that fail `validate_povm` (accepted
-    leniently), which the bound does not cover. Rounds of lifted
-    Douglas-Rachford at the lower end then raise it by verified dual
-    certificates and lower the upper end by their cleaned primal points,
-    each mixed with its repair onto A's exact marginal to meet the budget;
-    the lower end is returned as y_lower. The rounds stop once the bracket is
-    within y_resolution or after max_iter iterations, so y_achieved -
-    y_lower can exceed y_resolution when the budget runs out. The returned
-    achieved values are computed from the cleaned-up witness, so they are
-    exact properties of a genuine POVM whatever the solver did.
+    leniently), which the bound does not cover. A solve then raises the
+    lower end by a verified dual certificate and lowers the upper end by a
+    cleaned primal point that meets the budget: for x_target > 0 one run of
+    the interior-point core (`sdp`), which closes the bracket to about the
+    witness tolerance times the frontier's slope; at 0, where the problem
+    has no interior, rounds of lifted Douglas-Rachford at the lower end,
+    whose witnesses are mixed with their repair onto A's exact marginal to
+    meet the budget, until the bracket is within y_resolution. The lower
+    end is returned as y_lower. max_iter caps the iterations of either
+    solver, so y_achieved - y_lower can exceed y_resolution when the budget
+    runs out or the interior-point lane fails. The returned achieved values
+    are computed from the cleaned-up witness, so they are exact properties
+    of a genuine POVM whatever the solver did.
     """
     if not 0 <= x_target < math.inf:
         raise ValueError(f"X budget must be finite and nonnegative, got {x_target}")
@@ -664,13 +750,13 @@ def frontier_sweep(
     """Frontier points on a uniform x_target grid over [0, x_max].
 
     All points run together: every point whose bracket is open is one lane
-    of one stacked Douglas-Rachford solve, and each point's solve runs as
-    `frontier_point` would run it alone, to within y_resolution unless
-    max_iter ran out first. The points are monotone: a witness found under
-    a smaller X budget is also valid under a larger one, so it replaces any
-    later point the solver did worse on, and a lower end certified under a
-    larger budget also holds under a smaller one, so it raises any earlier
-    point's y_lower that is below it.
+    of one stacked solve, the interior-point core for X budgets above 0 and
+    lifted Douglas-Rachford at 0, and each point's solve runs as
+    `frontier_point` would run it alone. The points are monotone: a witness
+    found under a smaller X budget is also valid under a larger one, so it
+    replaces any later point the solver did worse on, and a lower end
+    certified under a larger budget also holds under a smaller one, so it
+    raises any earlier point's y_lower that is below it.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")

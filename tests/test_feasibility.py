@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from jointmeas import feasibility, linalg
+from jointmeas import feasibility, linalg, sdp
 from jointmeas.bounds import (
     SLACK_TOL,
     check_corollary_joint,
@@ -100,6 +101,17 @@ def assert_sound_certificate(result, a, b):
     assert lam >= -1e-12
     assert value < 0
     assert value + max(0.0, -lam) * trace_a < 0
+
+
+def forbid_solves(monkeypatch, message):
+    """Make both frontier solvers, lifted Douglas-Rachford and the
+    interior-point core, raise AssertionError(message) if they run."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError(message)
+
+    monkeypatch.setattr(feasibility, "_douglas_rachford", no_solve)
+    monkeypatch.setattr(sdp, "solve", no_solve)
 
 
 def assert_sound_witness(result, a, b):
@@ -452,14 +464,16 @@ class TestFrontierPoint:
 class TestTheorem1Bracket:
     """Each frontier search starts at the main bound's contour for valid
     inputs and at 0 for inputs that are not valid POVMs, raised to whatever
-    the lifted rounds certify. Every round tries the certified lower end,
-    and one whose end does not jump offers its last point of K as a
-    witness."""
+    the solvers certify. A point with an X budget is one interior-point
+    lane, whose dual is judged once at the lower end it starts from and whose
+    primal is offered as a witness."""
 
     @staticmethod
     def trial_ys(monkeypatch, a, b, x, certify=True):
-        """The Y of every round, as handed to `judge`, and the point
-        returned. Without `certify`, no round yields a certificate."""
+        """The Y budget of every `judge` call and the point returned.
+        Without `certify`, no solve yields a certificate: lifted rounds
+        return their iterate with a zero gap, and interior-point lanes keep
+        their primal but return zero multipliers."""
         ys = []
         real = feasibility._Pair.judge
 
@@ -472,14 +486,20 @@ class TestTheorem1Bracket:
             monkeypatch.setattr(
                 feasibility, "_douglas_rachford", lambda z, *args: (z, z, np.zeros_like(z))
             )
+            real_solve = sdp.solve
+
+            def uncertified(*args):
+                return [
+                    dataclasses.replace(s, multipliers=np.zeros_like(s.multipliers))
+                    for s in real_solve(*args)
+                ]
+
+            monkeypatch.setattr(sdp, "solve", uncertified)
         pt = frontier_point(a, b, x)
         return ys, pt
 
     def test_orthogonal_qubits_at_zero_budget_need_no_solve(self, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solver ran where the bound already closes the bracket")
-
-        monkeypatch.setattr(feasibility, "_douglas_rachford", no_solve)
+        forbid_solves(monkeypatch, "solver ran where the bound already closes the bracket")
         pt = frontier_point(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 0.0)
         assert pt.x_achieved == 0.0
         assert pt.y_achieved == pytest.approx(0.5, abs=1e-12)
@@ -489,19 +509,19 @@ class TestTheorem1Bracket:
         res = feasibility.FRONTIER_RESOLUTION
         lo = theorem1_min_y(0.1, 0.0, 0.0, max_commutator_norm(a, b)) - SLACK_TOL
         assert lo > 0.05
-        # the certified end lies above the contour (Y* = 0.2 here) and a
-        # round's own primal point closes the bracket
+        # the certified end lies above the contour (Y* = 0.2 here) and the
+        # lane's own primal point closes the bracket
         ys, pt = self.trial_ys(monkeypatch, a, b, 0.1)
-        assert ys[0] == lo
+        assert ys == [lo]
         assert pt.y_lower > lo + 0.1
         assert pt.y_achieved <= pt.y_lower + res
-        # with nothing certified, the contour stays the lower end and every
-        # later round tries it until the budget is spent
+        # with nothing certified, the contour stays the lower end; the lane's
+        # one dual was judged there, and its primal still gives the witness
+        certified = pt
         ys, pt = self.trial_ys(monkeypatch, a, b, 0.1, certify=False)
         assert pt.y_lower == lo
-        assert ys == [lo] * len(ys)
-        rounds = math.ceil(feasibility.FRONTIER_MAX_ITER / feasibility.DUAL_ROUND_ITERS)
-        assert len(ys) == rounds
+        assert ys == [lo]
+        assert pt.y_achieved == certified.y_achieved
 
     def test_invalid_pair_starts_at_zero(self, monkeypatch):
         # A sums to diag(1.01, 1), which the CLI accepts under --lenient;
@@ -513,13 +533,13 @@ class TestTheorem1Bracket:
         # the lifted certificate needs no valid POVM, so it still raises
         # the end
         ys, pt = self.trial_ys(monkeypatch, a, b, 0.1)
-        assert ys[0] == 0.0
+        assert ys == [0.0]
         assert 0.1 < pt.y_lower <= pt.y_achieved
+        certified = pt
         ys, pt = self.trial_ys(monkeypatch, a, b, 0.1, certify=False)
-        assert pt.y_achieved > 0.4
         assert pt.y_lower == 0.0
-        assert len(ys) > 1
-        assert ys == [0.0] * len(ys)
+        assert ys == [0.0]
+        assert pt.y_achieved == certified.y_achieved
 
 
 class TestSolverBudgets:
@@ -527,10 +547,7 @@ class TestSolverBudgets:
 
     @pytest.fixture(autouse=True)
     def no_solve(self, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solver ran before its budgets were checked")
-
-        monkeypatch.setattr(feasibility, "_douglas_rachford", no_solve)
+        forbid_solves(monkeypatch, "solver ran before its budgets were checked")
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -755,10 +772,7 @@ class TestFrontierSweep:
             assert any(p.witness is w for w in validated)
 
     def test_rejects_negative_x_max_before_solving(self, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solver ran before the X budgets were checked")
-
-        monkeypatch.setattr(feasibility, "_douglas_rachford", no_solve)
+        forbid_solves(monkeypatch, "solver ran before the X budgets were checked")
         with pytest.raises(ValueError):
             frontier_sweep(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 6, x_max=-0.1)
 
@@ -785,7 +799,8 @@ class TestFrontierSweep:
 
     def test_one_spectral_call_per_lifted_step(self, monkeypatch):
         # K is one window clip a Douglas-Rachford step: the F rows get no
-        # PSD projection of their own
+        # PSD projection of their own. Only X = 0 runs lifted rounds; the
+        # seed-7 qutrit pair's bracket there stays open, so both rounds run
         calls = {"steps": 0, "project_psd_stack": 0, "clip_operator_norm_stack": 0}
         inside = []
 
@@ -812,41 +827,51 @@ class TestFrontierSweep:
                 inside.pop()
 
         monkeypatch.setattr(feasibility, "_douglas_rachford", stepping)
-        frontier_sweep(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 6)
-        assert calls["steps"] > 0
+        feasibility._frontier(*seed7_qutrit_pair(), [0.0], 1e-3, 2 * feasibility.DUAL_ROUND_ITERS)
+        assert calls["steps"] == 2 * feasibility.DUAL_ROUND_ITERS
         assert calls["clip_operator_norm_stack"] == calls["steps"]
         assert calls["project_psd_stack"] == 0
 
-    def test_carry_forward_replaces_a_worse_later_point(self):
-        # at 60 iterations the lane at X = 0.002 ends far above the one at
-        # X = 0.001, whose witness also meets the larger budget
+    def test_carry_forward_replaces_a_worse_later_point(self, monkeypatch):
+        # the lane at X = 0.002 fails, so that point keeps the product
+        # baseline, far above the point at X = 0.001, whose witness also
+        # meets the larger budget
         a, b = random_povm(3, 3, 101), random_povm(3, 3, 201)
+        solved = frontier_point(a, b, 0.001, max_iter=60)
+        fail_lane_at(monkeypatch, 0.002)
         points = frontier_sweep(a, b, 3, x_max=0.002, max_iter=60)
         alone = frontier_point(a, b, 0.002, max_iter=60)
+        x_base, y_base = TestUnverifiedWitnesses.baseline(a, b, 0.002)[1:]
+        assert (alone.x_achieved, alone.y_achieved) == (x_base, y_base)
         assert alone.y_achieved > 0.4
         assert points[2].witness is points[1].witness
         assert (points[2].x_achieved, points[2].y_achieved) == (
             points[1].x_achieved,
             points[1].y_achieved,
         )
-        assert points[1].x_achieved == pytest.approx(0.001, abs=1e-12)
-        assert points[1].y_achieved == pytest.approx(0.01808, abs=1e-5)
-        # the lower end is the point's own, as the point alone finds it
-        assert points[2].y_lower == alone.y_lower
-        assert points[2].y_lower == pytest.approx(3.6e-4, abs=1e-5)
+        assert (points[1].x_achieved, points[1].y_achieved) == (
+            solved.x_achieved,
+            solved.y_achieved,
+        )
+        assert points[1].y_achieved == pytest.approx(0.0146875, abs=1e-6)
+        # the lower end is the point's own, as the point alone finds it:
+        # the failed lane left it at the main bound's contour
+        assert points[2].y_lower == alone.y_lower == contour(a, b, 0.002)
 
-    def test_certified_lower_ends_carry_backward(self):
-        # at 60 iterations the point at X = 0.001 certifies nothing on its
-        # own, while X = 0.002 certifies 3.6e-4, which holds at every
-        # smaller budget
+    def test_certified_lower_ends_carry_backward(self, monkeypatch):
+        # the lane at X = 0.001 fails and certifies nothing on its own,
+        # while X = 0.002 certifies 0.013532, which holds at every smaller
+        # budget
         a, b = random_povm(3, 3, 101), random_povm(3, 3, 201)
+        own = {x: frontier_point(a, b, x, max_iter=60).y_lower for x in (0.0, 0.002)}
+        fail_lane_at(monkeypatch, 0.001)
         points = frontier_sweep(a, b, 3, x_max=0.002, max_iter=60)
-        assert frontier_point(a, b, 0.001, max_iter=60).y_lower == 0.0
-        lowers = [p.y_lower for p in points]
-        assert lowers == sorted(lowers, reverse=True)
-        assert points[1].y_lower == points[2].y_lower == pytest.approx(3.6e-4, abs=1e-5)
-        # X = 0 keeps its own, higher, certificate
-        assert points[0].y_lower == frontier_point(a, b, 0.0, max_iter=60).y_lower
+        assert frontier_point(a, b, 0.001, max_iter=60).y_lower == contour(a, b, 0.001)
+        assert contour(a, b, 0.001) < own[0.002]
+        assert own[0.002] == pytest.approx(0.013532, abs=1e-6)
+        # and it is above the lower end that X = 0 certifies on its own
+        assert own[0.0] < own[0.002]
+        assert [p.y_lower for p in points] == [own[0.002]] * 3
         assert all(p.y_lower <= p.y_achieved for p in points)
 
     def test_orthogonal_qubits_match_closed_form(self):
@@ -856,6 +881,29 @@ class TestFrontierSweep:
         res = 1e-3
         for p in frontier_sweep(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 11, y_resolution=res):
             assert exact(p.x_achieved) - 1e-9 <= p.y_achieved <= exact(p.x_target) + res, p
+
+
+def fail_lane_at(monkeypatch, x):
+    """Make the interior-point lane of the X budget x fail, as a lane that
+    broke down at its first step: its rows are the A x flat baseline and
+    its dual triple is zero, so nothing it returns verifies."""
+    real = feasibility._Pair.interior_points
+
+    def failing(pair, budgets, max_iter):
+        zero = (np.zeros_like(pair.ea), np.zeros_like(pair.eb), np.zeros_like(pair.eye))
+        return [
+            (pair.flat_seeds()[0], zero) if abs(b - x) <= feasibility.WITNESS_MARGINAL_TOL else lane
+            for b, lane in zip(budgets, real(pair, budgets, max_iter))
+        ]
+
+    monkeypatch.setattr(feasibility._Pair, "interior_points", failing)
+
+
+def contour(a, b, x):
+    """The lower end a frontier point starts from: the main bound's
+    smallest Y at the X budget x, less SLACK_TOL and at least 0."""
+    v_a, v_b = intrinsic_uncertainty_inf(a), intrinsic_uncertainty_inf(b)
+    return max(0.0, float(theorem1_min_y(x, v_a, v_b, max_commutator_norm(a, b))) - SLACK_TOL)
 
 
 def orthogonal_qubit_frontier(x):
@@ -869,10 +917,15 @@ def random_basis_pvm(rng, d, prefix):
     return Povm(tuple(f"{prefix}{k}" for k in range(d)), np.einsum("ik,jk->kij", u, np.conj(u)))
 
 
+def noisy_pvm_pair(seed, d):
+    """The first two random-basis PVMs of dimension d drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    return random_basis_pvm(rng, d, "a"), random_basis_pvm(rng, d, "b")
+
+
 def seed7_qutrit_pair():
     """The first two random-basis qutrit PVMs drawn from seed 7."""
-    rng = np.random.default_rng(7)
-    return random_basis_pvm(rng, 3, "a"), random_basis_pvm(rng, 3, "b")
+    return noisy_pvm_pair(7, 3)
 
 
 def dr_rounds(monkeypatch):
@@ -886,6 +939,21 @@ def dr_rounds(monkeypatch):
 
     monkeypatch.setattr(feasibility, "_douglas_rachford", counting)
     return rounds
+
+
+def ipm_lanes(monkeypatch):
+    """Wrap `sdp.solve` to record, for every solve, each lane's iteration
+    count, or None for a lane that did not converge."""
+    solves = []
+    real = sdp.solve
+
+    def counting(*args):
+        solved = real(*args)
+        solves.append([s.iterations if s.error < sdp.GAP_TOL else None for s in solved])
+        return solved
+
+    monkeypatch.setattr(sdp, "solve", counting)
+    return solves
 
 
 def dual_rounds(pair, x_budgets, y_budgets, n_rounds=8):
@@ -1008,12 +1076,12 @@ class TestLiftedCertificate:
             assert p.x_achieved <= p.x_target + feasibility.WITNESS_MARGINAL_TOL
 
     def test_qutrit_brackets_narrow_at_fine_resolution(self):
-        # every round runs at the certified lower end, and a witness that
-        # overshoots the X budget is mixed with its own repair onto A's
-        # exact marginal, so the brackets at X >= 0.1 close and the rest
-        # end narrow; bisection with probes that gave up reached the Y
-        # values below at X >= 0.05, and the A x flat mix left X = 0 at
-        # that baseline's Y, 0.19 above the lower end
+        # the interior-point lanes close every bracket with an X budget to
+        # the witness allowance's width, around the optima 0.2796585,
+        # 0.2008974 and 0.0994496 (7 decimals); bisection with probes that
+        # gave up reached the Y values below. X = 0 runs lifted rounds,
+        # which the A x flat mix once left at that baseline's Y, 0.19
+        # above the lower end
         a, b = seed7_qutrit_pair()
         res = 1e-3
         zero, *points = feasibility._frontier(
@@ -1022,10 +1090,22 @@ class TestLiftedCertificate:
         assert 0.0 < zero.y_lower <= zero.y_achieved < zero.y_lower + 0.02, zero
         assert zero.x_achieved <= feasibility.WITNESS_MARGINAL_TOL
         bisected = [0.2847579152992282, 0.20801086416455034, 0.10093924013178356]
-        for p, y_bisected, width in zip(points, bisected, [1.5e-3, res, res]):
+        optima = [0.2796585, 0.2008974, 0.0994496]
+        for p, y_bisected, y_opt in zip(points, bisected, optima):
             assert 0.0 < p.y_lower <= p.y_achieved <= y_bisected, p
-            assert p.y_achieved - p.y_lower <= width, p
+            assert p.y_achieved - p.y_lower <= 2e-6, p
+            assert p.y_lower - 5e-8 <= y_opt <= p.y_achieved + 5e-8, p
             assert p.x_achieved <= p.x_target + feasibility.WITNESS_MARGINAL_TOL
+
+    def test_ququart_bracket_closes(self):
+        # the first two PVMs of noisy_pvm(default_rng(11), 4, 1.0), whose
+        # lifted rounds ended 1.6e-3 wide after 2,000 iterations; the
+        # optimum is 0.3440985 (7 decimals)
+        a, b = noisy_pvm_pair(11, 4)
+        p = frontier_point(a, b, 0.1)
+        assert 0.0 < p.y_lower <= p.y_achieved <= p.y_lower + 2e-6, p
+        assert p.y_lower - 5e-8 <= 0.3440985 <= p.y_achieved + 5e-8, p
+        assert p.x_achieved <= 0.1 + feasibility.WITNESS_MARGINAL_TOL
 
     def test_zero_budget_bracket_closes(self):
         # the A x flat mix turned every overshooting witness of this pair
@@ -1035,20 +1115,26 @@ class TestLiftedCertificate:
         assert 0.0 < pt.y_lower <= pt.y_achieved <= pt.y_lower + 1e-3
 
     def test_qubit_sweep_needs_no_probe(self, monkeypatch):
-        # a deterministic count, not a timing: the certified ends and the
-        # rounds' own primal points close every bracket of the 6-point sweep
-        # in 4 stacked rounds, with no midpoint round
+        # a deterministic count, not a timing: the 6-point sweep's four open
+        # points (X = 0 and 0.5 start closed) are the lanes of one
+        # interior-point solve, each converged within 15 iterations, and no
+        # lifted round runs
         rounds = dr_rounds(monkeypatch)
+        solves = ipm_lanes(monkeypatch)
         frontier_sweep(bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0)), 6, y_resolution=1e-4)
-        assert len(rounds) == 4
+        assert rounds == []
+        assert len(solves) == 1 and len(solves[0]) == 4
+        assert all(iters is not None and iters <= 15 for iters in solves[0]), solves
 
     @pytest.mark.parametrize("x", [0.1, 0.2, 0.3])
     def test_sharp_qutrit_mubs_close_with_no_probe(self, x, monkeypatch):
         a, b = fourier_mub_pair(3, 1.0)
         res = feasibility.FRONTIER_RESOLUTION
         rounds = dr_rounds(monkeypatch)
+        solves = ipm_lanes(monkeypatch)
         pt = frontier_point(a, b, x, y_resolution=res)
-        assert len(rounds) <= 5
+        assert rounds == []
+        assert len(solves) == 1 and solves[0][0] is not None and solves[0][0] <= 15, solves
         assert 0.0 <= pt.y_achieved - pt.y_lower < res
 
 
@@ -1059,15 +1145,20 @@ class TestUnverifiedWitnesses:
 
     @pytest.fixture
     def solving(self, monkeypatch):
-        """A flag that turns on when the first Douglas-Rachford round runs."""
+        """A flag that turns on when the first Douglas-Rachford round or
+        interior-point solve runs."""
         started = []
-        real = feasibility._douglas_rachford
 
-        def flagging(*args):
-            started.append(True)
-            return real(*args)
+        def flagging(real):
+            def call(*args):
+                started.append(True)
+                return real(*args)
 
-        monkeypatch.setattr(feasibility, "_douglas_rachford", flagging)
+            return call
+
+        real_dr = feasibility._douglas_rachford
+        monkeypatch.setattr(feasibility, "_douglas_rachford", flagging(real_dr))
+        monkeypatch.setattr(sdp, "solve", flagging(sdp.solve))
         return started
 
     @staticmethod
