@@ -13,10 +13,12 @@ set L, the correct marginals, each with a closed-form orthogonal
 projection. A frontier point lifts the problem: its variables also hold the
 marginal gaps S and T, bounded by the X and Y budgets, and it minimizes Y.
 With an X budget x > 0 the lifted problem is a linear matrix inequality
-with an interior, solved by the interior-point core of `sdp`; at X = 0 it
-has none (for a rank-one A_a every F_ab with sum_b F_ab = A_a is rank one),
-and those points run Douglas-Rachford between the lifted K, which holds the
-gaps within the budgets, and the lifted L, which ties them to F. One
+with an interior, solved by the interior-point core of `sdp` on pairs small
+enough for it (SDP_MAX_ROWS); at X = 0 it has none (for a rank-one A_a
+every F_ab with sum_b F_ab = A_a is rank one), and those points, the
+larger pairs and the points an interior-point lane left open run
+Douglas-Rachford between the lifted K, which holds the gaps within the
+budgets, and the lifted L, which ties them to F. One
 private `_Pair` describes the problems: it holds the product labels and the
 Hermitian targets, writes every marginal constraint through the gaps
 marg_A(F) - A, marg_B(F) - B and sum(F) - I, and provides the projections,
@@ -24,8 +26,8 @@ the seeds, the frontier LMI, one dual-certificate verifier, and the
 cleanup, POVM check and marginal distances X and Y of every witness. Both
 solvers are lane-stacked: axis 0 may index independent problems, and every
 operation acts on each lane alone. A frontier sweep runs its open grid
-points with X > 0 as the lanes of one interior-point solve and those at
-X = 0 as the lanes of one Douglas-Rachford solve, whose K clips the
+points with X > 0 as the lanes of one interior-point solve and those still
+open after it as the lanes of one Douglas-Rachford solve, whose K clips the
 eigenvalues of every row into a window, so each projection onto K is one
 stacked eigendecomposition of the F, S and T rows of all lanes together.
 
@@ -37,9 +39,9 @@ certificate has a value affine in Y, so it proves a whole interval of Y
 unreachable and the lower end jumps to its root; a cleaned primal point
 that meets the X budget lowers the upper end. An interior-point lane gives
 one of each, from its best iterate at half the witness tolerance over its
-X budget, converged or not; where neither verifies, as when the lane broke
-down early, the point keeps the bracket it started with. Rounds of lifted
-Douglas-Rachford at X = 0 run at the certified lower end, and a round
+X budget, converged or not; evidence that fails to verify, as when the
+lane broke down early, leaves the bracket as it was. Rounds of lifted
+Douglas-Rachford then run at the certified lower end, and a round
 without a jump offers the lane's last point of K as a witness: its F rows
 cleaned and, where they overshoot the X budget, mixed with their own repair
 onto A's exact marginal (the instrument form) just enough to meet it. A
@@ -83,6 +85,18 @@ DEFAULT_MAX_ITER = 5000
 FRONTIER_X_MAX = 0.5
 FRONTIER_RESOLUTION = 1e-4
 FRONTIER_MAX_ITER = 2000
+
+# The interior-point core factors a dense Schur complement M of
+# (n_A n_B - 1) d^2 + 1 rows a lane each step, so its time grows as the cube
+# of that and its memory as the square. Pairs above SDP_MAX_ROWS rows run
+# lifted Douglas-Rachford at every X budget instead. The limit keeps the
+# largest pair the core is tested on, d = 4 with four outcomes each (241
+# rows); where Douglas-Rachford finds a Y = 0 witness in its first round,
+# the core is already 8 times slower there, and 25 times at 601 rows. One
+# solve holds at most SDP_BATCH_ENTRIES entries of M over its lanes (8 MB
+# of floats; a solve's peak is about six times that of M).
+SDP_MAX_ROWS = 256
+SDP_BATCH_ENTRIES = 2**20
 
 # A feasible witness, once cleaned and past `validate_povm`, must reproduce
 # the target marginals within this distance.
@@ -133,11 +147,11 @@ class FrontierPoint:
     larger of the main bound's contour (for valid POVMs) and the best root
     of a verified lifted dual certificate, at the point's budget or, in a
     sweep, at a larger one. The witness is the best of the product
-    baselines and the cleaned primal points of the point's solve: its
-    interior-point lane for an X budget above 0, its Douglas-Rachford rounds
-    at 0. y_achieved - y_lower is the certified error; it is within the
-    resolution unless the solve failed or its iteration budget ran out
-    first."""
+    baselines and the cleaned primal points of the point's solves: its
+    interior-point lane for an X budget above 0, then its Douglas-Rachford
+    rounds if the bracket is still open. y_achieved - y_lower is the
+    certified error; it is within the resolution unless the iteration
+    budget ran out first."""
 
     x_target: float
     x_achieved: float
@@ -317,6 +331,12 @@ class _Pair:
         z = z + np.maximum(0.0, -low)[:, None, None] * self.eye
         return list(zip(x, y, z))
 
+    @property
+    def schur_rows(self) -> int:
+        """The rows of a frontier LMI lane's Schur complement in `sdp.solve`:
+        one per coordinate of the F rows but the last, and one for Y."""
+        return (self.na * self.nb - 1) * self.d**2 + 1
+
     # The same problem as an LMI for `sdp.solve`, one lane per X budget x:
     # minimize Y over the F rows but the last, F_last = I - sum of the others,
     # with the blocks F_ab >= 0, xI - S_a >= 0, xI + S_a >= 0, YI - T_b >= 0
@@ -350,7 +370,12 @@ class _Pair:
         the mean of W_ab - X_a - Y_b over the multipliers W_ab of the F
         blocks, shifted by `_shifted`. `witness` cleans the rows and `judge`
         judges the triple."""
-        solved = sdp.solve(*self.frontier_lmi(x_budgets), max_iter)
+        batch = max(1, SDP_BATCH_ENTRIES // self.schur_rows**2)
+        solved = [
+            s
+            for i in range(0, len(x_budgets), batch)
+            for s in sdp.solve(*self.frontier_lmi(x_budgets[i : i + batch]), max_iter)
+        ]
         na, nb, n, d = self.na, self.nb, self.na * self.nb, self.d
         w = np.stack([s.multipliers for s in solved])
         w_f, w_p, w_n, w_r, w_q = np.split(w, np.cumsum([n, na, na, nb]), axis=1)
@@ -574,17 +599,19 @@ def _frontier(
     pass `validate_povm`). Every point whose bracket is wider than
     y_resolution is one lane of a solve.
 
-    With x > 0 the lane belongs to one `_Pair.interior_points` solve at X
-    budget x + WITNESS_MARGINAL_TOL / 2, with at most max_iter steps. The
-    dual triple of its best iterate is judged at x + WITNESS_MARGINAL_TOL
-    (the most any witness may spend) and Y budget lo, which raises lo to
-    its root (never above hi), and its F rows are offered as a witness
-    (below). Evidence that fails verification leaves the bracket as it was.
+    With x > 0, on a pair of at most SDP_MAX_ROWS Schur rows, the lane
+    first belongs to one `_Pair.interior_points` solve at X budget
+    x + WITNESS_MARGINAL_TOL / 2, with at most max_iter steps. The dual
+    triple of its best iterate is judged at x + WITNESS_MARGINAL_TOL (the
+    most any witness may spend) and Y budget lo, which raises lo to its root
+    (never above hi), and its F rows are offered as a witness (below).
+    Evidence that fails verification leaves the bracket as it was.
 
-    With x = 0 the lane belongs to one lifted Douglas-Rachford solve at X
-    budget WITNESS_MARGINAL_TOL and Y budget lo. Each round of
-    DUAL_ROUND_ITERS iterations restarts from its last point of K, and
-    then, for each lane:
+    Every point still open then, X = 0 included, and every point of a
+    larger pair, belongs to one lifted Douglas-Rachford solve at X budget
+    x + WITNESS_MARGINAL_TOL and Y budget lo, with at most max_iter
+    iterations. Each round of DUAL_ROUND_ITERS iterations restarts from its
+    last point of K, and then, for each lane:
 
     - a certificate read off the gap and verified by `_Pair.judge` raises
       lo to its root (never above hi);
@@ -652,19 +679,21 @@ def _frontier(
     # (the test is hi > lo + resolution, not hi - lo > resolution: a bracket
     # closed at exactly one resolution, as rounded, stays closed)
     active = [p for p in range(len(xs)) if best[p][2] > lo[p] + y_resolution]
-    # the open points with an X budget are the lanes of one interior-point
-    # solve at half the witness allowance over the budget: the witness's X
-    # keeps the other half to spare, and the dual is judged at the full one
-    inner = [p for p in active if xs[p] > 0]
+    # on a pair small enough for the core, the open points with an X budget
+    # are the lanes of one interior-point solve at half the witness
+    # allowance over the budget: the witness's X keeps the other half to
+    # spare, and the dual is judged at the full one
+    inner = [p for p in active if xs[p] > 0] if pair.schur_rows <= SDP_MAX_ROWS else []
     if inner:
         budgets = [xs[p] + WITNESS_MARGINAL_TOL / 2 for p in inner]
         for p, (f, triple) in zip(inner, pair.interior_points(budgets, max_iter)):
             if (judged := pair.judge(*triple, xs[p] + WITNESS_MARGINAL_TOL, lo[p])) is not None:
                 lo[p] = min(best[p][2], judged[1])
             offer(p, f)
-    # X = 0 leaves the lifted problem no interior: those points run rounds of
-    # lifted Douglas-Rachford
-    active = [p for p in active if xs[p] == 0]
+        active = [p for p in active if best[p][2] > lo[p] + y_resolution]
+    # the points still open run rounds of lifted Douglas-Rachford: X = 0,
+    # which leaves the lifted problem no interior, the lanes that failed or
+    # fell short, and every point of a pair too large for the core
     z = np.repeat(pair.lifted_start()[None], len(active), axis=0) if active else None
     used = 0
     while active and used < max_iter:
@@ -722,17 +751,18 @@ def frontier_point(
     need no solve; it is 0 for inputs that fail `validate_povm` (accepted
     leniently), which the bound does not cover. A solve then raises the
     lower end by a verified dual certificate and lowers the upper end by a
-    cleaned primal point that meets the budget: for x_target > 0 one run of
-    the interior-point core (`sdp`), which closes the bracket to about the
-    witness tolerance times the frontier's slope; at 0, where the problem
-    has no interior, rounds of lifted Douglas-Rachford at the lower end,
-    whose witnesses are mixed with their repair onto A's exact marginal to
-    meet the budget, until the bracket is within y_resolution. The lower
-    end is returned as y_lower. max_iter caps the iterations of either
-    solver, so y_achieved - y_lower can exceed y_resolution when the budget
-    runs out or the interior-point lane fails. The returned achieved values
-    are computed from the cleaned-up witness, so they are exact properties
-    of a genuine POVM whatever the solver did.
+    cleaned primal point that meets the budget: for x_target > 0, on pairs
+    of at most SDP_MAX_ROWS Schur rows, one run of the interior-point core
+    (`sdp`), which closes the bracket to about the witness tolerance times
+    the frontier's slope; then, if the bracket is still open (at 0, where
+    the problem has no interior, on larger pairs, or where the lane failed),
+    rounds of lifted Douglas-Rachford at the lower end, whose witnesses are
+    mixed with their repair onto A's exact marginal to meet the budget,
+    until the bracket is within y_resolution. The lower end is returned as
+    y_lower. max_iter caps the iterations of each solver, so y_achieved -
+    y_lower can exceed y_resolution when the budget runs out. The returned
+    achieved values are computed from the cleaned-up witness, so they are
+    exact properties of a genuine POVM whatever the solver did.
     """
     if not 0 <= x_target < math.inf:
         raise ValueError(f"X budget must be finite and nonnegative, got {x_target}")
@@ -749,14 +779,15 @@ def frontier_sweep(
 ) -> list[FrontierPoint]:
     """Frontier points on a uniform x_target grid over [0, x_max].
 
-    All points run together: every point whose bracket is open is one lane
-    of one stacked solve, the interior-point core for X budgets above 0 and
-    lifted Douglas-Rachford at 0, and each point's solve runs as
-    `frontier_point` would run it alone. The points are monotone: a witness
-    found under a smaller X budget is also valid under a larger one, so it
-    replaces any later point the solver did worse on, and a lower end
-    certified under a larger budget also holds under a smaller one, so it
-    raises any earlier point's y_lower that is below it.
+    All points run together: every open point with an X budget above 0 is
+    one lane of one interior-point solve (split into batches of at most
+    SDP_BATCH_ENTRIES entries of M), every point still open after it is one
+    lane of one lifted Douglas-Rachford solve, and each point's solves run
+    as `frontier_point` would run them alone. The points are monotone: a
+    witness found under a smaller X budget is also valid under a larger
+    one, so it replaces any later point the solver did worse on, and a
+    lower end certified under a larger budget also holds under a smaller
+    one, so it raises any earlier point's y_lower that is below it.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")

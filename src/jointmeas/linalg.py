@@ -92,13 +92,14 @@ def clip_operator_norm_stack(
     operator norm by b, and [0, inf) projects onto the PSD cone, so one
     call projects onto the frontier's whole lifted K, PSD rows and
     norm-ball rows alike. Its only caller is the lifted Douglas-Rachford
-    of the frontier's X = 0 points; X > 0 points run the interior-point
-    core of `sdp`, which calls no spectral kernel here.
+    of the frontier's points at X = 0, points an interior-point lane left
+    open, and pairs too large for the core; the other X > 0 points run the
+    interior-point core of `sdp`, which calls no spectral kernel here.
 
     The name predates the window and stays: `perfbench/layers.py` spans
     this kernel and `project_psd_stack` by name and reads the frontier's
     iteration count off this one's calls, so that figure counts only the
-    X = 0 points' steps. For the same reason `project_psd_stack` does not
+    lifted Douglas-Rachford steps. For the same reason `project_psd_stack` does not
     call it, which would count one projection under both names.
     """
     w, u = np.linalg.eigh(hermitian_part(ms))

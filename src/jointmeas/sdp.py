@@ -120,23 +120,6 @@ def _cholesky(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factors, ok
 
 
-def _lower_inverse(factor: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of lower triangular matrices, by halves: the
-    inverse of [[A, 0], [C, D]] is [[A^-1, 0], [-D^-1 C A^-1, D^-1]]. Blocks
-    of up to 48 rows go to `np.linalg.inv`, whose LU costs about seven
-    times these matrix products at 241 rows (d = 4)."""
-    n = factor.shape[-1]
-    if n <= 48:
-        return np.linalg.inv(factor)
-    h = n // 2
-    upper, lower = _lower_inverse(factor[..., :h, :h]), _lower_inverse(factor[..., h:, h:])
-    out = np.zeros_like(factor)
-    out[..., :h, :h] = upper
-    out[..., h:, h:] = lower
-    out[..., h:, :h] = -(lower @ (factor[..., h:, :h] @ upper))
-    return out
-
-
 def solve(
     incidence: np.ndarray, scalar: np.ndarray, constants: np.ndarray, max_iter: int
 ) -> list[Solution]:
@@ -229,7 +212,7 @@ def solve(
         mu = gap / (blocks * d)
 
         factors, alive = _cholesky(np.concatenate([x, z], axis=1))
-        inv = _lower_inverse(factors)
+        inv = np.linalg.inv(factors)
         inv_h = np.conj(np.swapaxes(inv, -1, -2))
         zi = inv_h[:, blocks:] @ inv[:, blocks:]
         x_rd = x @ rd
@@ -249,7 +232,7 @@ def solve(
         m[:, -1, -1] = (k_eye[..., :d].sum(axis=2) * ee).sum(axis=1)
         m_factor, m_ok = _cholesky(m)
         alive &= m_ok
-        m_inv = _lower_inverse(m_factor)
+        m_inv = np.linalg.inv(m_factor)
         m_inv_t = np.swapaxes(m_inv, -1, -2)
 
         def direction(rc):

@@ -515,12 +515,15 @@ class TestTheorem1Bracket:
         assert ys == [lo]
         assert pt.y_lower > lo + 0.1
         assert pt.y_achieved <= pt.y_lower + res
-        # with nothing certified, the contour stays the lower end; the lane's
-        # one dual was judged there, and its primal still gives the witness
+        # with nothing certified, the contour stays the lower end: the lane's
+        # one dual was judged there, and so was every lifted round that then
+        # ran on the open bracket until the budget was spent; the lane's
+        # primal still gives the witness
         certified = pt
         ys, pt = self.trial_ys(monkeypatch, a, b, 0.1, certify=False)
         assert pt.y_lower == lo
-        assert ys == [lo]
+        rounds = math.ceil(feasibility.FRONTIER_MAX_ITER / feasibility.DUAL_ROUND_ITERS)
+        assert ys == [lo] * (1 + rounds)
         assert pt.y_achieved == certified.y_achieved
 
     def test_invalid_pair_starts_at_zero(self, monkeypatch):
@@ -538,7 +541,8 @@ class TestTheorem1Bracket:
         certified = pt
         ys, pt = self.trial_ys(monkeypatch, a, b, 0.1, certify=False)
         assert pt.y_lower == 0.0
-        assert ys == [0.0]
+        rounds = math.ceil(feasibility.FRONTIER_MAX_ITER / feasibility.DUAL_ROUND_ITERS)
+        assert ys == [0.0] * (1 + rounds)
         assert pt.y_achieved == certified.y_achieved
 
 
@@ -833,7 +837,8 @@ class TestFrontierSweep:
         assert calls["project_psd_stack"] == 0
 
     def test_carry_forward_replaces_a_worse_later_point(self, monkeypatch):
-        # the lane at X = 0.002 fails, so that point keeps the product
+        # the lane at X = 0.002 fails and the lifted round that follows it
+        # finds no witness in 60 iterations, so that point keeps the product
         # baseline, far above the point at X = 0.001, whose witness also
         # meets the larger budget
         a, b = random_povm(3, 3, 101), random_povm(3, 3, 201)
@@ -855,13 +860,14 @@ class TestFrontierSweep:
         )
         assert points[1].y_achieved == pytest.approx(0.0146875, abs=1e-6)
         # the lower end is the point's own, as the point alone finds it:
-        # the failed lane left it at the main bound's contour
-        assert points[2].y_lower == alone.y_lower == contour(a, b, 0.002)
+        # the lifted round raised it above the main bound's contour
+        assert points[2].y_lower == alone.y_lower
+        assert contour(a, b, 0.002) < alone.y_lower == pytest.approx(3.6e-4, abs=1e-5)
 
     def test_certified_lower_ends_carry_backward(self, monkeypatch):
-        # the lane at X = 0.001 fails and certifies nothing on its own,
-        # while X = 0.002 certifies 0.013532, which holds at every smaller
-        # budget
+        # the lane at X = 0.001 fails, and neither it nor the 60-iteration
+        # lifted round that follows certifies anything on its own, while
+        # X = 0.002 certifies 0.013532, which holds at every smaller budget
         a, b = random_povm(3, 3, 101), random_povm(3, 3, 201)
         own = {x: frontier_point(a, b, x, max_iter=60).y_lower for x in (0.0, 0.002)}
         fail_lane_at(monkeypatch, 0.001)
@@ -873,6 +879,26 @@ class TestFrontierSweep:
         assert own[0.0] < own[0.002]
         assert [p.y_lower for p in points] == [own[0.002]] * 3
         assert all(p.y_lower <= p.y_achieved for p in points)
+
+    def test_failed_lane_goes_on_to_lifted_rounds(self, monkeypatch):
+        # a lane that fails leaves its point open, so lifted rounds run on
+        # it and close the bracket from the baseline and the contour to
+        # within the resolution, around the closed form
+        a, b = bloch_pvm((0, 0, 1)), bloch_pvm((1, 0, 0))
+        res = feasibility.FRONTIER_RESOLUTION
+        y_base = TestUnverifiedWitnesses.baseline(a, b, 0.2)[2]
+        fail_lane_at(monkeypatch, 0.2)
+        rounds = dr_rounds(monkeypatch)
+        pt = frontier_point(a, b, 0.2)
+        assert rounds and set(rounds) == {1}
+        assert contour(a, b, 0.2) < pt.y_lower <= pt.y_achieved <= pt.y_lower + res < y_base
+        assert pt.y_lower <= orthogonal_qubit_frontier(0.2) <= pt.y_achieved + 1e-9
+        # in a sweep the failed lane runs alone, the others stay closed
+        rounds.clear()
+        points = frontier_sweep(a, b, 6, y_resolution=res)
+        assert points[2].x_target == pytest.approx(0.2)
+        assert set(rounds) == {1}
+        assert (points[2].y_lower, points[2].y_achieved) == (pt.y_lower, pt.y_achieved)
 
     def test_orthogonal_qubits_match_closed_form(self):
         # no POVM lies below the closed form at the X it achieves, and the

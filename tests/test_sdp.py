@@ -1,6 +1,7 @@
 """The lane-batched interior-point core on the frontier's LMI: lanes do not
 interact, the qubit lanes reach the closed form, its duals pass `judge` only
-as they are, and X = 0 never reaches it."""
+as they are, X = 0 and pairs above its size never reach it, and lanes split
+into batches by the size of their Schur complement."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from jointmeas import feasibility, sdp
 from jointmeas.feasibility import WITNESS_MARGINAL_TOL, frontier_point
 from jointmeas.povm import bloch_pvm
 
-from test_feasibility import orthogonal_qubit_frontier, seed7_qutrit_pair
+from test_feasibility import dr_rounds, orthogonal_qubit_frontier, seed7_qutrit_pair
 
 
 def qubit_pair():
@@ -94,3 +95,44 @@ def test_zero_budget_never_calls_the_solver(monkeypatch):
     assert rounds == [1, 1]
     assert 0.0 < point.y_lower <= point.y_achieved
     assert point.x_achieved <= WITNESS_MARGINAL_TOL
+
+
+def test_large_pairs_stay_on_lifted_rounds(monkeypatch):
+    # a pair whose Schur complement has more than SDP_MAX_ROWS rows runs
+    # lifted rounds at an X budget above 0, as every point did before
+    a, b = seed7_qutrit_pair()
+    rows = feasibility._Pair(a, b).schur_rows
+    assert rows == 8 * 9 + 1 <= feasibility.SDP_MAX_ROWS
+    monkeypatch.setattr(feasibility, "SDP_MAX_ROWS", rows - 1)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the interior-point core ran on a pair above its size")
+
+    monkeypatch.setattr(sdp, "solve", no_solve)
+    rounds = dr_rounds(monkeypatch)
+    point = frontier_point(a, b, 0.1, y_resolution=1e-3, max_iter=120)
+    assert rounds == [1, 1]
+    assert 0.0 < point.y_lower <= point.y_achieved
+    assert point.x_achieved <= 0.1 + WITNESS_MARGINAL_TOL
+
+
+def test_lanes_split_into_batches_by_schur_size(monkeypatch):
+    # with room for two lanes' M a solve, three lanes run as two solves of
+    # two and one lanes, and each lane keeps its bits
+    pair = feasibility._Pair(*seed7_qutrit_pair())
+    xs = [0.05, 0.1, 0.2]
+    whole = pair.interior_points(xs, 100)
+    sizes = []
+    real = sdp.solve
+
+    def recording(incidence, scalar, constants, max_iter):
+        sizes.append(len(constants))
+        return real(incidence, scalar, constants, max_iter)
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    monkeypatch.setattr(feasibility, "SDP_BATCH_ENTRIES", 3 * pair.schur_rows**2 - 1)
+    split = pair.interior_points(xs, 100)
+    assert sizes == [2, 1]
+    for (f, triple), (f_whole, triple_whole) in zip(split, whole):
+        assert np.array_equal(f, f_whole)
+        assert all(np.array_equal(u, v) for u, v in zip(triple, triple_whole))
