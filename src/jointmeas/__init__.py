@@ -38,7 +38,6 @@ from .povm import (
     bloch_pvm,
     intrinsic_uncertainty_inf,
     intrinsic_uncertainty_l1,
-    is_pvm,
     noisy_qubit_povm,
     random_povm,
     validate_povm,
@@ -75,7 +74,6 @@ __all__ = [
     "heinosaari_lower_bound",
     "intrinsic_uncertainty_inf",
     "intrinsic_uncertainty_l1",
-    "is_pvm",
     "marginalize",
     "max_commutator_norm",
     "max_subset_commutator_norm",

@@ -16,24 +16,34 @@ measurability that takes no F. Projective A and B need no case of their
 own: V vanishes, and for sharp qubits at Bloch angle theta the right side
 is sin(theta)/2, which `qubit-demo` compares against the additive bound of
 Busch and Heinosaari. Every check that takes F runs through one evaluator,
-`tradeoff_reports`, which takes many instances at once and reduces all
-their maxima (X, Y, V_A, V_B and the commutator norm of each) with one
-`subsets.max_norms` call; each report is the one its instance gives alone.
+`tradeoff_reports`, which takes many instances at once as `povm.Ragged`
+stacks and reduces all their maxima (X, Y, V_A, V_B and the commutator norm
+of each) with one `subsets.max_norms` call; each report is the one its
+instance gives alone, and the `check_*` functions are its case of one
+instance.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .distances import difference_walk
-from .povm import Povm, is_pvm, require_same_dim, uncertainty_walk
-from .smearing import OutcomeMap, marginalize
-from .subsets import gray_products, max_norms
+from .distances import difference_walks
+from .povm import (
+    Povm,
+    Ragged,
+    maxima,
+    projective,
+    require_same_dim,
+    require_same_outcomes,
+    shape_groups,
+    uncertainty_walks,
+)
+from .smearing import OutcomeMap, marginals, outcome_choice
+from .subsets import CHUNK_BITS, Segments, gray_products
 
 # Bounds are reported satisfied when lhs - rhs >= -SLACK_TOL. All quantities
 # are O(1), so an absolute threshold is appropriate.
@@ -62,36 +72,51 @@ class TradeoffReport:
         return self.slack >= -SLACK_TOL
 
 
-def _commutator_walk(metric: str, a: Povm, b: Povm) -> Iterator[np.ndarray]:
-    """The stacks whose largest norm is the commutator norm of `metric`,
-    for `subsets.max_norms`: the Hermitian i[A_a, B_b] of every outcome
-    pair as one stack ("inf"), or of every pair of subset sums ("l1"), read
-    off the stacks of `subsets.gray_products`.
+def commutator_walks(metric: str, a: Ragged, b: Ragged) -> list[tuple[np.ndarray, object]]:
+    """The `povm.metric_walks` kin whose maxima are the commutator norms of
+    `metric` of the item pairs of two stacks of the same dimensions: the
+    Hermitian i[A_a, B_b] of every outcome pair ("inf"), or of every pair
+    of subset sums ("l1"), read off the stacks of `subsets.gray_products`.
+    The items of one dimension and pair of outcome counts are multiplied
+    side by side; "l1" products that take more than one stack go one item
+    at a time.
 
     For "l1", complementing either subset only flips the sign of the
     commutator (the elements sum to the identity), so one representative
-    of each complement pair suffices on both sides. The dimensions are
-    checked when the walk starts.
+    of each complement pair suffices on both sides.
     """
+    walks, what = [], "the subset commutator bound"
+    for items, (ea, eb) in shape_groups(a, b):
+        ea, eb = linalg.hermitian_part(ea), linalg.hermitian_part(eb)
+        d = ea.shape[-1]
+        if metric != "l1":
+            # one einsum, not the blocks' matmul: an ulp here moves the frontier's contour start
+            prods = np.einsum("xaij,xbjk->xabik", ea, eb).reshape(len(items), -1, d, d)
+        elif ea.shape[-3] + eb.shape[-3] - 2 <= CHUNK_BITS:
+            (prods,) = gray_products(ea, eb, what)
+        else:
+            walks += [
+                ([i], map(linalg.commutator_stack, gray_products(x, y, what)))
+                for i, x, y in zip(items, ea, eb)
+            ]
+            continue
+        walks.append((items, Segments.of(linalg.commutator_stack(prods))))
+    return walks
+
+
+def _commutator_norm(metric: str, a: Povm, b: Povm) -> float:
     require_same_dim(a, b)
-    ea = linalg.hermitian_part(a.elements)
-    eb = linalg.hermitian_part(b.elements)
-    if metric != "l1":
-        # one einsum, not the blocks' matmul: an ulp here moves the frontier's contour start
-        yield linalg.commutator_stack(np.einsum("aij,bjk->abik", ea, eb)).reshape(-1, a.dim, a.dim)
-        return
-    for prods in gray_products(ea, eb, "the subset commutator bound"):
-        yield linalg.commutator_stack(prods)
+    return float(maxima([commutator_walks(metric, Ragged.of(a), Ragged.of(b))], 1)[0][0][0])
 
 
 def max_commutator_norm(a: Povm, b: Povm) -> float:
     """max over outcome pairs (a, b) of ||[A_a, B_b]||."""
-    return max_norms([_commutator_walk("inf", a, b)])[0][0]
+    return _commutator_norm("inf", a, b)
 
 
 def max_subset_commutator_norm(a: Povm, b: Povm) -> float:
     """max over subset pairs (D_A, D_B) of ||[sum_{a in D_A} A_a, sum_{b in D_B} B_b]||."""
-    return max_norms([_commutator_walk("l1", a, b)])[0][0]
+    return _commutator_norm("l1", a, b)
 
 
 def theorem1_lhs(x: float, y: float, v_a: float, v_b: float) -> float:
@@ -136,57 +161,70 @@ _INEQUALITIES = {
 
 
 def tradeoff_reports(
-    inequality_id: str, instances: Iterable[tuple[Povm, Povm, Povm, OutcomeMap, OutcomeMap]]
+    inequality_id: str,
+    a: Ragged,
+    b: Ragged,
+    f_povm: Ragged,
+    to_a: np.ndarray,
+    to_b: np.ndarray,
 ) -> list[TradeoffReport]:
-    """One report of a member of the tradeoff family for each instance
-    (A, B, F, f_A, f_B), with F marginalized along f_A and f_B.
+    """One report of a member of the tradeoff family for each instance i:
+    item i of the stacks A, B and F, with F marginalized to A and B
+    (`smearing.marginals`) by the target choices `to_a` and `to_b`, one per
+    outcome of F, item by item. The three stacks hold items of the same
+    dimensions.
 
     "theorem1" pairs the uniform distance with the elementwise commutator
     norm, "theorem2" the total-variation distance with the subset
     commutator norm; V_A and V_B are the metric's intrinsic uncertainties.
     For "cor_pvm_instrument", a uniform-distance member, F must be
-    projective (checked by `is_pvm`), V_A = V_B = 0 and the left side is
-    2XY + X + Y. Every maximum of every instance is reduced by one
-    `subsets.max_norms` call.
+    projective (checked by `povm.projective`), V_A = V_B = 0 and the
+    left side is 2XY + X + Y. Every maximum of every instance is reduced
+    by one `subsets.max_norms` call.
     """
     metric, instrument = _INEQUALITIES[inequality_id]
-    instances = list(instances)
-
-    def walks():
-        for a, b, f_povm, f_a, f_b in instances:
-            require_same_dim(a, b)
-            require_same_dim(a, f_povm)
-            if instrument and not is_pvm(f_povm):
-                raise ValueError("the joint observable must be projective for this bound")
-            yield difference_walk(metric, a, marginalize(f_povm, f_a))
-            yield difference_walk(metric, b, marginalize(f_povm, f_b))
-            if not instrument:
-                yield uncertainty_walk(metric, a)
-                yield uncertainty_walk(metric, b)
-            yield _commutator_walk(metric, a, b)
-
-    values = iter([value for value, _, _ in max_norms(walks())])
+    if not a.dims.tolist() == b.dims.tolist() == f_povm.dims.tolist():
+        raise ValueError("the instances' POVMs differ in dimension")
+    if instrument and not projective(f_povm).all():
+        raise ValueError("the joint observable must be projective for this bound")
+    quantities = [
+        difference_walks(metric, a, marginals(f_povm, to_a, a.counts)),
+        difference_walks(metric, b, marginals(f_povm, to_b, b.counts)),
+    ]
+    if not instrument:
+        quantities += [uncertainty_walks(metric, a), uncertainty_walks(metric, b)]
+    quantities.append(commutator_walks(metric, a, b))
+    found = [values.tolist() for values, _, _ in maxima(quantities, len(a.counts))]
+    xs, ys, *vs, rhs = found
     reports = []
-    for _ in instances:
-        x, y = next(values), next(values)
+    for i, (x, y) in enumerate(zip(xs, ys)):
         if instrument:
             v_a = v_b = 0.0
             lhs = 2 * x * y + x + y
         else:
-            v_a, v_b = next(values), next(values)
+            v_a, v_b = vs[0][i], vs[1][i]
             lhs = theorem1_lhs(x, y, v_a, v_b)
         reports.append(
             TradeoffReport(
-                inequality_id=inequality_id,
-                X=x,
-                Y=y,
-                V_A=v_a,
-                V_B=v_b,
-                lhs=lhs,
-                rhs=next(values),
+                inequality_id=inequality_id, X=x, Y=y, V_A=v_a, V_B=v_b, lhs=lhs, rhs=rhs[i]
             )
         )
     return reports
+
+
+def _one_instance(
+    inequality_id: str, a: Povm, b: Povm, f_povm: Povm, f_a: OutcomeMap, f_b: OutcomeMap
+) -> TradeoffReport:
+    """`tradeoff_reports` of one instance, with the checks of the POVMs and
+    maps that the stacks cannot see."""
+    require_same_dim(a, b)
+    require_same_dim(a, f_povm)
+    choices = []
+    for p, f in ((a, f_a), (b, f_b)):
+        choices.append(outcome_choice(f_povm.outcomes, f))
+        require_same_outcomes(p.outcomes, f.target)
+    stacks = (Ragged.of(a), Ragged.of(b), Ragged.of(f_povm))
+    return tradeoff_reports(inequality_id, *stacks, *choices)[0]
 
 
 def check_theorem1(
@@ -197,7 +235,7 @@ def check_theorem1(
     The inequality holds for every valid input; a violated report signals an
     implementation bug, not an interesting instance.
     """
-    return tradeoff_reports("theorem1", [(a, b, f_povm, f_a, f_b)])[0]
+    return _one_instance("theorem1", a, b, f_povm, f_a, f_b)
 
 
 def check_theorem2(
@@ -205,7 +243,7 @@ def check_theorem2(
 ) -> TradeoffReport:
     """Evaluate the total-variation tradeoff bound (subset-summed quantities
     on both sides)."""
-    return tradeoff_reports("theorem2", [(a, b, f_povm, f_a, f_b)])[0]
+    return _one_instance("theorem2", a, b, f_povm, f_a, f_b)
 
 
 def check_corollary_joint(a: Povm, b: Povm) -> TradeoffReport:
@@ -216,9 +254,11 @@ def check_corollary_joint(a: Povm, b: Povm) -> TradeoffReport:
     report is inconclusive. Its three maxima are one `subsets.max_norms`
     call.
     """
-    walks = [uncertainty_walk("inf", a), uncertainty_walk("inf", b)]
-    walks.append(_commutator_walk("inf", a, b))
-    v_a, v_b, commutator = (value for value, _, _ in max_norms(walks))
+    require_same_dim(a, b)
+    sa, sb = Ragged.of(a), Ragged.of(b)
+    walks = [uncertainty_walks("inf", sa), uncertainty_walks("inf", sb)]
+    walks.append(commutator_walks("inf", sa, sb))
+    v_a, v_b, commutator = (float(values[0]) for values, _, _ in maxima(walks, 1))
     return TradeoffReport(
         inequality_id="cor_joint",
         X=0.0,
@@ -239,7 +279,7 @@ def check_corollary_pvm_instrument(
 ) -> TradeoffReport:
     """Tradeoff bound when the joint observable itself is projective:
     2XY + X + Y >= max ||[A_a, B_b]||."""
-    return tradeoff_reports("cor_pvm_instrument", [(a, b, f_povm, f_a, f_b)])[0]
+    return _one_instance("cor_pvm_instrument", a, b, f_povm, f_a, f_b)
 
 
 def qubit_rhs(theta: float) -> float:

@@ -12,19 +12,22 @@ The maximizing state can be taken pure (the worst case of a linear
 functional is attained at an extreme point), which gives a constructive
 witness: the density matrix on the extremal eigenvector of the maximizing
 Hermitian difference.
+
+`observable_distances` measures every pair of items of two `povm.Ragged`
+stacks with one `subsets.max_norms` call; `D_inf` and `D_l1` are its case
+of one pair.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .povm import Povm, require_comparable
-from .subsets import gray_labels, max_norms, metric_walk
+from .povm import Povm, Ragged, maxima, metric_walks, require_comparable
+from .subsets import gray_labels
 
 DISTRIBUTION_SUM_TOL = 1e-9
 
@@ -99,38 +102,50 @@ def _extremal_pure_state(h: np.ndarray) -> np.ndarray:
     return linalg.read_only(np.outer(v, v.conj()))
 
 
-def difference_walk(metric: str, a: Povm, b: Povm) -> Iterator[np.ndarray]:
-    """The stacks whose largest norm is the observable distance of `metric`
-    between two POVMs, for `subsets.max_norms`: the `subsets.metric_walk`
-    of the Hermitian differences A_a - B_a (one stack for "inf", their
-    Gray-ordered subset sums for "l1"). The POVMs are checked when the walk
-    starts."""
-    require_comparable(a, b)
-    diffs = linalg.hermitian_part(a.elements - b.elements)
-    yield from metric_walk(metric, diffs, "the total-variation observable distance")
+def difference_walks(metric: str, a: Ragged, b: Ragged) -> list[tuple[np.ndarray, object]]:
+    """The `povm.metric_walks` whose maxima are the observable distances of
+    `metric` between the items of two stacks: the Hermitian differences
+    A_a - B_a ("inf") or their Gray-ordered subset sums ("l1"). The stacks
+    must hold items of the same dimensions and outcome counts."""
+    if a.dims.tolist() != b.dims.tolist() or a.counts.tolist() != b.counts.tolist():
+        raise ValueError("the stacks differ in their items' dimensions or outcome counts")
+    diffs = {d: linalg.hermitian_part(e - b.blocks[d]) for d, e in a.blocks.items()}
+    return metric_walks(metric, a.with_blocks(diffs), "the total-variation observable distance")
 
 
-def observable_distances(metric: str, pairs: Iterable[tuple[Povm, Povm]]) -> list[DistanceValue]:
+def observable_distances(metric: str, a: Ragged, b: Ragged) -> tuple:
     """The observable distance of `metric`, "inf" (`D_inf`) or "l1"
-    (`D_l1`), of each pair (A, B), all reduced by one `subsets.max_norms`
-    call; each value is the one the pair gives alone."""
-    pairs = list(pairs)
-    found = max_norms(difference_walk(metric, a, b) for a, b in pairs)
-    return [
-        DistanceValue(
-            value=value,
-            witness=gray_labels(pos, a.outcomes) if metric == "l1" else a.outcomes[pos],
-            witness_matrix=linalg.read_only(matrix),
-        )
-        for (a, _), (value, pos, matrix) in zip(pairs, found)
-    ]
+    (`D_l1`), between item i of `a` and item i of `b`, for every i, all
+    reduced by one `subsets.max_norms` call: the values, the witness
+    positions (an outcome, or a `subsets.gray_walk` position) and the
+    witness matrices, in item order, each the one the pair gives alone.
+    `distance_value` reads one item as a `DistanceValue`."""
+    return maxima([difference_walks(metric, a, b)], len(a.counts))[0]
+
+
+def distance_value(metric: str, found: tuple, i: int, outcomes: tuple[str, ...]) -> DistanceValue:
+    """Item i of an `observable_distances` result, its witness named by the
+    outcome labels of its first POVM."""
+    values, positions, matrices = found
+    pos = int(positions[i])
+    return DistanceValue(
+        value=float(values[i]),
+        witness=gray_labels(pos, outcomes) if metric == "l1" else outcomes[pos],
+        witness_matrix=linalg.read_only(matrices[i]),
+    )
+
+
+def _distance(metric: str, a: Povm, b: Povm) -> DistanceValue:
+    require_comparable(a, b)
+    found = observable_distances(metric, Ragged.of(a), Ragged.of(b))
+    return distance_value(metric, found, 0, a.outcomes)
 
 
 def D_inf(a: Povm, b: Povm) -> DistanceValue:
     """Worst-case uniform distance between the outcome distributions of two
     POVMs: max_a ||A_a - B_a||, with the maximizing outcome and a pure state
     attaining the value."""
-    return observable_distances("inf", [(a, b)])[0]
+    return _distance("inf", a, b)
 
 
 def D_l1(a: Povm, b: Povm) -> DistanceValue:
@@ -142,4 +157,4 @@ def D_l1(a: Povm, b: Povm) -> DistanceValue:
     stack of Gray-ordered subset sums at a time through `subsets.max_norms`;
     ties break to the first maximum in Gray-code order.
     """
-    return observable_distances("l1", [(a, b)])[0]
+    return _distance("l1", a, b)

@@ -1,16 +1,26 @@
 """POVMs: validation, outcome statistics, intrinsic uncertainty measures,
 and constructors for standard test families. A state is a plain density
-matrix (d, d), and a stack of states is an array (k, d, d)."""
+matrix (d, d), and a stack of states is an array (k, d, d).
+
+Many POVMs are held as one `Ragged` stack, with no object per POVM. The
+stacked forms (`random_ragged`, `validate_povms`,
+`intrinsic_uncertainties`, and `smearing.marginals`,
+`distances.observable_distances` and `bounds.tradeoff_reports`) work on
+it with a few numpy calls per dimension, and each object-level function
+is the case of one item (`Ragged.of`). `metric_walks` and `maxima` turn
+a stack's maxima into `subsets.max_norms` walks and back into item order.
+"""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .subsets import max_norms, metric_walk
+from .subsets import CHUNK_BITS, Segments, gray_walk, max_norms
 
 # Tolerances for POVM validity: entrywise deviation of the element sum from
 # the identity, and the eigenvalue floor for positivity. Loose enough to
@@ -92,26 +102,198 @@ class PovmViolation:
         return f"{self.kind} violated at {where} by {self.magnitude:.3e}"
 
 
+_FIRST = linalg.read_only(np.zeros(1, dtype=int))
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[j], starts[j] + 1, ... (counts[j] indices) for each j, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _groups(*columns: np.ndarray) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Each distinct row of the columns, in order, with the items (rows)
+    that have it."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, key in enumerate(zip(*(c.tolist() for c in columns))):
+        groups.setdefault(key, []).append(i)
+    for key in sorted(groups):
+        yield key, np.array(groups[key])
+
+
+@dataclass(eq=False)
+class Ragged:
+    """Many POVMs as arrays, with no object per POVM: a ragged stack.
+
+    Item i acts on dimension dims[i] and has counts[i] outcomes. For each
+    dimension d, blocks[d] holds the elements of its items concatenated
+    along the outcome axis, in item order, (N_d, d, d). `outcomes` labels
+    them: one tuple per item, or a prefix p for the labels p0, p1, ... of
+    every item (the drawn POVMs' 'o0', 'o1', ...).
+    """
+
+    dims: np.ndarray
+    counts: np.ndarray
+    blocks: dict[int, np.ndarray]
+    outcomes: str | Sequence[tuple[str, ...]] = "o"
+
+    @classmethod
+    def of(cls, p: Povm) -> Ragged:
+        """One POVM as a stack of one item."""
+        stack = cls(np.array([p.dim]), np.array([p.n_outcomes]), {p.dim: p.elements}, (p.outcomes,))
+        stack.items, stack.starts = {p.dim: _FIRST}, _FIRST  # its layout, known
+        return stack
+
+    @cached_property
+    def items(self) -> dict[int, np.ndarray]:
+        """Each dimension's items, in order."""
+        return {d: np.flatnonzero(self.dims == d) for d in sorted(set(self.dims.tolist()))}
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Each item's first row in its dimension's block."""
+        starts = np.empty(len(self.counts), dtype=int)
+        for items in self.items.values():
+            starts[items] = np.cumsum(self.counts[items]) - self.counts[items]
+        return starts
+
+    def rows(self, items: np.ndarray) -> np.ndarray:
+        """The rows of some items of one dimension in its block, item by item."""
+        return _runs(self.starts[items], self.counts[items])
+
+    def positions(self, items: np.ndarray) -> np.ndarray:
+        """The places of some items' outcomes among all the outcomes of the
+        stack, counted item by item, in the order of `items`."""
+        return _runs((np.cumsum(self.counts) - self.counts)[items], self.counts[items])
+
+    def take(self, items) -> Ragged:
+        """The stack of the given items, in the given order."""
+        items = np.asarray(items, dtype=int)
+        dims = self.dims[items]
+        blocks = {
+            d: self.blocks[d][self.rows(items[dims == d])] for d in sorted(set(dims.tolist()))
+        }
+        outcomes = self.outcomes
+        if not isinstance(outcomes, str):
+            outcomes = tuple(outcomes[i] for i in items.tolist())
+        return Ragged(dims, self.counts[items], blocks, outcomes)
+
+    def with_blocks(self, blocks: dict[int, np.ndarray]) -> Ragged:
+        """The same items, labels and layout with other matrices."""
+        stack = Ragged(self.dims, self.counts, blocks, self.outcomes)
+        for layout in ("items", "starts"):  # cached: the layout is the same
+            if layout in vars(self):
+                setattr(stack, layout, vars(self)[layout])
+        return stack
+
+    def labels(self, i: int) -> tuple[str, ...]:
+        if isinstance(self.outcomes, str):
+            return tuple(f"{self.outcomes}{k}" for k in range(self.counts[i]))
+        return self.outcomes[i]
+
+    def povm(self, i: int) -> Povm:
+        """Item i as a `Povm`."""
+        start = self.starts[i]
+        return Povm(self.labels(i), self.blocks[int(self.dims[i])][start : start + self.counts[i]])
+
+
+def shape_groups(*stacks: Ragged) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """The items of stacks of the same dimensions, grouped by dimension and
+    each stack's outcome count: for each group, its items and the elements
+    of each stack's items, (g, n, d, d)."""
+    for (d, *ns), items in _groups(stacks[0].dims, *(s.counts for s in stacks)):
+        whole = len(items) == len(stacks[0].items[d])  # the whole block: no gather
+        yield items, [
+            (s.blocks[d] if whole else s.blocks[d][s.rows(items)]).reshape(-1, n, d, d)
+            for s, n in zip(stacks, ns)
+        ]
+
+
+def metric_walks(
+    metric: str,
+    stack: Ragged,
+    what: str,
+    fn: Callable[[np.ndarray], np.ndarray] = lambda s: s,
+) -> list[tuple[np.ndarray, object]]:
+    """The `subsets.max_norms` walks of a maximum of `metric` over the
+    matrices of each item of a stack, each with the items it covers, for
+    `maxima`: fn of each dimension's block cut into the items ("inf"), or
+    fn of the Gray-ordered subset sums of each item's matrices ("l1",
+    `subsets.gray_walk`). The sums of items of one shape are taken side by
+    side and, while they fit one stack, cut into the items; longer walks
+    go one item at a time. `what` names the quantity in a CapacityError."""
+    if metric != "l1":
+        return [
+            (items, Segments(fn(stack.blocks[d]), stack.counts[items]))
+            for d, items in stack.items.items()
+        ]
+    walks = []
+    for items, (e,) in shape_groups(stack):
+        if e.shape[-3] - 1 <= CHUNK_BITS:
+            (sums,) = gray_walk(e, what)
+            walks.append((items, Segments.of(fn(sums))))
+        else:
+            walks += [([i], (fn(s) for s in gray_walk(one, what))) for i, one in zip(items, e)]
+    return walks
+
+
+def maxima(quantities: Sequence[list], count: int) -> list[tuple[np.ndarray, np.ndarray, list]]:
+    """For each list of (items, walk) pairs of `metric_walks` and its kin,
+    each of `count` items' largest norm, its position and its matrix, in
+    item order; the walks of all the lists are reduced by one
+    `subsets.max_norms` call."""
+    found = iter(max_norms(walk for walks in quantities for _, walk in walks))
+    out = []
+    for walks in quantities:
+        if len(walks) == 1 and isinstance(walks[0][1], Segments) and len(walks[0][0]) == count:
+            value, pos, matrix = next(found)  # one walk, every item in order
+            out.append((value, pos, list(matrix)))
+            continue
+        values, positions, matrices = np.empty(count), np.empty(count, dtype=int), [None] * count
+        for items, _ in walks:
+            value, pos, matrix = next(found)
+            values[items], positions[items] = value, pos
+            if isinstance(value, float):  # a walk of several stacks: one item
+                matrices[items[0]] = matrix
+            else:
+                for i, m in zip(items.tolist(), matrix):
+                    matrices[i] = m
+        out.append((values, positions, matrices))
+    return out
+
+
+def validate_povms(stack: Ragged) -> list[list[PovmViolation]]:
+    """`validate_povm` of each item of a stack, in item order: one
+    eigenvalue call and one element sum (`np.add.reduceat`) per dimension."""
+    reports: list[list[PovmViolation]] = [[] for _ in range(len(stack.counts))]
+    for d, e in stack.blocks.items():
+        items = stack.items[d]
+        defects = np.abs(e - np.conj(np.swapaxes(e, -1, -2))).max(axis=(-2, -1))
+        allowed = HERMITICITY_RTOL * np.maximum(1.0, np.abs(e).max(axis=(-2, -1)))
+        lowest = np.linalg.eigvalsh(linalg.hermitian_part(e))[:, 0]
+        skewed = defects > allowed
+        bad = skewed | (lowest < -PSD_TOL)
+        if bad.any():
+            owner = np.repeat(items, stack.counts[items])
+            for row in np.flatnonzero(bad).tolist():
+                i = int(owner[row])
+                lab = stack.labels(i)[row - stack.starts[i]]
+                if skewed[row]:
+                    reports[i].append(PovmViolation("hermiticity", lab, float(defects[row])))
+                else:
+                    reports[i].append(PovmViolation("positivity", lab, float(-lowest[row])))
+        sums = np.add.reduceat(e, stack.starts[items], axis=0)
+        devs = np.abs(sums - np.eye(d)).max(axis=(-2, -1))
+        for j in np.flatnonzero(devs > COMPLETENESS_TOL).tolist():
+            reports[items[j]].append(PovmViolation("completeness", None, float(devs[j])))
+    return reports
+
+
 def validate_povm(p: Povm) -> list[PovmViolation]:
     """Check the POVM axioms; returns an empty list iff all hold within
     HERMITICITY_RTOL, PSD_TOL and COMPLETENESS_TOL. Violations are data,
-    not errors."""
-    e = p.elements
-    defects = np.abs(e - np.conj(np.swapaxes(e, -1, -2))).max(axis=(-2, -1))
-    allowed = HERMITICITY_RTOL * np.maximum(1.0, np.abs(e).max(axis=(-2, -1)))
-    lowest = np.linalg.eigvalsh(linalg.hermitian_part(e))[:, 0]
-    report: list[PovmViolation] = []
-    for lab, defect, limit, low in zip(
-        p.outcomes, defects.tolist(), allowed.tolist(), lowest.tolist()
-    ):
-        if defect > limit:
-            report.append(PovmViolation("hermiticity", lab, defect))
-        elif low < -PSD_TOL:
-            report.append(PovmViolation("positivity", lab, -low))
-    dev = float(np.abs(e.sum(axis=0) - np.eye(p.dim)).max())
-    if dev > COMPLETENESS_TOL:
-        report.append(PovmViolation("completeness", None, dev))
-    return report
+    not errors. The one-item case of `validate_povms`."""
+    return validate_povms(Ragged.of(p))[0]
 
 
 def outcome_probabilities(p: Povm, rhos: np.ndarray) -> np.ndarray:
@@ -131,39 +313,38 @@ def outcome_probabilities(p: Povm, rhos: np.ndarray) -> np.ndarray:
     return clipped / total
 
 
-def uncertainty_walk(metric: str, p: Povm) -> Iterator[np.ndarray]:
-    """The stacks whose largest norm is the intrinsic uncertainty of
-    `metric`, for `subsets.max_norms`: S - S^2 over the `subsets.metric_walk`
-    of the elements (A_a - A_a^2 as one stack for "inf", A_D - A_D^2 over
-    the Gray-ordered subset sums A_D for "l1")."""
-    e = linalg.hermitian_part(p.elements)
-    for s in metric_walk(metric, e, "the subset-summed intrinsic uncertainty"):
-        yield s - s @ s
+def uncertainty_walks(metric: str, stack: Ragged) -> list[tuple[np.ndarray, object]]:
+    """The `metric_walks` whose maxima are the intrinsic uncertainties of
+    `metric` of a stack's items: S - S^2 for the Hermitian parts of the
+    elements S = A_a ("inf") or of their subset sums S = A_D ("l1")."""
+    e = stack.with_blocks({d: linalg.hermitian_part(b) for d, b in stack.blocks.items()})
+    return metric_walks(metric, e, "the subset-summed intrinsic uncertainty", lambda s: s - s @ s)
 
 
-def intrinsic_uncertainties(metric: str, povms: Iterable[Povm]) -> list[float]:
+def intrinsic_uncertainties(metric: str, stack: Ragged) -> np.ndarray:
     """The intrinsic uncertainty of `metric`, "inf"
     (`intrinsic_uncertainty_inf`) or "l1" (`intrinsic_uncertainty_l1`), of
-    each POVM, all reduced by one `subsets.max_norms` call; each value is
-    the one the POVM gives alone."""
-    return [value for value, _, _ in max_norms(uncertainty_walk(metric, p) for p in povms)]
+    each item of a stack, all reduced by one `subsets.max_norms` call;
+    each value is the one the POVM gives alone."""
+    return maxima([uncertainty_walks(metric, stack)], len(stack.counts))[0][0]
 
 
 def intrinsic_uncertainty_inf(p: Povm) -> float:
     """max_a ||A_a - A_a^2||; zero exactly for projective measurements and at
     most 1/4 for any POVM."""
-    return intrinsic_uncertainties("inf", [p])[0]
+    return float(intrinsic_uncertainties("inf", Ragged.of(p))[0])
 
 
-def is_pvm(p: Povm) -> bool:
-    """True iff every element is a projection: V(A) <= 1e-9."""
-    return intrinsic_uncertainty_inf(p) <= 1e-9
+def projective(stack: Ragged) -> np.ndarray:
+    """Whether each item of a stack is projective, every element a
+    projection: V(A) <= 1e-9 (`intrinsic_uncertainties`, "inf")."""
+    return intrinsic_uncertainties("inf", stack) <= 1e-9
 
 
 def intrinsic_uncertainty_l1(p: Povm) -> float:
     """max over outcome subsets D of ||A_D (1 - A_D)|| where A_D sums the
     elements over D. Exact enumeration; capped by CapacityError."""
-    return intrinsic_uncertainties("l1", [p])[0]
+    return float(intrinsic_uncertainties("l1", Ragged.of(p))[0])
 
 
 def _bloch_sigma(n) -> np.ndarray:
@@ -194,9 +375,9 @@ def bloch_pvm(n) -> Povm:
     return noisy_qubit_povm(n, 1.0)
 
 
-def random_povms(dim: int, n_outcomes: int, seeds: Sequence[int]) -> list[Povm]:
-    """Random full-rank POVMs of one shape, one per seed, each deterministic
-    in its own seed; an empty `seeds` gives an empty list.
+def random_ragged(dims, counts, seeds: Sequence[int]) -> Ragged:
+    """Random full-rank POVMs, item i of dimension dims[i] with counts[i]
+    outcomes, each deterministic in its own seed, as one `Ragged` stack.
 
     Each seed's generator, `Generator(PCG64(seed))` (the one
     `np.random.default_rng(seed)` builds, without its dispatch), draws the
@@ -204,26 +385,48 @@ def random_povms(dim: int, n_outcomes: int, seeds: Sequence[int]) -> list[Povm]:
     as one (2, n_outcomes, dim, dim) draw. The Wishart matrices
     G_k = R_k R_k* are symmetrized by S^(-1/2) G_k S^(-1/2), where S is
     their sum, so every element stays generic (full rank) rather than one
-    being a remainder term. One batched `renormalize` serves the whole
-    stack, and each POVM gets the bits it would get drawn alone. S is
-    almost surely nonsingular; a draw whose S is too close to singular to
-    renormalize raises ValueError naming the first such seed. Outcomes are
-    labeled 'o0', 'o1', ...
+    being a remainder term. One batched `renormalize` serves each shape
+    (dimension and outcome count), and each POVM gets the bits it would get
+    drawn alone. S is almost surely nonsingular; a draw whose S is too
+    close to singular to renormalize raises ValueError naming the first
+    such seed of its shape. Outcomes are labeled 'o0', 'o1', ...
     """
+    dims, counts = np.asarray(dims, dtype=int), np.asarray(counts, dtype=int)
+    if (dims < 1).any() or (counts < 1).any():
+        raise ValueError("dim and n_outcomes must be >= 1")
+    stack = Ragged(dims, counts, {})
+    for d, items in stack.items.items():
+        stack.blocks[d] = np.empty((counts[items].sum(), d, d), dtype=complex)
+    for (d, n), items in _groups(dims, counts):
+        x = np.empty((len(items), 2, n, d, d))
+        for k, item in enumerate(items.tolist()):
+            np.random.Generator(np.random.PCG64(seeds[item])).standard_normal(out=x[k])
+        r = x[:, 0] + 1j * x[:, 1]
+        g = r @ np.conj(np.swapaxes(r, -1, -2))
+        elements = linalg.renormalize(g, 1e-12)
+        if elements is None:
+            # rare path: find the seed whose own sum fails the floor rule
+            bad = next(
+                seeds[item] for item, gk in zip(items.tolist(), g)
+                if linalg.renormalize(gk, 1e-12) is None
+            )
+            raise ValueError(f"random POVM draw at seed {bad} has a singular element sum")
+        stack.blocks[d][stack.rows(items)] = elements.reshape(-1, d, d)
+    for block in stack.blocks.values():
+        linalg.read_only(block)
+    return stack
+
+
+def random_povms(dim: int, n_outcomes: int, seeds: Sequence[int]) -> list[Povm]:
+    """Random full-rank POVMs of one shape, one per seed, as `random_ragged`
+    draws them; an empty `seeds` gives an empty list."""
     if dim < 1 or n_outcomes < 1:
         raise ValueError("dim and n_outcomes must be >= 1")
-    x = np.empty((len(seeds), 2, n_outcomes, dim, dim))
-    for k, seed in enumerate(seeds):
-        np.random.Generator(np.random.PCG64(seed)).standard_normal(out=x[k])
-    r = x[:, 0] + 1j * x[:, 1]
-    g = r @ np.conj(np.swapaxes(r, -1, -2))
-    elements = linalg.renormalize(g, 1e-12)
-    if elements is None:
-        # rare path: find the seed whose own sum fails the floor rule
-        bad = next(s for s, gk in zip(seeds, g) if linalg.renormalize(gk, 1e-12) is None)
-        raise ValueError(f"random POVM draw at seed {bad} has a singular element sum")
+    if not seeds:
+        return []
+    elements = random_ragged([dim] * len(seeds), [n_outcomes] * len(seeds), seeds).blocks[dim]
     labels = tuple(f"o{k}" for k in range(n_outcomes))
-    return [Povm(labels, e) for e in elements]
+    return [Povm(labels, e) for e in elements.reshape(-1, n_outcomes, dim, dim)]
 
 
 def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
@@ -255,8 +458,13 @@ def require_same_dim(p: Povm, q: Povm) -> None:
 def require_comparable(p: Povm, q: Povm) -> None:
     """Raise unless two POVMs share dimension and (ordered) outcome set."""
     require_same_dim(p, q)
-    if p.outcomes != q.outcomes:
+    require_same_outcomes(p.outcomes, q.outcomes)
+
+
+def require_same_outcomes(p: tuple[str, ...], q: tuple[str, ...]) -> None:
+    """Raise unless two (ordered) outcome sets are the same."""
+    if p != q:
         raise ValueError(
             "outcome sets differ; observable distances are defined only for an "
-            f"identical outcome set (got {p.outcomes} vs {q.outcomes})"
+            f"identical outcome set (got {p} vs {q})"
         )

@@ -6,11 +6,13 @@ any violated instance is an implementation bug. The same suites back the
 `selftest` CLI subcommand and the acceptance tests.
 
 Each suite draws all its instances first, and the Theorem 1 and 2,
-metric-axiom and invariant suites then evaluate every instance's maxima
-through the sequence forms `tradeoff_reports`, `observable_distances` and
-`intrinsic_uncertainties`, so a few large eigenvalue calls serve the whole
-suite; each value is the one its instance gives alone. The duality suite
-calls `D_inf` and `D_l1` once an instance.
+metric-axiom and invariant suites keep them as `povm.Ragged` stacks from
+the draw to the verdict: they evaluate every instance through the stacked
+forms `tradeoff_reports`, `observable_distances`,
+`intrinsic_uncertainties`, `validate_povms` and `marginals`, a few numpy
+calls per dimension, and build a `Povm` or `OutcomeMap` for no instance;
+each value is the one its instance gives alone. The duality suite calls
+`D_inf` and `D_l1` once an instance.
 """
 
 from __future__ import annotations
@@ -22,15 +24,15 @@ import numpy as np
 from .bounds import tradeoff_reports
 from .distances import D_inf, D_l1, dist_inf, dist_l1, observable_distances
 from .povm import (
-    Povm,
+    Ragged,
     intrinsic_uncertainties,
     outcome_probabilities,
     random_povm,
-    random_povms,
+    random_ragged,
     random_states,
-    validate_povm,
+    validate_povms,
 )
-from .smearing import OutcomeMap, marginalize
+from .smearing import marginals
 
 
 @dataclass
@@ -54,58 +56,40 @@ def _sub_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63 - 1))
 
 
-def _outcome_map(source: tuple[str, ...], target: tuple[str, ...], choice) -> OutcomeMap:
-    """The map sending source[k] to target[choice[k]]. The suites draw the
-    choice uniformly, as `rng.integers(0, len(target), size=len(source))`,
-    so the map is total but not necessarily surjective."""
-    return OutcomeMap(source, target, {s: target[int(k)] for s, k in zip(source, choice)})
-
-
-def _draw_povms(draws: list[tuple[int, int, int]]) -> list[Povm]:
-    """random_povm(dim, n, seed) for each (dim, n, seed) of `draws`, in
-    order, drawn as one `random_povms` stack per (dim, n)."""
-    slots: dict[tuple[int, int], list[int]] = {}
-    for k, (dim, n, _) in enumerate(draws):
-        slots.setdefault((dim, n), []).append(k)
-    povms: list[Povm] = [None] * len(draws)
-    for (dim, n), ks in slots.items():
-        for k, p in zip(ks, random_povms(dim, n, [draws[k][2] for k in ks])):
-            povms[k] = p
-    return povms
-
-
 def random_instances(
     rng,
     count: int,
     max_dim: int = 4,
     max_outcomes: int = 4,
     max_joint_outcomes: int = 8,
-) -> list[tuple[Povm, Povm, Povm, OutcomeMap, OutcomeMap]]:
-    """`count` random (A, B, F, f_A, f_B) tuples, each on a shared Hilbert
-    space.
+) -> tuple[Ragged, Ragged, Ragged, np.ndarray, np.ndarray]:
+    """`count` random instances (A, B, F, f_A, f_B), each on a shared
+    Hilbert space, for `tradeoff_reports`: the stacks of the A, B and F
+    and the target choices of f_A and f_B, one per outcome of F, instance
+    by instance.
 
     `rng` gives each instance in turn its dimension, outcome counts, the
-    sub-seeds of A, B and F, and the choices of its two outcome maps; then
-    every POVM is drawn from its own sub-seed, one stack per shape. No POVM
-    draw reads `rng`, so each instance is the one it would be if it were
-    drawn whole before the next.
+    sub-seeds of A, B and F, and the choices of its two outcome maps, drawn
+    uniformly as `rng.integers(0, n_A, size=n_F)`, so a map is total but not
+    necessarily surjective; then every POVM is drawn from its own sub-seed
+    by one `random_ragged` call. No POVM draw reads `rng`, so each instance
+    is the one it would be if it were drawn whole before the next.
     """
-    draws, choices = [], []
+    sizes, seeds, picks = [], [], ([], [])
     for _ in range(count):
         dim = int(rng.integers(2, max_dim + 1))
         n_a = int(rng.integers(2, max_outcomes + 1))
         n_b = int(rng.integers(2, max_outcomes + 1))
         n_f = int(rng.integers(2, max_joint_outcomes + 1))
-        draws += [(dim, n, _sub_seed(rng)) for n in (n_a, n_b, n_f)]
-        choices.append((rng.integers(0, n_a, size=n_f), rng.integers(0, n_b, size=n_f)))
-    povms = _draw_povms(draws)
-    instances = []
-    for k, (to_a, to_b) in enumerate(choices):
-        a, b, f = povms[3 * k : 3 * k + 3]
-        f_a = _outcome_map(f.outcomes, a.outcomes, to_a)
-        f_b = _outcome_map(f.outcomes, b.outcomes, to_b)
-        instances.append((a, b, f, f_a, f_b))
-    return instances
+        sizes.append((dim, n_a, n_b, n_f))
+        seeds.append([_sub_seed(rng) for _ in range(3)])
+        picks[0].append(rng.integers(0, n_a, size=n_f))
+        picks[1].append(rng.integers(0, n_b, size=n_f))
+    dims, *counts = np.array(sizes, dtype=int).reshape(-1, 4).T
+    # all the A, then all the B, then all the F
+    drawn = random_ragged(np.tile(dims, 3), np.concatenate(counts), np.ravel(seeds, "F").tolist())
+    a, b, f = (drawn.take(range(r * count, (r + 1) * count)) for r in range(3))
+    return a, b, f, *(np.concatenate([np.empty(0, int), *c]) for c in picks)
 
 
 def _validity_suite(
@@ -113,7 +97,7 @@ def _validity_suite(
 ) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult(name, trials)
-    reports = tradeoff_reports(inequality_id, random_instances(rng, trials, **sizes))
+    reports = tradeoff_reports(inequality_id, *random_instances(rng, trials, **sizes))
     for i, report in enumerate(reports):
         if not report.satisfied:
             result.record(f"instance {i}: slack = {report.slack:.3e}")
@@ -139,32 +123,34 @@ def suite_metric_axioms(trials: int, seed: int) -> SuiteResult:
     distances on random triples with a shared outcome set.
 
     The generator gives each instance its dimension, outcome count and three
-    sub-seeds; then every POVM is drawn, one stack per shape."""
+    sub-seeds; then every POVM is drawn by one `random_ragged` call."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("observable distance metric axioms", trials)
-    draws = []
+    dims, counts, seeds = [], [], []
     for _ in range(trials):
-        dim = int(rng.integers(2, 5))
-        n = int(rng.integers(2, 5))
-        draws += [(dim, n, _sub_seed(rng)) for _ in range(3)]
-    povms = _draw_povms(draws)
-    # per instance (p, q, r): d(p, q), d(q, p), d(p, p), d(p, r), d(r, q)
-    pairs = []
-    for i in range(trials):
-        p, q, r = povms[3 * i : 3 * i + 3]
-        pairs += [(p, q), (q, p), (p, p), (p, r), (r, q)]
-    values = {
-        name: [dv.value for dv in observable_distances(metric, pairs)]
-        for name, metric in (("D_inf", "inf"), ("D_l1", "l1"))
-    }
-    for i in range(trials):
-        for name, found in values.items():
-            dpq, dqp, dpp, dpr, drq = found[5 * i : 5 * i + 5]
-            if abs(dpq - dqp) > 0:
-                result.record(f"instance {i}: {name} asymmetric by {abs(dpq - dqp):.3e}")
-            if dpp != 0.0:
+        dims.append(int(rng.integers(2, 5)))
+        counts.append(int(rng.integers(2, 5)))
+        seeds += [_sub_seed(rng) for _ in range(3)]
+    povms = random_ragged(np.repeat(dims, 3), np.repeat(counts, 3), seeds)
+    # per instance (p, q, r), items 3i to 3i + 2: d(p, q), d(q, p), d(p, p),
+    # d(p, r), d(r, q)
+    first = 3 * np.arange(trials)[:, None]
+    a = povms.take((first + [0, 1, 0, 0, 2]).ravel())
+    b = povms.take((first + [1, 0, 0, 2, 1]).ravel())
+    checks = {}
+    for name, metric in (("D_inf", "inf"), ("D_l1", "l1")):
+        dpq, dqp, dpp, dpr, drq = observable_distances(metric, a, b)[0].reshape(-1, 5).T
+        checks[name] = (np.abs(dpq - dqp), dpp != 0.0, dpq > dpr + drq + 1e-9)
+    broken = np.zeros(trials, dtype=bool)
+    for asymmetry, nonzero, longer in checks.values():
+        broken |= (asymmetry > 0) | nonzero | longer
+    for i in np.flatnonzero(broken).tolist():
+        for name, (asymmetry, nonzero, longer) in checks.items():
+            if asymmetry[i] > 0:
+                result.record(f"instance {i}: {name} asymmetric by {asymmetry[i]:.3e}")
+            if nonzero[i]:
                 result.record(f"instance {i}: {name}(P, P) != 0")
-            if dpq > dpr + drq + 1e-9:
+            if longer[i]:
                 result.record(f"instance {i}: {name} triangle inequality violated")
     return result
 
@@ -208,49 +194,57 @@ def suite_povm_invariants(trials: int, seed: int) -> SuiteResult:
     The generator gives each instance, in turn, its POVM's dimension, outcome
     count and sub-seed, the sizes and choices of two composable coarse-
     grainings, and a joint POVM's outcome count and sub-seed with the choice
-    of its smearing; then every POVM is drawn, one stack per shape."""
+    of its smearing; then every POVM is drawn by one `random_ragged` call.
+    The coarse-grainings are four `marginals` calls: the two steps of the
+    composed one, the one step of their composition, and the smearing."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("POVM and smearing invariants", trials)
-    draws, plans = [], []
+    sizes, seeds, picks = [], ([], []), ([], [], [])  # picks: to_mid, to_final, to_p
     for _ in range(trials):
         dim = int(rng.integers(2, 5))
         n = int(rng.integers(2, 5))
-        draws.append((dim, n, _sub_seed(rng)))
+        seeds[0].append(_sub_seed(rng))
         n_mid = int(rng.integers(1, n + 1))
         n_final = int(rng.integers(1, n_mid + 1))
-        to_mid = rng.integers(0, n_mid, size=n)
-        to_final = rng.integers(0, n_final, size=n_mid)
+        picks[0].append(rng.integers(0, n_mid, size=n))
+        picks[1].append(rng.integers(0, n_final, size=n_mid))
         n_joint = int(rng.integers(2, 7))
-        draws.append((dim, n_joint, _sub_seed(rng)))
-        plans.append((n_mid, n_final, to_mid, to_final, rng.integers(0, n, size=n_joint)))
-    povms = _draw_povms(draws)
-    v_inf = intrinsic_uncertainties("inf", povms[::2])
-    v_l1 = intrinsic_uncertainties("l1", povms[::2])
-    for i, (n_mid, n_final, to_mid, to_final, to_p) in enumerate(plans):
-        p, f_joint = povms[2 * i : 2 * i + 2]
-        if validate_povm(p):
+        seeds[1].append(_sub_seed(rng))
+        picks[2].append(rng.integers(0, n, size=n_joint))
+        sizes.append((dim, n, n_mid, n_final, n_joint))
+    dims, n, n_mid, n_final, n_joint = np.array(sizes, dtype=int).reshape(-1, 5).T
+    drawn = random_ragged(np.tile(dims, 2), np.concatenate([n, n_joint]), seeds[0] + seeds[1])
+    p, joint = drawn.take(range(trials)), drawn.take(range(trials, 2 * trials))
+    to_mid, to_final, to_p = (np.concatenate([np.empty(0, int), *c]) for c in picks)
+
+    invalid = [bool(report) for report in validate_povms(p)]
+    v, v1 = intrinsic_uncertainties("inf", p), intrinsic_uncertainties("l1", p)
+
+    # functoriality: composing coarse-grainings equals coarse-graining by
+    # the composition (up to float regrouping of the same sums)
+    mid = marginals(p, to_mid, n_mid, "m")
+    two_step = marginals(mid, to_final, n_final, "z")
+    composed = to_final[np.repeat(np.cumsum(n_mid) - n_mid, n) + to_mid]
+    one_step = marginals(p, composed, n_final, "z")
+    # error operators f(F)_a - A_a over a random smearing sum to zero
+    smeared = marginals(joint, to_p, n)
+    broken, unbalanced = np.zeros(trials, dtype=bool), np.zeros(trials, dtype=bool)
+    for d, items in p.items.items():
+        gaps = np.abs(two_step.blocks[d] - one_step.blocks[d]).max(axis=(-2, -1))
+        broken[items] = np.maximum.reduceat(gaps, one_step.starts[items]) > 1e-13
+        eps = np.add.reduceat(smeared.blocks[d] - p.blocks[d], p.starts[items], axis=0)
+        unbalanced[items] = np.abs(eps).max(axis=(-2, -1)) > 1e-10
+
+    for i in range(trials):
+        if invalid[i]:
             result.record(f"instance {i}: random POVM fails validation")
-        v, v1 = v_inf[i], v_l1[i]
-        if not -1e-12 <= v <= 0.25 + 1e-12:
-            result.record(f"instance {i}: V = {v:.12g} outside [0, 1/4]")
-        if v1 < v - 1e-12 or v1 > 0.25 + 1e-12:
-            result.record(f"instance {i}: V1 = {v1:.12g} outside [V, 1/4]")
-
-        # functoriality: composing coarse-grainings equals coarse-graining by
-        # the composition (up to float regrouping of the same sums)
-        mid = tuple(f"m{k}" for k in range(n_mid))
-        final = tuple(f"z{k}" for k in range(n_final))
-        f1 = _outcome_map(p.outcomes, mid, to_mid)
-        f2 = _outcome_map(mid, final, to_final)
-        two_step = marginalize(marginalize(p, f1), f2)
-        one_step = marginalize(p, f1.compose(f2))
-        if np.abs(two_step.elements - one_step.elements).max() > 1e-13:
+        if not -1e-12 <= v[i] <= 0.25 + 1e-12:
+            result.record(f"instance {i}: V = {v[i]:.12g} outside [0, 1/4]")
+        if v1[i] < v[i] - 1e-12 or v1[i] > 0.25 + 1e-12:
+            result.record(f"instance {i}: V1 = {v1[i]:.12g} outside [V, 1/4]")
+        if broken[i]:
             result.record(f"instance {i}: functoriality broken")
-
-        # error operators f(F)_a - A_a over a random smearing sum to zero
-        f_map = _outcome_map(f_joint.outcomes, p.outcomes, to_p)
-        eps = marginalize(f_joint, f_map).elements - p.elements
-        if np.abs(eps.sum(axis=0)).max() > 1e-10:
+        if unbalanced[i]:
             result.record(f"instance {i}: error operators do not sum to zero")
     return result
 

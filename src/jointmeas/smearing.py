@@ -6,6 +6,9 @@ F_x. Targets no source outcome maps to get an explicit zero element, which
 keeps outcome sets aligned for distance computations (a zero matrix is a
 legal POVM element). The uniform error of reconstructing A from F through f
 is D_inf(A, marginalize(F, f)), the largest norm of f(F)_a - A_a.
+
+`marginals` coarse-grains every item of a `povm.Ragged` stack at once, with
+one `np.add.at` per dimension; `marginalize` is its case of one item.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .povm import Povm
+from .povm import Povm, Ragged
 
 # Separator used to build product outcome labels "a|b"; user labels fed to
 # coordinate_maps must not contain it, so product labels stay unambiguous.
@@ -66,19 +69,43 @@ class OutcomeMap:
         )
 
 
-def marginalize(f_povm: Povm, f: OutcomeMap) -> Povm:
-    """Coarse-grain a POVM along an outcome function (sum over fibers)."""
-    if f.source != f_povm.outcomes:
+def marginals(stack: Ragged, choice: np.ndarray, counts, outcomes="o") -> Ragged:
+    """Coarse-grain each item of a stack: item i's outcome k goes to its
+    target choice[o_i + k], where o_i is the number of outcomes of the
+    items before it, and item i of the result has counts[i] outcomes,
+    labeled by `outcomes` as in `Ragged`.
+
+    Each dimension is one `np.add.at` on a flat target index, the target
+    item's first row plus the choice, which adds every target's sources in
+    source order, as a coarse-graining of each item alone does.
+    """
+    target = Ragged(stack.dims, np.asarray(counts, dtype=int), {}, outcomes)
+    for d, e in stack.blocks.items():
+        items = stack.items[d]
+        owner = np.repeat(items, stack.counts[items])
+        out = np.zeros((target.counts[items].sum(), d, d), dtype=complex)
+        np.add.at(out, target.starts[owner] + choice[stack.positions(items)], e)
+        target.blocks[d] = out
+    return target
+
+
+def outcome_choice(source: tuple[str, ...], f: OutcomeMap) -> np.ndarray:
+    """The target index of each outcome of `source` under f, for
+    `marginals`; raises unless f's source is `source`."""
+    if f.source != source:
         raise ValueError(
             "outcome map source does not match the POVM outcomes "
-            f"({f.source} vs {f_povm.outcomes})"
+            f"({f.source} vs {source})"
         )
-    d = f_povm.dim
     tindex = {t: i for i, t in enumerate(f.target)}
-    out = np.zeros((len(f.target), d, d), dtype=complex)
-    idx = np.array([tindex[f.assignment[s]] for s in f.source])
-    np.add.at(out, idx, f_povm.elements)
-    return Povm(f.target, out)
+    return np.array([tindex[f.assignment[s]] for s in f.source])
+
+
+def marginalize(f_povm: Povm, f: OutcomeMap) -> Povm:
+    """Coarse-grain a POVM along an outcome function (sum over fibers): the
+    one-item case of `marginals`."""
+    choice = outcome_choice(f_povm.outcomes, f)
+    return marginals(Ragged.of(f_povm), choice, [len(f.target)], (f.target,)).povm(0)
 
 
 def coordinate_maps(omega_a, omega_b) -> tuple[OutcomeMap, OutcomeMap]:

@@ -14,13 +14,14 @@ Gray code. A maximum taken first-wins over the stacks therefore breaks ties
 to the first maximum in Gray-code order, and `gray_labels` decodes its
 position into outcome labels. The capacity limit is set here too: past
 SUBSET_ENUMERATION_LIMIT elements, `gray_walk` raises CapacityError.
-`metric_walk` picks a maximum's enumeration: the elements as one stack
-("inf") or their `gray_walk` ("l1").
+Both walk along axis -3, so one call sums the subsets of many equally
+long element lists at once, item by item.
 
 `gray_products` yields the products X_D @ Y_E of two such walks in stacks
 of the same size, so this module alone sizes every stack. `max_norms`
-reduces all these maxima, and the one-stack maxima over outcomes, pruning
-with trace bounds (`linalg.herm_norm_bound_stack`, the Wolkowicz-Styan
+reduces all these maxima, and the one-stack maxima over outcomes (given
+one stack a walk, or many at once as the `Segments` of one stack),
+pruning with trace bounds (`linalg.herm_norm_bound_stack`, the Wolkowicz-Styan
 bound from "Bounds for eigenvalues using traces", Linear Algebra Appl. 29,
 1980); each result is that of its walk alone and unpruned, bit for bit.
 """
@@ -28,7 +29,7 @@ bound from "Bounds for eigenvalues using traces", Linear Algebra Appl. 29,
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -52,50 +53,65 @@ class CapacityError(ValueError):
     """An exact enumeration would exceed the supported problem size."""
 
 
+class Segments(NamedTuple):
+    """Many one-stack walks for `max_norms` at once: the consecutive runs of
+    `counts` matrices of one stack (N, d, d)."""
+
+    stack: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, stacks: np.ndarray) -> Segments:
+        """The g stacks of m matrices of an array (g, m, d, d), one segment each."""
+        return cls(stacks.reshape(-1, *stacks.shape[-2:]), np.full(len(stacks), stacks.shape[-3]))
+
+
 def _gray_sums(elements: np.ndarray) -> np.ndarray:
-    """Sums over all subsets of `elements`, in reflected Gray-code order."""
-    sums = np.zeros((1, *elements.shape[1:]), dtype=elements.dtype)
-    for e in elements:
-        sums = np.concatenate([sums, sums[::-1] + e])
+    """Sums over all subsets of `elements` along axis -3, in reflected
+    Gray-code order."""
+    sums = np.zeros((*elements.shape[:-3], 1, *elements.shape[-2:]), dtype=elements.dtype)
+    for k in range(elements.shape[-3]):
+        sums = np.concatenate([sums, sums[..., ::-1, :, :] + elements[..., k : k + 1, :, :]], -3)
     return sums
 
 
 def gray_walk(elements: np.ndarray, what: str) -> Iterator[np.ndarray]:
     """Yield the subset sums of every element but the last, in stacks.
 
-    The stacks have equal length, at most 2^CHUNK_BITS. Position i across
-    their concatenation holds the sum over the mask i ^ (i >> 1).
-    `what` names the quantity in the CapacityError raised for more than
-    SUBSET_ENUMERATION_LIMIT elements.
+    `elements` is (..., n, d, d); the sums run along axis -3, and the
+    leading axes, if any, hold lists of n elements whose sums are taken
+    side by side. The stacks have equal length, at most 2^CHUNK_BITS.
+    Position i across their concatenation holds the sum over the mask
+    i ^ (i >> 1). `what` names the quantity in the CapacityError raised
+    for more than SUBSET_ENUMERATION_LIMIT elements.
     """
-    n = len(elements)
+    n = elements.shape[-3]
     if n > SUBSET_ENUMERATION_LIMIT:
         raise CapacityError(
             f"{what} enumerates all subsets of {n} outcomes; "
             f"the supported maximum is {SUBSET_ENUMERATION_LIMIT}"
         )
-    free = elements[:-1]
-    low = _gray_sums(free[:CHUNK_BITS])
+    free = elements[..., :-1, :, :]
+    low = _gray_sums(free[..., :CHUNK_BITS, :, :])
     # the high bits change once per stack; the low bits run forward on even
     # high positions and backward on odd ones
-    for j, high in enumerate(_gray_sums(free[CHUNK_BITS:])):
-        yield high + (low if j % 2 == 0 else low[::-1])
+    highs = _gray_sums(free[..., CHUNK_BITS:, :, :])
+    for j in range(highs.shape[-3]):
+        yield highs[..., j : j + 1, :, :] + (low if j % 2 == 0 else low[..., ::-1, :, :])
 
 
 def gray_products(xs: np.ndarray, ys: np.ndarray, what: str) -> Iterator[np.ndarray]:
     """Yield the products X_D @ Y_E of the `gray_walk` sums of `xs` and `ys`
-    in stacks of at most 2^CHUNK_BITS, X_D in blocks and Y_E running fastest."""
+    in stacks of at most 2^CHUNK_BITS, X_D in blocks and Y_E running
+    fastest; leading axes pair lists of xs with lists of ys, as in
+    `gray_walk`."""
     for sums_x in gray_walk(xs, what):
         for sums_y in gray_walk(ys, what):
-            block = max(1, 2**CHUNK_BITS // len(sums_y))
-            for k in range(0, len(sums_x), block):
-                yield (sums_x[k : k + block, None] @ sums_y).reshape(-1, *sums_y.shape[1:])
-
-
-def metric_walk(metric: str, elements: np.ndarray, what: str) -> Iterable[np.ndarray]:
-    """The stacks of a maximum of `metric` over `elements`: the elements
-    themselves as one stack ("inf"), or their `gray_walk` ("l1")."""
-    return gray_walk(elements, what) if metric == "l1" else [elements]
+            n_y = sums_y.shape[-3]
+            block = max(1, 2**CHUNK_BITS // n_y)
+            for k in range(0, sums_x.shape[-3], block):
+                prods = sums_x[..., k : k + block, None, :, :] @ sums_y[..., None, :, :, :]
+                yield prods.reshape(*prods.shape[:-4], -1, *prods.shape[-2:])
 
 
 def gray_labels(position: int, labels: tuple[str, ...]) -> tuple[str, ...]:
@@ -133,17 +149,25 @@ def _walk_max(first: np.ndarray, rest: Iterable[np.ndarray]) -> tuple[float, int
     return best, best_pos, best_matrix
 
 
-def max_norms(walks: Iterable[Iterable[np.ndarray]]) -> list[tuple[float, int, np.ndarray]]:
+def max_norms(walks: Iterable[Iterable[np.ndarray] | Segments]) -> list[tuple]:
     """For each walk, a sequence of stacks of (nearly) Hermitian matrices
     (N, d, d), the largest operator norm, read as `linalg.herm_norm_stack`
     reads it, with its position across the concatenation of the walk's
     stacks and its matrix; ties break to the first maximum.
 
+    A `Segments` walk stands for one one-stack walk per segment, and its
+    result is the three results as arrays, one entry per segment: each
+    maximum comes from `np.maximum.reduceat`, and its position is the
+    first index of the segment that reaches it. When every waiting walk of
+    a solve is a single segment (the one-item calls), each takes one
+    `np.argmax` instead, with the same result.
+
     Each walk is read one stack ahead. A walk that ends after its first
-    stack waits as that array; a dimension's waiting stacks are solved
-    together, at most 2^CHUNK_BITS matrices a `linalg.herm_norm_stack`
-    call, before one more would pass that many. `eigvalsh` solves each
-    matrix on its own, so every result is the one its walk gives alone.
+    stack waits as that array, as do `Segments`; a dimension's waiting
+    stacks are solved together, at most 2^CHUNK_BITS matrices a
+    `linalg.herm_norm_stack` call, before one more would pass that many.
+    `eigvalsh` solves each matrix on its own, so every result is the one
+    its walk gives alone.
 
     A walk with later stacks starts with a full stack of 2^CHUNK_BITS
     matrices (`gray_walk`, `gray_products`), which is solved alone at once.
@@ -167,27 +191,53 @@ def max_norms(walks: Iterable[Iterable[np.ndarray]]) -> list[tuple[float, int, n
     def solve(d: int) -> None:
         group = pending.pop(d)
         del waiting[d]
-        flat = group[0][1] if len(group) == 1 else np.concatenate([hs for _, hs in group])
+        flat = group[0][1] if len(group) == 1 else np.concatenate([hs for _, hs, _ in group])
         chunks = [linalg.herm_norm_stack(flat[k : k + cap]) for k in range(0, len(flat), cap)]
         norms = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        start = 0
-        for slot, hs in group:
-            k = int(np.argmax(norms[start : start + len(hs)]))
-            results[slot] = float(norms[start + k]), k, hs[k]
-            start += len(hs)
+        if all(c is None or len(c) == 1 for _, _, c in group):
+            # one segment a walk: one argmax each
+            start = 0
+            for slot, hs, c in group:
+                k = int(np.argmax(norms[start : start + len(hs)]))
+                if c is None:
+                    results[slot] = float(norms[start + k]), k, hs[k]
+                else:
+                    results[slot] = norms[start + k : start + k + 1], np.array([k]), hs[k : k + 1]
+                start += len(hs)
+            return
+        # every waiting walk is one segment, or its `Segments`
+        counts = np.concatenate([[len(hs)] if c is None else c for _, hs, c in group])
+        starts = np.cumsum(counts) - counts
+        best = np.maximum.reduceat(norms, starts)
+        reached = np.flatnonzero(norms == np.repeat(best, counts))
+        firsts = reached[np.searchsorted(reached, starts)]
+        pos = firsts - starts
+        j = 0
+        for slot, hs, c in group:
+            if c is None:
+                k = int(pos[j])
+                results[slot] = float(best[j]), k, hs[k]
+                j += 1
+            else:
+                span = slice(j, j + len(c))
+                results[slot] = best[span], pos[span], flat[firsts[span]]
+                j += len(c)
 
     for walk in walks:
-        stacks = iter(walk)
-        first, second = next(stacks), next(stacks, None)
-        if second is not None:
-            rest = itertools.chain(iter([second]), stacks)  # an exhausted iter drops its list
-            del second  # so the walk's stacks are held one at a time while it is reduced
-            results.append(_walk_max(first, rest))
-            continue
+        if isinstance(walk, Segments):
+            first, counts = walk
+        else:
+            stacks = iter(walk)
+            first, second, counts = next(stacks), next(stacks, None), None
+            if second is not None:
+                rest = itertools.chain(iter([second]), stacks)  # an exhausted iter drops its list
+                del second  # so the walk's stacks are held one at a time while it is reduced
+                results.append(_walk_max(first, rest))
+                continue
         d = first.shape[-1]
         if d in waiting and waiting[d] + len(first) > cap:
             solve(d)
-        pending.setdefault(d, []).append((len(results), first))
+        pending.setdefault(d, []).append((len(results), first, counts))
         waiting[d] = waiting.get(d, 0) + len(first)
         results.append(None)
     for d in list(pending):

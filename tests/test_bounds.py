@@ -556,10 +556,14 @@ class TestAdmissibleRegion:
 
 class TestRandomInstanceGenerator:
     def test_instances_are_well_formed(self):
-        instances = random_instances(np.random.default_rng(49), 10)
-        assert len(instances) == 10
-        for a, b, f, f_a, f_b in instances:
-            assert a.dim == b.dim == f.dim
-            assert f_a.source == f.outcomes
-            assert f_a.target == a.outcomes
-            assert f_b.target == b.outcomes
+        a, b, f, to_a, to_b = random_instances(np.random.default_rng(49), 10)
+        assert len(a.counts) == len(b.counts) == len(f.counts) == 10
+        assert (a.dims == b.dims).all() and (a.dims == f.dims).all()
+        # one target per outcome of F, within the outcomes of A and of B
+        assert len(to_a) == len(to_b) == f.counts.sum()
+        owner = np.repeat(np.arange(10), f.counts)
+        assert (to_a < a.counts[owner]).all() and (to_b < b.counts[owner]).all()
+        assert (to_a >= 0).all() and (to_b >= 0).all()
+        for i in range(10):
+            assert a.povm(i).dim == f.povm(i).dim == a.dims[i]
+            assert a.povm(i).outcomes == tuple(f"o{k}" for k in range(a.counts[i]))

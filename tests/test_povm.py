@@ -7,12 +7,13 @@ from jointmeas.povm import (
     PAULI_Z,
     Povm,
     PovmViolation,
+    Ragged,
     bloch_pvm,
     intrinsic_uncertainty_inf,
     intrinsic_uncertainty_l1,
-    is_pvm,
     noisy_qubit_povm,
     outcome_probabilities,
+    projective,
     random_povm,
     random_povms,
     random_states,
@@ -122,6 +123,10 @@ class TestValidatePovm:
         ]
 
 
+def is_pvm(p):
+    return bool(projective(Ragged.of(p))[0])
+
+
 class TestIsPvm:
     def test_bloch_pair(self):
         assert is_pvm(bloch_pvm((0, 0, 1)))
@@ -131,6 +136,12 @@ class TestIsPvm:
 
     def test_single_outcome_identity(self):
         assert is_pvm(Povm(("only",), np.eye(3)[None, :, :]))
+
+    def test_one_call_for_many(self):
+        povms = [bloch_pvm((0, 0, 1)), noisy_qubit_povm((0, 0, 1), 0.7), bloch_pvm((1, 0, 0))]
+        dims = np.array([2, 2, 2])
+        stack = Ragged(dims, np.array([2, 2, 2]), {2: np.concatenate([p.elements for p in povms])})
+        assert projective(stack).tolist() == [True, False, True]
 
 
 class TestRandomStates:

@@ -2,7 +2,8 @@
 states beat must be reported by the duality suite, once per instance and
 metric, and exactly where a state beats it. The suites that draw their
 POVMs as stacks and evaluate their instances together must check the
-values of one draw and one evaluation after another."""
+values of one draw and one evaluation after another, and build no POVM or
+outcome-map object unless they report a violation."""
 
 import collections
 import dataclasses
@@ -229,9 +230,9 @@ def test_stacked_suites_solve_in_a_few_calls(monkeypatch, suite, trials):
 def test_validity_suite_reports_a_violated_bound(monkeypatch, suite, inequality_id):
     real = selftest.tradeoff_reports
 
-    def planted(which, instances):
+    def planted(which, *stacks):
         assert which == inequality_id
-        reports = real(which, instances)
+        reports = real(which, *stacks)
         reports[2] = dataclasses.replace(reports[2], lhs=reports[2].rhs - 0.5)
         return reports
 
@@ -259,13 +260,13 @@ def test_metric_axioms_report_a_broken_axiom(monkeypatch, offsets, message, name
     # d(r, q), in that order
     real = selftest.observable_distances
 
-    def planted(metric, pairs):
-        found = real(metric, pairs)
+    def planted(metric, a, b):
+        values, positions, matrices = real(metric, a, b)
         if metric == name:
+            values = values.copy()
             for k, delta in offsets.items():
-                dv = found[5 + k]
-                found[5 + k] = DistanceValue(dv.value + delta, dv.witness, dv.witness_matrix)
-        return found
+                values[5 + k] += delta
+        return values, positions, matrices
 
     monkeypatch.setattr(selftest, "observable_distances", planted)
     result = selftest.suite_metric_axioms(3, 2)
@@ -275,9 +276,10 @@ def test_metric_axioms_report_a_broken_axiom(monkeypatch, offsets, message, name
 def _plant_uncertainty(monkeypatch, metric, value):
     real = selftest.intrinsic_uncertainties
 
-    def planted(which, povms):
-        found = real(which, povms)
+    def planted(which, stack):
+        found = real(which, stack)
         if which == metric:
+            found = found.copy()
             found[2] = value
         return found
 
@@ -285,35 +287,36 @@ def _plant_uncertainty(monkeypatch, metric, value):
 
 
 def _plant_validation(monkeypatch, instance):
-    real = selftest.validate_povm
-    calls = []
+    real = selftest.validate_povms
 
-    def planted(p):
-        calls.append(p)
-        if len(calls) == instance + 1:
-            return [PovmViolation("positivity", p.outcomes[0], 1.0)]
-        return real(p)
+    def planted(stack):
+        reports = real(stack)
+        reports[instance] = [PovmViolation("positivity", stack.labels(instance)[0], 1.0)]
+        return reports
 
-    monkeypatch.setattr(selftest, "validate_povm", planted)
+    monkeypatch.setattr(selftest, "validate_povms", planted)
 
 
 def _plant_marginal(monkeypatch, call):
-    """Spoil the result of one `marginalize` call. Per instance the suite
-    makes four: the two steps of the composed coarse-graining, the one-step
-    coarse-graining, and the smearing of the joint POVM."""
-    real = selftest.marginalize
+    """Spoil one marginal: per instance the suite checks four, the two steps
+    of the composed coarse-graining, the one-step coarse-graining and the
+    smearing of the joint POVM, each made for every instance by one
+    `marginals` call; `call` counts them instance by instance."""
+    real = selftest.marginals
     calls = []
+    instance, which = divmod(call, 4)
 
-    def planted(p, f):
-        q = real(p, f)
-        calls.append(q)
-        if len(calls) == call + 1:
-            shifted = q.elements.copy()
-            shifted[0] += 1e-6 * np.eye(q.dim)
-            q = Povm(q.outcomes, shifted)
-        return q
+    def planted(stack, *args):
+        out = real(stack, *args)
+        calls.append(out)
+        if len(calls) == which + 1:
+            d, first = int(out.dims[instance]), out.starts[instance]
+            shifted = out.blocks[d].copy()
+            shifted[first] += 1e-6 * np.eye(d)
+            out = out.with_blocks({**out.blocks, d: shifted})
+        return out
 
-    monkeypatch.setattr(selftest, "marginalize", planted)
+    monkeypatch.setattr(selftest, "marginals", planted)
 
 
 @pytest.mark.parametrize(
@@ -341,8 +344,10 @@ def test_run_selftest_prints_each_violation(monkeypatch, capsys):
     # first 10 are printed under their suite
     monkeypatch.setattr(
         selftest,
-        "validate_povm",
-        lambda p: [PovmViolation("positivity", p.outcomes[0], 1.0)],
+        "validate_povms",
+        lambda stack: [
+            [PovmViolation("positivity", stack.labels(i)[0], 1.0)] for i in range(len(stack.counts))
+        ],
     )
     assert selftest.run_selftest(12, 3) == 12
     lines = capsys.readouterr().out.splitlines()
@@ -352,3 +357,41 @@ def test_run_selftest_prints_each_violation(monkeypatch, capsys):
     ]
     assert all(line.endswith(", ok") for line in lines[:-11])
     assert len(lines) == 15
+
+
+def _count_constructions(monkeypatch):
+    """Count the `Povm` and `OutcomeMap` objects built from here on."""
+    built = collections.Counter()
+    for cls in (Povm, OutcomeMap):
+
+        def counted(self, _real=cls.__post_init__, _name=cls.__name__):
+            built[_name] += 1
+            _real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize(
+    "suite, trials",
+    [
+        (selftest.suite_theorem1, 40),
+        (selftest.suite_theorem2, 20),
+        (selftest.suite_metric_axioms, 20),
+        (selftest.suite_povm_invariants, 40),
+    ],
+)
+def test_stacked_suites_build_no_objects_at_zero_violations(monkeypatch, suite, trials):
+    built = _count_constructions(monkeypatch)
+    assert suite(trials, 4).violations == 0
+    assert built == {}
+
+
+def test_a_planted_violation_still_prints_its_message(monkeypatch, capsys):
+    _plant_marginal(monkeypatch, 4 * 2 + 2)
+    assert selftest.run_selftest(4, 2) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "POVM and smearing invariants: 4 instances, 1 VIOLATIONS",
+        "  instance 2: functoriality broken",
+    ]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from jointmeas.distances import D_inf
-from jointmeas.povm import Povm, bloch_pvm, random_povm, validate_povm
-from jointmeas.smearing import OutcomeMap, coordinate_maps, marginalize
+from jointmeas.povm import Povm, bloch_pvm, random_povm, random_ragged, validate_povm
+from jointmeas.smearing import OutcomeMap, coordinate_maps, marginalize, marginals
 
 
 def diagonal_povm(probs_by_outcome):
@@ -123,6 +123,33 @@ class TestMarginalize:
             one = marginalize(p, f.compose(g))
             # identical sums, possibly regrouped by the intermediate stage
             assert np.abs(two.elements - one.elements).max() <= 1e-14
+
+
+def test_ragged_marginals_equal_each_item_alone():
+    # items of three dimensions and different outcome counts, in one stack;
+    # item 1 leaves its second target unhit, item 3 sends every outcome to
+    # one target, and the others pick their targets at random
+    dims, counts, targets = [2, 3, 2, 4, 3, 2], [3, 5, 2, 4, 6, 8], [2, 2, 1, 3, 4, 3]
+    stack = random_ragged(dims, counts, list(range(300, 306)))
+    rng = np.random.default_rng(34)
+    picks = [rng.integers(0, t, size=n) for n, t in zip(counts, targets)]
+    picks[1][:] = 0
+    picks[3][:] = 2
+    found = marginals(stack, np.concatenate(picks), targets, "t")
+    assert found.dims.tolist() == dims and found.counts.tolist() == targets
+    for i, pick in enumerate(picks):
+        p = stack.povm(i)
+        labels = tuple(f"t{k}" for k in range(targets[i]))
+        f = OutcomeMap(p.outcomes, labels, {o: labels[k] for o, k in zip(p.outcomes, pick)})
+        alone, item = marginalize(p, f), found.povm(i)
+        assert item.outcomes == alone.outcomes == labels
+        assert item.elements.tobytes() == alone.elements.tobytes()
+    assert np.abs(found.povm(1).elements[1]).max() == 0.0
+    assert np.abs(found.povm(3).elements[:2]).max() == 0.0
+    assert np.allclose(found.povm(3).elements[2], np.eye(4), atol=1e-12)
+    # the one-item case keeps its check of the map's source
+    with pytest.raises(ValueError, match="^outcome map source does not match the POVM outcomes"):
+        marginalize(stack.povm(0), OutcomeMap(("x", "y"), ("t0",), {"x": "t0", "y": "t0"}))
 
 
 class TestCoordinateMaps:

@@ -8,7 +8,7 @@ of every stack, so a prune that drops a matrix which could have won changes
 a value, a witness or a witness matrix, and fails the comparison.
 
 `max_norms` also solves the first stacks of all its walks together, so the
-batching tests compare each walk's result, and each item of the sequence
+batching tests compare each walk's result, and each item of the stacked
 forms built on it, with the one-walk call, bit for bit.
 """
 
@@ -28,24 +28,26 @@ from jointmeas.bounds import (
     theorem1_lhs,
     tradeoff_reports,
 )
-from jointmeas.distances import D_inf, D_l1, difference_walk, observable_distances
+from jointmeas.distances import D_inf, D_l1, distance_value, observable_distances
 from jointmeas.povm import (
     Povm,
+    Ragged,
     intrinsic_uncertainties,
     intrinsic_uncertainty_inf,
     intrinsic_uncertainty_l1,
+    metric_walks,
     random_povm,
 )
 from jointmeas.selftest import random_instances
-from jointmeas.smearing import OutcomeMap, marginalize
+from jointmeas.smearing import OutcomeMap, marginalize, outcome_choice
 from jointmeas.subsets import (
     CHUNK_BITS,
     CapacityError,
+    Segments,
     gray_labels,
     gray_products,
     gray_walk,
     max_norms,
-    metric_walk,
 )
 
 
@@ -191,6 +193,44 @@ def _random_hermitian(rng, count, d):
     return linalg.hermitian_part(x)
 
 
+def _differences(a, b):
+    """The Gray walk of the Hermitian differences of two POVMs, as a list."""
+    return list(gray_walk(linalg.hermitian_part(a.elements - b.elements), "D"))
+
+
+def _ragged(povms):
+    """POVM objects as one stack, item by item."""
+    dims = np.array([p.dim for p in povms])
+    blocks = {d: np.concatenate([p.elements for p in povms if p.dim == d]) for d in set(dims.flat)}
+    counts = np.array([p.n_outcomes for p in povms])
+    return Ragged(dims, counts, blocks, [p.outcomes for p in povms])
+
+
+def _stacked(instances):
+    """Instances (A, B, F, f_A, f_B) as the arguments of `tradeoff_reports`."""
+    a, b, f, f_a, f_b = zip(*instances)
+    choices = [
+        np.concatenate([outcome_choice(p.outcomes, m) for p, m in zip(f, maps)])
+        for maps in (f_a, f_b)
+    ]
+    return (_ragged(a), _ragged(b), _ragged(f), *choices)
+
+
+def _objects(a, b, f, to_a, to_b):
+    """The instances of `tradeoff_reports` arguments as (A, B, F, f_A, f_B)."""
+    first = np.cumsum(f.counts) - f.counts
+    instances = []
+    for i in range(len(f.counts)):
+        pa, pb, pf = a.povm(i), b.povm(i), f.povm(i)
+        picks = [to[first[i] : first[i] + f.counts[i]] for to in (to_a, to_b)]
+        maps = [
+            OutcomeMap(pf.outcomes, p.outcomes, dict(zip(pf.outcomes, np.array(p.outcomes)[pick])))
+            for p, pick in zip((pa, pb), picks)
+        ]
+        instances.append((pa, pb, pf, *maps))
+    return instances
+
+
 def _mixed_walks():
     """Walks of dimensions 2, 3, 4 and 8, interleaved: one-stack walks of
     1 to 40 matrices, one of more than 2^CHUNK_BITS, Gray walks of 13 to 16
@@ -203,14 +243,14 @@ def _mixed_walks():
     walks.insert(5, [_random_hermitian(rng, 2**CHUNK_BITS + 300, 2)])
     for d, n in [(2, 16), (3, 15), (4, 14), (8, 13)]:
         a, b = random_povm(d, n, seed=d + n), random_povm(d, n, seed=100 + d)
-        walks.insert(3 * d, list(difference_walk("l1", a, b)))
+        walks.insert(3 * d, _differences(a, b))
     # ties: a repeated matrix, a zero distance over 8 stacks, scalar sums
     m = _random_hermitian(rng, 1, 3)
     walks.insert(7, [np.concatenate([m, m, 0.5 * m, m])])
     p = random_povm(3, 14, seed=4)
-    walks.insert(20, list(difference_walk("l1", p, p)))
+    walks.insert(20, _differences(p, p))
     trivial = Povm(tuple(f"o{k}" for k in range(14)), np.stack([np.eye(4) / 14] * 14))
-    walks.append(list(difference_walk("l1", trivial, random_povm(4, 14, seed=6))))
+    walks.append(_differences(trivial, random_povm(4, 14, seed=6)))
     return walks
 
 
@@ -270,9 +310,9 @@ def _assert_reports_equal(batched, single):
     ],
 )
 def test_tradeoff_reports_equal_one_instance_calls(inequality_id, check, sizes):
-    instances = _instances(40, 91, **sizes)
+    stacks = _instances(40, 91, **sizes)
     _assert_reports_equal(
-        tradeoff_reports(inequality_id, instances), [check(*i) for i in instances]
+        tradeoff_reports(inequality_id, *stacks), [check(*i) for i in _objects(*stacks)]
     )
 
 
@@ -294,8 +334,9 @@ def test_tradeoff_reports_hold_each_quantity_in_its_field(
 ):
     # the five maxima of each instance, reduced together, land in their own
     # fields: X and Y from the marginals, V_A and V_B, and the right side
-    instances = _instances(20, 93, **sizes)
-    for report, (a, b, f, f_a, f_b) in zip(tradeoff_reports(inequality_id, instances), instances):
+    stacks = _instances(20, 93, **sizes)
+    reports = tradeoff_reports(inequality_id, *stacks)
+    for report, (a, b, f, f_a, f_b) in zip(reports, _objects(*stacks), strict=True):
         x = dist(a, marginalize(f, f_a)).value
         y = dist(b, marginalize(f, f_b)).value
         v_a, v_b = uncertainty(a), uncertainty(b)
@@ -413,7 +454,7 @@ def test_instrument_reports_equal_one_instance_calls():
         f_b = OutcomeMap(f.outcomes, b.outcomes, to_b)
         instances.append((a, b, f, f_a, f_b))
     _assert_reports_equal(
-        tradeoff_reports("cor_pvm_instrument", instances),
+        tradeoff_reports("cor_pvm_instrument", *_stacked(instances)),
         [check_corollary_pvm_instrument(*i) for i in instances],
     )
 
@@ -426,8 +467,10 @@ def test_observable_distances_equal_one_pair_calls(metric, single):
         pairs.append((random_povm(d, n, seed=400 + k), random_povm(d, n, seed=500 + k)))
     pairs.append(pairs[0][::-1])
     pairs.append((pairs[1][0], pairs[1][0]))
-    for dv, (a, b) in zip(observable_distances(metric, pairs), pairs, strict=True):
-        dv0 = single(a, b)
+    found = observable_distances(metric, *(_ragged(side) for side in zip(*pairs)))
+    assert len(found[0]) == len(pairs)
+    for i, (a, b) in enumerate(pairs):
+        dv, dv0 = distance_value(metric, found, i, a.outcomes), single(a, b)
         assert repr((dv.value, dv.witness)) == repr((dv0.value, dv0.witness))
         assert dv.witness_matrix.tobytes() == dv0.witness_matrix.tobytes()
 
@@ -438,7 +481,8 @@ def test_observable_distances_equal_one_pair_calls(metric, single):
 def test_intrinsic_uncertainties_equal_one_povm_calls(metric, single):
     povms = [random_povm(2 + k % 3, 1 + k % 6, seed=600 + k) for k in range(30)]
     povms.append(random_povm(3, 13, seed=7))  # a Gray walk of several stacks
-    assert repr(intrinsic_uncertainties(metric, povms)) == repr([single(p) for p in povms])
+    found = intrinsic_uncertainties(metric, _ragged(povms)).tolist()
+    assert repr(found) == repr([single(p) for p in povms])
 
 
 def _gray_sums_by_mask(elements):
@@ -503,15 +547,29 @@ def test_a_walk_of_several_stacks_starts_with_a_full_one():
 
 
 def test_metric_walk_is_one_stack_or_the_gray_walk():
-    e = linalg.hermitian_part(random_povm(3, 12, seed=4).elements)
-    (stack,) = metric_walk("inf", e, "V")
-    assert stack is e
-    walked = list(metric_walk("l1", e, "V"))
-    assert len(walked) == 2 and all(
-        np.array_equal(w, g) for w, g in zip(walked, gray_walk(e, "V"))
-    )
+    # "inf" cuts each dimension's block into its items; "l1" sums each item's
+    # subsets side by side with the items of its shape while they fit one
+    # stack, and walks a longer item on its own
+    povms = [random_povm(3, 12, seed=4), random_povm(3, 3, seed=5), random_povm(2, 3, seed=6)]
+    povms.append(random_povm(3, 3, seed=7))
+    stack = _ragged(povms)
+    e = [linalg.hermitian_part(p.elements) for p in povms]
+    walks = metric_walks("inf", stack, "V")
+    assert [items.tolist() for items, _ in walks] == [[2], [0, 1, 3]]
+    assert walks[1][1].stack is stack.blocks[3] and walks[1][1].counts.tolist() == [12, 3, 3]
+    walks = {tuple(np.ravel(items).tolist()): w for items, w in metric_walks("l1", stack, "V")}
+    assert set(walks) == {(2,), (1, 3), (0,)}
+    assert isinstance(walks[1, 3], Segments) and walks[1, 3].counts.tolist() == [4, 4]
+    h = stack.with_blocks({d: linalg.hermitian_part(b) for d, b in stack.blocks.items()})
+    sums = {tuple(np.ravel(i).tolist()): w for i, w in metric_walks("l1", h, "V")}
+    side_by_side = np.concatenate([*gray_walk(e[1], "V"), *gray_walk(e[3], "V")])
+    assert np.array_equal(sums[1, 3].stack, side_by_side)
+    walked = list(sums[0,])
+    alone = list(gray_walk(e[0], "V"))
+    assert len(walked) == 2 and all(np.array_equal(w, g) for w, g in zip(walked, alone))
     # only the subset walk has a capacity limit
-    many = np.stack([np.eye(2) / 21] * 21)
-    assert len(list(metric_walk("inf", many, "V"))) == 1
+    many = _ragged([Povm(tuple(f"o{k}" for k in range(21)), np.stack([np.eye(2) / 21] * 21))])
+    assert len(metric_walks("inf", many, "V")) == 1
+    ((_, walk),) = metric_walks("l1", many, "V")
     with pytest.raises(CapacityError, match="^V enumerates all subsets of 21 outcomes"):
-        list(metric_walk("l1", many, "V"))
+        list(walk)

@@ -7,11 +7,16 @@ For each seed the script runs `run_selftest(200, seed)`, the suites of
 function a suite calls to get the values it checks: the theorem reports,
 the observable and distribution distances, the intrinsic uncertainties, the
 POVM validation reports and the marginals. A suite that evaluates many
-instances with one call of a sequence form (`tradeoff_reports`,
-`observable_distances`, `intrinsic_uncertainties`) has each item of the
-result recorded under the name of its one-instance function, so
-`tradeoff_reports("theorem1", ...)` feeds the `check_theorem1` stream. Each
-suite prints one line,
+instances with one call of a stacked form (`tradeoff_reports`,
+`observable_distances`, `intrinsic_uncertainties`, `validate_povms`,
+`marginals`) has each item of the result recorded under the name of its
+one-instance function, encoded as that function's result would be: so
+`tradeoff_reports("theorem1", ...)` feeds the `check_theorem1` stream, and
+a marginal is recorded by its target labels and elements, as a `Povm`.
+The items of a quantity's stacked calls are taken instance by instance:
+item i of each call, in call order, before item i + 1, as a suite that
+makes its four coarse-grainings of an instance one after another would
+check them. Each suite prints one line,
 
     seed suite sha256
 
@@ -44,6 +49,7 @@ sys.path[:0] = [str(ROOT / "src")]
 
 import jointmeas  # noqa: E402
 from jointmeas import selftest  # noqa: E402
+from jointmeas.distances import distance_value  # noqa: E402
 from jointmeas.povm import Povm  # noqa: E402
 
 SUITES = (
@@ -65,12 +71,17 @@ CHECKED = (
     "validate_povm",
     "marginalize",
 )
-# the sequence forms, each called as f(key, items), and the name of the
-# quantity of each item of their result, formatted with the key
-SEQUENCES = {
-    "tradeoff_reports": "check_{}",
-    "observable_distances": "D_{}",
-    "intrinsic_uncertainties": "intrinsic_uncertainty_{}",
+# the stacked forms: from a call's arguments and result, the name of the
+# one-instance function and that function's result for each item
+STACKED = {
+    "tradeoff_reports": lambda args, out: (f"check_{args[0]}", out),
+    "observable_distances": lambda args, out: (
+        f"D_{args[0]}",
+        [distance_value(args[0], out, i, args[1].labels(i)) for i in range(len(args[1].counts))],
+    ),
+    "intrinsic_uncertainties": lambda args, out: (f"intrinsic_uncertainty_{args[0]}", out),
+    "validate_povms": lambda args, out: ("validate_povm", out),
+    "marginals": lambda args, out: ("marginalize", [out.povm(i) for i in range(len(out.counts))]),
 }
 
 
@@ -113,10 +124,12 @@ def patched(names, wrap):
 def recording(sink):
     """Within the block, every value the suites check goes to
     sink(quantity, raw) as its encoding: the result of each CHECKED
-    function, and each item that a sequence form returns, under the name
-    of its one-instance function. The block gets a namespace of the CHECKED
-    functions of the package that record in the same way, for a reference
-    that checks instances one at a time."""
+    function as it returns, and each item that a stacked form returns,
+    under the name of its one-instance function, when the block ends,
+    instance by instance across the calls of each quantity. The block gets
+    a namespace of the CHECKED functions of the package that record in the
+    same way, for a reference that checks instances one at a time."""
+    calls: dict[str, list[list[bytes]]] = {}
 
     def one(name, real):
         def call(*args):
@@ -127,18 +140,23 @@ def recording(sink):
         return call
 
     def many(name, real):
-        def call(key, items):
-            out = real(key, items)
-            for item in out:
-                sink(SEQUENCES[name].format(key), encode(item))
+        def call(*args):
+            out = real(*args)
+            quantity, items = STACKED[name](args, out)
+            calls.setdefault(quantity, []).append([encode(item) for item in items])
             return out
 
         return call
 
-    with patched(CHECKED, one), patched(SEQUENCES, many):
+    with patched(CHECKED, one), patched(STACKED, many):
         yield types.SimpleNamespace(
             **{name: one(name, getattr(jointmeas, name)) for name in CHECKED}
         )
+    for quantity, found in calls.items():
+        for i in range(max(map(len, found))):
+            for items in found:
+                if i < len(items):
+                    sink(quantity, items[i])
 
 
 def value_lines(seed: int, trials: int = 200):
@@ -150,7 +168,8 @@ def value_lines(seed: int, trials: int = 200):
         def run(*args):
             streams.clear()
             try:
-                return real(*args)
+                with recording(sink):
+                    return real(*args)
             finally:
                 total = hashlib.sha256()
                 for quantity in sorted(streams):
@@ -162,11 +181,7 @@ def value_lines(seed: int, trials: int = 200):
     def sink(quantity, raw):
         streams.setdefault(quantity, hashlib.sha256()).update(raw)
 
-    with (
-        patched(SUITES, suite),
-        recording(sink),
-        contextlib.redirect_stdout(io.StringIO()),
-    ):
+    with patched(SUITES, suite), contextlib.redirect_stdout(io.StringIO()):
         selftest.run_selftest(trials, seed)
     for name in SUITES:
         yield f"{name.removeprefix('suite_')} {digests[name]}"
