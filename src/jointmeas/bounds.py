@@ -18,9 +18,12 @@ is sin(theta)/2, which `qubit-demo` compares against the additive bound of
 Busch and Heinosaari. Every check that takes F runs through one evaluator,
 `tradeoff_reports`, which takes many instances at once as `povm.Ragged`
 stacks and reduces all their maxima (X, Y, V_A, V_B and the commutator norm
-of each) with one `subsets.max_norms` call; each report is the one its
-instance gives alone, and the `check_*` functions are its case of one
-instance.
+of each) with one `subsets.max_norms` call, which returns each quantity in
+instance order; each report is the one its instance gives alone, and the
+`check_*` functions are its case of one instance. The commutator norms are
+`Segments`, except that a subset pair of more than CHUNK_BITS + 2
+outcomes in all (8 x 8 outcomes, say) is one walk of several stacks per
+instance, read off `subsets.gray_products`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .distances import difference_walks
 from .povm import (
     Povm,
     Ragged,
-    maxima,
     projective,
     require_same_dim,
     require_same_outcomes,
@@ -43,7 +45,7 @@ from .povm import (
     uncertainty_walks,
 )
 from .smearing import OutcomeMap, marginals, outcome_choice
-from .subsets import CHUNK_BITS, Segments, gray_products
+from .subsets import CHUNK_BITS, Segments, gray_products, max_norms
 
 # Bounds are reported satisfied when lhs - rhs >= -SLACK_TOL. All quantities
 # are O(1), so an absolute threshold is appropriate.
@@ -106,7 +108,7 @@ def commutator_walks(metric: str, a: Ragged, b: Ragged) -> list[tuple[np.ndarray
 
 def _commutator_norm(metric: str, a: Povm, b: Povm) -> float:
     require_same_dim(a, b)
-    return float(maxima([commutator_walks(metric, Ragged.of(a), Ragged.of(b))], 1)[0][0][0])
+    return float(max_norms([commutator_walks(metric, Ragged.of(a), Ragged.of(b))], 1)[0][0][0])
 
 
 def max_commutator_norm(a: Povm, b: Povm) -> float:
@@ -194,7 +196,7 @@ def tradeoff_reports(
     if not instrument:
         quantities += [uncertainty_walks(metric, a), uncertainty_walks(metric, b)]
     quantities.append(commutator_walks(metric, a, b))
-    found = [values.tolist() for values, _, _ in maxima(quantities, len(a.counts))]
+    found = [values.tolist() for values, _, _ in max_norms(quantities, len(a.counts))]
     xs, ys, *vs, rhs = found
     reports = []
     for i, (x, y) in enumerate(zip(xs, ys)):
@@ -258,7 +260,7 @@ def check_corollary_joint(a: Povm, b: Povm) -> TradeoffReport:
     sa, sb = Ragged.of(a), Ragged.of(b)
     walks = [uncertainty_walks("inf", sa), uncertainty_walks("inf", sb)]
     walks.append(commutator_walks("inf", sa, sb))
-    v_a, v_b, commutator = (float(values[0]) for values, _, _ in maxima(walks, 1))
+    v_a, v_b, commutator = (float(values[0]) for values, _, _ in max_norms(walks, 1))
     return TradeoffReport(
         inequality_id="cor_joint",
         X=0.0,

@@ -14,8 +14,11 @@ witness: the density matrix on the extremal eigenvector of the maximizing
 Hermitian difference.
 
 `observable_distances` measures every pair of items of two `povm.Ragged`
-stacks with one `subsets.max_norms` call; `D_inf` and `D_l1` are its case
-of one pair.
+stacks with one `subsets.max_norms` call, which returns the values,
+witness positions and witness matrices in item order; `D_inf` and `D_l1`
+are its case of one pair. Its walks are those of `povm.metric_walks`:
+`Segments` for "inf" and for "l1" up to CHUNK_BITS + 1 outcomes, and one
+Gray walk of several stacks per pair beyond that.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .povm import Povm, Ragged, maxima, metric_walks, require_comparable
-from .subsets import gray_labels
+from .povm import Povm, Ragged, metric_walks, require_comparable
+from .subsets import gray_labels, max_norms
 
 DISTRIBUTION_SUM_TOL = 1e-9
 
@@ -120,7 +123,7 @@ def observable_distances(metric: str, a: Ragged, b: Ragged) -> tuple:
     positions (an outcome, or a `subsets.gray_walk` position) and the
     witness matrices, in item order, each the one the pair gives alone.
     `distance_value` reads one item as a `DistanceValue`."""
-    return maxima([difference_walks(metric, a, b)], len(a.counts))[0]
+    return max_norms([difference_walks(metric, a, b)], len(a.counts))[0]
 
 
 def distance_value(metric: str, found: tuple, i: int, outcomes: tuple[str, ...]) -> DistanceValue:

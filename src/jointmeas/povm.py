@@ -7,8 +7,10 @@ stacked forms (`random_ragged`, `validate_povms`,
 `intrinsic_uncertainties`, and `smearing.marginals`,
 `distances.observable_distances` and `bounds.tradeoff_reports`) work on
 it with a few numpy calls per dimension, and each object-level function
-is the case of one item (`Ragged.of`). `metric_walks` and `maxima` turn
-a stack's maxima into `subsets.max_norms` walks and back into item order.
+is the case of one item (`Ragged.of`). `metric_walks` turns a maximum
+over each item of a stack into `subsets.max_norms` walks: `Segments`,
+and a Gray walk of several stacks for an "l1" item of more than
+CHUNK_BITS + 1 outcomes; `max_norms` returns the maxima in item order.
 """
 
 from __future__ import annotations
@@ -216,12 +218,13 @@ def metric_walks(
     fn: Callable[[np.ndarray], np.ndarray] = lambda s: s,
 ) -> list[tuple[np.ndarray, object]]:
     """The `subsets.max_norms` walks of a maximum of `metric` over the
-    matrices of each item of a stack, each with the items it covers, for
-    `maxima`: fn of each dimension's block cut into the items ("inf"), or
-    fn of the Gray-ordered subset sums of each item's matrices ("l1",
+    matrices of each item of a stack, each with the items it covers: fn of
+    each dimension's block cut into the items ("inf"), or fn of the
+    Gray-ordered subset sums of each item's matrices ("l1",
     `subsets.gray_walk`). The sums of items of one shape are taken side by
-    side and, while they fit one stack, cut into the items; longer walks
-    go one item at a time. `what` names the quantity in a CapacityError."""
+    side and, while they fit one stack, cut into the items as `Segments`;
+    longer walks go one item at a time, as generators of their stacks.
+    `what` names the quantity in a CapacityError."""
     if metric != "l1":
         return [
             (items, Segments(fn(stack.blocks[d]), stack.counts[items]))
@@ -235,31 +238,6 @@ def metric_walks(
         else:
             walks += [([i], (fn(s) for s in gray_walk(one, what))) for i, one in zip(items, e)]
     return walks
-
-
-def maxima(quantities: Sequence[list], count: int) -> list[tuple[np.ndarray, np.ndarray, list]]:
-    """For each list of (items, walk) pairs of `metric_walks` and its kin,
-    each of `count` items' largest norm, its position and its matrix, in
-    item order; the walks of all the lists are reduced by one
-    `subsets.max_norms` call."""
-    found = iter(max_norms(walk for walks in quantities for _, walk in walks))
-    out = []
-    for walks in quantities:
-        if len(walks) == 1 and isinstance(walks[0][1], Segments) and len(walks[0][0]) == count:
-            value, pos, matrix = next(found)  # one walk, every item in order
-            out.append((value, pos, list(matrix)))
-            continue
-        values, positions, matrices = np.empty(count), np.empty(count, dtype=int), [None] * count
-        for items, _ in walks:
-            value, pos, matrix = next(found)
-            values[items], positions[items] = value, pos
-            if isinstance(value, float):  # a walk of several stacks: one item
-                matrices[items[0]] = matrix
-            else:
-                for i, m in zip(items.tolist(), matrix):
-                    matrices[i] = m
-        out.append((values, positions, matrices))
-    return out
 
 
 def validate_povms(stack: Ragged) -> list[list[PovmViolation]]:
@@ -326,7 +304,7 @@ def intrinsic_uncertainties(metric: str, stack: Ragged) -> np.ndarray:
     (`intrinsic_uncertainty_inf`) or "l1" (`intrinsic_uncertainty_l1`), of
     each item of a stack, all reduced by one `subsets.max_norms` call;
     each value is the one the POVM gives alone."""
-    return maxima([uncertainty_walks(metric, stack)], len(stack.counts))[0][0]
+    return max_norms([uncertainty_walks(metric, stack)], len(stack.counts))[0][0]
 
 
 def intrinsic_uncertainty_inf(p: Povm) -> float:
@@ -417,22 +395,10 @@ def random_ragged(dims, counts, seeds: Sequence[int]) -> Ragged:
     return stack
 
 
-def random_povms(dim: int, n_outcomes: int, seeds: Sequence[int]) -> list[Povm]:
-    """Random full-rank POVMs of one shape, one per seed, as `random_ragged`
-    draws them; an empty `seeds` gives an empty list."""
-    if dim < 1 or n_outcomes < 1:
-        raise ValueError("dim and n_outcomes must be >= 1")
-    if not seeds:
-        return []
-    elements = random_ragged([dim] * len(seeds), [n_outcomes] * len(seeds), seeds).blocks[dim]
-    labels = tuple(f"o{k}" for k in range(n_outcomes))
-    return [Povm(labels, e) for e in elements.reshape(-1, n_outcomes, dim, dim)]
-
-
 def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
-    """Random full-rank POVM, deterministic in the seed: the one-seed case of
-    `random_povms`."""
-    return random_povms(dim, n_outcomes, (seed,))[0]
+    """Random full-rank POVM, deterministic in the seed: the one-item case
+    of `random_ragged`."""
+    return random_ragged([dim], [n_outcomes], [seed]).povm(0)
 
 
 def random_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

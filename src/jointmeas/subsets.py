@@ -18,17 +18,18 @@ Both walk along axis -3, so one call sums the subsets of many equally
 long element lists at once, item by item.
 
 `gray_products` yields the products X_D @ Y_E of two such walks in stacks
-of the same size, so this module alone sizes every stack. `max_norms`
-reduces all these maxima, and the one-stack maxima over outcomes (given
-one stack a walk, or many at once as the `Segments` of one stack),
-pruning with trace bounds (`linalg.herm_norm_bound_stack`, the Wolkowicz-Styan
-bound from "Bounds for eigenvalues using traces", Linear Algebra Appl. 29,
-1980); each result is that of its walk alone and unpruned, bit for bit.
+of the same size, so this module alone sizes every stack. `max_norms` is
+the one reducer of the spectral maxima, over outcomes and over subsets.
+It takes two walk forms: `Segments`, one stack per item, solved together
+by dimension, and one item's walk of several stacks, pruned with trace
+bounds (`linalg.herm_norm_bound_stack`, the Wolkowicz-Styan bound from
+"Bounds for eigenvalues using traces", Linear Algebra Appl. 29, 1980).
+It returns each quantity's maxima in item order, each the one its walk
+gives alone and unpruned, bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -54,8 +55,8 @@ class CapacityError(ValueError):
 
 
 class Segments(NamedTuple):
-    """Many one-stack walks for `max_norms` at once: the consecutive runs of
-    `counts` matrices of one stack (N, d, d)."""
+    """The one-stack walks of many items for `max_norms`: the consecutive
+    runs of `counts` matrices of one stack (N, d, d), one run an item."""
 
     stack: np.ndarray
     counts: np.ndarray
@@ -149,97 +150,81 @@ def _walk_max(first: np.ndarray, rest: Iterable[np.ndarray]) -> tuple[float, int
     return best, best_pos, best_matrix
 
 
-def max_norms(walks: Iterable[Iterable[np.ndarray] | Segments]) -> list[tuple]:
-    """For each walk, a sequence of stacks of (nearly) Hermitian matrices
-    (N, d, d), the largest operator norm, read as `linalg.herm_norm_stack`
-    reads it, with its position across the concatenation of the walk's
-    stacks and its matrix; ties break to the first maximum.
+def max_norms(quantities: Iterable[Iterable[tuple]], count: int) -> list[tuple]:
+    """For each quantity, a list of (items, walk) pairs that covers `count`
+    items, each item's largest operator norm over its walk of (nearly)
+    Hermitian matrices, read as `linalg.herm_norm_stack` reads it, with its
+    position along the walk and its matrix: (values, positions, matrices),
+    arrays and a list in item order. Ties break to the first maximum.
 
-    A `Segments` walk stands for one one-stack walk per segment, and its
-    result is the three results as arrays, one entry per segment: each
-    maximum comes from `np.maximum.reduceat`, and its position is the
-    first index of the segment that reaches it. When every waiting walk of
-    a solve is a single segment (the one-item calls), each takes one
-    `np.argmax` instead, with the same result.
+    A walk is one of two forms. `Segments` hold one stack per item, the
+    consecutive runs of one array; `povm.metric_walks` and
+    `bounds.commutator_walks` make them for every "inf" maximum and for the
+    "l1" maxima whose Gray walk fits one stack. Any other walk is one
+    item's iterable of several stacks, the Gray walk of an "l1" maximum of
+    more than CHUNK_BITS + 1 outcomes (`gray_walk`, `gray_products`).
 
-    Each walk is read one stack ahead. A walk that ends after its first
-    stack waits as that array, as do `Segments`; a dimension's waiting
-    stacks are solved together, at most 2^CHUNK_BITS matrices a
-    `linalg.herm_norm_stack` call, before one more would pass that many.
+    The `Segments` of a dimension wait, and are solved together, at most
+    2^CHUNK_BITS matrices a `linalg.herm_norm_stack` call, before one more
+    would pass that many; each maximum comes from `np.maximum.reduceat`,
+    and its position is the first index of its segment that reaches it.
     `eigvalsh` solves each matrix on its own, so every result is the one
     its walk gives alone.
 
-    A walk with later stacks starts with a full stack of 2^CHUNK_BITS
-    matrices (`gray_walk`, `gray_products`), which is solved alone at once.
-    In each later stack, a matrix gets a solve only if both trace bounds of
-    `linalg.herm_norm_bound_stack`, on the matrix and on the square of its
-    Hermitian part (whose largest eigenvalue is the squared norm), reach
-    (1 - PRUNE_RTOL) times the walk's running maximum. A pruned matrix
-    cannot reach that maximum, and a later stack replaces it only with a
-    strictly larger norm, so the result is that of an unpruned walk, bit
-    for bit. Both bounds cost 0.2 (d = 8) to 0.7 (d = 2) of a solve a
-    matrix, so a walk prunes only while they drop at least half of what
-    they see: first of every eighth matrix of its first stack, then of each
-    pruned stack. Sums whose norms crowd the maximum, as ||S - S^2|| does
-    at d >= 3, go on unpruned.
+    A walk of several stacks is reduced as soon as it is met, holding its
+    first stack and one later stack at a time. Its first stack is full
+    (2^CHUNK_BITS matrices) and solved whole. In each later stack, a matrix
+    gets a solve only if both trace bounds of `linalg.herm_norm_bound_stack`,
+    on the matrix and on the square of its Hermitian part (whose largest
+    eigenvalue is the squared norm), reach (1 - PRUNE_RTOL) times the
+    walk's running maximum. A pruned matrix cannot reach that maximum, and
+    a later stack replaces it only with a strictly larger norm, so the
+    result is that of an unpruned walk, bit for bit. Both bounds cost 0.2
+    (d = 8) to 0.7 (d = 2) of a solve a matrix, so a walk prunes only while
+    they drop at least half of what they see: first of every eighth matrix
+    of its first stack, then of each pruned stack. Sums whose norms crowd
+    the maximum, as ||S - S^2|| does at d >= 3, go on unpruned.
     """
     cap = 2**CHUNK_BITS
-    results: list = []
-    pending: dict[int, list] = {}  # dimension -> [(slot, stack)] of one-stack walks
+    found: list[tuple] = []
+    pending: dict[int, list] = {}  # dimension -> [(result, items, Segments)] waiting
     waiting: dict[int, int] = {}  # dimension -> matrices in its pending stacks
 
     def solve(d: int) -> None:
         group = pending.pop(d)
         del waiting[d]
-        flat = group[0][1] if len(group) == 1 else np.concatenate([hs for _, hs, _ in group])
-        chunks = [linalg.herm_norm_stack(flat[k : k + cap]) for k in range(0, len(flat), cap)]
-        norms = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        if all(c is None or len(c) == 1 for _, _, c in group):
-            # one segment a walk: one argmax each
-            start = 0
-            for slot, hs, c in group:
-                k = int(np.argmax(norms[start : start + len(hs)]))
-                if c is None:
-                    results[slot] = float(norms[start + k]), k, hs[k]
-                else:
-                    results[slot] = norms[start + k : start + k + 1], np.array([k]), hs[k : k + 1]
-                start += len(hs)
-            return
-        # every waiting walk is one segment, or its `Segments`
-        counts = np.concatenate([[len(hs)] if c is None else c for _, hs, c in group])
+        flat = np.concatenate([walk.stack for _, _, walk in group])
+        norms = np.concatenate(
+            [linalg.herm_norm_stack(flat[k : k + cap]) for k in range(0, len(flat), cap)]
+        )
+        counts = np.concatenate([walk.counts for _, _, walk in group])
         starts = np.cumsum(counts) - counts
         best = np.maximum.reduceat(norms, starts)
         reached = np.flatnonzero(norms == np.repeat(best, counts))
         firsts = reached[np.searchsorted(reached, starts)]
-        pos = firsts - starts
         j = 0
-        for slot, hs, c in group:
-            if c is None:
-                k = int(pos[j])
-                results[slot] = float(best[j]), k, hs[k]
-                j += 1
-            else:
-                span = slice(j, j + len(c))
-                results[slot] = best[span], pos[span], flat[firsts[span]]
-                j += len(c)
+        for (values, positions, matrices), items, _ in group:
+            span = slice(j, j + len(items))
+            values[items], positions[items] = best[span], firsts[span] - starts[span]
+            for i, k in zip(items.tolist(), firsts[span].tolist()):
+                matrices[i] = flat[k]
+            j += len(items)
 
-    for walk in walks:
-        if isinstance(walk, Segments):
-            first, counts = walk
-        else:
-            stacks = iter(walk)
-            first, second, counts = next(stacks), next(stacks, None), None
-            if second is not None:
-                rest = itertools.chain(iter([second]), stacks)  # an exhausted iter drops its list
-                del second  # so the walk's stacks are held one at a time while it is reduced
-                results.append(_walk_max(first, rest))
+    for walks in quantities:
+        result = np.empty(count), np.empty(count, dtype=int), [None] * count
+        found.append(result)
+        for items, walk in walks:
+            if not isinstance(walk, Segments):
+                (i,) = items
+                stacks = iter(walk)
+                first = next(stacks)
+                result[0][i], result[1][i], result[2][i] = _walk_max(first, stacks)
                 continue
-        d = first.shape[-1]
-        if d in waiting and waiting[d] + len(first) > cap:
-            solve(d)
-        pending.setdefault(d, []).append((len(results), first, counts))
-        waiting[d] = waiting.get(d, 0) + len(first)
-        results.append(None)
+            d = walk.stack.shape[-1]
+            if d in waiting and waiting[d] + len(walk.stack) > cap:
+                solve(d)
+            pending.setdefault(d, []).append((result, items, walk))
+            waiting[d] = waiting.get(d, 0) + len(walk.stack)
     for d in list(pending):
         solve(d)
-    return results
+    return found

@@ -15,7 +15,7 @@ from jointmeas.povm import (
     outcome_probabilities,
     projective,
     random_povm,
-    random_povms,
+    random_ragged,
     random_states,
     validate_povm,
 )
@@ -142,6 +142,16 @@ class TestIsPvm:
         dims = np.array([2, 2, 2])
         stack = Ragged(dims, np.array([2, 2, 2]), {2: np.concatenate([p.elements for p in povms])})
         assert projective(stack).tolist() == [True, False, True]
+
+
+def test_take_keeps_each_items_labels():
+    p, q = random_povm(2, 3, seed=1), Povm(("x", "y"), random_povm(3, 2, seed=2).elements)
+    blocks = {2: p.elements, 3: q.elements}
+    stack = Ragged(np.array([2, 3]), np.array([3, 2]), blocks, [p.outcomes, q.outcomes])
+    taken = stack.take([1, 0])
+    assert [taken.labels(i) for i in range(2)] == [("x", "y"), p.outcomes]
+    assert taken.povm(0).elements.tobytes() == q.elements.tobytes()
+    assert taken.povm(1).elements.tobytes() == p.elements.tobytes()
 
 
 class TestRandomStates:
@@ -338,7 +348,7 @@ class TestRandomPovm:
 
     def test_singular_group_in_a_stack_names_its_own_seed(self, monkeypatch):
         # seed 22's generator draws R with a zero first row, so its element
-        # sum is singular while its neighbours' are not; random_povms builds
+        # sum is singular while its neighbours' are not; random_ragged builds
         # each seed's generator as Generator(PCG64(seed))
         real = np.random.Generator
 
@@ -357,13 +367,13 @@ class TestRandomPovm:
             lambda bg: ZeroFirstRow(bg) if bg.seed_seq.entropy == 22 else real(bg),
         )
         with pytest.raises(ValueError) as err:
-            random_povms(3, 2, [21, 22, 23])
+            random_ragged([3] * 3, [2] * 3, [21, 22, 23])
         assert str(err.value) == "random POVM draw at seed 22 has a singular element sum"
 
-    def test_no_seeds_give_no_povms(self):
-        assert random_povms(3, 2, []) == []
-        with pytest.raises(ValueError):
-            random_povms(0, 2, [])
+    def test_stacks_reject_bad_sizes(self):
+        for dims, counts in (([3, 0], [2, 2]), ([3, 3], [2, 0])):
+            with pytest.raises(ValueError, match="^dim and n_outcomes must be >= 1$"):
+                random_ragged(dims, counts, [1, 2])
 
 
 def single_draw_reference(dim, n_outcomes, seed):
@@ -384,7 +394,8 @@ def single_draw_reference(dim, n_outcomes, seed):
 @pytest.mark.parametrize("n_outcomes", range(1, 9))
 def test_stacked_draws_have_the_bits_of_single_draws(dim, n_outcomes):
     seeds = [0, 7 * dim + n_outcomes, 2**31 + n_outcomes, 2**63 - 2]
-    stacked = random_povms(dim, n_outcomes, seeds)
+    stack = random_ragged([dim] * 4, [n_outcomes] * 4, seeds)
+    stacked = [stack.povm(i) for i in range(4)]
     assert [p.outcomes for p in stacked] == [random_povm(dim, n_outcomes, 0).outcomes] * 4
     for s, p in zip(seeds, stacked):
         assert p.elements.tobytes() == random_povm(dim, n_outcomes, s).elements.tobytes()

@@ -7,9 +7,9 @@ compares a public subset maximum with a reference that solves every matrix
 of every stack, so a prune that drops a matrix which could have won changes
 a value, a witness or a witness matrix, and fails the comparison.
 
-`max_norms` also solves the first stacks of all its walks together, so the
-batching tests compare each walk's result, and each item of the stacked
-forms built on it, with the one-walk call, bit for bit.
+`max_norms` also solves the `Segments` of all its quantities together, by
+dimension, so the batching tests compare each item's result, and each item
+of the stacked forms built on it, with its walk reduced alone, bit for bit.
 """
 
 import math
@@ -235,7 +235,8 @@ def _mixed_walks():
     """Walks of dimensions 2, 3, 4 and 8, interleaved: one-stack walks of
     1 to 40 matrices, one of more than 2^CHUNK_BITS, Gray walks of 13 to 16
     outcomes that prune, and walks whose matrices tie, within a stack and
-    across stacks. Each walk is a list of its stacks."""
+    across stacks. Each walk is a list of its stacks, and item i of each
+    quantity of `_quantities` is walk i."""
     rng = np.random.default_rng(90)
     walks = []
     for k, d in enumerate([2, 3, 4, 8] * 12):
@@ -254,43 +255,102 @@ def _mixed_walks():
     return walks
 
 
+def _quantity(walks, size):
+    """`max_norms` pairs (items, walk) of a list of walks: a walk of several
+    stacks as it is, and the one-stack walks between two such walks as
+    `Segments` of at most `size` items of one dimension."""
+    pairs, run = [], []
+
+    def cut():
+        for d in sorted({walks[i][0].shape[-1] for i in run}):
+            same = [i for i in run if walks[i][0].shape[-1] == d]
+            for k in range(0, len(same), size):
+                stacks = [walks[i][0] for i in same[k : k + size]]
+                segments = Segments(np.concatenate(stacks), np.array([len(s) for s in stacks]))
+                pairs.append((np.array(same[k : k + size]), segments))
+        run.clear()
+
+    for i, w in enumerate(walks):
+        if len(w) > 1:
+            cut()
+            pairs.append((np.array([i]), w))
+        else:
+            run.append(i)
+    cut()
+    return pairs
+
+
+def _quantities():
+    """Two quantities of the `_mixed_walks`, as `max_norms` takes them: the
+    walks in order with `Segments` of up to 5 items, and in reverse with one
+    item each; and the walks of each quantity's items."""
+    walks = _mixed_walks()
+    return [_quantity(walks, 5), _quantity(walks[::-1], 1)], [walks, walks[::-1]]
+
+
+def _alone(walk):
+    """`max_norms` of one walk, a list of stacks, on its own."""
+    if len(walk) == 1:
+        walk = Segments(walk[0], np.array([len(walk[0])]))
+    ((values, positions, (matrix,)),) = max_norms([[(np.array([0]), walk)]], 1)
+    return float(values[0]), int(positions[0]), matrix
+
+
+def _assert_items(found, expected):
+    """A `max_norms` result of one quantity against (value, position,
+    matrix) for each item."""
+    values, positions, matrices = found
+    assert len(values) == len(positions) == len(matrices) == len(expected)
+    for i, (value, pos, matrix) in enumerate(expected):
+        assert (values[i], positions[i]) == (value, pos)
+        assert matrices[i].tobytes() == matrix.tobytes()
+
+
 def _assert_same(found, expected):
     assert len(found) == len(expected)
-    for (value, pos, matrix), (value0, pos0, matrix0) in zip(found, expected):
-        assert (value, pos) == (value0, pos0)
-        assert matrix.tobytes() == matrix0.tobytes()
+    for (values, positions, matrices), other in zip(found, expected):
+        _assert_items(other, list(zip(values, positions, matrices)))
 
 
 def test_many_walks_equal_each_walk_alone():
-    walks = _mixed_walks()
+    quantities, walks = _quantities()
     # the Gray walks span several stacks and prune
-    assert sum(len(w) > 1 for w in walks) == 6
-    found = max_norms(walks)
-    _assert_same(found, [max_norms([w])[0] for w in walks])
-    _assert_same(found, [_unpruned(w) for w in walks])
+    assert sum(len(w) > 1 for w in walks[0]) == 6
+    assert sum(isinstance(w, Segments) for _, w in quantities[0]) < len(walks[0]) - 6
+    found = max_norms(quantities, len(walks[0]))
+    assert len(found) == 2
+    for one, ws in zip(found, walks):
+        _assert_items(one, [_alone(w) for w in ws])
+        _assert_items(one, [_unpruned(w) for w in ws])
     # the ties break to the first maximum
-    assert found[7][1] == 0
-    assert found[20][:2] == (0.0, 0)
+    values, positions, _ = found[0]
+    assert positions[7] == 0
+    assert (values[20], positions[20]) == (0.0, 0)
 
 
 def test_walks_can_be_iterators():
-    walks = _mixed_walks()
-    _assert_same(max_norms(iter(w) for w in walks), max_norms(walks))
+    # a walk of several stacks is read once, as the generators of
+    # `metric_walks` and `commutator_walks` are
+    quantities, walks = _quantities()
+    once = [[(i, w if isinstance(w, Segments) else iter(w)) for i, w in q] for q in quantities]
+    _assert_same(max_norms(once, len(walks[0])), max_norms(quantities, len(walks[0])))
 
 
 def test_no_solve_takes_more_than_a_chunk(solved):
-    walks = _mixed_walks()
-    max_norms(walks)
+    quantities, walks = _quantities()
+    max_norms(quantities, len(walks[0]))
     cap = 2**CHUNK_BITS
+    # the item of 1,324 matrices too
     assert max(solved) <= cap
-    # the first stacks of each dimension are solved in about as many calls
-    # as a chunk holds them; the rest are the Gray walks' later stacks
-    first_stacks = {}
-    for w in walks:
-        d = w[0].shape[-1]
-        first_stacks[d] = first_stacks.get(d, 0) + len(w[0])
-    later = sum(len(w) - 1 for w in walks)
-    assert len(solved) <= later + sum(math.ceil(n / (cap - 40)) + 1 for n in first_stacks.values())
+    # the `Segments` of each dimension are solved in about as many calls as
+    # a chunk holds them; the rest are the stacks of the Gray walks
+    segments = {}
+    for q in quantities:
+        for _, w in q:
+            if isinstance(w, Segments):
+                segments[w.stack.shape[-1]] = segments.get(w.stack.shape[-1], 0) + len(w.stack)
+    gray = sum(len(w) for q in quantities for _, w in q if not isinstance(w, Segments))
+    assert len(solved) <= gray + sum(math.ceil(n / (cap - 40)) + 1 for n in segments.values())
 
 
 def _instances(count, seed, **sizes):
@@ -345,51 +405,46 @@ def test_tradeoff_reports_hold_each_quantity_in_its_field(
         assert repr(got) == repr(expected)
 
 
-def test_no_waiting_walk_is_a_suspended_generator(monkeypatch):
-    # a walk that ends after its first stack waits as that array, so its
-    # generator has finished before any solve; a walk of several stacks is
-    # read to its end before the next walk is read
-    walks = _mixed_walks()
+def test_no_waiting_walk_is_a_suspended_generator():
+    # `Segments` wait as arrays; a walk of several stacks is read to its end
+    # as soon as it is met, before the next walk is read
+    quantities, walks = _quantities()
     read, finished = [], set()
 
-    def walk(k):
+    def walk(key, stacks):
         try:
-            yield from walks[k]
+            yield from stacks
         finally:
-            finished.add(k)
+            finished.add(key)
 
-    def reading():
-        for k in range(len(walks)):
+    def reading(q):
+        for k, (items, w) in enumerate(quantities[q]):
             assert finished.issuperset(read)
-            read.append(k)
-            yield walk(k)
+            if not isinstance(w, Segments):
+                read.append((q, k))
+                w = walk((q, k), w)
+            yield items, w
 
-    herm_norm_stack = linalg.herm_norm_stack
-
-    def checked(ms):
-        assert finished.issuperset(k for k in read if len(walks[k]) == 1)
-        return herm_norm_stack(ms)
-
-    monkeypatch.setattr(linalg, "herm_norm_stack", checked)
-    found = max_norms(reading())
-    assert finished == set(range(len(walks)))
-    monkeypatch.undo()
-    _assert_same(found, max_norms(walks))
+    found = max_norms([reading(0), reading(1)], len(walks[0]))
+    assert finished == set(read) and len(read) == 12
+    _assert_same(found, max_norms(quantities, len(walks[0])))
 
 
 def test_a_walk_of_several_stacks_leaves_the_waiting_walks_batched(solved):
-    # the one-stack walk read before a Gray walk of its dimension is solved
-    # with the ones read after it, in one call
+    # the `Segments` met before a Gray walk of their dimension are solved
+    # with the ones met after it, in one call
     rng = np.random.default_rng(95)
     gray = list(gray_walk(_random_hermitian(rng, 13, 2), "V"))
-    max_norms([gray])
+    _alone(gray)
     gray_calls = len(solved)
     solved.clear()
-    ones = [[_random_hermitian(rng, n, 2)] for n in (5, 7, 9)]
-    found = max_norms([ones[0], gray, *ones[1:]])
+    ones = [_random_hermitian(rng, n, 2) for n in (5, 7, 9)]
+    segments = [Segments(m, np.array([len(m)])) for m in ones]
+    pairs = [(np.array([i]), w) for i, w in enumerate([segments[0], gray, *segments[1:]])]
+    found = max_norms([pairs], 4)
     assert solved.count(5 + 7 + 9) == 1
     assert len(solved) == gray_calls + 1
-    _assert_same(found, [max_norms([w])[0] for w in (ones[0], gray, *ones[1:])])
+    _assert_items(found[0], [_alone(w) for w in ([ones[0]], gray, [ones[1]], [ones[2]])])
 
 
 def test_a_walk_of_several_stacks_holds_one_later_stack_at_a_time():
@@ -408,13 +463,13 @@ def test_a_walk_of_several_stacks_holds_one_later_stack_at_a_time():
             read.append(weakref.ref(stack := _random_hermitian(rng, cap, 2)))
             yield stack
 
-    ((value, pos, _),) = max_norms([walk()])
-    assert pos == 3 and len(read) == 6
+    ((_, positions, _),) = max_norms([[(np.array([0]), walk())]], 1)
+    assert positions[0] == 3 and len(read) == 6
 
 
 def test_many_walks_are_read_a_chunk_at_a_time(monkeypatch):
-    # a dimension's first stacks are solved as soon as one more would
-    # overfill a chunk, so walks from a generator are not all held at once
+    # a dimension's waiting `Segments` are solved as soon as one more would
+    # overfill a chunk, so pairs from a generator are not all held at once
     cap = 2**CHUNK_BITS
     taken, solves = [], []
     herm_norm_stack = linalg.herm_norm_stack
@@ -429,9 +484,10 @@ def test_many_walks_are_read_a_chunk_at_a_time(monkeypatch):
         rng = np.random.default_rng(94)
         for k in range(3 * cap):
             taken.append(k)
-            yield [_random_hermitian(rng, 1, 2)]
+            yield np.array([k]), Segments(_random_hermitian(rng, 1, 2), np.array([1]))
 
-    assert len(max_norms(walks())) == 3 * cap
+    ((values, _, _),) = max_norms([walks()], 3 * cap)
+    assert len(values) == 3 * cap
     assert solves == [(cap + 1, cap), (2 * cap + 1, cap), (3 * cap, cap)]
 
 
@@ -483,6 +539,18 @@ def test_intrinsic_uncertainties_equal_one_povm_calls(metric, single):
     povms.append(random_povm(3, 13, seed=7))  # a Gray walk of several stacks
     found = intrinsic_uncertainties(metric, _ragged(povms)).tolist()
     assert repr(found) == repr([single(p) for p in povms])
+
+
+def test_stacked_forms_reject_unlike_stacks():
+    # the stacks of one call pair their items one to one, of the same
+    # dimension (and, for the distances, outcome count)
+    a = _ragged([random_povm(2, 3, seed=1), random_povm(3, 3, seed=2)])
+    b = _ragged([random_povm(3, 3, seed=3), random_povm(2, 3, seed=4)])
+    with pytest.raises(ValueError, match="differ in their items' dimensions or outcome counts"):
+        observable_distances("inf", a, b)
+    choice = np.zeros(6, dtype=int)
+    with pytest.raises(ValueError, match="^the instances' POVMs differ in dimension$"):
+        tradeoff_reports("theorem1", a, b, a, choice, choice)
 
 
 def _gray_sums_by_mask(elements):
