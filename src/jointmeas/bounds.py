@@ -88,8 +88,7 @@ def commutator_walks(metric: str, a: Ragged, b: Ragged) -> list[tuple[np.ndarray
     of each complement pair suffices on both sides.
     """
     walks, what = [], "the subset commutator bound"
-    for items, (ea, eb) in shape_groups(a, b):
-        ea, eb = linalg.hermitian_part(ea), linalg.hermitian_part(eb)
+    for items, (ea, eb) in shape_groups(a.hermitian, b.hermitian):
         d = ea.shape[-1]
         if metric != "l1":
             # one einsum, not the blocks' matmul: an ulp here moves the frontier's contour start
@@ -108,7 +107,7 @@ def commutator_walks(metric: str, a: Ragged, b: Ragged) -> list[tuple[np.ndarray
 
 def _commutator_norm(metric: str, a: Povm, b: Povm) -> float:
     require_same_dim(a, b)
-    return float(max_norms([commutator_walks(metric, Ragged.of(a), Ragged.of(b))], 1)[0][0][0])
+    return float(max_norms([commutator_walks(metric, a.stack, b.stack)], 1)[0][0][0])
 
 
 def max_commutator_norm(a: Povm, b: Povm) -> float:
@@ -225,7 +224,7 @@ def _one_instance(
     for p, f in ((a, f_a), (b, f_b)):
         choices.append(outcome_choice(f_povm.outcomes, f))
         require_same_outcomes(p.outcomes, f.target)
-    stacks = (Ragged.of(a), Ragged.of(b), Ragged.of(f_povm))
+    stacks = (a.stack, b.stack, f_povm.stack)
     return tradeoff_reports(inequality_id, *stacks, *choices)[0]
 
 
@@ -257,7 +256,7 @@ def check_corollary_joint(a: Povm, b: Povm) -> TradeoffReport:
     call.
     """
     require_same_dim(a, b)
-    sa, sb = Ragged.of(a), Ragged.of(b)
+    sa, sb = a.stack, b.stack
     walks = [uncertainty_walks("inf", sa), uncertainty_walks("inf", sb)]
     walks.append(commutator_walks("inf", sa, sb))
     v_a, v_b, commutator = (float(values[0]) for values, _, _ in max_norms(walks, 1))

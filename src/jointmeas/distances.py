@@ -140,7 +140,7 @@ def distance_value(metric: str, found: tuple, i: int, outcomes: tuple[str, ...])
 
 def _distance(metric: str, a: Povm, b: Povm) -> DistanceValue:
     require_comparable(a, b)
-    found = observable_distances(metric, Ragged.of(a), Ragged.of(b))
+    found = observable_distances(metric, a.stack, b.stack)
     return distance_value(metric, found, 0, a.outcomes)
 
 

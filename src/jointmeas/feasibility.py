@@ -186,8 +186,7 @@ class _Pair:
         f_a, _ = coordinate_maps(a.outcomes, b.outcomes)
         self.labels = f_a.source
         self.na, self.nb, self.d = a.n_outcomes, b.n_outcomes, a.dim
-        self.ea = linalg.hermitian_part(a.elements)
-        self.eb = linalg.hermitian_part(b.elements)
+        self.ea, self.eb = a.hermitian, b.hermitian
         self.wb = np.einsum("bii->b", self.eb).real / self.d  # tr(B_b)/d
         self.eye = np.eye(self.d, dtype=complex)
 
@@ -216,12 +215,13 @@ class _Pair:
         close to singular.
 
         For commuting pairs this is already an exact joint observable;
-        elsewhere it is a warm start.
+        elsewhere it is a warm start. The PSD projection symmetrizes the
+        products A_a B_b itself: it takes their Hermitian parts.
         """
-        sym = linalg.hermitian_part(np.einsum("aij,bjk->abik", self.ea, self.eb))
-        flat = linalg.project_psd_stack(sym).reshape(self.na * self.nb, self.d, self.d)
+        prods = np.einsum("aij,bjk->abik", self.ea, self.eb)
+        flat = linalg.project_psd_stack(prods).reshape(self.na * self.nb, self.d, self.d)
         seed = linalg.renormalize(flat, 1e-12)
-        return self.flat_seeds()[0] if seed is None else seed.reshape(sym.shape)
+        return self.flat_seeds()[0] if seed is None else seed.reshape(prods.shape)
 
     def flat_seeds(self) -> tuple[np.ndarray, np.ndarray]:
         """A x flat, F_ab = A_a tr(B_b)/d, whose A-marginal is exactly A, and

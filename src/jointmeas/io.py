@@ -12,6 +12,8 @@ UTF-8. See docs/file-formats.md.
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -63,36 +65,74 @@ def _load_document(path) -> tuple[dict, int]:
 
 
 def _save_document(path, dim: int, **body) -> None:
-    """Write a JSON document: the shared header, then `body` in order."""
+    """Write a JSON document: the shared header, then `body` in order, laid
+    out as `json.dumps(doc, indent=2)` lays it out (`_layout`)."""
     doc = {"format_version": FORMAT_VERSION, "dim": dim, **body}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(_layout(doc, "") + "\n", encoding="utf-8")
 
 
-def _parse_matrix(entries, dim: int, path, what: str) -> np.ndarray:
-    if not isinstance(entries, list) or len(entries) != dim * dim:
-        raise FileFormatError(
-            f"{path}: {what} must be a row-major list of {dim * dim} [re, im] pairs"
-        )
-    flat = np.empty(dim * dim, dtype=complex)
+def _layout(value, indent: str) -> str:
+    """The text `json.dumps(value, indent=2)` writes for a nonempty dict or
+    list at this indentation, a complex array written as its row-major list
+    of [re, im] pairs: one number a line, each float as its repr. `json`
+    writes every string and scalar."""
+    inner = indent + "  "
+    if isinstance(value, np.ndarray):
+        pair = f"{inner}[\n{inner}  %r,\n{inner}  %r\n{inner}]"
+        numbers = np.ascontiguousarray(value, dtype=complex).reshape(-1).view(float)
+        lines = ",\n".join([pair] * value.size) % tuple(numbers.tolist())
+    elif isinstance(value, dict):
+        lines = ",\n".join(f"{inner}{json.dumps(k)}: {_layout(v, inner)}" for k, v in value.items())
+    elif isinstance(value, list):
+        lines = ",\n".join(inner + json.dumps(v) for v in value)
+    else:
+        return json.dumps(value)
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    return f"{opening}\n{lines}\n{indent}{closing}"
+
+
+def _entry_problem(entries, size: int) -> str | None:
+    """What is wrong with one matrix's row-major list of `size` [re, im]
+    pairs, the first problem in entry order, or None."""
+    if not isinstance(entries, list) or len(entries) != size:
+        return f"must be a row-major list of {size} [re, im] pairs"
+    finite = True
     for i, pair in enumerate(entries):
         if (
             not isinstance(pair, list)
             or len(pair) != 2
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
         ):
-            raise FileFormatError(f"{path}: {what} entry {i} is not a [re, im] number pair")
+            return f"entry {i} is not a [re, im] number pair"
         try:
-            flat[i] = complex(pair[0], pair[1])
+            finite = all(map(math.isfinite, pair)) and finite
         except OverflowError:  # an integer too large for a float
-            raise FileFormatError(f"{path}: {what} contains non-finite entries") from None
-    if not np.isfinite(flat).all():
-        raise FileFormatError(f"{path}: {what} contains non-finite entries")
-    return flat.reshape(dim, dim)
+            return "contains non-finite entries"
+    return None if finite else "contains non-finite entries"
 
 
-def _matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(m, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+def _parse_matrices(rows: list, dim: int, path, names: list[str]) -> np.ndarray:
+    """The matrices (n, dim, dim) of n row-major lists of [re, im] pairs,
+    read as one array. Each pair must hold two finite JSON numbers; when
+    one does not, or a list is not such a list, the FileFormatError names
+    the first problem, list by list in order (`_entry_problem`)."""
+    size = dim * dim
+    try:
+        pairs = list(chain.from_iterable(rows))
+        if (
+            set(map(len, rows)) == {size}
+            and set(map(len, pairs)) == {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {int, float}
+        ):
+            values = np.fromiter(chain.from_iterable(pairs), float, 2 * len(pairs))
+            if np.isfinite(values).all():
+                return values.view(complex).reshape(len(rows), dim, dim)
+    except (TypeError, OverflowError):  # not a list of lists; an integer too large for a float
+        pass
+    for name, entries in zip(names, rows):
+        if (problem := _entry_problem(entries, size)) is not None:
+            raise FileFormatError(f"{path}: {name} {problem}")
+    raise AssertionError(f"{path}: a document that did not parse shows no problem")
 
 
 def load_povm(path) -> tuple[Povm, list[PovmViolation]]:
@@ -114,25 +154,21 @@ def load_povm(path) -> tuple[Povm, list[PovmViolation]]:
     elements = _require(doc, "elements", path)
     if not isinstance(elements, dict) or set(elements) != set(outcomes):
         raise FileFormatError(f"{path}: elements must map exactly the outcome labels")
-    mats = np.stack(
-        [_parse_matrix(elements[o], dim, path, f"element {o!r}") for o in outcomes]
+    mats = _parse_matrices(
+        [elements[o] for o in outcomes], dim, path, [f"element {o!r}" for o in outcomes]
     )
     povm = Povm(tuple(outcomes), mats)
     return povm, validate_povm(povm)
 
 
 def save_povm(p: Povm, path) -> None:
-    _save_document(
-        path,
-        p.dim,
-        outcomes=list(p.outcomes),
-        elements={o: _matrix_to_pairs(p[o]) for o in p.outcomes},
-    )
+    elements = dict(zip(p.outcomes, p.elements))
+    _save_document(path, p.dim, outcomes=list(p.outcomes), elements=elements)
 
 
 def save_state(rho: np.ndarray, path) -> None:
     """Write a density matrix (d, d) as a state document."""
-    _save_document(path, rho.shape[0], matrix=_matrix_to_pairs(rho))
+    _save_document(path, rho.shape[0], matrix=rho)
 
 
 def load_outcome_map_pairs(path) -> list[tuple[str, str]]:

@@ -35,16 +35,17 @@ def read_only(m: np.ndarray) -> np.ndarray:
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(M + M*) / 2 along the last two axes (works on stacked matrices)."""
-    return (m + np.conj(np.swapaxes(m, -1, -2))) / 2
+    return (m + m.swapaxes(-1, -2).conj()) / 2
 
 
 # --- stacked kernels (shape (..., d, d)) ---
 
 
 def herm_norm_stack(ms: np.ndarray) -> np.ndarray:
-    """Operator norms of a stack of (nearly) Hermitian matrices."""
+    """Operator norms of a stack of (nearly) Hermitian matrices: the larger
+    magnitude of the two ends of each ascending spectrum."""
     w = np.linalg.eigvalsh(hermitian_part(ms))
-    return np.abs(w).max(axis=-1)
+    return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
 
 
 def herm_norm_bound_stack(ms: np.ndarray) -> np.ndarray:
@@ -68,15 +69,15 @@ def commutator_stack(prods: np.ndarray) -> np.ndarray:
     """i[X, Y] for Hermitian pairs, from their products P = XY: for
     Hermitian X and Y, [X, Y] = P - P*, and i[X, Y] is Hermitian with the
     same norm."""
-    return 1j * (prods - np.conj(np.swapaxes(prods, -1, -2)))
+    return 1j * (prods - prods.swapaxes(-1, -2).conj())
 
 
 def project_psd_stack(ms: np.ndarray) -> np.ndarray:
     """Per-matrix PSD projection of a stack: the nearest (Frobenius) PSD
     matrix, by clipping the Hermitian part's negative eigenvalues to zero."""
     w, u = np.linalg.eigh(hermitian_part(ms))
-    w = np.clip(w, 0.0, None)
-    return (u * w[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+    w = np.maximum(w, 0.0)  # what np.clip(w, 0.0, None) computes, without its wrappers
+    return (u * w[..., None, :]) @ u.swapaxes(-1, -2).conj()
 
 
 def clip_operator_norm_stack(
@@ -104,7 +105,7 @@ def clip_operator_norm_stack(
     """
     w, u = np.linalg.eigh(hermitian_part(ms))
     w = np.clip(w, lower, upper)
-    return (u * w[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+    return (u * w[..., None, :]) @ u.swapaxes(-1, -2).conj()
 
 
 def renormalize(g: np.ndarray, floor: float) -> np.ndarray | None:
@@ -120,6 +121,6 @@ def renormalize(g: np.ndarray, floor: float) -> np.ndarray | None:
     w, u = np.linalg.eigh(hermitian_part(s))
     if (w[..., 0] <= floor * np.maximum(1.0, w[..., -1])).any():
         return None
-    inv_sqrt = (u * (1.0 / np.sqrt(w))[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+    inv_sqrt = (u * (1.0 / np.sqrt(w))[..., None, :]) @ u.swapaxes(-1, -2).conj()
     inv_sqrt = inv_sqrt[..., None, :, :]
     return inv_sqrt @ g @ inv_sqrt

@@ -7,7 +7,7 @@ stacked forms (`random_ragged`, `validate_povms`,
 `intrinsic_uncertainties`, and `smearing.marginals`,
 `distances.observable_distances` and `bounds.tradeoff_reports`) work on
 it with a few numpy calls per dimension, and each object-level function
-is the case of one item (`Ragged.of`). `metric_walks` turns a maximum
+is the case of one item (`Povm.stack`). `metric_walks` turns a maximum
 over each item of a stack into `subsets.max_norms` walks: `Segments`,
 and a Gray walk of several stacks for an "l1" item of more than
 CHUNK_BITS + 1 outcomes; `max_norms` returns the maxima in item order.
@@ -89,6 +89,21 @@ class Povm:
     def __getitem__(self, outcome: str) -> np.ndarray:
         return self.elements[self.index(outcome)]
 
+    @cached_property
+    def stack(self) -> Ragged:
+        """This POVM as a stack of one item, built on first use: every
+        one-item call passes it to its stacked form, so they share one
+        `Ragged.hermitian`."""
+        dims, counts = np.array([self.dim]), np.array([self.n_outcomes])
+        stack = Ragged(dims, counts, {self.dim: self.elements}, (self.outcomes,))
+        stack.items, stack.starts = {self.dim: _FIRST}, _FIRST  # its layout, known
+        return stack
+
+    @property
+    def hermitian(self) -> np.ndarray:
+        """The Hermitian parts of the elements (`Ragged.hermitian`), read-only."""
+        return self.stack.hermitian.blocks[self.dim]
+
 
 @dataclass(frozen=True)
 class PovmViolation:
@@ -115,7 +130,10 @@ def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _groups(*columns: np.ndarray) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """Each distinct row of the columns, in order, with the items (rows)
-    that have it."""
+    that have it. A single row is one group, found with no grouping."""
+    if len(columns[0]) == 1:
+        yield tuple(c.item(0) for c in columns), _FIRST
+        return
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, key in enumerate(zip(*(c.tolist() for c in columns))):
         groups.setdefault(key, []).append(i)
@@ -138,13 +156,6 @@ class Ragged:
     counts: np.ndarray
     blocks: dict[int, np.ndarray]
     outcomes: str | Sequence[tuple[str, ...]] = "o"
-
-    @classmethod
-    def of(cls, p: Povm) -> Ragged:
-        """One POVM as a stack of one item."""
-        stack = cls(np.array([p.dim]), np.array([p.n_outcomes]), {p.dim: p.elements}, (p.outcomes,))
-        stack.items, stack.starts = {p.dim: _FIRST}, _FIRST  # its layout, known
-        return stack
 
     @cached_property
     def items(self) -> dict[int, np.ndarray]:
@@ -180,12 +191,20 @@ class Ragged:
             outcomes = tuple(outcomes[i] for i in items.tolist())
         return Ragged(dims, self.counts[items], blocks, outcomes)
 
+    @cached_property
+    def hermitian(self) -> Ragged:
+        """The same items with each matrix's Hermitian part (M + M*)/2,
+        read-only, computed once a stack: what the PSD check, the intrinsic
+        uncertainties and the commutator norms read."""
+        return self.with_blocks(
+            {d: linalg.read_only(linalg.hermitian_part(b)) for d, b in self.blocks.items()}
+        )
+
     def with_blocks(self, blocks: dict[int, np.ndarray]) -> Ragged:
         """The same items, labels and layout with other matrices."""
         stack = Ragged(self.dims, self.counts, blocks, self.outcomes)
-        for layout in ("items", "starts"):  # cached: the layout is the same
-            if layout in vars(self):
-                setattr(stack, layout, vars(self)[layout])
+        known = vars(self)  # cached: the layout is the same
+        vars(stack).update((k, known[k]) for k in ("items", "starts") if k in known)
         return stack
 
     def labels(self, i: int) -> tuple[str, ...]:
@@ -246,14 +265,14 @@ def validate_povms(stack: Ragged) -> list[list[PovmViolation]]:
     reports: list[list[PovmViolation]] = [[] for _ in range(len(stack.counts))]
     for d, e in stack.blocks.items():
         items = stack.items[d]
-        defects = np.abs(e - np.conj(np.swapaxes(e, -1, -2))).max(axis=(-2, -1))
-        allowed = HERMITICITY_RTOL * np.maximum(1.0, np.abs(e).max(axis=(-2, -1)))
-        lowest = np.linalg.eigvalsh(linalg.hermitian_part(e))[:, 0]
+        defects = np.maximum.reduce(np.abs(e - e.swapaxes(-1, -2).conj()), axis=(-2, -1))
+        allowed = HERMITICITY_RTOL * np.maximum(1.0, np.maximum.reduce(np.abs(e), axis=(-2, -1)))
+        lowest = np.linalg.eigvalsh(stack.hermitian.blocks[d])[:, 0]
         skewed = defects > allowed
         bad = skewed | (lowest < -PSD_TOL)
         if bad.any():
             owner = np.repeat(items, stack.counts[items])
-            for row in np.flatnonzero(bad).tolist():
+            for row in bad.nonzero()[0].tolist():
                 i = int(owner[row])
                 lab = stack.labels(i)[row - stack.starts[i]]
                 if skewed[row]:
@@ -261,8 +280,8 @@ def validate_povms(stack: Ragged) -> list[list[PovmViolation]]:
                 else:
                     reports[i].append(PovmViolation("positivity", lab, float(-lowest[row])))
         sums = np.add.reduceat(e, stack.starts[items], axis=0)
-        devs = np.abs(sums - np.eye(d)).max(axis=(-2, -1))
-        for j in np.flatnonzero(devs > COMPLETENESS_TOL).tolist():
+        devs = np.maximum.reduce(np.abs(sums - np.eye(d)), axis=(-2, -1))
+        for j in (devs > COMPLETENESS_TOL).nonzero()[0].tolist():
             reports[items[j]].append(PovmViolation("completeness", None, float(devs[j])))
     return reports
 
@@ -271,7 +290,7 @@ def validate_povm(p: Povm) -> list[PovmViolation]:
     """Check the POVM axioms; returns an empty list iff all hold within
     HERMITICITY_RTOL, PSD_TOL and COMPLETENESS_TOL. Violations are data,
     not errors. The one-item case of `validate_povms`."""
-    return validate_povms(Ragged.of(p))[0]
+    return validate_povms(p.stack)[0]
 
 
 def outcome_probabilities(p: Povm, rhos: np.ndarray) -> np.ndarray:
@@ -295,8 +314,9 @@ def uncertainty_walks(metric: str, stack: Ragged) -> list[tuple[np.ndarray, obje
     """The `metric_walks` whose maxima are the intrinsic uncertainties of
     `metric` of a stack's items: S - S^2 for the Hermitian parts of the
     elements S = A_a ("inf") or of their subset sums S = A_D ("l1")."""
-    e = stack.with_blocks({d: linalg.hermitian_part(b) for d, b in stack.blocks.items()})
-    return metric_walks(metric, e, "the subset-summed intrinsic uncertainty", lambda s: s - s @ s)
+    return metric_walks(
+        metric, stack.hermitian, "the subset-summed intrinsic uncertainty", lambda s: s - s @ s
+    )
 
 
 def intrinsic_uncertainties(metric: str, stack: Ragged) -> np.ndarray:
@@ -310,7 +330,7 @@ def intrinsic_uncertainties(metric: str, stack: Ragged) -> np.ndarray:
 def intrinsic_uncertainty_inf(p: Povm) -> float:
     """max_a ||A_a - A_a^2||; zero exactly for projective measurements and at
     most 1/4 for any POVM."""
-    return float(intrinsic_uncertainties("inf", Ragged.of(p))[0])
+    return float(intrinsic_uncertainties("inf", p.stack)[0])
 
 
 def projective(stack: Ragged) -> np.ndarray:
@@ -322,7 +342,7 @@ def projective(stack: Ragged) -> np.ndarray:
 def intrinsic_uncertainty_l1(p: Povm) -> float:
     """max over outcome subsets D of ||A_D (1 - A_D)|| where A_D sums the
     elements over D. Exact enumeration; capped by CapacityError."""
-    return float(intrinsic_uncertainties("l1", Ragged.of(p))[0])
+    return float(intrinsic_uncertainties("l1", p.stack)[0])
 
 
 def _bloch_sigma(n) -> np.ndarray:

@@ -105,7 +105,7 @@ def marginalize(f_povm: Povm, f: OutcomeMap) -> Povm:
     """Coarse-grain a POVM along an outcome function (sum over fibers): the
     one-item case of `marginals`."""
     choice = outcome_choice(f_povm.outcomes, f)
-    return marginals(Ragged.of(f_povm), choice, [len(f.target)], (f.target,)).povm(0)
+    return marginals(f_povm.stack, choice, [len(f.target)], (f.target,)).povm(0)
 
 
 def coordinate_maps(omega_a, omega_b) -> tuple[OutcomeMap, OutcomeMap]:

@@ -194,21 +194,21 @@ def max_norms(quantities: Iterable[Iterable[tuple]], count: int) -> list[tuple]:
         group = pending.pop(d)
         del waiting[d]
         flat = np.concatenate([walk.stack for _, _, walk in group])
-        norms = np.concatenate(
-            [linalg.herm_norm_stack(flat[k : k + cap]) for k in range(0, len(flat), cap)]
-        )
+        chunks = [linalg.herm_norm_stack(flat[k : k + cap]) for k in range(0, len(flat), cap)]
+        norms = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         counts = np.concatenate([walk.counts for _, _, walk in group])
-        starts = np.cumsum(counts) - counts
+        starts = counts.cumsum() - counts
         best = np.maximum.reduceat(norms, starts)
-        reached = np.flatnonzero(norms == np.repeat(best, counts))
-        firsts = reached[np.searchsorted(reached, starts)]
+        reached = (norms == best.repeat(counts)).nonzero()[0]
+        firsts = reached[reached.searchsorted(starts)]
+        offsets, rows = firsts - starts, firsts.tolist()
         j = 0
         for (values, positions, matrices), items, _ in group:
-            span = slice(j, j + len(items))
-            values[items], positions[items] = best[span], firsts[span] - starts[span]
-            for i, k in zip(items.tolist(), firsts[span].tolist()):
-                matrices[i] = flat[k]
-            j += len(items)
+            k = j + len(items)
+            values[items], positions[items] = best[j:k], offsets[j:k]
+            for i, row in zip(items.tolist(), rows[j:k]):
+                matrices[i] = flat[row]
+            j = k
 
     for walks in quantities:
         result = np.empty(count), np.empty(count, dtype=int), [None] * count

@@ -45,6 +45,61 @@ class TestPovmRoundTrip:
         assert any(v.kind == "positivity" for v in violations)
 
 
+def _pairs(m: np.ndarray) -> list[list[float]]:
+    return [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+
+
+# -0.0, the smallest subnormal, a large value, a repeating fraction and
+# integer-valued floats, each with its own repr rule
+EDGE_VALUES = np.array([-0.0, 5e-324, 1e300, 1 / 3, 2.0, -7.0, 0.0, 1.0, -1e-300])
+
+
+class TestWrittenLayout:
+    """Both document kinds are written byte for byte as
+    `json.dumps(doc, indent=2)` writes them, plus a newline, which is the
+    layout docs/file-formats.md states."""
+
+    @pytest.mark.parametrize(
+        "povm",
+        [
+            Povm(
+                (
+                    'say "hi"', "back\\slash", "{}", "{0}", "tab\there", "\x01",
+                    "\u03c8\u00b1e\u0301",
+                ),
+                np.resize(EDGE_VALUES, 7 * 8).view(complex).reshape(7, 2, 2),
+            ),
+            random_povm(3, 9, seed=63),
+            bloch_pvm((0, 0, 1)),
+        ],
+        ids=["edge-labels-and-values", "random-d3-9", "sharp-qubit"],
+    )
+    def test_povm_document(self, tmp_path, povm):
+        path = tmp_path / "p.json"
+        save_povm(povm, path)
+        doc = {
+            "format_version": "1",
+            "dim": povm.dim,
+            "outcomes": list(povm.outcomes),
+            "elements": {o: _pairs(e) for o, e in zip(povm.outcomes, povm.elements)},
+        }
+        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            np.resize(EDGE_VALUES, 18).view(complex).reshape(3, 3),
+            D_inf(random_povm(3, 3, seed=61), random_povm(3, 3, seed=62)).witness_state,
+        ],
+        ids=["edge-values", "witness-state"],
+    )
+    def test_state_document(self, tmp_path, rho):
+        path = tmp_path / "s.json"
+        save_state(rho, path)
+        doc = {"format_version": "1", "dim": rho.shape[0], "matrix": _pairs(rho)}
+        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
 class TestPovmSchemaErrors:
     def test_json_syntax_error_has_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -133,13 +188,80 @@ class TestPovmSchemaErrors:
                 {"elements": {"a": [[1.0, 0.0], [0.0, 0.0], [True, 0.0], [1.0, 0.0]]}},
                 "element 'a' entry 2 is not a [re, im] number pair",
             ),
+            (
+                {"elements": {"a": [[1.0, 0.0], [0.0, 0.0], [0.0, "1.0"], [1.0, 0.0]]}},
+                "element 'a' entry 2 is not a [re, im] number pair",
+            ),
+            (
+                {"elements": {"a": [[1.0, 0.0], [None, 0.0], [0.0, 0.0], [1.0, 0.0]]}},
+                "element 'a' entry 1 is not a [re, im] number pair",
+            ),
+            (
+                {"elements": {"a": [[[1.0], 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}},
+                "element 'a' entry 0 is not a [re, im] number pair",
+            ),
+            (
+                {"elements": {"a": [[1.0, 0.0], {"re": 0.0, "im": 0.0}, [0.0, 0.0], [1.0, 0.0]]}},
+                "element 'a' entry 1 is not a [re, im] number pair",
+            ),
+            (
+                {"elements": {"a": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0, 0.0]]}},
+                "element 'a' entry 3 is not a [re, im] number pair",
+            ),
+            (
+                {"elements": {"a": [[1.0, 0.0], [0.0, 0.0], 0.0, [1.0, 0.0]]}},
+                "element 'a' entry 2 is not a [re, im] number pair",
+            ),
+            (
+                {"elements": {"a": "identity"}},
+                "element 'a' must be a row-major list of 4 [re, im] pairs",
+            ),
+            (
+                {"elements": {"a": {"0": [1.0, 0.0]}}},
+                "element 'a' must be a row-major list of 4 [re, im] pairs",
+            ),
+            # the first outcome's first problem is reported, whatever comes after it
+            (
+                {
+                    "outcomes": ["a", "b"],
+                    "elements": {
+                        "a": [[1e999, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                        "b": [[1.0, 0.0], [False, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                    },
+                },
+                "element 'a' contains non-finite entries",
+            ),
+            (
+                {
+                    "outcomes": ["a", "b"],
+                    "elements": {
+                        "b": [[1e999, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                        "a": [[1.0, 0.0], [0.0, 0.0], [0.0], [1.0, 0.0]],
+                    },
+                },
+                "element 'a' entry 2 is not a [re, im] number pair",
+            ),
+            (
+                {
+                    "outcomes": ["a", "b"],
+                    "elements": {
+                        "a": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                        "b": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                    },
+                },
+                "element 'b' must be a row-major list of 4 [re, im] pairs",
+            ),
             ({"outcomes": []}, "outcomes must be a nonempty list of strings"),
             ({"outcomes": ["a", 1]}, "outcomes must be a nonempty list of strings"),
             ({"outcomes": "a"}, "outcomes must be a nonempty list of strings"),
             ({"outcomes": ["a", "a"]}, "outcome labels must be distinct"),
         ],
         ids=[
-            "top-level-list", "short-pair", "bool-entry", "no-outcomes", "non-string-outcome",
+            "top-level-list", "short-pair", "bool-entry", "string-entry", "null-entry",
+            "nested-list-entry", "object-pair", "three-entry-pair", "number-pair",
+            "element-string", "element-object", "non-finite-before-bool",
+            "pair-after-non-finite-outcome", "short-second-element", "no-outcomes",
+            "non-string-outcome",
             "outcomes-string", "duplicate-outcomes",
         ],
     )

@@ -124,7 +124,7 @@ class TestValidatePovm:
 
 
 def is_pvm(p):
-    return bool(projective(Ragged.of(p))[0])
+    return bool(projective(p.stack)[0])
 
 
 class TestIsPvm:
