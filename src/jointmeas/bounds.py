@@ -45,7 +45,7 @@ from .povm import (
     uncertainty_walks,
 )
 from .smearing import OutcomeMap, marginals, outcome_choice
-from .subsets import CHUNK_BITS, Segments, gray_products, max_norms
+from .subsets import Segments, gray_products, max_norms, one_stack
 
 # Bounds are reported satisfied when lhs - rhs >= -SLACK_TOL. All quantities
 # are O(1), so an absolute threshold is appropriate.
@@ -93,7 +93,7 @@ def commutator_walks(metric: str, a: Ragged, b: Ragged) -> list[tuple[np.ndarray
         if metric != "l1":
             # one einsum, not the blocks' matmul: an ulp here moves the frontier's contour start
             prods = np.einsum("xaij,xbjk->xabik", ea, eb).reshape(len(items), -1, d, d)
-        elif ea.shape[-3] + eb.shape[-3] - 2 <= CHUNK_BITS:
+        elif one_stack(ea.shape[-3], eb.shape[-3]):
             (prods,) = gray_products(ea, eb, what)
         else:
             walks += [

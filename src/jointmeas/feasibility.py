@@ -31,22 +31,14 @@ open after it as the lanes of one Douglas-Rachford solve, whose K clips the
 eigenvalues of every row into a window, so each projection onto K is one
 stacked eigendecomposition of the F, S and T rows of all lanes together.
 
-Each frontier point brackets Y. The upper end is the better of two product
-baselines. The lower end starts at the paper's main bound, solved for Y at
-the point's X budget (`bounds.theorem1_min_y`; 0 for inputs that are not
-valid POVMs, outside the inequality's premise). A verified Farkas
-certificate has a value affine in Y, so it proves a whole interval of Y
-unreachable and the lower end jumps to its root; a cleaned primal point
-that meets the X budget lowers the upper end. An interior-point lane gives
-one of each, from its best iterate at half the witness tolerance over its
-X budget, converged or not; evidence that fails to verify, as when the
-lane broke down early, leaves the bracket as it was. Rounds of lifted
-Douglas-Rachford then run at the certified lower end, and a round
-without a jump offers the lane's last point of K as a witness: its F rows
-cleaned and, where they overshoot the X budget, mixed with their own repair
-onto A's exact marginal (the instrument form) just enough to meet it. A
-point stops once its bracket is within the resolution or its iteration
-budget is spent, and a bracket left open is reported as it stands.
+Each frontier point brackets Y. The upper end is the Y of its best
+witness, first the better of two product baselines. The lower end starts at
+the paper's main bound, solved for Y at the point's X budget
+(`bounds.theorem1_min_y`; 0 for inputs that are not valid POVMs, outside
+the inequality's premise). A verified Farkas certificate has a value affine
+in Y, so it proves a whole interval of Y unreachable and the lower end
+jumps to its root. One rule, `settle` in `_frontier`, turns the evidence of
+a lane of either solver into these moves of the two ends.
 
 `infeasible` has two sources. The analytic screen is the paper's necessary
 condition sqrt(V(A) V(B)) >= (1/2) max ||[A_a, B_b]||. The dual certificate
@@ -73,8 +65,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg, sdp
-from .bounds import SLACK_TOL, check_corollary_joint, max_commutator_norm, theorem1_min_y
-from .povm import Povm, intrinsic_uncertainty_inf, require_same_dim, validate_povm
+from .bounds import SLACK_TOL, check_corollary_joint, theorem1_min_y
+from .povm import Povm, require_same_dim, validate_povm
 from .smearing import coordinate_maps
 
 # Solver defaults.
@@ -257,7 +249,8 @@ class _Pair:
     # K = {F_ab >= 0} x {||S_a|| <= x} x {||T_b|| <= y} meets the affine set
     # L = {marg_A(F) - S = A, marg_B(F) - T = B, sum(F) = I}. Each factor of
     # K bounds a row's eigenvalues, to [0, inf), [-x, x] or [-y, y], so the
-    # projection onto K clips every row into its window (`lifted_window`).
+    # projection onto K is one `linalg.clip_operator_norm_stack` call that
+    # clips every row into its window (`lifted_window`).
 
     @cached_property
     def lifted_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,12 +295,6 @@ class _Pair:
         lower = -upper
         lower[:, :n] = 0.0
         return lower, upper
-
-    def project_lifted_k(self, w: np.ndarray, window: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Onto K, for a lane stack w of shape (n, N, d, d) and its
-        `lifted_window`: every row's eigenvalues clipped into its window,
-        by one stacked eigendecomposition."""
-        return linalg.clip_operator_norm_stack(w, *window)
 
     def project_lifted_l(self, w: np.ndarray) -> np.ndarray:
         """Onto L, for a lane stack w of shape (n, N, d, d)."""
@@ -593,44 +580,16 @@ def _frontier(
     """Frontier points for the X budgets `xs` (ascending, finite and
     nonnegative, as the callers ensure), bracketed together.
 
-    Each point's bracket runs from lo to hi = the Y of its best witness,
-    first a product baseline. lo starts at the main bound's smallest Y at
-    the X budget x, less SLACK_TOL and never above hi (0 unless both inputs
-    pass `validate_povm`). Every point whose bracket is wider than
-    y_resolution is one lane of a solve.
-
-    With x > 0, on a pair of at most SDP_MAX_ROWS Schur rows, the lane
-    first belongs to one `_Pair.interior_points` solve at X budget
-    x + WITNESS_MARGINAL_TOL / 2, with at most max_iter steps. The dual
-    triple of its best iterate is judged at x + WITNESS_MARGINAL_TOL (the
-    most any witness may spend) and Y budget lo, which raises lo to its root
-    (never above hi), and its F rows are offered as a witness (below).
-    Evidence that fails verification leaves the bracket as it was.
-
-    Every point still open then, X = 0 included, and every point of a
-    larger pair, belongs to one lifted Douglas-Rachford solve at X budget
-    x + WITNESS_MARGINAL_TOL and Y budget lo, with at most max_iter
-    iterations. Each round of DUAL_ROUND_ITERS iterations restarts from its
-    last point of K, and then, for each lane:
-
-    - a certificate read off the gap and verified by `_Pair.judge` raises
-      lo to its root (never above hi);
-    - if lo did not move by DUAL_MIN_JUMP resolutions, the F rows of the
-      last point of K are offered as a witness;
-    - the next round runs at the new lo.
-
-    A lane stops once hi <= lo + y_resolution, and every lane stops after
-    max_iter iterations in all, its bracket left as it stands.
-
-    An offer cleans F rows by `_Pair.witness`, mixes them with their own
-    `_Pair.repair` at weight t = 1 - x / X_W if their X_W overshoots
-    x + WITNESS_MARGINAL_TOL, and cleans again; the result lowers hi if it
-    meets that budget and beats the best witness so far. lo moves only on a
-    verified certificate. No lanes interact, so every point's solve is the
-    one it would run on its own. Then each point keeps the best witness
-    of any budget up to its own, and the highest certified lo of any budget
-    from its own up, which is its y_lower: a certificate for a budget holds
-    at every smaller one. The last point's bracket is its own.
+    Each point's bracket runs from lo, its certified lower end, to hi, the
+    Y of its best witness. Every open point with X > 0 on a pair of at most
+    SDP_MAX_ROWS Schur rows is one lane of one `_Pair.interior_points`
+    solve of at most max_iter steps; every point still open after it, and
+    every point of a larger pair, is one lane of one lifted Douglas-Rachford
+    solve of at most max_iter iterations. No lanes interact, so every
+    point's solve is the one it would run on its own. Then each point keeps
+    the best witness of any budget up to its own, and the highest certified
+    lo of any budget from its own up, which is its y_lower. A bracket still
+    open when its budget is spent is reported as it stands.
     """
     _check_solve(a, b, max_iter)
     if not 0 < y_resolution < math.inf:
@@ -654,67 +613,74 @@ def _frontier(
 
     lo = [0.0] * len(xs)
     # Theorem 1 rules out every Y below its contour, so the search starts
-    # there; inputs that are not valid POVMs lie outside its premise and
+    # there, with V_A, V_B and the commutator norm C = 2 rhs read off the
+    # screen; inputs that are not valid POVMs lie outside its premise and
     # start at 0
     if not validate_povm(a) and not validate_povm(b):
-        v_a, v_b = intrinsic_uncertainty_inf(a), intrinsic_uncertainty_inf(b)
-        ys = theorem1_min_y(np.array(xs), v_a, v_b, max_commutator_norm(a, b)) - SLACK_TOL
+        screen = check_corollary_joint(a, b)
+        ys = theorem1_min_y(np.array(xs), screen.V_A, screen.V_B, 2 * screen.rhs) - SLACK_TOL
         lo = [min(bl[2], max(0.0, y)) for bl, y in zip(best, ys.tolist())]
 
-    def offer(p: int, f: np.ndarray) -> None:
-        """Keep F rows f, cleaned, as point p's witness if they beat it. One
-        that overshoots the X budget is mixed with its own `_Pair.repair`,
-        whose A-marginal is exactly A, at weight t = 1 - x / X_W: every A-side
-        gap scales by 1 - t, and Y moves little, as the repair stays close."""
-        if (found := pair.witness(f)) is None:
+    def settle(p: int, f: np.ndarray, triple: tuple, min_jump: float) -> None:
+        """Point p's evidence from one lane of a solve: F rows f and a dual
+        triple. The triple is judged at X budget xs[p] + WITNESS_MARGINAL_TOL,
+        the most any witness may spend, and Y budget lo[p]; a verified root
+        raises lo[p], never above hi. Unless lo[p] rose by min_jump, f is
+        then offered as a witness: cleaned by `_Pair.witness`, mixed, if its
+        X_W overshoots the budget, with its own `_Pair.repair` (whose
+        A-marginal is exactly A) at weight t = 1 - x / X_W, which scales
+        every A-side gap by 1 - t and moves Y little, and cleaned again; it
+        becomes the witness if it meets the budget and beats hi. Evidence
+        that fails verification leaves the bracket as it was."""
+        start, budget = lo[p], xs[p] + WITNESS_MARGINAL_TOL
+        if (judged := pair.judge(*triple, budget, start)) is not None:
+            lo[p] = min(best[p][2], judged[1])
+        if lo[p] - start >= min_jump or (found := pair.witness(f)) is None:
             return
-        if found[1] > xs[p] + WITNESS_MARGINAL_TOL:
+        if found[1] > budget:
             t = 1 - xs[p] / found[1]
             g = found[0].elements.reshape(f.shape)
             if (found := pair.witness((1 - t) * g + t * pair.repair(g))) is None:
                 return
-        if found[1] <= xs[p] + WITNESS_MARGINAL_TOL and found[2] < best[p][2]:
+        if found[1] <= budget and found[2] < best[p][2]:
             best[p] = found
 
-    # (the test is hi > lo + resolution, not hi - lo > resolution: a bracket
-    # closed at exactly one resolution, as rounded, stays closed)
-    active = [p for p in range(len(xs)) if best[p][2] > lo[p] + y_resolution]
+    def is_open(p: int) -> bool:
+        # (the test is hi > lo + resolution, not hi - lo > resolution: a
+        # bracket closed at exactly one resolution, as rounded, stays closed)
+        return best[p][2] > lo[p] + y_resolution
+
     # on a pair small enough for the core, the open points with an X budget
     # are the lanes of one interior-point solve at half the witness
     # allowance over the budget: the witness's X keeps the other half to
-    # spare, and the dual is judged at the full one
-    inner = [p for p in active if xs[p] > 0] if pair.schur_rows <= SDP_MAX_ROWS else []
+    # spare. A core lane always offers its primal point.
+    core = pair.schur_rows <= SDP_MAX_ROWS
+    inner = [p for p, x in enumerate(xs) if core and x > 0 and is_open(p)]
     if inner:
         budgets = [xs[p] + WITNESS_MARGINAL_TOL / 2 for p in inner]
         for p, (f, triple) in zip(inner, pair.interior_points(budgets, max_iter)):
-            if (judged := pair.judge(*triple, xs[p] + WITNESS_MARGINAL_TOL, lo[p])) is not None:
-                lo[p] = min(best[p][2], judged[1])
-            offer(p, f)
-        active = [p for p in active if best[p][2] > lo[p] + y_resolution]
+            settle(p, f, triple, math.inf)
     # the points still open run rounds of lifted Douglas-Rachford: X = 0,
     # which leaves the lifted problem no interior, the lanes that failed or
     # fell short, and every point of a pair too large for the core
+    active = [p for p in range(len(xs)) if is_open(p)]
     z = np.repeat(pair.lifted_start()[None], len(active), axis=0) if active else None
     used = 0
     while active and used < max_iter:
         steps = min(DUAL_ROUND_ITERS, max_iter - used)
-        budgets = [xs[p] + WITNESS_MARGINAL_TOL for p in active]
-        window = pair.lifted_window(budgets, [lo[p] for p in active])
-        # each round restarts from the last point of K: the iterate itself
-        # has drifted along the gap of the old Y
+        window = pair.lifted_window(
+            [xs[p] + WITNESS_MARGINAL_TOL for p in active], [lo[p] for p in active]
+        )
+        # each round runs at the certified lo and restarts from its last
+        # point of K: the iterate itself has drifted along the gap of the old Y
         _, z, gap = _douglas_rachford(
-            z, lambda w: pair.project_lifted_k(w, window), pair.project_lifted_l, steps
+            z, lambda w: linalg.clip_operator_norm_stack(w, *window), pair.project_lifted_l, steps
         )
         used += steps
-        keep = []
-        for j, (p, triple) in enumerate(zip(active, pair.lifted_certificates(gap))):
-            start = lo[p]
-            if (judged := pair.judge(*triple, budgets[j], start)) is not None:
-                lo[p] = min(best[p][2], judged[1])
-            if lo[p] - start < DUAL_MIN_JUMP * y_resolution:
-                offer(p, z[j, : pair.na * pair.nb].reshape(pair.na, pair.nb, pair.d, pair.d))
-            if best[p][2] > lo[p] + y_resolution:
-                keep.append(j)
+        rows = z[:, : pair.na * pair.nb].reshape(len(z), pair.na, pair.nb, pair.d, pair.d)
+        for p, f, triple in zip(active, rows, pair.lifted_certificates(gap)):
+            settle(p, f, triple, DUAL_MIN_JUMP * y_resolution)
+        keep = [j for j, p in enumerate(active) if is_open(p)]
         active = [active[j] for j in keep]
         z = z[keep]
 
@@ -743,26 +709,13 @@ def frontier_point(
     """Best found B-side accuracy given an A-side budget.
 
     Minimizes Y = D_inf(B, marg_B(F)) over product-outcome POVMs F subject to
-    D_inf(A, marg_A(F)) <= x_target (the one-lane case of `frontier_sweep`).
-    The bracket's upper end starts at the better of two product baselines,
-    A x flat and flat x B, so budgets at or above D_inf(A, w I) return
-    Y = 0 up to rounding. Its lower end starts at the smallest Y the paper's
-    main bound allows at x_target, so the orthogonal sharp qubits at X = 0
-    need no solve; it is 0 for inputs that fail `validate_povm` (accepted
-    leniently), which the bound does not cover. A solve then raises the
-    lower end by a verified dual certificate and lowers the upper end by a
-    cleaned primal point that meets the budget: for x_target > 0, on pairs
-    of at most SDP_MAX_ROWS Schur rows, one run of the interior-point core
-    (`sdp`), which closes the bracket to about the witness tolerance times
-    the frontier's slope; then, if the bracket is still open (at 0, where
-    the problem has no interior, on larger pairs, or where the lane failed),
-    rounds of lifted Douglas-Rachford at the lower end, whose witnesses are
-    mixed with their repair onto A's exact marginal to meet the budget,
-    until the bracket is within y_resolution. The lower end is returned as
-    y_lower. max_iter caps the iterations of each solver, so y_achieved -
-    y_lower can exceed y_resolution when the budget runs out. The returned
-    achieved values are computed from the cleaned-up witness, so they are
-    exact properties of a genuine POVM whatever the solver did.
+    D_inf(A, marg_A(F)) <= x_target (the one-lane case of `frontier_sweep`),
+    and brackets the minimum: y_achieved is the Y of the witness returned,
+    and y_lower is a certified lower end. The bracket closes to within
+    y_resolution unless max_iter, which caps the iterations of each solver,
+    runs out first. Budgets at or above D_inf(A, w I) return Y = 0 up to
+    rounding. The achieved values are computed from the cleaned-up witness,
+    so they are exact properties of a genuine POVM whatever the solver did.
     """
     if not 0 <= x_target < math.inf:
         raise ValueError(f"X budget must be finite and nonnegative, got {x_target}")
@@ -779,15 +732,13 @@ def frontier_sweep(
 ) -> list[FrontierPoint]:
     """Frontier points on a uniform x_target grid over [0, x_max].
 
-    All points run together: every open point with an X budget above 0 is
-    one lane of one interior-point solve (split into batches of at most
-    SDP_BATCH_ENTRIES entries of M), every point still open after it is one
-    lane of one lifted Douglas-Rachford solve, and each point's solves run
-    as `frontier_point` would run them alone. The points are monotone: a
-    witness found under a smaller X budget is also valid under a larger
-    one, so it replaces any later point the solver did worse on, and a
-    lower end certified under a larger budget also holds under a smaller
-    one, so it raises any earlier point's y_lower that is below it.
+    All points run together, each point's solves as `frontier_point` would
+    run them alone (the interior-point lanes in batches of at most
+    SDP_BATCH_ENTRIES entries of M). The points are monotone: a witness
+    found under a smaller X budget is also valid under a larger one, so it
+    replaces any later point the solver did worse on, and a lower end
+    certified under a larger budget also holds under a smaller one, so it
+    raises any earlier point's y_lower that is below it.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")

@@ -129,10 +129,9 @@ def _parse_matrices(rows: list, dim: int, path, names: list[str]) -> np.ndarray:
                 return values.view(complex).reshape(len(rows), dim, dim)
     except (TypeError, OverflowError):  # not a list of lists; an integer too large for a float
         pass
-    for name, entries in zip(names, rows):
-        if (problem := _entry_problem(entries, size)) is not None:
-            raise FileFormatError(f"{path}: {name} {problem}")
-    raise AssertionError(f"{path}: a document that did not parse shows no problem")
+    # the document did not parse, so some list has a problem: name the first
+    name, problem = next((n, p) for n, e in zip(names, rows) if (p := _entry_problem(e, size)))
+    raise FileFormatError(f"{path}: {name} {problem}")
 
 
 def load_povm(path) -> tuple[Povm, list[PovmViolation]]:

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .subsets import CHUNK_BITS, Segments, gray_walk, max_norms
+from .subsets import Segments, gray_walk, max_norms, one_stack
 
 # Tolerances for POVM validity: entrywise deviation of the element sum from
 # the identity, and the eigenvalue floor for positivity. Loose enough to
@@ -251,7 +251,7 @@ def metric_walks(
         ]
     walks = []
     for items, (e,) in shape_groups(stack):
-        if e.shape[-3] - 1 <= CHUNK_BITS:
+        if one_stack(e.shape[-3]):
             (sums,) = gray_walk(e, what)
             walks.append((items, Segments.of(fn(sums))))
         else:

@@ -42,16 +42,18 @@ class OutcomeMap:
         target = tuple(str(t) for t in self.target)
         if not source or not target:
             raise ValueError("source and target outcome sets must be nonempty")
-        if len(set(source)) != len(source) or len(set(target)) != len(target):
+        # the sets test membership below; the lists keep the labels' order
+        sources, targets = set(source), set(target)
+        if len(sources) != len(source) or len(targets) != len(target):
             raise ValueError("outcome labels must be distinct")
         assignment = {str(k): str(v) for k, v in dict(self.assignment).items()}
         missing = [s for s in source if s not in assignment]
         if missing:
             raise ValueError(f"assignment is not total: missing {missing}")
-        extra = [k for k in assignment if k not in source]
+        extra = [k for k in assignment if k not in sources]
         if extra:
             raise ValueError(f"assignment maps labels outside the source set: {extra}")
-        bad = [(s, t) for s, t in assignment.items() if t not in target]
+        bad = [(s, t) for s, t in assignment.items() if t not in targets]
         if bad:
             raise ValueError(f"assignment hits labels outside the target set: {bad}")
         object.__setattr__(self, "source", source)

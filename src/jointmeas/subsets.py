@@ -18,7 +18,8 @@ Both walk along axis -3, so one call sums the subsets of many equally
 long element lists at once, item by item.
 
 `gray_products` yields the products X_D @ Y_E of two such walks in stacks
-of the same size, so this module alone sizes every stack. `max_norms` is
+of the same size, so this module alone sizes every stack, and `one_stack`
+says whether a walk is one stack. `max_norms` is
 the one reducer of the spectral maxima, over outcomes and over subsets.
 It takes two walk forms: `Segments`, one stack per item, solved together
 by dimension, and one item's walk of several stacks, pruned with trace
@@ -113,6 +114,12 @@ def gray_products(xs: np.ndarray, ys: np.ndarray, what: str) -> Iterator[np.ndar
             for k in range(0, sums_x.shape[-3], block):
                 prods = sums_x[..., k : k + block, None, :, :] @ sums_y[..., None, :, :, :]
                 yield prods.reshape(*prods.shape[:-4], -1, *prods.shape[-2:])
+
+
+def one_stack(*lengths: int) -> bool:
+    """Whether the walk over element lists of these lengths, the
+    `gray_walk` of one list or the `gray_products` of two, is one stack."""
+    return sum(n - 1 for n in lengths) <= CHUNK_BITS
 
 
 def gray_labels(position: int, labels: tuple[str, ...]) -> tuple[str, ...]:

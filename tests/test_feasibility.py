@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from jointmeas import feasibility, linalg, sdp
+from jointmeas import bounds, distances, feasibility, linalg, povm, sdp
 from jointmeas.bounds import (
     SLACK_TOL,
     check_corollary_joint,
@@ -526,6 +526,39 @@ class TestTheorem1Bracket:
         assert ys == [lo] * (1 + rounds)
         assert pt.y_achieved == certified.y_achieved
 
+    def test_start_is_read_off_the_screen(self, monkeypatch):
+        # with both solvers giving no evidence, each lower end stays where
+        # it starts: the contour at V_A, V_B and C = 2 rhs of the screen's
+        # report, computed by one reducer call for the whole start
+        a, b = fourier_mub_pair(3, 0.9)
+        xs = [0.0, 0.02, 0.05]
+        zero = (np.zeros_like(a.elements), np.zeros_like(b.elements), np.zeros((3, 3), complex))
+        monkeypatch.setattr(
+            feasibility._Pair,
+            "interior_points",
+            lambda pair, budgets, max_iter: [(pair.flat_seeds()[0], zero)] * len(budgets),
+        )
+        monkeypatch.setattr(
+            feasibility, "_douglas_rachford", lambda z, *args: (z, z, np.zeros_like(z))
+        )
+        calls = []
+        for module in (bounds, povm, distances):
+            real = module.max_norms
+
+            def counting(*args, real=real):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(module, "max_norms", counting)
+        points = feasibility._frontier(a, b, xs, 1e-4, feasibility.DUAL_ROUND_ITERS)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        r = check_corollary_joint(a, b)
+        for x, pt in zip(xs, points):
+            lo = float(theorem1_min_y(x, r.V_A, r.V_B, 2 * r.rhs)) - SLACK_TOL
+            assert 0 < lo < pt.y_achieved
+            assert pt.y_lower == lo == contour(a, b, x)
+
     def test_invalid_pair_starts_at_zero(self, monkeypatch):
         # A sums to diag(1.01, 1), which the CLI accepts under --lenient;
         # its renormalized A x flat baseline still meets the budget
@@ -718,10 +751,10 @@ class TestConstraintDescription:
         loose = [10.0, 10.0]
         window = pair.lifted_window(*((budget, loose) if side == "a" else (loose, budget)))
         assert (linalg.herm_norm_stack(w[:, rows]).max(axis=1) > budget + 1e-3).all()
-        p = pair.project_lifted_k(w, window)
+        p = linalg.clip_operator_norm_stack(w, *window)
         assert (linalg.herm_norm_stack(p[:, rows]).max(axis=1) <= budget + 1e-12).all()
         assert np.linalg.eigvalsh(p[:, :n]).min() >= -1e-12
-        assert np.abs(pair.project_lifted_k(p, window) - p).max() <= 1e-12
+        assert np.abs(linalg.clip_operator_norm_stack(p, *window) - p).max() <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_lifted_window_reproduces_the_two_kernel_projection(self, d):
@@ -735,7 +768,7 @@ class TestConstraintDescription:
         r = rng.standard_normal((2, rows, d, d)) + 1j * rng.standard_normal((2, rows, d, d))
         w = (r + np.conj(np.swapaxes(r, -1, -2))) / 2
         xs, ys = [0.05, 0.3], [0.0, 0.2]
-        got = pair.project_lifted_k(w, pair.lifted_window(xs, ys))
+        got = linalg.clip_operator_norm_stack(w, *pair.lifted_window(xs, ys))
         for j in range(2):
             bound = np.array([xs[j]] * pair.na + [ys[j]] * pair.nb)[:, None]
             two_kernels = np.concatenate(
@@ -992,7 +1025,7 @@ def dual_rounds(pair, x_budgets, y_budgets, n_rounds=8):
     for _ in range(n_rounds):
         _, z, gap = feasibility._douglas_rachford(
             z,
-            lambda w: pair.project_lifted_k(w, window),
+            lambda w: linalg.clip_operator_norm_stack(w, *window),
             pair.project_lifted_l,
             feasibility.DUAL_ROUND_ITERS,
         )

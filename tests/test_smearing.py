@@ -49,6 +49,35 @@ class TestOutcomeMap:
             OutcomeMap(source, target, assignment)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "source, target, assignment, message",
+        [
+            (
+                ("a", "b", "c", "d"),
+                ("x",),
+                {"b": "x", "d": "x"},
+                "assignment is not total: missing ['a', 'c']",
+            ),
+            (
+                ("a", "b"),
+                ("x",),
+                {"q": "x", "a": "x", 7: "x", "b": "x", "p": "y"},
+                "assignment maps labels outside the source set: ['q', '7', 'p']",
+            ),
+            (
+                ("a", "b", "c"),
+                ("x", "y"),
+                {"c": "z", "a": "x", "b": 1},
+                "assignment hits labels outside the target set: [('c', 'z'), ('b', '1')]",
+            ),
+        ],
+        ids=["missing", "extra", "bad"],
+    )
+    def test_names_every_stray_label_in_order(self, source, target, assignment, message):
+        with pytest.raises(ValueError) as err:
+            OutcomeMap(source, target, assignment)
+        assert str(err.value) == message
+
     def test_fibers(self):
         f = OutcomeMap(("a", "b", "c"), ("x", "y"), {"a": "x", "b": "x", "c": "y"})
         assert fiber(f, "x") == ("a", "b")

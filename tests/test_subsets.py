@@ -48,6 +48,7 @@ from jointmeas.subsets import (
     gray_products,
     gray_walk,
     max_norms,
+    one_stack,
 )
 
 
@@ -599,19 +600,22 @@ def test_gray_products_equal_the_products_of_the_subset_sums(nx, ny):
 
 def test_a_walk_of_several_stacks_starts_with_a_full_one():
     # `max_norms` solves the first stack of such a walk alone, which takes
-    # no more calls than batching only if that stack is full
+    # no more calls than batching only if that stack is full; `one_stack`
+    # tells the walks of one stack from the others
     cap = 2**CHUNK_BITS
     e = linalg.hermitian_part(random_povm(2, 14, seed=3).elements)
     for n in range(1, 15):
         sizes = [len(s) for s in gray_walk(e[:n], "V")]
         assert max(sizes) <= cap and sum(sizes) == 2 ** (n - 1)
         assert len(sizes) == 1 or sizes[0] == cap
+        assert one_stack(n) == (len(sizes) == 1)
     for nx in (1, 2, 5, 8, 11, 12):
         for ny in (1, 2, 5, 8, 11, 12):
             if nx + ny <= 20:
                 sizes = [len(s) for s in gray_products(e[:nx], e[:ny], "comm")]
                 assert max(sizes) <= cap and sum(sizes) == 2 ** (nx + ny - 2)
                 assert len(sizes) == 1 or sizes[0] == cap
+                assert one_stack(nx, ny) == (len(sizes) == 1)
 
 
 def test_metric_walk_is_one_stack_or_the_gray_walk():

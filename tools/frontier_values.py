@@ -12,16 +12,19 @@ labels and element bytes. The pairs are:
 - `qubit`: the orthogonal sharp z/x qubits, `frontier_sweep` on grid 6 at
   the default resolution and budget, which is `jointmeas frontier --grid 6`;
   X = 0 and 0.5 start closed, and the other four points are the lanes of
-  one interior-point solve;
+  one interior-point solve, so this pair runs only the core lanes' branch
+  of `settle` (min_jump = inf: every lane offers its primal point);
 - `qutrit-seed7`: the first two sharp PVMs of the benchmark's
   `noisy_pvm(default_rng(7), 3, 1.0)`, at X = 0, 0.05, 0.1 and 0.2, one
   sweep at resolution 1e-3 and QUTRIT_MAX_ITER iterations, so the points
   with an X budget are interior-point lanes and X = 0 spends its
-  iterations in lifted Douglas-Rachford rounds;
+  iterations in lifted Douglas-Rachford rounds, the gated branch of
+  `settle` (a round offers its point only if the lower end did not jump
+  by DUAL_MIN_JUMP resolutions);
 - `random-101-201`: `random_povm(3, 3, 101)` against
   `random_povm(3, 3, 201)`, `frontier_sweep` on grid 3 up to X = 0.002 at
-  60 iterations, where the X = 0 point's lifted rounds certify less than
-  the X = 0.001 lane, so the lower end carried backward decides it.
+  60 iterations, where the X = 0 point's gated lifted round certifies less
+  than the X = 0.001 lane, so the lower end carried backward decides it.
 
 Any changed bit of a value or a witness changes a line. The script imports
 the library from the `src` directory beside it, and the seed-7 pair's draw
