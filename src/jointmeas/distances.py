@@ -17,8 +17,11 @@ Hermitian difference.
 stacks with one `subsets.max_norms` call, which returns the values,
 witness positions and witness matrices in item order; `D_inf` and `D_l1`
 are its case of one pair. Its walks are those of `povm.metric_walks`:
-`Segments` for "inf" and for "l1" up to CHUNK_BITS + 1 outcomes, and one
-Gray walk of several stacks per pair beyond that.
+`Segments` for "inf" and for "l1" up to CHUNK_BITS + 1 outcomes, and
+beyond that the `subsets.Halves` of each pair's subset sums of the
+differences, which are linear in the subset, so that `max_norms` bounds
+every sum from the halves and builds and solves only those that can
+reach the maximum.
 """
 
 from __future__ import annotations
@@ -108,8 +111,9 @@ def _extremal_pure_state(h: np.ndarray) -> np.ndarray:
 def difference_walks(metric: str, a: Ragged, b: Ragged) -> list[tuple[np.ndarray, object]]:
     """The `povm.metric_walks` whose maxima are the observable distances of
     `metric` between the items of two stacks: the Hermitian differences
-    A_a - B_a ("inf") or their Gray-ordered subset sums ("l1"). The stacks
-    must hold items of the same dimensions and outcome counts."""
+    A_a - B_a ("inf") or their Gray-ordered subset sums ("l1", as `Halves`
+    beyond one stack). The stacks must hold items of the same dimensions
+    and outcome counts."""
     if a.dims.tolist() != b.dims.tolist() or a.counts.tolist() != b.counts.tolist():
         raise ValueError("the stacks differ in their items' dimensions or outcome counts")
     diffs = {d: linalg.hermitian_part(e - b.blocks[d]) for d, e in a.blocks.items()}
@@ -156,8 +160,11 @@ def D_l1(a: Povm, b: Povm) -> DistanceValue:
     of two POVMs: max over outcome subsets D of ||sum_{a in D}(A_a - B_a)||.
 
     A subset and its complement give the same norm (the differences sum to
-    zero), so only the subsets without the last outcome are evaluated, one
-    stack of Gray-ordered subset sums at a time through `subsets.max_norms`;
-    ties break to the first maximum in Gray-code order.
+    zero), so only the subsets without the last outcome are evaluated,
+    through `subsets.max_norms`: one stack of Gray-ordered subset sums up
+    to CHUNK_BITS + 1 outcomes, and beyond that the two `subsets.Halves`
+    of the walk, from which every sum is bounded and only the sums that
+    can reach the maximum are built and solved. Ties break to the first
+    maximum in Gray-code order.
     """
     return _distance("l1", a, b)

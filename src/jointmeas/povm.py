@@ -9,8 +9,9 @@ stacked forms (`random_ragged`, `validate_povms`,
 it with a few numpy calls per dimension, and each object-level function
 is the case of one item (`Povm.stack`). `metric_walks` turns a maximum
 over each item of a stack into `subsets.max_norms` walks: `Segments`,
-and a Gray walk of several stacks for an "l1" item of more than
-CHUNK_BITS + 1 outcomes; `max_norms` returns the maxima in item order.
+and for an "l1" item of more than CHUNK_BITS + 1 outcomes the
+`subsets.Halves` of its subset sums, or a Gray walk of several stacks of
+a function of them; `max_norms` returns the maxima in item order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .subsets import Segments, gray_walk, max_norms, one_stack
+from .subsets import Segments, gray_halves, gray_walk, max_norms, one_stack
 
 # Tolerances for POVM validity: entrywise deviation of the element sum from
 # the identity, and the eigenvalue floor for positivity. Loose enough to
@@ -234,26 +235,28 @@ def metric_walks(
     metric: str,
     stack: Ragged,
     what: str,
-    fn: Callable[[np.ndarray], np.ndarray] = lambda s: s,
+    fn: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[tuple[np.ndarray, object]]:
     """The `subsets.max_norms` walks of a maximum of `metric` over the
     matrices of each item of a stack, each with the items it covers: fn of
     each dimension's block cut into the items ("inf"), or fn of the
     Gray-ordered subset sums of each item's matrices ("l1",
-    `subsets.gray_walk`). The sums of items of one shape are taken side by
-    side and, while they fit one stack, cut into the items as `Segments`;
-    longer walks go one item at a time, as generators of their stacks.
-    `what` names the quantity in a CapacityError."""
+    `subsets.gray_walk`); no fn takes the matrices or sums themselves. The
+    sums of items of one shape are taken side by side and, while they fit
+    one stack, cut into the items as `Segments`. Longer walks go one item
+    at a time: with no fn, as the `subsets.Halves` of the item's sums,
+    which are linear in the subset; with fn, as generators of fn of their
+    stacks. `what` names the quantity in a CapacityError."""
     if metric != "l1":
-        return [
-            (items, Segments(fn(stack.blocks[d]), stack.counts[items]))
-            for d, items in stack.items.items()
-        ]
+        blocks = stack.blocks if fn is None else {d: fn(b) for d, b in stack.blocks.items()}
+        return [(items, Segments(blocks[d], stack.counts[items])) for d, items in stack.items.items()]
     walks = []
     for items, (e,) in shape_groups(stack):
         if one_stack(e.shape[-3]):
             (sums,) = gray_walk(e, what)
-            walks.append((items, Segments.of(fn(sums))))
+            walks.append((items, Segments.of(sums if fn is None else fn(sums))))
+        elif fn is None:
+            walks += [([i], gray_halves(one, what)) for i, one in zip(items, e)]
         else:
             walks += [([i], (fn(s) for s in gray_walk(one, what))) for i, one in zip(items, e)]
     return walks

@@ -19,19 +19,27 @@ long element lists at once, item by item.
 
 `gray_products` yields the products X_D @ Y_E of two such walks in stacks
 of the same size, so this module alone sizes every stack, and `one_stack`
-says whether a walk is one stack. `max_norms` is
-the one reducer of the spectral maxima, over outcomes and over subsets.
-It takes two walk forms: `Segments`, one stack per item, solved together
-by dimension, and one item's walk of several stacks, pruned with trace
-bounds (`linalg.herm_norm_bound_stack`, the Wolkowicz-Styan bound from
-"Bounds for eigenvalues using traces", Linear Algebra Appl. 29, 1980).
-It returns each quantity's maxima in item order, each the one its walk
-gives alone and unpruned, bit for bit.
+says whether a walk is one stack. `gray_walk` builds its stacks from the
+two `Halves` of `gray_halves`, the sums over the first CHUNK_BITS
+elements and over the rest, so the Gray order has one definition.
+
+`max_norms` is the one reducer of the spectral maxima, over outcomes and
+over subsets. It takes three walk forms: `Segments`, one stack per item,
+solved together by dimension; `Halves`, one item's walk of sums linear
+in the subset, whose Wolkowicz-Styan bounds ("Bounds for eigenvalues
+using traces", Linear Algebra Appl. 29, 1980) follow from the halves'
+traces and one matmul of their traceless parts, so that only the sums
+that can reach the maximum are built and solved; and one item's walk of
+several stacks of sums that are not linear in the subset (||S - S^2||,
+the subset commutators), pruned stack by stack with the same bound
+(`linalg.herm_norm_bound_stack`), or not at all where the sums crowd the
+maximum. It returns each quantity's maxima in item order, each the one
+its walk gives alone and unpruned, bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,6 +57,15 @@ SUBSET_ENUMERATION_LIMIT = 20
 # at most here (the tests hold the bounds to 1e-13), so that a pruned matrix
 # can never reach the running maximum.
 PRUNE_RTOL = 1e-9
+
+# Rounding allowance of the `Halves` bounds in `max_norms`: the squared
+# traceless norm of a sum, f_h + f_l + 2<H0, L0>, is raised by
+# ROUNDING_ULPS (2d^2 + 3) eps (f_h + f_l) before its root, and the root by
+# ROUNDING_ULPS eps; `_halves_max` says why that suffices.
+ROUNDING_ULPS = 8
+
+# log2 of the number of `Halves` bounds computed at once: 64 KB of floats
+BOUND_BLOCK_BITS = CHUNK_BITS + 3
 
 
 class CapacityError(ValueError):
@@ -77,16 +94,23 @@ def _gray_sums(elements: np.ndarray) -> np.ndarray:
     return sums
 
 
-def gray_walk(elements: np.ndarray, what: str) -> Iterator[np.ndarray]:
-    """Yield the subset sums of every element but the last, in stacks.
+class Halves(NamedTuple):
+    """One item's Gray walk of several stacks, by its two halves: the sums
+    over its first CHUNK_BITS free elements (`low`, 2^CHUNK_BITS of them)
+    and over the rest (`high`), each in Gray order. Position
+    j * 2^CHUNK_BITS + i holds high[j] + low[i] on even j, and
+    high[j] + low[-1 - i] on odd j. `max_norms` takes the halves of
+    Hermitian matrices, whose sums are Hermitian, bit for bit."""
 
-    `elements` is (..., n, d, d); the sums run along axis -3, and the
-    leading axes, if any, hold lists of n elements whose sums are taken
-    side by side. The stacks have equal length, at most 2^CHUNK_BITS.
-    Position i across their concatenation holds the sum over the mask
-    i ^ (i >> 1). `what` names the quantity in the CapacityError raised
-    for more than SUBSET_ENUMERATION_LIMIT elements.
-    """
+    low: np.ndarray
+    high: np.ndarray
+
+
+def gray_halves(elements: np.ndarray, what: str) -> Halves:
+    """The `Halves` of the subset sums of every element but the last, of
+    `elements` (..., n, d, d) as in `gray_walk`. `what` names the quantity
+    in the CapacityError raised for more than SUBSET_ENUMERATION_LIMIT
+    elements."""
     n = elements.shape[-3]
     if n > SUBSET_ENUMERATION_LIMIT:
         raise CapacityError(
@@ -94,12 +118,24 @@ def gray_walk(elements: np.ndarray, what: str) -> Iterator[np.ndarray]:
             f"the supported maximum is {SUBSET_ENUMERATION_LIMIT}"
         )
     free = elements[..., :-1, :, :]
-    low = _gray_sums(free[..., :CHUNK_BITS, :, :])
-    # the high bits change once per stack; the low bits run forward on even
-    # high positions and backward on odd ones
-    highs = _gray_sums(free[..., CHUNK_BITS:, :, :])
-    for j in range(highs.shape[-3]):
-        yield highs[..., j : j + 1, :, :] + (low if j % 2 == 0 else low[..., ::-1, :, :])
+    low, high = free[..., :CHUNK_BITS, :, :], free[..., CHUNK_BITS:, :, :]
+    return Halves(_gray_sums(low), _gray_sums(high))
+
+
+def gray_walk(elements: np.ndarray, what: str) -> Iterator[np.ndarray]:
+    """Yield the subset sums of every element but the last, in stacks.
+
+    `elements` is (..., n, d, d); the sums run along axis -3, and the
+    leading axes, if any, hold lists of n elements whose sums are taken
+    side by side. The stacks have equal length, at most 2^CHUNK_BITS.
+    Position i across their concatenation holds the sum over the mask
+    i ^ (i >> 1). Stack j is high[j] + low, low read backward on odd j, of
+    the `gray_halves`, which raise a CapacityError for more than
+    SUBSET_ENUMERATION_LIMIT elements.
+    """
+    low, high = gray_halves(elements, what)
+    for j in range(high.shape[-3]):
+        yield high[..., j : j + 1, :, :] + (low if j % 2 == 0 else low[..., ::-1, :, :])
 
 
 def gray_products(xs: np.ndarray, ys: np.ndarray, what: str) -> Iterator[np.ndarray]:
@@ -129,11 +165,167 @@ def gray_labels(position: int, labels: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(lab for i, lab in enumerate(labels) if mask >> i & 1)
 
 
+def _square_reaches(h: np.ndarray, floor: float) -> np.ndarray:
+    """Whether the trace bound on the square of each Hermitian matrix of a
+    stack, whose largest eigenvalue is the squared norm, reaches floor^2."""
+    return np.sqrt(linalg.herm_norm_bound_stack(h @ h)) >= floor
+
+
 def _survivors(hs: np.ndarray, floor: float) -> np.ndarray:
     """Positions in a stack whose two trace bounds both reach `floor`."""
     rows = np.flatnonzero(linalg.herm_norm_bound_stack(hs) >= floor)
-    h = linalg.hermitian_part(hs[rows])
-    return rows[np.sqrt(linalg.herm_norm_bound_stack(h @ h)) >= floor]
+    return rows[_square_reaches(linalg.hermitian_part(hs[rows]), floor)]
+
+
+def _sum_bounds(low: np.ndarray, high: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """The Wolkowicz-Styan bounds of the sums of two `Halves`, with the
+    rounding allowance `_halves_max` explains: a function of r0 and r1
+    that returns the bounds of high[j] + low[i], r0 <= j < r1, one row per
+    j and i in order."""
+    d = low.shape[-1]
+    width = 2 * d * d  # a matrix as real numbers
+    eps = np.finfo(float).eps
+    slack = ROUNDING_ULPS * (width + 3) * eps
+
+    def split(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each sum's trace t = tr(S)/d, its traceless part S - tI as the
+        first `width` of width + 2 reals a row, and that part's squared
+        Frobenius norm."""
+        t = np.einsum("...ii->...", sums).real / d
+        rows = np.empty((len(sums), width + 2))
+        rows[:, :width] = sums.reshape(len(sums), -1).view(np.float64)
+        rows[:, : width : 2 * (d + 1)] -= t[:, None]  # the real diagonal
+        return t, rows, np.einsum("ij,ij->i", rows[:, :width], rows[:, :width])
+
+    # [H0, f_h (1 + slack), 1] . [2 L0, 1, f_l (1 + slack)]: one matmul
+    # gives f_h + f_l + 2<H0, L0> with the allowance
+    t_high, by_high, f_high = split(high)
+    by_high[:, width], by_high[:, width + 1] = f_high * (1 + slack), 1.0
+    t_low, by_low, f_low = split(low)
+    by_low[:, :width] *= 2
+    by_low[:, width], by_low[:, width + 1] = 1.0, f_low * (1 + slack)
+    by_low = by_low.T
+    scale = np.sqrt((d - 1) / d) * (1 + ROUNDING_ULPS * eps)
+
+    def bounds(r0: int, r1: int) -> np.ndarray:
+        c = by_high[r0:r1] @ by_low
+        np.sqrt(c, out=c)
+        c *= scale
+        t = np.add(t_high[r0:r1, None], t_low)
+        c += np.abs(t, out=t)
+        return c
+
+    return bounds
+
+
+def _halves_max(low: np.ndarray, high: np.ndarray) -> tuple[float, int, np.ndarray]:
+    """The `max_norms` result of a walk given by its `Halves`.
+
+    Sum (j, i), high[j] + low[i] (at Gray position j * m + i or
+    j * m + m - 1 - i), is linear in its halves, so its Wolkowicz-Styan
+    bound follows from theirs: with their traces t_h, t_l and traceless
+    parts H0, L0, its trace is t = t_h + t_l and its traceless part
+    H0 + L0, of squared Frobenius norm f_h + f_l + 2<H0, L0>. For a block
+    of high sums against every low sum, that is one real matmul
+    (`_sum_bounds`), and a block holds at most 2^BOUND_BLOCK_BITS bounds.
+
+    A block's sums are solved in descending order of bound. In the first
+    block, the 2^(CHUNK_BITS - 2) largest bounds come first, whatever
+    they are. Then, in rounds of as many, come the sums whose bound
+    reaches (1 - PRUNE_RTOL) times the running maximum and whose H^2 bound
+    (`_square_reaches`) does too, until the next bound falls below that.
+    Where sums crowd the maximum (they tie the largest bound, or the H^2
+    stage last kept most of what it tested), a row (one Gray stack) in
+    which most bounds reach it is solved whole, without gathering, as
+    `_walk_max` does. Ties break to the first Gray position among the
+    solved maxima.
+
+    Why a pruned sum stays below the maximum M. Each half is itself a sum
+    on the walk (the other half is the empty sum, exactly 0), so every
+    norm here is at most M, and every Frobenius norm at most sqrt(d) M.
+    The matmul's dot products, of 2d^2 + 2 terms, and the squared norms
+    f_h and f_l, of 2d^2, are each off by at most their length times eps
+    times the sum of their terms' magnitudes, about
+    (2 * 2d^2 + 3) eps (f_h + f_l + 2|<H0, L0>|) in all. Where the terms
+    cancel, the root would turn that error into its square root, far
+    above eps M. The allowance, ROUNDING_ULPS (2d^2 + 3) eps (f_h + f_l),
+    is at least twice that, since 2|<H0, L0>| <= f_h + f_l, so the root
+    is never below that of the exact expansion. What is left is rounded
+    relatively, by a few d eps M at most: the traces, H0 and L0, the root
+    and its factor, the sum S that is solved against the sum of its
+    halves (the bound holds for any trace near S's), and the eigenvalue
+    solve. A sum is pruned only when its bound is below (1 - PRUNE_RTOL)
+    times a solved norm, and PRUNE_RTOL is some 10^5 times those
+    roundings, so its own solved norm would fall short of that one: the
+    maximum is never pruned, and no pruned sum ties it.
+    """
+    m = len(low)
+    bounds = _sum_bounds(low, high)
+    chunk = 2 ** (CHUNK_BITS - 2)
+    best: list = [-1.0, 0, None]  # value, position, matrix
+
+    def offer(positions, hs: np.ndarray) -> None:
+        """Solve the sums hs at these positions, ascending or descending;
+        keep the first maximum."""
+        norms = linalg.herm_norm_stack(hs)
+        if positions[0] <= positions[-1]:
+            k = int(np.argmax(norms))
+        else:
+            k = len(norms) - 1 - int(np.argmax(norms[::-1]))
+        if norms[k] > best[0] or norms[k] == best[0] and positions[k] < best[1]:
+            best[:] = float(norms[k]), int(positions[k]), hs[k]
+
+    def whole_rows(r0: int, c: np.ndarray, floor: float) -> bool:
+        """Solve the rows of a block in which most bounds reach `floor`."""
+        crowded = np.flatnonzero(2 * np.count_nonzero(c >= floor, axis=1) > m)
+        rows = (r0 + crowded).tolist()
+        # each row's sums are built while the last row's are held, and in
+        # low order: a sum with low read backward costs several times more
+        for row, hs in zip(rows, (high[row] + low for row in rows)):
+            offer(range(row * m, row * m + m)[:: -1 if row % 2 else 1], hs)
+        c[crowded] = -np.inf
+        return len(crowded) > 0
+
+    def gathered(r0: int, picked: np.ndarray) -> tuple:
+        """Rows, low indices and Gray positions of entries of a block, in
+        the order of their positions."""
+        rows, cols = np.divmod(picked, m)
+        rows += r0
+        positions = rows * m + np.where(rows % 2, m - 1 - cols, cols)
+        order = np.argsort(positions)
+        return rows[order], cols[order], positions[order]
+
+    per_block = max(1, 2**BOUND_BLOCK_BITS // m)
+    dense = False  # whether the sums crowd the maximum
+    for r0 in range(0, len(high), per_block):
+        c = bounds(r0, r0 + per_block)
+        flat = c.ravel()
+        if best[2] is None:
+            dense = whole_rows(r0, c, (1 - PRUNE_RTOL) * c.max())
+        if best[2] is None:
+            top = np.argpartition(flat, -chunk)[-chunk:]
+            rows, cols, positions = gathered(r0, top)
+            offer(positions, high[rows] + low[cols])
+            flat[top] = -np.inf
+        elif dense:
+            whole_rows(r0, c, (1 - PRUNE_RTOL) * best[0])
+        picked = np.flatnonzero(flat >= (1 - PRUNE_RTOL) * best[0])
+        picked = picked[np.argsort(-flat[picked])]
+        falling = -flat[picked]
+        start = 0
+        while start < len(picked):
+            floor = (1 - PRUNE_RTOL) * best[0]
+            stop = min(start + chunk, int(np.searchsorted(falling, -floor, "right")))
+            if stop <= start:
+                break
+            rows, cols, positions = gathered(r0, picked[start:stop])
+            hs = high[rows] + low[cols]
+            keep = _square_reaches(hs, floor)
+            dense = 2 * np.count_nonzero(keep) > len(keep)
+            if keep.any():
+                offer(positions[keep], hs[keep])
+            start = stop
+    return best[0], best[1], best[2]
 
 
 def _walk_max(first: np.ndarray, rest: Iterable[np.ndarray]) -> tuple[float, int, np.ndarray]:
@@ -164,12 +356,15 @@ def max_norms(quantities: Iterable[Iterable[tuple]], count: int) -> list[tuple]:
     position along the walk and its matrix: (values, positions, matrices),
     arrays and a list in item order. Ties break to the first maximum.
 
-    A walk is one of two forms. `Segments` hold one stack per item, the
+    A walk is one of three forms. `Segments` hold one stack per item, the
     consecutive runs of one array; `povm.metric_walks` and
     `bounds.commutator_walks` make them for every "inf" maximum and for the
-    "l1" maxima whose Gray walk fits one stack. Any other walk is one
-    item's iterable of several stacks, the Gray walk of an "l1" maximum of
-    more than CHUNK_BITS + 1 outcomes (`gray_walk`, `gray_products`).
+    "l1" maxima whose Gray walk fits one stack. Beyond CHUNK_BITS + 1
+    outcomes, `metric_walks` hands over the `Halves` of one item's walk
+    when the maximum is over the subset sums themselves (`D_l1`), and a
+    walk of several stacks, an iterable, when it is over a function of
+    them (`intrinsic_uncertainty_l1`'s S - S^2), as `commutator_walks` does
+    for a long subset commutator (`gray_walk`, `gray_products`).
 
     The `Segments` of a dimension wait, and are solved together, at most
     2^CHUNK_BITS matrices a `linalg.herm_norm_stack` call, before one more
@@ -178,19 +373,23 @@ def max_norms(quantities: Iterable[Iterable[tuple]], count: int) -> list[tuple]:
     `eigvalsh` solves each matrix on its own, so every result is the one
     its walk gives alone.
 
-    A walk of several stacks is reduced as soon as it is met, holding its
-    first stack and one later stack at a time. Its first stack is full
-    (2^CHUNK_BITS matrices) and solved whole. In each later stack, a matrix
-    gets a solve only if both trace bounds of `linalg.herm_norm_bound_stack`,
-    on the matrix and on the square of its Hermitian part (whose largest
-    eigenvalue is the squared norm), reach (1 - PRUNE_RTOL) times the
-    walk's running maximum. A pruned matrix cannot reach that maximum, and
-    a later stack replaces it only with a strictly larger norm, so the
-    result is that of an unpruned walk, bit for bit. Both bounds cost 0.2
-    (d = 8) to 0.7 (d = 2) of a solve a matrix, so a walk prunes only while
-    they drop at least half of what they see: first of every eighth matrix
-    of its first stack, then of each pruned stack. Sums whose norms crowd
-    the maximum, as ||S - S^2|| does at d >= 3, go on unpruned.
+    `Halves` and walks of several stacks are reduced as soon as they are
+    met, and only what can reach the maximum is solved: a matrix whose
+    trace bound is below (1 - PRUNE_RTOL) times a solved norm cannot reach
+    it, so the result is that of an unpruned walk, bit for bit. `Halves`
+    (`_halves_max`) bound every sum of the walk from the halves, without
+    building it, and solve the sums in descending order of bound. A walk
+    of several stacks (`_walk_max`) holds its first stack and one later
+    stack at a time. Its first stack is full (2^CHUNK_BITS matrices) and
+    solved whole. In each later stack, a matrix gets a solve only if both
+    trace bounds of `linalg.herm_norm_bound_stack`, on the matrix and on
+    the square of its Hermitian part (whose largest eigenvalue is the
+    squared norm), reach the floor. Both bounds cost 0.2 (d = 8) to 0.7
+    (d = 2) of a solve a matrix, so such a walk prunes only while they
+    drop at least half of what they see: first of every eighth matrix of
+    its first stack, then of each pruned stack. Sums whose norms crowd the
+    maximum, as ||S - S^2|| does at d >= 3, go on unpruned; this gate is
+    for these walks only, as `Halves` have their own test of crowding.
     """
     cap = 2**CHUNK_BITS
     found: list[tuple] = []
@@ -221,6 +420,10 @@ def max_norms(quantities: Iterable[Iterable[tuple]], count: int) -> list[tuple]:
         result = np.empty(count), np.empty(count, dtype=int), [None] * count
         found.append(result)
         for items, walk in walks:
+            if isinstance(walk, Halves):
+                (i,) = items
+                result[0][i], result[1][i], result[2][i] = _halves_max(*walk)
+                continue
             if not isinstance(walk, Segments):
                 (i,) = items
                 stacks = iter(walk)

@@ -193,7 +193,10 @@ class TestDistance:
         save_povm(wide, path)
         code, out, err = run(["distance", "--metric", "l1", str(path), str(path)], capsys)
         assert code == 1
-        assert err.startswith("error: ")
+        assert err == (
+            "error: the total-variation observable distance enumerates all subsets of 21 "
+            "outcomes; the supported maximum is 20\n"
+        )
         assert out == ""
 
     def test_lenient_mode_warns(self, tmp_path, capsys):

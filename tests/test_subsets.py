@@ -42,8 +42,11 @@ from jointmeas.selftest import random_instances
 from jointmeas.smearing import OutcomeMap, marginalize, outcome_choice
 from jointmeas.subsets import (
     CHUNK_BITS,
+    SUBSET_ENUMERATION_LIMIT,
     CapacityError,
     Segments,
+    _sum_bounds,
+    gray_halves,
     gray_labels,
     gray_products,
     gray_walk,
@@ -97,7 +100,8 @@ def _subset_comm_unpruned(a, b):
 SIZES = [(2, 16), (3, 15), (4, 16), (6, 14), (8, 13)]
 
 
-@pytest.mark.parametrize("d, n", SIZES)
+# and, for the bounds from the halves, many blocks up to the capacity limit
+@pytest.mark.parametrize("d, n", SIZES + [(2, SUBSET_ENUMERATION_LIMIT), (4, 18)])
 def test_d_l1_equals_the_unpruned_walk(d, n):
     _assert_d_l1_unpruned(random_povm(d, n, seed=10 * d + n), random_povm(d, n, seed=500 + d))
 
@@ -146,6 +150,73 @@ def test_maximum_in_a_late_stack():
     assert pos >> CHUNK_BITS >= 2 ** (n - 1 - CHUNK_BITS) // 2
 
 
+def _near_cancelling(d, n, low, high, seed):
+    """Two POVM-shaped element lists whose differences are small but for a
+    traceless h added to outcome `low` (< CHUNK_BITS) and taken from
+    outcome `high` (a free outcome past them), each also shifted by a
+    scalar: the sums holding both are near-scalar, and the maximum is one
+    of them, whose halves' traceless parts cancel."""
+    rng = np.random.default_rng(seed)
+    a = random_povm(d, n, seed=seed)
+    h = linalg.hermitian_part(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    h -= np.trace(h).real / d * np.eye(d)
+    h *= 0.2 / np.linalg.norm(h, 2)
+    x = 1e-4 * linalg.hermitian_part(rng.standard_normal((n, d, d)) + 0j)
+    x[low] += h + 0.25 * np.eye(d)
+    x[high] += -h + (0.25 + 1e-12 * rng.standard_normal()) * np.eye(d)
+    x[-1] = -x[:-1].sum(axis=0)
+    return a, Povm(a.outcomes, a.elements - x)
+
+
+NEAR_CANCELLING = [(2, 12, 0, 10, 61), (3, 14, 9, 10, 62), (4, 15, 3, 13, 63), (6, 13, 5, 11, 64)]
+NEAR_CANCELLING.append((8, 14, 1, 12, 65))
+
+
+@pytest.mark.parametrize("d, n, low, high, seed", NEAR_CANCELLING)
+def test_d_l1_equals_the_unpruned_walk_where_the_halves_cancel(d, n, low, high, seed):
+    a, b = _near_cancelling(d, n, low, high, seed)
+    dv, _ = _assert_d_l1_unpruned(a, b)
+    assert {f"o{low}", f"o{high}"} <= set(dv.witness)
+    # the witness is nearly scalar: its traceless part is a rounding of h - h
+    w = dv.witness_matrix
+    assert np.abs(w - np.trace(w).real / d * np.eye(d)).max() < 1e-2 * dv.value
+
+
+def _halves_of(a, b):
+    return gray_halves(linalg.hermitian_part(a.elements - b.elements), "D")
+
+
+@pytest.mark.parametrize("case", range(len(NEAR_CANCELLING) + 1))
+def test_the_bound_of_every_sum_holds_from_its_halves(case):
+    # the halves' bounds, allowance included, against every solved norm
+    if case < len(NEAR_CANCELLING):
+        low, high = _halves_of(*_near_cancelling(*NEAR_CANCELLING[case]))
+    else:
+        n = 14
+        trivial = Povm(tuple(f"o{k}" for k in range(n)), np.stack([np.eye(3) / n] * n))
+        low, high = _halves_of(trivial, Povm(trivial.outcomes, 0 * trivial.elements))
+    bounds = _sum_bounds(low, high)(0, len(high))
+    norms = linalg.herm_norm_stack(high[:, None] + low[None, :])
+    assert bounds.shape == norms.shape == (len(high), 2**CHUNK_BITS)
+    assert (bounds >= norms).all()
+    # and the allowance is a rounding's worth: the bound of a scalar sum
+    # is its norm, and of the cancelling sums no more than 1e-6 above it
+    assert (bounds <= norms + 1e-6).any()
+
+
+def test_d_l1_breaks_exact_ties_across_solves():
+    # scalar differences of dyadic sizes: many subsets tie the maximum
+    # exactly, in the first block's top bounds and in later rounds alike
+    n = 16
+    weights = np.array([1, 2, 1, 3, 1, 2, 1, 1, 3, 1, 2, 1, 1, 2, 1, 8]) / 32
+    a = Povm(tuple(f"o{k}" for k in range(n)), weights[:, None, None] * np.eye(2))
+    shifts = np.array([1, 1, -1] + [0] * 12 + [-1]) / 64
+    b = Povm(a.outcomes, (weights - shifts)[:, None, None] * np.eye(2))
+    dv, pos = _assert_d_l1_unpruned(a, b)
+    # 2^12 subsets hold o0 and o1 but not o2, 128 in each Gray stack
+    assert dv.value == 2 / 64 and dv.witness[:2] == ("o0", "o1")
+
+
 @pytest.fixture
 def solved(monkeypatch):
     """The size of each stack `linalg.herm_norm_stack` receives."""
@@ -161,10 +232,9 @@ def solved(monkeypatch):
 
 
 def test_d_l1_solves_few_of_the_subset_sums(solved):
-    # d = 4, n = 16: 2^15 = 32,768 subset sums in 32 stacks
+    # d = 4, n = 16: 2^15 = 32,768 subset sums, bounded from their halves
     D_l1(random_povm(4, 16, seed=41), random_povm(4, 16, seed=42))
-    assert solved[0] == 2**CHUNK_BITS  # the first stack is solved whole
-    assert sum(solved) < 8192
+    assert sum(solved) <= 2**CHUNK_BITS
 
 
 def test_crowded_maxima_go_on_unpruned(solved):
@@ -636,12 +706,20 @@ def test_metric_walk_is_one_stack_or_the_gray_walk():
     sums = {tuple(np.ravel(i).tolist()): w for i, w in metric_walks("l1", h, "V")}
     side_by_side = np.concatenate([*gray_walk(e[1], "V"), *gray_walk(e[3], "V")])
     assert np.array_equal(sums[1, 3].stack, side_by_side)
-    walked = list(sums[0,])
+    # a longer item is walked on its own: by its halves, whose stacks are
+    # those of `gray_walk`, or, with a function of the sums, by them
+    low, high = sums[0,]
     alone = list(gray_walk(e[0], "V"))
-    assert len(walked) == 2 and all(np.array_equal(w, g) for w, g in zip(walked, alone))
-    # only the subset walk has a capacity limit
+    halved = [high[j] + (low if j % 2 == 0 else low[::-1]) for j in range(len(high))]
+    assert len(halved) == 2 and all(np.array_equal(w, g) for w, g in zip(halved, alone))
+    squared = {tuple(np.ravel(i).tolist()): w for i, w in metric_walks("l1", h, "V", np.square)}
+    walked = list(squared[0,])
+    assert len(walked) == 2 and all(np.array_equal(w, np.square(g)) for w, g in zip(walked, alone))
+    # only the subset walk has a capacity limit, met before any sum is taken
     many = _ragged([Povm(tuple(f"o{k}" for k in range(21)), np.stack([np.eye(2) / 21] * 21))])
     assert len(metric_walks("inf", many, "V")) == 1
-    ((_, walk),) = metric_walks("l1", many, "V")
+    with pytest.raises(CapacityError, match="^V enumerates all subsets of 21 outcomes"):
+        metric_walks("l1", many, "V")
+    ((_, walk),) = metric_walks("l1", many, "V", np.square)
     with pytest.raises(CapacityError, match="^V enumerates all subsets of 21 outcomes"):
         list(walk)
