@@ -111,9 +111,9 @@ def _extremal_pure_state(h: np.ndarray) -> np.ndarray:
 def difference_walks(metric: str, a: Ragged, b: Ragged) -> list[tuple[np.ndarray, object]]:
     """The `povm.metric_walks` whose maxima are the observable distances of
     `metric` between the items of two stacks: the Hermitian differences
-    A_a - B_a ("inf") or their Gray-ordered subset sums ("l1", as `Halves`
-    beyond one stack). The stacks must hold items of the same dimensions
-    and outcome counts."""
+    A_a - B_a ("inf") or their subset sums ("l1", as `Halves` beyond one
+    stack). The stacks must hold items of the same dimensions and outcome
+    counts."""
     if a.dims.tolist() != b.dims.tolist() or a.counts.tolist() != b.counts.tolist():
         raise ValueError("the stacks differ in their items' dimensions or outcome counts")
     diffs = {d: linalg.hermitian_part(e - b.blocks[d]) for d, e in a.blocks.items()}
@@ -124,8 +124,9 @@ def observable_distances(metric: str, a: Ragged, b: Ragged) -> tuple:
     """The observable distance of `metric`, "inf" (`D_inf`) or "l1"
     (`D_l1`), between item i of `a` and item i of `b`, for every i, all
     reduced by one `subsets.max_norms` call: the values, the witness
-    positions (an outcome, or a `subsets.gray_walk` position) and the
-    witness matrices, in item order, each the one the pair gives alone.
+    positions (an outcome, or a `subsets.gray_walk` position, a subset's
+    mask) and the witness matrices, in item order, each the one the pair
+    gives alone; a tie breaks to the first outcome or the smallest mask.
     `distance_value` reads one item as a `DistanceValue`."""
     return max_norms([difference_walks(metric, a, b)], len(a.counts))[0]
 
@@ -161,10 +162,10 @@ def D_l1(a: Povm, b: Povm) -> DistanceValue:
 
     A subset and its complement give the same norm (the differences sum to
     zero), so only the subsets without the last outcome are evaluated,
-    through `subsets.max_norms`: one stack of Gray-ordered subset sums up
-    to CHUNK_BITS + 1 outcomes, and beyond that the two `subsets.Halves`
-    of the walk, from which every sum is bounded and only the sums that
-    can reach the maximum are built and solved. Ties break to the first
-    maximum in Gray-code order.
+    through `subsets.max_norms`: one stack of subset sums up to
+    CHUNK_BITS + 1 outcomes, and beyond that the two `subsets.Halves` of
+    the walk, from which every sum is bounded and only the sums that can
+    reach the maximum are built and solved. Ties break to the smallest
+    mask.
     """
     return _distance("l1", a, b)

@@ -61,7 +61,7 @@ def herm_norm_bound_stack(ms: np.ndarray) -> np.ndarray:
     the norm by about 1e-8 relative.
     """
     d = ms.shape[-1]
-    t = np.trace(ms, axis1=-2, axis2=-1).real / d
+    t = np.einsum("...ii->...", ms).real / d
     dev = (ms - t[..., None, None] * np.eye(d)).view(np.float64)
     return np.abs(t) + np.sqrt((d - 1) / d) * np.sqrt(np.einsum("...ij,...ij->...", dev, dev))
 

@@ -10,8 +10,8 @@ it with a few numpy calls per dimension, and each object-level function
 is the case of one item (`Povm.stack`). `metric_walks` turns a maximum
 over each item of a stack into `subsets.max_norms` walks: `Segments`,
 and for an "l1" item of more than CHUNK_BITS + 1 outcomes the
-`subsets.Halves` of its subset sums, or a Gray walk of several stacks of
-a function of them; `max_norms` returns the maxima in item order.
+`subsets.Halves` of its subset sums, or a walk of several stacks of a
+function of them; `max_norms` returns the maxima in item order.
 """
 
 from __future__ import annotations
@@ -240,8 +240,8 @@ def metric_walks(
     """The `subsets.max_norms` walks of a maximum of `metric` over the
     matrices of each item of a stack, each with the items it covers: fn of
     each dimension's block cut into the items ("inf"), or fn of the
-    Gray-ordered subset sums of each item's matrices ("l1",
-    `subsets.gray_walk`); no fn takes the matrices or sums themselves. The
+    subset sums of each item's matrices ("l1", `subsets.gray_walk`); no
+    fn takes the matrices or sums themselves. The
     sums of items of one shape are taken side by side and, while they fit
     one stack, cut into the items as `Segments`. Longer walks go one item
     at a time: with no fn, as the `subsets.Halves` of the item's sums,

@@ -1,4 +1,4 @@
-"""Subset sums in Gray-code order.
+"""Subset sums in mask order.
 
 Several quantities here are exact maxima over all subsets of an outcome set.
 Because a subset and its complement always yield the same norm in these
@@ -7,21 +7,24 @@ halves the work. `gray_walk` yields their sums as stacks of at most
 2^CHUNK_BITS matrices, so a caller evaluates one stack per numpy call instead
 of one matrix per mask.
 
-The sums are built by Gray doubling: the sums over the first k elements,
-followed by the same sums in reverse order plus element k. Position i of the
-concatenated sequence holds the sum over the mask i ^ (i >> 1), the reflected
-Gray code. A maximum taken first-wins over the stacks therefore breaks ties
-to the first maximum in Gray-code order, and `gray_labels` decodes its
-position into outcome labels. The capacity limit is set here too: past
-SUBSET_ENUMERATION_LIMIT elements, `gray_walk` raises CapacityError.
-Both walk along axis -3, so one call sums the subsets of many equally
-long element lists at once, item by item.
+The sums are built by doubling: the sums over the first k elements,
+followed by the same sums plus element k. Position i of the concatenated
+sequence holds the sum over mask i, whose bit k says whether element k is
+in the subset, and every sum is added up from 0 in element order. A
+maximum taken first-wins over the stacks therefore breaks ties to the
+smallest mask, and `gray_labels` reads a position's set bits as outcome
+labels. The `gray_` names are those of the reflected Gray code these walks
+once followed, and they stay: `perfbench/layers.py` counts `gray_walk` by
+name. The walk runs along axis -3, so one call sums the subsets of many
+equally long element lists at once, item by item.
 
 `gray_products` yields the products X_D @ Y_E of two such walks in stacks
 of the same size, so this module alone sizes every stack, and `one_stack`
 says whether a walk is one stack. `gray_walk` builds its stacks from the
 two `Halves` of `gray_halves`, the sums over the first CHUNK_BITS
-elements and over the rest, so the Gray order has one definition.
+elements and over the rest, so the order has one definition.
+`gray_walk` and `gray_products` raise CapacityError past
+SUBSET_ENUMERATION_LIMIT elements.
 
 `max_norms` is the one reducer of the spectral maxima, over outcomes and
 over subsets. It takes three walk forms: `Segments`, one stack per item,
@@ -86,21 +89,19 @@ class Segments(NamedTuple):
 
 
 def _gray_sums(elements: np.ndarray) -> np.ndarray:
-    """Sums over all subsets of `elements` along axis -3, in reflected
-    Gray-code order."""
+    """Sums over all subsets of `elements` along axis -3, in mask order."""
     sums = np.zeros((*elements.shape[:-3], 1, *elements.shape[-2:]), dtype=elements.dtype)
     for k in range(elements.shape[-3]):
-        sums = np.concatenate([sums, sums[..., ::-1, :, :] + elements[..., k : k + 1, :, :]], -3)
+        sums = np.concatenate([sums, sums + elements[..., k : k + 1, :, :]], -3)
     return sums
 
 
 class Halves(NamedTuple):
-    """One item's Gray walk of several stacks, by its two halves: the sums
-    over its first CHUNK_BITS free elements (`low`, 2^CHUNK_BITS of them)
-    and over the rest (`high`), each in Gray order. Position
-    j * 2^CHUNK_BITS + i holds high[j] + low[i] on even j, and
-    high[j] + low[-1 - i] on odd j. `max_norms` takes the halves of
-    Hermitian matrices, whose sums are Hermitian, bit for bit."""
+    """One item's walk of several stacks, by its two halves: the sums over
+    its first CHUNK_BITS free elements (`low`, 2^CHUNK_BITS of them) and
+    over the rest (`high`), each in mask order, so that position
+    j * 2^CHUNK_BITS + i holds high[j] + low[i]. `max_norms` takes the
+    halves of Hermitian matrices, whose sums are Hermitian, bit for bit."""
 
     low: np.ndarray
     high: np.ndarray
@@ -128,21 +129,28 @@ def gray_walk(elements: np.ndarray, what: str) -> Iterator[np.ndarray]:
     `elements` is (..., n, d, d); the sums run along axis -3, and the
     leading axes, if any, hold lists of n elements whose sums are taken
     side by side. The stacks have equal length, at most 2^CHUNK_BITS.
-    Position i across their concatenation holds the sum over the mask
-    i ^ (i >> 1). Stack j is high[j] + low, low read backward on odd j, of
-    the `gray_halves`, which raise a CapacityError for more than
-    SUBSET_ENUMERATION_LIMIT elements.
+    Position i across their concatenation holds the sum over mask i.
+    Stack j is high[j] + low of the `gray_halves`, which raise a
+    CapacityError for more than SUBSET_ENUMERATION_LIMIT elements.
     """
     low, high = gray_halves(elements, what)
     for j in range(high.shape[-3]):
-        yield high[..., j : j + 1, :, :] + (low if j % 2 == 0 else low[..., ::-1, :, :])
+        yield high[..., j : j + 1, :, :] + low
 
 
 def gray_products(xs: np.ndarray, ys: np.ndarray, what: str) -> Iterator[np.ndarray]:
     """Yield the products X_D @ Y_E of the `gray_walk` sums of `xs` and `ys`
     in stacks of at most 2^CHUNK_BITS, X_D in blocks and Y_E running
     fastest; leading axes pair lists of xs with lists of ys, as in
-    `gray_walk`."""
+    `gray_walk`. The pairs of subsets of n_x and n_y elements are as many
+    as the subsets of n_x + n_y - 1, so the first stack raises a
+    CapacityError, before any sum, past SUBSET_ENUMERATION_LIMIT of those."""
+    n = xs.shape[-3] + ys.shape[-3] - 1
+    if n > SUBSET_ENUMERATION_LIMIT:
+        raise CapacityError(
+            f"{what} enumerates all subset pairs of {xs.shape[-3]} and {ys.shape[-3]} outcomes, "
+            f"as many as the subsets of {n}; the supported maximum is {SUBSET_ENUMERATION_LIMIT}"
+        )
     for sums_x in gray_walk(xs, what):
         for sums_y in gray_walk(ys, what):
             n_y = sums_y.shape[-3]
@@ -159,10 +167,8 @@ def one_stack(*lengths: int) -> bool:
 
 
 def gray_labels(position: int, labels: tuple[str, ...]) -> tuple[str, ...]:
-    """Labels of the subset at a position of `gray_walk`, that is of the
-    mask position ^ (position >> 1), in the order of `labels`."""
-    mask = position ^ (position >> 1)
-    return tuple(lab for i, lab in enumerate(labels) if mask >> i & 1)
+    """The labels of the set bits of a `gray_walk` position, in order."""
+    return tuple(lab for i, lab in enumerate(labels) if position >> i & 1)
 
 
 def _square_reaches(h: np.ndarray, floor: float) -> np.ndarray:
@@ -221,13 +227,13 @@ def _sum_bounds(low: np.ndarray, high: np.ndarray) -> Callable[[int, int], np.nd
 def _halves_max(low: np.ndarray, high: np.ndarray) -> tuple[float, int, np.ndarray]:
     """The `max_norms` result of a walk given by its `Halves`.
 
-    Sum (j, i), high[j] + low[i] (at Gray position j * m + i or
-    j * m + m - 1 - i), is linear in its halves, so its Wolkowicz-Styan
-    bound follows from theirs: with their traces t_h, t_l and traceless
-    parts H0, L0, its trace is t = t_h + t_l and its traceless part
-    H0 + L0, of squared Frobenius norm f_h + f_l + 2<H0, L0>. For a block
-    of high sums against every low sum, that is one real matmul
-    (`_sum_bounds`), and a block holds at most 2^BOUND_BLOCK_BITS bounds.
+    Sum (j, i), high[j] + low[i] at position j * m + i, is linear in its
+    halves, so its Wolkowicz-Styan bound follows from theirs: with their
+    traces t_h, t_l and traceless parts H0, L0, its trace is t = t_h + t_l
+    and its traceless part H0 + L0, of squared Frobenius norm
+    f_h + f_l + 2<H0, L0>. For a block of high sums against every low sum,
+    that is one real matmul (`_sum_bounds`), and a block holds at most
+    2^BOUND_BLOCK_BITS bounds.
 
     A block's sums are solved in descending order of bound. In the first
     block, the 2^(CHUNK_BITS - 2) largest bounds come first, whatever
@@ -235,10 +241,9 @@ def _halves_max(low: np.ndarray, high: np.ndarray) -> tuple[float, int, np.ndarr
     reaches (1 - PRUNE_RTOL) times the running maximum and whose H^2 bound
     (`_square_reaches`) does too, until the next bound falls below that.
     Where sums crowd the maximum (they tie the largest bound, or the H^2
-    stage last kept most of what it tested), a row (one Gray stack) in
-    which most bounds reach it is solved whole, without gathering, as
-    `_walk_max` does. Ties break to the first Gray position among the
-    solved maxima.
+    stage last kept most of what it tested), a row (one stack of the walk)
+    in which most bounds reach it is solved whole, without gathering, as
+    `_walk_max` does. Ties break to the smallest position solved.
 
     Why a pruned sum stays below the maximum M. Each half is itself a sum
     on the walk (the other half is the empty sum, exactly 0), so every
@@ -265,13 +270,9 @@ def _halves_max(low: np.ndarray, high: np.ndarray) -> tuple[float, int, np.ndarr
     best: list = [-1.0, 0, None]  # value, position, matrix
 
     def offer(positions, hs: np.ndarray) -> None:
-        """Solve the sums hs at these positions, ascending or descending;
-        keep the first maximum."""
+        """Solve the sums hs at these ascending positions; keep the first maximum."""
         norms = linalg.herm_norm_stack(hs)
-        if positions[0] <= positions[-1]:
-            k = int(np.argmax(norms))
-        else:
-            k = len(norms) - 1 - int(np.argmax(norms[::-1]))
+        k = int(np.argmax(norms))
         if norms[k] > best[0] or norms[k] == best[0] and positions[k] < best[1]:
             best[:] = float(norms[k]), int(positions[k]), hs[k]
 
@@ -279,21 +280,18 @@ def _halves_max(low: np.ndarray, high: np.ndarray) -> tuple[float, int, np.ndarr
         """Solve the rows of a block in which most bounds reach `floor`."""
         crowded = np.flatnonzero(2 * np.count_nonzero(c >= floor, axis=1) > m)
         rows = (r0 + crowded).tolist()
-        # each row's sums are built while the last row's are held, and in
-        # low order: a sum with low read backward costs several times more
+        # each row's sums are built while the last row's are held
         for row, hs in zip(rows, (high[row] + low for row in rows)):
-            offer(range(row * m, row * m + m)[:: -1 if row % 2 else 1], hs)
+            offer(range(row * m, row * m + m), hs)
         c[crowded] = -np.inf
         return len(crowded) > 0
 
     def gathered(r0: int, picked: np.ndarray) -> tuple:
-        """Rows, low indices and Gray positions of entries of a block, in
-        the order of their positions."""
+        """Rows, low indices and positions of entries of a block, in the
+        order of their positions."""
+        picked = np.sort(picked)
         rows, cols = np.divmod(picked, m)
-        rows += r0
-        positions = rows * m + np.where(rows % 2, m - 1 - cols, cols)
-        order = np.argsort(positions)
-        return rows[order], cols[order], positions[order]
+        return rows + r0, cols, r0 * m + picked
 
     per_block = max(1, 2**BOUND_BLOCK_BITS // m)
     dense = False  # whether the sums crowd the maximum
@@ -333,7 +331,7 @@ def _walk_max(first: np.ndarray, rest: Iterable[np.ndarray]) -> tuple[float, int
     norms = linalg.herm_norm_stack(first)
     k = int(np.argmax(norms))
     best, best_pos, best_matrix, pos = float(norms[k]), k, first[k], len(first)
-    sample = first[::8]
+    sample = first[::7]  # odd: masks 0 mod 8 would hold none of o0, o1 and o2
     prune = 2 * len(_survivors(sample, (1 - PRUNE_RTOL) * best)) <= len(sample)
     for hs in rest:
         rows = np.arange(len(hs))
@@ -359,7 +357,7 @@ def max_norms(quantities: Iterable[Iterable[tuple]], count: int) -> list[tuple]:
     A walk is one of three forms. `Segments` hold one stack per item, the
     consecutive runs of one array; `povm.metric_walks` and
     `bounds.commutator_walks` make them for every "inf" maximum and for the
-    "l1" maxima whose Gray walk fits one stack. Beyond CHUNK_BITS + 1
+    "l1" maxima whose subset walk fits one stack. Beyond CHUNK_BITS + 1
     outcomes, `metric_walks` hands over the `Halves` of one item's walk
     when the maximum is over the subset sums themselves (`D_l1`), and a
     walk of several stacks, an iterable, when it is over a function of
@@ -386,7 +384,7 @@ def max_norms(quantities: Iterable[Iterable[tuple]], count: int) -> list[tuple]:
     the square of its Hermitian part (whose largest eigenvalue is the
     squared norm), reach the floor. Both bounds cost 0.2 (d = 8) to 0.7
     (d = 2) of a solve a matrix, so such a walk prunes only while they
-    drop at least half of what they see: first of every eighth matrix of
+    drop at least half of what they see: first of every seventh matrix of
     its first stack, then of each pruned stack. Sums whose norms crowd the
     maximum, as ||S - S^2|| does at d >= 3, go on unpruned; this gate is
     for these walks only, as `Halves` have their own test of crowding.

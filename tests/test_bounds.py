@@ -135,6 +135,18 @@ class TestMaxSubsetCommutatorNorm:
         with pytest.raises(CapacityError):
             max_subset_commutator_norm(a, b)
 
+    def test_capacity_counts_the_outcomes_of_both_povms(self):
+        # 11 x 10 outcomes walk as many subset pairs as 20 outcomes have
+        # subsets, at the limit; 11 x 11 as many as 21, past it
+        a, b = random_povm(2, 11, seed=55), random_povm(2, 10, seed=56)
+        assert 0 < max_subset_commutator_norm(a, b) <= 0.5
+        with pytest.raises(CapacityError) as err:
+            max_subset_commutator_norm(a, random_povm(2, 11, seed=57))
+        assert str(err.value) == (
+            "the subset commutator bound enumerates all subset pairs of 11 and 11 outcomes, "
+            "as many as the subsets of 21; the supported maximum is 20"
+        )
+
 
 class TestTheorem1Lhs:
     def test_all_zero(self):

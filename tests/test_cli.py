@@ -199,6 +199,21 @@ class TestDistance:
         )
         assert out == ""
 
+    def test_l1_tie_names_the_smallest_mask(self, tmp_path, capsys):
+        # {o0, o1} and {o1} tie; the smaller mask, {o1}, is the witness
+        p = np.diag([1.0, 0.0])
+        third = np.eye(2, dtype=complex) / 3
+        outcomes = ("o0", "o1", "o2")
+        save_povm(Povm(outcomes, np.stack([third] * 3)), tmp_path / "a.json")
+        b = np.stack([third, third - 0.2 * p, third + 0.2 * p])
+        save_povm(Povm(outcomes, b), tmp_path / "b.json")
+        code, out, _ = run(
+            ["distance", "--metric", "l1", str(tmp_path / "a.json"), str(tmp_path / "b.json")],
+            capsys,
+        )
+        assert code == 0
+        assert "witness_subset = {o1}\n" in out
+
     def test_lenient_mode_warns(self, tmp_path, capsys):
         slightly_off = Povm(
             ("a", "b"),
@@ -442,6 +457,26 @@ class TestBounds:
             argv += ["--joint", str(tmp_path / "joint.json")]
             argv += ["--map-a", str(tmp_path / "ma.txt"), "--map-b", str(tmp_path / "mb.txt")]
         assert run(argv, capsys) == (0, QUTRIT_REPORTS[inequality], "")
+
+    def test_theorem2_past_the_subset_pair_limit_exits_one(self, tmp_path, capsys):
+        a, b = random_povm(2, 11, 71), random_povm(2, 11, 72)
+        f_a, f_b = coordinate_maps(a.outcomes, b.outcomes)
+        joint = Povm(f_a.source, random_povm(2, len(f_a.source), 73).elements)
+        for name, povm in {"a": a, "b": b, "joint": joint}.items():
+            save_povm(povm, tmp_path / f"{name}.json")
+        for name, f in {"ma": f_a, "mb": f_b}.items():
+            (tmp_path / f"{name}.txt").write_text(
+                "".join(f"{s} {t}\n" for s, t in f.assignment.items())
+            )
+        pa, pb, pj = (str(tmp_path / f"{name}.json") for name in ("a", "b", "joint"))
+        argv = ["bounds", "--inequality", "theorem2", pa, pb, "--joint", pj]
+        argv += ["--map-a", str(tmp_path / "ma.txt"), "--map-b", str(tmp_path / "mb.txt")]
+        assert run(argv, capsys) == (
+            1,
+            "",
+            "error: the subset commutator bound enumerates all subset pairs of 11 and 11 "
+            "outcomes, as many as the subsets of 21; the supported maximum is 20\n",
+        )
 
     def test_missing_joint_is_usage_error(self, files, capsys):
         code, _, err = run(

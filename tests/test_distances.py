@@ -183,15 +183,15 @@ class TestDL1:
         s = _subset_sum(a, dv.witness) - _subset_sum(b, dv.witness)
         assert float(np.abs(np.linalg.eigvalsh(s)).max()) == pytest.approx(dv.value, abs=1e-12)
 
-    def test_exact_tie_breaks_to_first_in_gray_order(self):
-        # {o0, o1} and {o1} give the same difference 0.2 P; Gray order visits
-        # mask 0b11 before 0b10, binary order the other way round
+    def test_exact_tie_breaks_to_first_in_mask_order(self):
+        # {o0, o1} and {o1} give the same difference 0.2 P; mask 0b10 comes
+        # before 0b11
         p = np.diag([1.0, 0.0])
         third = np.eye(2) / 3
         a = Povm(("o0", "o1", "o2"), np.stack([third] * 3))
         b = Povm(("o0", "o1", "o2"), np.stack([third, third - 0.2 * p, third + 0.2 * p]))
         dv = D_l1(a, b)
-        assert dv.witness == ("o0", "o1")
+        assert dv.witness == ("o1",)
         assert dv.value == pytest.approx(0.2, abs=1e-12)
 
     def test_witness_subset_attains(self):

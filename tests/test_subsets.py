@@ -112,7 +112,7 @@ def test_intrinsic_uncertainty_l1_equals_the_unpruned_walk(d, n):
     assert intrinsic_uncertainty_l1(p) == _v_l1_unpruned(p)
 
 
-# (dim, A-outcomes, B-outcomes): each Gray stack of A-sums is commuted in
+# (dim, A-outcomes, B-outcomes): each stack of A-sums is commuted in
 # blocks against the B-sums, several blocks for each of these pairs
 @pytest.mark.parametrize("d, na, nb", [(2, 8, 8), (3, 8, 7), (4, 8, 8), (6, 7, 8), (8, 6, 8)])
 def test_subset_commutator_equals_the_unpruned_walk(d, na, nb):
@@ -137,7 +137,8 @@ def test_trivial_povm_ties_across_stacks():
 
 def test_maximum_in_a_late_stack():
     # B moves X from o15 to o14 of a POVM close to A: only the subsets
-    # holding o14 see X, and the Gray walk first holds o14 half way through
+    # holding o14 see X, and the walk first holds o14 at mask 2^14, half
+    # way through
     n = 16
     a = random_povm(4, n, seed=21)
     c = random_povm(4, n, seed=22)
@@ -213,7 +214,7 @@ def test_d_l1_breaks_exact_ties_across_solves():
     shifts = np.array([1, 1, -1] + [0] * 12 + [-1]) / 64
     b = Povm(a.outcomes, (weights - shifts)[:, None, None] * np.eye(2))
     dv, pos = _assert_d_l1_unpruned(a, b)
-    # 2^12 subsets hold o0 and o1 but not o2, 128 in each Gray stack
+    # 2^12 subsets hold o0 and o1 but not o2, 128 in each stack
     assert dv.value == 2 / 64 and dv.witness[:2] == ("o0", "o1")
 
 
@@ -244,15 +245,16 @@ def test_crowded_maxima_go_on_unpruned(solved):
     assert solved == [2**CHUNK_BITS] * 32
 
 
-def test_theorem2_on_an_8x8_pair_solves_in_9_calls(solved):
+def test_theorem2_on_an_8x8_pair_solves_in_10_calls(solved):
     # X, Y, V_A and V_B are walks of one stack of 128 sums, solved together;
-    # the commutator's 16 stacks of 1,024 products prune to 7 more calls
+    # the commutator's 16 stacks of 1,024 products prune to 8 more calls,
+    # 2,022 matrices in all (7 calls and 1,973 in reflected Gray order)
     a, b, f = random_povm(4, 8, seed=1), random_povm(4, 8, seed=2), random_povm(4, 64, seed=3)
     fo = f.outcomes
     f_a = OutcomeMap(fo, a.outcomes, {o: a.outcomes[k // 8] for k, o in enumerate(fo)})
     f_b = OutcomeMap(fo, b.outcomes, {o: b.outcomes[k % 8] for k, o in enumerate(fo)})
     assert check_theorem2(a, b, f, f_a, f_b).satisfied
-    assert len(solved) == 9
+    assert len(solved) == 10
     assert solved.count(4 * 128) == 1 and solved.count(2**CHUNK_BITS) == 1
 
 
@@ -265,7 +267,7 @@ def _random_hermitian(rng, count, d):
 
 
 def _differences(a, b):
-    """The Gray walk of the Hermitian differences of two POVMs, as a list."""
+    """The subset walk of the Hermitian differences of two POVMs, as a list."""
     return list(gray_walk(linalg.hermitian_part(a.elements - b.elements), "D"))
 
 
@@ -304,7 +306,7 @@ def _objects(a, b, f, to_a, to_b):
 
 def _mixed_walks():
     """Walks of dimensions 2, 3, 4 and 8, interleaved: one-stack walks of
-    1 to 40 matrices, one of more than 2^CHUNK_BITS, Gray walks of 13 to 16
+    1 to 40 matrices, one of more than 2^CHUNK_BITS, subset walks of 13 to 16
     outcomes that prune, and walks whose matrices tie, within a stack and
     across stacks. Each walk is a list of its stacks, and item i of each
     quantity of `_quantities` is walk i."""
@@ -385,7 +387,7 @@ def _assert_same(found, expected):
 
 def test_many_walks_equal_each_walk_alone():
     quantities, walks = _quantities()
-    # the Gray walks span several stacks and prune
+    # the subset walks span several stacks and prune
     assert sum(len(w) > 1 for w in walks[0]) == 6
     assert sum(isinstance(w, Segments) for _, w in quantities[0]) < len(walks[0]) - 6
     found = max_norms(quantities, len(walks[0]))
@@ -414,7 +416,7 @@ def test_no_solve_takes_more_than_a_chunk(solved):
     # the item of 1,324 matrices too
     assert max(solved) <= cap
     # the `Segments` of each dimension are solved in about as many calls as
-    # a chunk holds them; the rest are the stacks of the Gray walks
+    # a chunk holds them; the rest are the stacks of the subset walks
     segments = {}
     for q in quantities:
         for _, w in q:
@@ -502,7 +504,7 @@ def test_no_waiting_walk_is_a_suspended_generator():
 
 
 def test_a_walk_of_several_stacks_leaves_the_waiting_walks_batched(solved):
-    # the `Segments` met before a Gray walk of their dimension are solved
+    # the `Segments` met before a subset walk of their dimension are solved
     # with the ones met after it, in one call
     rng = np.random.default_rng(95)
     gray = list(gray_walk(_random_hermitian(rng, 13, 2), "V"))
@@ -607,7 +609,7 @@ def test_observable_distances_equal_one_pair_calls(metric, single):
 )
 def test_intrinsic_uncertainties_equal_one_povm_calls(metric, single):
     povms = [random_povm(2 + k % 3, 1 + k % 6, seed=600 + k) for k in range(30)]
-    povms.append(random_povm(3, 13, seed=7))  # a Gray walk of several stacks
+    povms.append(random_povm(3, 13, seed=7))  # a subset walk of several stacks
     found = intrinsic_uncertainties(metric, _ragged(povms)).tolist()
     assert repr(found) == repr([single(p) for p in povms])
 
@@ -624,25 +626,38 @@ def test_stacked_forms_reject_unlike_stacks():
         tradeoff_reports("theorem1", a, b, a, choice, choice)
 
 
-def _gray_sums_by_mask(elements):
-    """The sum over the mask i ^ (i >> 1) of every element but the last, at
-    position i, each added up on its own."""
+def _sums_by_mask(elements):
+    """The sum over mask i of every element but the last, at position i,
+    each added up on its own."""
     free = elements[:-1]
     sums = []
-    for i in range(2 ** len(free)):
-        mask = i ^ (i >> 1)
+    for mask in range(2 ** len(free)):
         sums.append(sum((e for j, e in enumerate(free) if mask >> j & 1), np.zeros_like(free[0])))
     return np.stack(sums)
 
 
-@pytest.mark.parametrize("nx, ny", [(3, 3), (12, 3), (3, 12), (12, 12)])
+def test_walk_position_is_the_mask():
+    # 13 elements, four stacks: every sum and every label set is that of
+    # the mask equal to its position; integer entries make each sum exact
+    rng = np.random.default_rng(13)
+    elements = rng.integers(-8, 8, (13, 2, 2)) + 1j * rng.integers(-8, 8, (13, 2, 2))
+    stacks = list(gray_walk(elements, "V"))
+    assert len(stacks) == 4
+    assert np.array_equal(np.concatenate(stacks), _sums_by_mask(elements))
+    labels = tuple(f"o{k}" for k in range(13))
+    for p in range(2**12):
+        assert sum(2 ** labels.index(lab) for lab in gray_labels(p, labels)) == p
+
+
+# 11 x 10 elements have as many subset pairs as 20 have subsets, the limit
+@pytest.mark.parametrize("nx, ny", [(3, 3), (12, 3), (3, 12), (11, 10)])
 def test_gray_products_equal_the_products_of_the_subset_sums(nx, ny):
     # X_D @ Y_E for each stack of X-sums and each stack of Y-sums of the two
-    # Gray walks, X_D in walk order and Y_E running fastest
+    # subset walks, X_D in walk order and Y_E running fastest
     cap = 2**CHUNK_BITS
     xs = linalg.hermitian_part(random_povm(2, nx, seed=nx).elements)
     ys = linalg.hermitian_part(random_povm(2, ny, seed=100 + ny).elements)
-    sums_x, sums_y = _gray_sums_by_mask(xs), _gray_sums_by_mask(ys)
+    sums_x, sums_y = _sums_by_mask(xs), _sums_by_mask(ys)
 
     found = gray_products(xs, ys, "comm")
     sizes = []
@@ -710,7 +725,7 @@ def test_metric_walk_is_one_stack_or_the_gray_walk():
     # those of `gray_walk`, or, with a function of the sums, by them
     low, high = sums[0,]
     alone = list(gray_walk(e[0], "V"))
-    halved = [high[j] + (low if j % 2 == 0 else low[::-1]) for j in range(len(high))]
+    halved = [high[j] + low for j in range(len(high))]
     assert len(halved) == 2 and all(np.array_equal(w, g) for w, g in zip(halved, alone))
     squared = {tuple(np.ravel(i).tolist()): w for i, w in metric_walks("l1", h, "V", np.square)}
     walked = list(squared[0,])
