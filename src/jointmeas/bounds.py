@@ -22,8 +22,8 @@ of each) with one `subsets.max_norms` call, which returns each quantity in
 instance order; each report is the one its instance gives alone, and the
 `check_*` functions are its case of one instance. The commutator norms are
 `Segments`, except that a subset pair of more than CHUNK_BITS + 2
-outcomes in all (8 x 8 outcomes, say) is one walk of several stacks per
-instance, read off `subsets.gray_products`.
+outcomes in all (8 x 8 outcomes, say) is one `subsets.Products` walk per
+instance, whose commutators are bounded before any is built.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .povm import (
     uncertainty_walks,
 )
 from .smearing import OutcomeMap, marginals, outcome_choice
-from .subsets import Segments, gray_products, max_norms, one_stack
+from .subsets import Products, Segments, gray_products, max_norms, one_stack
 
 # Bounds are reported satisfied when lhs - rhs >= -SLACK_TOL. All quantities
 # are O(1), so an absolute threshold is appropriate.
@@ -78,10 +78,11 @@ def commutator_walks(metric: str, a: Ragged, b: Ragged) -> list[tuple[np.ndarray
     """The `povm.metric_walks` kin whose maxima are the commutator norms of
     `metric` of the item pairs of two stacks of the same dimensions: the
     Hermitian i[A_a, B_b] of every outcome pair ("inf"), or of every pair
-    of subset sums ("l1"), read off the stacks of `subsets.gray_products`.
-    The items of one dimension and pair of outcome counts are multiplied
-    side by side; "l1" products that take more than one stack go one item
-    at a time.
+    of subset sums ("l1", from `subsets.gray_products`). The items of one
+    dimension and pair of outcome counts are multiplied side by side; "l1"
+    pairs that take more than one stack go one item at a time, as
+    `subsets.Products`, which raise a CapacityError where n_A + n_B - 1
+    passes SUBSET_ENUMERATION_LIMIT.
 
     For "l1", complementing either subset only flips the sign of the
     commutator (the elements sum to the identity), so one representative
@@ -91,15 +92,12 @@ def commutator_walks(metric: str, a: Ragged, b: Ragged) -> list[tuple[np.ndarray
     for items, (ea, eb) in shape_groups(a.hermitian, b.hermitian):
         d = ea.shape[-1]
         if metric != "l1":
-            # one einsum, not the blocks' matmul: an ulp here moves the frontier's contour start
+            # one einsum, not gray_products' matmul: an ulp here moves the frontier's contour start
             prods = np.einsum("xaij,xbjk->xabik", ea, eb).reshape(len(items), -1, d, d)
         elif one_stack(ea.shape[-3], eb.shape[-3]):
-            (prods,) = gray_products(ea, eb, what)
+            prods = gray_products(ea, eb, what)
         else:
-            walks += [
-                ([i], map(linalg.commutator_stack, gray_products(x, y, what)))
-                for i, x, y in zip(items, ea, eb)
-            ]
+            walks += [([i], Products.of(x, y, what)) for i, x, y in zip(items, ea, eb)]
             continue
         walks.append((items, Segments.of(linalg.commutator_stack(prods))))
     return walks

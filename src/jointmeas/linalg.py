@@ -20,7 +20,8 @@ eigensolver, from the trace and the Frobenius norm alone
 (Wolkowicz & Styan, "Bounds for eigenvalues using traces", Linear Algebra
 Appl. 29, 1980). `subsets.max_norms` uses it, on H and on H^2, to skip
 the eigenvalue solves of subset sums that cannot reach a running maximum
-(on H^2 alone for the sums it bounds from their `subsets.Halves`).
+(on H^2 alone for the matrices it bounds from `subsets.Halves` or
+`subsets.Products`).
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from jointmeas.bounds import (
     check_corollary_pvm_instrument,
     check_theorem1,
     check_theorem2,
+    commutator_walks,
     max_commutator_norm,
     max_subset_commutator_norm,
     theorem1_lhs,
@@ -44,8 +45,11 @@ from jointmeas.subsets import (
     CHUNK_BITS,
     SUBSET_ENUMERATION_LIMIT,
     CapacityError,
+    Products,
     Segments,
+    _pair_bounds,
     _sum_bounds,
+    _sums_at,
     gray_halves,
     gray_labels,
     gray_products,
@@ -83,17 +87,22 @@ def _v_l1_unpruned(p):
     return _unpruned(s - s @ s for s in gray_walk(e, "V_l1"))[0]
 
 
-def _subset_comm_unpruned(a, b):
-    ea = linalg.hermitian_part(a.elements)
-    eb = linalg.hermitian_part(b.elements)
+def _subset_comms(a, b):
+    """The subset commutators i[X_D, Y_E] of two POVMs, one stack per D,
+    each built as `max_norms` builds it: pair (D, E) at position
+    mask_D * 2^(n_B - 1) + mask_E across the stacks."""
+    sums_b = np.concatenate(list(gray_walk(linalg.hermitian_part(b.elements), "comm")))
+    for sums_a in gray_walk(linalg.hermitian_part(a.elements), "comm"):
+        for x in sums_a:
+            yield linalg.commutator_stack(x @ sums_b)
 
-    def stacks():
-        for sums_a in gray_walk(ea, "comm"):
-            for sums_b in gray_walk(eb, "comm"):
-                for x in sums_a:
-                    yield linalg.commutator_stack(x @ sums_b)
 
-    return _unpruned(stacks())[0]
+def _assert_subset_comm_unpruned(a, b):
+    value, pos, matrix = _unpruned(_subset_comms(a, b))
+    ((values, positions, (found,)),) = max_norms([commutator_walks("l1", a.stack, b.stack)], 1)
+    assert (values[0], positions[0]) == (value, pos)
+    assert found.tobytes() == matrix.tobytes()
+    assert max_subset_commutator_norm(a, b) == value
 
 
 # (dim, outcomes): 2^(n-1) subset sums, so 2^(n-1-CHUNK_BITS) stacks
@@ -112,12 +121,73 @@ def test_intrinsic_uncertainty_l1_equals_the_unpruned_walk(d, n):
     assert intrinsic_uncertainty_l1(p) == _v_l1_unpruned(p)
 
 
-# (dim, A-outcomes, B-outcomes): each stack of A-sums is commuted in
-# blocks against the B-sums, several blocks for each of these pairs
-@pytest.mark.parametrize("d, na, nb", [(2, 8, 8), (3, 8, 7), (4, 8, 8), (6, 7, 8), (8, 6, 8)])
+# (dim, A-outcomes, B-outcomes): pairs whose walk is longer than one
+# stack, a `Products` walk; 3 x 12 has a B walk of two stacks, and 11 x 10
+# outcomes have as many subset pairs as 20 have subsets, the limit
+COMMUTED = [(2, 8, 8), (3, 8, 7), (4, 8, 8), (6, 7, 8), (8, 6, 8)]
+COMMUTED += [(2, 3, 12), (3, 12, 3), (2, 11, 10), (8, 8, 8)]
+
+
+@pytest.mark.parametrize("d, na, nb", COMMUTED)
 def test_subset_commutator_equals_the_unpruned_walk(d, na, nb):
+    # value, position and matrix, bit for bit
     a, b = random_povm(d, na, seed=7 * d + na), random_povm(d, nb, seed=70 * d + nb)
-    assert max_subset_commutator_norm(a, b) == _subset_comm_unpruned(a, b)
+    _assert_subset_comm_unpruned(a, b)
+
+
+def _diagonal(d, n, seed):
+    """A POVM of n random diagonal elements."""
+    w = np.random.default_rng(seed).random((n, d))
+    return Povm(tuple(f"o{k}" for k in range(n)), (w / w.sum(axis=0))[:, :, None] * np.eye(d))
+
+
+def _near_commuting(d, n, seed):
+    """A POVM of commuting elements and its conjugate by a unitary within
+    1e-9 of the identity."""
+    a = _diagonal(d, n, seed)
+    w, v = np.linalg.eigh(_random_hermitian(np.random.default_rng(seed), 1, d)[0])
+    u = (v * np.exp(1e-9j * w / np.abs(w).max())) @ v.conj().T
+    return a, Povm(a.outcomes, u @ a.elements @ u.conj().T)
+
+
+PRODUCT_PAIRS = {
+    "random 8x7": lambda: (random_povm(3, 8, seed=81), random_povm(3, 7, seed=82)),
+    "random 3x12": lambda: (random_povm(2, 3, seed=83), random_povm(2, 12, seed=84)),
+    "near-commuting": lambda: _near_commuting(4, 8, 85),
+}
+
+
+@pytest.mark.parametrize("case", PRODUCT_PAIRS)
+def test_the_bound_of_every_subset_commutator_holds(case):
+    # the bounds from the Gram matrices, fixing either side, allowances
+    # included, against the norm of every matrix the walk would build
+    a, b = PRODUCT_PAIRS[case]()
+    d = a.dim
+    walk = Products.of(*(linalg.hermitian_part(p.elements) for p in (a, b)), "comm")
+    n_x, n_y = 2 ** (a.n_outcomes - 1), 2 ** (b.n_outcomes - 1)
+    norms = np.stack([linalg.herm_norm_stack(c) for c in _subset_comms(a, b)])
+    masks_x, masks_y = np.arange(n_x), np.arange(n_y)
+    by_d = _pair_bounds(walk.x, walk.y_elements)(masks_x, masks_y)
+    by_e = _pair_bounds(walk.y, walk.x_elements)(masks_y, masks_x).T
+    for bounds in (by_d, by_e):
+        assert bounds.shape == norms.shape == (n_x, n_y)
+        assert (bounds >= norms).all()
+        # and the allowances are a rounding's worth: a traceless bound is at
+        # most sqrt(d - 1) times the norm, and cancelling K_b add < 1e-6
+        assert (bounds <= np.sqrt(d - 1) * norms * (1 + 1e-9) + 1e-6).all()
+    if case == "near-commuting":
+        assert 0 < norms.max() < 1e-8
+    _assert_subset_comm_unpruned(a, b)
+
+
+# the first stack's 256 largest bounds and a round of 256 (at a maximum of
+# 0, every bound reaches the floor), then every row of 1,024 whole
+@pytest.mark.parametrize("d, na, nb, calls", [(4, 8, 8, 16), (2, 3, 12, 8)])
+def test_a_commuting_pair_solves_its_rows_whole(solved, d, na, nb, calls):
+    a, b = _diagonal(d, na, 1), _diagonal(d, nb, 2)
+    ((values, positions, _),) = max_norms([commutator_walks("l1", a.stack, b.stack)], 1)
+    assert (values[0], positions[0]) == (0.0, 0)
+    assert solved == [2 ** (CHUNK_BITS - 2)] * 2 + [2**CHUNK_BITS] * calls
 
 
 def test_zero_distance_keeps_the_first_subset():
@@ -245,17 +315,17 @@ def test_crowded_maxima_go_on_unpruned(solved):
     assert solved == [2**CHUNK_BITS] * 32
 
 
-def test_theorem2_on_an_8x8_pair_solves_in_10_calls(solved):
-    # X, Y, V_A and V_B are walks of one stack of 128 sums, solved together;
-    # the commutator's 16 stacks of 1,024 products prune to 8 more calls,
-    # 2,022 matrices in all (7 calls and 1,973 in reflected Gray order)
+def test_theorem2_on_an_8x8_pair_solves_in_3_calls(solved):
+    # X, Y, V_A and V_B are walks of one stack of 128 sums, solved together
+    # last; the commutator's 16,384 products are bounded from their Gram
+    # matrices and 484 of them built and solved, in 2 calls: 996 matrices
+    # in all, against 2,022 in 10 calls when they were walked stack by stack
     a, b, f = random_povm(4, 8, seed=1), random_povm(4, 8, seed=2), random_povm(4, 64, seed=3)
     fo = f.outcomes
     f_a = OutcomeMap(fo, a.outcomes, {o: a.outcomes[k // 8] for k, o in enumerate(fo)})
     f_b = OutcomeMap(fo, b.outcomes, {o: b.outcomes[k % 8] for k, o in enumerate(fo)})
     assert check_theorem2(a, b, f, f_a, f_b).satisfied
-    assert len(solved) == 10
-    assert solved.count(4 * 128) == 1 and solved.count(2**CHUNK_BITS) == 1
+    assert solved == [256, 228, 4 * 128]
 
 
 # --- many walks at once ---
@@ -649,38 +719,32 @@ def test_walk_position_is_the_mask():
         assert sum(2 ** labels.index(lab) for lab in gray_labels(p, labels)) == p
 
 
-# 11 x 10 elements have as many subset pairs as 20 have subsets, the limit
-@pytest.mark.parametrize("nx, ny", [(3, 3), (12, 3), (3, 12), (11, 10)])
+@pytest.mark.parametrize("nx, ny", [(3, 3), (6, 6)])
 def test_gray_products_equal_the_products_of_the_subset_sums(nx, ny):
-    # X_D @ Y_E for each stack of X-sums and each stack of Y-sums of the two
-    # subset walks, X_D in walk order and Y_E running fastest
-    cap = 2**CHUNK_BITS
+    # X_D @ Y_E of a pair whose walk is one stack, X_D in mask order and
+    # Y_E running fastest
     xs = linalg.hermitian_part(random_povm(2, nx, seed=nx).elements)
     ys = linalg.hermitian_part(random_povm(2, ny, seed=100 + ny).elements)
     sums_x, sums_y = _sums_by_mask(xs), _sums_by_mask(ys)
+    # elementwise, not matmul, so the reference is a product of its own
+    want = (sums_x[:, None, :, :, None] * sums_y[None, :, None]).sum(axis=-2).reshape(-1, 2, 2)
+    got = gray_products(xs, ys, "comm")
+    assert got.shape == want.shape and len(got) <= 2**CHUNK_BITS
+    assert np.abs(got - want).max() <= 1e-13
 
-    found = gray_products(xs, ys, "comm")
-    sizes = []
-    for jx in range(0, len(sums_x), cap):
-        for jy in range(0, len(sums_y), cap):
-            sx, sy = sums_x[jx : jx + cap], sums_y[jy : jy + cap]
-            rows = max(64, cap // len(sy))
-            for k in range(0, len(sx), rows):
-                # elementwise, not matmul, so the reference is a product of its own
-                want = (sx[k : k + rows, None, :, :, None] * sy[None, :, None]).sum(axis=-2)
-                want = want.reshape(-1, 2, 2)
-                got = [next(found)]
-                while sum(map(len, got)) < len(want):
-                    got.append(next(found))
-                sizes += map(len, got)
-                got = np.concatenate(got)
-                assert got.shape == want.shape
-                assert np.abs(got - want).max() <= 1e-13
-    assert next(found, None) is None
-    assert sum(sizes) == len(sums_x) * len(sums_y)
-    assert max(sizes) <= cap
-    if len(sizes) > 1:
-        assert sizes[0] == cap
+
+@pytest.mark.parametrize("nx, ny", [(12, 3), (3, 12), (11, 10)])
+def test_products_hold_the_subset_sums_in_mask_order(nx, ny):
+    # past one stack, pair (D, E) is at position mask_D * 2^(ny - 1) + mask_E
+    # of a `Products` walk, which holds each list's sums as `Halves`: the
+    # sum it builds at each mask is that of the mask
+    xs = linalg.hermitian_part(random_povm(2, nx, seed=nx).elements)
+    ys = linalg.hermitian_part(random_povm(2, ny, seed=100 + ny).elements)
+    walk = Products.of(xs, ys, "comm")
+    assert np.array_equal(walk.x_elements, xs[:-1]) and np.array_equal(walk.y_elements, ys[:-1])
+    for halves, elements in ((walk.x, xs), (walk.y, ys)):
+        sums = _sums_at(halves, np.arange(2 ** (len(elements) - 1)))
+        assert np.abs(sums - _sums_by_mask(elements)).max() <= 1e-13
 
 
 def test_a_walk_of_several_stacks_starts_with_a_full_one():
@@ -694,13 +758,15 @@ def test_a_walk_of_several_stacks_starts_with_a_full_one():
         assert max(sizes) <= cap and sum(sizes) == 2 ** (n - 1)
         assert len(sizes) == 1 or sizes[0] == cap
         assert one_stack(n) == (len(sizes) == 1)
+    # a pair of lists is one stack of products, or a `Products` walk
     for nx in (1, 2, 5, 8, 11, 12):
         for ny in (1, 2, 5, 8, 11, 12):
-            if nx + ny <= 20:
-                sizes = [len(s) for s in gray_products(e[:nx], e[:ny], "comm")]
-                assert max(sizes) <= cap and sum(sizes) == 2 ** (nx + ny - 2)
-                assert len(sizes) == 1 or sizes[0] == cap
-                assert one_stack(nx, ny) == (len(sizes) == 1)
+            if one_stack(nx, ny):
+                assert len(gray_products(e[:nx], e[:ny], "comm")) == 2 ** (nx + ny - 2) <= cap
+            elif nx + ny <= 21:
+                x, y, _, _ = Products.of(e[:nx], e[:ny], "comm")
+                pairs = len(x.low) * len(x.high) * len(y.low) * len(y.high)
+                assert pairs == 2 ** (nx + ny - 2) > cap
 
 
 def test_metric_walk_is_one_stack_or_the_gray_walk():
