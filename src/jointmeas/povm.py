@@ -7,11 +7,13 @@ stacked forms (`random_ragged`, `validate_povms`,
 `intrinsic_uncertainties`, and `smearing.marginals`,
 `distances.observable_distances` and `bounds.tradeoff_reports`) work on
 it with a few numpy calls per dimension, and each object-level function
-is the case of one item (`Povm.stack`). `metric_walks` turns a maximum
-over each item of a stack into `subsets.max_norms` walks: `Segments`,
-and for an "l1" item of more than CHUNK_BITS + 1 outcomes the
-`subsets.Halves` of its subset sums, or a walk of several stacks of a
-function of them; `max_norms` returns the maxima in item order.
+is the case of one item (`Povm.stack`). `random_ragged` draws a stack
+from the caller's generator, every item with one call, in item order, so
+no POVM needs a generator or a seed of its own. `metric_walks` turns a
+maximum over each item of a stack into `subsets.max_norms` walks:
+`Segments`, and for an "l1" item of more than CHUNK_BITS + 1 outcomes
+the `subsets.Halves` of its subset sums, or a walk of several stacks of
+a function of them; `max_norms` returns the maxima in item order.
 """
 
 from __future__ import annotations
@@ -376,42 +378,39 @@ def bloch_pvm(n) -> Povm:
     return noisy_qubit_povm(n, 1.0)
 
 
-def random_ragged(dims, counts, seeds: Sequence[int]) -> Ragged:
+def random_ragged(dims, counts, rng: np.random.Generator) -> Ragged:
     """Random full-rank POVMs, item i of dimension dims[i] with counts[i]
-    outcomes, each deterministic in its own seed, as one `Ragged` stack.
+    outcomes, drawn from `rng` in item order, as one `Ragged` stack.
 
-    Each seed's generator, `Generator(PCG64(seed))` (the one
-    `np.random.default_rng(seed)` builds, without its dispatch), draws the
-    real, then the imaginary parts of complex Gaussian R_k, k < n_outcomes,
-    as one (2, n_outcomes, dim, dim) draw. The Wishart matrices
+    Each item takes the real, then the imaginary parts of complex Gaussian
+    R_k, k < n_outcomes, and item i's numbers follow item i - 1's, all
+    from one `rng.standard_normal` call: the stack is what successive
+    one-item calls on the same generator would draw. The Wishart matrices
     G_k = R_k R_k* are symmetrized by S^(-1/2) G_k S^(-1/2), where S is
     their sum, so every element stays generic (full rank) rather than one
     being a remainder term. One batched `renormalize` serves each shape
     (dimension and outcome count), and each POVM gets the bits it would get
     drawn alone. S is almost surely nonsingular; a draw whose S is too
     close to singular to renormalize raises ValueError naming the first
-    such seed of its shape. Outcomes are labeled 'o0', 'o1', ...
+    such item of its shape. Outcomes are labeled 'o0', 'o1', ...
     """
     dims, counts = np.asarray(dims, dtype=int), np.asarray(counts, dtype=int)
     if (dims < 1).any() or (counts < 1).any():
         raise ValueError("dim and n_outcomes must be >= 1")
+    sizes = 2 * counts * dims * dims  # each item's numbers
+    x, firsts = rng.standard_normal(sizes.sum()), np.cumsum(sizes) - sizes
     stack = Ragged(dims, counts, {})
     for d, items in stack.items.items():
         stack.blocks[d] = np.empty((counts[items].sum(), d, d), dtype=complex)
     for (d, n), items in _groups(dims, counts):
-        x = np.empty((len(items), 2, n, d, d))
-        for k, item in enumerate(items.tolist()):
-            np.random.Generator(np.random.PCG64(seeds[item])).standard_normal(out=x[k])
-        r = x[:, 0] + 1j * x[:, 1]
+        r = x[_runs(firsts[items], sizes[items])].reshape(-1, 2, n, d, d)
+        r = r[:, 0] + 1j * r[:, 1]
         g = r @ np.conj(np.swapaxes(r, -1, -2))
         elements = linalg.renormalize(g, 1e-12)
         if elements is None:
-            # rare path: find the seed whose own sum fails the floor rule
-            bad = next(
-                seeds[item] for item, gk in zip(items.tolist(), g)
-                if linalg.renormalize(gk, 1e-12) is None
-            )
-            raise ValueError(f"random POVM draw at seed {bad} has a singular element sum")
+            # rare path: find the item whose own sum fails the floor rule
+            bad = next(i for i, gi in zip(items, g) if linalg.renormalize(gi, 1e-12) is None)
+            raise ValueError(f"random POVM draw of item {bad} has a singular element sum")
         stack.blocks[d][stack.rows(items)] = elements.reshape(-1, d, d)
     for block in stack.blocks.values():
         linalg.read_only(block)
@@ -420,8 +419,8 @@ def random_ragged(dims, counts, seeds: Sequence[int]) -> Ragged:
 
 def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
     """Random full-rank POVM, deterministic in the seed: the one-item case
-    of `random_ragged`."""
-    return random_ragged([dim], [n_outcomes], [seed]).povm(0)
+    of `random_ragged`, drawn from `np.random.default_rng(seed)`."""
+    return random_ragged([dim], [n_outcomes], np.random.default_rng(seed)).povm(0)
 
 
 def random_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,14 +5,16 @@ instances is the primary end-to-end correctness oracle for the whole stack:
 any violated instance is an implementation bug. The same suites back the
 `selftest` CLI subcommand and the acceptance tests.
 
-Each suite draws all its instances first, and the Theorem 1 and 2,
-metric-axiom and invariant suites keep them as `povm.Ragged` stacks from
-the draw to the verdict: they evaluate every instance through the stacked
-forms `tradeoff_reports`, `observable_distances`,
-`intrinsic_uncertainties`, `validate_povms` and `marginals`, a few numpy
-calls per dimension, and build a `Povm` or `OutcomeMap` for no instance;
-each value is the one its instance gives alone. The duality suite calls
-`D_inf` and `D_l1` once an instance.
+Each suite draws all its instances first, from its own generator: their
+sizes and outcome-map choices, then every POVM with one `random_ragged`
+call, so a pass builds one generator a suite and none a POVM. The
+Theorem 1 and 2, metric-axiom and invariant suites keep them as
+`povm.Ragged` stacks from the draw to the verdict: they evaluate every
+instance through the stacked forms `tradeoff_reports`,
+`observable_distances`, `intrinsic_uncertainties`, `validate_povms` and
+`marginals`, a few numpy calls per dimension, and build a `Povm` or
+`OutcomeMap` for no instance; each value is the one its instance gives
+alone. The duality suite calls `D_inf` and `D_l1` once an instance.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .povm import (
     Ragged,
     intrinsic_uncertainties,
     outcome_probabilities,
-    random_povm,
     random_ragged,
     random_states,
     validate_povms,
@@ -52,10 +53,6 @@ class SuiteResult:
         return f"{self.name}: {self.instances} instances, {status}"
 
 
-def _sub_seed(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 2**63 - 1))
-
-
 def random_instances(
     rng,
     count: int,
@@ -68,28 +65,19 @@ def random_instances(
     and the target choices of f_A and f_B, one per outcome of F, instance
     by instance.
 
-    `rng` gives each instance in turn its dimension, outcome counts, the
-    sub-seeds of A, B and F, and the choices of its two outcome maps, drawn
-    uniformly as `rng.integers(0, n_A, size=n_F)`, so a map is total but not
-    necessarily surjective; then every POVM is drawn from its own sub-seed
-    by one `random_ragged` call. No POVM draw reads `rng`, so each instance
-    is the one it would be if it were drawn whole before the next.
+    `rng` draws the sizes (dimension, n_A, n_B, n_F) of every instance,
+    then the choices of every f_A and of every f_B, uniformly as
+    `rng.integers(0, n_A)` for each outcome of F, so a map is total but not
+    necessarily surjective, and then all the A, all the B and all the F
+    with one `random_ragged` call.
     """
-    sizes, seeds, picks = [], [], ([], [])
-    for _ in range(count):
-        dim = int(rng.integers(2, max_dim + 1))
-        n_a = int(rng.integers(2, max_outcomes + 1))
-        n_b = int(rng.integers(2, max_outcomes + 1))
-        n_f = int(rng.integers(2, max_joint_outcomes + 1))
-        sizes.append((dim, n_a, n_b, n_f))
-        seeds.append([_sub_seed(rng) for _ in range(3)])
-        picks[0].append(rng.integers(0, n_a, size=n_f))
-        picks[1].append(rng.integers(0, n_b, size=n_f))
-    dims, *counts = np.array(sizes, dtype=int).reshape(-1, 4).T
-    # all the A, then all the B, then all the F
-    drawn = random_ragged(np.tile(dims, 3), np.concatenate(counts), np.ravel(seeds, "F").tolist())
+    highs = np.add([max_dim, max_outcomes, max_outcomes, max_joint_outcomes], 1)
+    dims, n_a, n_b, n_f = rng.integers(2, highs, size=(count, 4)).T
+    f_a = rng.integers(0, np.repeat(n_a, n_f))
+    f_b = rng.integers(0, np.repeat(n_b, n_f))
+    drawn = random_ragged(np.tile(dims, 3), np.concatenate([n_a, n_b, n_f]), rng)
     a, b, f = (drawn.take(range(r * count, (r + 1) * count)) for r in range(3))
-    return a, b, f, *(np.concatenate([np.empty(0, int), *c]) for c in picks)
+    return a, b, f, f_a, f_b
 
 
 def _validity_suite(
@@ -122,16 +110,12 @@ def suite_metric_axioms(trials: int, seed: int) -> SuiteResult:
     """Symmetry, identity, and triangle inequality for both observable
     distances on random triples with a shared outcome set.
 
-    The generator gives each instance its dimension, outcome count and three
-    sub-seeds; then every POVM is drawn by one `random_ragged` call."""
+    The generator draws every instance's dimension, then every outcome
+    count, and then p, q and r of each instance in turn."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("observable distance metric axioms", trials)
-    dims, counts, seeds = [], [], []
-    for _ in range(trials):
-        dims.append(int(rng.integers(2, 5)))
-        counts.append(int(rng.integers(2, 5)))
-        seeds += [_sub_seed(rng) for _ in range(3)]
-    povms = random_ragged(np.repeat(dims, 3), np.repeat(counts, 3), seeds)
+    dims, counts = rng.integers(2, 5, size=(2, trials))
+    povms = random_ragged(np.repeat(dims, 3), np.repeat(counts, 3), rng)
     # per instance (p, q, r), items 3i to 3i + 2: d(p, q), d(q, p), d(p, p),
     # d(p, r), d(r, q)
     first = 3 * np.arange(trials)[:, None]
@@ -159,18 +143,19 @@ def suite_duality(trials: int, seed: int) -> SuiteResult:
     """The closed forms dominate every sampled state and are attained by the
     constructed witness state.
 
-    Each instance and metric checks one stack of states: the witness in row
-    0, then 100 sampled states drawn as one stack. An instance that fails
-    still draws every state, so each instance sees the same stream whether
-    or not an earlier one failed.
+    The generator draws every instance's dimension, then every outcome
+    count, then p and q of each instance in turn, and then the states.
+    Each instance and metric checks one stack of states: the witness in
+    row 0, then 100 sampled states drawn as one stack. An instance that
+    fails still draws every state, so each instance sees the same stream
+    whether or not an earlier one failed.
     """
     rng = np.random.default_rng(seed)
     result = SuiteResult("distance duality (witness attains, states never exceed)", trials)
-    for i in range(trials):
-        dim = int(rng.integers(2, 5))
-        n = int(rng.integers(2, 5))
-        p = random_povm(dim, n, _sub_seed(rng))
-        q = random_povm(dim, n, _sub_seed(rng))
+    dims, counts = rng.integers(2, 5, size=(2, trials))
+    povms = random_ragged(np.repeat(dims, 2), np.repeat(counts, 2), rng)
+    for i, dim in enumerate(dims.tolist()):
+        p, q = povms.povm(2 * i), povms.povm(2 * i + 1)
         for name, dist_obs, dist_vec in (
             ("inf", D_inf, dist_inf),
             ("l1", D_l1, dist_l1),
@@ -191,31 +176,23 @@ def suite_povm_invariants(trials: int, seed: int) -> SuiteResult:
     """Generator validity, intrinsic uncertainty range, marginalization
     functoriality, and vanishing error-operator sums.
 
-    The generator gives each instance, in turn, its POVM's dimension, outcome
-    count and sub-seed, the sizes and choices of two composable coarse-
-    grainings, and a joint POVM's outcome count and sub-seed with the choice
-    of its smearing; then every POVM is drawn by one `random_ragged` call.
-    The coarse-grainings are four `marginals` calls: the two steps of the
-    composed one, the one step of their composition, and the smearing."""
+    The generator draws, for every instance at once, a POVM's dimension
+    and outcome count n with a joint POVM's outcome count, then the sizes
+    of two composable coarse-grainings and their choices, then the choice
+    of the joint POVM's smearing, and then all the POVMs and all the joint
+    POVMs. The coarse-grainings are four `marginals` calls: the two steps
+    of the composed one, the one step of their composition, and the
+    smearing."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("POVM and smearing invariants", trials)
-    sizes, seeds, picks = [], ([], []), ([], [], [])  # picks: to_mid, to_final, to_p
-    for _ in range(trials):
-        dim = int(rng.integers(2, 5))
-        n = int(rng.integers(2, 5))
-        seeds[0].append(_sub_seed(rng))
-        n_mid = int(rng.integers(1, n + 1))
-        n_final = int(rng.integers(1, n_mid + 1))
-        picks[0].append(rng.integers(0, n_mid, size=n))
-        picks[1].append(rng.integers(0, n_final, size=n_mid))
-        n_joint = int(rng.integers(2, 7))
-        seeds[1].append(_sub_seed(rng))
-        picks[2].append(rng.integers(0, n, size=n_joint))
-        sizes.append((dim, n, n_mid, n_final, n_joint))
-    dims, n, n_mid, n_final, n_joint = np.array(sizes, dtype=int).reshape(-1, 5).T
-    drawn = random_ragged(np.tile(dims, 2), np.concatenate([n, n_joint]), seeds[0] + seeds[1])
+    dims, n, n_joint = rng.integers(2, [5, 5, 7], size=(trials, 3)).T
+    n_mid = rng.integers(1, n + 1)
+    n_final = rng.integers(1, n_mid + 1)
+    to_mid = rng.integers(0, np.repeat(n_mid, n))
+    to_final = rng.integers(0, np.repeat(n_final, n_mid))
+    to_p = rng.integers(0, np.repeat(n, n_joint))
+    drawn = random_ragged(np.tile(dims, 2), np.concatenate([n, n_joint]), rng)
     p, joint = drawn.take(range(trials)), drawn.take(range(trials, 2 * trials))
-    to_mid, to_final, to_p = (np.concatenate([np.empty(0, int), *c]) for c in picks)
 
     invalid = [bool(report) for report in validate_povms(p)]
     v, v1 = intrinsic_uncertainties("inf", p), intrinsic_uncertainties("l1", p)

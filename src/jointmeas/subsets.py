@@ -294,6 +294,14 @@ def _descending_max(
     times a solved norm, and PRUNE_RTOL is some 10^5 times the relative
     rounding the bounds leave, so its own solved norm would fall short of
     that one: the maximum is never pruned, and no pruned matrix ties it.
+
+    A bound of exactly 0 is dropped: it is that of a zero matrix, since
+    every allowance of `_halves_max` and `_products_max` scales with norms
+    that are 0 there (as at position 0, the empty sum). A zero norm is the
+    first maximum only at position 0, where every norm is 0, so a zero
+    bound gets no matrix gathered and makes no row crowded (a row solved
+    whole still solves its zeros); position 0 is solved last where no
+    solve has found it or a positive norm.
     """
     chunk = 2 ** (CHUNK_BITS - 2)
     best: list = [-1.0, 0, None]  # value, position, matrix
@@ -319,11 +327,13 @@ def _descending_max(
     dense = False  # whether the matrices crowd the maximum
     for r0 in range(0, rows, per_block):
         c = bounds(r0, r0 + per_block)
+        c[c == 0] = -np.inf
         flat = c.ravel()
-        if best[2] is None:
+        if best[2] is None and flat.max() > 0:
             dense = whole_rows(r0, c, (1 - PRUNE_RTOL) * c.max())
-        if best[2] is None:
-            top = np.sort(np.argpartition(flat, -chunk)[-chunk:])
+        if best[2] is None and flat.max() > 0:
+            top = np.argpartition(flat, -chunk)[-chunk:]
+            top = np.sort(top[flat[top] > 0])
             offer(r0 * width + top, gather(r0 * width + top))
             flat[top] = -np.inf
         elif dense:
@@ -347,6 +357,8 @@ def _descending_max(
             if dense and whole_rows(r0, c, (1 - PRUNE_RTOL) * best[0]):
                 picked = picked[start:][flat[picked[start:]] > -np.inf]
                 falling, start = -flat[picked], 0
+    if best[2] is None or best[0] == 0 and best[1] > 0:
+        offer([0], gather(np.zeros(1, dtype=int)))
     return best[0], best[1], best[2]
 
 

@@ -338,42 +338,32 @@ class TestRandomPovm:
         with pytest.raises(ValueError):
             random_povm(0, 2, seed=1)
 
-    def test_singular_draw_names_its_seed(self, monkeypatch):
-        # one draw per seed: a sum too close to singular is an error, not
-        # a redraw at another seed
+    def test_singular_draw_names_its_item(self, monkeypatch):
+        # one draw per POVM: a sum too close to singular is an error, not
+        # a redraw
         monkeypatch.setattr(linalg, "renormalize", lambda g, floor: None)
         with pytest.raises(ValueError) as err:
             random_povm(3, 2, seed=17)
-        assert str(err.value) == "random POVM draw at seed 17 has a singular element sum"
+        assert str(err.value) == "random POVM draw of item 0 has a singular element sum"
 
-    def test_singular_group_in_a_stack_names_its_own_seed(self, monkeypatch):
-        # seed 22's generator draws R with a zero first row, so its element
-        # sum is singular while its neighbours' are not; random_ragged builds
-        # each seed's generator as Generator(PCG64(seed))
-        real = np.random.Generator
-
+    def test_singular_group_in_a_stack_names_its_own_item(self):
+        # item 1 draws R with a zero first row, so its element sum is
+        # singular while its neighbours' are not; random_ragged draws the
+        # items' numbers with one call, 2 * 2 * 3 * 3 = 36 of them an item
         class ZeroFirstRow:
-            def __init__(self, bit_generator):
-                self.rng = real(bit_generator)
-
-            def standard_normal(self, *args, **kwargs):
-                x = self.rng.standard_normal(*args, **kwargs)
-                x[..., 0, :] = 0.0
+            def standard_normal(self, size):
+                x = np.random.default_rng(21).standard_normal(size)
+                x[36:72].reshape(2, 2, 3, 3)[..., 0, :] = 0.0
                 return x
 
-        monkeypatch.setattr(
-            np.random,
-            "Generator",
-            lambda bg: ZeroFirstRow(bg) if bg.seed_seq.entropy == 22 else real(bg),
-        )
         with pytest.raises(ValueError) as err:
-            random_ragged([3] * 3, [2] * 3, [21, 22, 23])
-        assert str(err.value) == "random POVM draw at seed 22 has a singular element sum"
+            random_ragged([3] * 3, [2] * 3, ZeroFirstRow())
+        assert str(err.value) == "random POVM draw of item 1 has a singular element sum"
 
     def test_stacks_reject_bad_sizes(self):
         for dims, counts in (([3, 0], [2, 2]), ([3, 3], [2, 0])):
             with pytest.raises(ValueError, match="^dim and n_outcomes must be >= 1$"):
-                random_ragged(dims, counts, [1, 2])
+                random_ragged(dims, counts, np.random.default_rng(1))
 
 
 def single_draw_reference(dim, n_outcomes, seed):
@@ -393,10 +383,17 @@ def single_draw_reference(dim, n_outcomes, seed):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("n_outcomes", range(1, 9))
 def test_stacked_draws_have_the_bits_of_single_draws(dim, n_outcomes):
-    seeds = [0, 7 * dim + n_outcomes, 2**31 + n_outcomes, 2**63 - 2]
-    stack = random_ragged([dim] * 4, [n_outcomes] * 4, seeds)
-    stacked = [stack.povm(i) for i in range(4)]
-    assert [p.outcomes for p in stacked] == [random_povm(dim, n_outcomes, 0).outcomes] * 4
-    for s, p in zip(seeds, stacked):
-        assert p.elements.tobytes() == random_povm(dim, n_outcomes, s).elements.tobytes()
-        assert p.elements.tobytes() == single_draw_reference(dim, n_outcomes, s).tobytes()
+    # a stack of items of several shapes against successive one-item draws
+    # from a generator in the same state; the first item is random_povm's
+    seed = 7 * dim + n_outcomes
+    dims = [dim, 2, dim, 3, dim, dim]
+    counts = [n_outcomes, n_outcomes + 1, n_outcomes, 2, 1, n_outcomes]
+    stack = random_ragged(dims, counts, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    for i, (d, n) in enumerate(zip(dims, counts)):
+        alone = random_ragged([d], [n], rng).povm(0)
+        assert stack.povm(i).outcomes == alone.outcomes == tuple(f"o{k}" for k in range(n))
+        assert stack.povm(i).elements.tobytes() == alone.elements.tobytes()
+    first = single_draw_reference(dim, n_outcomes, seed).tobytes()
+    assert stack.povm(0).elements.tobytes() == first
+    assert random_povm(dim, n_outcomes, seed).elements.tobytes() == first

@@ -16,7 +16,7 @@ import pytest
 import jointmeas.selftest as selftest
 from jointmeas import linalg
 from jointmeas.distances import DistanceValue, dist_inf, dist_l1
-from jointmeas.povm import Povm, PovmViolation, outcome_probabilities, random_povm
+from jointmeas.povm import Povm, PovmViolation, outcome_probabilities, random_ragged
 from jointmeas.smearing import OutcomeMap
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -73,7 +73,7 @@ def test_duality_reports_exactly_the_instances_a_state_beats(monkeypatch, name, 
 
     monkeypatch.setattr(selftest, "random_states", recording)
     trials = 4
-    result = selftest.suite_duality(trials, seed=7)
+    result = selftest.suite_duality(trials, seed=3)
     # each instance draws for "inf" first, then for "l1"
     own_draws = drawn[0 if name == "inf" else 1 :: 2]
     beaten = [
@@ -95,74 +95,83 @@ def test_duality_passes_on_the_closed_forms():
     assert selftest.suite_duality(5, seed=3).violations == 0
 
 
-# Reference: each instance's POVMs drawn one at a time, between the
-# generator's other draws, and checked one at a time through the recording
-# one-instance functions `checked`.
+# Reference: the suite's generator draws every instance's sizes and
+# outcome-map choices as the suite does, and then its POVMs one at a time,
+# in the order of the suite's one stacked draw; each instance is checked
+# one at a time through the recording one-instance functions `checked`.
 
 
-def _sub_seed(rng):
-    return int(rng.integers(0, 2**63 - 1))
+def _draw(rng, dim, n):
+    return random_ragged([dim], [n], rng).povm(0)
 
 
-def _random_outcome_map(rng, source, target):
-    choice = rng.integers(0, len(target), size=len(source))
+def _labels(n, prefix="o"):
+    return tuple(f"{prefix}{k}" for k in range(n))
+
+
+def _choices(rng, targets, sources):
+    """Each map's choice of one of its `targets` for each of its `sources`,
+    all drawn with one call."""
+    return np.split(rng.integers(0, np.repeat(targets, sources)), np.cumsum(sources)[:-1])
+
+
+def _outcome_map(choice, source, target):
     return OutcomeMap(source, target, {s: target[int(k)] for s, k in zip(source, choice)})
 
 
-def _one_instance(rng, max_dim=4, max_outcomes=4, max_joint_outcomes=8):
-    dim = int(rng.integers(2, max_dim + 1))
-    n_a = int(rng.integers(2, max_outcomes + 1))
-    n_b = int(rng.integers(2, max_outcomes + 1))
-    n_f = int(rng.integers(2, max_joint_outcomes + 1))
-    a = random_povm(dim, n_a, _sub_seed(rng))
-    b = random_povm(dim, n_b, _sub_seed(rng))
-    f = random_povm(dim, n_f, _sub_seed(rng))
-    f_a = _random_outcome_map(rng, f.outcomes, a.outcomes)
-    f_b = _random_outcome_map(rng, f.outcomes, b.outcomes)
-    return a, b, f, f_a, f_b
+def _instances(rng, trials, max_dim=4, max_outcomes=4, max_joint_outcomes=8):
+    highs = np.add([max_dim, max_outcomes, max_outcomes, max_joint_outcomes], 1)
+    dims, n_a, n_b, n_f = rng.integers(2, highs, size=(trials, 4)).T
+    to_a, to_b = _choices(rng, n_a, n_f), _choices(rng, n_b, n_f)
+    # all the A, then all the B, then all the F
+    a = [_draw(rng, d, n) for d, n in zip(dims, n_a)]
+    b = [_draw(rng, d, n) for d, n in zip(dims, n_b)]
+    f = [_draw(rng, d, n) for d, n in zip(dims, n_f)]
+    for i in range(trials):
+        f_a = _outcome_map(to_a[i], f[i].outcomes, a[i].outcomes)
+        yield a[i], b[i], f[i], f_a, _outcome_map(to_b[i], f[i].outcomes, b[i].outcomes)
 
 
 def _reference_theorem1(trials, seed, checked):
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        checked.check_theorem1(*_one_instance(rng))
+    for instance in _instances(np.random.default_rng(seed), trials):
+        checked.check_theorem1(*instance)
 
 
 def _reference_theorem2(trials, seed, checked):
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        instance = _one_instance(rng, max_dim=3, max_outcomes=3, max_joint_outcomes=6)
+    for instance in _instances(rng, trials, max_dim=3, max_outcomes=3, max_joint_outcomes=6):
         checked.check_theorem2(*instance)
 
 
 def _reference_metric_axioms(trials, seed, checked):
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        dim = int(rng.integers(2, 5))
-        n = int(rng.integers(2, 5))
-        p, q, r = (random_povm(dim, n, _sub_seed(rng)) for _ in range(3))
+    dims, counts = rng.integers(2, 5, size=(2, trials))
+    for dim, n in zip(dims, counts):
+        p, q, r = (_draw(rng, dim, n) for _ in range(3))
         for dist in (checked.D_inf, checked.D_l1):
             dist(p, q), dist(q, p), dist(p, p), dist(p, r), dist(r, q)
 
 
 def _reference_povm_invariants(trials, seed, checked):
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        dim = int(rng.integers(2, 5))
-        n = int(rng.integers(2, 5))
-        p = random_povm(dim, n, _sub_seed(rng))
+    dims, n, n_joint = rng.integers(2, [5, 5, 7], size=(trials, 3)).T
+    n_mid = rng.integers(1, n + 1)
+    n_final = rng.integers(1, n_mid + 1)
+    to_mid, to_final = _choices(rng, n_mid, n), _choices(rng, n_final, n_mid)
+    to_p = _choices(rng, n, n_joint)
+    # all the POVMs, then all the joint POVMs
+    ps = [_draw(rng, d, k) for d, k in zip(dims, n)]
+    joints = [_draw(rng, d, k) for d, k in zip(dims, n_joint)]
+    for i, (p, f_joint) in enumerate(zip(ps, joints)):
         checked.validate_povm(p)
         checked.intrinsic_uncertainty_inf(p)
         checked.intrinsic_uncertainty_l1(p)
-        mid = tuple(f"m{k}" for k in range(int(rng.integers(1, n + 1))))
-        final = tuple(f"z{k}" for k in range(int(rng.integers(1, len(mid) + 1))))
-        f1 = _random_outcome_map(rng, p.outcomes, mid)
-        f2 = _random_outcome_map(rng, mid, final)
+        mid, final = _labels(n_mid[i], "m"), _labels(n_final[i], "z")
+        f1 = _outcome_map(to_mid[i], p.outcomes, mid)
+        f2 = _outcome_map(to_final[i], mid, final)
         checked.marginalize(checked.marginalize(p, f1), f2)
         checked.marginalize(p, f1.compose(f2))
-        f_joint = random_povm(dim, int(rng.integers(2, 7)), _sub_seed(rng))
-        f_map = _random_outcome_map(rng, f_joint.outcomes, p.outcomes)
-        checked.marginalize(f_joint, f_map)
+        checked.marginalize(f_joint, _outcome_map(to_p[i], f_joint.outcomes, p.outcomes))
 
 
 @pytest.fixture
@@ -216,6 +225,21 @@ def test_stacked_suites_solve_in_a_few_calls(monkeypatch, suite, trials):
     monkeypatch.setattr(linalg, "herm_norm_stack", counted)
     assert suite(trials, 1).violations == 0
     assert 0 < len(sizes) <= 8
+
+
+def test_a_selftest_pass_builds_one_generator_a_suite(monkeypatch, capsys):
+    # each suite draws its sizes, POVMs and states from its own generator,
+    # so a generator per POVM cannot come back unseen
+    built = collections.Counter()
+    for name in ("default_rng", "Generator", "PCG64"):
+
+        def counted(*args, _real=getattr(np.random, name), _name=name, **kwargs):
+            built[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counted)
+    assert selftest.run_selftest(200, 1) == 0
+    assert built == {"default_rng": 5}
 
 
 # Planted defects: each replaces one name a suite reads with a wrapper that

@@ -159,7 +159,7 @@ def test_ragged_marginals_equal_each_item_alone():
     # item 1 leaves its second target unhit, item 3 sends every outcome to
     # one target, and the others pick their targets at random
     dims, counts, targets = [2, 3, 2, 4, 3, 2], [3, 5, 2, 4, 6, 8], [2, 2, 1, 3, 4, 3]
-    stack = random_ragged(dims, counts, list(range(300, 306)))
+    stack = random_ragged(dims, counts, np.random.default_rng(300))
     rng = np.random.default_rng(34)
     picks = [rng.integers(0, t, size=n) for n, t in zip(counts, targets)]
     picks[1][:] = 0

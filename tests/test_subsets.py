@@ -181,18 +181,52 @@ def test_the_bound_of_every_subset_commutator_holds(case):
 
 
 # the first stack's 256 largest bounds and a round of 256 (at a maximum of
-# 0, every bound reaches the floor), then every row of 1,024 whole
-@pytest.mark.parametrize("d, na, nb, calls", [(4, 8, 8, 16), (2, 3, 12, 8)])
-def test_a_commuting_pair_solves_its_rows_whole(solved, d, na, nb, calls):
+# 0, every bound reaches the floor), then every row of 1,024 whole that
+# holds a nonzero bound; where B's walk fills whole rows (3 x 12), the rows
+# of D empty hold only zero bounds, and position 0 is solved alone last
+@pytest.mark.parametrize("d, na, nb, rows", [(4, 8, 8, 16), (2, 3, 12, 6)])
+def test_a_commuting_pair_solves_its_rows_whole(solved, d, na, nb, rows):
     a, b = _diagonal(d, na, 1), _diagonal(d, nb, 2)
     ((values, positions, _),) = max_norms([commutator_walks("l1", a.stack, b.stack)], 1)
     assert (values[0], positions[0]) == (0.0, 0)
-    assert solved == [2 ** (CHUNK_BITS - 2)] * 2 + [2**CHUNK_BITS] * calls
+    last = [1] if nb - 1 >= CHUNK_BITS else []
+    assert solved == [2 ** (CHUNK_BITS - 2)] * 2 + [2**CHUNK_BITS] * rows + last
+    solved.clear()
+    _assert_subset_comm_unpruned(a, b)
 
 
-def test_zero_distance_keeps_the_first_subset():
-    # every subset ties at 0 in all 8 stacks: the empty subset comes first
+def test_a_walk_of_zero_commutators_solves_position_0_alone(solved):
+    # every commutator with the one-outcome POVM {I} is 0, and so is every
+    # bound: of the 2^19 pairs at 20 outcomes only position 0 is solved,
+    # where 512 rows of 1,024 were; an unpruned walk, whose norms all tie
+    # at 0, keeps its first matrix
+    a, b = random_povm(4, 20, seed=5), Povm(("o0",), np.eye(4)[None])
+    ((values, positions, (found,)),) = max_norms([commutator_walks("l1", a.stack, b.stack)], 1)
+    assert solved == [1]
+    assert (values[0], positions[0]) == (0.0, 0)
+    assert found.tobytes() == next(_subset_comms(a, b))[0].tobytes()
+
+
+@pytest.mark.parametrize("flip, calls", [(False, [256, 24, 4]), (True, [256, 2, 10, 1, 2])])
+def test_zero_bounds_are_not_solved(solved, flip, calls):
+    # d = 2, 2 x 16 outcomes: D empty in the first half of the pairs, whose
+    # bounds are all 0, where 32 whole rows of zeros were solved first (42
+    # calls on 40,988 matrices); flipped, E empty in one pair of 2
+    a, b = random_povm(2, 2, seed=3), random_povm(2, 16, seed=4)
+    if flip:
+        a, b = b, a
+    max_norms([commutator_walks("l1", a.stack, b.stack)], 1)
+    assert solved == calls
+    solved.clear()
+    _assert_subset_comm_unpruned(a, b)
+
+
+def test_zero_distance_keeps_the_first_subset(solved):
+    # every subset ties at 0 in all 8 stacks: the empty subset comes first,
+    # and with every bound 0 it alone is solved
     p = random_povm(3, 14, seed=4)
+    D_l1(p, p)
+    assert solved == [1]
     dv, pos = _assert_d_l1_unpruned(p, p)
     assert (dv.value, dv.witness, pos) == (0.0, (), 0)
 
