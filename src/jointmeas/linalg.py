@@ -18,10 +18,10 @@ constructor and `povm.validate_povm`).
 `herm_norm_bound_stack` bounds each operator norm from above without an
 eigensolver, from the trace and the Frobenius norm alone
 (Wolkowicz & Styan, "Bounds for eigenvalues using traces", Linear Algebra
-Appl. 29, 1980). `subsets.max_norms` uses it, on H and on H^2, to skip
-the eigenvalue solves of subset sums that cannot reach a running maximum
-(on H^2 alone for the matrices it bounds from `subsets.Halves` or
-`subsets.Products`).
+Appl. 29, 1980). `subsets.max_norms` reads it on H^2 alone, for the
+Hermitian part H of each matrix whose bound from `subsets.Halves` or
+`subsets.Products` reaches a running maximum, to skip the eigenvalue
+solves of those that still cannot reach it.
 """
 
 from __future__ import annotations

@@ -12,20 +12,20 @@ from the caller's generator, every item with one call, in item order, so
 no POVM needs a generator or a seed of its own. `metric_walks` turns a
 maximum over each item of a stack into `subsets.max_norms` walks:
 `Segments`, and for an "l1" item of more than CHUNK_BITS + 1 outcomes
-the `subsets.Halves` of its subset sums, or a walk of several stacks of
-a function of them; `max_norms` returns the maxima in item order.
+the `subsets.Halves` of its subset sums, which `uncertainty_walks` marks
+as walks of S - S^2; `max_norms` returns the maxima in item order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .subsets import Segments, gray_halves, gray_walk, max_norms, one_stack
+from .subsets import Halves, Segments, _minus_square, gray_halves, gray_walk, max_norms, one_stack
 
 # Tolerances for POVM validity: entrywise deviation of the element sum from
 # the identity, and the eigenvalue floor for positivity. Loose enough to
@@ -233,34 +233,27 @@ def shape_groups(*stacks: Ragged) -> Iterator[tuple[np.ndarray, list[np.ndarray]
         ]
 
 
-def metric_walks(
-    metric: str,
-    stack: Ragged,
-    what: str,
-    fn: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> list[tuple[np.ndarray, object]]:
+def metric_walks(metric: str, stack: Ragged, what: str) -> list[tuple[np.ndarray, object]]:
     """The `subsets.max_norms` walks of a maximum of `metric` over the
-    matrices of each item of a stack, each with the items it covers: fn of
-    each dimension's block cut into the items ("inf"), or fn of the
-    subset sums of each item's matrices ("l1", `subsets.gray_walk`); no
-    fn takes the matrices or sums themselves. The
-    sums of items of one shape are taken side by side and, while they fit
-    one stack, cut into the items as `Segments`. Longer walks go one item
-    at a time: with no fn, as the `subsets.Halves` of the item's sums,
-    which are linear in the subset; with fn, as generators of fn of their
-    stacks. `what` names the quantity in a CapacityError."""
+    matrices of each item of a stack, each with the items it covers: each
+    dimension's block cut into the items ("inf"), or the subset sums of
+    each item's matrices ("l1", `subsets.gray_walk`). The sums of items of
+    one shape are taken side by side and, while they fit one stack, cut
+    into the items as `Segments`; a longer walk goes one item at a time,
+    as the `subsets.Halves` of its sums. `what` names the quantity in a
+    CapacityError."""
     if metric != "l1":
-        blocks = stack.blocks if fn is None else {d: fn(b) for d, b in stack.blocks.items()}
-        return [(items, Segments(blocks[d], stack.counts[items])) for d, items in stack.items.items()]
+        return [
+            (items, Segments(stack.blocks[d], stack.counts[items]))
+            for d, items in stack.items.items()
+        ]
     walks = []
     for items, (e,) in shape_groups(stack):
         if one_stack(e.shape[-3]):
             (sums,) = gray_walk(e, what)
-            walks.append((items, Segments.of(sums if fn is None else fn(sums))))
-        elif fn is None:
-            walks += [([i], gray_halves(one, what)) for i, one in zip(items, e)]
+            walks.append((items, Segments.of(sums)))
         else:
-            walks += [([i], (fn(s) for s in gray_walk(one, what))) for i, one in zip(items, e)]
+            walks += [([i], gray_halves(one, what)) for i, one in zip(items, e)]
     return walks
 
 
@@ -316,12 +309,19 @@ def outcome_probabilities(p: Povm, rhos: np.ndarray) -> np.ndarray:
 
 
 def uncertainty_walks(metric: str, stack: Ragged) -> list[tuple[np.ndarray, object]]:
-    """The `metric_walks` whose maxima are the intrinsic uncertainties of
-    `metric` of a stack's items: S - S^2 for the Hermitian parts of the
-    elements S = A_a ("inf") or of their subset sums S = A_D ("l1")."""
-    return metric_walks(
-        metric, stack.hermitian, "the subset-summed intrinsic uncertainty", lambda s: s - s @ s
-    )
+    """The walks whose maxima are the intrinsic uncertainties of `metric`
+    of a stack's items: the `metric_walks` of the Hermitian parts of the
+    elements S = A_a ("inf") or of their subset sums S = A_D ("l1"), each
+    of S - S^2 instead of S (`subsets._minus_square`). A long walk's
+    `Halves` are marked `minus_square`, so `max_norms` builds S - S^2 only
+    where its bound from the halves can reach the maximum."""
+    walks = metric_walks(metric, stack.hermitian, "the subset-summed intrinsic uncertainty")
+    return [
+        (items, walk._replace(minus_square=True))
+        if isinstance(walk, Halves)
+        else (items, Segments(_minus_square(walk.stack), walk.counts))
+        for items, walk in walks
+    ]
 
 
 def intrinsic_uncertainties(metric: str, stack: Ragged) -> np.ndarray:

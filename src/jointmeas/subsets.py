@@ -28,25 +28,22 @@ and `Products.of` past as many subset pairs as that many elements have
 subsets.
 
 `max_norms` is the one reducer of the spectral maxima, over outcomes and
-over subsets. It takes four walk forms: `Segments`, one stack per item,
-solved together by dimension; `Halves`, one item's walk of sums linear
-in the subset, whose Wolkowicz-Styan bounds ("Bounds for eigenvalues
-using traces", Linear Algebra Appl. 29, 1980) follow from the halves'
-traces and one matmul of their traceless parts; `Products`, one item's
-walk of subset commutators i[X_D, Y_E], bilinear in the two subsets,
-whose bounds follow from small Gram matrices; and one item's walk of
-several stacks of sums that are not linear in the subset
-(||S - S^2||), pruned stack by stack with the same bound
-(`linalg.herm_norm_bound_stack`), or not at all where the sums crowd the
-maximum. `Halves` and `Products` are bounded whole before any matrix is
-built, and one loop (`_descending_max`) builds and solves only those that
-can reach the maximum. `max_norms` returns each quantity's maxima in item
-order, each the one its walk gives alone and unpruned, bit for bit.
+over subsets. It takes three walk forms: `Segments`, one stack per item,
+solved together by dimension; `Halves`, one item's walk of subset sums S,
+or of S - S^2, by two halves of sums whose traces and one matmul of
+their traceless parts give every sum's Wolkowicz-Styan bounds ("Bounds
+for eigenvalues using traces", Linear Algebra Appl. 29, 1980), and from
+those the bounds of S - S^2; and `Products`, one item's walk of subset
+commutators i[X_D, Y_E], bilinear in the two subsets, whose bounds
+follow from small Gram matrices. `Halves` and `Products` are bounded
+whole before any matrix is built, and one loop (`_descending_max`)
+builds and solves only those that can reach the maximum. `max_norms`
+returns each quantity's maxima in item order, each the one its walk
+gives alone and unpruned, bit for bit.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -68,7 +65,8 @@ PRUNE_RTOL = 1e-9
 
 # Rounding allowance of the `Halves` and `Products` bounds in `max_norms`:
 # ROUNDING_ULPS times the rounding of each squared norm is added before its
-# root, and the root is raised by ROUNDING_ULPS eps; `_halves_max` and
+# root, and the root is raised by ROUNDING_ULPS eps; the absolute allowances
+# of a commutator and of S - S^2 scale with it too. `_halves_max` and
 # `_products_max` say what that rounding is and why that suffices.
 ROUNDING_ULPS = 8
 
@@ -106,10 +104,13 @@ class Halves(NamedTuple):
     its first CHUNK_BITS free elements (`low`, 2^CHUNK_BITS of them) and
     over the rest (`high`), each in mask order, so that position
     j * 2^CHUNK_BITS + i holds high[j] + low[i]. `max_norms` takes the
-    halves of Hermitian matrices, whose sums are Hermitian, bit for bit."""
+    halves of Hermitian matrices, whose sums are Hermitian, bit for bit.
+    A walk marked `minus_square` is that of S - S @ S for each sum S
+    (`_minus_square`), not of the sums themselves."""
 
     low: np.ndarray
     high: np.ndarray
+    minus_square: bool = False
 
 
 def gray_halves(elements: np.ndarray, what: str) -> Halves:
@@ -138,9 +139,9 @@ def gray_walk(elements: np.ndarray, what: str) -> Iterator[np.ndarray]:
     Stack j is high[j] + low of the `gray_halves`, which raise a
     CapacityError for more than SUBSET_ENUMERATION_LIMIT elements.
     """
-    low, high = gray_halves(elements, what)
-    for j in range(high.shape[-3]):
-        yield high[..., j : j + 1, :, :] + low
+    halves = gray_halves(elements, what)
+    for j in range(halves.high.shape[-3]):
+        yield halves.high[..., j : j + 1, :, :] + halves.low
 
 
 def gray_products(xs: np.ndarray, ys: np.ndarray, what: str) -> np.ndarray:
@@ -202,23 +203,32 @@ class Products(NamedTuple):
         return cls(gray_halves(xs, what), gray_halves(ys, what), xs[:-1], ys[:-1])
 
 
+def _minus_square(sums: np.ndarray) -> np.ndarray:
+    """S - S @ S of each matrix S of a stack: the matrices of a `Halves`
+    walk marked `minus_square`, and of every walk of the intrinsic
+    uncertainties (`povm.uncertainty_walks`)."""
+    return sums - sums @ sums
+
+
 def _square_reaches(h: np.ndarray, floor: float) -> np.ndarray:
-    """Whether the trace bound on the square of each Hermitian matrix of a
-    stack, whose largest eigenvalue is the squared norm, reaches floor^2."""
+    """Whether the trace bound on the square of each matrix of a stack,
+    whose largest eigenvalue is the squared norm, reaches floor^2. The
+    matrices must be Hermitian: for one that is not, the bound on its
+    square can fall below the squared norm of its Hermitian part (a
+    nilpotent matrix squares to 0)."""
     return np.sqrt(linalg.herm_norm_bound_stack(h @ h)) >= floor
 
 
-def _survivors(hs: np.ndarray, floor: float) -> np.ndarray:
-    """Positions in a stack whose two trace bounds both reach `floor`."""
-    rows = np.flatnonzero(linalg.herm_norm_bound_stack(hs) >= floor)
-    return rows[_square_reaches(linalg.hermitian_part(hs[rows]), floor)]
-
-
-def _sum_bounds(low: np.ndarray, high: np.ndarray) -> Callable[[int, int], np.ndarray]:
-    """The Wolkowicz-Styan bounds of the sums of two `Halves`, with the
-    rounding allowance `_halves_max` explains: a function of r0 and r1
-    that returns the bounds of high[j] + low[i], r0 <= j < r1, one row per
-    j and i in order."""
+def _sum_bounds(walk: Halves) -> Callable[[int, int], np.ndarray]:
+    """The bounds of the matrices of a `Halves` walk, with the rounding
+    allowances `_halves_max` explains: a function of r0 and r1 that
+    returns the bounds at high[j] + low[i], r0 <= j < r1, one row per j
+    and i in order. With t the trace of the sum over d and r its
+    Wolkowicz-Styan radius, every eigenvalue of the sum lies in
+    [t - r, t + r], and the bound is |t| + r, or, on a walk marked
+    `minus_square`, the largest |g(lambda)| there, g(lambda) = lambda -
+    lambda^2."""
+    low, high, minus_square = walk
     d = low.shape[-1]
     width = 2 * d * d  # a matrix as real numbers
     eps = np.finfo(float).eps
@@ -243,14 +253,24 @@ def _sum_bounds(low: np.ndarray, high: np.ndarray) -> Callable[[int, int], np.nd
     by_low[:, width], by_low[:, width + 1] = 1.0, f_low * (1 + slack)
     by_low = by_low.T
     scale = np.sqrt((d - 1) / d) * (1 + ROUNDING_ULPS * eps)
+    # each half's Frobenius norm, for the absolute allowance of g
+    norm_high, norm_low = np.sqrt(f_high + d * t_high**2), np.sqrt(f_low + d * t_low**2)
 
     def bounds(r0: int, r1: int) -> np.ndarray:
         c = by_high[r0:r1] @ by_low
         np.sqrt(c, out=c)
         c *= scale
         t = np.add(t_high[r0:r1, None], t_low)
-        c += np.abs(t, out=t)
-        return c
+        if not minus_square:
+            c += np.abs(t, out=t)
+            return c
+        lo, hi = t - c, t + c
+        g = np.maximum(np.abs(lo - lo * lo), np.abs(hi - hi * hi))
+        if d > 2:  # eigenvalues inside the interval too, where g peaks at 1/2
+            np.maximum(g, 0.25, out=g, where=(lo <= 0.5) & (hi >= 0.5))
+        n = np.add(norm_high[r0:r1, None], norm_low)
+        g += 2 * slack * n * (1 + n)
+        return g
 
     return bounds
 
@@ -282,12 +302,12 @@ def _descending_max(
     first block, the 2^(CHUNK_BITS - 2) largest bounds come first,
     whatever they are. Then, in rounds of as many, come the matrices whose
     bound reaches (1 - PRUNE_RTOL) times the running maximum and whose
-    H^2 bound (`_square_reaches`) does too, until the next bound falls
-    below that. Where matrices crowd the maximum (they tie the largest
-    bound, or the H^2 stage kept most of what a round tested), each row in
-    which most bounds reach it is solved whole, without gathering, from
-    then on in that block and in every later one, so a walk whose norms
-    all tie goes by rows, not by rounds. Ties break to the smallest
+    Hermitian part's H^2 bound (`_square_reaches`) does too, until the
+    next bound falls below that. Where matrices crowd the maximum (they
+    tie the largest bound, or the H^2 stage kept most of what a round
+    tested), each row in which most bounds reach it is solved whole,
+    without gathering, from then on in that block and in every later one,
+    so a walk whose norms all tie goes by rows, not by rounds. Ties break to the smallest
     position solved.
 
     A matrix is pruned only when its bound is below (1 - PRUNE_RTOL)
@@ -349,7 +369,7 @@ def _descending_max(
                 break
             positions = r0 * width + np.sort(picked[start:stop])
             hs = gather(positions)
-            keep = _square_reaches(hs, floor)
+            keep = _square_reaches(linalg.hermitian_part(hs), floor)
             dense = 2 * np.count_nonzero(keep) > len(keep)
             if keep.any():
                 offer(positions[keep], hs[keep])
@@ -364,7 +384,7 @@ def _descending_max(
 
 def _halves_max(walk: Halves) -> tuple[float, int, np.ndarray]:
     """The `max_norms` result of a walk given by its `Halves`, by
-    `_descending_max` over its rows high[j] + low.
+    `_descending_max` over its rows high[j] + low, or S - S @ S of them.
 
     Sum (j, i), high[j] + low[i] at position j * m + i, is linear in its
     halves, so its Wolkowicz-Styan bound follows from theirs: with their
@@ -388,10 +408,48 @@ def _halves_max(walk: Halves) -> tuple[float, int, np.ndarray]:
     and its factor, the sum S that is solved against the sum of its
     halves (the bound holds for any trace near S's), and the eigenvalue
     solve.
+
+    On a walk marked `minus_square`, ||S - S^2|| is the largest |g(lambda)|,
+    g(lambda) = lambda - lambda^2, over the eigenvalues lambda of S, which
+    lie in [t - r, t + r] for the radius r above. g is concave with its
+    peak 1/4 at 1/2, so over the interval |g| is largest at an end, or at
+    1/2 where the interval holds it and an eigenvalue may lie inside
+    (d >= 3), and a wider interval never bounds less. At d <= 2 the
+    eigenvalues are exactly t - s and t + s for the true radius s, and only
+    the ends count, so there a wider interval can bound less: g falls
+    once an end passes 1/2. Moved outward by r - s, an end that gives
+    the norm loses at most (r - s)^2 of |g| where |g| rises outward from
+    it, and at most (r - s)(|1 - 2 lambda| + r - s) where |g| falls; there
+    |1 - 2 lambda| <= 2s, or the other end gives more and gains. Either
+    way the loss is at most 2s(r - s) + (r - s)^2 = r^2 - s^2, which is
+    (d - 1)/d times the allowance under the root and the matmul's
+    rounding: less than ROUNDING_ULPS (2d^2 + 3) eps n^2, where
+    n = ||H||_F + ||L||_F, for the halves H and L, bounds ||S||_F and both
+    halves' traceless parts. The rest are absolute roundings, (d + 7) eps n at most in all, that
+    move an end of the interval or an eigenvalue (t and r as above, and
+    the rounded sum S that is built), each turned into at most 1 + 2n
+    times as much |g| by its slope there; g's own rounding at the ends,
+    2 eps (n + n^2); and S - S @ S as it is built, off by at most
+    (d + 3) eps (n + n^2) in Frobenius norm, which bounds how far its
+    Hermitian part's norm moves. The absolute allowance,
+    2 ROUNDING_ULPS (2d^2 + 3) eps n (1 + n), exceeds their sum for every
+    d >= 1; only the relative rounding of the eigenvalue solve is left,
+    to PRUNE_RTOL. At rounding level, where every ||S - S^2|| is about
+    eps (a PVM padded with zero outcomes), no bound falls below a solved
+    norm, and the rows are solved whole.
     """
-    low, high = walk
-    bounds, gather = _sum_bounds(low, high), partial(_sums_at, walk)
-    return _descending_max(len(high), len(low), bounds, gather, lambda r: high[r] + low)
+    low, high, minus_square = walk
+
+    def built(sums: np.ndarray) -> np.ndarray:
+        return _minus_square(sums) if minus_square else sums
+
+    return _descending_max(
+        len(high),
+        len(low),
+        _sum_bounds(walk),
+        lambda positions: built(_sums_at(walk, positions)),
+        lambda r: built(high[r] + low),
+    )
 
 
 def _pair_bounds(sums: Halves, elements: np.ndarray) -> Callable:
@@ -495,30 +553,6 @@ def _products_max(walk: Products) -> tuple[float, int, np.ndarray]:
     return _descending_max(count // width, width, block, gather, row)
 
 
-def _walk_max(first: np.ndarray, rest: Iterable[np.ndarray]) -> tuple[float, int, np.ndarray]:
-    """The `max_norms` result of a walk of several stacks: `first`, then
-    `rest`. Only ||S - S^2|| past CHUNK_BITS + 1 outcomes
-    (`intrinsic_uncertainty_l1`) walks this way; every other long walk is
-    bounded whole, as `Halves` or `Products`."""
-    norms = linalg.herm_norm_stack(first)
-    k = int(np.argmax(norms))
-    best, best_pos, best_matrix, pos = float(norms[k]), k, first[k], len(first)
-    sample = first[::7]  # odd: masks 0 mod 8 would hold none of o0, o1 and o2
-    prune = 2 * len(_survivors(sample, (1 - PRUNE_RTOL) * best)) <= len(sample)
-    for hs in rest:
-        rows = np.arange(len(hs))
-        if prune:
-            rows = _survivors(hs, (1 - PRUNE_RTOL) * best)
-            prune = 2 * len(rows) <= len(hs)
-        if len(rows):
-            norms = linalg.herm_norm_stack(hs[rows] if len(rows) < len(hs) else hs)
-            k = int(np.argmax(norms))
-            if norms[k] > best:
-                best, best_pos, best_matrix = float(norms[k]), pos + int(rows[k]), hs[rows[k]]
-        pos += len(hs)
-    return best, best_pos, best_matrix
-
-
 def max_norms(quantities: Iterable[Iterable[tuple]], count: int) -> list[tuple]:
     """For each quantity, a list of (items, walk) pairs that covers `count`
     items, each item's largest operator norm over its walk of (nearly)
@@ -526,16 +560,15 @@ def max_norms(quantities: Iterable[Iterable[tuple]], count: int) -> list[tuple]:
     position along the walk and its matrix: (values, positions, matrices),
     arrays and a list in item order. Ties break to the first maximum.
 
-    A walk is one of four forms. `Segments` hold one stack per item, the
+    A walk is one of three forms. `Segments` hold one stack per item, the
     consecutive runs of one array; `povm.metric_walks` and
     `bounds.commutator_walks` make them for every "inf" maximum and for the
     "l1" maxima whose subset walk fits one stack. Beyond CHUNK_BITS + 1
-    outcomes, `metric_walks` hands over the `Halves` of one item's walk
-    when the maximum is over the subset sums themselves (`D_l1`), and a
-    walk of several stacks, an iterable, when it is over a function of
-    them (`intrinsic_uncertainty_l1`'s S - S^2). `commutator_walks` hands
-    over the `Products` of one item's pair of subset walks where the pairs
-    take more than one stack.
+    outcomes, `metric_walks` hands over the `Halves` of one item's walk of
+    subset sums, which `povm.uncertainty_walks` marks `minus_square` for
+    the maximum of ||S - S^2|| over them. `commutator_walks` hands over the
+    `Products` of one item's pair of subset walks where the pairs take more
+    than one stack.
 
     The `Segments` of a dimension wait, and are solved together, at most
     2^CHUNK_BITS matrices a `linalg.herm_norm_stack` call, before one more
@@ -545,24 +578,18 @@ def max_norms(quantities: Iterable[Iterable[tuple]], count: int) -> list[tuple]:
     its walk gives alone.
 
     The other forms are reduced as soon as they are met, and only what
-    can reach the maximum is solved: a matrix whose trace bound is below
+    can reach the maximum is solved: a matrix whose bound is below
     (1 - PRUNE_RTOL) times a solved norm cannot reach it, so the result is
     that of an unpruned walk, bit for bit. `Halves` (`_halves_max`) bound
-    every sum of the walk from the halves, and `Products` (`_products_max`)
-    every commutator from the Gram matrices of the commutators of one
-    subset sum with the other list's elements, without building it; both
-    solve in descending order of bound (`_descending_max`). A walk of
-    several stacks (`_walk_max`) holds its first stack and one later
-    stack at a time. Its first stack is full (2^CHUNK_BITS matrices) and
-    solved whole. In each later stack, a matrix gets a solve only if both
-    trace bounds of `linalg.herm_norm_bound_stack`, on the matrix and on
-    the square of its Hermitian part (whose largest eigenvalue is the
-    squared norm), reach the floor. Both bounds cost 0.2 (d = 8) to 0.7
-    (d = 2) of a solve a matrix, so such a walk prunes only while they
-    drop at least half of what they see: first of every seventh matrix of
-    its first stack, then of each pruned stack. Sums whose norms crowd the
-    maximum, as ||S - S^2|| does at d >= 3, go on unpruned; this gate is
-    for these walks only, as `Halves` have their own test of crowding.
+    every matrix of the walk from the halves: a sum by its trace and
+    Wolkowicz-Styan radius, and S - S^2 by the largest |lambda - lambda^2|
+    that the same interval allows its eigenvalues. `Products`
+    (`_products_max`) bound every commutator from the Gram matrices of the
+    commutators of one subset sum with the other list's elements, without
+    building it. Both solve in descending order of bound
+    (`_descending_max`), and both solve by whole rows where the bounds
+    crowd the maximum, as those of ||S - S^2|| do at d >= 3, where most
+    sums' intervals hold 1/2.
     """
     cap = 2**CHUNK_BITS
     found: list[tuple] = []
@@ -595,13 +622,7 @@ def max_norms(quantities: Iterable[Iterable[tuple]], count: int) -> list[tuple]:
         for items, walk in walks:
             if not isinstance(walk, Segments):
                 (i,) = items
-                if isinstance(walk, Halves):
-                    one = _halves_max(walk)
-                elif isinstance(walk, Products):
-                    one = _products_max(walk)
-                else:
-                    stacks = iter(walk)
-                    one = _walk_max(next(stacks), stacks)
+                one = _halves_max(walk) if isinstance(walk, Halves) else _products_max(walk)
                 result[0][i], result[1][i], result[2][i] = one
                 continue
             d = walk.stack.shape[-1]

@@ -13,7 +13,7 @@ of the stacked forms built on it, with its walk reduced alone, bit for bit.
 """
 
 import math
-import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -38,6 +38,7 @@ from jointmeas.povm import (
     intrinsic_uncertainty_l1,
     metric_walks,
     random_povm,
+    uncertainty_walks,
 )
 from jointmeas.selftest import random_instances
 from jointmeas.smearing import OutcomeMap, marginalize, outcome_choice
@@ -45,8 +46,10 @@ from jointmeas.subsets import (
     CHUNK_BITS,
     SUBSET_ENUMERATION_LIMIT,
     CapacityError,
+    Halves,
     Products,
     Segments,
+    _minus_square,
     _pair_bounds,
     _sum_bounds,
     _sums_at,
@@ -82,9 +85,13 @@ def _assert_d_l1_unpruned(a, b):
     return dv, pos
 
 
-def _v_l1_unpruned(p):
+def _assert_v_l1_unpruned(p):
     e = linalg.hermitian_part(p.elements)
-    return _unpruned(s - s @ s for s in gray_walk(e, "V_l1"))[0]
+    value, pos, matrix = _unpruned(_minus_square(s) for s in gray_walk(e, "V_l1"))
+    ((values, positions, (found,)),) = max_norms([uncertainty_walks("l1", p.stack)], 1)
+    assert (values[0], positions[0]) == (value, pos)
+    assert found.tobytes() == matrix.tobytes()
+    assert intrinsic_uncertainty_l1(p) == value
 
 
 def _subset_comms(a, b):
@@ -107,18 +114,58 @@ def _assert_subset_comm_unpruned(a, b):
 
 # (dim, outcomes): 2^(n-1) subset sums, so 2^(n-1-CHUNK_BITS) stacks
 SIZES = [(2, 16), (3, 15), (4, 16), (6, 14), (8, 13)]
-
-
 # and, for the bounds from the halves, many blocks up to the capacity limit
-@pytest.mark.parametrize("d, n", SIZES + [(2, SUBSET_ENUMERATION_LIMIT), (4, 18)])
+LONGEST = [(2, SUBSET_ENUMERATION_LIMIT), (4, 18)]
+
+
+@pytest.mark.parametrize("d, n", SIZES + LONGEST)
 def test_d_l1_equals_the_unpruned_walk(d, n):
     _assert_d_l1_unpruned(random_povm(d, n, seed=10 * d + n), random_povm(d, n, seed=500 + d))
 
 
-@pytest.mark.parametrize("d, n", SIZES)
-def test_intrinsic_uncertainty_l1_equals_the_unpruned_walk(d, n):
-    p = random_povm(d, n, seed=30 * d + n)
-    assert intrinsic_uncertainty_l1(p) == _v_l1_unpruned(p)
+def _flat(d, n):
+    """The POVM of n elements I/n: every subset sum is scalar."""
+    return Povm(tuple(f"o{k}" for k in range(n)), np.stack([np.eye(d) / n] * n))
+
+
+def _split_pvm(d, n, seed, noise=0.0, zeros=0):
+    """A random-basis PVM with each projector split into equal parts, n
+    outcomes in all, mixed with `noise` times a random POVM, and `zeros`
+    zero outcomes after them."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    parts = np.array([n // d + (k < n % d) for k in range(d)])
+    e = np.repeat(np.einsum("ik,jk->kij", u, u.conj()) / parts[:, None, None], parts, axis=0)
+    e = (1 - noise) * e + noise * random_povm(d, n, seed=seed).elements
+    e = np.concatenate([e, np.zeros((zeros, d, d))])
+    return Povm(tuple(f"o{k}" for k in range(len(e))), e)
+
+
+def _cancelling_at_half(n, seed):
+    """Qubit elements, small but for h + I/4 at outcome 0 and -h + I/4 at
+    outcome 11, a free outcome past the low half: the sum of the two is
+    I/2 exactly, where g(lambda) = lambda - lambda^2 peaks, and the
+    traceless parts of its halves cancel."""
+    rng = np.random.default_rng(seed)
+    h = linalg.hermitian_part(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    h -= np.trace(h).real / 2 * np.eye(2)
+    h *= 0.2 / np.linalg.norm(h, 2)
+    e = 1e-4 * linalg.hermitian_part(rng.standard_normal((n, 2, 2)) + 0j)
+    e[0], e[11] = h + np.eye(2) / 4, -h + np.eye(2) / 4
+    return Povm(tuple(f"o{k}" for k in range(n)), e)
+
+
+# random POVMs, also of up to the capacity limit, and walks whose sums tie
+# (flat) or whose norms are rounding errors (a PVM padded with zeros)
+UNCERTAIN = {f"{d}-{n}": partial(random_povm, d, n, 30 * d + n) for d, n in SIZES + LONGEST}
+UNCERTAIN["flat"] = partial(_flat, 3, 14)
+UNCERTAIN["zero-padded PVM"] = partial(_split_pvm, 4, 4, 31, zeros=12)
+
+
+@pytest.mark.parametrize("case", UNCERTAIN)
+def test_intrinsic_uncertainty_l1_equals_the_unpruned_walk(case):
+    # value, position and matrix, bit for bit
+    _assert_v_l1_unpruned(UNCERTAIN[case]())
 
 
 # (dim, A-outcomes, B-outcomes): pairs whose walk is longer than one
@@ -234,8 +281,8 @@ def test_zero_distance_keeps_the_first_subset(solved):
 def test_trivial_povm_ties_across_stacks():
     # the subset sums of {I/n} are scalar, so many subsets tie in every stack
     n = 14
-    trivial = Povm(tuple(f"o{k}" for k in range(n)), np.stack([np.eye(3) / n] * n))
-    assert intrinsic_uncertainty_l1(trivial) == _v_l1_unpruned(trivial)
+    trivial = _flat(3, n)
+    _assert_v_l1_unpruned(trivial)
     _assert_d_l1_unpruned(trivial, random_povm(3, n, seed=6))
 
 
@@ -288,25 +335,69 @@ def test_d_l1_equals_the_unpruned_walk_where_the_halves_cancel(d, n, low, high, 
 
 
 def _halves_of(a, b):
+    """The `Halves` of the subset walk of the Hermitian differences of two POVMs."""
     return gray_halves(linalg.hermitian_part(a.elements - b.elements), "D")
+
+
+def _norms(walk):
+    """The norm of every matrix of a `Halves` walk, one row per high sum,
+    each matrix built as `max_norms` builds it."""
+    sums = walk.high[:, None] + walk.low[None, :]
+    return linalg.herm_norm_stack(_minus_square(sums) if walk.minus_square else sums)
 
 
 @pytest.mark.parametrize("case", range(len(NEAR_CANCELLING) + 1))
 def test_the_bound_of_every_sum_holds_from_its_halves(case):
     # the halves' bounds, allowance included, against every solved norm
     if case < len(NEAR_CANCELLING):
-        low, high = _halves_of(*_near_cancelling(*NEAR_CANCELLING[case]))
+        walk = _halves_of(*_near_cancelling(*NEAR_CANCELLING[case]))
     else:
-        n = 14
-        trivial = Povm(tuple(f"o{k}" for k in range(n)), np.stack([np.eye(3) / n] * n))
-        low, high = _halves_of(trivial, Povm(trivial.outcomes, 0 * trivial.elements))
-    bounds = _sum_bounds(low, high)(0, len(high))
-    norms = linalg.herm_norm_stack(high[:, None] + low[None, :])
-    assert bounds.shape == norms.shape == (len(high), 2**CHUNK_BITS)
+        trivial = _flat(3, 14)
+        walk = _halves_of(trivial, Povm(trivial.outcomes, 0 * trivial.elements))
+    bounds, norms = _sum_bounds(walk)(0, len(walk.high)), _norms(walk)
+    assert bounds.shape == norms.shape == (len(walk.high), 2**CHUNK_BITS)
     assert (bounds >= norms).all()
     # and the allowance is a rounding's worth: the bound of a scalar sum
     # is its norm, and of the cancelling sums no more than 1e-6 above it
     assert (bounds <= norms + 1e-6).any()
+
+
+UNCERTAINTY_WALKS = {
+    "random": partial(random_povm, seed=51),
+    "flat": _flat,
+    "split PVM": partial(_split_pvm, seed=52),
+    "noisy PVM": partial(_split_pvm, seed=53, noise=1e-3),
+    "zero-padded PVM": lambda d, n: _split_pvm(d, d, 54, zeros=n - d),
+}
+
+
+@pytest.mark.parametrize(
+    "d, case", [(d, c) for d in (2, 3, 4, 8) for c in UNCERTAINTY_WALKS] + [(2, "cancelling")]
+)
+def test_the_bound_of_every_uncertainty_sum_holds(d, case):
+    # the bound of ||S - S^2|| from the interval [t - r, t + r], allowance
+    # included, against the norm of every matrix the walk would solve
+    n = 13
+    p = _cancelling_at_half(n, 55) if case == "cancelling" else UNCERTAINTY_WALKS[case](d, n)
+    walk = gray_halves(linalg.hermitian_part(p.elements), "V")._replace(minus_square=True)
+    bounds, norms = _sum_bounds(walk)(0, len(walk.high)), _norms(walk)
+    assert bounds.shape == norms.shape == (2 ** (n - 1 - CHUNK_BITS), 2**CHUNK_BITS)
+    assert (bounds >= norms).all()
+    # the empty sum's bound is 0, so it is never gathered
+    assert bounds[0, 0] == norms[0, 0] == 0
+    if d == 2:
+        # the ends are the eigenvalues: the bound is the norm but for the
+        # allowances, and a radius that overshoots where the halves cancel
+        assert (bounds <= norms + 1e-6).all()
+    if case == "cancelling":
+        # outcomes 0 and 11, at position 2^11 + 1: ||S - S^2|| = 1/4, but
+        # the radius overshoots by about 4e-8, so g at its ends falls short
+        # of 1/4 by about 2e-15, which the allowance covers
+        radius = _sum_bounds(walk._replace(minus_square=False))(2, 3)[0, 1] - 0.5
+        assert norms[2, 1] == 0.25 and radius > 1e-8
+    if case == "zero-padded PVM":
+        assert norms.max() < 1e-14
+    _assert_v_l1_unpruned(p)
 
 
 def test_d_l1_breaks_exact_ties_across_solves():
@@ -337,16 +428,24 @@ def solved(monkeypatch):
 
 
 def test_d_l1_solves_few_of_the_subset_sums(solved):
-    # d = 4, n = 16: 2^15 = 32,768 subset sums, bounded from their halves
+    # d = 4, n = 16: 2^15 = 32,768 subset sums, bounded from their halves;
+    # the ||S - S^2|| walks share the loop, and these calls stay the same
     D_l1(random_povm(4, 16, seed=41), random_povm(4, 16, seed=42))
-    assert sum(solved) <= 2**CHUNK_BITS
+    assert solved == [256, 3, 28]
 
 
-def test_crowded_maxima_go_on_unpruned(solved):
-    # ||S - S^2|| of a d = 4 POVM's subset sums crowd its maximum, so the
-    # bounds keep most of a sample of the first stack and no stack is pruned
-    intrinsic_uncertainty_l1(random_povm(4, 16, seed=43))
-    assert solved == [2**CHUNK_BITS] * 32
+# d = 4: a sum's interval holds 1/2, so most bounds are 1/4 or more and
+# the rows are solved whole, 7 in the first block, then a round of its
+# eighth row's few that reach the maximum, then every later row, where
+# the unpruned walk solves its 32 rows. d = 2: the bounds are the ends
+# of each sum's spectrum, and 262 solves find the maximum.
+PINNED = [(4, [1024] * 7 + [250, 220] + [1024] * 24), (2, [256, 2, 4])]
+
+
+@pytest.mark.parametrize("d, calls", PINNED)
+def test_uncertainty_sums_are_solved_in_pinned_calls(solved, d, calls):
+    intrinsic_uncertainty_l1(random_povm(d, 16, seed=43))
+    assert solved == calls
 
 
 def test_theorem2_on_an_8x8_pair_solves_in_3_calls(solved):
@@ -370,9 +469,13 @@ def _random_hermitian(rng, count, d):
     return linalg.hermitian_part(x)
 
 
-def _differences(a, b):
-    """The subset walk of the Hermitian differences of two POVMs, as a list."""
-    return list(gray_walk(linalg.hermitian_part(a.elements - b.elements), "D"))
+def _stacks(walk):
+    """A walk's stacks in order: a one-stack walk is its array, and a
+    `Halves` walk's rows are built as `max_norms` builds them."""
+    if not isinstance(walk, Halves):
+        return [walk]
+    rows = [walk.high[j] + walk.low for j in range(len(walk.high))]
+    return [_minus_square(s) for s in rows] if walk.minus_square else rows
 
 
 def _ragged(povms):
@@ -411,44 +514,46 @@ def _objects(a, b, f, to_a, to_b):
 def _mixed_walks():
     """Walks of dimensions 2, 3, 4 and 8, interleaved: one-stack walks of
     1 to 40 matrices, one of more than 2^CHUNK_BITS, subset walks of 13 to 16
-    outcomes that prune, and walks whose matrices tie, within a stack and
-    across stacks. Each walk is a list of its stacks, and item i of each
-    quantity of `_quantities` is walk i."""
+    outcomes that prune, one of them of S - S^2, and walks whose matrices
+    tie, within a stack and across stacks. A one-stack walk is an array and
+    a subset walk its `Halves`, and item i of each quantity of
+    `_quantities` is walk i."""
     rng = np.random.default_rng(90)
     walks = []
     for k, d in enumerate([2, 3, 4, 8] * 12):
-        walks.append([_random_hermitian(rng, 1 + (7 * k) % 40, d)])
-    walks.insert(5, [_random_hermitian(rng, 2**CHUNK_BITS + 300, 2)])
+        walks.append(_random_hermitian(rng, 1 + (7 * k) % 40, d))
+    walks.insert(5, _random_hermitian(rng, 2**CHUNK_BITS + 300, 2))
     for d, n in [(2, 16), (3, 15), (4, 14), (8, 13)]:
         a, b = random_povm(d, n, seed=d + n), random_povm(d, n, seed=100 + d)
-        walks.insert(3 * d, _differences(a, b))
+        walks.insert(3 * d, _halves_of(a, b))
     # ties: a repeated matrix, a zero distance over 8 stacks, scalar sums
     m = _random_hermitian(rng, 1, 3)
-    walks.insert(7, [np.concatenate([m, m, 0.5 * m, m])])
+    walks.insert(7, np.concatenate([m, m, 0.5 * m, m]))
     p = random_povm(3, 14, seed=4)
-    walks.insert(20, _differences(p, p))
-    trivial = Povm(tuple(f"o{k}" for k in range(14)), np.stack([np.eye(4) / 14] * 14))
-    walks.append(_differences(trivial, random_povm(4, 14, seed=6)))
+    walks.insert(20, _halves_of(p, p))
+    walks.append(_halves_of(_flat(4, 14), random_povm(4, 14, seed=6)))
+    e = linalg.hermitian_part(random_povm(2, 14, seed=8).elements)
+    walks.append(gray_halves(e, "V")._replace(minus_square=True))
     return walks
 
 
 def _quantity(walks, size):
-    """`max_norms` pairs (items, walk) of a list of walks: a walk of several
-    stacks as it is, and the one-stack walks between two such walks as
-    `Segments` of at most `size` items of one dimension."""
+    """`max_norms` pairs (items, walk) of a list of walks: `Halves` as they
+    are, and the one-stack walks between two of them as `Segments` of at
+    most `size` items of one dimension."""
     pairs, run = [], []
 
     def cut():
-        for d in sorted({walks[i][0].shape[-1] for i in run}):
-            same = [i for i in run if walks[i][0].shape[-1] == d]
+        for d in sorted({walks[i].shape[-1] for i in run}):
+            same = [i for i in run if walks[i].shape[-1] == d]
             for k in range(0, len(same), size):
-                stacks = [walks[i][0] for i in same[k : k + size]]
+                stacks = [walks[i] for i in same[k : k + size]]
                 segments = Segments(np.concatenate(stacks), np.array([len(s) for s in stacks]))
                 pairs.append((np.array(same[k : k + size]), segments))
         run.clear()
 
     for i, w in enumerate(walks):
-        if len(w) > 1:
+        if isinstance(w, Halves):
             cut()
             pairs.append((np.array([i]), w))
         else:
@@ -466,9 +571,9 @@ def _quantities():
 
 
 def _alone(walk):
-    """`max_norms` of one walk, a list of stacks, on its own."""
-    if len(walk) == 1:
-        walk = Segments(walk[0], np.array([len(walk[0])]))
+    """`max_norms` of one walk, an array or `Halves`, on its own."""
+    if not isinstance(walk, Halves):
+        walk = Segments(walk, np.array([len(walk)]))
     ((values, positions, (matrix,)),) = max_norms([[(np.array([0]), walk)]], 1)
     return float(values[0]), int(positions[0]), matrix
 
@@ -492,25 +597,17 @@ def _assert_same(found, expected):
 def test_many_walks_equal_each_walk_alone():
     quantities, walks = _quantities()
     # the subset walks span several stacks and prune
-    assert sum(len(w) > 1 for w in walks[0]) == 6
-    assert sum(isinstance(w, Segments) for _, w in quantities[0]) < len(walks[0]) - 6
+    assert sum(isinstance(w, Halves) for w in walks[0]) == 7
+    assert sum(isinstance(w, Segments) for _, w in quantities[0]) < len(walks[0]) - 7
     found = max_norms(quantities, len(walks[0]))
     assert len(found) == 2
     for one, ws in zip(found, walks):
         _assert_items(one, [_alone(w) for w in ws])
-        _assert_items(one, [_unpruned(w) for w in ws])
+        _assert_items(one, [_unpruned(_stacks(w)) for w in ws])
     # the ties break to the first maximum
     values, positions, _ = found[0]
     assert positions[7] == 0
     assert (values[20], positions[20]) == (0.0, 0)
-
-
-def test_walks_can_be_iterators():
-    # a walk of several stacks is read once, as the generators of
-    # `metric_walks` and `commutator_walks` are
-    quantities, walks = _quantities()
-    once = [[(i, w if isinstance(w, Segments) else iter(w)) for i, w in q] for q in quantities]
-    _assert_same(max_norms(once, len(walks[0])), max_norms(quantities, len(walks[0])))
 
 
 def test_no_solve_takes_more_than_a_chunk(solved):
@@ -526,7 +623,7 @@ def test_no_solve_takes_more_than_a_chunk(solved):
         for _, w in q:
             if isinstance(w, Segments):
                 segments[w.stack.shape[-1]] = segments.get(w.stack.shape[-1], 0) + len(w.stack)
-    gray = sum(len(w) for q in quantities for _, w in q if not isinstance(w, Segments))
+    gray = sum(len(w.high) for q in quantities for _, w in q if isinstance(w, Halves))
     assert len(solved) <= gray + sum(math.ceil(n / (cap - 40)) + 1 for n in segments.values())
 
 
@@ -582,36 +679,11 @@ def test_tradeoff_reports_hold_each_quantity_in_its_field(
         assert repr(got) == repr(expected)
 
 
-def test_no_waiting_walk_is_a_suspended_generator():
-    # `Segments` wait as arrays; a walk of several stacks is read to its end
-    # as soon as it is met, before the next walk is read
-    quantities, walks = _quantities()
-    read, finished = [], set()
-
-    def walk(key, stacks):
-        try:
-            yield from stacks
-        finally:
-            finished.add(key)
-
-    def reading(q):
-        for k, (items, w) in enumerate(quantities[q]):
-            assert finished.issuperset(read)
-            if not isinstance(w, Segments):
-                read.append((q, k))
-                w = walk((q, k), w)
-            yield items, w
-
-    found = max_norms([reading(0), reading(1)], len(walks[0]))
-    assert finished == set(read) and len(read) == 12
-    _assert_same(found, max_norms(quantities, len(walks[0])))
-
-
 def test_a_walk_of_several_stacks_leaves_the_waiting_walks_batched(solved):
     # the `Segments` met before a subset walk of their dimension are solved
     # with the ones met after it, in one call
     rng = np.random.default_rng(95)
-    gray = list(gray_walk(_random_hermitian(rng, 13, 2), "V"))
+    gray = gray_halves(_random_hermitian(rng, 13, 2), "V")
     _alone(gray)
     gray_calls = len(solved)
     solved.clear()
@@ -621,27 +693,7 @@ def test_a_walk_of_several_stacks_leaves_the_waiting_walks_batched(solved):
     found = max_norms([pairs], 4)
     assert solved.count(5 + 7 + 9) == 1
     assert len(solved) == gray_calls + 1
-    _assert_items(found[0], [_alone(w) for w in ([ones[0]], gray, [ones[1]], [ones[2]])])
-
-
-def test_a_walk_of_several_stacks_holds_one_later_stack_at_a_time():
-    # when the walk reads on, no later stack before the one being reduced
-    # is still referenced (the maximum, and so its matrix, is in the first)
-    cap = 2**CHUNK_BITS
-    rng = np.random.default_rng(96)
-    read = []
-
-    def walk():
-        first = _random_hermitian(rng, cap, 2)
-        first[3] *= 100
-        yield first
-        for _ in range(6):
-            assert all(r() is None for r in read[:-1])
-            read.append(weakref.ref(stack := _random_hermitian(rng, cap, 2)))
-            yield stack
-
-    ((_, positions, _),) = max_norms([[(np.array([0]), walk())]], 1)
-    assert positions[0] == 3 and len(read) == 6
+    _assert_items(found[0], [_alone(w) for w in (ones[0], gray, ones[1], ones[2])])
 
 
 def test_many_walks_are_read_a_chunk_at_a_time(monkeypatch):
@@ -782,9 +834,8 @@ def test_products_hold_the_subset_sums_in_mask_order(nx, ny):
 
 
 def test_a_walk_of_several_stacks_starts_with_a_full_one():
-    # `max_norms` solves the first stack of such a walk alone, which takes
-    # no more calls than batching only if that stack is full; `one_stack`
-    # tells the walks of one stack from the others
+    # every stack of a walk of several is full, as is every row of its
+    # `Halves`; `one_stack` tells the walks of one stack from the others
     cap = 2**CHUNK_BITS
     e = linalg.hermitian_part(random_povm(2, 14, seed=3).elements)
     for n in range(1, 15):
@@ -821,20 +872,24 @@ def test_metric_walk_is_one_stack_or_the_gray_walk():
     sums = {tuple(np.ravel(i).tolist()): w for i, w in metric_walks("l1", h, "V")}
     side_by_side = np.concatenate([*gray_walk(e[1], "V"), *gray_walk(e[3], "V")])
     assert np.array_equal(sums[1, 3].stack, side_by_side)
-    # a longer item is walked on its own: by its halves, whose stacks are
-    # those of `gray_walk`, or, with a function of the sums, by them
-    low, high = sums[0,]
+    # a longer item is walked on its own, by its halves, whose stacks are
+    # those of `gray_walk`
+    low, high, minus_square = sums[0,]
     alone = list(gray_walk(e[0], "V"))
     halved = [high[j] + low for j in range(len(high))]
     assert len(halved) == 2 and all(np.array_equal(w, g) for w, g in zip(halved, alone))
-    squared = {tuple(np.ravel(i).tolist()): w for i, w in metric_walks("l1", h, "V", np.square)}
-    walked = list(squared[0,])
-    assert len(walked) == 2 and all(np.array_equal(w, np.square(g)) for w, g in zip(walked, alone))
+    # the intrinsic uncertainty's walks: S - S^2 of the matrices or sums,
+    # and the same halves, marked, for the longer item
+    uncertain = {tuple(np.ravel(i).tolist()): w for i, w in uncertainty_walks("l1", stack)}
+    assert np.array_equal(uncertain[1, 3].stack, _minus_square(side_by_side))
+    assert not minus_square and uncertain[0,].minus_square
+    assert all(np.array_equal(u, w) for u, w in zip(uncertain[0,][:2], (low, high)))
+    ((_, inf),) = [w for w in uncertainty_walks("inf", stack) if len(w[0]) == 3]
+    assert np.array_equal(inf.stack, _minus_square(stack.hermitian.blocks[3]))
     # only the subset walk has a capacity limit, met before any sum is taken
     many = _ragged([Povm(tuple(f"o{k}" for k in range(21)), np.stack([np.eye(2) / 21] * 21))])
     assert len(metric_walks("inf", many, "V")) == 1
     with pytest.raises(CapacityError, match="^V enumerates all subsets of 21 outcomes"):
         metric_walks("l1", many, "V")
-    ((_, walk),) = metric_walks("l1", many, "V", np.square)
-    with pytest.raises(CapacityError, match="^V enumerates all subsets of 21 outcomes"):
-        list(walk)
+    with pytest.raises(CapacityError, match="^the subset-summed intrinsic uncertainty enumerates"):
+        uncertainty_walks("l1", many)
