@@ -250,8 +250,7 @@ def metric_walks(metric: str, stack: Ragged, what: str) -> list[tuple[np.ndarray
     walks = []
     for items, (e,) in shape_groups(stack):
         if one_stack(e.shape[-3]):
-            (sums,) = gray_walk(e, what)
-            walks.append((items, Segments.of(sums)))
+            walks.append((items, Segments.of(gray_walk(e, what))))
         else:
             walks += [([i], gray_halves(one, what)) for i, one in zip(items, e)]
     return walks

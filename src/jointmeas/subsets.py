@@ -3,15 +3,17 @@
 Several quantities here are exact maxima over all subsets of an outcome set.
 Because a subset and its complement always yield the same norm in these
 maxima, only the subsets that leave out the last outcome are evaluated, which
-halves the work. `gray_walk` yields their sums as stacks of at most
-2^CHUNK_BITS matrices, so a caller evaluates one stack per numpy call instead
-of one matrix per mask.
+halves the work. `gray_walk` returns their sums as one stack where they fit
+one, at most 2^CHUNK_BITS matrices (`one_stack`), so a caller evaluates them
+in one numpy call instead of one matrix per mask; a longer walk goes by its
+two `Halves` (`gray_halves`), the sums over the first CHUNK_BITS elements
+and over the rest, so the order has one definition.
 
 The sums are built by doubling: the sums over the first k elements,
 followed by the same sums plus element k. Position i of the concatenated
 sequence holds the sum over mask i, whose bit k says whether element k is
 in the subset, and every sum is added up from 0 in element order. A
-maximum taken first-wins over the stacks therefore breaks ties to the
+maximum taken first-wins over the walk therefore breaks ties to the
 smallest mask, and `gray_labels` reads a position's set bits as outcome
 labels. The `gray_` names are those of the reflected Gray code these walks
 once followed, and they stay: `perfbench/layers.py` counts `gray_walk` by
@@ -19,13 +21,10 @@ name. The walk runs along axis -3, so one call sums the subsets of many
 equally long element lists at once, item by item.
 
 `gray_products` gives the products X_D @ Y_E of two such walks where
-they fit one stack, so this module alone sizes every stack, and
-`one_stack` says whether a walk is one stack. `gray_walk` builds its
-stacks from the two `Halves` of `gray_halves`, the sums over the first
-CHUNK_BITS elements and over the rest, so the order has one definition.
-`gray_walk` raises CapacityError past SUBSET_ENUMERATION_LIMIT elements,
-and `Products.of` past as many subset pairs as that many elements have
-subsets.
+they fit one stack, so this module alone sizes every stack.
+`gray_halves` raises CapacityError past SUBSET_ENUMERATION_LIMIT
+elements, and `Products.of` past as many subset pairs as that many
+elements have subsets.
 
 `max_norms` is the one reducer of the spectral maxima, over outcomes and
 over subsets. It takes three walk forms: `Segments`, one stack per item,
@@ -36,21 +35,21 @@ for eigenvalues using traces", Linear Algebra Appl. 29, 1980), and from
 those the bounds of S - S^2; and `Products`, one item's walk of subset
 commutators i[X_D, Y_E], bilinear in the two subsets, whose bounds
 follow from small Gram matrices. `Halves` and `Products` are bounded
-whole before any matrix is built, and one loop (`_descending_max`)
-builds and solves only those that can reach the maximum. `max_norms`
-returns each quantity's maxima in item order, each the one its walk
-gives alone and unpruned, bit for bit.
+whole before any matrix is built, and one descending pass over the
+bounds (`_descending_max`) builds and solves only those that can reach
+the maximum. `max_norms` returns each quantity's maxima in item order,
+each the one its walk gives alone and unpruned, bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from . import linalg
 
-# log2 of the largest stack `gray_walk` yields and `max_norms` solves
+# log2 of the largest stack `gray_walk` returns and `max_norms` solves
 CHUNK_BITS = 10
 
 # Exact subset enumeration is 2^n work; beyond this many outcomes we refuse
@@ -70,7 +69,8 @@ PRUNE_RTOL = 1e-9
 # `_products_max` say what that rounding is and why that suffices.
 ROUNDING_ULPS = 8
 
-# log2 of the number of `Halves` or `Products` bounds computed at once: 64 KB of floats
+# log2 of the number of `Halves` or `Products` bounds computed at once (64 KB
+# of floats); the largest of the first block give `_descending_max` its cut
 BOUND_BLOCK_BITS = CHUNK_BITS + 3
 
 
@@ -129,19 +129,19 @@ def gray_halves(elements: np.ndarray, what: str) -> Halves:
     return Halves(_gray_sums(low), _gray_sums(high))
 
 
-def gray_walk(elements: np.ndarray, what: str) -> Iterator[np.ndarray]:
-    """Yield the subset sums of every element but the last, in stacks.
+def gray_walk(elements: np.ndarray, what: str) -> np.ndarray:
+    """The subset sums of every element but the last, as one stack.
 
-    `elements` is (..., n, d, d); the sums run along axis -3, and the
-    leading axes, if any, hold lists of n elements whose sums are taken
-    side by side. The stacks have equal length, at most 2^CHUNK_BITS.
-    Position i across their concatenation holds the sum over mask i.
-    Stack j is high[j] + low of the `gray_halves`, which raise a
-    CapacityError for more than SUBSET_ENUMERATION_LIMIT elements.
+    `elements` is (..., n, d, d), a walk of one stack (`one_stack(n)`); the
+    sums run along axis -3, and the leading axes, if any, hold lists of n
+    elements whose sums are taken side by side. Position i holds the sum
+    over mask i. The stack is the low half of the `gray_halves`, whose
+    high half is the empty sum alone; a longer walk goes by its
+    `gray_halves`, and this raises a ValueError for it.
     """
-    halves = gray_halves(elements, what)
-    for j in range(halves.high.shape[-3]):
-        yield halves.high[..., j : j + 1, :, :] + halves.low
+    if not one_stack(elements.shape[-3]):
+        raise ValueError(f"{what}: a walk of {elements.shape[-3]} elements goes by its halves")
+    return gray_halves(elements, what).low
 
 
 def gray_products(xs: np.ndarray, ys: np.ndarray, what: str) -> np.ndarray:
@@ -149,8 +149,7 @@ def gray_products(xs: np.ndarray, ys: np.ndarray, what: str) -> np.ndarray:
     in mask order and Y_E running fastest, for a pair whose walk is one stack
     (`one_stack`); leading axes pair lists of xs with lists of ys, as in
     `gray_walk`. A longer pair is a `Products` walk."""
-    (sums_x,) = gray_walk(xs, what)
-    (sums_y,) = gray_walk(ys, what)
+    sums_x, sums_y = gray_walk(xs, what), gray_walk(ys, what)
     prods = sums_x[..., :, None, :, :] @ sums_y[..., None, :, :, :]
     return prods.reshape(*prods.shape[:-4], -1, *prods.shape[-2:])
 
@@ -282,32 +281,32 @@ def _squared_norms(ms: np.ndarray) -> np.ndarray:
 
 
 def _descending_max(
-    rows: int,
-    width: int,
-    bounds: Callable[[int, int], np.ndarray],
+    count: int,
+    blocks: Iterable[np.ndarray],
     gather: Callable[[np.ndarray], np.ndarray],
-    row: Callable[[int], np.ndarray],
+    hermitian: bool,
 ) -> tuple[float, int, np.ndarray]:
-    """The `max_norms` result of a walk whose matrices are all bounded
-    before any is built: `rows` rows of `width` positions, r * width + i
-    in row r. `bounds(r0, r1)` returns the bounds of rows r0 to r1, one
-    row each; `gather` builds the matrices at ascending positions, and
-    `row(r)` those of row r. `_halves_max` and `_products_max` supply
-    them, and say why no bound is below the norm that
-    `linalg.herm_norm_stack` reads off the matrix built there, but for a
-    relative rounding of a few d eps.
+    """The `max_norms` result of a walk of `count` matrices that are all
+    bounded before any is built: `blocks` hold the bound at every position
+    of the walk, block after block in position order, each of at least
+    2^(CHUNK_BITS - 2), and `gather` builds the matrices at ascending
+    positions, which are Hermitian bit for bit where `hermitian` says so.
+    `_halves_max` and `_products_max` supply them, and say why no bound is
+    below the norm that `linalg.herm_norm_stack` reads off the matrix
+    built there, but for a relative rounding of a few d eps. The bounds
+    are kept, count floats.
 
-    Bounds are taken a block of at most 2^BOUND_BLOCK_BITS at a time, and
-    a block's matrices are solved in descending order of bound. In the
-    first block, the 2^(CHUNK_BITS - 2) largest bounds come first,
-    whatever they are. Then, in rounds of as many, come the matrices whose
-    bound reaches (1 - PRUNE_RTOL) times the running maximum and whose
-    Hermitian part's H^2 bound (`_square_reaches`) does too, until the
-    next bound falls below that. Where matrices crowd the maximum (they
-    tie the largest bound, or the H^2 stage kept most of what a round
-    tested), each row in which most bounds reach it is solved whole,
-    without gathering, from then on in that block and in every later one,
-    so a walk whose norms all tie goes by rows, not by rounds. Ties break to the smallest
+    One pass solves the matrices in descending order of bound. The
+    2^(CHUNK_BITS - 2) largest bounds come first, whatever they are; as
+    many of the first block reach its own 2^(CHUNK_BITS - 2)-th largest,
+    a lower cut for them, so only the bounds past it are partitioned. Every
+    other bound that reaches (1 - PRUNE_RTOL) times the maximum so found
+    is sorted, once, and solved in rounds of as many, each round only
+    those matrices whose Hermitian part's H^2 bound (`_square_reaches`)
+    reaches (1 - PRUNE_RTOL) times the running maximum too, until the
+    next bound falls below that. Once a round keeps more than half of
+    what it tested, the matrices crowd the maximum, and the rest go in
+    rounds of 2^CHUNK_BITS without that stage. Ties break to the smallest
     position solved.
 
     A matrix is pruned only when its bound is below (1 - PRUNE_RTOL)
@@ -319,8 +318,7 @@ def _descending_max(
     every allowance of `_halves_max` and `_products_max` scales with norms
     that are 0 there (as at position 0, the empty sum). A zero norm is the
     first maximum only at position 0, where every norm is 0, so a zero
-    bound gets no matrix gathered and makes no row crowded (a row solved
-    whole still solves its zeros); position 0 is solved last where no
+    bound gets no matrix gathered; position 0 is solved last where no
     solve has found it or a positive norm.
     """
     chunk = 2 ** (CHUNK_BITS - 2)
@@ -333,50 +331,39 @@ def _descending_max(
         if norms[k] > best[0] or norms[k] == best[0] and positions[k] < best[1]:
             best[:] = float(norms[k]), int(positions[k]), hs[k]
 
-    def whole_rows(r0: int, c: np.ndarray, floor: float) -> bool:
-        """Solve the rows of a block in which most bounds reach `floor`."""
-        crowded = np.flatnonzero(2 * np.count_nonzero(c >= floor, axis=1) > width)
-        solved = (r0 + crowded).tolist()
-        # each row's matrices are built while the last row's are held
-        for r, hs in zip(solved, map(row, solved)):
-            offer(range(r * width, r * width + width), hs)
-        c[crowded] = -np.inf
-        return len(crowded) > 0
-
-    per_block = max(1, 2**BOUND_BLOCK_BITS // width)
-    dense = False  # whether the matrices crowd the maximum
-    for r0 in range(0, rows, per_block):
-        c = bounds(r0, r0 + per_block)
+    bounds, passed, filled = np.empty(count), [], 0
+    for c in blocks:  # each block while it is in cache
         c[c == 0] = -np.inf
-        flat = c.ravel()
-        if best[2] is None and flat.max() > 0:
-            dense = whole_rows(r0, c, (1 - PRUNE_RTOL) * c.max())
-        if best[2] is None and flat.max() > 0:
-            top = np.argpartition(flat, -chunk)[-chunk:]
-            top = np.sort(top[flat[top] > 0])
-            offer(r0 * width + top, gather(r0 * width + top))
-            flat[top] = -np.inf
-        elif dense:
-            whole_rows(r0, c, (1 - PRUNE_RTOL) * best[0])
-        picked = np.flatnonzero(flat >= (1 - PRUNE_RTOL) * best[0])
-        picked = picked[np.argsort(-flat[picked])]
-        falling = -flat[picked]
-        start = 0
-        while start < len(picked):
-            floor = (1 - PRUNE_RTOL) * best[0]
-            stop = min(start + chunk, int(np.searchsorted(falling, -floor, "right")))
-            if stop <= start:
-                break
-            positions = r0 * width + np.sort(picked[start:stop])
-            hs = gather(positions)
-            keep = _square_reaches(linalg.hermitian_part(hs), floor)
-            dense = 2 * np.count_nonzero(keep) > len(keep)
-            if keep.any():
-                offer(positions[keep], hs[keep])
-            start = stop
-            if dense and whole_rows(r0, c, (1 - PRUNE_RTOL) * best[0]):
-                picked = picked[start:][flat[picked[start:]] > -np.inf]
-                falling, start = -flat[picked], 0
+        if not filled:
+            cut = np.partition(c, -chunk)[-chunk]
+        passed.append(filled + np.flatnonzero(c >= cut))
+        bounds[filled : filled + len(c)] = c
+        filled += len(c)
+    passed = np.concatenate(passed)
+    top = passed[np.argpartition(bounds[passed], -chunk)[-chunk:]]
+    top = np.sort(top[bounds[top] > 0])
+    if len(top):
+        offer(top, gather(top))
+        bounds[top] = -np.inf
+    picked = np.flatnonzero(bounds >= (1 - PRUNE_RTOL) * best[0])
+    picked = picked[np.argsort(-bounds[picked])]
+    falling = -bounds[picked]
+    start, size = 0, chunk
+    while start < len(picked):
+        floor = (1 - PRUNE_RTOL) * best[0]
+        stop = min(start + size, int(np.searchsorted(falling, -floor, "right")))
+        if stop <= start:
+            break
+        positions = np.sort(picked[start:stop])
+        hs = gather(positions)
+        if size == chunk:
+            keep = _square_reaches(hs if hermitian else linalg.hermitian_part(hs), floor)
+            if 2 * np.count_nonzero(keep) > len(keep):
+                size = 2**CHUNK_BITS
+            positions, hs = positions[keep], hs[keep]
+        if len(hs):
+            offer(positions, hs)
+        start = stop
     if best[2] is None or best[0] == 0 and best[1] > 0:
         offer([0], gather(np.zeros(1, dtype=int)))
     return best[0], best[1], best[2]
@@ -384,7 +371,8 @@ def _descending_max(
 
 def _halves_max(walk: Halves) -> tuple[float, int, np.ndarray]:
     """The `max_norms` result of a walk given by its `Halves`, by
-    `_descending_max` over its rows high[j] + low, or S - S @ S of them.
+    `_descending_max` over its sums high[j] + low[i], or S - S @ S of them,
+    bounded 2^BOUND_BLOCK_BITS at a time.
 
     Sum (j, i), high[j] + low[i] at position j * m + i, is linear in its
     halves, so its Wolkowicz-Styan bound follows from theirs: with their
@@ -436,20 +424,17 @@ def _halves_max(walk: Halves) -> tuple[float, int, np.ndarray]:
     d >= 1; only the relative rounding of the eigenvalue solve is left,
     to PRUNE_RTOL. At rounding level, where every ||S - S^2|| is about
     eps (a PVM padded with zero outcomes), no bound falls below a solved
-    norm, and the rows are solved whole.
+    norm, and only the H^2 stage of `_descending_max` prunes.
     """
     low, high, minus_square = walk
+    bounds, rows = _sum_bounds(walk), 2**BOUND_BLOCK_BITS // len(low)
+    blocks = (bounds(r, r + rows).ravel() for r in range(0, len(high), rows))
 
-    def built(sums: np.ndarray) -> np.ndarray:
+    def gather(positions: np.ndarray) -> np.ndarray:
+        sums = _sums_at(walk, positions)
         return _minus_square(sums) if minus_square else sums
 
-    return _descending_max(
-        len(high),
-        len(low),
-        _sum_bounds(walk),
-        lambda positions: built(_sums_at(walk, positions)),
-        lambda r: built(high[r] + low),
-    )
+    return _descending_max(len(high) * len(low), blocks, gather, not minus_square)
 
 
 def _pair_bounds(sums: Halves, elements: np.ndarray) -> Callable:
@@ -485,8 +470,8 @@ def _pair_bounds(sums: Halves, elements: np.ndarray) -> Callable:
 
 def _products_max(walk: Products) -> tuple[float, int, np.ndarray]:
     """The `max_norms` result of a `Products` walk, by `_descending_max`
-    over rows of 2^CHUNK_BITS positions: every pair (D, E) of a few D, or
-    one D with a run of E.
+    over bounds taken 2^BOUND_BLOCK_BITS positions at a time: every pair
+    (D, E) of a few D, or one D with a run of E.
 
     Pair (D, E) is bounded without building X_D @ Y_E. For a fixed D,
     i[X_D, Y_E] is linear in the subset E: it is the sum over b in E of
@@ -518,39 +503,33 @@ def _products_max(walk: Products) -> tuple[float, int, np.ndarray]:
     beta_E, the root and its factor, and the eigenvalue solve. A
     commuting pair keeps a bound of at least its allowance, so where
     every pair of a walk (nearly) commutes, the bounds all reach the
-    floor and `_descending_max` solves its rows whole.
+    floor and `_descending_max` solves all but the zero bounds, most in
+    rounds of 2^CHUNK_BITS.
     """
     x, y, x_elements, y_elements = walk
     ny = len(y.low) * len(y.high)
     count = len(x.low) * len(x.high) * ny
-    width = min(count, 2**CHUNK_BITS)
+    step = min(count, 2**BOUND_BLOCK_BITS)
     by_d, by_e = _pair_bounds(x, y_elements), _pair_bounds(y, x_elements)
 
-    def span(p0: int, p1: int) -> tuple[np.ndarray, np.ndarray]:
-        """The masks D and E of positions p0 to p1: every E for each of
-        some D, or a run of them for one D (every length and start here is
-        a power of two)."""
-        if p1 - p0 >= ny:
-            return np.arange(p0 // ny, p1 // ny), np.arange(ny)
-        return np.array([p0 // ny]), np.arange(p0 % ny, p0 % ny + p1 - p0)
-
-    def block(r0: int, r1: int) -> np.ndarray:
-        ds, es = span(r0 * width, min(r1, count // width) * width)
+    def block(p: int) -> np.ndarray:
+        """The bounds of positions p to p + step: every E for each of some
+        D, or a run of them for one D (every length and start here is a
+        power of two)."""
+        if step >= ny:
+            ds, es = np.arange(p // ny, (p + step) // ny), np.arange(ny)
+        else:
+            ds, es = np.array([p // ny]), np.arange(p % ny, p % ny + step)
         # fix the side that takes fewer sums and commutators K to bound
         if len(ds) * (len(y_elements) + 1) <= len(es) * (len(x_elements) + 1):
-            return by_d(ds, es).reshape(-1, width)
-        return np.ascontiguousarray(by_e(es, ds).T).reshape(-1, width)
+            return by_d(ds, es).ravel()
+        return by_e(es, ds).T.ravel()
 
     def gather(positions: np.ndarray) -> np.ndarray:
         ds, es = np.divmod(positions, ny)
         return linalg.commutator_stack(_sums_at(x, ds) @ _sums_at(y, es))
 
-    def row(r: int) -> np.ndarray:
-        ds, es = span(r * width, r * width + width)
-        prods = _sums_at(x, ds)[:, None] @ _sums_at(y, es)
-        return linalg.commutator_stack(prods.reshape(width, *prods.shape[-2:]))
-
-    return _descending_max(count // width, width, block, gather, row)
+    return _descending_max(count, map(block, range(0, count, step)), gather, True)
 
 
 def max_norms(quantities: Iterable[Iterable[tuple]], count: int) -> list[tuple]:
@@ -586,10 +565,10 @@ def max_norms(quantities: Iterable[Iterable[tuple]], count: int) -> list[tuple]:
     that the same interval allows its eigenvalues. `Products`
     (`_products_max`) bound every commutator from the Gram matrices of the
     commutators of one subset sum with the other list's elements, without
-    building it. Both solve in descending order of bound
-    (`_descending_max`), and both solve by whole rows where the bounds
-    crowd the maximum, as those of ||S - S^2|| do at d >= 3, where most
-    sums' intervals hold 1/2.
+    building it. Both solve in one pass in descending order of bound
+    (`_descending_max`), in larger rounds and without its H^2 stage where
+    the bounds crowd the maximum, as those of ||S - S^2|| do at d >= 3,
+    where most sums' intervals hold 1/2.
     """
     cap = 2**CHUNK_BITS
     found: list[tuple] = []

@@ -75,9 +75,19 @@ def _unpruned(stacks):
     return best, best_pos, best_matrix
 
 
+def _stacks(walk):
+    """A walk's stacks in order: a one-stack walk is its array, and a
+    `Halves` walk's rows high[j] + low, each matrix built as `max_norms`
+    builds it."""
+    if not isinstance(walk, Halves):
+        return [walk]
+    rows = [walk.high[j] + walk.low for j in range(len(walk.high))]
+    return [_minus_square(s) for s in rows] if walk.minus_square else rows
+
+
 def _assert_d_l1_unpruned(a, b):
     diffs = linalg.hermitian_part(a.elements - b.elements)
-    value, pos, matrix = _unpruned(gray_walk(diffs, "D_l1"))
+    value, pos, matrix = _unpruned(_stacks(gray_halves(diffs, "D_l1")))
     dv = D_l1(a, b)
     assert dv.value == value
     assert dv.witness == gray_labels(pos, a.outcomes)
@@ -87,7 +97,7 @@ def _assert_d_l1_unpruned(a, b):
 
 def _assert_v_l1_unpruned(p):
     e = linalg.hermitian_part(p.elements)
-    value, pos, matrix = _unpruned(_minus_square(s) for s in gray_walk(e, "V_l1"))
+    value, pos, matrix = _unpruned(_stacks(gray_halves(e, "V_l1")._replace(minus_square=True)))
     ((values, positions, (found,)),) = max_norms([uncertainty_walks("l1", p.stack)], 1)
     assert (values[0], positions[0]) == (value, pos)
     assert found.tobytes() == matrix.tobytes()
@@ -98,8 +108,8 @@ def _subset_comms(a, b):
     """The subset commutators i[X_D, Y_E] of two POVMs, one stack per D,
     each built as `max_norms` builds it: pair (D, E) at position
     mask_D * 2^(n_B - 1) + mask_E across the stacks."""
-    sums_b = np.concatenate(list(gray_walk(linalg.hermitian_part(b.elements), "comm")))
-    for sums_a in gray_walk(linalg.hermitian_part(a.elements), "comm"):
+    sums_b = np.concatenate(_stacks(gray_halves(linalg.hermitian_part(b.elements), "comm")))
+    for sums_a in _stacks(gray_halves(linalg.hermitian_part(a.elements), "comm")):
         for x in sums_a:
             yield linalg.commutator_stack(x @ sums_b)
 
@@ -227,17 +237,23 @@ def test_the_bound_of_every_subset_commutator_holds(case):
     _assert_subset_comm_unpruned(a, b)
 
 
-# the first stack's 256 largest bounds and a round of 256 (at a maximum of
-# 0, every bound reaches the floor), then every row of 1,024 whole that
-# holds a nonzero bound; where B's walk fills whole rows (3 x 12), the rows
-# of D empty hold only zero bounds, and position 0 is solved alone last
-@pytest.mark.parametrize("d, na, nb, rows", [(4, 8, 8, 16), (2, 3, 12, 6)])
-def test_a_commuting_pair_solves_its_rows_whole(solved, d, na, nb, rows):
+# the walk's 256 largest bounds, then a round of 256 whose H^2 stage
+# keeps them all (at a maximum of 0, every bound reaches the floor), then
+# the rest in rounds of 1,024 without it; the pairs with D or E empty have
+# zero bounds and are not solved (255 of 8 x 8, 2,051 of 3 x 12), and
+# position 0 is solved alone last
+@pytest.mark.parametrize(
+    "d, na, nb, calls",
+    [
+        (4, 8, 8, [256, 256] + [1024] * 15 + [257, 1]),
+        (2, 3, 12, [256, 256] + [1024] * 5 + [509, 1]),
+    ],
+)
+def test_a_commuting_pair_solves_every_nonzero_bound(solved, d, na, nb, calls):
     a, b = _diagonal(d, na, 1), _diagonal(d, nb, 2)
     ((values, positions, _),) = max_norms([commutator_walks("l1", a.stack, b.stack)], 1)
     assert (values[0], positions[0]) == (0.0, 0)
-    last = [1] if nb - 1 >= CHUNK_BITS else []
-    assert solved == [2 ** (CHUNK_BITS - 2)] * 2 + [2**CHUNK_BITS] * rows + last
+    assert solved == calls
     solved.clear()
     _assert_subset_comm_unpruned(a, b)
 
@@ -254,11 +270,13 @@ def test_a_walk_of_zero_commutators_solves_position_0_alone(solved):
     assert found.tobytes() == next(_subset_comms(a, b))[0].tobytes()
 
 
-@pytest.mark.parametrize("flip, calls", [(False, [256, 24, 4]), (True, [256, 2, 10, 1, 2])])
+@pytest.mark.parametrize("flip, calls", [(False, [256]), (True, [256])])
 def test_zero_bounds_are_not_solved(solved, flip, calls):
     # d = 2, 2 x 16 outcomes: D empty in the first half of the pairs, whose
     # bounds are all 0, where 32 whole rows of zeros were solved first (42
-    # calls on 40,988 matrices); flipped, E empty in one pair of 2
+    # calls on 40,988 matrices); flipped, E empty in one pair of 2. The
+    # walk's 256 largest bounds hold the maximum, and no other bound
+    # reaches it
     a, b = random_povm(2, 2, seed=3), random_povm(2, 16, seed=4)
     if flip:
         a, b = b, a
@@ -429,17 +447,18 @@ def solved(monkeypatch):
 
 def test_d_l1_solves_few_of_the_subset_sums(solved):
     # d = 4, n = 16: 2^15 = 32,768 subset sums, bounded from their halves;
-    # the ||S - S^2|| walks share the loop, and these calls stay the same
+    # the walk's 256 largest bounds hold the maximum, and no other bound
+    # reaches it
     D_l1(random_povm(4, 16, seed=41), random_povm(4, 16, seed=42))
-    assert solved == [256, 3, 28]
+    assert solved == [256]
 
 
-# d = 4: a sum's interval holds 1/2, so most bounds are 1/4 or more and
-# the rows are solved whole, 7 in the first block, then a round of its
-# eighth row's few that reach the maximum, then every later row, where
-# the unpruned walk solves its 32 rows. d = 2: the bounds are the ends
-# of each sum's spectrum, and 262 solves find the maximum.
-PINNED = [(4, [1024] * 7 + [250, 220] + [1024] * 24), (2, [256, 2, 4])]
+# d = 4: a sum's interval holds 1/2, so most bounds are 1/4 or more: after
+# the 256 largest bounds, the first round's H^2 stage keeps most of it,
+# and the rest of the sums that reach the maximum go in rounds of 1,024,
+# 27,765 of the 32,768 the unpruned walk solves. d = 2: the bounds are
+# the ends of each sum's spectrum, and the 256 largest hold the maximum.
+PINNED = [(4, [256, 256] + [1024] * 26 + [629]), (2, [256])]
 
 
 @pytest.mark.parametrize("d, calls", PINNED)
@@ -448,17 +467,65 @@ def test_uncertainty_sums_are_solved_in_pinned_calls(solved, d, calls):
     assert solved == calls
 
 
-def test_theorem2_on_an_8x8_pair_solves_in_3_calls(solved):
+def test_theorem2_on_an_8x8_pair_solves_in_2_calls(solved):
     # X, Y, V_A and V_B are walks of one stack of 128 sums, solved together
     # last; the commutator's 16,384 products are bounded from their Gram
-    # matrices and 484 of them built and solved, in 2 calls: 996 matrices
+    # matrices, and the 256 largest bounds hold the maximum: 768 matrices
     # in all, against 2,022 in 10 calls when they were walked stack by stack
     a, b, f = random_povm(4, 8, seed=1), random_povm(4, 8, seed=2), random_povm(4, 64, seed=3)
     fo = f.outcomes
     f_a = OutcomeMap(fo, a.outcomes, {o: a.outcomes[k // 8] for k, o in enumerate(fo)})
     f_b = OutcomeMap(fo, b.outcomes, {o: b.outcomes[k % 8] for k, o in enumerate(fo)})
     assert check_theorem2(a, b, f, f_a, f_b).satisfied
-    assert solved == [256, 228, 4 * 128]
+    assert solved == [256, 4 * 128]
+
+
+def _distance_walk(a, b):
+    """The `D_l1` walk of two POVMs, and how many matrices it holds."""
+    return [(np.array([0]), _halves_of(a, b))], 2 ** (a.n_outcomes - 1)
+
+
+def _uncertainty_walk(p):
+    """The ||S - S^2|| walk of a POVM, and how many matrices it holds."""
+    return uncertainty_walks("l1", p.stack), 2 ** (p.n_outcomes - 1)
+
+
+def _commutator_walk(a, b):
+    """The subset commutator walk of two POVMs, and how many matrices it holds."""
+    return commutator_walks("l1", a.stack, b.stack), 2 ** (a.n_outcomes + b.n_outcomes - 2)
+
+
+def _zero_padded_walk(d, n):
+    """The ||S - S^2|| walk of a d-outcome PVM padded to n outcomes with zeros."""
+    return _uncertainty_walk(_split_pvm(d, d, 54, zeros=n - d))
+
+
+PADDED = [(2, 12), (2, 14), (4, 16)]
+# the walks of the pinned calls above, the commuting pairs, and rounding-
+# level walks: PVMs padded with zero outcomes, where every bound is an
+# allowance far above every norm
+LONG_WALKS = {
+    "D_l1": lambda: _distance_walk(random_povm(4, 16, seed=41), random_povm(4, 16, seed=42)),
+    "theorem2 pair": lambda: _commutator_walk(random_povm(4, 8, seed=1), random_povm(4, 8, seed=2)),
+    "zero bounds": lambda: _commutator_walk(random_povm(2, 2, seed=3), random_povm(2, 16, seed=4)),
+    "zero bounds flipped": lambda: _commutator_walk(
+        random_povm(2, 16, seed=4), random_povm(2, 2, seed=3)
+    ),
+    "V d=2": lambda: _uncertainty_walk(random_povm(2, 16, seed=43)),
+    "V d=4": lambda: _uncertainty_walk(random_povm(4, 16, seed=43)),
+    "commuting 8x8": lambda: _commutator_walk(_diagonal(4, 8, 1), _diagonal(4, 8, 2)),
+    "commuting 3x12": lambda: _commutator_walk(_diagonal(2, 3, 1), _diagonal(2, 12, 2)),
+}
+LONG_WALKS.update(
+    {f"zero-padded PVM d={d} n={n}": partial(_zero_padded_walk, d, n) for d, n in PADDED}
+)
+
+
+@pytest.mark.parametrize("case", LONG_WALKS)
+def test_no_long_walk_solves_more_than_its_unpruned_walk(solved, case):
+    walks, matrices = LONG_WALKS[case]()
+    max_norms([walks], 1)
+    assert sum(solved) <= matrices
 
 
 # --- many walks at once ---
@@ -467,15 +534,6 @@ def test_theorem2_on_an_8x8_pair_solves_in_3_calls(solved):
 def _random_hermitian(rng, count, d):
     x = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
     return linalg.hermitian_part(x)
-
-
-def _stacks(walk):
-    """A walk's stacks in order: a one-stack walk is its array, and a
-    `Halves` walk's rows are built as `max_norms` builds them."""
-    if not isinstance(walk, Halves):
-        return [walk]
-    rows = [walk.high[j] + walk.low for j in range(len(walk.high))]
-    return [_minus_square(s) for s in rows] if walk.minus_square else rows
 
 
 def _ragged(povms):
@@ -797,7 +855,7 @@ def test_walk_position_is_the_mask():
     # the mask equal to its position; integer entries make each sum exact
     rng = np.random.default_rng(13)
     elements = rng.integers(-8, 8, (13, 2, 2)) + 1j * rng.integers(-8, 8, (13, 2, 2))
-    stacks = list(gray_walk(elements, "V"))
+    stacks = _stacks(gray_halves(elements, "V"))
     assert len(stacks) == 4
     assert np.array_equal(np.concatenate(stacks), _sums_by_mask(elements))
     labels = tuple(f"o{k}" for k in range(13))
@@ -834,15 +892,21 @@ def test_products_hold_the_subset_sums_in_mask_order(nx, ny):
 
 
 def test_a_walk_of_several_stacks_starts_with_a_full_one():
-    # every stack of a walk of several is full, as is every row of its
-    # `Halves`; `one_stack` tells the walks of one stack from the others
+    # every row of the `Halves` of a walk of several stacks is full;
+    # `one_stack` tells the walks of one stack, which `gray_walk` returns
+    # whole, from the others, which it refuses
     cap = 2**CHUNK_BITS
     e = linalg.hermitian_part(random_povm(2, 14, seed=3).elements)
     for n in range(1, 15):
-        sizes = [len(s) for s in gray_walk(e[:n], "V")]
+        sizes = [len(s) for s in _stacks(gray_halves(e[:n], "V"))]
         assert max(sizes) <= cap and sum(sizes) == 2 ** (n - 1)
         assert len(sizes) == 1 or sizes[0] == cap
         assert one_stack(n) == (len(sizes) == 1)
+        if one_stack(n):
+            assert np.array_equal(gray_walk(e[:n], "V"), _stacks(gray_halves(e[:n], "V"))[0])
+        else:
+            with pytest.raises(ValueError, match=f"^V: a walk of {n} elements goes by its halves"):
+                gray_walk(e[:n], "V")
     # a pair of lists is one stack of products, or a `Products` walk
     for nx in (1, 2, 5, 8, 11, 12):
         for ny in (1, 2, 5, 8, 11, 12):
@@ -870,14 +934,13 @@ def test_metric_walk_is_one_stack_or_the_gray_walk():
     assert isinstance(walks[1, 3], Segments) and walks[1, 3].counts.tolist() == [4, 4]
     h = stack.with_blocks({d: linalg.hermitian_part(b) for d, b in stack.blocks.items()})
     sums = {tuple(np.ravel(i).tolist()): w for i, w in metric_walks("l1", h, "V")}
-    side_by_side = np.concatenate([*gray_walk(e[1], "V"), *gray_walk(e[3], "V")])
+    side_by_side = np.concatenate([gray_walk(e[1], "V"), gray_walk(e[3], "V")])
     assert np.array_equal(sums[1, 3].stack, side_by_side)
-    # a longer item is walked on its own, by its halves, whose stacks are
-    # those of `gray_walk`
+    # a longer item is walked on its own, by its halves, those of its
+    # elements alone
     low, high, minus_square = sums[0,]
-    alone = list(gray_walk(e[0], "V"))
-    halved = [high[j] + low for j in range(len(high))]
-    assert len(halved) == 2 and all(np.array_equal(w, g) for w, g in zip(halved, alone))
+    alone = gray_halves(e[0], "V")
+    assert len(high) == 2 and np.array_equal(low, alone.low) and np.array_equal(high, alone.high)
     # the intrinsic uncertainty's walks: S - S^2 of the matrices or sums,
     # and the same halves, marked, for the longer item
     uncertain = {tuple(np.ravel(i).tolist()): w for i, w in uncertainty_walks("l1", stack)}
